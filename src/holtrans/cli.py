@@ -35,13 +35,17 @@ class RunConfig:
 
 
 def _env_fuel() -> Optional[int]:
+    """``HOLTRANS_FUEL`` as an integer, or None when unset or empty.
+
+    Raises ``ValueError`` when it is set to something else.
+    """
     raw = os.environ.get("HOLTRANS_FUEL")
     if not raw:
         return None
     try:
         return int(raw)
     except ValueError:
-        return None
+        raise ValueError(f"HOLTRANS_FUEL must be an integer, got {raw!r}") from None
 
 
 def _gz_size(data: bytes) -> int:
@@ -81,6 +85,7 @@ def cmd_translate(cfg: RunConfig) -> int:
                 compress=cfg.compress,
                 sharing=cfg.sharing,
                 min_size=cfg.share_min_size,
+                fuel=cfg.fuel,
             )
         except (opentheory.ArticleError, hol.HolError, translate.TranslateError, kernel.KernelError) as e:
             idx = getattr(e, "command_index", None)
@@ -345,6 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     sys.setrecursionlimit(100_000)
     args = build_parser().parse_args(argv)
+    fuel = getattr(args, "fuel", None)
+    if fuel is None and hasattr(args, "fuel"):
+        try:
+            fuel = _env_fuel()
+        except ValueError as e:
+            _fail(str(e))
+            return 2
     cfg = RunConfig(
         subcommand=args.subcommand,
         inputs=getattr(args, "inputs", []),
@@ -352,7 +364,7 @@ def main(argv: Optional[list] = None) -> int:
         mode=getattr(args, "mode", "q0"),
         compress=getattr(args, "compress", False),
         sharing=getattr(args, "sharing", True),
-        fuel=getattr(args, "fuel", None) or _env_fuel(),
+        fuel=fuel,
         share_min_size=getattr(args, "share_min_size", 8),
         as_json=getattr(args, "as_json", False),
         verbose=getattr(args, "verbose", 0),

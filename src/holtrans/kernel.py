@@ -5,6 +5,15 @@ free variables carry names (``Var``).  Binder names survive only as display
 hints and are ignored by equality and hashing, so ``==`` on terms is exactly
 alpha-equivalence.
 
+Each node caches its size, its loose-index bound (``max(index + 1)`` over
+its dangling indices; 0 means locally closed), whether a free ``Var``
+occurs in it, and, once first asked for, its structural hash.  Equality
+compares sizes and any cached hashes before walking the children.  The
+operations use these facts to skip subterms they cannot change: opening
+skips subterms whose bound is at most the depth, closing and substitution
+skip subterms without free variables.  Terms are plain ``__slots__``
+classes, immutable by convention: nothing assigns to a node once built.
+
 A ``Signature`` is an ordered sequence of constant declarations, definitions
 and rewrite rules.  Conversion is beta-reduction plus rule rewriting plus
 definition unfolding; ``infer_type`` is syntax-directed, with conversion
@@ -14,7 +23,7 @@ budget (``Fuel``) because termination of user rule sets is not checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 DEFAULT_FUEL = 10_000_000
@@ -85,12 +94,41 @@ class UnboundRhsVariable(KernelError):
 
 
 class Term:
+    """Base of the term classes; see the module docstring for the cached facts.
+
+    Leaves hold the facts that never vary as class attributes.
+    """
+
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    size: int
+    bound: int
+    has_var: bool
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True, slots=True)
-class Sort(Term):
-    name: str  # "Type" | "Kind"
+class _Named(Term):
+    """A leaf identified by its class and name."""
+
+    __slots__ = ("name",)
+    _fields = ("name",)
+    size, bound, has_var = 1, 0, False
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.name))
+
+
+class Sort(_Named):
+    __slots__ = ()  # name is "Type" or "Kind"
 
     def __repr__(self) -> str:
         return self.name
@@ -100,48 +138,130 @@ TYPE = Sort("Type")
 KIND = Sort("Kind")
 
 
-@dataclass(frozen=True, slots=True)
-class Var(Term):
+class Var(_Named):
     """A free (named) variable."""
 
-    name: str
+    __slots__ = ()
+    has_var = True
 
 
-@dataclass(frozen=True, slots=True)
+class Const(_Named):
+    __slots__ = ()
+
+
 class BVar(Term):
     """A bound variable as a de Bruijn index; the hint is display-only."""
 
-    index: int
-    hint: str = field(default="x", compare=False)
+    __slots__ = ("index", "hint", "bound")
+    _fields = ("index", "hint")
+    size, has_var = 1, False
+
+    def __init__(self, index: int, hint: str = "x"):
+        self.index = index
+        self.hint = hint
+        self.bound = index + 1
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is BVar and other.index == self.index
+
+    def __hash__(self) -> int:
+        return hash(("BVar", self.index))
 
 
-@dataclass(frozen=True, slots=True)
-class Const(Term):
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
 class Prod(Term):
     """Dependent product; the codomain binds index 0."""
 
-    hint: str = field(compare=False)
-    domain: Term = None  # type: ignore[assignment]
-    codomain: Term = None  # type: ignore[assignment]
+    __slots__ = ("hint", "domain", "codomain", "size", "bound", "has_var", "_hash")
+    _fields = ("hint", "domain", "codomain")
+
+    def __init__(self, hint: str, domain: Term, codomain: Term):
+        self.hint = hint
+        self.domain = domain
+        self.codomain = codomain
+        self.size = domain.size + codomain.size + 1
+        b, c = domain.bound, codomain.bound - 1
+        self.bound = b if b > c else c
+        self.has_var = domain.has_var or codomain.has_var
+        self._hash: Optional[int] = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Prod or other.size != self.size:
+            return False
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self.domain == other.domain and self.codomain == other.codomain
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(("Prod", self.domain, self.codomain))
+        return h
 
 
-@dataclass(frozen=True, slots=True)
 class Abs(Term):
     """Abstraction; the body binds index 0."""
 
-    hint: str = field(compare=False)
-    domain: Term = None  # type: ignore[assignment]
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = ("hint", "domain", "body", "size", "bound", "has_var", "_hash")
+    _fields = ("hint", "domain", "body")
+
+    def __init__(self, hint: str, domain: Term, body: Term):
+        self.hint = hint
+        self.domain = domain
+        self.body = body
+        self.size = domain.size + body.size + 1
+        b, c = domain.bound, body.bound - 1
+        self.bound = b if b > c else c
+        self.has_var = domain.has_var or body.has_var
+        self._hash: Optional[int] = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Abs or other.size != self.size:
+            return False
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self.domain == other.domain and self.body == other.body
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(("Abs", self.domain, self.body))
+        return h
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = ("fn", "arg", "size", "bound", "has_var", "_hash")
+    _fields = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term):
+        self.fn = fn
+        self.arg = arg
+        self.size = fn.size + arg.size + 1
+        b, c = fn.bound, arg.bound
+        self.bound = b if b > c else c
+        self.has_var = fn.has_var or arg.has_var
+        self._hash: Optional[int] = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not App or other.size != self.size:
+            return False
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self.fn == other.fn and self.arg == other.arg
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(("App", self.fn, self.arg))
+        return h
 
 
 def app(fn: Term, *args: Term) -> Term:
@@ -162,6 +282,8 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 
 def close(t: Term, name: str, depth: int = 0) -> Term:
     """Turn free occurrences of ``name`` into the bound index ``depth``."""
+    if not t.has_var:
+        return t
     if isinstance(t, Var):
         return BVar(depth, name) if t.name == name else t
     if isinstance(t, App):
@@ -175,12 +297,10 @@ def close(t: Term, name: str, depth: int = 0) -> Term:
 
 def open_term(t: Term, value: Term, depth: int = 0) -> Term:
     """Replace bound index ``depth`` by ``value`` (which must be locally closed)."""
-    if isinstance(t, BVar):
-        if t.index == depth:
-            return value
-        if t.index > depth:
-            return BVar(t.index - 1, t.hint)
+    if t.bound <= depth:
         return t
+    if isinstance(t, BVar):
+        return value if t.index == depth else BVar(t.index - 1, t.hint)
     if isinstance(t, App):
         return App(open_term(t.fn, value, depth), open_term(t.arg, value, depth))
     if isinstance(t, Abs):
@@ -215,6 +335,8 @@ def free_names(t: Term) -> set[str]:
     stack = [t]
     while stack:
         u = stack.pop()
+        if not u.has_var:
+            continue
         if isinstance(u, Var):
             out.add(u.name)
         elif isinstance(u, App):
@@ -251,7 +373,7 @@ def substitute(t: Term, mapping: dict[str, Term]) -> Term:
     Capture-avoidance is automatic in the locally nameless representation:
     binders bind indices, never names, so images can never be captured.
     """
-    if not mapping:
+    if not mapping or not t.has_var:
         return t
     if isinstance(t, Var):
         return mapping.get(t.name, t)
@@ -269,21 +391,7 @@ def alpha_equal(a: Term, b: Term) -> bool:
 
 
 def term_size(t: Term) -> int:
-    n = 0
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        n += 1
-        if isinstance(u, App):
-            stack.append(u.fn)
-            stack.append(u.arg)
-        elif isinstance(u, Abs):
-            stack.append(u.domain)
-            stack.append(u.body)
-        elif isinstance(u, Prod):
-            stack.append(u.domain)
-            stack.append(u.codomain)
-    return n
+    return t.size
 
 
 def fresh_name(hint: str, taken: set[str]) -> str:
@@ -331,6 +439,8 @@ def pretty(t: Term, _names: tuple[str, ...] = ()) -> str:
 
 
 def _uses_index(t: Term, depth: int) -> bool:
+    if t.bound <= depth:
+        return False
     if isinstance(t, BVar):
         return t.index == depth
     if isinstance(t, App):

@@ -318,11 +318,6 @@ def base_signature(mode: str = "q0") -> Signature:
     return sig
 
 
-def pts_base() -> Signature:
-    """The alternative-mode base with provability defined by rewriting."""
-    return base_signature("pts")
-
-
 def base_document(mode: str = "q0") -> dkfile.DkDocument:
     items: list = [dkfile.Comment(f"base signature, mode {mode}")]
     items.extend(base_signature(mode).items)
@@ -866,35 +861,18 @@ class ShareReport:
     replaced: int
 
 
-def _escape_level(t: Term, memo: dict) -> int:
-    """Number of binder levels the term's dangling indices escape (0 = closed)."""
-    hit = memo.get(id(t))
-    if hit is not None:
-        return hit[1]
-    if isinstance(t, kernel.BVar):
-        out = t.index + 1
-    elif isinstance(t, App):
-        out = max(_escape_level(t.fn, memo), _escape_level(t.arg, memo))
-    elif isinstance(t, Abs):
-        out = max(_escape_level(t.domain, memo), _escape_level(t.body, memo) - 1)
-    elif isinstance(t, Prod):
-        out = max(_escape_level(t.domain, memo), _escape_level(t.codomain, memo) - 1)
-    else:
-        out = 0
-    memo[id(t)] = (t, out)
-    return out
+def _candidate(t: Term, min_size: int) -> bool:
+    """A locally closed subterm without free variables, of at least ``min_size`` nodes."""
+    return t.bound == 0 and not t.has_var and t.size >= min_size
 
 
-def share_document(
-    doc: dkfile.DkDocument,
-    base: Optional[Signature] = None,
-    min_size: int = 8,
-    fuel: Optional[int] = None,
-) -> ShareReport:
-    """Hoist repeated closed subterms into definitions emitted before first use."""
-    if base is None:
-        base = base_signature("q0")
-    esc: dict = {}
+def _shared_terms(doc: dkfile.DkDocument, min_size: int) -> set[Term]:
+    """The compound candidates occurring at least twice in ``doc``'s items.
+
+    The scan does not descend into a candidate's third and later
+    occurrences: its first two were walked in full, so every candidate
+    inside it already counts twice.  That keeps the scan linear.
+    """
     counts: dict[Term, int] = {}
 
     def scan(t: Term) -> None:
@@ -903,12 +881,11 @@ def share_document(
             u = stack.pop()
             if isinstance(u, (kernel.Sort, Var, kernel.BVar, Const)):
                 continue
-            if (
-                _escape_level(u, esc) == 0
-                and not kernel.free_names(u)
-                and kernel.term_size(u) >= min_size
-            ):
-                counts[u] = counts.get(u, 0) + 1
+            if _candidate(u, min_size):
+                seen = counts.get(u, 0) + 1
+                counts[u] = seen
+                if seen > 2:
+                    continue
             if isinstance(u, App):
                 stack.append(u.fn)
                 stack.append(u.arg)
@@ -922,8 +899,19 @@ def share_document(
         elif isinstance(item, Defn):
             scan(item.type)
             scan(item.body)
+    return {t for t, c in counts.items() if c >= 2}
 
-    shared = {t for t, c in counts.items() if c >= 2}
+
+def share_document(
+    doc: dkfile.DkDocument,
+    base: Optional[Signature] = None,
+    min_size: int = 8,
+    fuel: Optional[int] = None,
+) -> ShareReport:
+    """Hoist repeated closed subterms into definitions emitted before first use."""
+    if base is None:
+        base = base_signature("q0")
+    shared = _shared_terms(doc, min_size)
     if not shared:
         return ShareReport(doc, 0, 0)
 
@@ -961,7 +949,7 @@ def share_document(
 
     def rewrite(t: Term, skip_self: bool = False) -> Term:
         nonlocal replaced
-        if not skip_self and t in shared:
+        if not skip_self and _candidate(t, min_size) and t in shared:
             name = emit_shared(t)
             replaced += 1
             return Const(name)
@@ -987,10 +975,6 @@ def share_document(
     )
 
 
-def share(doc: dkfile.DkDocument, base: Optional[Signature] = None, min_size: int = 8) -> dkfile.DkDocument:
-    return share_document(doc, base, min_size).document
-
-
 # ---------------------------------------------------------------------------
 # Whole-run translation
 
@@ -1009,8 +993,12 @@ def translate_state(
     compress: bool = False,
     sharing: bool = True,
     min_size: int = 8,
+    fuel: Optional[int] = None,
 ) -> TranslationResult:
-    """Translate a finished VM run into a document referencing the base file."""
+    """Translate a finished VM run into a document referencing the base file.
+
+    ``fuel`` is the step budget of each type inference sharing runs.
+    """
     env = TranslationEnv.from_vm(state, mode, compress)
     theorems: list[tuple[Term, Term]] = []
     for seq, proof in state.theorems:
@@ -1025,10 +1013,13 @@ def translate_state(
 
     namer = dkfile.DkNamer(reserved=BASE_CONSTS)
     doc = dkfile.rename_document(dkfile.DkDocument(module, tuple(items)), namer)
+    # the pre-rename terms are garbage from here on; without this the
+    # document would exist twice while sharing runs
+    del env, theorems, items
 
     share_hits = 0
     if sharing:
-        report = share_document(doc, base_signature(mode), min_size)
+        report = share_document(doc, base_signature(mode), min_size, fuel)
         doc = report.document
         share_hits = report.replaced
     return TranslationResult(doc, len(state.theorems), share_hits)

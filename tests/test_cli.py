@@ -150,3 +150,35 @@ def test_fuel_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HOLTRANS_FUEL", "250000")
     rc = cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)])
     assert rc == 0
+
+
+def test_fuel_zero_is_a_budget_not_the_default(tmp_path, monkeypatch, capsys):
+    # sharing in this article hoists a term whose type inference takes a
+    # rewrite step, so the failure comes from the sharing pass: --fuel
+    # reaches it, and 0 is not read as "unset"
+    monkeypatch.setenv("HOLTRANS_FUEL", "250000")
+    defineconst = CORPUS / "09_defineconst.art"
+    assert cli.main(["translate", "--fuel", "0", str(defineconst), "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "FuelExhausted" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_fuel_zero_fails_verification_and_check(tmp_path, capsys):
+    assert cli.main(["translate", "--fuel", "0", "--no-sharing", str(IDENTITY), "-o", str(tmp_path)]) == 1
+    assert "budget exceeded" in capsys.readouterr().err
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    out = tmp_path / "01_identity.dk"
+    assert cli.main(["check", "--fuel", "0", str(out)]) == 1
+    assert "FuelExhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["translate", "check"])
+def test_fuel_env_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("HOLTRANS_FUEL", "lots")
+    args = [str(IDENTITY), "-o", str(tmp_path)] if command == "translate" else [str(IDENTITY)]
+    assert cli.main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: HOLTRANS_FUEL must be an integer, got 'lots'\n"
+    # an explicit --fuel makes the variable irrelevant
+    assert cli.main(["translate", "--fuel", "250000", str(IDENTITY), "-o", str(tmp_path)]) == 0

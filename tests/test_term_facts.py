@@ -1,0 +1,310 @@
+"""Differential tests for the facts kernel terms cache about themselves.
+
+The kernel's ``open_term``, ``close``, ``substitute``, ``free_names`` and
+``term_size`` skip subterms using each node's cached size, loose-index
+bound and free-variable flag, and the sharing pass picks candidates by the
+same facts.  The oracles below are the plain full-traversal versions those
+replaced; every test compares the kernel against them on random terms,
+including terms with dangling indices and free variables.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from holtrans import dkfile, hol
+from holtrans import kernel as k
+from holtrans import opentheory as ot
+from holtrans import translate as tr
+
+from conftest import HolGen
+
+# ---------------------------------------------------------------------------
+# oracles: full traversals that use no cached fact
+
+
+def oracle_size(t):
+    if isinstance(t, k.App):
+        return 1 + oracle_size(t.fn) + oracle_size(t.arg)
+    if isinstance(t, k.Abs):
+        return 1 + oracle_size(t.domain) + oracle_size(t.body)
+    if isinstance(t, k.Prod):
+        return 1 + oracle_size(t.domain) + oracle_size(t.codomain)
+    return 1
+
+
+def oracle_escape_level(t):
+    """Number of binder levels the term's dangling indices escape (0 = closed)."""
+    if isinstance(t, k.BVar):
+        return t.index + 1
+    if isinstance(t, k.App):
+        return max(oracle_escape_level(t.fn), oracle_escape_level(t.arg))
+    if isinstance(t, k.Abs):
+        return max(oracle_escape_level(t.domain), oracle_escape_level(t.body) - 1)
+    if isinstance(t, k.Prod):
+        return max(oracle_escape_level(t.domain), oracle_escape_level(t.codomain) - 1)
+    return 0
+
+
+def oracle_free_names(t):
+    if isinstance(t, k.Var):
+        return {t.name}
+    if isinstance(t, k.App):
+        return oracle_free_names(t.fn) | oracle_free_names(t.arg)
+    if isinstance(t, k.Abs):
+        return oracle_free_names(t.domain) | oracle_free_names(t.body)
+    if isinstance(t, k.Prod):
+        return oracle_free_names(t.domain) | oracle_free_names(t.codomain)
+    return set()
+
+
+def oracle_close(t, name, depth=0):
+    if isinstance(t, k.Var):
+        return k.BVar(depth, name) if t.name == name else t
+    if isinstance(t, k.App):
+        return k.App(oracle_close(t.fn, name, depth), oracle_close(t.arg, name, depth))
+    if isinstance(t, k.Abs):
+        return k.Abs(t.hint, oracle_close(t.domain, name, depth), oracle_close(t.body, name, depth + 1))
+    if isinstance(t, k.Prod):
+        return k.Prod(t.hint, oracle_close(t.domain, name, depth), oracle_close(t.codomain, name, depth + 1))
+    return t
+
+
+def oracle_open(t, value, depth=0):
+    if isinstance(t, k.BVar):
+        if t.index == depth:
+            return value
+        if t.index > depth:
+            return k.BVar(t.index - 1, t.hint)
+        return t
+    if isinstance(t, k.App):
+        return k.App(oracle_open(t.fn, value, depth), oracle_open(t.arg, value, depth))
+    if isinstance(t, k.Abs):
+        return k.Abs(t.hint, oracle_open(t.domain, value, depth), oracle_open(t.body, value, depth + 1))
+    if isinstance(t, k.Prod):
+        return k.Prod(t.hint, oracle_open(t.domain, value, depth), oracle_open(t.codomain, value, depth + 1))
+    return t
+
+
+def oracle_substitute(t, mapping):
+    if isinstance(t, k.Var):
+        return mapping.get(t.name, t)
+    if isinstance(t, k.App):
+        return k.App(oracle_substitute(t.fn, mapping), oracle_substitute(t.arg, mapping))
+    if isinstance(t, k.Abs):
+        return k.Abs(t.hint, oracle_substitute(t.domain, mapping), oracle_substitute(t.body, mapping))
+    if isinstance(t, k.Prod):
+        return k.Prod(t.hint, oracle_substitute(t.domain, mapping), oracle_substitute(t.codomain, mapping))
+    return t
+
+
+def shape(t, hints=True):
+    """The term as nested tuples; with ``hints`` the binder hints count too."""
+    if isinstance(t, k.BVar):
+        return ("bvar", t.index, t.hint if hints else None)
+    if isinstance(t, (k.Sort, k.Var, k.Const)):
+        return (type(t).__name__, t.name)
+    if isinstance(t, k.App):
+        return ("app", shape(t.fn, hints), shape(t.arg, hints))
+    body = t.body if isinstance(t, k.Abs) else t.codomain
+    return (type(t).__name__, t.hint if hints else None, shape(t.domain, hints), shape(body, hints))
+
+
+def oracle_shared_terms(doc, min_size):
+    """The sharing pass's candidate scan before terms cached their facts."""
+    counts = {}
+    for item in doc.items:
+        roots = ()
+        if isinstance(item, k.ConstDecl):
+            roots = (item.type,)
+        elif isinstance(item, k.Defn):
+            roots = (item.type, item.body)
+        stack = list(roots)
+        while stack:
+            u = stack.pop()
+            if isinstance(u, (k.Sort, k.Var, k.BVar, k.Const)):
+                continue
+            if oracle_escape_level(u) == 0 and not oracle_free_names(u) and oracle_size(u) >= min_size:
+                counts[u] = counts.get(u, 0) + 1
+            if isinstance(u, k.App):
+                stack += [u.fn, u.arg]
+            else:
+                stack += [u.domain, u.body if isinstance(u, k.Abs) else u.codomain]
+    return {t for t, c in counts.items() if c >= 2}
+
+
+def subterms(t):
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        if isinstance(u, k.App):
+            stack += [u.fn, u.arg]
+        elif isinstance(u, (k.Abs, k.Prod)):
+            stack += [u.domain, u.body if isinstance(u, k.Abs) else u.codomain]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# random terms: few names, so equal subterms and name clashes are common
+
+NAMES = st.sampled_from(["x", "y", "z"])
+HINTS = st.sampled_from(["x", "y", "_", "h"])
+LEAVES = st.one_of(
+    st.just(k.TYPE),
+    NAMES.map(k.Var),
+    st.sampled_from(["c", "d"]).map(k.Const),
+    st.builds(k.BVar, st.integers(0, 3), HINTS),
+)
+
+
+def terms(max_leaves=25):
+    return st.recursive(
+        LEAVES,
+        lambda sub: st.one_of(
+            st.builds(k.App, sub, sub),
+            st.builds(k.Abs, HINTS, sub, sub),
+            st.builds(k.Prod, HINTS, sub, sub),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+CLOSED = terms(8).filter(lambda t: oracle_escape_level(t) == 0)
+
+
+def rehint(t, hint):
+    """``t`` rebuilt from fresh nodes with every binder hint set to ``hint``."""
+    if isinstance(t, k.BVar):
+        return k.BVar(t.index, hint)
+    if isinstance(t, (k.Sort, k.Var, k.Const)):
+        return type(t)(t.name)
+    if isinstance(t, k.App):
+        return k.App(rehint(t.fn, hint), rehint(t.arg, hint))
+    body = t.body if isinstance(t, k.Abs) else t.codomain
+    return type(t)(hint, rehint(t.domain, hint), rehint(body, hint))
+
+
+# ---------------------------------------------------------------------------
+# cached facts
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms())
+def test_cached_facts_match_oracles(t):
+    for u in subterms(t):
+        assert u.size == oracle_size(u) == k.term_size(u)
+        assert u.bound == oracle_escape_level(u)
+        assert u.has_var == bool(oracle_free_names(u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(), HINTS)
+def test_equal_terms_hash_equal_whatever_the_hints(t, hint):
+    twin = rehint(t, hint)
+    assert twin == t and t == twin
+    hash(t)  # one side cached, the other not
+    assert twin == t and t == twin
+    assert hash(twin) == hash(t)
+    assert twin == t and t == twin
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms(4), terms(4), st.sampled_from(["none", "left", "both"]))
+def test_equality_is_structural_with_or_without_cached_hashes(a, b, cached):
+    if cached != "none":
+        hash(a)
+    if cached == "both":
+        hash(b)
+    same = shape(a, hints=False) == shape(b, hints=False)
+    assert (a == b) == same
+    assert (a != b) == (not same)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# short-circuited operations
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(), CLOSED, st.integers(0, 3))
+def test_open_term_matches_oracle(t, value, depth):
+    assert shape(k.open_term(t, value, depth)) == shape(oracle_open(t, value, depth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(), NAMES, st.integers(0, 3))
+def test_close_matches_oracle(t, name, depth):
+    assert shape(k.close(t, name, depth)) == shape(oracle_close(t, name, depth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(), st.dictionaries(NAMES, CLOSED, max_size=3))
+def test_substitute_matches_oracle(t, mapping):
+    assert shape(k.substitute(t, mapping)) == shape(oracle_substitute(t, mapping))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms())
+def test_free_names_matches_oracle(t):
+    assert k.free_names(t) == oracle_free_names(t)
+
+
+# ---------------------------------------------------------------------------
+# the sharing pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(CLOSED, min_size=1, max_size=3), st.lists(terms(12), min_size=1, max_size=6),
+       st.integers(2, 8), st.randoms(use_true_random=False))
+def test_shared_terms_match_oracle_scan(pool, extra, min_size, rnd):
+    # plant the pool's closed terms several times, inside binders too, so
+    # candidates occur once, twice and three or more times
+    items = []
+    for i, t in enumerate(extra):
+        for _ in range(rnd.randint(0, 3)):
+            p = rnd.choice(pool)
+            t = rnd.choice([k.App(t, p), k.App(p, t), k.Abs("x", p, t), k.Prod("y", t, p)])
+        items.append(k.Defn(f"d{i}", rnd.choice(pool), t))
+    doc = dkfile.DkDocument("m", tuple(items))
+    assert tr._shared_terms(doc, min_size) == oracle_shared_terms(doc, min_size)
+
+
+def _dag_article(depth):
+    terms_ = [hol.Const("c", hol.BOOL)]
+    while len(terms_) <= depth:
+        terms_.append(hol.mk_eq(terms_[-1], terms_[-1]))
+    thms = [hol.Refl(terms_[d]) for d in (depth - 1, depth)]
+    return ot.serialize_article(ot.VMState(theorems=tuple((hol.check_proof(p), p) for p in thms)))
+
+
+def _random_article(seed):
+    proofs = [HolGen(seed * 7 + i).proof(3) for i in range(3)]
+    return ot.serialize_article(ot.VMState(theorems=tuple((hol.check_proof(p), p) for p in proofs)))
+
+
+def _share_both_ways(article, min_size):
+    state = ot.run_text(article)
+    doc = tr.translate_state(state, "m", sharing=False).document
+    base = tr.base_signature("q0")
+    fast = tr.share_document(doc, base, min_size)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tr, "_shared_terms", oracle_shared_terms)
+        slow = tr.share_document(doc, base, min_size)
+    assert (fast.hoisted, fast.replaced) == (slow.hoisted, slow.replaced)
+    assert dkfile.emit(fast.document) == dkfile.emit(slow.document)
+    return fast
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.integers(4, 12))
+def test_share_document_hoists_like_oracle_scan(seed, min_size):
+    _share_both_ways(_random_article(seed), min_size)
+
+
+def test_share_document_hoists_like_oracle_scan_on_dag():
+    # t_(k+1) = (t_k = t_k): every t_k occurs 2^(depth-k) times, so most
+    # occurrences are skipped by the scan
+    report = _share_both_ways(_dag_article(7), 8)
+    assert report.hoisted > 0
