@@ -89,14 +89,14 @@ def cmd_translate(cfg: RunConfig) -> int:
             )
         except (opentheory.ArticleError, hol.HolError, translate.TranslateError, kernel.KernelError) as e:
             idx = getattr(e, "command_index", None)
-            where = f" (command {idx})" if idx is not None else ""
+            where = f" (command {idx}, line {e.command_line})" if idx is not None else ""
             _fail(f"{path}{where}: {type(e).__name__}: {e}")
             return 1
         t1 = time.perf_counter()
         try:
             translate.verify_document(result.document, mode=cfg.mode, fuel=cfg.fuel)
         except kernel.KernelError as e:
-            _fail(f"{path}: generated document failed self-verification: {e}")
+            _fail(f"{path}: generated document failed self-verification: {type(e).__name__}: {e}")
             return 1
         t2 = time.perf_counter()
         text = dkfile.emit(result.document).encode("utf-8")

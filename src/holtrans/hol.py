@@ -229,14 +229,6 @@ def dest_eq(t: HolTerm) -> tuple[HolTerm, HolTerm]:
     raise HolError(f"not an equality: {t}")
 
 
-def is_eq(t: HolTerm) -> bool:
-    try:
-        dest_eq(t)
-        return True
-    except HolError:
-        return False
-
-
 def free_vars(t: HolTerm, bound: frozenset = frozenset()) -> frozenset:
     if isinstance(t, Var):
         return frozenset() if t in bound else frozenset((t,))

@@ -386,10 +386,6 @@ def substitute(t: Term, mapping: dict[str, Term]) -> Term:
     return t
 
 
-def alpha_equal(a: Term, b: Term) -> bool:
-    return a == b
-
-
 def term_size(t: Term) -> int:
     return t.size
 
@@ -590,24 +586,6 @@ def _as_fuel(fuel: Union[int, Fuel, None]) -> Fuel:
     return Fuel(DEFAULT_FUEL if fuel is None else fuel)
 
 
-def _match_syntactic(pat: Term, t: Term, bind: dict[str, Term]) -> bool:
-    if isinstance(pat, Var):
-        prev = bind.get(pat.name)
-        if prev is None:
-            bind[pat.name] = t
-            return True
-        return prev == t
-    if isinstance(pat, Const):
-        return t == pat
-    if isinstance(pat, App):
-        return (
-            isinstance(t, App)
-            and _match_syntactic(pat.fn, t.fn, bind)
-            and _match_syntactic(pat.arg, t.arg, bind)
-        )
-    return False
-
-
 def _match_reducing(sig: "Signature", pat: Term, t: Term, bind: dict[str, Term], fuel: Fuel) -> bool:
     """First-order matching that weak-head-normalizes the subject on demand."""
     if isinstance(pat, Var):
@@ -628,12 +606,12 @@ def _match_reducing(sig: "Signature", pat: Term, t: Term, bind: dict[str, Term],
     return False
 
 
-def _rewrite_head(sig: Signature, t: Term, fuel: Optional[Fuel]) -> Optional[Term]:
+def _rewrite_head(sig: Signature, t: Term, fuel: Fuel) -> Optional[Term]:
     """One rule or definition step at the root of ``t``, or None.
 
-    With ``fuel`` the match may reduce proper subterms to expose rule
-    patterns; without it the match is purely syntactic.  The root itself is
-    destructured, never reduced, so this is safe to call from ``whnf``.
+    The match may reduce proper subterms to expose rule patterns.  The root
+    itself is destructured, never reduced, so this is safe to call from
+    ``whnf``.
     """
     head, args = spine(t)
     if not isinstance(head, Const):
@@ -643,15 +621,10 @@ def _rewrite_head(sig: Signature, t: Term, fuel: Optional[Fuel]) -> Optional[Ter
             continue
         pats = spine(rule.lhs)[1]
         bind: dict[str, Term] = {}
-        ok = True
         for p, a in zip(pats, args):
-            if fuel is None:
-                ok = _match_syntactic(p, a, bind)
-            else:
-                ok = _match_reducing(sig, p, a, bind, fuel)
-            if not ok:
+            if not _match_reducing(sig, p, a, bind, fuel):
                 break
-        if ok:
+        else:
             return substitute(rule.rhs, bind)
     body = sig.definition(head.name)
     if body is not None:
@@ -686,7 +659,11 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
 
 
 def normalize(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
-    """Full beta-rule normal form; a fixed point of ``reduce_step``."""
+    """Full normal form under beta, the signature's rules, and unfolding.
+
+    Normalizes the weak head first, then every argument, binder domain and
+    body; a term it returns has no redex left anywhere.
+    """
     return _nf(sig, t, _as_fuel(fuel))
 
 
@@ -703,47 +680,6 @@ def _nf(sig: Signature, t: Term, fuel: Fuel) -> Term:
         cod = _nf(sig, open_term(t.codomain, Var(x)), fuel)
         return Prod(t.hint, _nf(sig, t.domain, fuel), close(cod, x))
     return t
-
-
-def contract_root(sig: Signature, t: Term) -> Optional[Term]:
-    """Contract a beta redex, rule redex or definition at the root, syntactically."""
-    if isinstance(t, App) and isinstance(t.fn, Abs):
-        return open_term(t.fn.body, t.arg)
-    return _rewrite_head(sig, t, None)
-
-
-def reduce_step(sig: Signature, t: Term) -> Optional[Term]:
-    """One leftmost-outermost reduction step, or None if ``t`` is normal."""
-    r = contract_root(sig, t)
-    if r is not None:
-        return r
-    if isinstance(t, App):
-        rf = reduce_step(sig, t.fn)
-        if rf is not None:
-            return App(rf, t.arg)
-        ra = reduce_step(sig, t.arg)
-        if ra is not None:
-            return App(t.fn, ra)
-        return None
-    if isinstance(t, Abs):
-        rd = reduce_step(sig, t.domain)
-        if rd is not None:
-            return Abs(t.hint, rd, t.body)
-        x = fresh_name(t.hint, free_names(t.body))
-        rb = reduce_step(sig, open_term(t.body, Var(x)))
-        if rb is not None:
-            return Abs(t.hint, t.domain, close(rb, x))
-        return None
-    if isinstance(t, Prod):
-        rd = reduce_step(sig, t.domain)
-        if rd is not None:
-            return Prod(t.hint, rd, t.codomain)
-        x = fresh_name(t.hint, free_names(t.codomain))
-        rc = reduce_step(sig, open_term(t.codomain, Var(x)))
-        if rc is not None:
-            return Prod(t.hint, t.domain, close(rc, x))
-        return None
-    return None
 
 
 def convertible(sig: Signature, a: Term, b: Term, fuel: Union[int, Fuel, None] = None) -> bool:

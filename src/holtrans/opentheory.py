@@ -1,8 +1,9 @@
 """OpenTheory article parser and virtual machine.
 
 An article is a newline-delimited command stream (format version 6).  The
-VM executes it over a stack and a sharing dictionary, building explicit
-derivation trees for every theorem object.  Derived commands (``sym``,
+VM is one mutable machine: each command pops its operands from a stack and
+pushes its results, and ``def``/``remove`` update a sharing dictionary in
+place.  It builds explicit derivation trees for every theorem object.  Derived commands (``sym``,
 ``trans``, ``proveHyp``, ``betaConv``) are expanded into compositions of
 the primitive rules at construction time, so the proof checker stays
 minimal.  ``serialize_article`` regenerates an article from a finished run
@@ -207,45 +208,41 @@ class OThm:
 StackObject = Union[ONum, OName, OList, OTypeOp, OType, OConst, OVar, OTerm, OThm]
 
 
-@dataclass(frozen=True)
+@dataclass
 class VMState:
-    """One article run's state; structurally shared, never mutated in place.
+    """The article machine: one run's state, changed in place by ``step``.
 
-    ``constants`` holds authoritative generic types (built-ins and defined
-    constants, checked strictly); ``externals`` holds provisional generics
-    for undefined imported constants, widened by anti-unification as new
-    instances appear.
+    The top of ``stack`` is its last element.  ``constants`` holds
+    authoritative generic types (built-ins and defined constants, checked
+    strictly); ``externals`` holds provisional generics for undefined
+    imported constants, widened by anti-unification as new instances
+    appear.  ``theorems`` holds ``(stated sequent, proof)`` pairs in export
+    order.  A step that raises leaves the machine in an unspecified state.
     """
 
-    stack: tuple = ()
+    stack: list = field(default_factory=list)
     dictionary: dict = field(default_factory=dict)
-    assumptions: tuple = ()
-    theorems: tuple = ()
-    constants: dict = field(default_factory=dict)  # name -> generic HolType
+    assumptions: list = field(default_factory=list)
+    theorems: list = field(default_factory=list)
+    # name -> generic HolType
+    constants: dict = field(default_factory=lambda: {hol.EQ: hol.eq_generic(), hol.SELECT: hol.select_generic()})
     externals: dict = field(default_factory=dict)  # name -> provisional generic
-    typeops: dict = field(default_factory=dict)  # name -> arity
+    typeops: dict = field(default_factory=lambda: dict(hol.BUILTIN_TYPE_ARITY))  # name -> arity
     versioned: bool = False
 
-    def constant_generic(self, name: str):
-        hit = self.constants.get(name)
-        return hit if hit is not None else self.externals.get(name)
+    def pop(self, cls, cmd: str):
+        """Remove and return the top object, which must be a ``cls`` unless
+        ``cls`` is None."""
+        if not self.stack:
+            raise StackUnderflow(f"{cmd}: stack underflow")
+        top = self.stack.pop()
+        if cls is not None and not isinstance(top, cls):
+            raise TypeErrorOnStack(f"{cmd}: expected {cls.__name__}, found {type(top).__name__}")
+        return top
 
-
-def initial_state() -> VMState:
-    return VMState(
-        constants={hol.EQ: hol.eq_generic(), hol.SELECT: hol.select_generic()},
-        typeops=dict(hol.BUILTIN_TYPE_ARITY),
-    )
-
-
-def _pop(stack: tuple, cls, cmd: str):
-    if not stack:
-        raise StackUnderflow(f"{cmd}: stack underflow")
-    top = stack[0]
-    if cls is not None and not isinstance(top, cls):
-        want = cls.__name__ if isinstance(cls, type) else "/".join(c.__name__ for c in cls)
-        raise TypeErrorOnStack(f"{cmd}: expected {want}, found {type(top).__name__}")
-    return top, stack[1:]
+    def push(self, *objs: StackObject) -> None:
+        """Push ``objs`` in order, so the last one ends on top."""
+        self.stack.extend(objs)
 
 
 def _name_list(obj: OList, cmd: str) -> list[str]:
@@ -295,7 +292,7 @@ def beta_conv_proof(redex: HolTerm) -> Proof:
     return Subst(HolSubst(sigma=((lam.var, redex.arg),)), Beta(lam.var, lam.body))
 
 
-def _auto_const(state: VMState, name: str, ty: HolType, cmd: str) -> VMState:
+def _auto_const(state: VMState, name: str, ty: HolType, cmd: str) -> None:
     """Check a constant instance.
 
     Authoritative constants are checked strictly.  Unknown imported
@@ -307,163 +304,137 @@ def _auto_const(state: VMState, name: str, ty: HolType, cmd: str) -> VMState:
     if generic is not None:
         if hol.match_type(generic, ty) is None:
             raise TypeErrorOnStack(f"{cmd}: {name} at {ty} is not an instance of {generic}")
-        return state
+        return
     provisional = state.externals.get(name)
     if provisional is None:
-        new = ty
-    elif hol.match_type(provisional, ty) is not None:
-        return state
-    else:
-        new = hol.anti_unify(provisional, ty)
-    ext = dict(state.externals)
-    ext[name] = new
-    return _replace(state, externals=ext)
+        state.externals[name] = ty
+    elif hol.match_type(provisional, ty) is None:
+        state.externals[name] = hol.anti_unify(provisional, ty)
 
 
-def _replace(state: VMState, **kw) -> VMState:
-    fields = dict(
-        stack=state.stack,
-        dictionary=state.dictionary,
-        assumptions=state.assumptions,
-        theorems=state.theorems,
-        constants=state.constants,
-        externals=state.externals,
-        typeops=state.typeops,
-        versioned=state.versioned,
-    )
-    fields.update(kw)
-    return VMState(**fields)
+def _thm(proof: Proof, memo: dict) -> OThm:
+    return OThm(proof, check_proof(proof, memo))
 
 
-def _push_thm(state: VMState, proof: Proof, memo: dict, stack: tuple) -> VMState:
-    seq = check_proof(proof, memo)
-    return _replace(state, stack=(OThm(proof, seq),) + stack)
-
-
-def step(state: VMState, cmd: ArticleCommand, memo: Optional[dict] = None) -> VMState:
-    """Execute one command; returns the successor state."""
-    if memo is None:
-        memo = {}
+def step(state: VMState, cmd: ArticleCommand, memo: Optional[dict] = None) -> None:
+    """Execute one command on ``state`` in place."""
     if isinstance(cmd, IntLiteral):
-        return _replace(state, stack=(ONum(cmd.value),) + state.stack)
+        state.push(ONum(cmd.value))
+        return
     if isinstance(cmd, StringLiteral):
-        return _replace(state, stack=(OName(cmd.value),) + state.stack)
+        state.push(OName(cmd.value))
+        return
     assert isinstance(cmd, Keyword)
     if not state.versioned and cmd.name != "version":
         raise UnsupportedVersion(f"{cmd.name}: article must begin with a version")
     handler = _HANDLERS.get(cmd.name)
     if handler is None:
         raise UnknownCommand(f"unknown command {cmd.name}")
-    return handler(state, memo)
+    handler(state, {} if memo is None else memo)
 
 
-def _cmd_version(state: VMState, memo: dict) -> VMState:
-    n, stack = _pop(state.stack, ONum, "version")
+# Each handler pops its operands (top first) and pushes its results
+# bottom-first.
+
+
+def _cmd_version(state: VMState, memo: dict) -> None:
+    n = state.pop(ONum, "version")
     if state.versioned:
         raise UnsupportedVersion("duplicate version command")
     if n.value != 6:
         raise UnsupportedVersion(f"unsupported article version {n.value}")
-    return _replace(state, stack=stack, versioned=True)
+    state.versioned = True
 
 
-def _cmd_abs_term(state: VMState, memo: dict) -> VMState:
-    b, stack = _pop(state.stack, OTerm, "absTerm")
-    v, stack = _pop(stack, OVar, "absTerm")
-    return _replace(state, stack=(OTerm(Abs(v.var, b.term)),) + stack)
+def _cmd_abs_term(state: VMState, memo: dict) -> None:
+    b = state.pop(OTerm, "absTerm")
+    v = state.pop(OVar, "absTerm")
+    state.push(OTerm(Abs(v.var, b.term)))
 
 
-def _cmd_abs_thm(state: VMState, memo: dict) -> VMState:
-    t, stack = _pop(state.stack, OThm, "absThm")
-    v, stack = _pop(stack, OVar, "absThm")
-    return _push_thm(state, AbsThm(v.var, t.proof), memo, stack)
+def _cmd_abs_thm(state: VMState, memo: dict) -> None:
+    t = state.pop(OThm, "absThm")
+    v = state.pop(OVar, "absThm")
+    state.push(_thm(AbsThm(v.var, t.proof), memo))
 
 
-def _cmd_app_term(state: VMState, memo: dict) -> VMState:
-    x, stack = _pop(state.stack, OTerm, "appTerm")
-    f, stack = _pop(stack, OTerm, "appTerm")
-    return _replace(state, stack=(OTerm(App(f.term, x.term)),) + stack)
+def _cmd_app_term(state: VMState, memo: dict) -> None:
+    x = state.pop(OTerm, "appTerm")
+    f = state.pop(OTerm, "appTerm")
+    state.push(OTerm(App(f.term, x.term)))
 
 
-def _cmd_app_thm(state: VMState, memo: dict) -> VMState:
-    x, stack = _pop(state.stack, OThm, "appThm")
-    f, stack = _pop(stack, OThm, "appThm")
-    return _push_thm(state, AppThm(f.proof, x.proof), memo, stack)
+def _cmd_app_thm(state: VMState, memo: dict) -> None:
+    x = state.pop(OThm, "appThm")
+    f = state.pop(OThm, "appThm")
+    state.push(_thm(AppThm(f.proof, x.proof), memo))
 
 
-def _cmd_assume(state: VMState, memo: dict) -> VMState:
-    t, stack = _pop(state.stack, OTerm, "assume")
-    return _push_thm(state, Assume(t.term), memo, stack)
+def _cmd_assume(state: VMState, memo: dict) -> None:
+    t = state.pop(OTerm, "assume")
+    state.push(_thm(Assume(t.term), memo))
 
 
-def _cmd_axiom(state: VMState, memo: dict) -> VMState:
-    t, stack = _pop(state.stack, OTerm, "axiom")
-    l, stack = _pop(stack, OList, "axiom")
-    node = Axiom(tuple(_term_list(l, "axiom")), t.term)
-    seq = check_proof(node, memo)
-    return _replace(
-        state,
-        stack=(OThm(node, seq),) + stack,
-        assumptions=state.assumptions + (seq,),
-    )
+def _cmd_axiom(state: VMState, memo: dict) -> None:
+    t = state.pop(OTerm, "axiom")
+    l = state.pop(OList, "axiom")
+    thm = _thm(Axiom(tuple(_term_list(l, "axiom")), t.term), memo)
+    state.assumptions.append(thm.sequent)
+    state.push(thm)
 
 
-def _cmd_beta_conv(state: VMState, memo: dict) -> VMState:
-    t, stack = _pop(state.stack, OTerm, "betaConv")
-    return _push_thm(state, beta_conv_proof(t.term), memo, stack)
+def _cmd_beta_conv(state: VMState, memo: dict) -> None:
+    t = state.pop(OTerm, "betaConv")
+    state.push(_thm(beta_conv_proof(t.term), memo))
 
 
-def _cmd_cons(state: VMState, memo: dict) -> VMState:
-    tail, stack = _pop(state.stack, OList, "cons")
-    head, stack = _pop(stack, None, "cons")
-    return _replace(state, stack=(OList((head,) + tail.items),) + stack)
+def _cmd_cons(state: VMState, memo: dict) -> None:
+    tail = state.pop(OList, "cons")
+    head = state.pop(None, "cons")
+    state.push(OList((head,) + tail.items))
 
 
-def _cmd_const(state: VMState, memo: dict) -> VMState:
-    n, stack = _pop(state.stack, OName, "const")
-    return _replace(state, stack=(OConst(n.value),) + stack)
+def _cmd_const(state: VMState, memo: dict) -> None:
+    n = state.pop(OName, "const")
+    state.push(OConst(n.value))
 
 
-def _cmd_const_term(state: VMState, memo: dict) -> VMState:
-    ty, stack = _pop(state.stack, OType, "constTerm")
-    c, stack = _pop(stack, OConst, "constTerm")
-    state = _auto_const(state, c.name, ty.type, "constTerm")
-    return _replace(state, stack=(OTerm(Const(c.name, ty.type)),) + stack)
+def _cmd_const_term(state: VMState, memo: dict) -> None:
+    ty = state.pop(OType, "constTerm")
+    c = state.pop(OConst, "constTerm")
+    _auto_const(state, c.name, ty.type, "constTerm")
+    state.push(OTerm(Const(c.name, ty.type)))
 
 
-def _cmd_deduct_antisym(state: VMState, memo: dict) -> VMState:
-    t2, stack = _pop(state.stack, OThm, "deductAntisym")
-    t1, stack = _pop(stack, OThm, "deductAntisym")
-    return _push_thm(state, DeductAntiSym(t1.proof, t2.proof), memo, stack)
+def _cmd_deduct_antisym(state: VMState, memo: dict) -> None:
+    t2 = state.pop(OThm, "deductAntisym")
+    t1 = state.pop(OThm, "deductAntisym")
+    state.push(_thm(DeductAntiSym(t1.proof, t2.proof), memo))
 
 
-def _cmd_def(state: VMState, memo: dict) -> VMState:
-    n, stack = _pop(state.stack, ONum, "def")
-    if not stack:
+def _cmd_def(state: VMState, memo: dict) -> None:
+    n = state.pop(ONum, "def")
+    if not state.stack:
         raise StackUnderflow("def: no object to store")
-    d = dict(state.dictionary)
-    d[n.value] = stack[0]
-    return _replace(state, stack=stack, dictionary=d)
+    state.dictionary[n.value] = state.stack[-1]
 
 
-def _cmd_define_const(state: VMState, memo: dict) -> VMState:
-    t, stack = _pop(state.stack, OTerm, "defineConst")
-    n, stack = _pop(stack, OName, "defineConst")
+def _cmd_define_const(state: VMState, memo: dict) -> None:
+    t = state.pop(OTerm, "defineConst")
+    n = state.pop(OName, "defineConst")
     if n.value in state.constants or n.value in state.externals:
         raise VMError(f"defineConst: constant {n.value} already declared")
-    node = DefineConst(n.value, t.term)
-    seq = check_proof(node, memo)
-    consts = dict(state.constants)
-    consts[n.value] = hol.infer_type(t.term)
-    stack = (OThm(node, seq), OConst(n.value)) + stack
-    return _replace(state, stack=stack, constants=consts)
+    thm = _thm(DefineConst(n.value, t.term), memo)
+    state.constants[n.value] = hol.infer_type(t.term)
+    state.push(OConst(n.value), thm)
 
 
-def _cmd_define_type_op(state: VMState, memo: dict) -> VMState:
-    t, stack = _pop(state.stack, OThm, "defineTypeOp")
-    l, stack = _pop(stack, OList, "defineTypeOp")
-    r, stack = _pop(stack, OName, "defineTypeOp")
-    a, stack = _pop(stack, OName, "defineTypeOp")
-    n, stack = _pop(stack, OName, "defineTypeOp")
+def _cmd_define_type_op(state: VMState, memo: dict) -> None:
+    t = state.pop(OThm, "defineTypeOp")
+    l = state.pop(OList, "defineTypeOp")
+    r = state.pop(OName, "defineTypeOp")
+    a = state.pop(OName, "defineTypeOp")
+    n = state.pop(OName, "defineTypeOp")
     if n.value in state.typeops:
         raise VMError(f"defineTypeOp: type operator {n.value} already declared")
     for cname in (a.value, r.value):
@@ -471,89 +442,70 @@ def _cmd_define_type_op(state: VMState, memo: dict) -> VMState:
             raise VMError(f"defineTypeOp: constant {cname} already declared")
     tyvars = tuple(_name_list(l, "defineTypeOp"))
     defn = TypeOpDef(n.value, a.value, r.value, tyvars, t.proof)
-    abs_node = AbsRepThm(defn)
-    rep_node = RepAbsThm(defn)
-    abs_seq = check_proof(abs_node, memo)
-    rep_seq = check_proof(rep_node, memo)
+    abs_thm = _thm(AbsRepThm(defn), memo)
+    rep_thm = _thm(RepAbsThm(defn), memo)
     pred, carrier, new_ty = defn.pieces(check_proof(t.proof, memo))
-    consts = dict(state.constants)
-    consts[a.value] = defn.abs_type(carrier, new_ty)
-    consts[r.value] = defn.rep_type(carrier, new_ty)
-    ops = dict(state.typeops)
-    ops[n.value] = len(tyvars)
-    stack = (
-        OThm(rep_node, rep_seq),
-        OThm(abs_node, abs_seq),
-        OConst(r.value),
-        OConst(a.value),
-        OTypeOp(n.value),
-    ) + stack
-    return _replace(state, stack=stack, constants=consts, typeops=ops)
+    state.constants[a.value] = defn.abs_type(carrier, new_ty)
+    state.constants[r.value] = defn.rep_type(carrier, new_ty)
+    state.typeops[n.value] = len(tyvars)
+    state.push(OTypeOp(n.value), OConst(a.value), OConst(r.value), abs_thm, rep_thm)
 
 
-def _cmd_eq_mp(state: VMState, memo: dict) -> VMState:
-    t2, stack = _pop(state.stack, OThm, "eqMp")
-    t1, stack = _pop(stack, OThm, "eqMp")
-    return _push_thm(state, EqMp(t1.proof, t2.proof), memo, stack)
+def _cmd_eq_mp(state: VMState, memo: dict) -> None:
+    t2 = state.pop(OThm, "eqMp")
+    t1 = state.pop(OThm, "eqMp")
+    state.push(_thm(EqMp(t1.proof, t2.proof), memo))
 
 
-def _cmd_nil(state: VMState, memo: dict) -> VMState:
-    return _replace(state, stack=(OList(),) + state.stack)
+def _cmd_nil(state: VMState, memo: dict) -> None:
+    state.push(OList())
 
 
-def _cmd_op_type(state: VMState, memo: dict) -> VMState:
-    l, stack = _pop(state.stack, OList, "opType")
-    op, stack = _pop(stack, OTypeOp, "opType")
+def _cmd_op_type(state: VMState, memo: dict) -> None:
+    l = state.pop(OList, "opType")
+    op = state.pop(OTypeOp, "opType")
     args = []
     for it in l.items:
         if not isinstance(it, OType):
             raise TypeErrorOnStack("opType: expected a list of types")
         args.append(it.type)
-    arity = state.typeops.get(op.name)
-    if arity is None:
-        ops = dict(state.typeops)
-        ops[op.name] = len(args)
-        state = _replace(state, typeops=ops)
-    elif arity != len(args):
+    arity = state.typeops.setdefault(op.name, len(args))
+    if arity != len(args):
         raise TypeErrorOnStack(f"opType: {op.name} expects {arity} arguments, got {len(args)}")
-    return _replace(state, stack=(OType(TyOp(op.name, tuple(args))),) + stack)
+    state.push(OType(TyOp(op.name, tuple(args))))
 
 
-def _cmd_pop(state: VMState, memo: dict) -> VMState:
-    _, stack = _pop(state.stack, None, "pop")
-    return _replace(state, stack=stack)
+def _cmd_pop(state: VMState, memo: dict) -> None:
+    state.pop(None, "pop")
 
 
-def _cmd_pragma(state: VMState, memo: dict) -> VMState:
-    _, stack = _pop(state.stack, None, "pragma")
-    return _replace(state, stack=stack)
+def _cmd_pragma(state: VMState, memo: dict) -> None:
+    state.pop(None, "pragma")
 
 
-def _cmd_prove_hyp(state: VMState, memo: dict) -> VMState:
-    t2, stack = _pop(state.stack, OThm, "proveHyp")
-    t1, stack = _pop(stack, OThm, "proveHyp")
-    return _push_thm(state, prove_hyp_proof(t1.proof, t2.proof), memo, stack)
+def _cmd_prove_hyp(state: VMState, memo: dict) -> None:
+    t2 = state.pop(OThm, "proveHyp")
+    t1 = state.pop(OThm, "proveHyp")
+    state.push(_thm(prove_hyp_proof(t1.proof, t2.proof), memo))
 
 
-def _cmd_ref(state: VMState, memo: dict) -> VMState:
-    n, stack = _pop(state.stack, ONum, "ref")
+def _cmd_ref(state: VMState, memo: dict) -> None:
+    n = state.pop(ONum, "ref")
     if n.value not in state.dictionary:
         raise VMError(f"ref: undefined dictionary key {n.value}")
-    return _replace(state, stack=(state.dictionary[n.value],) + stack)
+    state.push(state.dictionary[n.value])
 
 
-def _cmd_refl(state: VMState, memo: dict) -> VMState:
-    t, stack = _pop(state.stack, OTerm, "refl")
-    return _push_thm(state, Refl(t.term), memo, stack)
+def _cmd_refl(state: VMState, memo: dict) -> None:
+    t = state.pop(OTerm, "refl")
+    state.push(_thm(Refl(t.term), memo))
 
 
-def _cmd_remove(state: VMState, memo: dict) -> VMState:
-    n, stack = _pop(state.stack, ONum, "remove")
+def _cmd_remove(state: VMState, memo: dict) -> None:
+    n = state.pop(ONum, "remove")
     if n.value not in state.dictionary:
         raise VMError(f"remove: undefined dictionary key {n.value}")
-    d = dict(state.dictionary)
-    obj = d.pop(n.value)
-    return _replace(state, stack=(obj,) + stack, dictionary=d)
+    state.push(state.dictionary.pop(n.value))
 
 
 def _parse_subst(obj: OList) -> HolSubst:
@@ -585,57 +537,57 @@ def _parse_subst(obj: OList) -> HolSubst:
     return HolSubst(tuple(theta), tuple(sigma))
 
 
-def _cmd_subst(state: VMState, memo: dict) -> VMState:
-    t, stack = _pop(state.stack, OThm, "subst")
-    s, stack = _pop(stack, OList, "subst")
-    return _push_thm(state, Subst(_parse_subst(s), t.proof), memo, stack)
+def _cmd_subst(state: VMState, memo: dict) -> None:
+    t = state.pop(OThm, "subst")
+    s = state.pop(OList, "subst")
+    state.push(_thm(Subst(_parse_subst(s), t.proof), memo))
 
 
-def _cmd_sym(state: VMState, memo: dict) -> VMState:
-    t, stack = _pop(state.stack, OThm, "sym")
-    return _push_thm(state, sym_proof(t.proof, t.sequent), memo, stack)
+def _cmd_sym(state: VMState, memo: dict) -> None:
+    t = state.pop(OThm, "sym")
+    state.push(_thm(sym_proof(t.proof, t.sequent), memo))
 
 
-def _cmd_thm(state: VMState, memo: dict) -> VMState:
-    concl, stack = _pop(state.stack, OTerm, "thm")
-    l, stack = _pop(stack, OList, "thm")
-    t, stack = _pop(stack, OThm, "thm")
+def _cmd_thm(state: VMState, memo: dict) -> None:
+    concl = state.pop(OTerm, "thm")
+    l = state.pop(OList, "thm")
+    t = state.pop(OThm, "thm")
     stated = make_sequent(_term_list(l, "thm"), concl.term)
     if not t.sequent.alpha_eq(stated):
         raise SequentMismatch(
             f"thm: stated sequent differs from the proved one ({stated} vs {t.sequent})"
         )
-    return _replace(state, stack=stack, theorems=state.theorems + ((stated, t.proof),))
+    state.theorems.append((stated, t.proof))
 
 
-def _cmd_trans(state: VMState, memo: dict) -> VMState:
-    t2, stack = _pop(state.stack, OThm, "trans")
-    t1, stack = _pop(stack, OThm, "trans")
-    return _push_thm(state, trans_proof(t1.proof, t1.sequent, t2.proof), memo, stack)
+def _cmd_trans(state: VMState, memo: dict) -> None:
+    t2 = state.pop(OThm, "trans")
+    t1 = state.pop(OThm, "trans")
+    state.push(_thm(trans_proof(t1.proof, t1.sequent, t2.proof), memo))
 
 
-def _cmd_type_op(state: VMState, memo: dict) -> VMState:
-    n, stack = _pop(state.stack, OName, "typeOp")
-    return _replace(state, stack=(OTypeOp(n.value),) + stack)
+def _cmd_type_op(state: VMState, memo: dict) -> None:
+    n = state.pop(OName, "typeOp")
+    state.push(OTypeOp(n.value))
 
 
-def _cmd_var(state: VMState, memo: dict) -> VMState:
-    ty, stack = _pop(state.stack, OType, "var")
-    n, stack = _pop(stack, OName, "var")
-    return _replace(state, stack=(OVar(Var(n.value, ty.type)),) + stack)
+def _cmd_var(state: VMState, memo: dict) -> None:
+    ty = state.pop(OType, "var")
+    n = state.pop(OName, "var")
+    state.push(OVar(Var(n.value, ty.type)))
 
 
-def _cmd_var_term(state: VMState, memo: dict) -> VMState:
-    v, stack = _pop(state.stack, OVar, "varTerm")
-    return _replace(state, stack=(OTerm(v.var),) + stack)
+def _cmd_var_term(state: VMState, memo: dict) -> None:
+    v = state.pop(OVar, "varTerm")
+    state.push(OTerm(v.var))
 
 
-def _cmd_var_type(state: VMState, memo: dict) -> VMState:
-    n, stack = _pop(state.stack, OName, "varType")
-    return _replace(state, stack=(OType(TyVar(n.value)),) + stack)
+def _cmd_var_type(state: VMState, memo: dict) -> None:
+    n = state.pop(OName, "varType")
+    state.push(OType(TyVar(n.value)))
 
 
-_HANDLERS: dict[str, Callable[[VMState, dict], VMState]] = {
+_HANDLERS: dict[str, Callable[[VMState, dict], None]] = {
     "absTerm": _cmd_abs_term,
     "absThm": _cmd_abs_thm,
     "appTerm": _cmd_app_term,
@@ -672,14 +624,15 @@ _HANDLERS: dict[str, Callable[[VMState, dict], VMState]] = {
 
 
 def run(commands: Iterable[ArticleCommand]) -> VMState:
-    """Fold ``step`` over the stream; step errors gain their command index."""
-    state = initial_state()
+    """Execute the stream on a fresh machine; step errors gain their
+    command index and source line."""
+    state = VMState()
     memo: dict = {}
     executed = False
     for i, cmd in enumerate(commands):
         executed = True
         try:
-            state = step(state, cmd, memo)
+            step(state, cmd, memo)
         except (ArticleError, hol.HolError) as e:
             e.command_index = i  # type: ignore[attr-defined]
             e.command_line = getattr(cmd, "line", 0)  # type: ignore[attr-defined]

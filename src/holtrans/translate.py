@@ -138,70 +138,74 @@ def _eqt(a: Term, x: Term, y: Term) -> Term:
 # Base signatures
 
 
-def _q0_items() -> list:
+# The type universe and its decoding ``term (arrow a b) --> term a -> term b``
+# begin both signatures.
+_UNIVERSE = (
+    ConstDecl("type", TYPE),
+    ConstDecl("bool", _T),
+    ConstDecl("ind", _T),
+    ConstDecl("arrow", arrow(_T, _T, _T)),
+    ConstDecl("term", arrow(_T, TYPE)),
+)
+_TERM_ARROW = RewriteRule(
+    (("a", _T), ("b", _T)),
+    _tm(_arr(Var("a"), Var("b"))),
+    arrow(_tm(Var("a")), _tm(Var("b"))),
+)
+_PROOF_DECL = ConstDecl("proof", arrow(_tm(_BOOL), TYPE))
+
+
+def _base_types() -> dict[str, Term]:
+    """The types of ``eq``, ``select`` and the derivation-rule constants,
+    which are the same in both modes (pts defines some of them)."""
     a, b = Var("a"), Var("b")
     f, g, x, y = Var("f"), Var("g"), Var("x"), Var("y")
     p, q = Var("p"), Var("q")
-    return [
-        ConstDecl("type", TYPE),
-        ConstDecl("bool", _T),
-        ConstDecl("ind", _T),
-        ConstDecl("arrow", arrow(_T, _T, _T)),
-        ConstDecl("term", arrow(_T, TYPE)),
-        ConstDecl("eq", pi("a", _T, _tm(_arr(a, _arr(a, _BOOL))))),
-        ConstDecl("select", pi("a", _T, _tm(_arr(_arr(a, _BOOL), a)))),
-        RewriteRule(
-            (("a", _T), ("b", _T)),
-            _tm(_arr(a, b)),
-            arrow(_tm(a), _tm(b)),
-        ),
-        ConstDecl("proof", arrow(_tm(_BOOL), TYPE)),
-        ConstDecl(
-            "Refl",
-            pi("a", _T, pi("x", _tm(a), _pf(_eqt(a, x, x)))),
-        ),
-        ConstDecl(
-            "FunExt",
-            pi("a", _T, pi("b", _T, pi("f", _tm(_arr(a, b)), pi("g", _tm(_arr(a, b)),
+    return {
+        "eq": pi("a", _T, _tm(_arr(a, _arr(a, _BOOL)))),
+        "select": pi("a", _T, _tm(_arr(_arr(a, _BOOL), a))),
+        "Refl": pi("a", _T, pi("x", _tm(a), _pf(_eqt(a, x, x)))),
+        "FunExt": pi("a", _T, pi("b", _T, pi("f", _tm(_arr(a, b)), pi("g", _tm(_arr(a, b)),
+            arrow(
+                pi("x", _tm(a), _pf(_eqt(b, App(f, x), App(g, x)))),
+                _pf(_eqt(_arr(a, b), f, g)),
+            ))))),
+        "AppThm": pi("a", _T, pi("b", _T, pi("f", _tm(_arr(a, b)), pi("g", _tm(_arr(a, b)),
+            pi("x", _tm(a), pi("y", _tm(a),
                 arrow(
-                    pi("x", _tm(a), _pf(_eqt(b, App(f, x), App(g, x)))),
                     _pf(_eqt(_arr(a, b), f, g)),
-                ))))),
-        ),
-        ConstDecl(
-            "AppThm",
-            pi("a", _T, pi("b", _T, pi("f", _tm(_arr(a, b)), pi("g", _tm(_arr(a, b)),
-                pi("x", _tm(a), pi("y", _tm(a),
-                    arrow(
-                        _pf(_eqt(_arr(a, b), f, g)),
-                        _pf(_eqt(a, x, y)),
-                        _pf(_eqt(b, App(f, x), App(g, y))),
-                    ))))))),
-        ),
-        ConstDecl(
-            "PropExt",
-            pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
-                arrow(
-                    arrow(_pf(q), _pf(p)),
-                    arrow(_pf(p), _pf(q)),
-                    _pf(_eqt(_BOOL, p, q)),
-                ))),
-        ),
-        ConstDecl(
-            "EqMp",
-            pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
-                arrow(_pf(_eqt(_BOOL, p, q)), _pf(p), _pf(q)))),
-        ),
+                    _pf(_eqt(a, x, y)),
+                    _pf(_eqt(b, App(f, x), App(g, y))),
+                ))))))),
+        "PropExt": pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
+            arrow(
+                arrow(_pf(q), _pf(p)),
+                arrow(_pf(p), _pf(q)),
+                _pf(_eqt(_BOOL, p, q)),
+            ))),
+        "EqMp": pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
+            arrow(_pf(_eqt(_BOOL, p, q)), _pf(p), _pf(q)))),
+    }
+
+
+def _q0_items() -> list:
+    ty = _base_types()
+    return [
+        *_UNIVERSE,
+        ConstDecl("eq", ty["eq"]),
+        ConstDecl("select", ty["select"]),
+        _TERM_ARROW,
+        _PROOF_DECL,
+        *(ConstDecl(n, ty[n]) for n in ("Refl", "FunExt", "AppThm", "PropExt", "EqMp")),
     ]
 
 
 def _pts_items() -> list:
+    ty = _base_types()
     a, b = Var("a"), Var("b")
     f, g, x, y = Var("f"), Var("g"), Var("x"), Var("y")
     p, q = Var("p"), Var("q")
-    bool_pred = _tm(_arr(_BOOL, _BOOL))
 
-    eq_type = pi("a", _T, _tm(_arr(a, _arr(a, _BOOL))))
     eq_body = lam("a", _T, lam("x", _tm(a), lam("y", _tm(a),
         app(
             _FORALL,
@@ -210,23 +214,13 @@ def _pts_items() -> list:
                 app(_IMP, App(p, x), App(p, y))),
         ))))
 
-    refl_type = pi("a", _T, pi("x", _tm(a), _pf(_eqt(a, x, x))))
     refl_body = lam("a", _T, lam("x", _tm(a),
         lam("q", _tm(_arr(a, _BOOL)), lam("h", _pf(App(q, x)), Var("h")))))
 
-    eqmp_type = pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
-        arrow(_pf(_eqt(_BOOL, p, q)), _pf(p), _pf(q))))
     eqmp_body = lam("p", _tm(_BOOL), lam("q", _tm(_BOOL),
         lam("h", _pf(_eqt(_BOOL, p, q)), lam("hp", _pf(p),
             app(Var("h"), lam("b", _tm(_BOOL), Var("b")), Var("hp"))))))
 
-    appthm_type = pi("a", _T, pi("b", _T, pi("f", _tm(_arr(a, b)), pi("g", _tm(_arr(a, b)),
-        pi("x", _tm(a), pi("y", _tm(a),
-            arrow(
-                _pf(_eqt(_arr(a, b), f, g)),
-                _pf(_eqt(a, x, y)),
-                _pf(_eqt(b, App(f, x), App(g, y))),
-            )))))))
     appthm_body = lam("a", _T, lam("b", _T, lam("f", _tm(_arr(a, b)), lam("g", _tm(_arr(a, b)),
         lam("x", _tm(a), lam("y", _tm(a),
             lam("hf", _pf(_eqt(_arr(a, b), f, g)), lam("hx", _pf(_eqt(a, x, y)),
@@ -242,17 +236,9 @@ def _pts_items() -> list:
                     )))))))))))
 
     return [
-        ConstDecl("type", TYPE),
-        ConstDecl("bool", _T),
-        ConstDecl("ind", _T),
-        ConstDecl("arrow", arrow(_T, _T, _T)),
-        ConstDecl("term", arrow(_T, TYPE)),
-        RewriteRule(
-            (("a", _T), ("b", _T)),
-            _tm(_arr(a, b)),
-            arrow(_tm(a), _tm(b)),
-        ),
-        ConstDecl("proof", arrow(_tm(_BOOL), TYPE)),
+        *_UNIVERSE,
+        _TERM_ARROW,
+        _PROOF_DECL,
         ConstDecl("imp", _tm(_arr(_BOOL, _arr(_BOOL, _BOOL)))),
         ConstDecl("forall", pi("a", _T, _tm(_arr(_arr(a, _BOOL), _BOOL)))),
         RewriteRule(
@@ -280,28 +266,13 @@ def _pts_items() -> list:
                 lam("h", _pf(app(_IMP, p, q)), lam("x", _pf(p),
                     App(Var("h"), Var("x")))))),
         ),
-        Defn("eq", eq_type, eq_body),
-        ConstDecl("select", pi("a", _T, _tm(_arr(_arr(a, _BOOL), a)))),
-        Defn("Refl", refl_type, refl_body),
-        Defn("EqMp", eqmp_type, eqmp_body),
-        Defn("AppThm", appthm_type, appthm_body),
-        ConstDecl(
-            "FunExt",
-            pi("a", _T, pi("b", _T, pi("f", _tm(_arr(a, b)), pi("g", _tm(_arr(a, b)),
-                arrow(
-                    pi("x", _tm(a), _pf(_eqt(b, App(f, x), App(g, x)))),
-                    _pf(_eqt(_arr(a, b), f, g)),
-                ))))),
-        ),
-        ConstDecl(
-            "PropExt",
-            pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
-                arrow(
-                    arrow(_pf(q), _pf(p)),
-                    arrow(_pf(p), _pf(q)),
-                    _pf(_eqt(_BOOL, p, q)),
-                ))),
-        ),
+        Defn("eq", ty["eq"], eq_body),
+        ConstDecl("select", ty["select"]),
+        Defn("Refl", ty["Refl"], refl_body),
+        Defn("EqMp", ty["EqMp"], eqmp_body),
+        Defn("AppThm", ty["AppThm"], appthm_body),
+        ConstDecl("FunExt", ty["FunExt"]),
+        ConstDecl("PropExt", ty["PropExt"]),
     ]
 
 
@@ -410,7 +381,7 @@ def declare_constant(env: TranslationEnv, name: str, generic: hol.HolType):
         raise DuplicateDeclaration(f"constant {name} already declared")
     tyvars = tuple(_tyvars_in_order(generic))
     kname = "tm." + name
-    ty = trans_type_type_with(env, generic)
+    ty = trans_type_type(env, generic)
     for n in reversed(tyvars):
         ty = Prod(n, _T, close(ty, tyvar_name(n)))
     decl = ConstDecl(kname, ty)
@@ -441,13 +412,8 @@ def trans_type_term(env: TranslationEnv, ty: hol.HolType) -> Term:
     return app(Const(info.kname), *(trans_type_term(env, a) for a in ty.args))
 
 
-def trans_type_type_with(env: TranslationEnv, ty: hol.HolType) -> Term:
-    return _tm(trans_type_term(env, ty))
-
-
-# spec-facing alias
 def trans_type_type(env: TranslationEnv, ty: hol.HolType) -> Term:
-    return trans_type_type_with(env, ty)
+    return _tm(trans_type_term(env, ty))
 
 
 def _instance_args(env: TranslationEnv, generic: hol.HolType, tyvars: tuple[str, ...], instance: hol.HolType) -> list[Term]:
@@ -474,7 +440,7 @@ def trans_term(env: TranslationEnv, t: hol.HolTerm) -> Term:
         return app(Const(info.kname), *args)
     if isinstance(t, hol.Abs):
         body = trans_term(env, t.body)
-        return Abs(t.var.name, trans_type_type_with(env, t.var.type), close(body, termvar_name(t.var)))
+        return Abs(t.var.name, trans_type_type(env, t.var.type), close(body, termvar_name(t.var)))
     assert isinstance(t, hol.App)
     return App(trans_term(env, t.fn), trans_term(env, t.arg))
 
@@ -564,7 +530,7 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
             trans_type_term(env, b),
             trans_term(env, lam_m),
             trans_term(env, lam_n),
-            Abs(proof.var.name, trans_type_type_with(env, a), body),
+            Abs(proof.var.name, trans_type_type(env, a), body),
         )
 
     if isinstance(proof, hol.EqMp):
@@ -635,7 +601,7 @@ def _close_over(env: TranslationEnv, c: Closure, body: Term) -> Term:
     for prop in reversed(c.hyps):
         body = Abs("h", trans_prop_type(env, prop), close(body, hyp_name(prop)))
     for v in reversed(c.termvars):
-        body = Abs(v.name, trans_type_type_with(env, v.type), close(body, termvar_name(v)))
+        body = Abs(v.name, trans_type_type(env, v.type), close(body, termvar_name(v)))
     for n in reversed(c.tyvars):
         body = Abs(n, _T, close(body, tyvar_name(n)))
     return body
@@ -645,7 +611,7 @@ def _pi_over(env: TranslationEnv, c: Closure, ty: Term) -> Term:
     for prop in reversed(c.hyps):
         ty = Prod("h", trans_prop_type(env, prop), close(ty, hyp_name(prop)))
     for v in reversed(c.termvars):
-        ty = Prod(v.name, trans_type_type_with(env, v.type), close(ty, termvar_name(v)))
+        ty = Prod(v.name, trans_type_type(env, v.type), close(ty, termvar_name(v)))
     for n in reversed(c.tyvars):
         ty = Prod(n, _T, close(ty, tyvar_name(n)))
     return ty
@@ -667,7 +633,7 @@ def completeness_context(env: TranslationEnv, proof: hol.Proof) -> Context:
     for n in c.tyvars:
         ctx = ctx.extended(tyvar_name(n), _T)
     for v in c.termvars:
-        ctx = ctx.extended(termvar_name(v), trans_type_type_with(env, v.type))
+        ctx = ctx.extended(termvar_name(v), trans_type_type(env, v.type))
     for prop in c.hyps:
         ctx = ctx.extended(hyp_name(prop), trans_prop_type(env, prop))
     return ctx
@@ -713,7 +679,7 @@ def _trans_axiom(env: TranslationEnv, proof: hol.Axiom) -> Term:
             trans_type_term(env, b),
             trans_term(env, hol.Abs(x, hol.App(m, x))),
             trans_term(env, m),
-            Abs(x.name, trans_type_type_with(env, a), close(body, termvar_name(x))),
+            Abs(x.name, trans_type_type(env, a), close(body, termvar_name(x))),
         )
     kname, tyvars, termvars = _axiom_const(env, seq)
     args: list[Term] = [tyvar_ref(n) for n in tyvars]
@@ -736,7 +702,7 @@ def _axiom_const(env: TranslationEnv, seq: hol.Sequent):
     for h in reversed(seq.hyps):
         ty = arrow(trans_prop_type(env, h), ty)
     for v in reversed(termvars):
-        ty = Prod(v.name, trans_type_type_with(env, v.type), close(ty, termvar_name(v)))
+        ty = Prod(v.name, trans_type_type(env, v.type), close(ty, termvar_name(v)))
     for n in reversed(tyvars):
         ty = Prod(n, _T, close(ty, tyvar_name(n)))
     env.decls.append(ConstDecl(kname, ty))

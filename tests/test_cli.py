@@ -182,3 +182,21 @@ def test_fuel_env_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, command)
     assert err == "error: HOLTRANS_FUEL must be an integer, got 'lots'\n"
     # an explicit --fuel makes the variable irrelevant
     assert cli.main(["translate", "--fuel", "250000", str(IDENTITY), "-o", str(tmp_path)]) == 0
+
+
+def test_self_verification_failure_names_the_error_type(tmp_path, capsys):
+    assert cli.main(["translate", "--fuel", "0", "--no-sharing", str(IDENTITY), "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {IDENTITY}: generated document failed self-verification: "
+        "FuelExhausted: reduction step budget exceeded\n"
+    )
+
+
+def test_article_failure_names_command_and_line(tmp_path, capsys):
+    # refl on an empty stack: the fifth command, on the sixth line
+    bad = tmp_path / "bad.art"
+    bad.write_text("# comment\n6\nversion\n\"A\"\nvarType\nrefl\n")
+    assert cli.main(["translate", str(bad), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} (command 4, line 6): TypeErrorOnStack: refl: expected OTerm, found OType\n"

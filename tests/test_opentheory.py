@@ -67,7 +67,7 @@ def test_step_refl():
         '"A"', "varType", "0", "def", "pop",
         '"x"', "0", "ref", "var", "varTerm", "refl",
     )
-    thm = state.stack[0]
+    thm = state.stack[-1]
     assert isinstance(thm, ot.OThm)
     assert isinstance(thm.proof, hol.Refl)
     x = hol.Var("x", hol.TyVar("A"))
@@ -89,7 +89,7 @@ def test_step_eqmp_stack_order():
         "1", "ref", "varTerm", "assume",
         "eqMp",
     )
-    thm = state.stack[0]
+    thm = state.stack[-1]
     assert thm.sequent.concl == hol.Var("q", hol.BOOL)
     assert len(thm.sequent.hyps) == 2
 
@@ -133,7 +133,7 @@ def test_prove_hyp_desugaring():
 
 def test_run_minimal():
     state = run_lines(*MINIMAL)
-    assert state.theorems == () and state.assumptions == ()
+    assert state.theorems == [] and state.assumptions == []
 
 
 def test_run_empty_fails():
@@ -171,16 +171,15 @@ def test_remove_of_undefined_key_fails():
 
 
 def test_dictionary_discipline():
-    state = run_lines(*MINIMAL, '"bool"', "typeOp", "nil", "opType", "0", "def")
-    stored = state.dictionary[0]
-    state2 = ot.step(state, ot.IntLiteral(0))
-    state2 = ot.step(state2, ot.Keyword("ref"))
-    assert state2.stack[0] == stored
+    prefix = (*MINIMAL, '"bool"', "typeOp", "nil", "opType", "0", "def")
+    stored = run_lines(*prefix).dictionary[0]
+    # ref pushes the stored object
+    assert run_lines(*prefix, "0", "ref").stack[-1] == stored
     # remove pushes the object and deletes the key
-    state3 = ot.step(ot.step(state, ot.IntLiteral(0)), ot.Keyword("remove"))
-    assert 0 not in state3.dictionary
+    state = run_lines(*prefix, "0", "remove")
+    assert 0 not in state.dictionary
     with pytest.raises(ot.VMError):
-        ot.step(ot.step(state3, ot.IntLiteral(0)), ot.Keyword("ref"))
+        run_lines(*prefix, "0", "remove", "0", "ref")
 
 
 def test_stack_underflow():
@@ -214,7 +213,7 @@ def test_thm_sequent_mismatch():
 
 def test_pragma_pops_and_ignores():
     state = run_lines(*MINIMAL, '"debug"', "pragma")
-    assert state.stack == ()
+    assert state.stack == []
 
 
 def test_axiom_recorded_in_assumptions(corpus_paths):
@@ -232,10 +231,24 @@ def test_define_const_registers_generic():
         '"c.new"', "1", "ref", "1", "ref", "varTerm", "absTerm", "defineConst",
     )
     assert state.constants["c.new"] == hol.fn(hol.BOOL, hol.BOOL)
-    thm = state.stack[0]
+    thm = state.stack[-1]
     assert isinstance(thm, ot.OThm) and isinstance(thm.proof, hol.DefineConst)
-    const_obj = state.stack[1]
+    const_obj = state.stack[-2]
     assert const_obj == ot.OConst("c.new")
+
+
+def test_define_type_op_stack_order(corpus_paths):
+    # replay 10_definetypeop.art up to its defineTypeOp command
+    path = next(p for p in corpus_paths if p.name == "10_definetypeop.art")
+    lines = path.read_text().splitlines()
+    state = run_lines(*lines[: lines.index("defineTypeOp") + 1])
+    op, abs_c, rep_c, abs_thm, rep_thm = state.stack[-5:]
+    assert op == ot.OTypeOp("u.t")
+    assert abs_c == ot.OConst("u.abs") and rep_c == ot.OConst("u.rep")
+    assert isinstance(abs_thm.proof, hol.AbsRepThm)
+    assert isinstance(rep_thm.proof, hol.RepAbsThm)
+    assert state.typeops["u.t"] == 0
+    assert {"u.abs", "u.rep"} <= state.constants.keys()
 
 
 def test_duplicate_constant_definition_fails():
