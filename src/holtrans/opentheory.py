@@ -3,11 +3,11 @@
 An article is a newline-delimited command stream (format version 6).  The
 VM is one mutable machine: each command pops its operands from a stack and
 pushes its results, and ``def``/``remove`` update a sharing dictionary in
-place.  It builds explicit derivation trees for every theorem object.  Derived commands (``sym``,
-``trans``, ``proveHyp``, ``betaConv``) are expanded into compositions of
-the primitive rules at construction time, so the proof checker stays
-minimal.  ``serialize_article`` regenerates an article from a finished run
-for round-trip testing.
+place.  It builds explicit derivation trees for every theorem object.
+Derived commands (``sym``, ``trans``, ``proveHyp``, ``betaConv``) are
+expanded into compositions of the primitive rules at construction time, so
+the proof checker stays minimal.  ``serialize_article`` regenerates an
+article from a finished run for round-trip testing.
 """
 
 from __future__ import annotations
