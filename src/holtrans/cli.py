@@ -69,12 +69,18 @@ def cmd_translate(cfg: RunConfig) -> int:
     articles = []
     for raw_path in cfg.inputs:
         path = Path(raw_path)
+        name = path.stem
+        if name == "hol":
+            _fail(f"{path}: its output would overwrite the base signature hol.dk; rename the article")
+            return 2
+        if ";)" in name:
+            _fail(f"{path}: the article name may not contain ';)', which would end the .dk module comment")
+            return 2
         try:
             data = path.read_bytes()
         except OSError as e:
             _fail(f"{path}: {e}")
             return 2
-        name = path.stem
         t0 = time.perf_counter()
         try:
             state = opentheory.run_text(data)

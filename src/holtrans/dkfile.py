@@ -13,6 +13,7 @@ best-effort only.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -168,34 +169,56 @@ def rename_document(doc: DkDocument, namer: Optional[DkNamer] = None) -> DkDocum
 _TOP, _OPERAND, _APP_FN, _APP_ARG = 0, 1, 2, 3
 
 
-def _used_idents(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, (Const, Var)):
-            out.add(u.name)
-        elif isinstance(u, App):
-            stack.append(u.fn)
-            stack.append(u.arg)
-        elif isinstance(u, (Abs, Prod)):
-            stack.append(u.domain)
-            stack.append(u.body if isinstance(u, Abs) else u.codomain)
-    return out
+class _Occurrences:
+    """Where each identifier occurs in one printed term, by preorder position.
+
+    The subterm at position ``p`` spans positions ``p .. p + size - 1``
+    (every node counts one in ``size``), so one walk of the term answers
+    "is this name used inside that binder's body" for every binder.  The
+    walk happens on the first question.
+    """
+
+    __slots__ = ("_root", "_at")
+
+    def __init__(self, root: Term):
+        self._root = root
+        self._at: Optional[dict[str, list[int]]] = None
+
+    def within(self, name: str, start: int, size: int) -> bool:
+        if self._at is None:
+            self._at = {}
+            stack = [(self._root, 0)]
+            while stack:  # preorder, so each position list comes out sorted
+                u, p = stack.pop()
+                if isinstance(u, (Const, Var)):
+                    self._at.setdefault(u.name, []).append(p)
+                elif isinstance(u, App):
+                    stack.append((u.arg, p + 1 + u.fn.size))
+                    stack.append((u.fn, p + 1))
+                elif isinstance(u, (Abs, Prod)):
+                    stack.append((u.body if isinstance(u, Abs) else u.codomain, p + 1 + u.domain.size))
+                    stack.append((u.domain, p + 1))
+        ps = self._at.get(name)
+        if not ps:
+            return False
+        i = bisect_left(ps, start)
+        return i < len(ps) and ps[i] < start + size
 
 
-def _display(hint: str, inner: Term, env: tuple[str, ...]) -> str:
+def _display(hint: str, inner: Term, at: int, env: tuple[str, ...], occ: _Occurrences) -> str:
+    """A binder name clashing with no enclosing binder, reserved word, or
+    identifier used in ``inner`` (the body, at position ``at``)."""
     base = mangle(hint)
-    taken = set(env) | _used_idents(inner) | set(RESERVED)
     cand = base
     i = 1
-    while cand in taken:
+    while cand in env or cand in RESERVED or occ.within(cand, at, inner.size):
         i += 1
         cand = f"{base}_{i}"
     return cand
 
 
-def _fmt(t: Term, env: tuple[str, ...], prec: int) -> str:
+def _fmt(t: Term, at: int, env: tuple[str, ...], prec: int, occ: _Occurrences) -> str:
+    """Render ``t``, found at preorder position ``at`` of ``occ``'s term."""
     if isinstance(t, Sort):
         if t == TYPE:
             return "Type"
@@ -207,25 +230,26 @@ def _fmt(t: Term, env: tuple[str, ...], prec: int) -> str:
             raise ValueError(f"dangling bound variable #{t.index}")
         return env[-1 - t.index]
     if isinstance(t, App):
-        s = f"{_fmt(t.fn, env, _APP_FN)} {_fmt(t.arg, env, _APP_ARG)}"
+        fn = _fmt(t.fn, at + 1, env, _APP_FN, occ)
+        s = f"{fn} {_fmt(t.arg, at + 1 + t.fn.size, env, _APP_ARG, occ)}"
         return f"({s})" if prec >= _APP_ARG else s
+    inner_at = at + 1 + t.domain.size
+    dom = _fmt(t.domain, at + 1, env, _OPERAND, occ)
     if isinstance(t, Abs):
-        name = _display(t.hint, t.body, env)
-        s = f"{name} : {_fmt(t.domain, env, _OPERAND)} => {_fmt(t.body, env + (name,), _TOP)}"
+        name = _display(t.hint, t.body, inner_at, env, occ)
+        s = f"{name} : {dom} => {_fmt(t.body, inner_at, env + (name,), _TOP, occ)}"
         return f"({s})" if prec >= _OPERAND else s
     assert isinstance(t, Prod)
     if kernel._uses_index(t.codomain, 0):
-        name = _display(t.hint, t.codomain, env)
-        s = f"{name} : {_fmt(t.domain, env, _OPERAND)} -> {_fmt(t.codomain, env + (name,), _TOP)}"
+        name = _display(t.hint, t.codomain, inner_at, env, occ)
+        s = f"{name} : {dom} -> {_fmt(t.codomain, inner_at, env + (name,), _TOP, occ)}"
     else:
-        left = _fmt(t.domain, env, _OPERAND)
-        right = _fmt(t.codomain, env + ("_",), _TOP)
-        s = f"{left} -> {right}"
+        s = f"{dom} -> {_fmt(t.codomain, inner_at, env + ('_',), _TOP, occ)}"
     return f"({s})" if prec >= _OPERAND else s
 
 
 def fmt_term(t: Term) -> str:
-    return _fmt(t, (), _TOP)
+    return _fmt(t, 0, (), _TOP, _Occurrences(t))
 
 
 def emit(doc: DkDocument) -> str:

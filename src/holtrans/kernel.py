@@ -19,10 +19,33 @@ and rewrite rules.  Conversion is beta-reduction plus rule rewriting plus
 definition unfolding; ``infer_type`` is syntax-directed, with conversion
 checks folded into the application rule.  Reduction is guarded by a step
 budget (``Fuel``) because termination of user rule sets is not checked.
+
+Going under a binder opens it with a fresh free variable, named in one of
+two reserved forms so that no scan of the body is needed:
+
+* typing names the variable ``hint#k``, where ``k`` is the length of the
+  context it extends.  The text after the last ``#`` is the depth, so the
+  name is unique along the context; error messages print it (``A#0``).
+* ``normalize`` names it ``%N`` from a process-wide counter and closes it
+  again before returning, so it never escapes; a counter rather than the
+  depth, because conversion inside non-linear matching normalizes terms
+  that already hold such variables.
+
+Neither form can come from the ``.dk`` lexer (``[A-Za-z0-9_]+``) or from
+``dkfile.mangle``; callers that build terms themselves must not use them
+for free variables or context names.
+
+The abstraction rule types a chain ``x1 : A1 => ... => xn : An => b`` in
+one pass: it checks each domain, infers ``b : B``, checks that ``B`` has a
+sort, and closes ``B`` back into ``x1 : A1 -> ... -> B``.  A product's
+sort is its codomain's and each domain was checked on the way in, so this
+is the product rule's derivation without re-proving it at every level,
+and the number of inferences grows linearly with the chain's length.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -467,9 +490,6 @@ class Context:
     def lookup(self, name: str) -> Optional[Term]:
         return self._types.get(name)
 
-    def names(self) -> set[str]:
-        return set(self._types)
-
     def __iter__(self) -> Iterator[tuple[str, Term]]:
         return iter(self._bindings)
 
@@ -519,34 +539,41 @@ SigItem = Union[ConstDecl, Defn, RewriteRule]
 
 
 class Signature:
-    """Ordered declarations, definitions and rewrite rules; immutable."""
+    """Ordered declarations, definitions and rewrite rules.
+
+    ``add`` grows a signature in place, so only its owner may call it: a
+    signature that others hold, such as a cached base signature, is copied
+    first with ``Signature(sig.items)``.
+    """
 
     __slots__ = ("_items", "_consts", "_defs", "_rules")
 
     def __init__(self, items: Iterable[SigItem] = ()):
-        self._items: tuple[SigItem, ...] = tuple(items)
+        self._items: list[SigItem] = []
         self._consts: dict[str, Term] = {}
         self._defs: dict[str, Term] = {}
         self._rules: dict[str, list[RewriteRule]] = {}
-        for it in self._items:
-            if isinstance(it, ConstDecl):
-                self._consts[it.name] = it.type
-            elif isinstance(it, Defn):
-                self._consts[it.name] = it.type
-                self._defs[it.name] = it.body
-            elif it.head is not None:
-                self._rules.setdefault(it.head, []).append(it)
+        for it in items:
+            self.add(it)
+
+    def add(self, it: SigItem) -> None:
+        """Append one item (unchecked; ``check_signature`` validates)."""
+        self._items.append(it)
+        if isinstance(it, ConstDecl):
+            self._consts[it.name] = it.type
+        elif isinstance(it, Defn):
+            self._consts[it.name] = it.type
+            self._defs[it.name] = it.body
+        elif it.head is not None:
+            self._rules.setdefault(it.head, []).append(it)
 
     @property
     def items(self) -> tuple[SigItem, ...]:
-        return self._items
+        return tuple(self._items)
 
     @property
     def rules(self) -> list[RewriteRule]:
         return [it for it in self._items if isinstance(it, RewriteRule)]
-
-    def extended(self, *items: SigItem) -> "Signature":
-        return Signature(self._items + items)
 
     def const_type(self, name: str) -> Optional[Term]:
         return self._consts.get(name)
@@ -667,16 +694,19 @@ def normalize(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> T
     return _nf(sig, t, _as_fuel(fuel))
 
 
+_nf_names = itertools.count()
+
+
 def _nf(sig: Signature, t: Term, fuel: Fuel) -> Term:
     t = whnf(sig, t, fuel)
     if isinstance(t, App):
         return App(_nf(sig, t.fn, fuel), _nf(sig, t.arg, fuel))
     if isinstance(t, Abs):
-        x = fresh_name(t.hint, free_names(t.body))
+        x = f"%{next(_nf_names)}"
         body = _nf(sig, open_term(t.body, Var(x)), fuel)
         return Abs(t.hint, _nf(sig, t.domain, fuel), close(body, x))
     if isinstance(t, Prod):
-        x = fresh_name(t.hint, free_names(t.codomain))
+        x = f"%{next(_nf_names)}"
         cod = _nf(sig, open_term(t.codomain, Var(x)), fuel)
         return Prod(t.hint, _nf(sig, t.domain, fuel), close(cod, x))
     return t
@@ -723,21 +753,13 @@ def _infer(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Term:
         return ty
     if isinstance(t, Prod):
         _check_is_type(sig, ctx, t.domain, fuel)
-        x = fresh_name(t.hint, ctx.names() | free_names(t.codomain))
+        x = f"{t.hint}#{len(ctx)}"
         s = whnf(sig, _infer(sig, ctx.extended(x, t.domain), open_term(t.codomain, Var(x)), fuel), fuel)
         if not isinstance(s, Sort):
             raise IllegalSort(f"product codomain is not a type or kind: {pretty(t)}")
         return s
     if isinstance(t, Abs):
-        _check_is_type(sig, ctx, t.domain, fuel)
-        x = fresh_name(t.hint, ctx.names() | free_names(t.body))
-        inner = ctx.extended(x, t.domain)
-        body_ty = _infer(sig, inner, open_term(t.body, Var(x)), fuel)
-        # the inferred product must itself be well-sorted (rules out kind-level bodies)
-        s = whnf(sig, _infer(sig, inner, body_ty, fuel), fuel)
-        if not isinstance(s, Sort):
-            raise IllegalSort(f"abstraction body type is not well-sorted: {pretty(body_ty)}")
-        return Prod(t.hint, t.domain, close(body_ty, x))
+        return _infer_abs(sig, ctx, t, fuel)
     assert isinstance(t, App)
     fn_ty = whnf(sig, _infer(sig, ctx, t.fn, fuel), fuel)
     if not isinstance(fn_ty, Prod):
@@ -752,6 +774,31 @@ def _infer(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Term:
             f"argument type mismatch: expected {pretty(nf_want)}, got {pretty(nf_got)}"
         )
     return open_term(fn_ty.codomain, t.arg)
+
+
+def _infer_abs(sig: Signature, ctx: Context, t: Abs, fuel: Fuel) -> Term:
+    """The Abs rule, applied to a whole chain of abstractions at once.
+
+    The inferred product must itself be well-sorted, which rules out
+    kind-level bodies.  Only the innermost body's type needs its sort
+    checked (see the module docstring); re-inferring the product at every
+    level would repeat that check once per enclosing binder.
+    """
+    binders: list[tuple[str, Term, str]] = []
+    body: Term = t
+    while isinstance(body, Abs):
+        _check_is_type(sig, ctx, body.domain, fuel)
+        x = f"{body.hint}#{len(ctx)}"
+        binders.append((body.hint, body.domain, x))
+        ctx = ctx.extended(x, body.domain)
+        body = open_term(body.body, Var(x))
+    ty = _infer(sig, ctx, body, fuel)
+    s = whnf(sig, _infer(sig, ctx, ty, fuel), fuel)
+    if not isinstance(s, Sort):
+        raise IllegalSort(f"abstraction body type is not well-sorted: {pretty(ty)}")
+    for hint, domain, x in reversed(binders):
+        ty = Prod(hint, domain, close(ty, x))
+    return ty
 
 
 def _check_is_type(sig: Signature, ctx: Context, a: Term, fuel: Fuel) -> None:
@@ -827,7 +874,7 @@ def check_signature(sig: Signature, fuel: Union[int, Fuel, None] = None) -> None
                     )
         else:
             _check_rule(prefix, item, fuel)
-        prefix = prefix.extended(item)
+        prefix.add(item)
 
 
 def _check_rule(prefix: Signature, rule: RewriteRule, fuel: Fuel) -> None:

@@ -895,12 +895,11 @@ def share_document(
                 return cand
 
     new_items: list = []
-    sig = base
+    sig = Signature(base.items)  # grown in place below; base may be cached
     emitted: set[str] = set()
     replaced = 0
 
     def emit_shared(t: Term) -> str:
-        nonlocal sig
         name = names.get(t)
         if name is not None and name in emitted:
             return name
@@ -909,7 +908,7 @@ def share_document(
         ty = kernel.infer_type(sig, Context(), body, fuel)
         item = Defn(name, ty, body)
         new_items.append(item)
-        sig = sig.extended(item)
+        sig.add(item)
         emitted.add(name)
         return name
 
@@ -934,7 +933,7 @@ def share_document(
             item = Defn(item.name, rewrite(item.type), rewrite(item.body))
         new_items.append(item)
         if isinstance(item, (ConstDecl, Defn, RewriteRule)):
-            sig = sig.extended(item)
+            sig.add(item)
 
     return ShareReport(
         dkfile.DkDocument(doc.module, tuple(new_items)), len(emitted), replaced

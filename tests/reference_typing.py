@@ -1,0 +1,210 @@
+"""The reference type inference: the kernel's typing rules as first written.
+
+The kernel types a chain of abstractions in one pass and names opened
+binders by context depth (``hint#k``) or by a counter (``%N``).  This module
+keeps the earlier rules as a test oracle:
+
+* the abstraction rule re-infers the sort of the whole inferred product at
+  every level, so a chain of ``n`` abstractions costs ``(n + 1) ** 2``
+  inferences;
+* every opened binder is named with ``fresh_name(hint, ctx.names() |
+  free_names(body))``, which cannot capture anything by construction.
+
+Reduction (``whnf`` and rule matching) is the kernel's own; normalization,
+conversion, typing and signature checking are the reference versions.  The
+signature prefix is rebuilt for every item, as before.
+"""
+
+from holtrans.kernel import (
+    KIND,
+    TYPE,
+    Abs,
+    App,
+    BVar,
+    Const,
+    ConstDecl,
+    Context,
+    Defn,
+    DomainMismatch,
+    DuplicateConstant,
+    DuplicateVariable,
+    FuelExhausted,
+    IllegalSort,
+    IllTypedDeclaration,
+    KernelError,
+    NotAFunction,
+    NotAType,
+    Prod,
+    RewriteRule,
+    RuleTypeMismatch,
+    Signature,
+    Sort,
+    Term,
+    UnboundConstant,
+    UnboundRhsVariable,
+    UnboundVariable,
+    Var,
+    _as_fuel,
+    _check_pattern,
+    close,
+    free_names,
+    fresh_name,
+    open_term,
+    pretty,
+    whnf,
+)
+
+
+def _names(ctx: Context) -> set[str]:
+    return {n for n, _ in ctx}
+
+
+def nf(sig, t, fuel):
+    t = whnf(sig, t, fuel)
+    if isinstance(t, App):
+        return App(nf(sig, t.fn, fuel), nf(sig, t.arg, fuel))
+    if isinstance(t, Abs):
+        x = fresh_name(t.hint, free_names(t.body))
+        body = nf(sig, open_term(t.body, Var(x)), fuel)
+        return Abs(t.hint, nf(sig, t.domain, fuel), close(body, x))
+    if isinstance(t, Prod):
+        x = fresh_name(t.hint, free_names(t.codomain))
+        cod = nf(sig, open_term(t.codomain, Var(x)), fuel)
+        return Prod(t.hint, nf(sig, t.domain, fuel), close(cod, x))
+    return t
+
+
+def convertible(sig, a, b, fuel=None) -> bool:
+    if a == b:
+        return True
+    fuel = _as_fuel(fuel)
+    return nf(sig, a, fuel) == nf(sig, b, fuel)
+
+
+def infer_type(sig, ctx, t, fuel=None) -> Term:
+    return infer(sig, ctx, t, _as_fuel(fuel))
+
+
+def infer(sig, ctx, t, fuel) -> Term:
+    if isinstance(t, Sort):
+        if t == TYPE:
+            return KIND
+        raise IllegalSort("Kind has no type")
+    if isinstance(t, Var):
+        ty = ctx.lookup(t.name)
+        if ty is None:
+            raise UnboundVariable(f"unbound variable {t.name}")
+        return ty
+    if isinstance(t, BVar):
+        raise KernelError(f"dangling bound variable #{t.index}")
+    if isinstance(t, Const):
+        ty = sig.const_type(t.name)
+        if ty is None:
+            raise UnboundConstant(f"unbound constant {t.name}")
+        return ty
+    if isinstance(t, Prod):
+        check_is_type(sig, ctx, t.domain, fuel)
+        x = fresh_name(t.hint, _names(ctx) | free_names(t.codomain))
+        s = whnf(sig, infer(sig, ctx.extended(x, t.domain), open_term(t.codomain, Var(x)), fuel), fuel)
+        if not isinstance(s, Sort):
+            raise IllegalSort(f"product codomain is not a type or kind: {pretty(t)}")
+        return s
+    if isinstance(t, Abs):
+        check_is_type(sig, ctx, t.domain, fuel)
+        x = fresh_name(t.hint, _names(ctx) | free_names(t.body))
+        inner = ctx.extended(x, t.domain)
+        body_ty = infer(sig, inner, open_term(t.body, Var(x)), fuel)
+        # the inferred product must itself be well-sorted (rules out kind-level bodies)
+        s = whnf(sig, infer(sig, inner, body_ty, fuel), fuel)
+        if not isinstance(s, Sort):
+            raise IllegalSort(f"abstraction body type is not well-sorted: {pretty(body_ty)}")
+        return Prod(t.hint, t.domain, close(body_ty, x))
+    assert isinstance(t, App)
+    fn_ty = whnf(sig, infer(sig, ctx, t.fn, fuel), fuel)
+    if not isinstance(fn_ty, Prod):
+        raise NotAFunction(
+            f"application head has no product type: {pretty(t.fn)} : {pretty(fn_ty)}"
+        )
+    arg_ty = infer(sig, ctx, t.arg, fuel)
+    if arg_ty != fn_ty.domain and not convertible(sig, arg_ty, fn_ty.domain, fuel):
+        nf_got = nf(sig, arg_ty, fuel)
+        nf_want = nf(sig, fn_ty.domain, fuel)
+        raise DomainMismatch(
+            f"argument type mismatch: expected {pretty(nf_want)}, got {pretty(nf_got)}"
+        )
+    return open_term(fn_ty.codomain, t.arg)
+
+
+def check_is_type(sig, ctx, a, fuel) -> None:
+    s = whnf(sig, infer(sig, ctx, a, fuel), fuel)
+    if s != TYPE:
+        raise IllegalSort(f"expected a type of sort Type: {pretty(a)} has sort {pretty(s)}")
+
+
+def check_context(sig, ctx, fuel=None) -> None:
+    fuel = _as_fuel(fuel)
+    seen: set[str] = set()
+    prefix = Context()
+    for name, ty in ctx:
+        if name in seen:
+            raise DuplicateVariable(f"variable {name} bound twice")
+        try:
+            check_is_type(sig, prefix, ty, fuel)
+        except IllegalSort as e:
+            raise NotAType(f"binding {name}: {e}") from e
+        seen.add(name)
+        prefix = prefix.extended(name, ty)
+
+
+def check_signature(sig, fuel=None) -> None:
+    fuel = _as_fuel(fuel)
+    prefix = Signature()
+    for item in sig.items:
+        if isinstance(item, (ConstDecl, Defn)):
+            if item.name in prefix:
+                raise DuplicateConstant(f"constant {item.name} declared twice")
+            try:
+                s = whnf(prefix, infer(prefix, Context(), item.type, fuel), fuel)
+            except KernelError as e:
+                if isinstance(e, (DuplicateConstant, FuelExhausted)):
+                    raise
+                raise IllTypedDeclaration(f"declaration {item.name}: {e}") from e
+            if not isinstance(s, Sort):
+                raise IllTypedDeclaration(f"declaration {item.name}: type has no sort")
+            if isinstance(item, Defn):
+                try:
+                    body_ty = infer(prefix, Context(), item.body, fuel)
+                except KernelError as e:
+                    if isinstance(e, FuelExhausted):
+                        raise
+                    raise IllTypedDeclaration(f"definition {item.name}: {e}") from e
+                if not convertible(prefix, body_ty, item.type, fuel):
+                    raise IllTypedDeclaration(
+                        f"definition {item.name}: body type {pretty(body_ty)} "
+                        f"does not match declared {pretty(item.type)}"
+                    )
+        else:
+            check_rule(prefix, item, fuel)
+        prefix = Signature(prefix.items + (item,))
+
+
+def check_rule(prefix, rule: RewriteRule, fuel) -> None:
+    _check_pattern(rule.lhs)
+    extra = free_names(rule.rhs) - free_names(rule.lhs)
+    if extra:
+        raise UnboundRhsVariable(
+            f"rhs variables not bound on the lhs: {', '.join(sorted(extra))}"
+        )
+    ctx = Context(rule.context)
+    check_context(prefix, ctx, fuel)
+    try:
+        lhs_ty = infer(prefix, ctx, rule.lhs, fuel)
+        rhs_ty = infer(prefix, ctx, rule.rhs, fuel)
+    except KernelError as e:
+        if isinstance(e, FuelExhausted):
+            raise
+        raise RuleTypeMismatch(f"rule {pretty(rule.lhs)}: {e}") from e
+    if not convertible(prefix, lhs_ty, rhs_ty, fuel):
+        raise RuleTypeMismatch(
+            f"rule sides disagree: lhs : {pretty(lhs_ty)}, rhs : {pretty(rhs_ty)}"
+        )

@@ -200,3 +200,22 @@ def test_article_failure_names_command_and_line(tmp_path, capsys):
     assert cli.main(["translate", str(bad), "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad} (command 4, line 6): TypeErrorOnStack: refl: expected OTerm, found OType\n"
+
+
+@pytest.mark.parametrize(
+    "stem, reason",
+    [
+        ("we;)ird", "the article name may not contain ';)'"),
+        ("hol", "its output would overwrite the base signature hol.dk"),
+    ],
+)
+def test_unwritable_article_name_is_one_error_line(tmp_path, capsys, stem, reason):
+    art = tmp_path / f"{stem}.art"
+    art.write_bytes((CORPUS / "02_refl.art").read_bytes())
+    out = tmp_path / "out"
+    assert cli.main(["translate", str(art), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {art}: {reason}") and err.count("\n") == 1
+    assert not (out / f"{stem}.dk").exists() or stem == "hol"
+    # whatever translate left behind still checks: hol.dk is the base
+    assert cli.main(["check", str(out / "hol.dk")]) == 0

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holtrans import dkfile
@@ -192,3 +192,100 @@ def test_parsed_document_fails_like_in_memory(q0):
     items = tuple(q0.items) + dkfile.signature_items(bad)
     with pytest.raises(k.IllTypedDeclaration):
         k.check_signature(k.Signature(items))
+
+
+# ---------------------------------------------------------------------------
+# binder names: the emitter against the per-binder scan it replaced
+
+
+def _reference_fmt(t, env=(), prec=0):
+    """The formatter that rescanned each binder's body for used identifiers."""
+
+    def used(u):
+        out, stack = set(), [u]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, (k.Const, k.Var)):
+                out.add(v.name)
+            elif isinstance(v, k.App):
+                stack += [v.fn, v.arg]
+            elif isinstance(v, (k.Abs, k.Prod)):
+                stack += [v.domain, v.body if isinstance(v, k.Abs) else v.codomain]
+        return out
+
+    def display(hint, inner):
+        base = dkfile.mangle(hint)
+        taken = set(env) | used(inner) | set(dkfile.RESERVED)
+        cand, i = base, 1
+        while cand in taken:
+            i += 1
+            cand = f"{base}_{i}"
+        return cand
+
+    if isinstance(t, k.Sort):
+        return "Type"
+    if isinstance(t, (k.Const, k.Var)):
+        return t.name
+    if isinstance(t, k.BVar):
+        if t.index >= len(env):
+            raise ValueError(f"dangling bound variable #{t.index}")
+        return env[-1 - t.index]
+    if isinstance(t, k.App):
+        s = f"{_reference_fmt(t.fn, env, 2)} {_reference_fmt(t.arg, env, 3)}"
+        return f"({s})" if prec >= 3 else s
+    if isinstance(t, k.Abs):
+        name = display(t.hint, t.body)
+        s = f"{name} : {_reference_fmt(t.domain, env, 1)} => {_reference_fmt(t.body, env + (name,), 0)}"
+        return f"({s})" if prec >= 1 else s
+    if k._uses_index(t.codomain, 0):
+        name = display(t.hint, t.codomain)
+        s = f"{name} : {_reference_fmt(t.domain, env, 1)} -> {_reference_fmt(t.codomain, env + (name,), 0)}"
+    else:
+        s = f"{_reference_fmt(t.domain, env, 1)} -> {_reference_fmt(t.codomain, env + ('_',), 0)}"
+    return f"({s})" if prec >= 1 else s
+
+
+# hints that clash with constants, variables, reserved words and the
+# suffixed names the emitter itself picks
+_HINTS = st.sampled_from(["x", "c", "x_2", "Type", "def", "_"])
+_EMIT_TERMS = st.recursive(
+    st.one_of(
+        st.just(k.TYPE),
+        st.sampled_from(["x", "x_2", "y"]).map(k.Var),
+        st.sampled_from(["c", "x_3", "def_2"]).map(k.Const),
+        st.builds(k.BVar, st.integers(0, 3)),
+    ),
+    lambda sub: st.one_of(
+        st.builds(k.App, sub, sub),
+        st.builds(k.Abs, _HINTS, sub, sub),
+        st.builds(k.Prod, _HINTS, sub, sub),
+    ),
+    max_leaves=30,
+)
+
+
+def _rendered(fmt, t):
+    try:
+        return fmt(t)
+    except ValueError as e:
+        return str(e)
+
+
+_C_ID = k.Abs("c", k.Const("A"), k.BVar(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EMIT_TERMS)
+# the identifier just after, or just before, a binder's body
+@example(k.App(_C_ID, k.Const("c")))
+@example(k.App(k.Const("c"), _C_ID))
+@example(k.Prod("c", k.Const("c"), k.Abs("c", k.Prod("c", k.Const("A"), k.BVar(0)), k.Const("c"))))
+def test_binder_names_match_the_rescanning_emitter(t):
+    assert _rendered(dkfile.fmt_term, t) == _rendered(_reference_fmt, t)
+
+
+def test_binder_name_avoids_identifiers_of_its_body_only():
+    a, c = k.Const("A"), k.Const("c")
+    inner = k.Abs("c", a, k.BVar(0))  # no c inside: keeps its name
+    t = k.Abs("c", a, k.app(c, k.BVar(0), inner))
+    assert dkfile.fmt_term(t) == "c_2 : A => c c_2 (c : A => c)"
