@@ -31,7 +31,7 @@ def _outcome(infer, sig, t):
 
 
 def _subterms(t):
-    """Every subterm with its preorder position."""
+    """Every subterm, in preorder: a list index is a preorder position."""
     out, stack = [], [t]
     while stack:
         u = stack.pop()
