@@ -10,6 +10,7 @@ import gzip
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +19,11 @@ from typing import Optional
 from . import dkfile, hol, kernel, opentheory, translate
 
 STATS_FILE = "stats.json"
+# The translator and the kernel recurse once per level of term nesting; on
+# the main thread's stack a term some 20,000 levels deep overflows the C
+# stack (a segfault) long before the recursion limit is reached.
+RECURSION_LIMIT = 100_000
+STACK_BYTES = 512 * 1024 * 1024
 
 
 @dataclass
@@ -56,7 +62,22 @@ def _fail(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _stem_clash(inputs: list) -> Optional[str]:
+    """The first two inputs whose outputs would share a ``.dk`` name, or None."""
+    first: dict = {}
+    for raw in inputs:
+        stem = Path(raw).stem
+        if stem in first:
+            return f"{first[stem]} and {raw} would both be written to {stem}.dk; rename one"
+        first[stem] = raw
+    return None
+
+
 def cmd_translate(cfg: RunConfig) -> int:
+    clash = _stem_clash(cfg.inputs)
+    if clash is not None:
+        _fail(clash)
+        return 2
     outdir = Path(cfg.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -99,8 +120,10 @@ def cmd_translate(cfg: RunConfig) -> int:
             _fail(f"{path}{where}: {type(e).__name__}: {e}")
             return 1
         t1 = time.perf_counter()
+        budget = kernel.DEFAULT_FUEL if cfg.fuel is None else cfg.fuel
+        fuel = kernel.Fuel(budget)
         try:
-            translate.verify_document(result.document, mode=cfg.mode, fuel=cfg.fuel)
+            translate.verify_document(result.document, mode=cfg.mode, fuel=fuel)
         except kernel.KernelError as e:
             _fail(f"{path}: generated document failed self-verification: {type(e).__name__}: {e}")
             return 1
@@ -118,6 +141,7 @@ def cmd_translate(cfg: RunConfig) -> int:
             "dk_gz": _gz_size(text),
             "translate_s": round(t1 - t0, 4),
             "verify_s": round(t2 - t1, 4),
+            "verify_fuel": budget - fuel.left,
             "theorems": result.theorem_count,
             "share_hits": result.share_hits,
         }
@@ -205,6 +229,7 @@ _COLUMNS = (
     ("Ratio", "ratio_gz"),
     ("Trans(s)", "translate_s"),
     ("Verify(s)", "verify_s"),
+    ("Fuel", "verify_fuel"),
     ("Thms", "theorems"),
     ("Shares", "share_hits"),
 )
@@ -353,8 +378,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_with_deep_stack(command, cfg: RunConfig) -> int:
+    """Run ``command(cfg)`` in one worker thread with a ``STACK_BYTES`` stack.
+
+    Only the pages the recursion touches are ever resident.  Hitting the
+    recursion limit is a clean failure, exit 1; any other exception is
+    raised again in the calling thread.
+    """
+    outcome: list = []
+
+    def work() -> None:
+        try:
+            outcome.append(command(cfg))
+        except RecursionError:
+            _fail(f"input nested too deeply: more than {RECURSION_LIMIT} levels of recursion")
+            outcome.append(1)
+        except BaseException as e:  # noqa: BLE001 - handed to the caller
+            outcome.append(e)
+
+    previous = threading.stack_size(STACK_BYTES)
+    try:
+        worker = threading.Thread(target=work, name=f"holtrans-{cfg.subcommand}")
+        worker.start()
+    finally:
+        threading.stack_size(previous)
+    worker.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
+
+
 def main(argv: Optional[list] = None) -> int:
-    sys.setrecursionlimit(100_000)
+    sys.setrecursionlimit(RECURSION_LIMIT)
     args = build_parser().parse_args(argv)
     fuel = getattr(args, "fuel", None)
     if fuel is None and hasattr(args, "fuel"):
@@ -376,9 +431,9 @@ def main(argv: Optional[list] = None) -> int:
         verbose=getattr(args, "verbose", 0),
     )
     if cfg.subcommand == "translate":
-        return cmd_translate(cfg)
+        return _run_with_deep_stack(cmd_translate, cfg)
     if cfg.subcommand == "check":
-        return cmd_check(cfg)
+        return _run_with_deep_stack(cmd_check, cfg)
     if cfg.subcommand == "stats":
         return cmd_stats(cfg)
     return cmd_selftest(cfg)

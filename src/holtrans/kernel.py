@@ -26,10 +26,11 @@ two reserved forms so that no scan of the body is needed:
 * typing names the variable ``hint#k``, where ``k`` is the length of the
   context it extends.  The text after the last ``#`` is the depth, so the
   name is unique along the context; error messages print it (``A#0``).
-* ``normalize`` names it ``%N`` from a process-wide counter and closes it
-  again before returning, so it never escapes; a counter rather than the
-  depth, because conversion inside non-linear matching normalizes terms
-  that already hold such variables.
+* ``normalize`` and ``convertible`` name it ``%N`` from a process-wide
+  counter.  ``normalize`` closes it again before returning and conversion
+  only compares, so it never escapes; a counter rather than the depth,
+  because conversion inside non-linear matching compares terms that
+  already hold such variables.
 
 Neither form can come from the ``.dk`` lexer (``[A-Za-z0-9_]+``) or from
 ``dkfile.mangle``; callers that build terms themselves must not use them
@@ -41,6 +42,21 @@ sort, and closes ``B`` back into ``x1 : A1 -> ... -> B``.  A product's
 sort is its codomain's and each domain was checked on the way in, so this
 is the product rule's derivation without re-proving it at every level,
 and the number of inferences grows linearly with the chain's length.
+
+Conversion is lazy (Coquand, "An algorithm for testing conversion in type
+theory", 1991).  Equal terms are convertible.  Otherwise both sides are
+reduced to weak-head normal form and compared by shape: two application
+spines need equal heads, equal arities and pairwise convertible arguments;
+two abstractions or two products need convertible domains and bodies that
+are convertible once opened with one shared ``%N``.  ``whnf`` reduces the
+function part of an application first, so every prefix of a weak-head
+spine is weak-head normal, and this decides exactly whether the two full
+normal forms are equal without building them: a definition is unfolded
+only where it stands at a head.  Pairs found convertible are remembered
+for the rest of the call, so a subproblem met twice is settled once.
+Where normalizing a side would diverge, the check can still answer: it
+never reduces a subterm pair that is already equal, nor the arguments
+under differing heads.
 """
 
 from __future__ import annotations
@@ -713,11 +729,54 @@ def _nf(sig: Signature, t: Term, fuel: Fuel) -> Term:
 
 
 def convertible(sig: Signature, a: Term, b: Term, fuel: Union[int, Fuel, None] = None) -> bool:
-    """Beta-rule conversion: alpha equality of the two normal forms."""
+    """Beta-rule conversion: whether ``a`` and ``b`` have the same normal form.
+
+    Decided lazily (see the module docstring): only weak heads are reduced,
+    and a subterm pair is dropped as soon as it is syntactically equal.
+    """
     if a == b:
         return True
-    fuel = _as_fuel(fuel)
-    return _nf(sig, a, fuel) == _nf(sig, b, fuel)
+    return _conv(sig, a, b, _as_fuel(fuel), set())
+
+
+def _conv(sig: Signature, a: Term, b: Term, fuel: Fuel, proven: set) -> bool:
+    """Lazy conversion; ``proven`` holds the pairs this call already settled.
+
+    A failure ends the whole top-level call, so only successes are kept.
+    """
+    if a == b or (a, b) in proven:
+        return True
+    u, v = whnf(sig, a, fuel), whnf(sig, b, fuel)
+    if not (u == v or _conv_whnf(sig, u, v, fuel, proven)):
+        return False
+    proven.add((a, b))
+    return True
+
+
+def _conv_whnf(sig: Signature, a: Term, b: Term, fuel: Fuel, proven: set) -> bool:
+    """Conversion of two weak-head normal forms, by their outermost shape.
+
+    Every prefix of a weak-head spine is itself weak-head normal, so two
+    spines are convertible exactly when their heads and arguments are.
+    """
+    if isinstance(a, App):
+        if not isinstance(b, App):
+            return False
+        head_a, args_a = spine(a)
+        head_b, args_b = spine(b)
+        return (
+            len(args_a) == len(args_b)
+            and (head_a == head_b or _conv_whnf(sig, head_a, head_b, fuel, proven))
+            and all(_conv(sig, x, y, fuel, proven) for x, y in zip(args_a, args_b))
+        )
+    if isinstance(a, (Abs, Prod)):
+        if type(b) is not type(a) or not _conv(sig, a.domain, b.domain, fuel, proven):
+            return False
+        x = Var(f"%{next(_nf_names)}")
+        if isinstance(a, Abs):
+            return _conv(sig, open_term(a.body, x), open_term(b.body, x), fuel, proven)
+        return _conv(sig, open_term(a.codomain, x), open_term(b.codomain, x), fuel, proven)
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +827,8 @@ def _infer(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Term:
         )
     arg_ty = _infer(sig, ctx, t.arg, fuel)
     if arg_ty != fn_ty.domain and not convertible(sig, arg_ty, fn_ty.domain, fuel):
-        nf_got = _nf(sig, arg_ty, fuel)
-        nf_want = _nf(sig, fn_ty.domain, fuel)
         raise DomainMismatch(
-            f"argument type mismatch: expected {pretty(nf_want)}, got {pretty(nf_got)}"
+            f"argument type mismatch: expected {pretty(fn_ty.domain)}, got {pretty(arg_ty)}"
         )
     return open_term(fn_ty.codomain, t.arg)
 

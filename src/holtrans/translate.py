@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from . import dkfile, hol, kernel
 from .kernel import (
@@ -990,7 +990,12 @@ def translate_state(
     return TranslationResult(doc, len(state.theorems), share_hits)
 
 
-def verify_document(doc: dkfile.DkDocument, mode: str = "q0", fuel: Optional[int] = None) -> None:
-    """Type-check a generated document against the base signature."""
+def verify_document(
+    doc: dkfile.DkDocument, mode: str = "q0", fuel: Union[int, kernel.Fuel, None] = None
+) -> None:
+    """Type-check a generated document against the base signature.
+
+    Pass a ``kernel.Fuel`` to read back the steps spent.
+    """
     items = tuple(base_signature(mode).items) + dkfile.signature_items(doc)
     kernel.check_signature(Signature(items), fuel)

@@ -210,3 +210,38 @@ def random_kernel_term(seed: int, env=None, depth: int = 3):
         env = make_env()
     term, _ = random_hol_term(seed, depth)
     return translate.trans_term(env, term), term
+
+
+# ---------------------------------------------------------------------------
+# Positions in kernel terms, for mutation tests.
+
+
+def subterms(t):
+    """Every subterm, in preorder: a list index is a preorder position."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        if isinstance(u, kernel.App):
+            stack += [u.arg, u.fn]
+        elif isinstance(u, (kernel.Abs, kernel.Prod)):
+            stack += [u.body if isinstance(u, kernel.Abs) else u.codomain, u.domain]
+    return out
+
+
+def replace_at(t, pos, new):
+    """``t`` with the subterm at preorder position ``pos`` replaced by ``new``."""
+    if pos == 0:
+        return new
+    pos -= 1
+    if isinstance(t, kernel.App):
+        if pos < t.fn.size:
+            return kernel.App(replace_at(t.fn, pos, new), t.arg)
+        return kernel.App(t.fn, replace_at(t.arg, pos - t.fn.size, new))
+    first = t.domain
+    second = t.body if isinstance(t, kernel.Abs) else t.codomain
+    if pos < first.size:
+        first = replace_at(first, pos, new)
+    else:
+        second = replace_at(second, pos - first.size, new)
+    return type(t)(t.hint, first, second)

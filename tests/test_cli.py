@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,7 +124,7 @@ def test_stats_table(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert any(line.startswith("name=01_identity") for line in lines)
     header = next(line for line in lines if line.startswith("Package"))
-    for col in ("OT(kB)", "Dk(kB)", "Ratio", "Trans(s)", "Verify(s)", "Thms", "Shares"):
+    for col in ("OT(kB)", "Dk(kB)", "Ratio", "Trans(s)", "Verify(s)", "Fuel", "Thms", "Shares"):
         assert col in header
     assert lines[-1].startswith("Total")
 
@@ -136,8 +140,11 @@ def test_stats_json(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["stats", "--json", str(tmp_path)]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["articles"][0]["name"] == "01_identity"
-    assert "ratio_gz" in data["articles"][0]
+    row = data["articles"][0]
+    assert row["name"] == "01_identity"
+    assert "ratio_gz" in row
+    # the identity theorem's statement needs the term-arrow rule: fuel is spent
+    assert isinstance(row["verify_fuel"], int) and row["verify_fuel"] > 0
 
 
 def test_selftest(capsys):
@@ -219,3 +226,72 @@ def test_unwritable_article_name_is_one_error_line(tmp_path, capsys, stem, reaso
     assert not (out / f"{stem}.dk").exists() or stem == "hol"
     # whatever translate left behind still checks: hol.dk is the base
     assert cli.main(["check", str(out / "hol.dk")]) == 0
+
+
+@pytest.mark.parametrize("twice", [False, True])
+def test_same_stem_inputs_are_refused(tmp_path, capsys, twice):
+    a = tmp_path / "a" / "x.art"
+    b = a if twice else tmp_path / "b" / "x.art"
+    for p in {a, b}:
+        p.parent.mkdir()
+        p.write_bytes((CORPUS / "02_refl.art").read_bytes())
+    out = tmp_path / "out"
+    assert cli.main(["translate", str(a), str(b), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {a} and {b} would both be written to x.dk; rename one\n"
+    assert not out.exists()
+
+
+def _deep_article(depth):
+    """``|- t = t`` by ``refl`` for ``t = f (f (... x))`` nested ``depth`` deep."""
+    lines = [
+        "6", "version",
+        '"A"', "varType", "0", "def", "pop",
+        '"->"', "typeOp", "0", "ref", "0", "ref", "nil", "cons", "cons", "opType", "1", "def", "pop",
+        '"f"', "1", "ref", "var", "varTerm", "2", "def", "pop",
+        '"x"', "0", "ref", "var", "varTerm", "3", "def", "pop",
+    ]
+    lines += ["2", "ref", "3", "ref", "appTerm", "3", "def", "pop"] * depth
+    lines += [
+        '"bool"', "typeOp", "nil", "opType", "4", "def", "pop",
+        '"->"', "typeOp", "0", "ref", "4", "ref", "nil", "cons", "cons", "opType", "5", "def", "pop",
+        '"->"', "typeOp", "0", "ref", "5", "ref", "nil", "cons", "cons", "opType", "6", "def", "pop",
+        "3", "ref", "refl",
+        "nil",
+        '"="', "const", "6", "ref", "constTerm", "3", "ref", "appTerm", "3", "ref", "appTerm",
+        "thm",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_deeply_nested_term_translates_and_checks(tmp_path):
+    """Nested 20,000 deep, the recursion overflowed the main thread's C
+    stack (exit 139); a crash cannot be caught in-process, so this runs the
+    commands as subprocesses."""
+    art = tmp_path / "deep.art"
+    art.write_text(_deep_article(20_000))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "holtrans.cli", *args], env=env, capture_output=True, text=True)
+
+    translated = run("translate", str(art), "-o", str(tmp_path / "out"))
+    assert translated.returncode == 0, translated.stderr
+    checked = run("check", str(tmp_path / "out" / "deep.dk"))
+    assert checked.returncode == 0, checked.stderr
+
+
+def test_recursion_limit_is_one_error_line(tmp_path, monkeypatch, capsys):
+    depth = 3000
+    doc = tmp_path / "deep.dk"
+    term = "f (" * depth + "x" + ")" * depth
+    doc.write_text(f"A : Type.\nf : A -> A.\nx : A.\ndef y : A := {term}.\n")
+    monkeypatch.setattr(cli, "RECURSION_LIMIT", depth // 2)
+    limit = sys.getrecursionlimit()
+    try:
+        assert cli.main(["check", str(doc)]) == 1
+    finally:
+        sys.setrecursionlimit(limit)
+    err = capsys.readouterr().err
+    assert err == f"error: input nested too deeply: more than {depth // 2} levels of recursion\n"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_typing as ref
-from conftest import HolGen, env_signature, make_env
+from conftest import HolGen, env_signature, make_env, replace_at, subterms
 from holtrans import dkfile
 from holtrans import kernel as k
 from holtrans import opentheory as ot
@@ -30,51 +30,20 @@ def _outcome(infer, sig, t):
         return type(e)
 
 
-def _subterms(t):
-    """Every subterm, in preorder: a list index is a preorder position."""
-    out, stack = [], [t]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        if isinstance(u, k.App):
-            stack += [u.arg, u.fn]
-        elif isinstance(u, (k.Abs, k.Prod)):
-            stack += [u.body if isinstance(u, k.Abs) else u.codomain, u.domain]
-    return out
-
-
-def _replace(t, pos, new):
-    """``t`` with the subterm at preorder position ``pos`` replaced by ``new``."""
-    if pos == 0:
-        return new
-    pos -= 1
-    if isinstance(t, k.App):
-        if pos < t.fn.size:
-            return k.App(_replace(t.fn, pos, new), t.arg)
-        return k.App(t.fn, _replace(t.arg, pos - t.fn.size, new))
-    first = t.domain
-    second = t.body if isinstance(t, k.Abs) else t.codomain
-    if pos < first.size:
-        first = _replace(first, pos, new)
-    else:
-        second = _replace(second, pos - first.size, new)
-    return type(t)(t.hint, first, second)
-
-
 def _mutants(t, rng):
     """A swapped argument and a replaced binder domain, where ``t`` has them."""
-    subs = _subterms(t)
+    subs = subterms(t)
     apps = [i for i, u in enumerate(subs) if isinstance(u, k.App)]
     binders = [i for i, u in enumerate(subs) if isinstance(u, k.Abs)]
     out = []
     if len(apps) >= 2:
         i, j = rng.sample(apps, 2)
-        out.append(_replace(t, i, k.App(subs[i].fn, subs[j].arg)))
+        out.append(replace_at(t, i, k.App(subs[i].fn, subs[j].arg)))
     if binders:
         i = rng.choice(binders)
         domains = [subs[b].domain for b in binders] + [k.TYPE, tr._T]
         u = subs[i]
-        out.append(_replace(t, i, k.Abs(u.hint, rng.choice(domains), u.body)))
+        out.append(replace_at(t, i, k.Abs(u.hint, rng.choice(domains), u.body)))
     return out
 
 
