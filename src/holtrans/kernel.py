@@ -734,8 +734,6 @@ def convertible(sig: Signature, a: Term, b: Term, fuel: Union[int, Fuel, None] =
     Decided lazily (see the module docstring): only weak heads are reduced,
     and a subterm pair is dropped as soon as it is syntactically equal.
     """
-    if a == b:
-        return True
     return _conv(sig, a, b, _as_fuel(fuel), set())
 
 
