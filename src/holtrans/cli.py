@@ -12,7 +12,6 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -24,20 +23,6 @@ STATS_FILE = "stats.json"
 # stack (a segfault) long before the recursion limit is reached.
 RECURSION_LIMIT = 100_000
 STACK_BYTES = 512 * 1024 * 1024
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    inputs: list = field(default_factory=list)
-    outdir: str = "."
-    mode: str = "q0"
-    compress: bool = False
-    sharing: bool = True
-    fuel: Optional[int] = None
-    share_min_size: int = 8
-    as_json: bool = False
-    verbose: int = 0
 
 
 def _env_fuel() -> Optional[int]:
@@ -73,22 +58,22 @@ def _stem_clash(inputs: list) -> Optional[str]:
     return None
 
 
-def cmd_translate(cfg: RunConfig) -> int:
-    clash = _stem_clash(cfg.inputs)
+def cmd_translate(args: argparse.Namespace) -> int:
+    clash = _stem_clash(args.inputs)
     if clash is not None:
         _fail(clash)
         return 2
-    outdir = Path(cfg.outdir)
+    outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         _fail(f"cannot create output directory: {e}")
         return 2
-    base_doc = translate.base_document(cfg.mode)
+    base_doc = translate.base_document(args.mode)
     (outdir / "hol.dk").write_text(dkfile.emit(base_doc), encoding="utf-8")
 
     articles = []
-    for raw_path in cfg.inputs:
+    for raw_path in args.inputs:
         path = Path(raw_path)
         name = path.stem
         if name == "hol":
@@ -108,11 +93,11 @@ def cmd_translate(cfg: RunConfig) -> int:
             result = translate.translate_state(
                 state,
                 name,
-                mode=cfg.mode,
-                compress=cfg.compress,
-                sharing=cfg.sharing,
-                min_size=cfg.share_min_size,
-                fuel=cfg.fuel,
+                mode=args.mode,
+                compress=args.compress,
+                sharing=args.sharing,
+                min_size=args.share_min_size,
+                fuel=args.fuel,
             )
         except (opentheory.ArticleError, hol.HolError, translate.TranslateError, kernel.KernelError) as e:
             idx = getattr(e, "command_index", None)
@@ -120,10 +105,10 @@ def cmd_translate(cfg: RunConfig) -> int:
             _fail(f"{path}{where}: {type(e).__name__}: {e}")
             return 1
         t1 = time.perf_counter()
-        budget = kernel.DEFAULT_FUEL if cfg.fuel is None else cfg.fuel
+        budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
         fuel = kernel.Fuel(budget)
         try:
-            translate.verify_document(result.document, mode=cfg.mode, fuel=fuel)
+            translate.verify_document(result.document, mode=args.mode, fuel=fuel)
         except kernel.KernelError as e:
             _fail(f"{path}: generated document failed self-verification: {type(e).__name__}: {e}")
             return 1
@@ -147,10 +132,10 @@ def cmd_translate(cfg: RunConfig) -> int:
         }
         row["ratio_gz"] = round(row["dk_gz"] / row["art_gz"], 3) if row["art_gz"] else 0.0
         articles.append(row)
-        if cfg.verbose:
+        if args.verbose:
             print(f"{path} -> {out_path} ({result.theorem_count} theorem(s))")
 
-    stats = {"mode": cfg.mode, "compress": cfg.compress, "sharing": cfg.sharing, "articles": articles}
+    stats = {"mode": args.mode, "compress": args.compress, "sharing": args.sharing, "articles": articles}
     (outdir / STATS_FILE).write_text(json.dumps(stats, indent=2), encoding="utf-8")
     return 0
 
@@ -177,7 +162,7 @@ def _documents_for_check(paths: list) -> list:
     return out
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     """Check each document against the base prefix.
 
     Base files (hol.dk) accumulate; other documents are independent modules
@@ -185,7 +170,7 @@ def cmd_check(cfg: RunConfig) -> int:
     against the bases loaded so far.
     """
     base_items: list = []
-    for path in _documents_for_check(cfg.inputs):
+    for path in _documents_for_check(args.inputs):
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as e:
@@ -198,13 +183,13 @@ def cmd_check(cfg: RunConfig) -> int:
             return 1
         file_items = dkfile.signature_items(doc)
         try:
-            kernel.check_signature(kernel.Signature(base_items + list(file_items)), cfg.fuel)
+            kernel.check_signature(kernel.Signature(base_items + list(file_items)), args.fuel)
         except kernel.KernelError as e:
             _fail(f"{path}: {type(e).__name__}: {e}")
             return 1
         if Path(path).name == "hol.dk":
             base_items.extend(file_items)
-        if cfg.verbose:
+        if args.verbose:
             print(f"{path}: ok")
     return 0
 
@@ -235,9 +220,9 @@ _COLUMNS = (
 )
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    rows = _load_stats(cfg.inputs)
-    if cfg.as_json:
+def cmd_stats(args: argparse.Namespace) -> int:
+    rows = _load_stats(args.inputs)
+    if args.as_json:
         print(json.dumps({"articles": rows}, indent=2))
         return 0
     for row in rows:
@@ -336,7 +321,7 @@ def _selftest_checks():
     ]
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -378,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_with_deep_stack(command, cfg: RunConfig) -> int:
-    """Run ``command(cfg)`` in one worker thread with a ``STACK_BYTES`` stack.
+def _run_with_deep_stack(command, args: argparse.Namespace) -> int:
+    """Run ``command(args)`` in one worker thread with a ``STACK_BYTES`` stack.
 
     Only the pages the recursion touches are ever resident.  Hitting the
     recursion limit is a clean failure, exit 1; any other exception is
@@ -389,7 +374,7 @@ def _run_with_deep_stack(command, cfg: RunConfig) -> int:
 
     def work() -> None:
         try:
-            outcome.append(command(cfg))
+            outcome.append(command(args))
         except RecursionError:
             _fail(f"input nested too deeply: more than {RECURSION_LIMIT} levels of recursion")
             outcome.append(1)
@@ -398,7 +383,7 @@ def _run_with_deep_stack(command, cfg: RunConfig) -> int:
 
     previous = threading.stack_size(STACK_BYTES)
     try:
-        worker = threading.Thread(target=work, name=f"holtrans-{cfg.subcommand}")
+        worker = threading.Thread(target=work, name=f"holtrans-{args.subcommand}")
         worker.start()
     finally:
         threading.stack_size(previous)
@@ -411,32 +396,19 @@ def _run_with_deep_stack(command, cfg: RunConfig) -> int:
 def main(argv: Optional[list] = None) -> int:
     sys.setrecursionlimit(RECURSION_LIMIT)
     args = build_parser().parse_args(argv)
-    fuel = getattr(args, "fuel", None)
-    if fuel is None and hasattr(args, "fuel"):
+    if hasattr(args, "fuel") and args.fuel is None:
         try:
-            fuel = _env_fuel()
+            args.fuel = _env_fuel()
         except ValueError as e:
             _fail(str(e))
             return 2
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        inputs=getattr(args, "inputs", []),
-        outdir=getattr(args, "outdir", "."),
-        mode=getattr(args, "mode", "q0"),
-        compress=getattr(args, "compress", False),
-        sharing=getattr(args, "sharing", True),
-        fuel=fuel,
-        share_min_size=getattr(args, "share_min_size", 8),
-        as_json=getattr(args, "as_json", False),
-        verbose=getattr(args, "verbose", 0),
-    )
-    if cfg.subcommand == "translate":
-        return _run_with_deep_stack(cmd_translate, cfg)
-    if cfg.subcommand == "check":
-        return _run_with_deep_stack(cmd_check, cfg)
-    if cfg.subcommand == "stats":
-        return cmd_stats(cfg)
-    return cmd_selftest(cfg)
+    if args.subcommand == "translate":
+        return _run_with_deep_stack(cmd_translate, args)
+    if args.subcommand == "check":
+        return _run_with_deep_stack(cmd_check, args)
+    if args.subcommand == "stats":
+        return cmd_stats(args)
+    return cmd_selftest(args)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .kernel import (
     TYPE,
     Abs,
     App,
+    Binder,
     BVar,
     Const,
     ConstDecl,
@@ -32,9 +33,6 @@ from .kernel import (
     Term,
     Var,
 )
-
-Decl = ConstDecl  # spec-facing alias
-
 
 class ParseError(Exception):
     def __init__(self, line: int, column: int, expectation: str):
@@ -66,13 +64,6 @@ def signature_items(doc: DkDocument) -> tuple:
 # Name mangling
 
 RESERVED = frozenset({"Type", "def"})
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def is_identifier(name: str) -> bool:
-    return bool(_IDENT_RE.match(name)) and name not in RESERVED
-
 
 def mangle(name: str) -> str:
     """Deterministic identifier image: dots to underscores, other foreign
@@ -124,10 +115,8 @@ def _rename_term(t: Term, namer: DkNamer) -> Term:
         return Const(namer.ident(t.name))
     if isinstance(t, App):
         return App(_rename_term(t.fn, namer), _rename_term(t.arg, namer))
-    if isinstance(t, Abs):
-        return Abs(t.hint, _rename_term(t.domain, namer), _rename_term(t.body, namer))
-    if isinstance(t, Prod):
-        return Prod(t.hint, _rename_term(t.domain, namer), _rename_term(t.codomain, namer))
+    if isinstance(t, Binder):
+        return type(t)(t.hint, _rename_term(t.domain, namer), _rename_term(t.body, namer))
     return t
 
 
@@ -195,8 +184,8 @@ class _Occurrences:
                 elif isinstance(u, App):
                     stack.append((u.arg, p + 1 + u.fn.size))
                     stack.append((u.fn, p + 1))
-                elif isinstance(u, (Abs, Prod)):
-                    stack.append((u.body if isinstance(u, Abs) else u.codomain, p + 1 + u.domain.size))
+                elif isinstance(u, Binder):
+                    stack.append((u.body, p + 1 + u.domain.size))
                     stack.append((u.domain, p + 1))
         ps = self._at.get(name)
         if not ps:
@@ -240,11 +229,11 @@ def _fmt(t: Term, at: int, env: tuple[str, ...], prec: int, occ: _Occurrences) -
         s = f"{name} : {dom} => {_fmt(t.body, inner_at, env + (name,), _TOP, occ)}"
         return f"({s})" if prec >= _OPERAND else s
     assert isinstance(t, Prod)
-    if kernel._uses_index(t.codomain, 0):
-        name = _display(t.hint, t.codomain, inner_at, env, occ)
-        s = f"{name} : {dom} -> {_fmt(t.codomain, inner_at, env + (name,), _TOP, occ)}"
+    if kernel._uses_index(t.body, 0):
+        name = _display(t.hint, t.body, inner_at, env, occ)
+        s = f"{name} : {dom} -> {_fmt(t.body, inner_at, env + (name,), _TOP, occ)}"
     else:
-        s = f"{dom} -> {_fmt(t.codomain, inner_at, env + ('_',), _TOP, occ)}"
+        s = f"{dom} -> {_fmt(t.body, inner_at, env + ('_',), _TOP, occ)}"
     return f"({s})" if prec >= _OPERAND else s
 
 

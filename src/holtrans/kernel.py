@@ -3,7 +3,14 @@
 Terms are locally nameless: bound variables are de Bruijn indices (``BVar``),
 free variables carry names (``Var``).  Binder names survive only as display
 hints and are ignored by equality and hashing, so ``==`` on terms is exactly
-alpha-equivalence.
+alpha-equivalence.  Abstractions and products share one shape, ``Binder``
+(``hint``, ``domain``, ``body``), and differ only in their class.
+
+A telescope is a chain of binders, outermost first.  ``close(t, *names)``
+and ``open_term(t, *values)`` bind or fill a whole telescope in one walk
+(Chargueraud, "The Locally Nameless Representation", 2012), and
+``bind(cls, binders, body)`` builds a chain from ``(name, hint, domain)``
+triples, each name bound in the later domains and the body.
 
 Each node caches its size, its loose-index bound (``max(index + 1)`` over
 its dangling indices; 0 means locally closed), whether a free ``Var``
@@ -37,11 +44,12 @@ Neither form can come from the ``.dk`` lexer (``[A-Za-z0-9_]+``) or from
 for free variables or context names.
 
 The abstraction rule types a chain ``x1 : A1 => ... => xn : An => b`` in
-one pass: it checks each domain, infers ``b : B``, checks that ``B`` has a
-sort, and closes ``B`` back into ``x1 : A1 -> ... -> B``.  A product's
-sort is its codomain's and each domain was checked on the way in, so this
-is the product rule's derivation without re-proving it at every level,
-and the number of inferences grows linearly with the chain's length.
+one pass: it opens the chain once, extends the context once with all its
+binders, checks each domain, infers ``b : B``, checks that ``B`` has a
+sort, and binds ``B`` back into ``x1 : A1 -> ... -> B``.  A product's
+sort is its body's and each domain is checked, so this is the product
+rule's derivation without re-proving it at every level, and the work
+grows linearly with the chain's length.
 
 Conversion is lazy (Coquand, "An algorithm for testing conversion in type
 theory", 1991).  Equal terms are convertible.  Otherwise both sides are
@@ -63,7 +71,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_FUEL = 10_000_000
 
@@ -207,41 +215,9 @@ class BVar(Term):
         return hash(("BVar", self.index))
 
 
-class Prod(Term):
-    """Dependent product; the codomain binds index 0."""
-
-    __slots__ = ("hint", "domain", "codomain", "size", "bound", "has_var", "_hash")
-    _fields = ("hint", "domain", "codomain")
-
-    def __init__(self, hint: str, domain: Term, codomain: Term):
-        self.hint = hint
-        self.domain = domain
-        self.codomain = codomain
-        self.size = domain.size + codomain.size + 1
-        b, c = domain.bound, codomain.bound - 1
-        self.bound = b if b > c else c
-        self.has_var = domain.has_var or codomain.has_var
-        self._hash: Optional[int] = None
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Prod or other.size != self.size:
-            return False
-        h, g = self._hash, other._hash
-        if h is not None and g is not None and h != g:
-            return False
-        return self.domain == other.domain and self.codomain == other.codomain
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(("Prod", self.domain, self.codomain))
-        return h
-
-
-class Abs(Term):
-    """Abstraction; the body binds index 0."""
+class Binder(Term):
+    """An abstraction or a product: ``body`` binds index 0.  Equal binders
+    have the same class; the hint, as everywhere, is display-only."""
 
     __slots__ = ("hint", "domain", "body", "size", "bound", "has_var", "_hash")
     _fields = ("hint", "domain", "body")
@@ -259,7 +235,7 @@ class Abs(Term):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(other) is not Abs or other.size != self.size:
+        if type(other) is not type(self) or other.size != self.size:
             return False
         h, g = self._hash, other._hash
         if h is not None and g is not None and h != g:
@@ -269,8 +245,20 @@ class Abs(Term):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash(("Abs", self.domain, self.body))
+            h = self._hash = hash((type(self).__name__, self.domain, self.body))
         return h
+
+
+class Prod(Binder):
+    """Dependent product; its body is the codomain."""
+
+    __slots__ = ()
+
+
+class Abs(Binder):
+    """Abstraction."""
+
+    __slots__ = ()
 
 
 class App(Term):
@@ -319,34 +307,68 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def close(t: Term, name: str, depth: int = 0) -> Term:
-    """Turn free occurrences of ``name`` into the bound index ``depth``."""
+def close(t: Term, *names: str) -> Term:
+    """Bind the telescope ``names``, given outermost first, in one walk.
+
+    Free occurrences of the last name become index 0, of the one before it
+    index 1, and so on; where a name repeats, the innermost binds.
+    """
+    return _close(t, {name: i for i, name in enumerate(names)}, len(names) - 1)
+
+
+def _close(t: Term, position: dict[str, int], level: int) -> Term:
+    """``close`` at ``level``: the binder at ``position`` p is index ``level - p``."""
     if not t.has_var:
         return t
     if isinstance(t, Var):
-        return BVar(depth, name) if t.name == name else t
+        p = position.get(t.name)
+        return t if p is None else BVar(level - p, t.name)
     if isinstance(t, App):
-        return App(close(t.fn, name, depth), close(t.arg, name, depth))
-    if isinstance(t, Abs):
-        return Abs(t.hint, close(t.domain, name, depth), close(t.body, name, depth + 1))
-    if isinstance(t, Prod):
-        return Prod(t.hint, close(t.domain, name, depth), close(t.codomain, name, depth + 1))
+        return App(_close(t.fn, position, level), _close(t.arg, position, level))
+    if isinstance(t, Binder):
+        return type(t)(t.hint, _close(t.domain, position, level), _close(t.body, position, level + 1))
     return t
 
 
-def open_term(t: Term, value: Term, depth: int = 0) -> Term:
-    """Replace bound index ``depth`` by ``value`` (which must be locally closed)."""
+def open_term(t: Term, *values: Term) -> Term:
+    """Fill the telescope ``values``, given outermost first, in one walk.
+
+    The last value replaces index 0, the one before it index 1, and so on;
+    the values must be locally closed.  Higher loose indices drop by
+    ``len(values)``.
+    """
+    return _open(t, values, 0)
+
+
+def _open(t: Term, values: tuple[Term, ...], depth: int) -> Term:
     if t.bound <= depth:
         return t
     if isinstance(t, BVar):
-        return value if t.index == depth else BVar(t.index - 1, t.hint)
+        k = len(values) - 1 - t.index + depth
+        return values[k] if k >= 0 else BVar(t.index - len(values), t.hint)
     if isinstance(t, App):
-        return App(open_term(t.fn, value, depth), open_term(t.arg, value, depth))
-    if isinstance(t, Abs):
-        return Abs(t.hint, open_term(t.domain, value, depth), open_term(t.body, value, depth + 1))
-    if isinstance(t, Prod):
-        return Prod(t.hint, open_term(t.domain, value, depth), open_term(t.codomain, value, depth + 1))
+        return App(_open(t.fn, values, depth), _open(t.arg, values, depth))
+    if isinstance(t, Binder):
+        return type(t)(t.hint, _open(t.domain, values, depth), _open(t.body, values, depth + 1))
     return t
+
+
+def bind(cls: type[Binder], binders: Sequence[tuple[str, str, Term]], body: Term) -> Term:
+    """The chain of ``cls`` binders ``binders`` around ``body``.
+
+    Each binder is a ``(name, hint, domain)`` triple, outermost first; its
+    free variable ``name`` is bound in the later domains and in ``body``.
+    Each domain and the body are walked once.
+    """
+    position: dict[str, int] = {}
+    domains = []
+    for i, (name, _, domain) in enumerate(binders):
+        domains.append(_close(domain, position, i - 1))
+        position[name] = i
+    out = _close(body, position, len(binders) - 1)
+    for (_, hint, _), domain in zip(reversed(binders), reversed(domains)):
+        out = cls(hint, domain, out)
+    return out
 
 
 def lam(name: str, domain: Term, body: Term) -> Abs:
@@ -381,12 +403,9 @@ def free_names(t: Term) -> set[str]:
         elif isinstance(u, App):
             stack.append(u.fn)
             stack.append(u.arg)
-        elif isinstance(u, Abs):
+        elif isinstance(u, Binder):
             stack.append(u.domain)
             stack.append(u.body)
-        elif isinstance(u, Prod):
-            stack.append(u.domain)
-            stack.append(u.codomain)
     return out
 
 
@@ -400,9 +419,9 @@ def const_names(t: Term) -> set[str]:
         elif isinstance(u, App):
             stack.append(u.fn)
             stack.append(u.arg)
-        elif isinstance(u, (Abs, Prod)):
+        elif isinstance(u, Binder):
             stack.append(u.domain)
-            stack.append(u.body if isinstance(u, Abs) else u.codomain)
+            stack.append(u.body)
     return out
 
 
@@ -418,10 +437,8 @@ def substitute(t: Term, mapping: dict[str, Term]) -> Term:
         return mapping.get(t.name, t)
     if isinstance(t, App):
         return App(substitute(t.fn, mapping), substitute(t.arg, mapping))
-    if isinstance(t, Abs):
-        return Abs(t.hint, substitute(t.domain, mapping), substitute(t.body, mapping))
-    if isinstance(t, Prod):
-        return Prod(t.hint, substitute(t.domain, mapping), substitute(t.codomain, mapping))
+    if isinstance(t, Binder):
+        return type(t)(t.hint, substitute(t.domain, mapping), substitute(t.body, mapping))
     return t
 
 
@@ -463,11 +480,11 @@ def pretty(t: Term, _names: tuple[str, ...] = ()) -> str:
             s = f"{n}: {go(u.domain, names, 1)} => {go(u.body, names + (n,), 0)}"
             return f"({s})" if prec >= 1 else s
         assert isinstance(u, Prod)
-        if _uses_index(u.codomain, 0):
+        if _uses_index(u.body, 0):
             n = fresh_name(u.hint, taken)
-            s = f"{n}: {go(u.domain, names, 1)} -> {go(u.codomain, names + (n,), 0)}"
+            s = f"{n}: {go(u.domain, names, 1)} -> {go(u.body, names + (n,), 0)}"
         else:
-            s = f"{go(u.domain, names, 1)} -> {go(open_term(u.codomain, Var('_')), names, 0)}"
+            s = f"{go(u.domain, names, 1)} -> {go(open_term(u.body, Var('_')), names, 0)}"
         return f"({s})" if prec >= 1 else s
 
     return go(t, _names, 0)
@@ -480,10 +497,8 @@ def _uses_index(t: Term, depth: int) -> bool:
         return t.index == depth
     if isinstance(t, App):
         return _uses_index(t.fn, depth) or _uses_index(t.arg, depth)
-    if isinstance(t, Abs):
+    if isinstance(t, Binder):
         return _uses_index(t.domain, depth) or _uses_index(t.body, depth + 1)
-    if isinstance(t, Prod):
-        return _uses_index(t.domain, depth) or _uses_index(t.codomain, depth + 1)
     return False
 
 
@@ -705,8 +720,12 @@ def normalize(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> T
     """Full normal form under beta, the signature's rules, and unfolding.
 
     Normalizes the weak head first, then every argument, binder domain and
-    body; a term it returns has no redex left anywhere.
+    body; a term it returns has no redex left anywhere.  ``t`` must be
+    locally closed: a dangling index would be captured by a binder that
+    normalizing opens and closes again.
     """
+    if t.bound > 0:
+        raise KernelError(f"cannot normalize a term with a dangling bound variable: {pretty(t)}")
     return _nf(sig, t, _as_fuel(fuel))
 
 
@@ -717,14 +736,10 @@ def _nf(sig: Signature, t: Term, fuel: Fuel) -> Term:
     t = whnf(sig, t, fuel)
     if isinstance(t, App):
         return App(_nf(sig, t.fn, fuel), _nf(sig, t.arg, fuel))
-    if isinstance(t, Abs):
+    if isinstance(t, Binder):
         x = f"%{next(_nf_names)}"
         body = _nf(sig, open_term(t.body, Var(x)), fuel)
-        return Abs(t.hint, _nf(sig, t.domain, fuel), close(body, x))
-    if isinstance(t, Prod):
-        x = f"%{next(_nf_names)}"
-        cod = _nf(sig, open_term(t.codomain, Var(x)), fuel)
-        return Prod(t.hint, _nf(sig, t.domain, fuel), close(cod, x))
+        return type(t)(t.hint, _nf(sig, t.domain, fuel), close(body, x))
     return t
 
 
@@ -767,13 +782,11 @@ def _conv_whnf(sig: Signature, a: Term, b: Term, fuel: Fuel, proven: set) -> boo
             and (head_a == head_b or _conv_whnf(sig, head_a, head_b, fuel, proven))
             and all(_conv(sig, x, y, fuel, proven) for x, y in zip(args_a, args_b))
         )
-    if isinstance(a, (Abs, Prod)):
+    if isinstance(a, Binder):
         if type(b) is not type(a) or not _conv(sig, a.domain, b.domain, fuel, proven):
             return False
         x = Var(f"%{next(_nf_names)}")
-        if isinstance(a, Abs):
-            return _conv(sig, open_term(a.body, x), open_term(b.body, x), fuel, proven)
-        return _conv(sig, open_term(a.codomain, x), open_term(b.codomain, x), fuel, proven)
+        return _conv(sig, open_term(a.body, x), open_term(b.body, x), fuel, proven)
     return a == b
 
 
@@ -811,7 +824,7 @@ def _infer(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Term:
     if isinstance(t, Prod):
         _check_is_type(sig, ctx, t.domain, fuel)
         x = f"{t.hint}#{len(ctx)}"
-        s = whnf(sig, _infer(sig, ctx.extended(x, t.domain), open_term(t.codomain, Var(x)), fuel), fuel)
+        s = whnf(sig, _infer(sig, ctx.extended(x, t.domain), open_term(t.body, Var(x)), fuel), fuel)
         if not isinstance(s, Sort):
             raise IllegalSort(f"product codomain is not a type or kind: {pretty(t)}")
         return s
@@ -828,32 +841,38 @@ def _infer(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Term:
         raise DomainMismatch(
             f"argument type mismatch: expected {pretty(fn_ty.domain)}, got {pretty(arg_ty)}"
         )
-    return open_term(fn_ty.codomain, t.arg)
+    return open_term(fn_ty.body, t.arg)
 
 
 def _infer_abs(sig: Signature, ctx: Context, t: Abs, fuel: Fuel) -> Term:
     """The Abs rule, applied to a whole chain of abstractions at once.
 
-    The inferred product must itself be well-sorted, which rules out
-    kind-level bodies.  Only the innermost body's type needs its sort
-    checked (see the module docstring); re-inferring the product at every
-    level would repeat that check once per enclosing binder.
+    The chain's binders extend ``ctx`` once.  Domain i can mention only
+    the binders before it, so checking it in the whole chain's context
+    gives the verdict its own prefix would.  The inferred product must
+    itself be well-sorted, which rules out kind-level bodies.  Only the
+    innermost body's type needs its sort checked (see the module
+    docstring); re-inferring the product at every level would repeat that
+    check once per enclosing binder.
     """
-    binders: list[tuple[str, Term, str]] = []
+    binders: list[tuple[str, str, Term]] = []
+    values: list[Term] = []
     body: Term = t
     while isinstance(body, Abs):
-        _check_is_type(sig, ctx, body.domain, fuel)
-        x = f"{body.hint}#{len(ctx)}"
-        binders.append((body.hint, body.domain, x))
-        ctx = ctx.extended(x, body.domain)
-        body = open_term(body.body, Var(x))
+        x = f"{body.hint}#{len(ctx) + len(values)}"
+        domain = open_term(body.domain, *values) if body.domain.bound else body.domain
+        binders.append((x, body.hint, domain))
+        values.append(Var(x))
+        body = body.body
+    ctx = Context((*ctx, *((x, domain) for x, _, domain in binders)))
+    for _, _, domain in binders:
+        _check_is_type(sig, ctx, domain, fuel)
+    body = open_term(body, *values)
     ty = _infer(sig, ctx, body, fuel)
     s = whnf(sig, _infer(sig, ctx, ty, fuel), fuel)
     if not isinstance(s, Sort):
         raise IllegalSort(f"abstraction body type is not well-sorted: {pretty(ty)}")
-    for hint, domain, x in reversed(binders):
-        ty = Prod(hint, domain, close(ty, x))
-    return ty
+    return bind(Prod, binders, ty)
 
 
 def _check_is_type(sig: Signature, ctx: Context, a: Term, fuel: Fuel) -> None:

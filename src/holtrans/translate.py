@@ -35,6 +35,7 @@ from .kernel import (
     Var,
     app,
     arrow,
+    bind,
     close,
     lam,
     pi,
@@ -381,10 +382,7 @@ def declare_constant(env: TranslationEnv, name: str, generic: hol.HolType):
         raise DuplicateDeclaration(f"constant {name} already declared")
     tyvars = tuple(_tyvars_in_order(generic))
     kname = "tm." + name
-    ty = trans_type_type(env, generic)
-    for n in reversed(tyvars):
-        ty = Prod(n, _T, close(ty, tyvar_name(n)))
-    decl = ConstDecl(kname, ty)
+    decl = ConstDecl(kname, bind(Prod, _tyvar_binders(tyvars), trans_type_type(env, generic)))
     env.constants[name] = ConstInfo(generic, tyvars, kname)
     env.decls.append(decl)
     return decl
@@ -449,13 +447,6 @@ def trans_prop_type(env: TranslationEnv, prop: hol.HolTerm) -> Term:
     if hol.infer_type(prop) != hol.BOOL:
         raise NotAProposition(f"not a proposition: {prop}")
     return _pf(trans_term(env, prop))
-
-
-def trans_context(env: TranslationEnv, props: Iterable[hol.HolTerm]) -> Context:
-    ctx = Context()
-    for prop in props:
-        ctx = ctx.extended(hyp_name(prop), trans_prop_type(env, prop))
-    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -597,46 +588,33 @@ def closure_of(env: TranslationEnv, proof: hol.Proof) -> Closure:
     return Closure(sorted(tyvars), vs, seq.hyps, core, seq)
 
 
-def _close_over(env: TranslationEnv, c: Closure, body: Term) -> Term:
-    for prop in reversed(c.hyps):
-        body = Abs("h", trans_prop_type(env, prop), close(body, hyp_name(prop)))
-    for v in reversed(c.termvars):
-        body = Abs(v.name, trans_type_type(env, v.type), close(body, termvar_name(v)))
-    for n in reversed(c.tyvars):
-        body = Abs(n, _T, close(body, tyvar_name(n)))
-    return body
+def _tyvar_binders(tyvars: Iterable[str]) -> list[tuple[str, str, Term]]:
+    return [(tyvar_name(n), n, _T) for n in tyvars]
 
 
-def _pi_over(env: TranslationEnv, c: Closure, ty: Term) -> Term:
-    for prop in reversed(c.hyps):
-        ty = Prod("h", trans_prop_type(env, prop), close(ty, hyp_name(prop)))
-    for v in reversed(c.termvars):
-        ty = Prod(v.name, trans_type_type(env, v.type), close(ty, termvar_name(v)))
-    for n in reversed(c.tyvars):
-        ty = Prod(n, _T, close(ty, tyvar_name(n)))
-    return ty
+def _termvar_binders(env: TranslationEnv, termvars: Iterable[hol.Var]) -> list[tuple[str, str, Term]]:
+    return [(termvar_name(v), v.name, trans_type_type(env, v.type)) for v in termvars]
+
+
+def _binders(env: TranslationEnv, c: Closure) -> list[tuple[str, str, Term]]:
+    """The closure's telescope for ``kernel.bind``: type variables, then term
+    variables, then hypotheses.  Type variables come first so that
+    substituting into a closed derivation instantiates types before terms."""
+    hyps = [(hyp_name(prop), "h", trans_prop_type(env, prop)) for prop in c.hyps]
+    return _tyvar_binders(c.tyvars) + _termvar_binders(env, c.termvars) + hyps
 
 
 def closed_theorem(env: TranslationEnv, proof: hol.Proof) -> tuple[Term, Term]:
     """A theorem as a self-contained definition: the closed statement type
     and the closed proof term."""
     c = closure_of(env, proof)
-    ty = _pi_over(env, c, trans_prop_type(env, c.sequent.concl))
-    body = _close_over(env, c, c.core)
-    return ty, body
+    binders = _binders(env, c)
+    return bind(Prod, binders, trans_prop_type(env, c.sequent.concl)), bind(Abs, binders, c.core)
 
 
 def completeness_context(env: TranslationEnv, proof: hol.Proof) -> Context:
     """The open-form context: type variables, term variables, hypotheses."""
-    c = closure_of(env, proof)
-    ctx = Context()
-    for n in c.tyvars:
-        ctx = ctx.extended(tyvar_name(n), _T)
-    for v in c.termvars:
-        ctx = ctx.extended(termvar_name(v), trans_type_type(env, v.type))
-    for prop in c.hyps:
-        ctx = ctx.extended(hyp_name(prop), trans_prop_type(env, prop))
-    return ctx
+    return Context((name, ty) for name, _, ty in _binders(env, closure_of(env, proof)))
 
 
 def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
@@ -644,7 +622,7 @@ def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
     it depends on (type variables outermost, so types are instantiated
     first), then apply to the images."""
     c = closure_of(env, proof.sub)
-    fn = _close_over(env, c, c.core)
+    fn = bind(Abs, _binders(env, c), c.core)
     theta = proof.subst.theta_dict()
     sigma = dict(proof.subst.sigma)
     args: list[Term] = []
@@ -698,14 +676,9 @@ def _axiom_const(env: TranslationEnv, seq: hol.Sequent):
     termvars = sorted(
         hol.sequent_free_vars(seq), key=lambda v: (v.name, repr(hol.type_key(v.type)))
     )
-    ty = trans_prop_type(env, seq.concl)
-    for h in reversed(seq.hyps):
-        ty = arrow(trans_prop_type(env, h), ty)
-    for v in reversed(termvars):
-        ty = Prod(v.name, trans_type_type(env, v.type), close(ty, termvar_name(v)))
-    for n in reversed(tyvars):
-        ty = Prod(n, _T, close(ty, tyvar_name(n)))
-    env.decls.append(ConstDecl(kname, ty))
+    statement = arrow(*(trans_prop_type(env, h) for h in seq.hyps), trans_prop_type(env, seq.concl))
+    binders = _tyvar_binders(tyvars) + _termvar_binders(env, termvars)
+    env.decls.append(ConstDecl(kname, bind(Prod, binders, statement)))
     env._axioms[key] = (kname, tyvars, termvars)
     return env._axioms[key]
 
@@ -719,10 +692,7 @@ def _defconst_axiom(env: TranslationEnv, proof: hol.DefineConst) -> str:
         raise UndeclaredConstant(f"constant {proof.name} not declared")
     kname = info.kname + ".def"
     seq = env.sequent_of(proof)
-    ty = trans_prop_type(env, seq.concl)
-    for n in reversed(info.tyvars):
-        ty = Prod(n, _T, close(ty, tyvar_name(n)))
-    env.decls.append(ConstDecl(kname, ty))
+    env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(info.tyvars), trans_prop_type(env, seq.concl))))
     env._def_axioms[proof.name] = kname
     return kname
 
@@ -735,10 +705,7 @@ def _typeop_axioms(env: TranslationEnv, defn: hol.TypeOpDef) -> tuple[str, str]:
     for node, suffix in ((hol.AbsRepThm(defn), "abs_rep"), (hol.RepAbsThm(defn), "rep_abs")):
         seq = env.sequent_of(node)
         kname = f"ty.{defn.op}.{suffix}"
-        ty = trans_prop_type(env, seq.concl)
-        for n in reversed(defn.tyvars):
-            ty = Prod(n, _T, close(ty, tyvar_name(n)))
-        env.decls.append(ConstDecl(kname, ty))
+        env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(defn.tyvars), trans_prop_type(env, seq.concl))))
         names.append(kname)
     env._typeop_axioms[id(defn)] = (names[0], names[1])
     return env._typeop_axioms[id(defn)]
@@ -857,7 +824,7 @@ def _shared_terms(doc: dkfile.DkDocument, min_size: int) -> set[Term]:
                 stack.append(u.arg)
             else:
                 stack.append(u.domain)
-                stack.append(u.body if isinstance(u, Abs) else u.codomain)
+                stack.append(u.body)
 
     for item in doc.items:
         if isinstance(item, ConstDecl):
@@ -920,10 +887,8 @@ def share_document(
             return Const(name)
         if isinstance(t, App):
             return App(rewrite(t.fn), rewrite(t.arg))
-        if isinstance(t, Abs):
-            return Abs(t.hint, rewrite(t.domain), rewrite(t.body))
-        if isinstance(t, Prod):
-            return Prod(t.hint, rewrite(t.domain), rewrite(t.codomain))
+        if isinstance(t, kernel.Binder):
+            return type(t)(t.hint, rewrite(t.domain), rewrite(t.body))
         return t
 
     for item in doc.items:

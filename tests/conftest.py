@@ -225,7 +225,7 @@ def subterms(t):
         if isinstance(u, kernel.App):
             stack += [u.arg, u.fn]
         elif isinstance(u, (kernel.Abs, kernel.Prod)):
-            stack += [u.body if isinstance(u, kernel.Abs) else u.codomain, u.domain]
+            stack += [u.body, u.domain]
     return out
 
 
@@ -239,7 +239,7 @@ def replace_at(t, pos, new):
             return kernel.App(replace_at(t.fn, pos, new), t.arg)
         return kernel.App(t.fn, replace_at(t.arg, pos - t.fn.size, new))
     first = t.domain
-    second = t.body if isinstance(t, kernel.Abs) else t.codomain
+    second = t.body
     if pos < first.size:
         first = replace_at(first, pos, new)
     else:

@@ -88,9 +88,9 @@ def reduce_step(sig: Signature, t: Term) -> Optional[Term]:
     if isinstance(t, Prod):
         rd = reduce_step(sig, t.domain)
         if rd is not None:
-            return Prod(t.hint, rd, t.codomain)
-        x = fresh_name(t.hint, free_names(t.codomain))
-        rc = reduce_step(sig, open_term(t.codomain, Var(x)))
+            return Prod(t.hint, rd, t.body)
+        x = fresh_name(t.hint, free_names(t.body))
+        rc = reduce_step(sig, open_term(t.body, Var(x)))
         if rc is not None:
             return Prod(t.hint, t.domain, close(rc, x))
         return None

@@ -68,8 +68,8 @@ def nf(sig, t, fuel):
         body = nf(sig, open_term(t.body, Var(x)), fuel)
         return Abs(t.hint, nf(sig, t.domain, fuel), close(body, x))
     if isinstance(t, Prod):
-        x = fresh_name(t.hint, free_names(t.codomain))
-        cod = nf(sig, open_term(t.codomain, Var(x)), fuel)
+        x = fresh_name(t.hint, free_names(t.body))
+        cod = nf(sig, open_term(t.body, Var(x)), fuel)
         return Prod(t.hint, nf(sig, t.domain, fuel), close(cod, x))
     return t
 
@@ -104,8 +104,8 @@ def infer(sig, ctx, t, fuel) -> Term:
         return ty
     if isinstance(t, Prod):
         check_is_type(sig, ctx, t.domain, fuel)
-        x = fresh_name(t.hint, _names(ctx) | free_names(t.codomain))
-        s = whnf(sig, infer(sig, ctx.extended(x, t.domain), open_term(t.codomain, Var(x)), fuel), fuel)
+        x = fresh_name(t.hint, _names(ctx) | free_names(t.body))
+        s = whnf(sig, infer(sig, ctx.extended(x, t.domain), open_term(t.body, Var(x)), fuel), fuel)
         if not isinstance(s, Sort):
             raise IllegalSort(f"product codomain is not a type or kind: {pretty(t)}")
         return s
@@ -132,7 +132,7 @@ def infer(sig, ctx, t, fuel) -> Term:
         raise DomainMismatch(
             f"argument type mismatch: expected {pretty(nf_want)}, got {pretty(nf_got)}"
         )
-    return open_term(fn_ty.codomain, t.arg)
+    return open_term(fn_ty.body, t.arg)
 
 
 def check_is_type(sig, ctx, a, fuel) -> None:

@@ -184,7 +184,7 @@ def _mutants(t, rng):
         i = rng.choice(binders)
         u = subs[i]
         domain = rng.choice([subs[b].domain for b in binders] + [k.TYPE, tr._T, TERM_BOOL])
-        second = u.body if isinstance(u, k.Abs) else u.codomain
+        second = u.body
         out.append(replace_at(t, i, type(u)(u.hint, domain, second)))
     return [m for m in out if m.bound == 0]
 

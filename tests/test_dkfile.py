@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,12 @@ from holtrans import translate as tr
 # ---------------------------------------------------------------------------
 # mangling
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def is_identifier(name):
+    return bool(_IDENT_RE.match(name)) and name not in dkfile.RESERVED
+
 
 def test_mangle_namespaced():
     assert dkfile.mangle("Data.Bool.T") == "Data_Bool_T"
@@ -24,7 +31,7 @@ def test_mangle_unicode():
 def test_mangle_leading_digit():
     out = dkfile.mangle("3rd")
     assert not out[0].isdigit()
-    assert dkfile.is_identifier(out)
+    assert is_identifier(out)
 
 
 def test_namer_injective_on_fuzz_corpus():
@@ -37,7 +44,7 @@ def test_namer_injective_on_fuzz_corpus():
     idents = [namer.ident(n) for n in names]
     assert len(set(idents)) == len(idents)
     for ident in idents:
-        assert dkfile.is_identifier(ident)
+        assert is_identifier(ident)
     # idempotent per name
     for n in list(names)[:20]:
         assert namer.ident(n) == namer.ident(n)
@@ -210,7 +217,7 @@ def _reference_fmt(t, env=(), prec=0):
             elif isinstance(v, k.App):
                 stack += [v.fn, v.arg]
             elif isinstance(v, (k.Abs, k.Prod)):
-                stack += [v.domain, v.body if isinstance(v, k.Abs) else v.codomain]
+                stack += [v.domain, v.body]
         return out
 
     def display(hint, inner):
@@ -237,11 +244,11 @@ def _reference_fmt(t, env=(), prec=0):
         name = display(t.hint, t.body)
         s = f"{name} : {_reference_fmt(t.domain, env, 1)} => {_reference_fmt(t.body, env + (name,), 0)}"
         return f"({s})" if prec >= 1 else s
-    if k._uses_index(t.codomain, 0):
-        name = display(t.hint, t.codomain)
-        s = f"{name} : {_reference_fmt(t.domain, env, 1)} -> {_reference_fmt(t.codomain, env + (name,), 0)}"
+    if k._uses_index(t.body, 0):
+        name = display(t.hint, t.body)
+        s = f"{name} : {_reference_fmt(t.domain, env, 1)} -> {_reference_fmt(t.body, env + (name,), 0)}"
     else:
-        s = f"{_reference_fmt(t.domain, env, 1)} -> {_reference_fmt(t.codomain, env + ('_',), 0)}"
+        s = f"{_reference_fmt(t.domain, env, 1)} -> {_reference_fmt(t.body, env + ('_',), 0)}"
     return f"({s})" if prec >= 1 else s
 
 

@@ -150,6 +150,15 @@ def test_normalize_translated_identity_redex(q0):
     assert k.normalize(q0, t) == env.termvar(x)
 
 
+def test_normalize_rejects_a_dangling_index():
+    # normalizing opens the binder and closes it again, which would turn
+    # the dangling #1 into the bound #0: the identity
+    with pytest.raises(k.KernelError, match="dangling"):
+        k.normalize(k.Signature(), k.Abs("x", ALPHA, k.BVar(1)))
+    with pytest.raises(k.KernelError, match="dangling"):
+        k.normalize(k.Signature(), k.BVar(0))
+
+
 def test_normalize_constant_without_rule():
     assert k.normalize(example1_signature(), C) == C
 
@@ -385,13 +394,13 @@ def _ri_step(sig, t):
         if rd is not None:
             return k.Abs(t.hint, rd, t.body)
     elif isinstance(t, k.Prod):
-        x = k.fresh_name(t.hint, k.free_names(t.codomain))
-        rc = _ri_step(sig, k.open_term(t.codomain, k.Var(x)))
+        x = k.fresh_name(t.hint, k.free_names(t.body))
+        rc = _ri_step(sig, k.open_term(t.body, k.Var(x)))
         if rc is not None:
             return k.Prod(t.hint, t.domain, k.close(rc, x))
         rd = _ri_step(sig, t.domain)
         if rd is not None:
-            return k.Prod(t.hint, rd, t.codomain)
+            return k.Prod(t.hint, rd, t.body)
     return contract_root(sig, t)
 
 

@@ -8,6 +8,8 @@ replaced; every test compares the kernel against them on random terms,
 including terms with dangling indices and free variables.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ def oracle_size(t):
     if isinstance(t, k.Abs):
         return 1 + oracle_size(t.domain) + oracle_size(t.body)
     if isinstance(t, k.Prod):
-        return 1 + oracle_size(t.domain) + oracle_size(t.codomain)
+        return 1 + oracle_size(t.domain) + oracle_size(t.body)
     return 1
 
 
@@ -42,7 +44,7 @@ def oracle_escape_level(t):
     if isinstance(t, k.Abs):
         return max(oracle_escape_level(t.domain), oracle_escape_level(t.body) - 1)
     if isinstance(t, k.Prod):
-        return max(oracle_escape_level(t.domain), oracle_escape_level(t.codomain) - 1)
+        return max(oracle_escape_level(t.domain), oracle_escape_level(t.body) - 1)
     return 0
 
 
@@ -54,7 +56,7 @@ def oracle_free_names(t):
     if isinstance(t, k.Abs):
         return oracle_free_names(t.domain) | oracle_free_names(t.body)
     if isinstance(t, k.Prod):
-        return oracle_free_names(t.domain) | oracle_free_names(t.codomain)
+        return oracle_free_names(t.domain) | oracle_free_names(t.body)
     return set()
 
 
@@ -66,7 +68,7 @@ def oracle_close(t, name, depth=0):
     if isinstance(t, k.Abs):
         return k.Abs(t.hint, oracle_close(t.domain, name, depth), oracle_close(t.body, name, depth + 1))
     if isinstance(t, k.Prod):
-        return k.Prod(t.hint, oracle_close(t.domain, name, depth), oracle_close(t.codomain, name, depth + 1))
+        return k.Prod(t.hint, oracle_close(t.domain, name, depth), oracle_close(t.body, name, depth + 1))
     return t
 
 
@@ -82,7 +84,7 @@ def oracle_open(t, value, depth=0):
     if isinstance(t, k.Abs):
         return k.Abs(t.hint, oracle_open(t.domain, value, depth), oracle_open(t.body, value, depth + 1))
     if isinstance(t, k.Prod):
-        return k.Prod(t.hint, oracle_open(t.domain, value, depth), oracle_open(t.codomain, value, depth + 1))
+        return k.Prod(t.hint, oracle_open(t.domain, value, depth), oracle_open(t.body, value, depth + 1))
     return t
 
 
@@ -94,7 +96,7 @@ def oracle_substitute(t, mapping):
     if isinstance(t, k.Abs):
         return k.Abs(t.hint, oracle_substitute(t.domain, mapping), oracle_substitute(t.body, mapping))
     if isinstance(t, k.Prod):
-        return k.Prod(t.hint, oracle_substitute(t.domain, mapping), oracle_substitute(t.codomain, mapping))
+        return k.Prod(t.hint, oracle_substitute(t.domain, mapping), oracle_substitute(t.body, mapping))
     return t
 
 
@@ -106,7 +108,7 @@ def shape(t, hints=True):
         return (type(t).__name__, t.name)
     if isinstance(t, k.App):
         return ("app", shape(t.fn, hints), shape(t.arg, hints))
-    body = t.body if isinstance(t, k.Abs) else t.codomain
+    body = t.body
     return (type(t).__name__, t.hint if hints else None, shape(t.domain, hints), shape(body, hints))
 
 
@@ -129,7 +131,7 @@ def oracle_shared_terms(doc, min_size):
             if isinstance(u, k.App):
                 stack += [u.fn, u.arg]
             else:
-                stack += [u.domain, u.body if isinstance(u, k.Abs) else u.codomain]
+                stack += [u.domain, u.body]
     return {t for t, c in counts.items() if c >= 2}
 
 
@@ -141,7 +143,7 @@ def subterms(t):
         if isinstance(u, k.App):
             stack += [u.fn, u.arg]
         elif isinstance(u, (k.Abs, k.Prod)):
-            stack += [u.domain, u.body if isinstance(u, k.Abs) else u.codomain]
+            stack += [u.domain, u.body]
     return out
 
 
@@ -181,7 +183,7 @@ def rehint(t, hint):
         return type(t)(t.name)
     if isinstance(t, k.App):
         return k.App(rehint(t.fn, hint), rehint(t.arg, hint))
-    body = t.body if isinstance(t, k.Abs) else t.codomain
+    body = t.body
     return type(t)(hint, rehint(t.domain, hint), rehint(body, hint))
 
 
@@ -228,15 +230,76 @@ def test_equality_is_structural_with_or_without_cached_hashes(a, b, cached):
 
 
 @settings(max_examples=200, deadline=None)
-@given(terms(), CLOSED, st.integers(0, 3))
-def test_open_term_matches_oracle(t, value, depth):
-    assert shape(k.open_term(t, value, depth)) == shape(oracle_open(t, value, depth))
+@given(terms(), st.lists(CLOSED, min_size=1, max_size=3))
+def test_open_term_matches_oracle(t, values):
+    # one value after another, innermost first; each single open shifts
+    # the higher indices down by one, and binders inside ``t`` cover
+    # depths above zero
+    want = t
+    for value in reversed(values):
+        want = oracle_open(want, value)
+    assert shape(k.open_term(t, *values)) == shape(want)
 
 
 @settings(max_examples=200, deadline=None)
-@given(terms(), NAMES, st.integers(0, 3))
-def test_close_matches_oracle(t, name, depth):
-    assert shape(k.close(t, name, depth)) == shape(oracle_close(t, name, depth))
+@given(terms(), st.lists(NAMES, min_size=1, max_size=3))
+def test_close_matches_oracle(t, names):
+    # the innermost name becomes index 0, the next one out index 1; a
+    # repeated name is caught by its innermost occurrence
+    want = t
+    for depth, name in enumerate(reversed(names)):
+        want = oracle_close(want, name, depth)
+    assert shape(k.close(t, *names)) == shape(want)
+
+
+def oracle_bind(cls, binders, body):
+    """A binder chain built one binder at a time, closing the whole chain
+    built so far at each step, as the translation once did."""
+    for name, hint, domain in reversed(binders):
+        body = cls(hint, domain, oracle_close(body, name))
+    return body
+
+
+BINDERS = st.lists(st.tuples(NAMES, HINTS, terms(6)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([k.Abs, k.Prod]), BINDERS, terms())
+def test_bind_matches_per_binder_oracle(cls, binders, body):
+    assert shape(k.bind(cls, binders, body)) == shape(oracle_bind(cls, binders, body))
+
+
+def _count_calls(monkeypatch, module, name, run):
+    """How often ``module.name`` is called, recursive calls included."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, name, counting)
+        run()
+    return calls[0]
+
+
+def _telescope(n):
+    binders = [(f"x{i}", "x", k.Const("A")) for i in range(n)]
+    return binders, k.app(k.Const("f"), *(k.Var(f"x{i}") for i in range(n)))
+
+
+def test_bind_closes_a_telescope_in_linear_visits(monkeypatch):
+    this = sys.modules[__name__]
+    visits, oracle_visits = {}, {}
+    for n in (50, 100, 200):
+        binders, body = _telescope(n)
+        visits[n] = _count_calls(monkeypatch, k, "_close", lambda: k.bind(k.Prod, binders, body))
+        oracle_visits[n] = _count_calls(
+            monkeypatch, this, "oracle_close", lambda: oracle_bind(k.Prod, binders, body))
+    for n in (50, 100):
+        assert visits[2 * n] / visits[n] <= 2.2
+        assert oracle_visits[2 * n] / oracle_visits[n] >= 3.5
 
 
 @settings(max_examples=200, deadline=None)

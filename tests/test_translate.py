@@ -112,6 +112,11 @@ def test_trans_term_instance_match_failure():
         tr.trans_term(env, hol.Const("k.f", hol.fn(hol.BOOL, hol.IND)))
 
 
+def trans_context(env, props):
+    """The hypotheses ``props`` as a context, in order."""
+    return k.Context((tr.hyp_name(prop), tr.trans_prop_type(env, prop)) for prop in props)
+
+
 def test_trans_prop_and_context():
     env = make_env()
     x, y = hol.Var("x", A), hol.Var("y", A)
@@ -121,8 +126,8 @@ def test_trans_prop_and_context():
         PROOF, k.app(EQ, tr.tyvar_ref("A"), env.termvar(x), env.termvar(y))
     )
     assert got == want
-    assert len(tr.trans_context(env, ())) == 0
-    ctx = tr.trans_context(env, (prop,))
+    assert len(trans_context(env, ())) == 0
+    ctx = trans_context(env, (prop,))
     assert list(ctx) == [(tr.hyp_name(prop), got)]
     with pytest.raises(tr.NotAProposition):
         tr.trans_prop_type(env, x)
@@ -464,6 +469,80 @@ def test_completeness_contexts_are_well_formed(seed):
     env = make_env()
     ctx = tr.completeness_context(env, proof)
     k.check_context(env_signature(env), ctx)
+
+
+# the per-binder closure builders that kernel.bind replaced
+
+
+def oracle_close_over(env, c, body):
+    for prop in reversed(c.hyps):
+        body = k.Abs("h", tr.trans_prop_type(env, prop), k.close(body, tr.hyp_name(prop)))
+    for v in reversed(c.termvars):
+        body = k.Abs(v.name, tr.trans_type_type(env, v.type), k.close(body, tr.termvar_name(v)))
+    for n in reversed(c.tyvars):
+        body = k.Abs(n, tr._T, k.close(body, tr.tyvar_name(n)))
+    return body
+
+
+def oracle_pi_over(env, c, ty):
+    for prop in reversed(c.hyps):
+        ty = k.Prod("h", tr.trans_prop_type(env, prop), k.close(ty, tr.hyp_name(prop)))
+    for v in reversed(c.termvars):
+        ty = k.Prod(v.name, tr.trans_type_type(env, v.type), k.close(ty, tr.termvar_name(v)))
+    for n in reversed(c.tyvars):
+        ty = k.Prod(n, tr._T, k.close(ty, tr.tyvar_name(n)))
+    return ty
+
+
+def oracle_completeness_context(env, proof):
+    c = tr.closure_of(env, proof)
+    ctx = k.Context()
+    for n in c.tyvars:
+        ctx = ctx.extended(tr.tyvar_name(n), tr._T)
+    for v in c.termvars:
+        ctx = ctx.extended(tr.termvar_name(v), tr.trans_type_type(env, v.type))
+    for prop in c.hyps:
+        ctx = ctx.extended(tr.hyp_name(prop), tr.trans_prop_type(env, prop))
+    return ctx
+
+
+def oracle_trans_subst(env, proof):
+    c = tr.closure_of(env, proof.sub)
+    fn = oracle_close_over(env, c, c.core)
+    theta = proof.subst.theta_dict()
+    sigma = dict(proof.subst.sigma)
+    args = [tr.trans_type_term(env, theta[n]) if n in theta else tr.tyvar_ref(n) for n in c.tyvars]
+    for v in c.termvars:
+        v_post = hol.Var(v.name, hol.type_subst(theta, v.type))
+        args.append(tr.trans_term(env, sigma.get(v_post, v_post)))
+    for prop in c.hyps:
+        args.append(k.Var(tr.hyp_name(hol.apply_subst(proof.subst, prop))))
+    return k.app(fn, *args)
+
+
+def _printed(t):
+    """``t`` as printed, binder hints included, which ``==`` ignores."""
+    return dkfile.fmt_term(t)
+
+
+@pytest.mark.parametrize("mode", ["q0", "pts"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_closures_match_per_binder_oracle(mode, seed):
+    proof = HolGen(seed).proof(3)
+    env = make_env(mode)
+    ty, body = tr.closed_theorem(env, proof)
+    ctx = tr.completeness_context(env, proof)
+    old_env = make_env(mode)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tr, "_trans_subst", oracle_trans_subst)
+        c = tr.closure_of(old_env, proof)
+        old_ty = oracle_pi_over(old_env, c, tr.trans_prop_type(old_env, c.sequent.concl))
+        old_body = oracle_close_over(old_env, c, c.core)
+        old_ctx = oracle_completeness_context(old_env, proof)
+    assert (ty, body) == (old_ty, old_body)
+    assert (_printed(ty), _printed(body)) == (_printed(old_ty), _printed(old_body))
+    assert [(n, _printed(t)) for n, t in ctx] == [(n, _printed(t)) for n, t in old_ctx]
 
 
 def test_corpus_translates_in_pts_mode(pts, corpus_paths):

@@ -91,10 +91,7 @@ def test_check_signature_matches_reference_on_corpus(mode, corpus_paths):
 
 def _lambda_chain(n):
     """``x1 : A => ... => xn : A => x1``."""
-    body = k.Var("x1")
-    for i in range(n, 0, -1):
-        body = k.lam(f"x{i}", k.Const("A"), body)
-    return body
+    return k.bind(k.Abs, [(f"x{i}", f"x{i}", k.Const("A")) for i in range(1, n + 1)], k.Var("x1"))
 
 
 def _count_calls(monkeypatch, module, name, run):
@@ -122,6 +119,32 @@ def test_abstraction_chain_inference_grows_linearly(monkeypatch):
         reference_calls[n] = _count_calls(monkeypatch, ref, "infer", lambda: ref.infer_type(sig, k.Context(), t))
     assert reference_calls == {20: 21**2, 40: 41**2}
     assert kernel_calls[40] / kernel_calls[20] <= 2.2
+
+
+def test_abstraction_chain_context_grows_linearly(monkeypatch):
+    """The chain's bindings are copied into a context once, not once per
+    binder: the summed size of the contexts built grows linearly."""
+    copied = [0]
+
+    class CountingContext(k.Context):
+        __slots__ = ()
+
+        def __init__(self, bindings=()):
+            super().__init__(bindings)
+            copied[0] += len(self)
+
+    sig = k.Signature([k.ConstDecl("A", k.TYPE)])
+    counts = {}
+    for n in (1000, 2000, 4000):
+        t = _lambda_chain(n)
+        copied[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(k, "Context", CountingContext)
+            ty = k.infer_type(sig, CountingContext(), t)
+        assert ty.size == 2 * n + 1
+        counts[n] = copied[0]
+    assert counts[2000] / counts[1000] <= 2.2
+    assert counts[4000] / counts[2000] <= 2.2
 
 
 def test_abstraction_body_type_must_have_a_sort():
