@@ -860,6 +860,7 @@ def _infer_abs(sig: Signature, ctx: Context, t: Abs, fuel: Fuel) -> Term:
     body: Term = t
     while isinstance(body, Abs):
         x = f"{body.hint}#{len(ctx) + len(values)}"
+        # unpacking ``values`` for every domain would be quadratic
         domain = open_term(body.domain, *values) if body.domain.bound else body.domain
         binders.append((x, body.hint, domain))
         values.append(Var(x))

@@ -692,7 +692,8 @@ def _defconst_axiom(env: TranslationEnv, proof: hol.DefineConst) -> str:
         raise UndeclaredConstant(f"constant {proof.name} not declared")
     kname = info.kname + ".def"
     seq = env.sequent_of(proof)
-    env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(info.tyvars), trans_prop_type(env, seq.concl))))
+    statement = trans_prop_type(env, seq.concl)
+    env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(info.tyvars), statement)))
     env._def_axioms[proof.name] = kname
     return kname
 
@@ -705,7 +706,8 @@ def _typeop_axioms(env: TranslationEnv, defn: hol.TypeOpDef) -> tuple[str, str]:
     for node, suffix in ((hol.AbsRepThm(defn), "abs_rep"), (hol.RepAbsThm(defn), "rep_abs")):
         seq = env.sequent_of(node)
         kname = f"ty.{defn.op}.{suffix}"
-        env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(defn.tyvars), trans_prop_type(env, seq.concl))))
+        statement = trans_prop_type(env, seq.concl)
+        env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(defn.tyvars), statement)))
         names.append(kname)
     env._typeop_axioms[id(defn)] = (names[0], names[1])
     return env._typeop_axioms[id(defn)]

@@ -229,6 +229,21 @@ def subterms(t):
     return out
 
 
+def count_calls(monkeypatch, module, name, run):
+    """How often ``run()`` calls ``module.name``, recursive calls included."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, name, counting)
+        run()
+    return calls[0]
+
+
 def replace_at(t, pos, new):
     """``t`` with the subterm at preorder position ``pos`` replaced by ``new``."""
     if pos == 0:

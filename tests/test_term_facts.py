@@ -19,7 +19,7 @@ from holtrans import kernel as k
 from holtrans import opentheory as ot
 from holtrans import translate as tr
 
-from conftest import HolGen
+from conftest import HolGen, count_calls
 
 # ---------------------------------------------------------------------------
 # oracles: full traversals that use no cached fact
@@ -269,21 +269,6 @@ def test_bind_matches_per_binder_oracle(cls, binders, body):
     assert shape(k.bind(cls, binders, body)) == shape(oracle_bind(cls, binders, body))
 
 
-def _count_calls(monkeypatch, module, name, run):
-    """How often ``module.name`` is called, recursive calls included."""
-    calls = [0]
-    inner = getattr(module, name)
-
-    def counting(*args):
-        calls[0] += 1
-        return inner(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(module, name, counting)
-        run()
-    return calls[0]
-
-
 def _telescope(n):
     binders = [(f"x{i}", "x", k.Const("A")) for i in range(n)]
     return binders, k.app(k.Const("f"), *(k.Var(f"x{i}") for i in range(n)))
@@ -294,8 +279,8 @@ def test_bind_closes_a_telescope_in_linear_visits(monkeypatch):
     visits, oracle_visits = {}, {}
     for n in (50, 100, 200):
         binders, body = _telescope(n)
-        visits[n] = _count_calls(monkeypatch, k, "_close", lambda: k.bind(k.Prod, binders, body))
-        oracle_visits[n] = _count_calls(
+        visits[n] = count_calls(monkeypatch, k, "_close", lambda: k.bind(k.Prod, binders, body))
+        oracle_visits[n] = count_calls(
             monkeypatch, this, "oracle_close", lambda: oracle_bind(k.Prod, binders, body))
     for n in (50, 100):
         assert visits[2 * n] / visits[n] <= 2.2

@@ -520,11 +520,6 @@ def oracle_trans_subst(env, proof):
     return k.app(fn, *args)
 
 
-def _printed(t):
-    """``t`` as printed, binder hints included, which ``==`` ignores."""
-    return dkfile.fmt_term(t)
-
-
 @pytest.mark.parametrize("mode", ["q0", "pts"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
@@ -541,8 +536,10 @@ def test_closures_match_per_binder_oracle(mode, seed):
         old_body = oracle_close_over(old_env, c, c.core)
         old_ctx = oracle_completeness_context(old_env, proof)
     assert (ty, body) == (old_ty, old_body)
-    assert (_printed(ty), _printed(body)) == (_printed(old_ty), _printed(old_body))
-    assert [(n, _printed(t)) for n, t in ctx] == [(n, _printed(t)) for n, t in old_ctx]
+    # printed, so that binder hints, which == ignores, are compared too
+    fmt = dkfile.fmt_term
+    assert (fmt(ty), fmt(body)) == (fmt(old_ty), fmt(old_body))
+    assert [(n, fmt(t)) for n, t in ctx] == [(n, fmt(t)) for n, t in old_ctx]
 
 
 def test_corpus_translates_in_pts_mode(pts, corpus_paths):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_typing as ref
-from conftest import HolGen, env_signature, make_env, replace_at, subterms
+from conftest import HolGen, count_calls, env_signature, make_env, replace_at, subterms
 from holtrans import dkfile
 from holtrans import kernel as k
 from holtrans import opentheory as ot
@@ -94,20 +94,6 @@ def _lambda_chain(n):
     return k.bind(k.Abs, [(f"x{i}", f"x{i}", k.Const("A")) for i in range(1, n + 1)], k.Var("x1"))
 
 
-def _count_calls(monkeypatch, module, name, run):
-    calls = [0]
-    inner = getattr(module, name)
-
-    def counting(*args):
-        calls[0] += 1
-        return inner(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(module, name, counting)
-        run()
-    return calls[0]
-
-
 def test_abstraction_chain_inference_grows_linearly(monkeypatch):
     sig = k.Signature([k.ConstDecl("A", k.TYPE)])
     kernel_calls, reference_calls = {}, {}
@@ -115,8 +101,8 @@ def test_abstraction_chain_inference_grows_linearly(monkeypatch):
         t = _lambda_chain(n)
         want = k.arrow(*[k.Const("A")] * (n + 1))
         assert k.infer_type(sig, k.Context(), t) == want
-        kernel_calls[n] = _count_calls(monkeypatch, k, "_infer", lambda: k.infer_type(sig, k.Context(), t))
-        reference_calls[n] = _count_calls(monkeypatch, ref, "infer", lambda: ref.infer_type(sig, k.Context(), t))
+        kernel_calls[n] = count_calls(monkeypatch, k, "_infer", lambda: k.infer_type(sig, k.Context(), t))
+        reference_calls[n] = count_calls(monkeypatch, ref, "infer", lambda: ref.infer_type(sig, k.Context(), t))
     assert reference_calls == {20: 21**2, 40: 41**2}
     assert kernel_calls[40] / kernel_calls[20] <= 2.2
 
@@ -203,9 +189,9 @@ def test_signature_prefix_grows_in_place(monkeypatch):
     for n in (500, 1000):
         items = base_items + tuple(_decls(n))
         sig = k.Signature(items)
-        checked = _count_calls(monkeypatch, k.Signature, "add", lambda: k.check_signature(sig))
+        checked = count_calls(monkeypatch, k.Signature, "add", lambda: k.check_signature(sig))
         doc = dkfile.DkDocument("m", tuple(_decls(n)))
-        shared = _count_calls(monkeypatch, k.Signature, "add", lambda: tr.share_document(doc, base))
+        shared = count_calls(monkeypatch, k.Signature, "add", lambda: tr.share_document(doc, base))
         assert checked == len(items)
         assert shared <= len(items) + 2
         counts[n] = checked + shared
