@@ -96,7 +96,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
                 mode=args.mode,
                 compress=args.compress,
                 sharing=args.sharing,
-                min_size=args.share_min_size,
                 fuel=args.fuel,
             )
         except (opentheory.ArticleError, hol.HolError, translate.TranslateError, kernel.KernelError) as e:
@@ -289,7 +288,7 @@ def _selftest_checks():
         sig = translate.base_signature("pts")
         p, q = kernel.Var("p"), kernel.Var("q")
         proof, imp = kernel.Const("proof"), kernel.Const("imp")
-        got = kernel.normalize(sig, kernel.App(proof, kernel.app(imp, p, q)))
+        got = kernel.whnf(sig, kernel.App(proof, kernel.app(imp, p, q)))
         assert got == kernel.arrow(kernel.App(proof, p), kernel.App(proof, q))
 
     def pipeline():
@@ -346,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--compress", action="store_true", help="compress conversion proofs")
     p_tr.add_argument("--no-sharing", dest="sharing", action="store_false")
     p_tr.add_argument("--fuel", type=int, default=None)
-    p_tr.add_argument("--share-min-size", type=int, default=8)
     p_tr.add_argument("-o", "--outdir", default=".")
     p_tr.add_argument("-v", "--verbose", action="count", default=0)
 

@@ -110,48 +110,6 @@ class DkNamer:
         return cand
 
 
-def _rename_term(t: Term, namer: DkNamer) -> Term:
-    if isinstance(t, Const):
-        return Const(namer.ident(t.name))
-    if isinstance(t, App):
-        return App(_rename_term(t.fn, namer), _rename_term(t.arg, namer))
-    if isinstance(t, Binder):
-        return type(t)(t.hint, _rename_term(t.domain, namer), _rename_term(t.body, namer))
-    return t
-
-
-def rename_document(doc: DkDocument, namer: Optional[DkNamer] = None) -> DkDocument:
-    """Map every item name and constant reference through the name table.
-
-    Collisions resolved with a numeric suffix are recorded in a comment.
-    """
-    if namer is None:
-        namer = DkNamer()
-    items: list[DocItem] = []
-    for item in doc.items:
-        if isinstance(item, Comment):
-            items.append(item)
-        elif isinstance(item, ConstDecl):
-            items.append(ConstDecl(namer.ident(item.name), _rename_term(item.type, namer)))
-        elif isinstance(item, Defn):
-            items.append(
-                Defn(namer.ident(item.name), _rename_term(item.type, namer), _rename_term(item.body, namer))
-            )
-        else:
-            assert isinstance(item, RewriteRule)
-            items.append(
-                RewriteRule(
-                    tuple((n, _rename_term(ty, namer)) for n, ty in item.context),
-                    _rename_term(item.lhs, namer),
-                    _rename_term(item.rhs, namer),
-                )
-            )
-    if namer.collisions:
-        note = "; ".join(f"{orig} renamed to {new}" for orig, new in namer.collisions)
-        items.insert(0, Comment(f"name collisions: {note}"))
-    return DkDocument(doc.module, tuple(items))
-
-
 # ---------------------------------------------------------------------------
 # Emission
 

@@ -1,17 +1,24 @@
 """HOL source syntax and the derivation checker.
 
 Types are variables or operator applications; terms are the simply typed
-lambda calculus with typed variables and constant instances.  Proofs are
-explicit derivation trees, one constructor per primitive rule plus nodes
-for article-level axioms and the two definition commands.  ``check_proof``
-recomputes the sequent a tree proves and is the trusted oracle that the
-article virtual machine and the translator are tested against.
+lambda calculus with typed variables and constant instances.  Every term
+knows its type: an ``Abs`` or ``App`` computes it when it is built, and an
+``App`` whose argument does not fit its function raises
+``AppTypeMismatch`` there, so an ill-typed term never exists.
+
+Proofs are explicit derivation graphs, one constructor per primitive rule
+plus nodes for article-level axioms and the two definition commands.
+Building a node applies its rule (Gordon, Milner & Wadsworth, *Edinburgh
+LCF*, 1979): the constructor reads its premises' ``sequent``, raises
+``RuleViolation`` if the rule does not apply, and otherwise stores the
+sequent it proves.  A ``Proof`` therefore exists only if its derivation is
+valid, each node is checked once however often it is shared, and
+``check_proof`` just reads the stored sequent.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
@@ -177,12 +184,23 @@ class Const(HolTerm):
 class Abs(HolTerm):
     var: Var
     body: HolTerm
+    type: HolType = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "type", fn(self.var.type, self.body.type))
 
 
 @dataclass(frozen=True, slots=True)
 class App(HolTerm):
     fn: HolTerm
     arg: HolTerm
+    type: HolType = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        a, b = dest_fn(self.fn.type)
+        if self.arg.type != a:
+            raise AppTypeMismatch(f"argument has type {self.arg.type}, function expects {a}")
+        object.__setattr__(self, "type", b)
 
 
 def eq_generic() -> HolType:
@@ -199,23 +217,8 @@ def eq_const(ty: HolType) -> Const:
     return Const(EQ, fn(ty, fn(ty, BOOL)))
 
 
-def infer_type(t: HolTerm) -> HolType:
-    """Simple-type inference; total on well-formed terms by structural recursion."""
-    if isinstance(t, (Var, Const)):
-        return t.type
-    if isinstance(t, Abs):
-        return fn(t.var.type, infer_type(t.body))
-    assert isinstance(t, App)
-    a, b = dest_fn(infer_type(t.fn))
-    arg_ty = infer_type(t.arg)
-    if arg_ty != a:
-        raise AppTypeMismatch(f"argument has type {arg_ty}, function expects {a}")
-    return b
-
-
 def mk_eq(lhs: HolTerm, rhs: HolTerm) -> HolTerm:
-    ty = infer_type(lhs)
-    return App(App(eq_const(ty), lhs), rhs)
+    return App(App(eq_const(lhs.type), lhs), rhs)
 
 
 def dest_eq(t: HolTerm) -> tuple[HolTerm, HolTerm]:
@@ -283,14 +286,6 @@ def term_key(t: HolTerm, _bound: Optional[dict] = None, _depth: int = 0):
 
 def alpha_equal(a: HolTerm, b: HolTerm) -> bool:
     return term_key(a) == term_key(b)
-
-
-def term_hash(t: HolTerm, length: int = 12) -> str:
-    return hashlib.sha1(repr(term_key(t)).encode()).hexdigest()[:length]
-
-
-def type_hash(ty: HolType, length: int = 8) -> str:
-    return hashlib.sha1(repr(type_key(ty)).encode()).hexdigest()[:length]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +442,12 @@ def sequent_free_vars(seq: Sequent) -> frozenset:
 
 
 class Proof:
-    __slots__ = ()
+    """A derivation node; ``sequent`` is what it proves, set when it is built."""
+
+    __slots__ = ("sequent",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sequent", _check(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -540,7 +540,7 @@ class TypeOpDef:
             )
         if len(set(self.tyvars)) != len(self.tyvars):
             raise RuleViolation("DefineTypeOp", "duplicate type variable name")
-        carrier = dest_fn(infer_type(pred))[0]
+        carrier = dest_fn(pred.type)[0]
         new_ty = TyOp(self.op, tuple(TyVar(a) for a in self.tyvars))
         return pred, carrier, new_ty
 
@@ -575,34 +575,23 @@ class ConvRefl(Proof):
     normal: HolTerm
 
 
-def check_proof(proof: Proof, memo: Optional[dict] = None) -> Sequent:
-    """Recompute the sequent a derivation tree proves.
-
-    ``memo`` (id-keyed) makes repeated checking of shared subtrees cheap;
-    the same dictionary can be threaded through a whole article run.
-    """
-    if memo is None:
-        memo = {}
-    hit = memo.get(id(proof))
-    if hit is not None:
-        return hit[1]
-    seq = _check(proof, memo)
-    memo[id(proof)] = (proof, seq)
-    return seq
+def check_proof(proof: Proof) -> Sequent:
+    """The sequent ``proof`` proves, checked when the node was built."""
+    return proof.sequent
 
 
 def _require_bool(rule: str, t: HolTerm) -> None:
-    if infer_type(t) != BOOL:
+    if t.type != BOOL:
         raise RuleViolation(rule, f"not a proposition: {t}")
 
 
-def _check(proof: Proof, memo: dict) -> Sequent:
+def _check(proof: Proof) -> Sequent:
+    """Apply ``proof``'s rule to its premises' sequents."""
     if isinstance(proof, Refl):
-        infer_type(proof.term)
         return make_sequent((), mk_eq(proof.term, proof.term))
 
     if isinstance(proof, AbsThm):
-        s = check_proof(proof.sub, memo)
+        s = proof.sub.sequent
         try:
             m, n = dest_eq(s.concl)
         except HolError:
@@ -613,24 +602,23 @@ def _check(proof: Proof, memo: dict) -> Sequent:
         return make_sequent(s.hyps, mk_eq(Abs(proof.var, m), Abs(proof.var, n)))
 
     if isinstance(proof, AppThm):
-        s1 = check_proof(proof.fun, memo)
-        s2 = check_proof(proof.arg, memo)
+        s1 = proof.fun.sequent
+        s2 = proof.arg.sequent
         try:
             f, g = dest_eq(s1.concl)
             m, n = dest_eq(s2.concl)
         except HolError:
             raise RuleViolation("AppThm", "premise is not an equality")
         try:
-            a, _ = dest_fn(infer_type(f))
+            a, _ = dest_fn(f.type)
         except AppTypeMismatch:
             raise RuleViolation("AppThm", "function side has no arrow type")
-        if infer_type(m) != a:
+        if m.type != a:
             raise RuleViolation("AppThm", "argument type does not match the domain")
         return make_sequent(s1.hyps + s2.hyps, mk_eq(App(f, m), App(g, n)))
 
     if isinstance(proof, Beta):
         redex = App(Abs(proof.var, proof.body), proof.var)
-        infer_type(redex)
         return make_sequent((), mk_eq(redex, proof.body))
 
     if isinstance(proof, Assume):
@@ -638,28 +626,28 @@ def _check(proof: Proof, memo: dict) -> Sequent:
         return make_sequent((proof.prop,), proof.prop)
 
     if isinstance(proof, EqMp):
-        s1 = check_proof(proof.eq, memo)
-        s2 = check_proof(proof.prem, memo)
+        s1 = proof.eq.sequent
+        s2 = proof.prem.sequent
         try:
             phi, psi = dest_eq(s1.concl)
         except HolError:
             raise RuleViolation("EqMp", "first premise is not an equality")
-        if infer_type(phi) != BOOL:
+        if phi.type != BOOL:
             raise RuleViolation("EqMp", "equality is not between propositions")
         if not alpha_equal(phi, s2.concl):
             raise RuleViolation("EqMp", "second premise does not match the equality lhs")
         return make_sequent(s1.hyps + s2.hyps, psi)
 
     if isinstance(proof, DeductAntiSym):
-        s1 = check_proof(proof.lhs, memo)
-        s2 = check_proof(proof.rhs, memo)
+        s1 = proof.lhs.sequent
+        s2 = proof.rhs.sequent
         hyps = _hyps_minus(s1.hyps, s2.concl) + _hyps_minus(s2.hyps, s1.concl)
         return make_sequent(hyps, mk_eq(s1.concl, s2.concl))
 
     if isinstance(proof, Subst):
-        s = check_proof(proof.sub, memo)
+        s = proof.sub.sequent
         for v, img in proof.subst.sigma:
-            if infer_type(img) != v.type:
+            if img.type != v.type:
                 raise RuleViolation(
                     "Subst", f"image for {v.name} has the wrong type"
                 )
@@ -675,7 +663,7 @@ def _check(proof: Proof, memo: dict) -> Sequent:
     if isinstance(proof, DefineConst):
         if free_vars(proof.body):
             raise RuleViolation("DefineConst", "definiens has free term variables")
-        ty = infer_type(proof.body)
+        ty = proof.body.type
         if not term_tyvars(proof.body) <= type_tyvars(ty):
             raise RuleViolation(
                 "DefineConst", "definiens type variables exceed those of its type"
@@ -684,7 +672,7 @@ def _check(proof: Proof, memo: dict) -> Sequent:
 
     if isinstance(proof, (AbsRepThm, RepAbsThm)):
         d = proof.defn
-        sub_seq = check_proof(d.sub, memo)
+        sub_seq = d.sub.sequent
         pred, carrier, new_ty = d.pieces(sub_seq)
         abs_c = Const(d.abs, d.abs_type(carrier, new_ty))
         rep_c = Const(d.rep, d.rep_type(carrier, new_ty))

@@ -33,23 +33,24 @@ two reserved forms so that no scan of the body is needed:
 * typing names the variable ``hint#k``, where ``k`` is the length of the
   context it extends.  The text after the last ``#`` is the depth, so the
   name is unique along the context; error messages print it (``A#0``).
-* ``normalize`` and ``convertible`` name it ``%N`` from a process-wide
-  counter.  ``normalize`` closes it again before returning and conversion
-  only compares, so it never escapes; a counter rather than the depth,
-  because conversion inside non-linear matching compares terms that
+* ``convertible`` names it ``%N`` from a process-wide counter.  Conversion
+  only compares, so the variable never escapes; a counter rather than the
+  depth, because conversion inside non-linear matching compares terms that
   already hold such variables.
 
 Neither form can come from the ``.dk`` lexer (``[A-Za-z0-9_]+``) or from
 ``dkfile.mangle``; callers that build terms themselves must not use them
 for free variables or context names.
 
-The abstraction rule types a chain ``x1 : A1 => ... => xn : An => b`` in
-one pass: it opens the chain once, extends the context once with all its
-binders, checks each domain, infers ``b : B``, checks that ``B`` has a
-sort, and binds ``B`` back into ``x1 : A1 -> ... -> B``.  A product's
-sort is its body's and each domain is checked, so this is the product
-rule's derivation without re-proving it at every level, and the work
-grows linearly with the chain's length.
+The abstraction and product rules type a whole chain of one binder class
+in one pass: they open the chain once, extend the context once with all
+its binders and check each domain.  For ``x1 : A1 => ... => xn : An => b``
+the abstraction rule infers ``b : B``, checks that ``B`` has a sort, and
+binds ``B`` back into ``x1 : A1 -> ... -> B``.  A product's sort is its
+body's and each domain is checked, so this is the product rule's
+derivation without re-proving it at every level.  For
+``x1 : A1 -> ... -> xn : An -> B`` the product rule returns ``B``'s sort.
+Either way the work grows linearly with the chain's length.
 
 Conversion is lazy (Coquand, "An algorithm for testing conversion in type
 theory", 1991).  Equal terms are convertible.  Otherwise both sides are
@@ -716,31 +717,7 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
             return t
 
 
-def normalize(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
-    """Full normal form under beta, the signature's rules, and unfolding.
-
-    Normalizes the weak head first, then every argument, binder domain and
-    body; a term it returns has no redex left anywhere.  ``t`` must be
-    locally closed: a dangling index would be captured by a binder that
-    normalizing opens and closes again.
-    """
-    if t.bound > 0:
-        raise KernelError(f"cannot normalize a term with a dangling bound variable: {pretty(t)}")
-    return _nf(sig, t, _as_fuel(fuel))
-
-
-_nf_names = itertools.count()
-
-
-def _nf(sig: Signature, t: Term, fuel: Fuel) -> Term:
-    t = whnf(sig, t, fuel)
-    if isinstance(t, App):
-        return App(_nf(sig, t.fn, fuel), _nf(sig, t.arg, fuel))
-    if isinstance(t, Binder):
-        x = f"%{next(_nf_names)}"
-        body = _nf(sig, open_term(t.body, Var(x)), fuel)
-        return type(t)(t.hint, _nf(sig, t.domain, fuel), close(body, x))
-    return t
+_conv_names = itertools.count()
 
 
 def convertible(sig: Signature, a: Term, b: Term, fuel: Union[int, Fuel, None] = None) -> bool:
@@ -785,7 +762,7 @@ def _conv_whnf(sig: Signature, a: Term, b: Term, fuel: Fuel, proven: set) -> boo
     if isinstance(a, Binder):
         if type(b) is not type(a) or not _conv(sig, a.domain, b.domain, fuel, proven):
             return False
-        x = Var(f"%{next(_nf_names)}")
+        x = Var(f"%{next(_conv_names)}")
         return _conv(sig, open_term(a.body, x), open_term(b.body, x), fuel, proven)
     return a == b
 
@@ -821,15 +798,8 @@ def _infer(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Term:
         if ty is None:
             raise UnboundConstant(f"unbound constant {t.name}")
         return ty
-    if isinstance(t, Prod):
-        _check_is_type(sig, ctx, t.domain, fuel)
-        x = f"{t.hint}#{len(ctx)}"
-        s = whnf(sig, _infer(sig, ctx.extended(x, t.domain), open_term(t.body, Var(x)), fuel), fuel)
-        if not isinstance(s, Sort):
-            raise IllegalSort(f"product codomain is not a type or kind: {pretty(t)}")
-        return s
-    if isinstance(t, Abs):
-        return _infer_abs(sig, ctx, t, fuel)
+    if isinstance(t, Binder):
+        return _infer_chain(sig, ctx, t, fuel)
     assert isinstance(t, App)
     fn_ty = whnf(sig, _infer(sig, ctx, t.fn, fuel), fuel)
     if not isinstance(fn_ty, Prod):
@@ -844,21 +814,23 @@ def _infer(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Term:
     return open_term(fn_ty.body, t.arg)
 
 
-def _infer_abs(sig: Signature, ctx: Context, t: Abs, fuel: Fuel) -> Term:
-    """The Abs rule, applied to a whole chain of abstractions at once.
+def _infer_chain(sig: Signature, ctx: Context, t: Binder, fuel: Fuel) -> Term:
+    """The Abs or Prod rule, applied to a maximal chain of ``t``'s class at once.
 
     The chain's binders extend ``ctx`` once.  Domain i can mention only
     the binders before it, so checking it in the whole chain's context
-    gives the verdict its own prefix would.  The inferred product must
-    itself be well-sorted, which rules out kind-level bodies.  Only the
-    innermost body's type needs its sort checked (see the module
-    docstring); re-inferring the product at every level would repeat that
-    check once per enclosing binder.
+    gives the verdict its own prefix would.  A product chain's sort is its
+    body's.  An abstraction chain's inferred product must itself be
+    well-sorted, which rules out kind-level bodies.  Only the innermost
+    body's type needs its sort checked (see the module docstring);
+    re-inferring the product at every level would repeat that check once
+    per enclosing binder.
     """
+    cls = type(t)
     binders: list[tuple[str, str, Term]] = []
     values: list[Term] = []
     body: Term = t
-    while isinstance(body, Abs):
+    while type(body) is cls:
         x = f"{body.hint}#{len(ctx) + len(values)}"
         # unpacking ``values`` for every domain would be quadratic
         domain = open_term(body.domain, *values) if body.domain.bound else body.domain
@@ -870,6 +842,11 @@ def _infer_abs(sig: Signature, ctx: Context, t: Abs, fuel: Fuel) -> Term:
         _check_is_type(sig, ctx, domain, fuel)
     body = open_term(body, *values)
     ty = _infer(sig, ctx, body, fuel)
+    if cls is Prod:
+        s = whnf(sig, ty, fuel)
+        if not isinstance(s, Sort):
+            raise IllegalSort(f"product codomain is not a type or kind: {pretty(t)}")
+        return s
     s = whnf(sig, _infer(sig, ctx, ty, fuel), fuel)
     if not isinstance(s, Sort):
         raise IllegalSort(f"abstraction body type is not well-sorted: {pretty(ty)}")

@@ -3,18 +3,22 @@
 An article is a newline-delimited command stream (format version 6).  The
 VM is one mutable machine: each command pops its operands from a stack and
 pushes its results, and ``def``/``remove`` update a sharing dictionary in
-place.  It builds explicit derivation trees for every theorem object.
-Derived commands (``sym``, ``trans``, ``proveHyp``, ``betaConv``) are
-expanded into compositions of the primitive rules at construction time, so
-the proof checker stays minimal.  ``serialize_article`` regenerates an
-article from a finished run for round-trip testing.
+place.  A theorem object on the stack is the ``hol.Proof`` node that derives
+it: building the node checks the rule and records its sequent, so a command
+whose rule does not apply fails where it stands, and a node shared through
+the dictionary is checked once.  Terms are typed as they are built, so an
+ill-typed ``appTerm`` fails at that command.  Derived commands (``sym``,
+``trans``, ``proveHyp``, ``betaConv``) are expanded into compositions of
+the primitive rules, so the proof checker stays minimal.
+``serialize_article`` regenerates an article from a finished run for
+round-trip testing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 from . import hol
 from .hol import (
@@ -36,13 +40,11 @@ from .hol import (
     Proof,
     Refl,
     RepAbsThm,
-    Sequent,
     Subst,
     TyOp,
     TypeOpDef,
     TyVar,
     Var,
-    check_proof,
     make_sequent,
 )
 
@@ -199,13 +201,7 @@ class OTerm:
     term: HolTerm
 
 
-@dataclass(frozen=True, slots=True)
-class OThm:
-    proof: Proof
-    sequent: Sequent
-
-
-StackObject = Union[ONum, OName, OList, OTypeOp, OType, OConst, OVar, OTerm, OThm]
+StackObject = Union[ONum, OName, OList, OTypeOp, OType, OConst, OVar, OTerm, Proof]
 
 
 @dataclass
@@ -266,18 +262,16 @@ def _term_list(obj: OList, cmd: str) -> list[HolTerm]:
 # Derived-rule expansions (kept out of the proof checker).
 
 
-def sym_proof(d: Proof, seq: Sequent) -> Proof:
-    m, _ = hol.dest_eq(seq.concl)
-    a = hol.infer_type(m)
-    eq = hol.eq_const(a)
+def sym_proof(d: Proof) -> Proof:
+    m, _ = hol.dest_eq(d.sequent.concl)
+    eq = hol.eq_const(m.type)
     congr = AppThm(AppThm(Refl(eq), d), Refl(m))  # |- (m=m) = (n=m)
     return EqMp(congr, Refl(m))
 
 
-def trans_proof(d1: Proof, seq1: Sequent, d2: Proof) -> Proof:
-    x, _ = hol.dest_eq(seq1.concl)
-    a = hol.infer_type(x)
-    congr = AppThm(Refl(App(hol.eq_const(a), x)), d2)  # |- (x=y) = (x=z)
+def trans_proof(d1: Proof, d2: Proof) -> Proof:
+    x, _ = hol.dest_eq(d1.sequent.concl)
+    congr = AppThm(Refl(App(hol.eq_const(x.type), x)), d2)  # |- (x=y) = (x=z)
     return EqMp(congr, d1)
 
 
@@ -312,11 +306,7 @@ def _auto_const(state: VMState, name: str, ty: HolType, cmd: str) -> None:
         state.externals[name] = hol.anti_unify(provisional, ty)
 
 
-def _thm(proof: Proof, memo: dict) -> OThm:
-    return OThm(proof, check_proof(proof, memo))
-
-
-def step(state: VMState, cmd: ArticleCommand, memo: Optional[dict] = None) -> None:
+def step(state: VMState, cmd: ArticleCommand) -> None:
     """Execute one command on ``state`` in place."""
     if isinstance(cmd, IntLiteral):
         state.push(ONum(cmd.value))
@@ -330,14 +320,14 @@ def step(state: VMState, cmd: ArticleCommand, memo: Optional[dict] = None) -> No
     handler = _HANDLERS.get(cmd.name)
     if handler is None:
         raise UnknownCommand(f"unknown command {cmd.name}")
-    handler(state, {} if memo is None else memo)
+    handler(state)
 
 
 # Each handler pops its operands (top first) and pushes its results
 # bottom-first.
 
 
-def _cmd_version(state: VMState, memo: dict) -> None:
+def _cmd_version(state: VMState) -> None:
     n = state.pop(ONum, "version")
     if state.versioned:
         raise UnsupportedVersion("duplicate version command")
@@ -346,91 +336,91 @@ def _cmd_version(state: VMState, memo: dict) -> None:
     state.versioned = True
 
 
-def _cmd_abs_term(state: VMState, memo: dict) -> None:
+def _cmd_abs_term(state: VMState) -> None:
     b = state.pop(OTerm, "absTerm")
     v = state.pop(OVar, "absTerm")
     state.push(OTerm(Abs(v.var, b.term)))
 
 
-def _cmd_abs_thm(state: VMState, memo: dict) -> None:
-    t = state.pop(OThm, "absThm")
+def _cmd_abs_thm(state: VMState) -> None:
+    t = state.pop(Proof, "absThm")
     v = state.pop(OVar, "absThm")
-    state.push(_thm(AbsThm(v.var, t.proof), memo))
+    state.push(AbsThm(v.var, t))
 
 
-def _cmd_app_term(state: VMState, memo: dict) -> None:
+def _cmd_app_term(state: VMState) -> None:
     x = state.pop(OTerm, "appTerm")
     f = state.pop(OTerm, "appTerm")
     state.push(OTerm(App(f.term, x.term)))
 
 
-def _cmd_app_thm(state: VMState, memo: dict) -> None:
-    x = state.pop(OThm, "appThm")
-    f = state.pop(OThm, "appThm")
-    state.push(_thm(AppThm(f.proof, x.proof), memo))
+def _cmd_app_thm(state: VMState) -> None:
+    x = state.pop(Proof, "appThm")
+    f = state.pop(Proof, "appThm")
+    state.push(AppThm(f, x))
 
 
-def _cmd_assume(state: VMState, memo: dict) -> None:
+def _cmd_assume(state: VMState) -> None:
     t = state.pop(OTerm, "assume")
-    state.push(_thm(Assume(t.term), memo))
+    state.push(Assume(t.term))
 
 
-def _cmd_axiom(state: VMState, memo: dict) -> None:
+def _cmd_axiom(state: VMState) -> None:
     t = state.pop(OTerm, "axiom")
     l = state.pop(OList, "axiom")
-    thm = _thm(Axiom(tuple(_term_list(l, "axiom")), t.term), memo)
+    thm = Axiom(tuple(_term_list(l, "axiom")), t.term)
     state.assumptions.append(thm.sequent)
     state.push(thm)
 
 
-def _cmd_beta_conv(state: VMState, memo: dict) -> None:
+def _cmd_beta_conv(state: VMState) -> None:
     t = state.pop(OTerm, "betaConv")
-    state.push(_thm(beta_conv_proof(t.term), memo))
+    state.push(beta_conv_proof(t.term))
 
 
-def _cmd_cons(state: VMState, memo: dict) -> None:
+def _cmd_cons(state: VMState) -> None:
     tail = state.pop(OList, "cons")
     head = state.pop(None, "cons")
     state.push(OList((head,) + tail.items))
 
 
-def _cmd_const(state: VMState, memo: dict) -> None:
+def _cmd_const(state: VMState) -> None:
     n = state.pop(OName, "const")
     state.push(OConst(n.value))
 
 
-def _cmd_const_term(state: VMState, memo: dict) -> None:
+def _cmd_const_term(state: VMState) -> None:
     ty = state.pop(OType, "constTerm")
     c = state.pop(OConst, "constTerm")
     _auto_const(state, c.name, ty.type, "constTerm")
     state.push(OTerm(Const(c.name, ty.type)))
 
 
-def _cmd_deduct_antisym(state: VMState, memo: dict) -> None:
-    t2 = state.pop(OThm, "deductAntisym")
-    t1 = state.pop(OThm, "deductAntisym")
-    state.push(_thm(DeductAntiSym(t1.proof, t2.proof), memo))
+def _cmd_deduct_antisym(state: VMState) -> None:
+    t2 = state.pop(Proof, "deductAntisym")
+    t1 = state.pop(Proof, "deductAntisym")
+    state.push(DeductAntiSym(t1, t2))
 
 
-def _cmd_def(state: VMState, memo: dict) -> None:
+def _cmd_def(state: VMState) -> None:
     n = state.pop(ONum, "def")
     if not state.stack:
         raise StackUnderflow("def: no object to store")
     state.dictionary[n.value] = state.stack[-1]
 
 
-def _cmd_define_const(state: VMState, memo: dict) -> None:
+def _cmd_define_const(state: VMState) -> None:
     t = state.pop(OTerm, "defineConst")
     n = state.pop(OName, "defineConst")
     if n.value in state.constants or n.value in state.externals:
         raise VMError(f"defineConst: constant {n.value} already declared")
-    thm = _thm(DefineConst(n.value, t.term), memo)
-    state.constants[n.value] = hol.infer_type(t.term)
+    thm = DefineConst(n.value, t.term)
+    state.constants[n.value] = t.term.type
     state.push(OConst(n.value), thm)
 
 
-def _cmd_define_type_op(state: VMState, memo: dict) -> None:
-    t = state.pop(OThm, "defineTypeOp")
+def _cmd_define_type_op(state: VMState) -> None:
+    t = state.pop(Proof, "defineTypeOp")
     l = state.pop(OList, "defineTypeOp")
     r = state.pop(OName, "defineTypeOp")
     a = state.pop(OName, "defineTypeOp")
@@ -441,27 +431,27 @@ def _cmd_define_type_op(state: VMState, memo: dict) -> None:
         if cname in state.constants or cname in state.externals:
             raise VMError(f"defineTypeOp: constant {cname} already declared")
     tyvars = tuple(_name_list(l, "defineTypeOp"))
-    defn = TypeOpDef(n.value, a.value, r.value, tyvars, t.proof)
-    abs_thm = _thm(AbsRepThm(defn), memo)
-    rep_thm = _thm(RepAbsThm(defn), memo)
-    pred, carrier, new_ty = defn.pieces(check_proof(t.proof, memo))
+    defn = TypeOpDef(n.value, a.value, r.value, tyvars, t)
+    abs_thm = AbsRepThm(defn)
+    rep_thm = RepAbsThm(defn)
+    pred, carrier, new_ty = defn.pieces(t.sequent)
     state.constants[a.value] = defn.abs_type(carrier, new_ty)
     state.constants[r.value] = defn.rep_type(carrier, new_ty)
     state.typeops[n.value] = len(tyvars)
     state.push(OTypeOp(n.value), OConst(a.value), OConst(r.value), abs_thm, rep_thm)
 
 
-def _cmd_eq_mp(state: VMState, memo: dict) -> None:
-    t2 = state.pop(OThm, "eqMp")
-    t1 = state.pop(OThm, "eqMp")
-    state.push(_thm(EqMp(t1.proof, t2.proof), memo))
+def _cmd_eq_mp(state: VMState) -> None:
+    t2 = state.pop(Proof, "eqMp")
+    t1 = state.pop(Proof, "eqMp")
+    state.push(EqMp(t1, t2))
 
 
-def _cmd_nil(state: VMState, memo: dict) -> None:
+def _cmd_nil(state: VMState) -> None:
     state.push(OList())
 
 
-def _cmd_op_type(state: VMState, memo: dict) -> None:
+def _cmd_op_type(state: VMState) -> None:
     l = state.pop(OList, "opType")
     op = state.pop(OTypeOp, "opType")
     args = []
@@ -475,33 +465,33 @@ def _cmd_op_type(state: VMState, memo: dict) -> None:
     state.push(OType(TyOp(op.name, tuple(args))))
 
 
-def _cmd_pop(state: VMState, memo: dict) -> None:
+def _cmd_pop(state: VMState) -> None:
     state.pop(None, "pop")
 
 
-def _cmd_pragma(state: VMState, memo: dict) -> None:
+def _cmd_pragma(state: VMState) -> None:
     state.pop(None, "pragma")
 
 
-def _cmd_prove_hyp(state: VMState, memo: dict) -> None:
-    t2 = state.pop(OThm, "proveHyp")
-    t1 = state.pop(OThm, "proveHyp")
-    state.push(_thm(prove_hyp_proof(t1.proof, t2.proof), memo))
+def _cmd_prove_hyp(state: VMState) -> None:
+    t2 = state.pop(Proof, "proveHyp")
+    t1 = state.pop(Proof, "proveHyp")
+    state.push(prove_hyp_proof(t1, t2))
 
 
-def _cmd_ref(state: VMState, memo: dict) -> None:
+def _cmd_ref(state: VMState) -> None:
     n = state.pop(ONum, "ref")
     if n.value not in state.dictionary:
         raise VMError(f"ref: undefined dictionary key {n.value}")
     state.push(state.dictionary[n.value])
 
 
-def _cmd_refl(state: VMState, memo: dict) -> None:
+def _cmd_refl(state: VMState) -> None:
     t = state.pop(OTerm, "refl")
-    state.push(_thm(Refl(t.term), memo))
+    state.push(Refl(t.term))
 
 
-def _cmd_remove(state: VMState, memo: dict) -> None:
+def _cmd_remove(state: VMState) -> None:
     n = state.pop(ONum, "remove")
     if n.value not in state.dictionary:
         raise VMError(f"remove: undefined dictionary key {n.value}")
@@ -537,57 +527,57 @@ def _parse_subst(obj: OList) -> HolSubst:
     return HolSubst(tuple(theta), tuple(sigma))
 
 
-def _cmd_subst(state: VMState, memo: dict) -> None:
-    t = state.pop(OThm, "subst")
+def _cmd_subst(state: VMState) -> None:
+    t = state.pop(Proof, "subst")
     s = state.pop(OList, "subst")
-    state.push(_thm(Subst(_parse_subst(s), t.proof), memo))
+    state.push(Subst(_parse_subst(s), t))
 
 
-def _cmd_sym(state: VMState, memo: dict) -> None:
-    t = state.pop(OThm, "sym")
-    state.push(_thm(sym_proof(t.proof, t.sequent), memo))
+def _cmd_sym(state: VMState) -> None:
+    t = state.pop(Proof, "sym")
+    state.push(sym_proof(t))
 
 
-def _cmd_thm(state: VMState, memo: dict) -> None:
+def _cmd_thm(state: VMState) -> None:
     concl = state.pop(OTerm, "thm")
     l = state.pop(OList, "thm")
-    t = state.pop(OThm, "thm")
+    t = state.pop(Proof, "thm")
     stated = make_sequent(_term_list(l, "thm"), concl.term)
     if not t.sequent.alpha_eq(stated):
         raise SequentMismatch(
             f"thm: stated sequent differs from the proved one ({stated} vs {t.sequent})"
         )
-    state.theorems.append((stated, t.proof))
+    state.theorems.append((stated, t))
 
 
-def _cmd_trans(state: VMState, memo: dict) -> None:
-    t2 = state.pop(OThm, "trans")
-    t1 = state.pop(OThm, "trans")
-    state.push(_thm(trans_proof(t1.proof, t1.sequent, t2.proof), memo))
+def _cmd_trans(state: VMState) -> None:
+    t2 = state.pop(Proof, "trans")
+    t1 = state.pop(Proof, "trans")
+    state.push(trans_proof(t1, t2))
 
 
-def _cmd_type_op(state: VMState, memo: dict) -> None:
+def _cmd_type_op(state: VMState) -> None:
     n = state.pop(OName, "typeOp")
     state.push(OTypeOp(n.value))
 
 
-def _cmd_var(state: VMState, memo: dict) -> None:
+def _cmd_var(state: VMState) -> None:
     ty = state.pop(OType, "var")
     n = state.pop(OName, "var")
     state.push(OVar(Var(n.value, ty.type)))
 
 
-def _cmd_var_term(state: VMState, memo: dict) -> None:
+def _cmd_var_term(state: VMState) -> None:
     v = state.pop(OVar, "varTerm")
     state.push(OTerm(v.var))
 
 
-def _cmd_var_type(state: VMState, memo: dict) -> None:
+def _cmd_var_type(state: VMState) -> None:
     n = state.pop(OName, "varType")
     state.push(OType(TyVar(n.value)))
 
 
-_HANDLERS: dict[str, Callable[[VMState, dict], None]] = {
+_HANDLERS: dict[str, Callable[[VMState], None]] = {
     "absTerm": _cmd_abs_term,
     "absThm": _cmd_abs_thm,
     "appTerm": _cmd_app_term,
@@ -627,12 +617,11 @@ def run(commands: Iterable[ArticleCommand]) -> VMState:
     """Execute the stream on a fresh machine; step errors gain their
     command index and source line."""
     state = VMState()
-    memo: dict = {}
     executed = False
     for i, cmd in enumerate(commands):
         executed = True
         try:
-            step(state, cmd, memo)
+            step(state, cmd)
         except (ArticleError, hol.HolError) as e:
             e.command_index = i  # type: ignore[attr-defined]
             e.command_line = getattr(cmd, "line", 0)  # type: ignore[attr-defined]

@@ -107,14 +107,6 @@ def tyvar_name(name: str) -> str:
     return "'" + name
 
 
-def termvar_name(v: hol.Var) -> str:
-    return "$" + v.name + "#" + hol.type_hash(v.type)
-
-
-def hyp_name(prop: hol.HolTerm) -> str:
-    return "h#" + hol.term_hash(prop)
-
-
 def tyvar_ref(name: str) -> Var:
     return Var(tyvar_name(name))
 
@@ -328,7 +320,14 @@ def _tyvars_in_order(ty: hol.HolType, acc: Optional[list[str]] = None) -> list[s
 
 class TranslationEnv:
     """Declared operators and constants plus everything accumulated while
-    translating: axiom constants, definition axioms, and memo tables."""
+    translating: axiom constants, definition axioms, and memo tables.
+
+    ``namer`` gives every declared kernel constant its ``.dk`` identifier
+    when the declaration is made, so terms refer to final names from the
+    start.  Kernel names for term variables and hypotheses are interned
+    here: each distinct ``hol.Var`` gets ``$<name>@<k>`` and each alpha
+    class of hypotheses ``h@<k>``, so distinct variables never share a name.
+    """
 
     def __init__(self, mode: str = "q0", compress: bool = False):
         if mode not in ("q0", "pts"):
@@ -341,9 +340,11 @@ class TranslationEnv:
         self._axioms: dict = {}  # sequent key -> (kname, tyvars, termvars)
         self._def_axioms: dict[str, str] = {}
         self._typeop_axioms: dict[int, tuple[str, str]] = {}
-        self._seq_memo: dict = {}
         self._trans_memo: dict = {}
-        self._termvars: dict[str, hol.Var] = {}
+        self._termvar_names: dict[hol.Var, str] = {}
+        self._termvars: dict[str, hol.Var] = {}  # the inverse of _termvar_names
+        self._hyp_names: dict = {}  # term_key -> name
+        self.namer = dkfile.DkNamer(reserved=BASE_CONSTS)
 
     @classmethod
     def from_vm(cls, state, mode: str = "q0", compress: bool = False) -> "TranslationEnv":
@@ -358,19 +359,30 @@ class TranslationEnv:
             declare_constant(env, name, generic)
         return env
 
-    def sequent_of(self, proof: hol.Proof) -> hol.Sequent:
-        return hol.check_proof(proof, self._seq_memo)
+    def termvar_name(self, v: hol.Var) -> str:
+        n = self._termvar_names.get(v)
+        if n is None:
+            n = f"${v.name}@{len(self._termvar_names)}"
+            self._termvar_names[v] = n
+            self._termvars[n] = v
+        return n
 
     def termvar(self, v: hol.Var) -> Var:
-        n = termvar_name(v)
-        self._termvars[n] = v
-        return Var(n)
+        return Var(self.termvar_name(v))
+
+    def hyp_name(self, prop: hol.HolTerm) -> str:
+        key = hol.term_key(prop)
+        n = self._hyp_names.get(key)
+        if n is None:
+            n = f"h@{len(self._hyp_names)}"
+            self._hyp_names[key] = n
+        return n
 
 
 def declare_type_op(env: TranslationEnv, name: str, arity: int):
     if name in env.typeops or name in hol.BUILTIN_TYPE_ARITY:
         raise DuplicateDeclaration(f"type operator {name} already declared")
-    kname = "ty." + name
+    kname = env.namer.ident("ty." + name)
     decl = ConstDecl(kname, arrow(*([_T] * arity + [_T])) if arity else _T)
     env.typeops[name] = TypeOpInfo(arity, kname)
     env.decls.append(decl)
@@ -381,7 +393,7 @@ def declare_constant(env: TranslationEnv, name: str, generic: hol.HolType):
     if name in env.constants or name in (hol.EQ, hol.SELECT):
         raise DuplicateDeclaration(f"constant {name} already declared")
     tyvars = tuple(_tyvars_in_order(generic))
-    kname = "tm." + name
+    kname = env.namer.ident("tm." + name)
     decl = ConstDecl(kname, bind(Prod, _tyvar_binders(tyvars), trans_type_type(env, generic)))
     env.constants[name] = ConstInfo(generic, tyvars, kname)
     env.decls.append(decl)
@@ -437,14 +449,18 @@ def trans_term(env: TranslationEnv, t: hol.HolTerm) -> Term:
         args = _instance_args(env, info.generic, info.tyvars, t.type)
         return app(Const(info.kname), *args)
     if isinstance(t, hol.Abs):
-        body = trans_term(env, t.body)
-        return Abs(t.var.name, trans_type_type(env, t.var.type), close(body, termvar_name(t.var)))
+        # the whole nest of lambdas is bound in one walk of its body
+        binders = []
+        while isinstance(t, hol.Abs):
+            binders.append((env.termvar_name(t.var), t.var.name, trans_type_type(env, t.var.type)))
+            t = t.body
+        return bind(Abs, binders, trans_term(env, t))
     assert isinstance(t, hol.App)
     return App(trans_term(env, t.fn), trans_term(env, t.arg))
 
 
 def trans_prop_type(env: TranslationEnv, prop: hol.HolTerm) -> Term:
-    if hol.infer_type(prop) != hol.BOOL:
+    if prop.type != hol.BOOL:
         raise NotAProposition(f"not a proposition: {prop}")
     return _pf(trans_term(env, prop))
 
@@ -475,26 +491,21 @@ def trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
 
 def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
     if isinstance(proof, hol.Refl):
-        a = hol.infer_type(proof.term)
-        return app(Const("Refl"), trans_type_term(env, a), trans_term(env, proof.term))
+        return app(Const("Refl"), trans_type_term(env, proof.term.type), trans_term(env, proof.term))
 
     if isinstance(proof, hol.ConvRefl):
-        b = hol.infer_type(proof.normal)
-        return app(Const("Refl"), trans_type_term(env, b), trans_term(env, proof.normal))
+        return app(Const("Refl"), trans_type_term(env, proof.normal.type), trans_term(env, proof.normal))
 
     if isinstance(proof, hol.Beta):
-        b = hol.infer_type(proof.body)
-        return app(Const("Refl"), trans_type_term(env, b), trans_term(env, proof.body))
+        return app(Const("Refl"), trans_type_term(env, proof.body.type), trans_term(env, proof.body))
 
     if isinstance(proof, hol.Assume):
-        return Var(hyp_name(proof.prop))
+        return Var(env.hyp_name(proof.prop))
 
     if isinstance(proof, hol.AppThm):
-        s1 = env.sequent_of(proof.fun)
-        s2 = env.sequent_of(proof.arg)
-        f, g = hol.dest_eq(s1.concl)
-        m, n = hol.dest_eq(s2.concl)
-        a, b = hol.dest_fn(hol.infer_type(f))
+        f, g = hol.dest_eq(proof.fun.sequent.concl)
+        m, n = hol.dest_eq(proof.arg.sequent.concl)
+        a, b = hol.dest_fn(f.type)
         return app(
             Const("AppThm"),
             trans_type_term(env, a),
@@ -508,13 +519,12 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         )
 
     if isinstance(proof, hol.AbsThm):
-        s = env.sequent_of(proof.sub)
-        m, n = hol.dest_eq(s.concl)
+        m, n = hol.dest_eq(proof.sub.sequent.concl)
         a = proof.var.type
-        b = hol.infer_type(m)
+        b = m.type
         lam_m = hol.Abs(proof.var, m)
         lam_n = hol.Abs(proof.var, n)
-        body = close(trans_proof(env, proof.sub), termvar_name(proof.var))
+        body = close(trans_proof(env, proof.sub), env.termvar_name(proof.var))
         return app(
             Const("FunExt"),
             trans_type_term(env, a),
@@ -525,8 +535,7 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         )
 
     if isinstance(proof, hol.EqMp):
-        s1 = env.sequent_of(proof.eq)
-        phi, psi = hol.dest_eq(s1.concl)
+        phi, psi = hol.dest_eq(proof.eq.sequent.concl)
         return app(
             Const("EqMp"),
             trans_term(env, phi),
@@ -536,11 +545,9 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         )
 
     if isinstance(proof, hol.DeductAntiSym):
-        s1 = env.sequent_of(proof.lhs)
-        s2 = env.sequent_of(proof.rhs)
-        phi, psi = s1.concl, s2.concl
-        left = Abs("h", trans_prop_type(env, psi), close(trans_proof(env, proof.lhs), hyp_name(psi)))
-        right = Abs("h", trans_prop_type(env, phi), close(trans_proof(env, proof.rhs), hyp_name(phi)))
+        phi, psi = proof.lhs.sequent.concl, proof.rhs.sequent.concl
+        left = Abs("h", trans_prop_type(env, psi), close(trans_proof(env, proof.lhs), env.hyp_name(psi)))
+        right = Abs("h", trans_prop_type(env, phi), close(trans_proof(env, proof.rhs), env.hyp_name(phi)))
         return app(
             Const("PropExt"),
             trans_term(env, phi),
@@ -572,11 +579,11 @@ def closure_of(env: TranslationEnv, proof: hol.Proof) -> Closure:
     """The derivation's free type variables, term variables and hypotheses,
     in the fixed binding order (types first), plus the translated core."""
     core = trans_proof(env, proof)
-    seq = env.sequent_of(proof)
+    seq = proof.sequent
     tyvars = set(hol.sequent_tyvars(seq))
     termvars: dict[str, hol.Var] = {}
     for v in hol.sequent_free_vars(seq):
-        termvars[termvar_name(v)] = v
+        termvars[env.termvar_name(v)] = v
     for name in kernel.free_names(core):
         if name.startswith("'"):
             tyvars.add(name[1:])
@@ -593,14 +600,14 @@ def _tyvar_binders(tyvars: Iterable[str]) -> list[tuple[str, str, Term]]:
 
 
 def _termvar_binders(env: TranslationEnv, termvars: Iterable[hol.Var]) -> list[tuple[str, str, Term]]:
-    return [(termvar_name(v), v.name, trans_type_type(env, v.type)) for v in termvars]
+    return [(env.termvar_name(v), v.name, trans_type_type(env, v.type)) for v in termvars]
 
 
 def _binders(env: TranslationEnv, c: Closure) -> list[tuple[str, str, Term]]:
     """The closure's telescope for ``kernel.bind``: type variables, then term
     variables, then hypotheses.  Type variables come first so that
     substituting into a closed derivation instantiates types before terms."""
-    hyps = [(hyp_name(prop), "h", trans_prop_type(env, prop)) for prop in c.hyps]
+    hyps = [(env.hyp_name(prop), "h", trans_prop_type(env, prop)) for prop in c.hyps]
     return _tyvar_binders(c.tyvars) + _termvar_binders(env, c.termvars) + hyps
 
 
@@ -635,17 +642,17 @@ def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
         v_post = hol.Var(v.name, hol.type_subst(theta, v.type))
         args.append(trans_term(env, sigma.get(v_post, v_post)))
     for prop in c.hyps:
-        args.append(Var(hyp_name(hol.apply_subst(proof.subst, prop))))
+        args.append(Var(env.hyp_name(hol.apply_subst(proof.subst, prop))))
     return app(fn, *args)
 
 
 def _trans_axiom(env: TranslationEnv, proof: hol.Axiom) -> Term:
-    seq = env.sequent_of(proof)
+    seq = proof.sequent
     eta = hol.eta_instance(seq)
     if eta is not None:
         x, m = eta
         a = x.type
-        b = hol.dest_fn(hol.infer_type(m))[1]
+        b = hol.dest_fn(m.type)[1]
         body = app(
             Const("Refl"),
             trans_type_term(env, b),
@@ -657,12 +664,12 @@ def _trans_axiom(env: TranslationEnv, proof: hol.Axiom) -> Term:
             trans_type_term(env, b),
             trans_term(env, hol.Abs(x, hol.App(m, x))),
             trans_term(env, m),
-            Abs(x.name, trans_type_type(env, a), close(body, termvar_name(x))),
+            Abs(x.name, trans_type_type(env, a), close(body, env.termvar_name(x))),
         )
     kname, tyvars, termvars = _axiom_const(env, seq)
     args: list[Term] = [tyvar_ref(n) for n in tyvars]
     args.extend(env.termvar(v) for v in termvars)
-    args.extend(Var(hyp_name(h)) for h in seq.hyps)
+    args.extend(Var(env.hyp_name(h)) for h in seq.hyps)
     return app(Const(kname), *args)
 
 
@@ -671,13 +678,13 @@ def _axiom_const(env: TranslationEnv, seq: hol.Sequent):
     hit = env._axioms.get(key)
     if hit is not None:
         return hit
-    kname = "ax." + hashlib.sha1(repr(key).encode()).hexdigest()[:12]
     tyvars = sorted(hol.sequent_tyvars(seq))
     termvars = sorted(
         hol.sequent_free_vars(seq), key=lambda v: (v.name, repr(hol.type_key(v.type)))
     )
     statement = arrow(*(trans_prop_type(env, h) for h in seq.hyps), trans_prop_type(env, seq.concl))
     binders = _tyvar_binders(tyvars) + _termvar_binders(env, termvars)
+    kname = env.namer.ident("ax." + hashlib.sha1(repr(key).encode()).hexdigest()[:12])
     env.decls.append(ConstDecl(kname, bind(Prod, binders, statement)))
     env._axioms[key] = (kname, tyvars, termvars)
     return env._axioms[key]
@@ -690,9 +697,8 @@ def _defconst_axiom(env: TranslationEnv, proof: hol.DefineConst) -> str:
     info = env.constants.get(proof.name)
     if info is None:
         raise UndeclaredConstant(f"constant {proof.name} not declared")
-    kname = info.kname + ".def"
-    seq = env.sequent_of(proof)
-    statement = trans_prop_type(env, seq.concl)
+    statement = trans_prop_type(env, proof.sequent.concl)
+    kname = env.namer.ident(f"tm.{proof.name}.def")
     env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(info.tyvars), statement)))
     env._def_axioms[proof.name] = kname
     return kname
@@ -704,9 +710,8 @@ def _typeop_axioms(env: TranslationEnv, defn: hol.TypeOpDef) -> tuple[str, str]:
         return hit
     names = []
     for node, suffix in ((hol.AbsRepThm(defn), "abs_rep"), (hol.RepAbsThm(defn), "rep_abs")):
-        seq = env.sequent_of(node)
-        kname = f"ty.{defn.op}.{suffix}"
-        statement = trans_prop_type(env, seq.concl)
+        statement = trans_prop_type(env, node.sequent.concl)
+        kname = env.namer.ident(f"ty.{defn.op}.{suffix}")
         env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(defn.tyvars), statement)))
         names.append(kname)
     env._typeop_axioms[id(defn)] = (names[0], names[1])
@@ -760,8 +765,7 @@ def _compress(proof: hol.Proof, memo: dict, pure: dict) -> hol.Proof:
     if _pure_conversion(proof, pure):
         if isinstance(proof, hol.Refl):
             return proof
-        seq = hol.check_proof(proof)
-        lhs, rhs = hol.dest_eq(seq.concl)
+        lhs, rhs = hol.dest_eq(proof.sequent.concl)
         return hol.ConvRefl(lhs, rhs, hol.beta_normalize(rhs))
     if isinstance(proof, hol.AppThm):
         return hol.AppThm(
@@ -924,12 +928,13 @@ def translate_state(
     mode: str = "q0",
     compress: bool = False,
     sharing: bool = True,
-    min_size: int = 8,
     fuel: Optional[int] = None,
 ) -> TranslationResult:
     """Translate a finished VM run into a document referencing the base file.
 
     ``fuel`` is the step budget of each type inference sharing runs.
+    Collisions the name table resolved with a numeric suffix are recorded
+    in a comment at the top.
     """
     env = TranslationEnv.from_vm(state, mode, compress)
     theorems: list[tuple[Term, Term]] = []
@@ -941,17 +946,15 @@ def translate_state(
     items.append(dkfile.Comment("requires hol.dk (base signature)"))
     items.extend(env.decls)
     for k, (ty, body) in enumerate(theorems):
-        items.append(Defn(f"thm_{k}", ty, body))
-
-    namer = dkfile.DkNamer(reserved=BASE_CONSTS)
-    doc = dkfile.rename_document(dkfile.DkDocument(module, tuple(items)), namer)
-    # the pre-rename terms are garbage from here on; without this the
-    # document would exist twice while sharing runs
-    del env, theorems, items
+        items.append(Defn(env.namer.ident(f"thm_{k}"), ty, body))
+    if env.namer.collisions:
+        note = "; ".join(f"{orig} renamed to {new}" for orig, new in env.namer.collisions)
+        items.insert(0, dkfile.Comment(f"name collisions: {note}"))
+    doc = dkfile.DkDocument(module, tuple(items))
 
     share_hits = 0
     if sharing:
-        report = share_document(doc, base_signature(mode), min_size, fuel)
+        report = share_document(doc, base_signature(mode), fuel=fuel)
         doc = report.document
         share_hits = report.replaced
     return TranslationResult(doc, len(state.theorems), share_hits)

@@ -11,7 +11,9 @@ keeps the earlier rules as a test oracle:
   free_names(body))``, which cannot capture anything by construction.
 
 Reduction (``whnf`` and rule matching) is the kernel's own; normalization,
-conversion, typing and signature checking are the reference versions.  The
+conversion, typing and signature checking are the reference versions.
+The kernel itself has no full normalizer: tests that need a normal form
+call ``normalize`` here.  The
 signature prefix is rebuilt for every item, as before.
 """
 
@@ -72,6 +74,17 @@ def nf(sig, t, fuel):
         cod = nf(sig, open_term(t.body, Var(x)), fuel)
         return Prod(t.hint, nf(sig, t.domain, fuel), close(cod, x))
     return t
+
+
+def normalize(sig, t, fuel=None) -> Term:
+    """Full normal form under beta, the signature's rules, and unfolding.
+
+    ``t`` must be locally closed: a dangling index would be captured by a
+    binder that normalizing opens and closes again.
+    """
+    if t.bound > 0:
+        raise KernelError(f"cannot normalize a term with a dangling bound variable: {pretty(t)}")
+    return nf(sig, t, _as_fuel(fuel))
 
 
 def convertible(sig, a, b, fuel=None) -> bool:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from holtrans import cli
+from holtrans import cli, hol
+from holtrans import opentheory as ot
 
 from conftest import CORPUS
 
@@ -207,6 +208,34 @@ def test_article_failure_names_command_and_line(tmp_path, capsys):
     assert cli.main(["translate", str(bad), "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad} (command 4, line 6): TypeErrorOnStack: refl: expected OTerm, found OType\n"
+
+
+def test_ill_typed_application_fails_at_its_command(tmp_path, capsys):
+    """Terms are typed as they are built: applying ``x : bool`` to itself
+    fails at ``appTerm`` on line 14, not at the ``refl`` that uses it."""
+    bad = tmp_path / "bad.art"
+    lines = ["6", "version", '"x"', '"bool"', "typeOp", "nil", "opType", "var", "varTerm",
+             "0", "def", "0", "ref", "appTerm", "refl"]
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["translate", str(bad), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} (command 13, line 14): AppTypeMismatch: not a function type: {hol.BOOL}\n"
+
+
+def test_distinct_variables_get_distinct_kernel_names(tmp_path):
+    """``x : t69026`` and ``x : t121469`` are two variables.  Their type keys
+    share an 8-hex SHA-1 prefix, which once named both ``$x#76599fa4`` and
+    made the generated document ill-typed."""
+    def assume_refl(op):
+        x = hol.Var("x", hol.TyOp(op))
+        return hol.Assume(hol.mk_eq(x, x))
+
+    proof = hol.DeductAntiSym(assume_refl("t69026"), assume_refl("t121469"))
+    art = tmp_path / "clash.art"
+    art.write_text(ot.serialize_article(ot.VMState(theorems=[(hol.check_proof(proof), proof)])))
+    out = tmp_path / "out"
+    assert cli.main(["translate", str(art), "-o", str(out)]) == 0
+    assert cli.main(["check", str(out / "clash.dk")]) == 0
 
 
 @pytest.mark.parametrize(

@@ -10,26 +10,65 @@ A = hol.TyVar("A")
 B = hol.TyVar("B")
 
 
+def reference_type(t):
+    """Simple-type inference by structural recursion over the whole term."""
+    if isinstance(t, (hol.Var, hol.Const)):
+        return t.type
+    if isinstance(t, hol.Abs):
+        return hol.fn(t.var.type, reference_type(t.body))
+    a, b = hol.dest_fn(reference_type(t.fn))
+    if reference_type(t.arg) != a:
+        raise hol.AppTypeMismatch("argument type does not match the domain")
+    return b
+
+
 def test_infer_equality_constant():
     eq = hol.eq_const(A)
-    assert hol.infer_type(eq) == hol.fn(A, hol.fn(A, hol.BOOL))
+    assert eq.type == hol.fn(A, hol.fn(A, hol.BOOL))
 
 
 def test_infer_identity():
     x = hol.Var("x", A)
-    assert hol.infer_type(hol.Abs(x, x)) == hol.fn(A, A)
+    assert hol.Abs(x, x).type == hol.fn(A, A)
 
 
 def test_infer_select_generic():
     sel = hol.Const(hol.SELECT, hol.select_generic())
-    assert hol.infer_type(sel) == hol.fn(hol.fn(A, hol.BOOL), A)
+    assert sel.type == hol.fn(hol.fn(A, hol.BOOL), A)
 
 
 def test_infer_app_mismatch():
+    """An ill-typed application cannot be built."""
     f = hol.Var("f", hol.fn(hol.BOOL, hol.BOOL))
     x = hol.Var("x", hol.IND)
     with pytest.raises(hol.AppTypeMismatch):
-        hol.infer_type(hol.App(f, x))
+        hol.App(f, x)
+    with pytest.raises(hol.AppTypeMismatch):
+        hol.App(x, x)
+
+
+def test_type_is_not_part_of_term_identity():
+    x = hol.Var("x", A)
+    t = hol.Abs(x, x)
+    assert t == hol.Abs(x, x) and hash(t) == hash(hol.Abs(x, x))
+    assert repr(t) == f"Abs(var={x!r}, body={x!r})"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_stored_type_matches_recursive_inference(seed):
+    gen = HolGen(seed)
+    ty = gen.type()
+    term = gen.term(ty, 4)
+    assert term.type == reference_type(term) == ty
+    stack = [term]
+    while stack:
+        u = stack.pop()
+        assert u.type == reference_type(u)
+        if isinstance(u, hol.App):
+            stack += [u.fn, u.arg]
+        elif isinstance(u, hol.Abs):
+            stack.append(u.body)
 
 
 def test_builtin_type_arity_enforced():
@@ -316,7 +355,7 @@ def test_infer_commutes_with_subst(seed):
     term = gen.term(ty, 3)
     theta = {"A": gen.type(1), "B": gen.type(1)}
     s = hol.HolSubst(theta=tuple(theta.items()))
-    assert hol.infer_type(hol.apply_subst(s, term)) == hol.type_subst(theta, hol.infer_type(term))
+    assert hol.apply_subst(s, term).type == hol.type_subst(theta, term.type)
 
 
 @settings(max_examples=40, deadline=None)
@@ -331,17 +370,38 @@ def test_deduct_antisym_hypothesis_algebra(seed):
     assert {hol.term_key(h) for h in got.hyps} == minus1 | minus2
 
 
-def _perturbations():
-    p, q = hol.Var("p", hol.BOOL), hol.Var("q", hol.BOOL)
-    x = hol.Var("x", A)
-    f = hol.Var("f", hol.fn(A, B))
-    bad_eqmp = hol.EqMp(hol.Refl(p), hol.Assume(q))
-    bad_appthm = hol.AppThm(hol.Refl(f), hol.Refl(p))
-    bad_absthm = hol.AbsThm(x, hol.Assume(hol.mk_eq(x, x)))
-    return [bad_eqmp, bad_appthm, bad_absthm]
+_P, _Q = hol.Var("p", hol.BOOL), hol.Var("q", hol.BOOL)
+_X = hol.Var("x", A)
+_F = hol.Var("f", hol.fn(A, B))
+_PERTURBATIONS = [
+    lambda: hol.EqMp(hol.Refl(_P), hol.Assume(_Q)),
+    lambda: hol.AppThm(hol.Refl(_F), hol.Refl(_P)),
+    lambda: hol.AbsThm(_X, hol.Assume(hol.mk_eq(_X, _X))),
+]
 
 
-@pytest.mark.parametrize("proof", _perturbations())
+@pytest.mark.parametrize("proof", _PERTURBATIONS, ids=[f"proof{i}" for i in range(len(_PERTURBATIONS))])
 def test_perturbed_premises_rejected(proof):
+    """A node whose rule does not apply to its premises cannot be built:
+    each parameter builds one."""
     with pytest.raises(hol.RuleViolation):
-        hol.check_proof(proof)
+        proof()
+
+
+def test_node_stores_its_sequent_and_shared_premises_are_checked_once(monkeypatch):
+    calls = [0]
+    inner = hol._check
+
+    def counting(proof):
+        calls[0] += 1
+        return inner(proof)
+
+    monkeypatch.setattr(hol, "_check", counting)
+    p, q = _P, _Q
+    eq = hol.Assume(hol.mk_eq(p, q))
+    node = hol.EqMp(eq, hol.Assume(p))
+    for _ in range(5):
+        node = hol.DeductAntiSym(node, node)
+    assert calls[0] == 3 + 5
+    assert hol.check_proof(node) is node.sequent
+    assert calls[0] == 3 + 5

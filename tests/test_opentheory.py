@@ -68,8 +68,7 @@ def test_step_refl():
         '"x"', "0", "ref", "var", "varTerm", "refl",
     )
     thm = state.stack[-1]
-    assert isinstance(thm, ot.OThm)
-    assert isinstance(thm.proof, hol.Refl)
+    assert isinstance(thm, hol.Refl)
     x = hol.Var("x", hol.TyVar("A"))
     assert thm.sequent.alpha_eq(hol.make_sequent((), hol.mk_eq(x, x)))
 
@@ -99,7 +98,7 @@ def test_trans_desugars_to_congruence_composition():
     x, y, z = hol.Var("x", a), hol.Var("y", a), hol.Var("z", a)
     d1 = hol.Assume(hol.mk_eq(x, y))
     d2 = hol.Assume(hol.mk_eq(y, z))
-    p = ot.trans_proof(d1, hol.check_proof(d1), d2)
+    p = ot.trans_proof(d1, d2)
     assert isinstance(p, hol.EqMp)
     assert isinstance(p.eq, hol.AppThm)
     assert isinstance(p.eq.fun, hol.Refl)
@@ -112,7 +111,7 @@ def test_sym_desugaring():
     a = hol.TyVar("A")
     x, y = hol.Var("x", a), hol.Var("y", a)
     d = hol.Assume(hol.mk_eq(x, y))
-    p = ot.sym_proof(d, hol.check_proof(d))
+    p = ot.sym_proof(d)
     seq = hol.check_proof(p)
     assert hol.alpha_equal(seq.concl, hol.mk_eq(y, x))
 
@@ -232,7 +231,7 @@ def test_define_const_registers_generic():
     )
     assert state.constants["c.new"] == hol.fn(hol.BOOL, hol.BOOL)
     thm = state.stack[-1]
-    assert isinstance(thm, ot.OThm) and isinstance(thm.proof, hol.DefineConst)
+    assert isinstance(thm, hol.DefineConst)
     const_obj = state.stack[-2]
     assert const_obj == ot.OConst("c.new")
 
@@ -245,8 +244,8 @@ def test_define_type_op_stack_order(corpus_paths):
     op, abs_c, rep_c, abs_thm, rep_thm = state.stack[-5:]
     assert op == ot.OTypeOp("u.t")
     assert abs_c == ot.OConst("u.abs") and rep_c == ot.OConst("u.rep")
-    assert isinstance(abs_thm.proof, hol.AbsRepThm)
-    assert isinstance(rep_thm.proof, hol.RepAbsThm)
+    assert isinstance(abs_thm, hol.AbsRepThm)
+    assert isinstance(rep_thm, hol.RepAbsThm)
     assert state.typeops["u.t"] == 0
     assert {"u.abs", "u.rep"} <= state.constants.keys()
 

@@ -6,7 +6,8 @@ from holtrans import dkfile, hol
 from holtrans import kernel as k
 from holtrans import translate as tr
 
-from conftest import HolGen, env_signature, make_env
+from conftest import HolGen, count_calls, env_signature, make_env
+from reference_typing import normalize
 
 A = hol.TyVar("A")
 B = hol.TyVar("B")
@@ -48,7 +49,7 @@ def test_trans_type_operator_applied():
     from conftest import LIST_OP
 
     got = tr.trans_type_term(env, hol.TyOp(LIST_OP, (hol.BOOL,)))
-    assert got == k.App(k.Const("ty." + LIST_OP), BOOL)
+    assert got == k.App(k.Const("ty_" + LIST_OP.replace(".", "_")), BOOL)
 
 
 def test_trans_type_undeclared_operator():
@@ -96,7 +97,7 @@ def test_trans_term_section4_example(q0):
     # the binder closes its own occurrence: body is the bound variable
     lam = k.Abs("x", k.App(TERM, tr.tyvar_ref("A")), k.BVar(0))
     assert got == k.App(lam, env.termvar(x))
-    assert k.normalize(q0, got) == env.termvar(x)
+    assert normalize(q0, got) == env.termvar(x)
 
 
 def test_trans_term_undeclared_constant():
@@ -112,9 +113,46 @@ def test_trans_term_instance_match_failure():
         tr.trans_term(env, hol.Const("k.f", hol.fn(hol.BOOL, hol.IND)))
 
 
+def _lambda_nest(names):
+    """``\\x1 ... \\xn. x1`` over variables of type A named ``names``."""
+    vs = [hol.Var(n, A) for n in names]
+    t = vs[0]
+    for v in reversed(vs):
+        t = hol.Abs(v, t)
+    return t
+
+
+def test_lambda_nest_matches_per_binder_closing():
+    """A repeated binder name binds at the innermost occurrence."""
+    env = make_env()
+    x, y = hol.Var("x", A), hol.Var("y", hol.fn(A, A))
+    t = hol.Abs(x, hol.Abs(y, hol.Abs(x, hol.App(y, x))))
+    dom_a = tr.trans_type_type(env, A)
+    dom_y = tr.trans_type_type(env, y.type)
+    body = k.App(k.BVar(1, "y"), k.BVar(0, "x"))
+    assert tr.trans_term(env, t) == k.Abs("x", dom_a, k.Abs("y", dom_y, k.Abs("x", dom_a, body)))
+    nest = _lambda_nest(["a", "b", "c"])
+    want = env.termvar(nest.var)
+    for v in reversed([nest.var, nest.body.var, nest.body.body.var]):
+        want = k.Abs(v.name, dom_a, k.close(want, env.termvar_name(v)))
+    assert tr.trans_term(env, nest) == want
+
+
+def test_lambda_nest_is_bound_in_one_walk(monkeypatch):
+    """``\\x1 ... \\xn. x1`` is closed once, not once per binder: the
+    nodes ``close`` visits grow linearly with the nest's depth."""
+    counts = {}
+    for n in (250, 500, 1000):
+        t = _lambda_nest([f"x{i}" for i in range(n)])
+        env = make_env()
+        counts[n] = count_calls(monkeypatch, k, "_close", lambda: tr.trans_term(env, t))
+    assert counts[500] / counts[250] <= 2.2
+    assert counts[1000] / counts[500] <= 2.2
+
+
 def trans_context(env, props):
     """The hypotheses ``props`` as a context, in order."""
-    return k.Context((tr.hyp_name(prop), tr.trans_prop_type(env, prop)) for prop in props)
+    return k.Context((env.hyp_name(prop), tr.trans_prop_type(env, prop)) for prop in props)
 
 
 def test_trans_prop_and_context():
@@ -128,7 +166,7 @@ def test_trans_prop_and_context():
     assert got == want
     assert len(trans_context(env, ())) == 0
     ctx = trans_context(env, (prop,))
-    assert list(ctx) == [(tr.hyp_name(prop), got)]
+    assert list(ctx) == [(env.hyp_name(prop), got)]
     with pytest.raises(tr.NotAProposition):
         tr.trans_prop_type(env, x)
 
@@ -212,7 +250,7 @@ def test_eta_axiom_discharged_via_funext(q0):
     head = k.spine(term)[0]
     assert head == k.Const("FunExt")
     assert not env.decls or all(
-        not d.name.startswith("ax.") for d in env.decls if isinstance(d, k.ConstDecl)
+        not d.name.startswith("ax_") for d in env.decls if isinstance(d, k.ConstDecl)
     )
     ctx = tr.completeness_context(env, ax)
     ty = k.infer_type(q0, ctx, term)
@@ -226,7 +264,7 @@ def test_other_axioms_become_premised_constants(q0):
     ax = hol.Axiom((p,), q)
     term = tr.trans_proof(env, ax)
     head = k.spine(term)[0]
-    assert isinstance(head, k.Const) and head.name.startswith("ax.")
+    assert isinstance(head, k.Const) and head.name.startswith("ax_")
     assert any(
         isinstance(d, k.ConstDecl) and d.name == head.name for d in env.decls
     )
@@ -261,7 +299,7 @@ def test_define_const_emits_declaration_and_axiom(q0):
     proof = hol.DefineConst("c.id", hol.Abs(x, x))
     term = tr.trans_proof(env, proof)
     names = {d.name for d in env.decls if isinstance(d, k.ConstDecl)}
-    assert "tm.c.id" in names and "tm.c.id.def" in names
+    assert "tm_c_id" in names and "tm_c_id_def" in names
     ctx = tr.completeness_context(env, proof)
     ty = k.infer_type(env_signature(env), ctx, term)
     want = tr.trans_prop_type(env, hol.check_proof(proof).concl)
@@ -323,14 +361,28 @@ def test_compression_identity_on_refl():
 
 
 def test_compression_skips_non_conversion_children():
-    p, q = hol.Var("p", hol.BOOL), hol.Var("q", hol.BOOL)
-    e1 = hol.EqMp(hol.Assume(hol.mk_eq(p, q)), hol.Assume(p))
-    e2 = hol.EqMp(hol.Assume(hol.mk_eq(hol.mk_eq(p, q), hol.mk_eq(q, p))),
-                  hol.Assume(hol.mk_eq(p, q)))
-    proof = hol.AppThm(e2, hol.Refl(p))
+    f, g = hol.Var("f", hol.fn(hol.BOOL, hol.BOOL)), hol.Var("g", hol.fn(hol.BOOL, hol.BOOL))
+    x = hol.Var("x", hol.BOOL)
+    fg = hol.mk_eq(f, g)
+    fun = hol.EqMp(hol.Refl(fg), hol.Assume(fg))  # {f = g} |- f = g
+    proof = hol.AppThm(fun, hol.Beta(x, x))  # {f = g} |- f ((\x. x) x) = g x
     out = tr.compress_conversions(proof)
     assert isinstance(out, hol.AppThm)
     assert isinstance(out.fun, hol.EqMp)
+    assert isinstance(out.arg, hol.ConvRefl)
+    assert out.sequent.alpha_eq(proof.sequent)
+
+
+def test_translation_reads_sequents_without_rechecking(monkeypatch):
+    """Every proof node checked its rule when the VM built it; translating
+    the run reads the stored sequents and applies no rule again."""
+    from holtrans import opentheory as ot
+
+    proofs = [HolGen(seed).proof(3) for seed in range(20)]
+    article = ot.serialize_article(ot.VMState(theorems=[(hol.check_proof(p), p) for p in proofs]))
+    state = ot.run_text(article)
+    calls = count_calls(monkeypatch, hol, "_check", lambda: tr.translate_state(state, "m"))
+    assert calls == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -376,9 +428,9 @@ def test_pts_definitions_check_at_stated_types(pts):
 def test_pts_provability_rewrites(pts):
     p, q = k.Var("p"), k.Var("q")
     pf = lambda t: k.App(PROOF, t)
-    got = k.normalize(pts, pf(k.app(k.Const("imp"), p, q)))
+    got = normalize(pts, pf(k.app(k.Const("imp"), p, q)))
     assert got == k.arrow(pf(p), pf(q))
-    got = k.normalize(pts, pf(k.app(k.Const("forall"), k.Var("a"), p)))
+    got = normalize(pts, pf(k.app(k.Const("forall"), k.Var("a"), p)))
     want = k.pi("x", k.App(TERM, k.Var("a")), pf(k.App(p, k.Var("x"))))
     assert got == want
 
@@ -443,7 +495,7 @@ def test_share_unfolding_recovers_document(q0, corpus_paths):
     path = next(p for p in corpus_paths if p.name == "07_sym_trans.art")
     state = ot.run_text(path.read_text())
     plain = tr.translate_state(state, "m", sharing=False).document
-    shared = tr.translate_state(state, "m", sharing=True, min_size=6).document
+    shared = tr.share_document(plain, q0, 6).document
     tr.verify_document(shared)
     sig_plain = k.Signature(tuple(q0.items) + dkfile.signature_items(plain))
     sig_shared = k.Signature(tuple(q0.items) + dkfile.signature_items(shared))
@@ -452,8 +504,8 @@ def test_share_unfolding_recovers_document(q0, corpus_paths):
             twin = next(
                 it for it in shared.items if isinstance(it, k.Defn) and it.name == item.name
             )
-            a = k.normalize(sig_plain, item.body, fuel=10**6)
-            b = k.normalize(sig_shared, twin.body, fuel=10**6)
+            a = normalize(sig_plain, item.body, fuel=10**6)
+            b = normalize(sig_shared, twin.body, fuel=10**6)
             assert a == b
 
 
@@ -476,9 +528,9 @@ def test_completeness_contexts_are_well_formed(seed):
 
 def oracle_close_over(env, c, body):
     for prop in reversed(c.hyps):
-        body = k.Abs("h", tr.trans_prop_type(env, prop), k.close(body, tr.hyp_name(prop)))
+        body = k.Abs("h", tr.trans_prop_type(env, prop), k.close(body, env.hyp_name(prop)))
     for v in reversed(c.termvars):
-        body = k.Abs(v.name, tr.trans_type_type(env, v.type), k.close(body, tr.termvar_name(v)))
+        body = k.Abs(v.name, tr.trans_type_type(env, v.type), k.close(body, env.termvar_name(v)))
     for n in reversed(c.tyvars):
         body = k.Abs(n, tr._T, k.close(body, tr.tyvar_name(n)))
     return body
@@ -486,9 +538,9 @@ def oracle_close_over(env, c, body):
 
 def oracle_pi_over(env, c, ty):
     for prop in reversed(c.hyps):
-        ty = k.Prod("h", tr.trans_prop_type(env, prop), k.close(ty, tr.hyp_name(prop)))
+        ty = k.Prod("h", tr.trans_prop_type(env, prop), k.close(ty, env.hyp_name(prop)))
     for v in reversed(c.termvars):
-        ty = k.Prod(v.name, tr.trans_type_type(env, v.type), k.close(ty, tr.termvar_name(v)))
+        ty = k.Prod(v.name, tr.trans_type_type(env, v.type), k.close(ty, env.termvar_name(v)))
     for n in reversed(c.tyvars):
         ty = k.Prod(n, tr._T, k.close(ty, tr.tyvar_name(n)))
     return ty
@@ -500,9 +552,9 @@ def oracle_completeness_context(env, proof):
     for n in c.tyvars:
         ctx = ctx.extended(tr.tyvar_name(n), tr._T)
     for v in c.termvars:
-        ctx = ctx.extended(tr.termvar_name(v), tr.trans_type_type(env, v.type))
+        ctx = ctx.extended(env.termvar_name(v), tr.trans_type_type(env, v.type))
     for prop in c.hyps:
-        ctx = ctx.extended(tr.hyp_name(prop), tr.trans_prop_type(env, prop))
+        ctx = ctx.extended(env.hyp_name(prop), tr.trans_prop_type(env, prop))
     return ctx
 
 
@@ -516,7 +568,7 @@ def oracle_trans_subst(env, proof):
         v_post = hol.Var(v.name, hol.type_subst(theta, v.type))
         args.append(tr.trans_term(env, sigma.get(v_post, v_post)))
     for prop in c.hyps:
-        args.append(k.Var(tr.hyp_name(hol.apply_subst(proof.subst, prop))))
+        args.append(k.Var(env.hyp_name(hol.apply_subst(proof.subst, prop))))
     return k.app(fn, *args)
 
 
@@ -594,7 +646,7 @@ def test_translated_terms_live_in_translated_types(seed):
         ctx = ctx.extended(tr.tyvar_name(name), k.Const("type"))
     vs = sorted(hol.free_vars(term), key=lambda v: (v.name, repr(hol.type_key(v.type))))
     for v in vs:
-        ctx = ctx.extended(tr.termvar_name(v), tr.trans_type_type(env, v.type))
+        ctx = ctx.extended(env.termvar_name(v), tr.trans_type_type(env, v.type))
     got = k.infer_type(sig, ctx, kt, fuel=10**6)
     assert k.convertible(sig, got, tr.trans_type_type(env, ty))
 
@@ -619,7 +671,7 @@ def test_translation_commutes_with_substitution(seed):
     for v in hol.free_vars(term):
         v_post = hol.Var(v.name, hol.type_subst(theta, v.type))
         image = dict(sigma_pairs).get(v_post, v_post)
-        mapping[tr.termvar_name(v)] = tr.trans_term(env, image)
+        mapping[env.termvar_name(v)] = tr.trans_term(env, image)
     rhs = k.substitute(tr.trans_term(env, term), mapping)
     assert k.convertible(sig, lhs, rhs, fuel=10**6)
 
@@ -637,6 +689,6 @@ def test_reduction_preserved_on_beta_redexes(seed):
     reduct = hol.subst_vars({v: arg}, body)
     env = make_env()
     sig = env_signature(env)
-    a = k.normalize(sig, tr.trans_term(env, redex), fuel=10**6)
-    b = k.normalize(sig, tr.trans_term(env, reduct), fuel=10**6)
+    a = normalize(sig, tr.trans_term(env, redex), fuel=10**6)
+    b = normalize(sig, tr.trans_term(env, reduct), fuel=10**6)
     assert a == b

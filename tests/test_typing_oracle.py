@@ -133,6 +133,69 @@ def test_abstraction_chain_context_grows_linearly(monkeypatch):
     assert counts[4000] / counts[2000] <= 2.2
 
 
+def _product_chain(n):
+    """``x1 : A -> ... -> xn : A -> A``."""
+    return k.bind(k.Prod, [(f"x{i}", f"x{i}", k.Const("A")) for i in range(1, n + 1)], k.Const("A"))
+
+
+def test_product_chain_context_grows_linearly(monkeypatch):
+    """A product chain, like an abstraction chain, extends the context once."""
+    copied = [0]
+
+    class CountingContext(k.Context):
+        __slots__ = ()
+
+        def __init__(self, bindings=()):
+            super().__init__(bindings)
+            copied[0] += len(self)
+
+    sig = k.Signature([k.ConstDecl("A", k.TYPE)])
+    counts = {}
+    for n in (1000, 2000, 4000):
+        t = _product_chain(n)
+        copied[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(k, "Context", CountingContext)
+            assert k.infer_type(sig, CountingContext(), t) == k.TYPE
+        counts[n] = copied[0]
+    assert counts[2000] / counts[1000] <= 2.2
+    assert counts[4000] / counts[2000] <= 2.2
+
+
+_CHAIN_SIG = k.Signature([
+    k.ConstDecl("A", k.TYPE),
+    k.ConstDecl("P", k.arrow(k.Const("A"), k.TYPE)),
+    k.ConstDecl("a", k.Const("A")),
+])
+
+
+@st.composite
+def _chains(draw):
+    """Binder chains over ``_CHAIN_SIG``, well- and ill-typed: domains and
+    bodies mix types, kinds, terms and references to earlier binders."""
+    n = draw(st.integers(1, 6))
+    binders = []
+    for depth in range(n):
+        cls = draw(st.sampled_from([k.Prod, k.Prod, k.Prod, k.Abs]))
+        atoms = [k.Const("A")] * 4 + [k.App(k.Const("P"), k.Const("a")), k.TYPE, k.Const("a")]
+        atoms += [k.App(k.Const("P"), k.BVar(i)) for i in range(depth)]
+        binders.append((cls, draw(st.sampled_from(atoms))))
+    body_atoms = [k.Const("A")] * 3 + [k.TYPE] * 2 + [k.Const("a"), k.Const("P")]
+    body_atoms += [k.BVar(i) for i in range(n)] + [k.App(k.Const("P"), k.BVar(i)) for i in range(n)]
+    t = draw(st.sampled_from(body_atoms))
+    for i, (cls, domain) in reversed(list(enumerate(binders))):
+        t = cls(f"x{i}", domain, t)
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chains())
+def test_binder_chains_match_reference(t):
+    """Product and abstraction chains, nested in each other, type as the
+    reference's one-binder-at-a-time rules type them."""
+    assert _outcome(k.infer_type, _CHAIN_SIG, t) == _outcome(ref.infer_type, _CHAIN_SIG, t)
+
+
 def test_abstraction_body_type_must_have_a_sort():
     """``c : d`` with ``d : A`` a term, in a signature nobody checked: the
     body's type ``d`` has type ``A``, not a sort, at any binder depth."""
