@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Measure how sharing and conversion compression affect output size.
 
-Translates the corpus four ways (sharing on/off x compression on/off) and
+Translates articles four ways (sharing on/off x compression on/off) and
 prints the per-article byte counts, raw and gzip-compressed.
+
+Usage: python3 scripts/compare_sharing.py [ARTICLE.art ...]
+(default: every article in corpus/)
 """
 
+import argparse
 import gzip
 import sys
 from pathlib import Path
@@ -24,8 +28,13 @@ def sizes(state, name, sharing, compress):
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("articles", nargs="*", metavar="ARTICLE", type=Path,
+                        help="articles to translate (default: corpus/*.art)")
+    args = parser.parse_args()
+
     rows = []
-    for path in sorted((ROOT / "corpus").glob("*.art")):
+    for path in args.articles or sorted((ROOT / "corpus").glob("*.art")):
         state = opentheory.run_text(path.read_text())
         name = path.stem
         plain = sizes(state, name, sharing=False, compress=False)

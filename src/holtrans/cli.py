@@ -47,6 +47,23 @@ def _fail(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _write_output(path: Path, data: bytes) -> bool:
+    """Write ``data`` to a temporary file beside ``path``, then move it into
+    place with ``os.replace``, so ``path`` is never left half written and
+    the temporary file is gone either way.  A failure is reported as one
+    error line and returns False."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        _fail(f"cannot write {path}: {e}")
+        return False
+    finally:
+        tmp.unlink(missing_ok=True)
+    return True
+
+
 def _stem_clash(inputs: list) -> Optional[str]:
     """The first two inputs whose outputs would share a ``.dk`` name, or None."""
     first: dict = {}
@@ -70,7 +87,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
         _fail(f"cannot create output directory: {e}")
         return 2
     base_doc = translate.base_document(args.mode)
-    (outdir / "hol.dk").write_text(dkfile.emit(base_doc), encoding="utf-8")
+    if not _write_output(outdir / "hol.dk", dkfile.emit(base_doc).encode("utf-8")):
+        return 2
 
     articles = []
     for raw_path in args.inputs:
@@ -114,7 +132,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
         t2 = time.perf_counter()
         text = dkfile.emit(result.document).encode("utf-8")
         out_path = outdir / f"{name}.dk"
-        out_path.write_text(text.decode("utf-8"), encoding="utf-8")
+        if not _write_output(out_path, text):
+            return 2
         row = {
             "name": name,
             "input": str(path),
@@ -135,7 +154,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
             print(f"{path} -> {out_path} ({result.theorem_count} theorem(s))")
 
     stats = {"mode": args.mode, "compress": args.compress, "sharing": args.sharing, "articles": articles}
-    (outdir / STATS_FILE).write_text(json.dumps(stats, indent=2), encoding="utf-8")
+    if not _write_output(outdir / STATS_FILE, json.dumps(stats, indent=2).encode("utf-8")):
+        return 2
     return 0
 
 

@@ -232,29 +232,51 @@ def dest_eq(t: HolTerm) -> tuple[HolTerm, HolTerm]:
     raise HolError(f"not an equality: {t}")
 
 
-def free_vars(t: HolTerm, bound: frozenset = frozenset()) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset() if t in bound else frozenset((t,))
-    if isinstance(t, Const):
-        return frozenset()
-    if isinstance(t, Abs):
-        return free_vars(t.body, bound | {t.var})
-    assert isinstance(t, App)
-    return free_vars(t.fn, bound) | free_vars(t.arg, bound)
+def free_vars(t: HolTerm) -> frozenset:
+    """The free variables of ``t``; each distinct node is visited once."""
+    memo: dict[int, frozenset] = {}
+
+    def go(u: HolTerm) -> frozenset:
+        hit = memo.get(id(u))
+        if hit is not None:
+            return hit
+        if isinstance(u, Var):
+            out = frozenset((u,))
+        elif isinstance(u, Const):
+            out = frozenset()
+        elif isinstance(u, Abs):
+            out = go(u.body) - {u.var}
+        else:
+            assert isinstance(u, App)
+            out = go(u.fn) | go(u.arg)
+        memo[id(u)] = out
+        return out
+
+    return go(t)
 
 
 def term_tyvars(t: HolTerm, out: Optional[set[str]] = None) -> set[str]:
+    """Add the type variables of ``t`` to ``out``; each distinct node is
+    visited once."""
     if out is None:
         out = set()
-    if isinstance(t, (Var, Const)):
-        type_tyvars(t.type, out)
-    elif isinstance(t, Abs):
-        type_tyvars(t.var.type, out)
-        term_tyvars(t.body, out)
-    else:
-        assert isinstance(t, App)
-        term_tyvars(t.fn, out)
-        term_tyvars(t.arg, out)
+    seen: set[int] = set()
+
+    def go(u: HolTerm) -> None:
+        if id(u) in seen:
+            return
+        seen.add(id(u))
+        if isinstance(u, (Var, Const)):
+            type_tyvars(u.type, out)
+        elif isinstance(u, Abs):
+            type_tyvars(u.var.type, out)
+            go(u.body)
+        else:
+            assert isinstance(u, App)
+            go(u.fn)
+            go(u.arg)
+
+    go(t)
     return out
 
 
@@ -285,7 +307,61 @@ def term_key(t: HolTerm, _bound: Optional[dict] = None, _depth: int = 0):
 
 
 def alpha_equal(a: HolTerm, b: HolTerm) -> bool:
-    return term_key(a) == term_key(b)
+    """Alpha-equivalence by one parallel walk of both terms.
+
+    Binders are matched by depth.  While both sides sit under the same
+    binders (the same variable bound at each depth, as at the top), a pair
+    of subterms means what it would mean at the top: two identical nodes
+    are equal at once, and pairs proven equal are remembered by identity,
+    so terms that share their nodes are compared in time linear in the
+    distinct nodes.  Under differing binders the same ``Var`` object can
+    mean different things on the two sides (the shared ``x`` in ``\\x.\\y.x``
+    and ``\\y.\\x.x``), so there the walk compares structure only.
+    """
+    bound_a: dict[Var, int] = {}  # bound variable -> depth of its binder
+    bound_b: dict[Var, int] = {}
+    proven: set[tuple[int, int]] = set()
+
+    def eq(x: HolTerm, y: HolTerm, depth: int, aligned: bool) -> bool:
+        if aligned:
+            if x is y:
+                return True
+            key = (id(x), id(y))
+            if key in proven:
+                return True
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is Var:
+            if depth == 0:
+                return x == y
+            dx, dy = bound_a.get(x), bound_b.get(y)
+            return x == y if dx is None and dy is None else dx == dy
+        if cls is Const:
+            return x == y
+        if cls is App:
+            ok = eq(x.fn, y.fn, depth, aligned) and eq(x.arg, y.arg, depth, aligned)
+        else:
+            vx, vy = x.var, y.var
+            if vx.type != vy.type:
+                return False
+            old_x, old_y = bound_a.get(vx), bound_b.get(vy)
+            bound_a[vx] = bound_b[vy] = depth
+            ok = eq(x.body, y.body, depth + 1, aligned and vx == vy)
+            _rebind(bound_a, vx, old_x)
+            _rebind(bound_b, vy, old_y)
+        if ok and aligned:
+            proven.add(key)
+        return ok
+
+    return eq(a, b, 0, True)
+
+
+def _rebind(bound: dict, v: Var, depth: Optional[int]) -> None:
+    if depth is None:
+        del bound[v]
+    else:
+        bound[v] = depth
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +412,8 @@ def subst_vars(mapping: dict[Var, HolTerm], t: HolTerm) -> HolTerm:
     if isinstance(t, App):
         return App(subst_vars(mapping, t.fn), subst_vars(mapping, t.arg))
     assert isinstance(t, Abs)
-    live = {k: v for k, v in mapping.items() if k != t.var and k in free_vars(t.body)}
+    body_vars = free_vars(t.body)
+    live = {k: v for k, v in mapping.items() if k != t.var and k in body_vars}
     if not live:
         return t
     image_names = set()
@@ -389,10 +466,6 @@ def beta_normalize(t: HolTerm) -> HolTerm:
         t = r
 
 
-def beta_equal(a: HolTerm, b: HolTerm) -> bool:
-    return alpha_equal(beta_normalize(a), beta_normalize(b))
-
-
 # ---------------------------------------------------------------------------
 # Sequents
 
@@ -403,7 +476,7 @@ class Sequent:
     concl: HolTerm
 
     def alpha_eq(self, other: "Sequent") -> bool:
-        if term_key(self.concl) != term_key(other.concl):
+        if not alpha_equal(self.concl, other.concl):
             return False
         return {term_key(h) for h in self.hyps} == {term_key(h) for h in other.hyps}
 
@@ -687,9 +760,10 @@ def _check(proof: Proof) -> Sequent:
         return make_sequent((), mk_eq(lhs, rhs))
 
     if isinstance(proof, ConvRefl):
-        if not beta_equal(proof.lhs, proof.rhs):
+        normal = beta_normalize(proof.lhs)
+        if not alpha_equal(normal, beta_normalize(proof.rhs)):
             raise RuleViolation("ConvRefl", "sides are not beta-equal")
-        if not beta_equal(proof.lhs, proof.normal):
+        if not alpha_equal(normal, proof.normal):
             raise RuleViolation("ConvRefl", "stored normal form does not match")
         return make_sequent((), mk_eq(proof.lhs, proof.rhs))
 

@@ -213,7 +213,9 @@ class VMState:
     strictly); ``externals`` holds provisional generics for undefined
     imported constants, widened by anti-unification as new instances
     appear.  ``theorems`` holds ``(stated sequent, proof)`` pairs in export
-    order.  A step that raises leaves the machine in an unspecified state.
+    order, and ``typeop_thms`` the ``(AbsRepThm, RepAbsThm)`` pair of each
+    type definition.  A step that raises leaves the machine in an
+    unspecified state.
     """
 
     stack: list = field(default_factory=list)
@@ -224,6 +226,7 @@ class VMState:
     constants: dict = field(default_factory=lambda: {hol.EQ: hol.eq_generic(), hol.SELECT: hol.select_generic()})
     externals: dict = field(default_factory=dict)  # name -> provisional generic
     typeops: dict = field(default_factory=lambda: dict(hol.BUILTIN_TYPE_ARITY))  # name -> arity
+    typeop_thms: list = field(default_factory=list)
     versioned: bool = False
 
     def pop(self, cls, cmd: str):
@@ -438,6 +441,7 @@ def _cmd_define_type_op(state: VMState) -> None:
     state.constants[a.value] = defn.abs_type(carrier, new_ty)
     state.constants[r.value] = defn.rep_type(carrier, new_ty)
     state.typeops[n.value] = len(tyvars)
+    state.typeop_thms.append((abs_thm, rep_thm))
     state.push(OTypeOp(n.value), OConst(a.value), OConst(r.value), abs_thm, rep_thm)
 
 

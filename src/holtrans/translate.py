@@ -327,6 +327,12 @@ class TranslationEnv:
     start.  Kernel names for term variables and hypotheses are interned
     here: each distinct ``hol.Var`` gets ``$<name>@<k>`` and each alpha
     class of hypotheses ``h@<k>``, so distinct variables never share a name.
+
+    Proofs and compound terms are translated once per node, memoized by
+    identity (``_keep`` holds each memoized node, so no id is reused); a
+    term shared in the HOL DAG is one shared kernel term.  ``typeop_thms``
+    maps each type definition's ``id`` to the two theorem nodes the VM
+    built.
     """
 
     def __init__(self, mode: str = "q0", compress: bool = False):
@@ -340,7 +346,10 @@ class TranslationEnv:
         self._axioms: dict = {}  # sequent key -> (kname, tyvars, termvars)
         self._def_axioms: dict[str, str] = {}
         self._typeop_axioms: dict[int, tuple[str, str]] = {}
-        self._trans_memo: dict = {}
+        self._trans_memo: dict[int, Term] = {}
+        self._term_memo: dict[int, Term] = {}
+        self._keep: list = []
+        self.typeop_thms: dict[int, tuple[hol.Proof, hol.Proof]] = {}
         self._termvar_names: dict[hol.Var, str] = {}
         self._termvars: dict[str, hol.Var] = {}  # the inverse of _termvar_names
         self._hyp_names: dict = {}  # term_key -> name
@@ -357,6 +366,8 @@ class TranslationEnv:
                 declare_constant(env, name, generic)
         for name, generic in state.externals.items():
             declare_constant(env, name, generic)
+        for thms in state.typeop_thms:
+            env.typeop_thms[id(thms[0].defn)] = thms
         return env
 
     def termvar_name(self, v: hol.Var) -> str:
@@ -434,6 +445,10 @@ def _instance_args(env: TranslationEnv, generic: hol.HolType, tyvars: tuple[str,
 
 
 def trans_term(env: TranslationEnv, t: hol.HolTerm) -> Term:
+    """The kernel term for ``t``.  It does not depend on the binders above
+    ``t``: variables keep their names until a binder closes them.  Compound
+    nodes are memoized; a leaf is met once per translation of its parents,
+    so the work stays linear without an entry of its own."""
     if isinstance(t, hol.Var):
         return env.termvar(t)
     if isinstance(t, hol.Const):
@@ -448,15 +463,23 @@ def trans_term(env: TranslationEnv, t: hol.HolTerm) -> Term:
             raise UndeclaredConstant(f"constant {t.name} not declared")
         args = _instance_args(env, info.generic, info.tyvars, t.type)
         return app(Const(info.kname), *args)
+    out = env._term_memo.get(id(t))
+    if out is not None:
+        return out
     if isinstance(t, hol.Abs):
         # the whole nest of lambdas is bound in one walk of its body
         binders = []
-        while isinstance(t, hol.Abs):
-            binders.append((env.termvar_name(t.var), t.var.name, trans_type_type(env, t.var.type)))
-            t = t.body
-        return bind(Abs, binders, trans_term(env, t))
-    assert isinstance(t, hol.App)
-    return App(trans_term(env, t.fn), trans_term(env, t.arg))
+        body = t
+        while isinstance(body, hol.Abs):
+            binders.append((env.termvar_name(body.var), body.var.name, trans_type_type(env, body.var.type)))
+            body = body.body
+        out = bind(Abs, binders, trans_term(env, body))
+    else:
+        assert isinstance(t, hol.App)
+        out = App(trans_term(env, t.fn), trans_term(env, t.arg))
+    env._term_memo[id(t)] = out
+    env._keep.append(t)
+    return out
 
 
 def trans_prop_type(env: TranslationEnv, prop: hol.HolTerm) -> Term:
@@ -481,11 +504,10 @@ class Closure:
 
 
 def trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
-    hit = env._trans_memo.get(id(proof))
-    if hit is not None:
-        return hit[1]
-    t = _trans_proof(env, proof)
-    env._trans_memo[id(proof)] = (proof, t)
+    t = env._trans_memo.get(id(proof))
+    if t is None:
+        t = env._trans_memo[id(proof)] = _trans_proof(env, proof)
+        env._keep.append(proof)
     return t
 
 
@@ -708,8 +730,11 @@ def _typeop_axioms(env: TranslationEnv, defn: hol.TypeOpDef) -> tuple[str, str]:
     hit = env._typeop_axioms.get(id(defn))
     if hit is not None:
         return hit
+    thms = env.typeop_thms.get(id(defn))
+    if thms is None:  # a definition made outside the VM run
+        thms = (hol.AbsRepThm(defn), hol.RepAbsThm(defn))
     names = []
-    for node, suffix in ((hol.AbsRepThm(defn), "abs_rep"), (hol.RepAbsThm(defn), "rep_abs")):
+    for node, suffix in zip(thms, ("abs_rep", "rep_abs")):
         statement = trans_prop_type(env, node.sequent.concl)
         kname = env.namer.ident(f"ty.{defn.op}.{suffix}")
         env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(defn.tyvars), statement)))

@@ -23,6 +23,27 @@ def test_translate_writes_checking_document(tmp_path):
     assert cli.main(["check", str(out)]) == 0
 
 
+@pytest.mark.parametrize("failing", ["hol.dk", "01_identity.dk", "stats.json"])
+def test_failed_replace_leaves_no_partial_output(tmp_path, monkeypatch, capsys, failing):
+    """Each output is written to a temporary name and moved into place; when
+    the move fails, the target is not created and the temporary is removed."""
+    replace = os.replace
+
+    def flaky_replace(src, dst):
+        if Path(dst).name == failing:
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", flaky_replace)
+    rc = cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write") and failing in err[0]
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert failing not in written
+    assert not [n for n in written if n.endswith(".tmp")]
+
+
 def test_translate_requires_inputs():
     with pytest.raises(SystemExit) as exc:
         cli.main(["translate"])

@@ -1,0 +1,230 @@
+"""The front half of the pipeline is linear in the distinct nodes of a DAG.
+
+Articles build terms as DAGs through ``def``/``ref``.  VM replay,
+translation and sharing must each visit a shared node once, so the work on
+``Refl(t_k)``, with ``t_(k+1) = (t_k = t_k)``, grows with ``k`` and not with
+the tree size ``2^k``.  The tree-walking versions of the HOL walks that the
+DAG-aware ones replaced stay here as oracles.
+"""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from holtrans import hol, kernel, opentheory as ot, translate as tr
+
+A = hol.TyVar("A")
+
+# ---------------------------------------------------------------------------
+# Oracles: the tree walks the DAG-aware functions replaced
+
+
+def alpha_equal_by_key(a, b):
+    return hol.term_key(a) == hol.term_key(b)
+
+
+def free_vars_tree(t, bound=frozenset()):
+    if isinstance(t, hol.Var):
+        return frozenset() if t in bound else frozenset((t,))
+    if isinstance(t, hol.Const):
+        return frozenset()
+    if isinstance(t, hol.Abs):
+        return free_vars_tree(t.body, bound | {t.var})
+    return free_vars_tree(t.fn, bound) | free_vars_tree(t.arg, bound)
+
+
+def term_tyvars_tree(t, out=None):
+    if out is None:
+        out = set()
+    if isinstance(t, (hol.Var, hol.Const)):
+        hol.type_tyvars(t.type, out)
+    elif isinstance(t, hol.Abs):
+        hol.type_tyvars(t.var.type, out)
+        term_tyvars_tree(t.body, out)
+    else:
+        term_tyvars_tree(t.fn, out)
+        term_tyvars_tree(t.arg, out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Random terms of type A that share subterm and Var objects, also under
+# binders
+
+B = hol.TyVar("B")
+VARS = (hol.Var("x", A), hol.Var("y", A), hol.Var("z", A))
+X_BOOL = hol.Var("x", hol.BOOL)
+C = hol.Const("c", A)
+F = hol.Const("f", hol.fn(A, hol.fn(A, A)))
+G = hol.Const("g", hol.fn(hol.fn(A, A), A))
+H = hol.Const("h", hol.fn(hol.fn(hol.BOOL, A), A))
+K = hol.Const("k", hol.fn(B, A))
+
+
+def _term(draw, depth, pool):
+    """A term of type A; ``pool`` holds every term built so far, and
+    reusing one of them makes the result a DAG."""
+    kind = draw(st.integers(0, 6 if depth > 0 else 2))
+    if kind == 0:
+        t = draw(st.sampled_from(VARS))
+    elif kind == 1:
+        t = draw(st.sampled_from(pool)) if pool else C
+    elif kind == 2:
+        t = hol.App(K, hol.Var("w", B))
+    elif kind in (3, 4):
+        t = hol.App(hol.App(F, _term(draw, depth - 1, pool)), _term(draw, depth - 1, pool))
+    elif kind == 5:
+        t = hol.App(G, hol.Abs(draw(st.sampled_from(VARS)), _term(draw, depth - 1, pool)))
+    else:
+        t = hol.App(H, hol.Abs(X_BOOL, _term(draw, depth - 1, pool)))
+    pool.append(t)
+    return t
+
+
+def rename_binders(t, perm, env=None):
+    """Rebuild ``t`` with every binder ``v`` renamed to ``perm.get(v, v)``
+    and its bound occurrences with it; may capture, which the oracle sees."""
+    env = env or {}
+    if isinstance(t, hol.Var):
+        return env.get(t, t)
+    if isinstance(t, hol.Const):
+        return t
+    if isinstance(t, hol.App):
+        return hol.App(rename_binders(t.fn, perm, env), rename_binders(t.arg, perm, env))
+    new = perm.get(t.var, t.var)
+    return hol.Abs(new, rename_binders(t.body, perm, {**env, t.var: new}))
+
+
+@st.composite
+def term_pairs(draw):
+    pool: list = []
+    a = _term(draw, draw(st.integers(1, 5)), pool)
+    how = draw(st.sampled_from(["fresh", "same", "copy", "renamed"]))
+    if how == "fresh":
+        b = _term(draw, draw(st.integers(1, 5)), pool)
+    elif how == "same":
+        b = a
+    elif how == "copy":
+        b = rename_binders(a, {})
+    else:
+        images = draw(st.permutations(VARS))
+        b = rename_binders(a, dict(zip(VARS, images)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_pairs())
+def test_alpha_equal_matches_term_key(pair):
+    a, b = pair
+    want = alpha_equal_by_key(a, b)
+    assert hol.alpha_equal(a, b) == want
+    assert hol.alpha_equal(b, a) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_pairs())
+def test_free_vars_and_tyvars_match_tree_walks(pair):
+    for t in pair:
+        assert hol.free_vars(t) == free_vars_tree(t)
+        assert hol.term_tyvars(t) == term_tyvars_tree(t)
+
+
+def test_shared_var_under_differing_binders_is_not_identity():
+    # the same x object is bound by the outer binder on one side and by the
+    # inner one on the other
+    x, y = VARS[0], VARS[1]
+    left = hol.Abs(x, hol.Abs(y, x))
+    right = hol.Abs(y, hol.Abs(x, x))
+    assert not hol.alpha_equal(left, right)
+    assert hol.alpha_equal(left, hol.Abs(y, hol.Abs(x, y)))
+    # one shared body object under swapped binders
+    body = hol.App(hol.App(F, x), y)
+    assert not hol.alpha_equal(hol.Abs(x, hol.Abs(y, body)), hol.Abs(y, hol.Abs(x, body)))
+    # a shared body under the same binders is equal at once
+    assert hol.alpha_equal(hol.Abs(x, hol.Abs(y, body)), hol.Abs(x, hol.Abs(y, body)))
+
+
+# ---------------------------------------------------------------------------
+# Work counted on Refl(t_k)
+
+SRC = Path(tr.__file__).parent
+FRONT = {str(SRC / f) for f in ("hol.py", "opentheory.py", "translate.py")}
+
+
+def dag(k, leaf):
+    """``t_k``: ``t_0 = leaf`` and ``t_(j+1) = (t_j = t_j)``."""
+    t = leaf
+    for _ in range(k):
+        t = hol.mk_eq(t, t)
+    return t
+
+
+def calls(run, files=FRONT):
+    """Python function calls made by ``run()`` in ``files``, by function name."""
+    counts: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            counts[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def stage_calls(k, leaf):
+    """Calls made by VM replay and by translation of the ``Refl(t_k)``
+    article, and by sharing its translation."""
+    p = hol.Refl(dag(k, leaf))
+    article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p)]))
+    box = {}
+    replay = calls(lambda: box.setdefault("state", ot.run_text(article)))
+    translation = calls(lambda: box.setdefault("doc", tr.translate_state(box["state"], "m", sharing=False).document))
+    sharing = calls(lambda: tr.share_document(box["doc"]), FRONT | {kernel.__file__})
+    return replay, translation, sharing
+
+
+LEAVES = {"constant": hol.Const("c", hol.BOOL), "variable": hol.Var("x", hol.BOOL)}
+
+
+def test_front_half_work_grows_with_depth_not_tree_size():
+    for leaf_kind, leaf in LEAVES.items():
+        small = stage_calls(8, leaf)
+        large = stage_calls(9, leaf)
+        for stage, n, m in zip(("replay", "translation"), small, large):
+            ratio = sum(m.values()) / sum(n.values())
+            assert ratio <= 1.3, (leaf_kind, stage, ratio)
+        replay, translation, _ = large
+        assert replay["eq"] > 0  # the thm command's alpha walk ran
+        assert translation["trans_term"] > 0 and translation["go"] > 0
+        for name in ("trans_term", "go"):
+            assert translation[name] <= 1.3 * small[1][name], (leaf_kind, name)
+    # a closed DAG keeps its sharing in the kernel terms, so hoisting it
+    # compares nodes by identity
+    small, large = stage_calls(8, LEAVES["constant"])[2], stage_calls(9, LEAVES["constant"])[2]
+    assert sum(large.values()) <= 1.3 * sum(small.values())
+
+
+def test_alpha_walk_is_linear_on_separately_built_dags():
+    x = VARS[0]
+    for leaf in (C, x):
+        walks = []
+        for k in (10, 11):
+            # two DAGs with no node in common, bare and under one binder
+            pairs = [(dag(k, leaf), dag(k, leaf)), (hol.Abs(x, dag(k, leaf)), hol.Abs(x, dag(k, leaf)))]
+            walks.append(sum(calls(lambda: all(hol.alpha_equal(a, b) for a, b in pairs)).values()))
+        assert walks[1] <= 1.3 * walks[0], walks
+
+
+def test_translation_keeps_the_hol_sharing():
+    for leaf in LEAVES.values():
+        env = tr.TranslationEnv()
+        tr.declare_constant(env, "c", hol.BOOL)
+        out = tr.trans_term(env, dag(7, leaf))
+        assert isinstance(out, kernel.App) and isinstance(out.fn, kernel.App)
+        assert out.fn.arg is out.arg

@@ -21,3 +21,13 @@ def test_compare_sharing_script():
     proc = _run(SCRIPTS / "compare_sharing.py")
     assert proc.returncode == 0, proc.stderr
     assert "01_identity" in proc.stdout
+
+
+def test_compare_sharing_help_and_article_arguments():
+    proc = _run(SCRIPTS / "compare_sharing.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:") and "01_identity" not in proc.stdout
+    one = SCRIPTS.parent / "corpus" / "01_identity.art"
+    proc = _run(SCRIPTS / "compare_sharing.py", one)
+    assert proc.returncode == 0, proc.stderr
+    assert "01_identity" in proc.stdout and "02_" not in proc.stdout

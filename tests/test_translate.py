@@ -6,7 +6,7 @@ from holtrans import dkfile, hol
 from holtrans import kernel as k
 from holtrans import translate as tr
 
-from conftest import HolGen, count_calls, env_signature, make_env
+from conftest import CORPUS, HolGen, count_calls, env_signature, make_env
 from reference_typing import normalize
 
 A = hol.TyVar("A")
@@ -380,9 +380,34 @@ def test_translation_reads_sequents_without_rechecking(monkeypatch):
 
     proofs = [HolGen(seed).proof(3) for seed in range(20)]
     article = ot.serialize_article(ot.VMState(theorems=[(hol.check_proof(p), p) for p in proofs]))
+    # the type definition's two theorems come from the nodes the VM built
+    typedef = (CORPUS / "10_definetypeop.art").read_text()
+    for state in (ot.run_text(article), ot.run_text(typedef)):
+        calls = count_calls(monkeypatch, hol, "_check", lambda: tr.translate_state(state, "m"))
+        assert calls == 0
+
+
+def test_conv_refl_normalizes_each_side_once(monkeypatch):
+    """Compression normalizes each pure conversion once to build its
+    ``ConvRefl``; checking the node normalizes its two sides and compares
+    the stored normal form as it is."""
+    from holtrans import opentheory as ot
+
+    proofs = [HolGen(seed).proof(3) for seed in range(40)]
+    article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in proofs]))
     state = ot.run_text(article)
-    calls = count_calls(monkeypatch, hol, "_check", lambda: tr.translate_state(state, "m"))
-    assert calls == 0
+    conv = [0]
+    check = hol._check
+
+    def counting_check(proof):
+        conv[0] += isinstance(proof, hol.ConvRefl)
+        return check(proof)
+
+    monkeypatch.setattr(hol, "_check", counting_check)
+    run = lambda: tr.translate_state(state, "m", mode="pts", compress=True, sharing=False)  # noqa: E731
+    calls = count_calls(monkeypatch, hol, "beta_normalize", run)
+    assert conv[0] == 27
+    assert calls == 3 * conv[0]  # was 5 per node: two for each beta_equal
 
 
 @settings(max_examples=30, deadline=None)
