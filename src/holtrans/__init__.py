@@ -1,5 +1,3 @@
 """HOL proof replay, translation to a lambda-Pi-modulo encoding, and re-verification."""
 
-from . import dkfile, hol, kernel, opentheory, translate  # noqa: F401
-
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from . import dkfile, hol, kernel, opentheory, translate
+from . import dkfile, kernel  # the rest of the package loads only for translate and selftest
 
 STATS_FILE = "stats.json"
 # The translator and the kernel recurse once per level of term nesting; on
@@ -76,6 +76,8 @@ def _stem_clash(inputs: list) -> Optional[str]:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
+    from . import hol, opentheory, translate
+
     clash = _stem_clash(args.inputs)
     if clash is not None:
         _fail(clash)
@@ -189,27 +191,35 @@ def cmd_check(args: argparse.Namespace) -> int:
     against the bases loaded so far.
     """
     base_items: list = []
+    budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
     for path in _documents_for_check(args.inputs):
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            data = Path(path).read_bytes()
         except OSError as e:
             _fail(f"{path}: {e}")
             return 2
+        t0 = time.perf_counter()
         try:
-            doc = dkfile.parse(text)
+            doc = dkfile.parse(data.decode("utf-8"))
+        except UnicodeDecodeError as e:
+            _fail(f"{path}: not UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}")
+            return 1
         except dkfile.ParseError as e:
             _fail(f"{path}: {e}")
             return 1
+        t1 = time.perf_counter()
         file_items = dkfile.signature_items(doc)
+        fuel = kernel.Fuel(budget)
         try:
-            kernel.check_signature(kernel.Signature(base_items + list(file_items)), args.fuel)
+            kernel.check_signature(kernel.Signature(base_items + list(file_items)), fuel)
         except kernel.KernelError as e:
             _fail(f"{path}: {type(e).__name__}: {e}")
             return 1
         if Path(path).name == "hol.dk":
             base_items.extend(file_items)
         if args.verbose:
-            print(f"{path}: ok")
+            spent = f"check {time.perf_counter() - t1:.3f} s, fuel {budget - fuel.left}"
+            print(f"{path}: ok ({len(file_items)} items, parse {t1 - t0:.3f} s, {spent})")
     return 0
 
 
@@ -279,6 +289,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _selftest_checks():
+    from . import opentheory, translate
+
     def base_q0():
         kernel.check_signature(translate.base_signature("q0"))
         assert len(translate.base_signature("q0").rules) == 1
@@ -421,6 +433,8 @@ def main(argv: Optional[list] = None) -> int:
             _fail(str(e))
             return 2
     if args.subcommand == "translate":
+        # imported here: compiled on the worker's deep stack, it would leave more of that stack resident
+        from . import opentheory, translate  # noqa: F401
         return _run_with_deep_stack(cmd_translate, args)
     if args.subcommand == "check":
         return _run_with_deep_stack(cmd_check, args)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from itertools import islice
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -229,134 +230,153 @@ def emit(doc: DkDocument) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\(;.*?;\))
-      | (?P<coloneq>:=)
-      | (?P<longarrow>-->)
-      | (?P<arrow>->)
-      | (?P<fatarrow>=>)
-      | (?P<lparen>\() | (?P<rparen>\))
-      | (?P<lbrack>\[) | (?P<rbrack>\])
-      | (?P<comma>,) | (?P<colon>:) | (?P<dot>\.)
-      | (?P<ident>[A-Za-z0-9_]+)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# a comment (unclosed, it runs to the end), a symbol, an identifier, or a stray character
+_TOKENS = re.compile(r"\s*(\(;.*?(?:;\)|\Z)|:=|-->|->|=>|[()\[\],:.]|[A-Za-z0-9_]+|\S)", re.DOTALL)
+_SYMBOLS = frozenset([":=", "-->", "->", "=>", "(", ")", "[", "]", ",", ":", "."])
+_WORD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    value: str
-    line: int
-    col: int
+def _lexical(t: str) -> bool:
+    """Whether a scanned string is a token: not a stray character or an unclosed comment."""
+    if t[:2] == "(;":
+        return len(t) > 3 and t[-2:] == ";)"
+    return t[0] in _WORD or t in _SYMBOLS
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    pos = 0
-    line = 1
-    bol = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, pos - bol + 1, "a token")
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            toks.append(_Tok(kind, value, line, pos - bol + 1))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            bol = pos + value.rfind("\n") + 1
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, pos - bol + 1))
-    return toks
+class _Reader:
+    """Recursive descent over the token strings.
 
+    ``bound`` maps a name to its level, the number of binders around the
+    binder that binds it (None: unbound); each binder saves and restores
+    its entry, so a use is resolved by one lookup.  ``names`` interns the
+    document's constants and, within a rule, maps its variables to ``Var``s.
+    """
 
-class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = _TOKENS.findall(text)
         self.i = 0
+        self.bound: dict[str, Optional[int]] = {}
+        self.names: dict[str, Term] = {}
+        bad = {t for t in set(self.toks) if not _lexical(t)}
+        if bad:
+            self.i = next(i for i, t in enumerate(self.toks) if t in bad)
+            # an unclosed comment is an opening parenthesis, then a stray ';'
+            raise self.error("a token", shift=self.toks[self.i][:2] == "(;")
+        self.toks.append("")  # the end of the text
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def error(self, expectation: str, shift: int = 0) -> ParseError:
+        """A ``ParseError`` ``shift`` characters into the current token, found by scanning again."""
+        text = self.text
+        m = next(islice(_TOKENS.finditer(text), self.i, None), None)
+        at = (len(text) if m is None else m.start(1)) + shift
+        return ParseError(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at), expectation)
 
-    def next(self) -> _Tok:
+    def expect(self, tok: str, what: str) -> None:
+        if self.toks[self.i] != tok:
+            raise self.error(what)
+        self.i += 1
+
+    def name(self, what: str) -> str:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t[:1] not in _WORD:
+            raise self.error(what)
+        self.i += 1
+        return t
+
+    def atom(self, depth: int) -> Optional[Term]:
+        t = self.toks[self.i]
+        if t[:1] in _WORD:
             self.i += 1
-        return t
-
-    def expect(self, kind: str, what: str) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            raise ParseError(t.line, t.col, what)
-        return t
-
-    def _atom(self, binders: list, rulevars: set[str]) -> Optional[Term]:
-        t = self.peek()
-        if t.kind == "lparen":
-            self.next()
-            out = self._term(binders, rulevars)
-            self.expect("rparen", "')'")
+            if t == "Type":
+                return TYPE
+            level = self.bound.get(t)
+            if level is not None:
+                return BVar(depth - 1 - level, t)
+            c = self.names.get(t)
+            if c is None:
+                c = self.names[t] = Const(t)
+            return c
+        if t == "(":
+            self.i += 1
+            out = self.term(depth)
+            self.expect(")", "')'")
             return out
-        if t.kind != "ident":
-            return None
-        self.next()
-        if t.value == "Type":
-            return TYPE
-        for depth, name in enumerate(reversed(binders)):
-            if name is not None and name == t.value:
-                return BVar(depth, name)
-        if t.value in rulevars:
-            return Var(t.value)
-        return Const(t.value)
+        return None
 
-    def _app(self, binders: list, rulevars: set[str]) -> Term:
-        first = self._atom(binders, rulevars)
-        if first is None:
-            t = self.peek()
-            raise ParseError(t.line, t.col, "a term")
+    def app(self, depth: int) -> Term:
+        fn = self.atom(depth)
+        if fn is None:
+            raise self.error("a term")
         while True:
-            nxt = self._atom(binders, rulevars)
-            if nxt is None:
-                return first
-            first = App(first, nxt)
+            arg = self.atom(depth)
+            if arg is None:
+                return fn
+            fn = App(fn, arg)
 
-    def _term(self, binders: list, rulevars: set[str]) -> Term:
-        t = self.peek()
-        if t.kind == "ident" and t.value != "Type" and self.peek(1).kind == "colon":
-            name = self.next().value
-            self.next()  # colon
-            dom = self._app(binders, rulevars)
-            op = self.next()
-            if op.kind == "arrow":
-                cod = self._term(binders + [name], rulevars)
-                return Prod(name, dom, cod)
-            if op.kind == "fatarrow":
-                body = self._term(binders + [name], rulevars)
-                return Abs(name, dom, body)
-            raise ParseError(op.line, op.col, "'->' or '=>' after a binder")
-        left = self._app(binders, rulevars)
-        if self.peek().kind == "arrow":
-            self.next()
-            right = self._term(binders + [None], rulevars)
-            return Prod("_", left, right)
+    def term(self, depth: int) -> Term:
+        toks, i = self.toks, self.i
+        t = toks[i]
+        if t[:1] in _WORD and t != "Type" and toks[i + 1] == ":":
+            self.i = i + 2
+            dom = self.app(depth)
+            op = toks[self.i]
+            if op == "->":
+                cls = Prod
+            elif op == "=>":
+                cls = Abs
+            else:
+                raise self.error("'->' or '=>' after a binder")
+            self.i += 1
+            bound = self.bound
+            outer = bound.get(t)
+            bound[t] = depth
+            body = self.term(depth + 1)
+            bound[t] = outer  # None: not bound
+            return cls(t, dom, body)
+        left = self.app(depth)
+        if toks[self.i] == "->":
+            self.i += 1
+            return Prod("_", left, self.term(depth + 1))
         return left
 
+    def rule(self) -> RewriteRule:
+        ctx: list[tuple[str, Term]] = []
+        names = self.names
+        if self.toks[self.i] == "]":
+            self.i += 1
+        else:
+            while True:
+                name = self.name("a rule variable")
+                self.expect(":", "':'")
+                ctx.append((name, self.term(0)))
+                names[name] = Var(name)
+                t = self.toks[self.i]
+                if t != "," and t != "]":
+                    raise self.error("',' or ']'")
+                self.i += 1
+                if t == "]":
+                    break
+        lhs = self.term(0)
+        self.expect("-->", "'-->'")
+        rhs = self.term(0)
+        self.expect(".", "'.'")
+        for name, _ in ctx:
+            names.pop(name, None)
+        return RewriteRule(tuple(ctx), lhs, rhs)
+
     def document(self) -> DkDocument:
+        toks = self.toks
         items: list[DocItem] = []
         module = ""
         first = True
         while True:
-            t = self.peek()
-            if t.kind == "eof":
+            t = toks[self.i]
+            if not t:
                 break
-            if t.kind == "comment":
-                self.next()
-                text = t.value[2:-2]
+            if t.startswith("(;"):
+                self.i += 1
+                text = t[2:-2]
                 if text.startswith(" ") and text.endswith(" "):
                     text = text[1:-1]
                 if first and text.startswith("module "):
@@ -366,48 +386,30 @@ class _Parser:
                 first = False
                 continue
             first = False
-            if t.kind == "ident" and t.value == "def":
-                self.next()
-                name = self.expect("ident", "a definition name").value
-                self.expect("colon", "':'")
-                ty = self._term([], set())
-                self.expect("coloneq", "':='")
-                body = self._term([], set())
-                self.expect("dot", "'.'")
+            if t == "def":
+                self.i += 1
+                name = self.name("a definition name")
+                self.expect(":", "':'")
+                ty = self.term(0)
+                self.expect(":=", "':='")
+                body = self.term(0)
+                self.expect(".", "'.'")
                 items.append(Defn(name, ty, body))
-            elif t.kind == "lbrack":
-                self.next()
-                ctx: list[tuple[str, Term]] = []
-                rulevars: set[str] = set()
-                if self.peek().kind != "rbrack":
-                    while True:
-                        name = self.expect("ident", "a rule variable").value
-                        self.expect("colon", "':'")
-                        ty = self._term([], rulevars)
-                        ctx.append((name, ty))
-                        rulevars.add(name)
-                        nxt = self.next()
-                        if nxt.kind == "rbrack":
-                            break
-                        if nxt.kind != "comma":
-                            raise ParseError(nxt.line, nxt.col, "',' or ']'")
-                else:
-                    self.next()
-                lhs = self._term([], rulevars)
-                self.expect("longarrow", "'-->'")
-                rhs = self._term([], rulevars)
-                self.expect("dot", "'.'")
-                items.append(RewriteRule(tuple(ctx), lhs, rhs))
-            elif t.kind == "ident":
-                name = self.next().value
-                self.expect("colon", "':'")
-                ty = self._term([], set())
-                self.expect("dot", "'.'")
-                items.append(ConstDecl(name, ty))
+            elif t == "[":
+                self.i += 1
+                items.append(self.rule())
+            elif t[:1] in _WORD:
+                self.i += 1
+                self.expect(":", "':'")
+                ty = self.term(0)
+                self.expect(".", "'.'")
+                items.append(ConstDecl(t, ty))
             else:
-                raise ParseError(t.line, t.col, "an item")
+                raise self.error("an item")
         return DkDocument(module, tuple(items))
 
 
 def parse(text: str) -> DkDocument:
-    return _Parser(text).document()
+    """Scan ``text`` once into token strings, then read the items.  A token's
+    position is computed only for a ``ParseError``."""
+    return _Reader(text).document()

@@ -140,7 +140,11 @@ def _parse_quoted(line: str, lineno: int) -> str:
 
 def parse_article(data: Union[str, bytes]) -> list[ArticleCommand]:
     """One command per non-comment line; ``#`` lines and blank lines are skipped."""
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as e:
+        at = e.start + len(data) - len(e.object)  # utf-8-sig counts from after a byte-order mark
+        raise ArticleError(f"not UTF-8: byte 0x{data[at]:02x} at offset {at}") from None
     commands: list[ArticleCommand] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\r")

@@ -260,3 +260,20 @@ def replace_at(t, pos, new):
     else:
         second = replace_at(second, pos - first.size, new)
     return type(t)(t.hint, first, second)
+
+
+def mutate(data, rng, inserts):
+    """``data`` (a str or bytes) with a short span deleted, duplicated or
+    swapped with the span after it, or with one of ``inserts`` put in.
+    Spans are about a token or two long, so that many mutants still parse."""
+    i = rng.randrange(len(data) + 1)
+    j = min(len(data), i + rng.randrange(1, 12))
+    roll = rng.randrange(4)
+    if roll == 0:
+        return data[:i] + data[j:]
+    if roll == 1:
+        return data[:j] + data[i:j] + data[j:]
+    if roll == 2:
+        k = min(len(data), j + rng.randrange(1, 12))
+        return data[:i] + data[j:k] + data[i:j] + data[k:]
+    return data[:i] + rng.choice(inserts) + data[i:]

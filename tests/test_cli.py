@@ -1,17 +1,30 @@
+import contextlib
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holtrans import cli, hol
+from holtrans import cli, dkfile, hol
 from holtrans import opentheory as ot
 
-from conftest import CORPUS
+from conftest import CORPUS, mutate
 
 IDENTITY = CORPUS / "01_identity.art"
+
+
+def _python(*args):
+    """Run ``python *args`` with this source tree first on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def test_translate_writes_checking_document(tmp_path):
@@ -98,6 +111,88 @@ def test_check_parse_error_exits_1(tmp_path):
     bad = tmp_path / "bad.dk"
     bad.write_text("x :::\n")
     assert cli.main(["check", str(bad)]) == 1
+
+
+def test_check_non_utf8_document_is_one_error_line(tmp_path, capsys):
+    doc = tmp_path / "bad.dk"
+    doc.write_bytes(b"c : Type.\nd : \xff.\n")
+    assert cli.main(["check", str(doc)]) == 1
+    assert capsys.readouterr().err == f"error: {doc}: not UTF-8: byte 0xff at offset 14\n"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_translate_non_utf8_article_is_one_error_line(tmp_path, capsys, bom):
+    data = IDENTITY.read_bytes()
+    at = data.index(b'"') + 1  # inside the first string line
+    art = tmp_path / "bad.art"
+    art.write_bytes(bom + data[:at] + b"\xff" + data[at:])
+    assert cli.main(["translate", str(art), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {art}: ArticleError: not UTF-8: byte 0xff at offset {len(bom) + at}\n"
+
+
+def test_check_verbose_line_reports_items_times_and_fuel(tmp_path, capsys):
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    paths = [tmp_path / "hol.dk", tmp_path / "01_identity.dk"]
+    assert cli.main(["check", "-v", str(paths[1])]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(paths)
+    for line, path in zip(lines, paths):
+        m = re.fullmatch(r"(.+): ok \((\d+) items, parse \d+\.\d{3} s, check \d+\.\d{3} s, fuel (\d+)\)", line)
+        assert m is not None, line
+        items = dkfile.signature_items(dkfile.parse(path.read_text()))
+        assert (m[1], int(m[2])) == (str(path), len(items))
+        assert int(m[3]) > 0
+
+
+def test_check_loads_only_the_reader_and_the_kernel(tmp_path):
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    probe = (
+        "import sys; from holtrans import cli; "
+        "rc = cli.main(['check', sys.argv[1]]); "
+        "print(rc, *sorted(m for m in sys.modules if m.startswith('holtrans')))"
+    )
+    done = _python("-c", probe, str(tmp_path / "01_identity.dk"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "holtrans", "holtrans.cli", "holtrans.dkfile", "holtrans.kernel"]
+
+
+def test_check_long_binder_chain(tmp_path):
+    """The token-object parser copied its binder list at every binder and
+    scanned it for every name, so this took it seconds."""
+    doc = tmp_path / "chain.dk"
+    doc.write_text("c : Type.\nd : " + "".join(f"x{i} : c -> " for i in range(20_000)) + "c.\n")
+    assert cli.main(["check", str(doc)]) == 0
+
+
+@pytest.fixture(scope="module")
+def translated_conversion(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    assert cli.main(["translate", str(CORPUS / "13_conversion.art"), "-o", str(out)]) == 0
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_check_of_a_mutated_document_is_an_exit_code_and_one_line(translated_conversion, seed, mutations):
+    """A byte-level mutant of a translated document ends in exit 0, 1 or 2
+    and, on failure, exactly one ``error:`` line: never a traceback."""
+    rng = random.Random(seed)
+    data = (translated_conversion / "13_conversion.dk").read_bytes()
+    for _ in range(mutations):
+        data = mutate(data, rng, [b"(", b")", b":", b"->", b"\xff"])
+    doc = translated_conversion / "mutated.dk"
+    doc.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["check", "--fuel", "100000", str(doc)])
+    assert rc in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_full_corpus_translate_and_check(tmp_path, corpus_paths):
@@ -320,15 +415,9 @@ def test_deeply_nested_term_translates_and_checks(tmp_path):
     commands as subprocesses."""
     art = tmp_path / "deep.art"
     art.write_text(_deep_article(20_000))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "holtrans.cli", *args], env=env, capture_output=True, text=True)
-
-    translated = run("translate", str(art), "-o", str(tmp_path / "out"))
+    translated = _python("-m", "holtrans.cli", "translate", str(art), "-o", str(tmp_path / "out"))
     assert translated.returncode == 0, translated.stderr
-    checked = run("check", str(tmp_path / "out" / "deep.dk"))
+    checked = _python("-m", "holtrans.cli", "check", str(tmp_path / "out" / "deep.dk"))
     assert checked.returncode == 0, checked.stderr
 
 

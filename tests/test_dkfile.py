@@ -9,6 +9,9 @@ from holtrans import dkfile
 from holtrans import kernel as k
 from holtrans import translate as tr
 
+import reference_dkparse
+from conftest import mutate
+
 
 # ---------------------------------------------------------------------------
 # mangling
@@ -119,6 +122,32 @@ def test_parse_error_position():
     assert exc.value.line == 1
 
 
+# (text, line, column, expectation) as the token-object parser reported them
+_PINNED_ERRORS = [
+    ("c : Type.\nd : $.\n", 2, 5, "a token"),
+    ("c : Type.\nd : c\0.\n", 2, 6, "a token"),
+    ("c : Type.\n  \u00e9 : c.\n", 2, 3, "a token"),
+    ("c : Type.\n(; never closed\nd : c.\n", 2, 2, "a token"),
+    ("(;)", 1, 2, "a token"),
+    ("(;" * 100_000, 1, 2, "a token"),  # read to the end once, not once per opener
+    ("c : Type\nd : c.\n", 2, 3, "'.'"),
+    ("d : x : c , c.", 1, 11, "'->' or '=>' after a binder"),
+    ("c : Type.\ndef d : c -> c := x : c =>", 2, 27, "a term"),
+    ("[x : c . ] x --> x.", 1, 8, "',' or ']'"),
+    # a bad character anywhere is reported before an earlier syntax error
+    ("d : c c\ne : $.\n", 2, 5, "a token"),
+    # a comment is a token: it cannot sit inside an item
+    ("d : c (; inner ;) c.\n", 1, 7, "'.'"),
+]
+
+
+@pytest.mark.parametrize("text,line,column,expectation", _PINNED_ERRORS)
+def test_parse_error_positions_are_pinned(text, line, column, expectation):
+    with pytest.raises(dkfile.ParseError) as exc:
+        dkfile.parse(text)
+    assert (exc.value.line, exc.value.column, exc.value.expectation) == (line, column, expectation)
+
+
 def test_parse_rejects_missing_dot():
     with pytest.raises(dkfile.ParseError):
         dkfile.parse("c : type")
@@ -142,7 +171,7 @@ def test_parse_anonymous_arrow_under_binder():
 
 
 def _random_closed_term(rng: random.Random, depth: int) -> k.Term:
-    consts = [k.Const(n) for n in ("b", "c", "f", "g")]
+    consts = [k.Const(n) for n in ("b", "c", "f", "g", "x")]  # x is also a rule variable
     if depth <= 0:
         return rng.choice(consts + [k.TYPE])
     roll = rng.random()
@@ -160,9 +189,7 @@ def _random_closed_term(rng: random.Random, depth: int) -> k.Term:
     return rng.choice(consts)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 100_000))
-def test_roundtrip_random_documents(seed):
+def _random_document(seed):
     rng = random.Random(seed)
     items = []
     for i in range(rng.randint(1, 6)):
@@ -179,8 +206,50 @@ def test_roundtrip_random_documents(seed):
             ctx = (("x", _random_closed_term(rng, 2)),)
             lhs = k.App(k.Const(f"r{i}"), k.Var("x"))
             items.append(k.RewriteRule(ctx, lhs, k.Var("x")))
-    doc = dkfile.DkDocument(f"m{seed % 7}", tuple(items))
+    return dkfile.DkDocument(f"m{seed % 7}", tuple(items))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_roundtrip_random_documents(seed):
+    doc = _random_document(seed)
     assert dkfile.parse(dkfile.emit(doc)) == doc
+
+
+# ---------------------------------------------------------------------------
+# the reader against the token-object parser it replaced
+
+
+def _outcome(parse, text):
+    """The parsed document's repr (which shows term classes, hints and
+    names), or the ``ParseError``'s position and expectation."""
+    try:
+        return repr(parse(text))
+    except dkfile.ParseError as e:
+        return (e.line, e.column, e.expectation)
+
+
+_SNIPPETS = [
+    "(", ")", ":", "->", "=>", "-->", ":=", ",", "[", "]", ".", "(;", ";)", "(;)",
+    " ", "\n", "x", "Type", "def", "$", "\u00e9", "\0", "x : c => ", "[x : c] ",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 100_000), st.integers(0, 3))
+@example(0, 0)
+def test_reader_matches_the_token_object_parser(seed, mutations):
+    text = dkfile.emit(_random_document(seed))
+    rng = random.Random(seed)
+    for _ in range(mutations):
+        text = mutate(text, rng, _SNIPPETS)
+    assert _outcome(dkfile.parse, text) == _outcome(reference_dkparse.parse, text)
+
+
+def test_reader_matches_the_token_object_parser_on_base_documents():
+    for mode in ("q0", "pts"):
+        text = dkfile.emit(tr.base_document(mode))
+        assert _outcome(dkfile.parse, text) == _outcome(reference_dkparse.parse, text)
 
 
 def test_parsed_document_rechecks_like_in_memory(q0, corpus_paths):
