@@ -200,7 +200,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 2
         t0 = time.perf_counter()
         try:
-            doc = dkfile.parse(data.decode("utf-8"))
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # as read_text does
+            doc = dkfile.parse(text)
         except UnicodeDecodeError as e:
             _fail(f"{path}: not UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}")
             return 1

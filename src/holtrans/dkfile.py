@@ -230,17 +230,15 @@ def emit(doc: DkDocument) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-# a comment (unclosed, it runs to the end), a symbol, an identifier, or a stray character
-_TOKENS = re.compile(r"\s*(\(;.*?(?:;\)|\Z)|:=|-->|->|=>|[()\[\],:.]|[A-Za-z0-9_]+|\S)", re.DOTALL)
-_SYMBOLS = frozenset([":=", "-->", "->", "=>", "(", ")", "[", "]", ",", ":", "."])
+# the tokens: a comment, a symbol, an identifier
+_TOKEN = r"\(;.*?;\)|:=|-->|->|=>|[()\[\],:.]|[A-Za-z0-9_]+"
+# The scan also meets what is not a token: a stray character, or the ';' after
+# the '(' of an unclosed comment, which runs to the end of the text (so many
+# openers cost one read, not one each).  Every alternative starts at a
+# character that is not whitespace, so whitespace costs one step per character.
+_SCAN = re.compile(_TOKEN + r"|(?<=\();.*\Z|\S", re.DOTALL)
+_IS_TOKEN = re.compile(_TOKEN, re.DOTALL).fullmatch
 _WORD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
-
-
-def _lexical(t: str) -> bool:
-    """Whether a scanned string is a token: not a stray character or an unclosed comment."""
-    if t[:2] == "(;":
-        return len(t) > 3 and t[-2:] == ";)"
-    return t[0] in _WORD or t in _SYMBOLS
 
 
 class _Reader:
@@ -254,22 +252,21 @@ class _Reader:
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = _TOKENS.findall(text)
+        self.toks = _SCAN.findall(text)
         self.i = 0
         self.bound: dict[str, Optional[int]] = {}
         self.names: dict[str, Term] = {}
-        bad = {t for t in set(self.toks) if not _lexical(t)}
+        bad = {t for t in set(self.toks) if not _IS_TOKEN(t)}
         if bad:
             self.i = next(i for i, t in enumerate(self.toks) if t in bad)
-            # an unclosed comment is an opening parenthesis, then a stray ';'
-            raise self.error("a token", shift=self.toks[self.i][:2] == "(;")
+            raise self.error("a token")
         self.toks.append("")  # the end of the text
 
-    def error(self, expectation: str, shift: int = 0) -> ParseError:
-        """A ``ParseError`` ``shift`` characters into the current token, found by scanning again."""
+    def error(self, expectation: str) -> ParseError:
+        """A ``ParseError`` at the current token, found by scanning again."""
         text = self.text
-        m = next(islice(_TOKENS.finditer(text), self.i, None), None)
-        at = (len(text) if m is None else m.start(1)) + shift
+        m = next(islice(_SCAN.finditer(text), self.i, None), None)
+        at = len(text) if m is None else m.start()
         return ParseError(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at), expectation)
 
     def expect(self, tok: str, what: str) -> None:

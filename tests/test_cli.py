@@ -20,11 +20,11 @@ from conftest import CORPUS, mutate
 IDENTITY = CORPUS / "01_identity.art"
 
 
-def _python(*args):
+def _python(*args, timeout=None):
     """Run ``python *args`` with this source tree first on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_translate_writes_checking_document(tmp_path):
@@ -164,6 +164,29 @@ def test_check_long_binder_chain(tmp_path):
     doc = tmp_path / "chain.dk"
     doc.write_text("c : Type.\nd : " + "".join(f"x{i} : c -> " for i in range(20_000)) + "c.\n")
     assert cli.main(["check", str(doc)]) == 0
+
+
+@pytest.mark.parametrize("body,rc,err", [
+    ("c : Type.", 0, ""),
+    ("c : Type", 1, "line 100001, column 1: expected '.'"),  # the error is found at the end
+])
+def test_check_trailing_whitespace_is_linear(tmp_path, body, rc, err):
+    """A scan that tried a leading ``\\s*`` at every position took time
+    quadratic in a run of whitespace it could not end in a token: minutes
+    here, so the timeout fails it."""
+    doc = tmp_path / "trailing.dk"
+    doc.write_text(body + " \n" * 100_000)
+    done = _python("-m", "holtrans.cli", "check", str(doc), timeout=60)
+    assert done.returncode == rc
+    assert done.stderr == (f"error: {doc}: {err}\n" if err else "")
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_check_reads_any_line_end(tmp_path, capsys, newline):
+    doc = tmp_path / "lines.dk"
+    doc.write_bytes(newline.join(["c : Type.", "(; a", "comment ;)", "d : $."]).encode())
+    assert cli.main(["check", str(doc)]) == 1
+    assert capsys.readouterr().err == f"error: {doc}: line 4, column 5: expected a token\n"
 
 
 @pytest.fixture(scope="module")
