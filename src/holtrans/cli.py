@@ -184,13 +184,9 @@ def _documents_for_check(paths: list) -> list:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    """Check each document against the base prefix.
-
-    Base files (hol.dk) accumulate; other documents are independent modules
-    (there is no inter-module linking), so each is checked on its own
-    against the bases loaded so far.
-    """
-    base_items: list = []
+    """Check each document on its own (there is no inter-module linking),
+    after the base file (hol.dk) of its own directory only."""
+    bases: dict[Path, tuple] = {}  # directory -> its hol.dk's items
     budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
     for path in _documents_for_check(args.inputs):
         try:
@@ -210,14 +206,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
         t1 = time.perf_counter()
         file_items = dkfile.signature_items(doc)
+        directory = Path(path).parent.resolve()
         fuel = kernel.Fuel(budget)
         try:
-            kernel.check_signature(kernel.Signature(base_items + list(file_items)), fuel)
+            kernel.check_signature(kernel.Signature(bases.get(directory, ()) + file_items), fuel)
         except kernel.KernelError as e:
             _fail(f"{path}: {type(e).__name__}: {e}")
             return 1
         if Path(path).name == "hol.dk":
-            base_items.extend(file_items)
+            bases[directory] = file_items
         if args.verbose:
             spent = f"check {time.perf_counter() - t1:.3f} s, fuel {budget - fuel.left}"
             print(f"{path}: ok ({len(file_items)} items, parse {t1 - t0:.3f} s, {spent})")
@@ -314,7 +311,7 @@ def _selftest_checks():
         )
         kernel.check_signature(sig)
         term = kernel.lam("x", kernel.App(f, c), kernel.app(kernel.Var("x"), c, kernel.Var("x")))
-        ty = kernel.infer_type(sig, kernel.Context(), term)
+        ty = kernel.infer_type(sig, {}, term)
         assert ty == kernel.arrow(kernel.App(f, c), kernel.App(f, c))
 
     def pts_rules():

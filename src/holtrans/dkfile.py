@@ -153,20 +153,24 @@ class _Occurrences:
         return i < len(ps) and ps[i] < start + size
 
 
-def _display(hint: str, inner: Term, at: int, env: tuple[str, ...], occ: _Occurrences) -> str:
+def _display(hint: str, inner: Term, at: int, scope: dict[str, int], occ: _Occurrences) -> str:
     """A binder name clashing with no enclosing binder, reserved word, or
     identifier used in ``inner`` (the body, at position ``at``)."""
-    base = mangle(hint)
-    cand = base
+    base = cand = mangle(hint)
     i = 1
-    while cand in env or cand in RESERVED or occ.within(cand, at, inner.size):
+    while scope.get(cand) or cand in RESERVED or occ.within(cand, at, inner.size):
         i += 1
         cand = f"{base}_{i}"
     return cand
 
 
-def _fmt(t: Term, at: int, env: tuple[str, ...], prec: int, occ: _Occurrences) -> str:
-    """Render ``t``, found at preorder position ``at`` of ``occ``'s term."""
+def _fmt(t: Term, at: int, prec: int, names: list[str], scope: dict[str, int], occ: _Occurrences) -> str:
+    """Render ``t``, found at preorder position ``at`` of ``occ``'s term.
+
+    ``names`` holds the enclosing binders' display names, innermost last,
+    and ``scope`` counts them by name; a binder extends both before its
+    body and restores them after it.
+    """
     if isinstance(t, Sort):
         if t == TYPE:
             return "Type"
@@ -174,30 +178,30 @@ def _fmt(t: Term, at: int, env: tuple[str, ...], prec: int, occ: _Occurrences) -
     if isinstance(t, (Const, Var)):
         return t.name
     if isinstance(t, BVar):
-        if t.index >= len(env):
+        if t.index >= len(names):
             raise ValueError(f"dangling bound variable #{t.index}")
-        return env[-1 - t.index]
+        return names[-1 - t.index]
     if isinstance(t, App):
-        fn = _fmt(t.fn, at + 1, env, _APP_FN, occ)
-        s = f"{fn} {_fmt(t.arg, at + 1 + t.fn.size, env, _APP_ARG, occ)}"
+        fn = _fmt(t.fn, at + 1, _APP_FN, names, scope, occ)
+        s = f"{fn} {_fmt(t.arg, at + 1 + t.fn.size, _APP_ARG, names, scope, occ)}"
         return f"({s})" if prec >= _APP_ARG else s
     inner_at = at + 1 + t.domain.size
-    dom = _fmt(t.domain, at + 1, env, _OPERAND, occ)
-    if isinstance(t, Abs):
-        name = _display(t.hint, t.body, inner_at, env, occ)
-        s = f"{name} : {dom} => {_fmt(t.body, inner_at, env + (name,), _TOP, occ)}"
-        return f"({s})" if prec >= _OPERAND else s
-    assert isinstance(t, Prod)
-    if kernel._uses_index(t.body, 0):
-        name = _display(t.hint, t.body, inner_at, env, occ)
-        s = f"{name} : {dom} -> {_fmt(t.body, inner_at, env + (name,), _TOP, occ)}"
+    dom = _fmt(t.domain, at + 1, _OPERAND, names, scope, occ)
+    if isinstance(t, Abs) or kernel._uses_index(t.body, 0):
+        name = _display(t.hint, t.body, inner_at, scope, occ)
+        head = f"{name} : {dom} {'=>' if isinstance(t, Abs) else '->'} "
     else:
-        s = f"{dom} -> {_fmt(t.body, inner_at, env + ('_',), _TOP, occ)}"
+        name, head = "_", f"{dom} -> "
+    names.append(name)
+    scope[name] = scope.get(name, 0) + 1
+    s = head + _fmt(t.body, inner_at, _TOP, names, scope, occ)
+    names.pop()
+    scope[name] -= 1
     return f"({s})" if prec >= _OPERAND else s
 
 
 def fmt_term(t: Term) -> str:
-    return _fmt(t, 0, (), _TOP, _Occurrences(t))
+    return _fmt(t, 0, _TOP, [], {}, _Occurrences(t))
 
 
 def emit(doc: DkDocument) -> str:

@@ -288,7 +288,8 @@ def type_key(ty: HolType):
 
 
 def term_key(t: HolTerm, _bound: Optional[dict] = None, _depth: int = 0):
-    """Canonical, orderable form: equal keys iff alpha-equal terms."""
+    """Canonical, orderable form: equal keys iff alpha-equal terms.  Each
+    binder sets its entry in ``_bound`` for its body and restores it after."""
     if _bound is None:
         _bound = {}
     if isinstance(t, Var):
@@ -299,9 +300,12 @@ def term_key(t: HolTerm, _bound: Optional[dict] = None, _depth: int = 0):
     if isinstance(t, Const):
         return ("c", t.name, type_key(t.type))
     if isinstance(t, Abs):
-        inner = dict(_bound)
-        inner[(t.var.name, type_key(t.var.type))] = _depth
-        return ("l", type_key(t.var.type), term_key(t.body, inner, _depth + 1))
+        k = (t.var.name, type_key(t.var.type))
+        old = _bound.get(k)
+        _bound[k] = _depth
+        out = ("l", k[1], term_key(t.body, _bound, _depth + 1))
+        _rebind(_bound, k, old)
+        return out
     assert isinstance(t, App)
     return ("a", term_key(t.fn, _bound, _depth), term_key(t.arg, _bound, _depth))
 
@@ -357,11 +361,11 @@ def alpha_equal(a: HolTerm, b: HolTerm) -> bool:
     return eq(a, b, 0, True)
 
 
-def _rebind(bound: dict, v: Var, depth: Optional[int]) -> None:
+def _rebind(bound: dict, key, depth: Optional[int]) -> None:
     if depth is None:
-        del bound[v]
+        del bound[key]
     else:
-        bound[v] = depth
+        bound[key] = depth
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +389,42 @@ class HolSubst:
 
 
 def map_types(theta: dict[str, HolType], t: HolTerm) -> HolTerm:
+    """Instantiate type variables.  ``x:A`` and ``x:B`` become one under ``A := B``, so a
+    binder whose image is that of another variable free in its body is renamed first,
+    with primes.  Only images of two variables of ``t`` (one DAG walk) need the check."""
     if not theta:
         return t
-    if isinstance(t, Var):
-        return Var(t.name, type_subst(theta, t.type))
-    if isinstance(t, Const):
-        return Const(t.name, type_subst(theta, t.type))
-    if isinstance(t, Abs):
-        return Abs(Var(t.var.name, type_subst(theta, t.var.type)), map_types(theta, t.body))
-    assert isinstance(t, App)
-    return App(map_types(theta, t.fn), map_types(theta, t.arg))
+    preimage: dict[Var, Var] = {}
+    merged: set[Var] = set()
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            if isinstance(u, Var):
+                image = Var(u.name, type_subst(theta, u.type))
+                if preimage.setdefault(image, u) != u:
+                    merged.add(image)
+            elif not isinstance(u, Const):
+                stack += (u.var, u.body) if isinstance(u, Abs) else (u.fn, u.arg)
+
+    def go(u: HolTerm) -> HolTerm:
+        if isinstance(u, (Var, Const)):
+            return type(u)(u.name, type_subst(theta, u.type))
+        if isinstance(u, App):
+            return App(go(u.fn), go(u.arg))
+        v, body = u.var, u.body
+        image = Var(v.name, type_subst(theta, v.type))
+        free = free_vars(body) if image in merged else ()
+        if any(w != v and w.name == v.name and type_subst(theta, w.type) == image.type for w in free):
+            new = v.name + "'"
+            while any(w.name == new for w in free):
+                new += "'"
+            body, image = subst_vars({v: Var(new, v.type)}, body), Var(new, image.type)
+        return Abs(image, go(body))
+
+    return go(t)
 
 
 def _free_names(t: HolTerm) -> set[str]:

@@ -27,6 +27,10 @@ definition unfolding; ``infer_type`` is syntax-directed, with conversion
 checks folded into the application rule.  Reduction is guarded by a step
 budget (``Fuel``) because termination of user rule sets is not checked.
 
+A typing context is a plain dict from names to types, one per
+``infer_type`` call: binders add their names before the body and delete
+them after it, so no context is copied.
+
 Going under a binder opens it with a fresh free variable, named in one of
 two reserved forms so that no scan of the body is needed:
 
@@ -43,8 +47,8 @@ Neither form can come from the ``.dk`` lexer (``[A-Za-z0-9_]+``) or from
 for free variables or context names.
 
 The abstraction and product rules type a whole chain of one binder class
-in one pass: they open the chain once, extend the context once with all
-its binders and check each domain.  For ``x1 : A1 => ... => xn : An => b``
+in one pass: they open the chain once, add all its binders to the context
+at once and check each domain.  For ``x1 : A1 => ... => xn : An => b``
 the abstraction rule infers ``b : B``, checks that ``B`` has a sort, and
 binds ``B`` back into ``x1 : A1 -> ... -> B``.  A product's sort is its
 body's and each domain is checked, so this is the product rule's
@@ -72,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 DEFAULT_FUEL = 10_000_000
 
@@ -504,32 +508,7 @@ def _uses_index(t: Term, depth: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Contexts and signatures
-
-
-class Context:
-    """Ordered variable bindings; no variable may be bound twice."""
-
-    __slots__ = ("_bindings", "_types")
-
-    def __init__(self, bindings: Iterable[tuple[str, Term]] = ()):
-        self._bindings = tuple(bindings)
-        self._types = {n: ty for n, ty in self._bindings}
-
-    def extended(self, name: str, ty: Term) -> "Context":
-        return Context(self._bindings + ((name, ty),))
-
-    def lookup(self, name: str) -> Optional[Term]:
-        return self._types.get(name)
-
-    def __iter__(self) -> Iterator[tuple[str, Term]]:
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __repr__(self) -> str:
-        return "Context(" + ", ".join(f"{n}: {pretty(t)}" for n, t in self._bindings) + ")"
+# Signatures
 
 
 @dataclass(frozen=True, slots=True)
@@ -773,21 +752,21 @@ def _conv_whnf(sig: Signature, a: Term, b: Term, fuel: Fuel, proven: set) -> boo
 
 def infer_type(
     sig: Signature,
-    ctx: Context,
+    ctx: Mapping[str, Term],
     t: Term,
     fuel: Union[int, Fuel, None] = None,
 ) -> Term:
-    """Infer the type of ``t`` in ``ctx``; raises a ``KernelError`` subclass on failure."""
-    return _infer(sig, ctx, t, _as_fuel(fuel))
+    """Infer the type of ``t`` in a copy of ``ctx``; raises a ``KernelError`` subclass on failure."""
+    return _infer(sig, dict(ctx), t, _as_fuel(fuel))
 
 
-def _infer(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Term:
+def _infer(sig: Signature, ctx: dict[str, Term], t: Term, fuel: Fuel) -> Term:
     if isinstance(t, Sort):
         if t == TYPE:
             return KIND
         raise IllegalSort("Kind has no type")
     if isinstance(t, Var):
-        ty = ctx.lookup(t.name)
+        ty = ctx.get(t.name)
         if ty is None:
             raise UnboundVariable(f"unbound variable {t.name}")
         return ty
@@ -814,17 +793,18 @@ def _infer(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Term:
     return open_term(fn_ty.body, t.arg)
 
 
-def _infer_chain(sig: Signature, ctx: Context, t: Binder, fuel: Fuel) -> Term:
+def _infer_chain(sig: Signature, ctx: dict[str, Term], t: Binder, fuel: Fuel) -> Term:
     """The Abs or Prod rule, applied to a maximal chain of ``t``'s class at once.
 
-    The chain's binders extend ``ctx`` once.  Domain i can mention only
-    the binders before it, so checking it in the whole chain's context
-    gives the verdict its own prefix would.  A product chain's sort is its
-    body's.  An abstraction chain's inferred product must itself be
-    well-sorted, which rules out kind-level bodies.  Only the innermost
-    body's type needs its sort checked (see the module docstring);
-    re-inferring the product at every level would repeat that check once
-    per enclosing binder.
+    The chain's binders are added to ``ctx`` once and deleted once it is
+    typed (a failure leaves them, but ``ctx`` is private to the call).
+    Domain i can mention only the binders before it, so checking it in the
+    whole chain's context gives the verdict its own prefix would.  A
+    product chain's sort is its body's.  An abstraction chain's inferred
+    product must itself be well-sorted, which rules out kind-level bodies.
+    Only the innermost body's type needs its sort checked (see the module
+    docstring); re-inferring the product at every level would repeat that
+    check once per enclosing binder.
     """
     cls = type(t)
     binders: list[tuple[str, str, Term]] = []
@@ -837,42 +817,38 @@ def _infer_chain(sig: Signature, ctx: Context, t: Binder, fuel: Fuel) -> Term:
         binders.append((x, body.hint, domain))
         values.append(Var(x))
         body = body.body
-    ctx = Context((*ctx, *((x, domain) for x, _, domain in binders)))
+    ctx.update((x, domain) for x, _, domain in binders)
     for _, _, domain in binders:
         _check_is_type(sig, ctx, domain, fuel)
-    body = open_term(body, *values)
-    ty = _infer(sig, ctx, body, fuel)
-    if cls is Prod:
-        s = whnf(sig, ty, fuel)
-        if not isinstance(s, Sort):
-            raise IllegalSort(f"product codomain is not a type or kind: {pretty(t)}")
-        return s
-    s = whnf(sig, _infer(sig, ctx, ty, fuel), fuel)
+    ty = _infer(sig, ctx, open_term(body, *values), fuel)
+    s = whnf(sig, ty if cls is Prod else _infer(sig, ctx, ty, fuel), fuel)
+    for x, _, _ in binders:
+        del ctx[x]
+    if cls is Prod and not isinstance(s, Sort):
+        raise IllegalSort(f"product codomain is not a type or kind: {pretty(t)}")
     if not isinstance(s, Sort):
         raise IllegalSort(f"abstraction body type is not well-sorted: {pretty(ty)}")
-    return bind(Prod, binders, ty)
+    return s if cls is Prod else bind(Prod, binders, ty)
 
 
-def _check_is_type(sig: Signature, ctx: Context, a: Term, fuel: Fuel) -> None:
+def _check_is_type(sig: Signature, ctx: dict[str, Term], a: Term, fuel: Fuel) -> None:
     s = whnf(sig, _infer(sig, ctx, a, fuel), fuel)
     if s != TYPE:
         raise IllegalSort(f"expected a type of sort Type: {pretty(a)} has sort {pretty(s)}")
 
 
-def check_context(sig: Signature, ctx: Context, fuel: Union[int, Fuel, None] = None) -> None:
-    """Validate each binding against its prefix; raises on the first failure."""
+def check_context(sig: Signature, bindings: Iterable[tuple[str, Term]], fuel: Union[int, Fuel, None] = None) -> None:
+    """Validate each ``(name, type)`` binding against its prefix; raises on the first failure."""
     fuel = _as_fuel(fuel)
-    seen: set[str] = set()
-    prefix = Context()
-    for name, ty in ctx:
-        if name in seen:
+    prefix: dict[str, Term] = {}
+    for name, ty in bindings:
+        if name in prefix:
             raise DuplicateVariable(f"variable {name} bound twice")
         try:
             _check_is_type(sig, prefix, ty, fuel)
         except IllegalSort as e:
             raise NotAType(f"binding {name}: {e}") from e
-        seen.add(name)
-        prefix = prefix.extended(name, ty)
+        prefix[name] = ty
 
 
 def _check_pattern(t: Term) -> None:
@@ -905,7 +881,7 @@ def check_signature(sig: Signature, fuel: Union[int, Fuel, None] = None) -> None
             if item.name in prefix:
                 raise DuplicateConstant(f"constant {item.name} declared twice")
             try:
-                s = whnf(prefix, _infer(prefix, Context(), item.type, fuel), fuel)
+                s = whnf(prefix, _infer(prefix, {}, item.type, fuel), fuel)
             except KernelError as e:
                 if isinstance(e, (DuplicateConstant, FuelExhausted)):
                     raise
@@ -914,7 +890,7 @@ def check_signature(sig: Signature, fuel: Union[int, Fuel, None] = None) -> None
                 raise IllTypedDeclaration(f"declaration {item.name}: type has no sort")
             if isinstance(item, Defn):
                 try:
-                    body_ty = _infer(prefix, Context(), item.body, fuel)
+                    body_ty = _infer(prefix, {}, item.body, fuel)
                 except KernelError as e:
                     if isinstance(e, FuelExhausted):
                         raise
@@ -936,8 +912,8 @@ def _check_rule(prefix: Signature, rule: RewriteRule, fuel: Fuel) -> None:
         raise UnboundRhsVariable(
             f"rhs variables not bound on the lhs: {', '.join(sorted(extra))}"
         )
-    ctx = Context(rule.context)
-    check_context(prefix, ctx, fuel)
+    check_context(prefix, rule.context, fuel)
+    ctx = dict(rule.context)
     try:
         lhs_ty = _infer(prefix, ctx, rule.lhs, fuel)
         rhs_ty = _infer(prefix, ctx, rule.rhs, fuel)

@@ -26,7 +26,6 @@ from .kernel import (
     App,
     ConstDecl,
     Const,
-    Context,
     Defn,
     Prod,
     RewriteRule,
@@ -335,11 +334,10 @@ class TranslationEnv:
     built.
     """
 
-    def __init__(self, mode: str = "q0", compress: bool = False):
+    def __init__(self, mode: str = "q0"):
         if mode not in ("q0", "pts"):
             raise TranslateError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.compress = compress
         self.typeops: dict[str, TypeOpInfo] = {}
         self.constants: dict[str, ConstInfo] = {}
         self.decls: list = []  # article-level kernel items, emission order
@@ -356,8 +354,8 @@ class TranslationEnv:
         self.namer = dkfile.DkNamer(reserved=BASE_CONSTS)
 
     @classmethod
-    def from_vm(cls, state, mode: str = "q0", compress: bool = False) -> "TranslationEnv":
-        env = cls(mode, compress)
+    def from_vm(cls, state, mode: str = "q0") -> "TranslationEnv":
+        env = cls(mode)
         for name, arity in state.typeops.items():
             if name not in hol.BUILTIN_TYPE_ARITY:
                 declare_type_op(env, name, arity)
@@ -641,11 +639,6 @@ def closed_theorem(env: TranslationEnv, proof: hol.Proof) -> tuple[Term, Term]:
     return bind(Prod, binders, trans_prop_type(env, c.sequent.concl)), bind(Abs, binders, c.core)
 
 
-def completeness_context(env: TranslationEnv, proof: hol.Proof) -> Context:
-    """The open-form context: type variables, term variables, hypotheses."""
-    return Context((name, ty) for name, _, ty in _binders(env, closure_of(env, proof)))
-
-
 def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
     """Substitution as a beta redex: close the sub-derivation over everything
     it depends on (type variables outermost, so types are instantiated
@@ -903,7 +896,7 @@ def share_document(
             return name
         body = rewrite(t, skip_self=True)
         name = names.setdefault(t, new_name())
-        ty = kernel.infer_type(sig, Context(), body, fuel)
+        ty = kernel.infer_type(sig, {}, body, fuel)
         item = Defn(name, ty, body)
         new_items.append(item)
         sig.add(item)
@@ -961,7 +954,7 @@ def translate_state(
     Collisions the name table resolved with a numeric suffix are recorded
     in a comment at the top.
     """
-    env = TranslationEnv.from_vm(state, mode, compress)
+    env = TranslationEnv.from_vm(state, mode)
     theorems: list[tuple[Term, Term]] = []
     for seq, proof in state.theorems:
         p = compress_conversions(proof) if compress else proof

@@ -45,13 +45,29 @@ CONSTS = {
 }
 
 
-def make_env(mode="q0", compress=False):
-    env = translate.TranslationEnv(mode, compress)
+def make_env(mode="q0"):
+    env = translate.TranslationEnv(mode)
     translate.declare_type_op(env, LIST_OP, 1)
     translate.declare_type_op(env, PROD_OP, 2)
     for name, generic in CONSTS.items():
         translate.declare_constant(env, name, generic)
     return env
+
+
+def completeness_context(env, proof):
+    """The open-form context of ``proof``: type variables, term variables,
+    hypotheses, each name mapped to its translated type."""
+    return {name: ty for name, _, ty in translate._binders(env, translate.closure_of(env, proof))}
+
+
+def captured_by_instantiation():
+    """``Beta(x:A, x:B)``, then ``x:A := y:A``, then ``A := B``: the last
+    step turns the binder ``x:A`` into ``x:B``, which would capture the free
+    ``x:B`` in its body and prove ``|- y = x`` up to beta."""
+    a, b = hol.TyVar("A"), hol.TyVar("B")
+    xa, xb, ya = hol.Var("x", a), hol.Var("x", b), hol.Var("y", a)
+    renamed = hol.Subst(hol.HolSubst(sigma=((xa, ya),)), hol.Beta(xa, xb))
+    return hol.Subst(hol.HolSubst(theta=(("A", b),)), renamed)
 
 
 def env_signature(env):

@@ -8,7 +8,9 @@ keeps the earlier rules as a test oracle:
   every level, so a chain of ``n`` abstractions costs ``(n + 1) ** 2``
   inferences;
 * every opened binder is named with ``fresh_name(hint, ctx.names() |
-  free_names(body))``, which cannot capture anything by construction.
+  free_names(body))``, which cannot capture anything by construction;
+* contexts are persistent: each binder extends a copy of its context
+  (``Context`` below), where the kernel extends one dict in place.
 
 Reduction (``whnf`` and rule matching) is the kernel's own; normalization,
 conversion, typing and signature checking are the reference versions.
@@ -25,7 +27,6 @@ from holtrans.kernel import (
     BVar,
     Const,
     ConstDecl,
-    Context,
     Defn,
     DomainMismatch,
     DuplicateConstant,
@@ -55,6 +56,23 @@ from holtrans.kernel import (
     pretty,
     whnf,
 )
+
+
+class Context:
+    """Ordered variable bindings; ``extended`` copies them."""
+
+    def __init__(self, bindings=()):
+        self._bindings = tuple(bindings)
+        self._types = dict(self._bindings)
+
+    def extended(self, name: str, ty: Term) -> "Context":
+        return Context(self._bindings + ((name, ty),))
+
+    def lookup(self, name: str):
+        return self._types.get(name)
+
+    def __iter__(self):
+        return iter(self._bindings)
 
 
 def _names(ctx: Context) -> set[str]:
@@ -95,7 +113,8 @@ def convertible(sig, a, b, fuel=None) -> bool:
 
 
 def infer_type(sig, ctx, t, fuel=None) -> Term:
-    return infer(sig, ctx, t, _as_fuel(fuel))
+    """``ctx`` maps names to types, as for the kernel's ``infer_type``."""
+    return infer(sig, Context(ctx.items()), t, _as_fuel(fuel))
 
 
 def infer(sig, ctx, t, fuel) -> Term:
@@ -208,8 +227,8 @@ def check_rule(prefix, rule: RewriteRule, fuel) -> None:
         raise UnboundRhsVariable(
             f"rhs variables not bound on the lhs: {', '.join(sorted(extra))}"
         )
+    check_context(prefix, rule.context, fuel)
     ctx = Context(rule.context)
-    check_context(prefix, ctx, fuel)
     try:
         lhs_ty = infer(prefix, ctx, rule.lhs, fuel)
         rhs_ty = infer(prefix, ctx, rule.rhs, fuel)

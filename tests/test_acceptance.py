@@ -12,7 +12,7 @@ from holtrans import kernel as k
 from holtrans import opentheory as ot
 from holtrans import translate as tr
 
-from conftest import CORPUS, HolGen, env_signature, make_env
+from conftest import CORPUS, HolGen, completeness_context, env_signature, make_env
 from reference_reduction import reduce_step
 from reference_typing import normalize
 
@@ -46,14 +46,14 @@ def test_criterion_02_rewrite_dependent_typing():
     ]
     sig = k.Signature(decls + [rule])
     term = k.lam("x", k.App(f, c), k.app(k.Var("x"), c, k.Var("x")))
-    assert k.infer_type(sig, k.Context(), term) == k.arrow(k.App(f, c), k.App(f, c))
+    assert k.infer_type(sig, {}, term) == k.arrow(k.App(f, c), k.App(f, c))
     without = k.Signature(decls)
     with pytest.raises(k.DomainMismatch):
-        k.infer_type(without, k.Context(), term)
+        k.infer_type(without, {}, term)
     # replacing every occurrence of the redex type does not help either
     replaced = k.lam("x", unfolded, k.app(k.Var("x"), c, k.Var("x")))
     with pytest.raises(k.DomainMismatch) as exc:
-        k.infer_type(without, k.Context(), replaced)
+        k.infer_type(without, {}, replaced)
     assert not isinstance(exc.value, k.NotAFunction)
     _report(2, "typing works with the rule and fails with DomainMismatch without it")
 
@@ -75,7 +75,7 @@ def test_criterion_04_completeness_500_proofs():
         gen = HolGen(seed)
         proof = gen.proof(4)
         env = make_env()
-        ctx = tr.completeness_context(env, proof)
+        ctx = completeness_context(env, proof)
         term = tr.trans_proof(env, proof)
         sig = env_signature(env)
         ty = k.infer_type(sig, ctx, term, fuel=10**7)
@@ -92,7 +92,7 @@ def test_criterion_05_transitivity_article_end_to_end(q0):
     seq, proof = state.theorems[0]
     env = tr.TranslationEnv.from_vm(state)
     term = tr.trans_proof(env, proof)
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     ty = k.infer_type(q0, ctx, term)
     x, z = hol.Var("x", hol.TyVar("A")), hol.Var("z", hol.TyVar("A"))
     want = k.App(
@@ -111,7 +111,7 @@ def test_criterion_06_conversion_compression(q0):
     compressed = tr.compress_conversions(tower)
     assert isinstance(compressed, hol.ConvRefl)
     env = make_env()
-    ctx = tr.completeness_context(env, tower)
+    ctx = completeness_context(env, tower)
     want = tr.trans_prop_type(env, hol.check_proof(tower).concl)
     plain_term = tr.trans_proof(env, tower)
     packed_term = tr.trans_proof(env, compressed)
@@ -143,12 +143,12 @@ def test_criterion_07_pts_mode(pts):
     want_intro = k.pi("p", tb, k.pi("q", tb,
         k.arrow(k.arrow(pf(p), pf(q)), pf(k.app(k.Const("imp"), p, q)))))
     assert imp_intro.type == want_intro
-    assert k.convertible(pts, k.infer_type(pts, k.Context(), imp_intro.body), want_intro)
+    assert k.convertible(pts, k.infer_type(pts, {}, imp_intro.body), want_intro)
     imp_elim = next(i for i in pts.items if isinstance(i, k.Defn) and i.name == "imp_elim")
     want_elim = k.pi("p", tb, k.pi("q", tb,
         k.arrow(pf(k.app(k.Const("imp"), p, q)), pf(p), pf(q))))
     assert imp_elim.type == want_elim
-    assert k.convertible(pts, k.infer_type(pts, k.Context(), imp_elim.body), want_elim)
+    assert k.convertible(pts, k.infer_type(pts, {}, imp_elim.body), want_elim)
     assert normalize(pts, pf(k.app(k.Const("imp"), p, q))) == k.arrow(pf(p), pf(q))
     want_forall = k.pi("x", k.App(k.Const("term"), k.Var("a")), pf(k.App(p, k.Var("x"))))
     assert normalize(pts, pf(k.app(k.Const("forall"), k.Var("a"), p))) == want_forall

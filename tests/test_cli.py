@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from holtrans import cli, dkfile, hol
 from holtrans import opentheory as ot
 
-from conftest import CORPUS, mutate
+from conftest import CORPUS, captured_by_instantiation, mutate
 
 IDENTITY = CORPUS / "01_identity.art"
 
@@ -164,6 +164,37 @@ def test_check_long_binder_chain(tmp_path):
     doc = tmp_path / "chain.dk"
     doc.write_text("c : Type.\nd : " + "".join(f"x{i} : c -> " for i in range(20_000)) + "c.\n")
     assert cli.main(["check", str(doc)]) == 0
+
+
+def test_check_chains_nested_under_applications(tmp_path):
+    """``c (x1 : A => c (x2 : A => ... c (xn : A => xn)))``: every binder is
+    its own chain, and typing copied the whole context for each one, so
+    this took the kernel about 50 seconds."""
+    n = 20_000
+    body = "".join(f"c (x{i} : A => " for i in range(1, n + 1)) + f"x{n}" + ")" * n
+    doc = tmp_path / "nested.dk"
+    doc.write_text(f"A : Type.\nc : (A -> A) -> A.\ndef d : A := {body}.\n")
+    done = _python("-m", "holtrans.cli", "check", str(doc), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_check_modules_against_their_own_base(tmp_path, capsys):
+    """A q0 and a pts output checked in one command: each module is checked
+    after its own directory's hol.dk, not after every hol.dk named."""
+    for mode in ("q0", "pts"):
+        assert cli.main(["translate", "--mode", mode, str(IDENTITY), "-o", str(tmp_path / mode)]) == 0
+    files = [str(tmp_path / mode / "01_identity.dk") for mode in ("q0", "pts")]
+    assert cli.main(["check", *files]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_type_instantiation_that_would_capture_translates_and_checks(tmp_path):
+    proof = captured_by_instantiation()
+    art = tmp_path / "capture.art"
+    art.write_text(ot.serialize_article(ot.VMState(theorems=[(proof.sequent, proof)])))
+    out = tmp_path / "out"
+    assert cli.main(["translate", str(art), "-o", str(out)]) == 0
+    assert cli.main(["check", str(out / "capture.dk")]) == 0
 
 
 @pytest.mark.parametrize("body,rc,err", [

@@ -208,7 +208,7 @@ def test_conversion_matches_oracle_on_theorems(mode, seed):
     env = make_env(mode)
     ty, body = tr.closed_theorem(env, HolGen(seed).proof(3))
     sig = env_signature(env)
-    inferred = k.infer_type(sig, k.Context(), body)
+    inferred = k.infer_type(sig, {}, body)
     assert k.convertible(sig, inferred, ty) and ref.convertible(sig, inferred, ty)
     for bad in _mutants(ty, rng) + _mutants(inferred, rng):
         _agree(sig, inferred, bad)

@@ -365,3 +365,22 @@ def test_binder_name_avoids_identifiers_of_its_body_only():
     inner = k.Abs("c", a, k.BVar(0))  # no c inside: keeps its name
     t = k.Abs("c", a, k.app(c, k.BVar(0), inner))
     assert dkfile.fmt_term(t) == "c_2 : A => c c_2 (c : A => c)"
+
+
+def test_same_hint_binders_take_the_smallest_free_suffix():
+    """2000 nested binders all hinted ``x``: each takes the first suffix
+    not in scope.  Testing a candidate against the scope is one dict
+    lookup, so this is quick; a scan of the enclosing names made it cubic."""
+    n = 2000
+    a = k.Const("A")
+    body = k.BVar(n - 1)  # the outermost binder
+    ty = a
+    for _ in range(n):
+        body = k.Abs("x", a, body)
+        ty = k.Prod("_", a, ty)
+    doc = dkfile.DkDocument("m", (k.ConstDecl("A", k.TYPE), k.Defn("d", ty, body)))
+    text = dkfile.emit(doc)
+    names = re.findall(r"(\w+) : A =>", text)
+    assert names == ["x"] + [f"x_{i}" for i in range(2, n + 1)]
+    assert text.endswith("=> x.\n")
+    assert dkfile.parse(text) == doc

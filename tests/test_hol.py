@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from holtrans import hol
 
-from conftest import HolGen
+from conftest import HolGen, captured_by_instantiation
 
 A = hol.TyVar("A")
 B = hol.TyVar("B")
@@ -119,6 +119,69 @@ def test_apply_subst_capture_avoiding():
     assert out.var.name != "y"
     lhs, rhs = hol.dest_eq(out.body)
     assert lhs == y and rhs == out.var
+
+
+def test_type_instantiation_renames_a_capturing_binder():
+    xb, yb = hol.Var("x", B), hol.Var("y", B)
+    redex = hol.App(hol.Abs(hol.Var("x'", B), xb), yb)
+    assert captured_by_instantiation().sequent == hol.Sequent((), hol.mk_eq(redex, xb))
+
+
+def reference_term_key(t, theta=None, bound=None, depth=0):
+    """``hol.term_key`` as first written, copying its binder dict at every
+    ``Abs``.  With ``theta``, the key of ``t`` with ``theta`` applied to
+    every type and the binders kept as they are: the key that a
+    capture-avoiding ``map_types(theta, t)`` must have."""
+    theta, bound = theta or {}, bound or {}
+    if isinstance(t, hol.Var):
+        k = (t.name, hol.type_key(t.type))
+        if k in bound:
+            return ("b", depth - bound[k] - 1)
+        return ("f", t.name, hol.type_key(hol.type_subst(theta, t.type)))
+    if isinstance(t, hol.Const):
+        return ("c", t.name, hol.type_key(hol.type_subst(theta, t.type)))
+    if isinstance(t, hol.Abs):
+        inner = dict(bound)
+        inner[(t.var.name, hol.type_key(t.var.type))] = depth
+        return ("l", hol.type_key(hol.type_subst(theta, t.var.type)), reference_term_key(t.body, theta, inner, depth + 1))
+    return ("a", reference_term_key(t.fn, theta, bound, depth), reference_term_key(t.arg, theta, bound, depth))
+
+
+def all_named_x(t, env=None):
+    """``t`` with every variable, free or bound, renamed to ``x`` at its own
+    type: binders shadow each other and capture free variables."""
+    env = env or {}
+    if isinstance(t, hol.Var):
+        return env.get(t, hol.Var("x", t.type))
+    if isinstance(t, hol.Const):
+        return t
+    if isinstance(t, hol.App):
+        return hol.App(all_named_x(t.fn, env), all_named_x(t.arg, env))
+    v = hol.Var("x", t.var.type)
+    return hol.Abs(v, all_named_x(t.body, {**env, t.var: v}))
+
+
+_THETAS = [{"A": B}, {"B": A}, {"A": B, "B": A}, {"A": hol.BOOL}, {"A": hol.fn(B, B)}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 100_000), st.booleans(), st.sampled_from(_THETAS))
+def test_term_key_and_map_types_match_the_copying_key(seed, shadowed, theta):
+    gen = HolGen(seed)
+    t = gen.term(gen.type(), 4)
+    if shadowed:
+        t = all_named_x(t)
+    assert hol.term_key(t) == reference_term_key(t)
+    assert hol.term_key(hol.map_types(theta, t)) == reference_term_key(t, theta)
+
+
+def test_map_types_keeps_nested_shadowing_binders_apart():
+    """``\\x:A. \\x:B. x:A`` under ``A := B``: the inner binder is renamed."""
+    xa, xb = hol.Var("x", A), hol.Var("x", B)
+    t = hol.Abs(xa, hol.Abs(xb, xa))
+    out = hol.map_types({"A": B}, t)
+    assert out == hol.Abs(xb, hol.Abs(hol.Var("x'", B), xb))
+    assert hol.map_types({"B": A}, t) == hol.Abs(xa, hol.Abs(hol.Var("x'", A), xa))
 
 
 def test_beta_normalize_identity_redex():

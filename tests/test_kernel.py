@@ -214,14 +214,14 @@ def test_convertible_example1():
 def test_infer_example1():
     sig = example1_signature()
     t = k.lam("x", k.App(F, C), k.app(k.Var("x"), C, k.Var("x")))
-    assert k.infer_type(sig, k.Context(), t) == k.arrow(k.App(F, C), k.App(F, C))
+    assert k.infer_type(sig, {}, t) == k.arrow(k.App(F, C), k.App(F, C))
 
 
 def test_infer_example1_without_rule_fails():
     sig = example1_signature(with_rule=False)
     t = k.lam("x", k.App(F, C), k.app(k.Var("x"), C, k.Var("x")))
     with pytest.raises(k.DomainMismatch):
-        k.infer_type(sig, k.Context(), t)
+        k.infer_type(sig, {}, t)
 
 
 def test_infer_example1_unfolded_annotation_is_domain_mismatch():
@@ -231,42 +231,42 @@ def test_infer_example1_unfolded_annotation_is_domain_mismatch():
     fy = k.App(F, k.Var("y"))
     t = k.lam("x", k.pi("y", ALPHA, k.arrow(fy, fy)), k.app(k.Var("x"), C, k.Var("x")))
     with pytest.raises(k.DomainMismatch) as exc:
-        k.infer_type(sig, k.Context(), t)
+        k.infer_type(sig, {}, t)
     assert not isinstance(exc.value, k.NotAFunction)
 
 
 def test_infer_identity_under_context():
-    ctx = k.Context([("A", k.TYPE)])
+    ctx = {"A": k.TYPE}
     t = k.lam("x", k.Var("A"), k.Var("x"))
     assert k.infer_type(k.Signature(), ctx, t) == k.pi("x", k.Var("A"), k.Var("A"))
 
 
 def test_infer_unbound_variable(q0):
     with pytest.raises(k.UnboundVariable):
-        k.infer_type(q0, k.Context(), k.Var("nope"))
+        k.infer_type(q0, {}, k.Var("nope"))
 
 
 def test_infer_unbound_constant():
     with pytest.raises(k.UnboundConstant):
-        k.infer_type(k.Signature(), k.Context(), k.Const("nope"))
+        k.infer_type(k.Signature(), {}, k.Const("nope"))
 
 
 def test_infer_kind_has_no_type(q0):
-    assert k.infer_type(q0, k.Context(), k.TYPE) == k.KIND
+    assert k.infer_type(q0, {}, k.TYPE) == k.KIND
     with pytest.raises(k.IllegalSort):
-        k.infer_type(q0, k.Context(), k.KIND)
+        k.infer_type(q0, {}, k.KIND)
 
 
 def test_infer_not_a_function(q0):
     t = k.App(k.Const("bool"), k.Const("bool"))
     with pytest.raises(k.NotAFunction):
-        k.infer_type(q0, k.Context(), t)
+        k.infer_type(q0, {}, t)
 
 
 def test_abs_over_kind_forbidden(q0):
     t = k.Abs("x", k.TYPE, k.BVar(0, "x"))
     with pytest.raises(k.IllegalSort):
-        k.infer_type(q0, k.Context(), t)
+        k.infer_type(q0, {}, t)
 
 
 # ---------------------------------------------------------------------------
@@ -274,24 +274,22 @@ def test_abs_over_kind_forbidden(q0):
 
 
 def test_check_context_empty(q0):
-    k.check_context(q0, k.Context())
+    k.check_context(q0, [])
 
 
 def test_check_context_type_then_term(q0):
-    ctx = k.Context(
-        [("a", k.Const("type")), ("x", k.App(k.Const("term"), k.Var("a")))]
-    )
+    ctx = [("a", k.Const("type")), ("x", k.App(k.Const("term"), k.Var("a")))]
     k.check_context(q0, ctx)
 
 
 def test_check_context_duplicate(q0):
-    ctx = k.Context([("x", k.Const("type")), ("x", k.Const("type"))])
+    ctx = [("x", k.Const("type")), ("x", k.Const("type"))]
     with pytest.raises(k.DuplicateVariable):
         k.check_context(q0, ctx)
 
 
 def test_check_context_not_a_type(q0):
-    ctx = k.Context([("x", k.Const("bool"))])  # bool : type, not a Type-sorted type
+    ctx = [("x", k.Const("bool"))]  # bool : type, not a Type-sorted type
     with pytest.raises(k.NotAType):
         k.check_context(q0, ctx)
 
@@ -429,12 +427,12 @@ def test_subject_reduction(seed):
 def _kernel_context_for(env, hterm):
     from holtrans import hol
 
-    ctx = k.Context()
+    ctx = {}
     for name in sorted(hol.term_tyvars(hterm)):
-        ctx = ctx.extended(tr.tyvar_name(name), k.Const("type"))
+        ctx[tr.tyvar_name(name)] = k.Const("type")
     vs = sorted(hol.free_vars(hterm), key=lambda v: (v.name, repr(hol.type_key(v.type))))
     for v in vs:
-        ctx = ctx.extended(env.termvar_name(v), tr.trans_type_type(env, v.type))
+        ctx[env.termvar_name(v)] = tr.trans_type_type(env, v.type)
     return ctx
 
 

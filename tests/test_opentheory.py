@@ -3,6 +3,8 @@ import pytest
 from holtrans import hol
 from holtrans import opentheory as ot
 
+from conftest import captured_by_instantiation
+
 
 def run_lines(*lines):
     return ot.run_text("\n".join(lines) + "\n")
@@ -208,6 +210,19 @@ def test_thm_sequent_mismatch():
             "2", "ref", "appTerm", "2", "ref", "appTerm",
             "thm",
         )
+
+
+def test_thm_stating_a_captured_instantiation_is_rejected():
+    """An article may not state the sequent that instantiating a type
+    variable without renaming the binder would give: ``(\\x:B. x:B) y:B =
+    x:B``, whose left side beta-reduces to ``y``."""
+    proof = captured_by_instantiation()
+    xb, yb = hol.Var("x", hol.TyVar("B")), hol.Var("y", hol.TyVar("B"))
+    captured = hol.Sequent((), hol.mk_eq(hol.App(hol.Abs(xb, xb), yb), xb))
+    text = ot.serialize_article(ot.VMState(theorems=[(captured, proof)]))
+    with pytest.raises(ot.SequentMismatch):
+        ot.run_text(text)
+    assert ot.run_text(ot.serialize_article(ot.VMState(theorems=[(proof.sequent, proof)]))).theorems
 
 
 def test_pragma_pops_and_ignores():

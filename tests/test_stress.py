@@ -7,7 +7,7 @@ from holtrans import kernel as k
 from holtrans import opentheory as ot
 from holtrans import translate as tr
 
-from conftest import HolGen, env_signature, make_env
+from conftest import HolGen, completeness_context, env_signature, make_env
 
 
 def test_deep_derivation_chain():
@@ -19,7 +19,7 @@ def test_deep_derivation_chain():
     seq = hol.check_proof(proof)
     assert seq.concl == p
     env = make_env()
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     term = tr.trans_proof(env, proof)
     sig = env_signature(env)
     ty = k.infer_type(sig, ctx, term, fuel=10**7)

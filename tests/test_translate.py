@@ -6,7 +6,7 @@ from holtrans import dkfile, hol
 from holtrans import kernel as k
 from holtrans import translate as tr
 
-from conftest import CORPUS, HolGen, count_calls, env_signature, make_env
+from conftest import CORPUS, HolGen, completeness_context, count_calls, env_signature, make_env
 from reference_typing import normalize
 
 A = hol.TyVar("A")
@@ -152,7 +152,7 @@ def test_lambda_nest_is_bound_in_one_walk(monkeypatch):
 
 def trans_context(env, props):
     """The hypotheses ``props`` as a context, in order."""
-    return k.Context((env.hyp_name(prop), tr.trans_prop_type(env, prop)) for prop in props)
+    return {env.hyp_name(prop): tr.trans_prop_type(env, prop) for prop in props}
 
 
 def test_trans_prop_and_context():
@@ -166,7 +166,7 @@ def test_trans_prop_and_context():
     assert got == want
     assert len(trans_context(env, ())) == 0
     ctx = trans_context(env, (prop,))
-    assert list(ctx) == [(env.hyp_name(prop), got)]
+    assert list(ctx.items()) == [(env.hyp_name(prop), got)]
     with pytest.raises(tr.NotAProposition):
         tr.trans_prop_type(env, x)
 
@@ -235,7 +235,7 @@ def _example2():
 def test_example2_checks_at_translated_conclusion(q0):
     env = make_env()
     proof, (x, _, z) = _example2()
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     term = tr.trans_proof(env, proof)
     ty = k.infer_type(q0, ctx, term)
     assert k.convertible(q0, ty, tr.trans_prop_type(env, hol.mk_eq(x, z)))
@@ -252,7 +252,7 @@ def test_eta_axiom_discharged_via_funext(q0):
     assert not env.decls or all(
         not d.name.startswith("ax_") for d in env.decls if isinstance(d, k.ConstDecl)
     )
-    ctx = tr.completeness_context(env, ax)
+    ctx = completeness_context(env, ax)
     ty = k.infer_type(q0, ctx, term)
     want = tr.trans_prop_type(env, hol.check_proof(ax).concl)
     assert k.convertible(q0, ty, want)
@@ -268,7 +268,7 @@ def test_other_axioms_become_premised_constants(q0):
     assert any(
         isinstance(d, k.ConstDecl) and d.name == head.name for d in env.decls
     )
-    ctx = tr.completeness_context(env, ax)
+    ctx = completeness_context(env, ax)
     ty = k.infer_type(env_signature(env), ctx, term)
     assert k.convertible(q0, ty, tr.trans_prop_type(env, q))
 
@@ -286,7 +286,7 @@ def test_subst_translation_instantiates_types_first(q0):
     head, args = k.spine(term)
     assert isinstance(head, k.Abs)
     assert args[0] == BOOL
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     ty = k.infer_type(q0, ctx, term)
     y = hol.Var("y", hol.BOOL)
     assert k.convertible(q0, ty, tr.trans_prop_type(env, hol.mk_eq(y, y)))
@@ -300,7 +300,7 @@ def test_define_const_emits_declaration_and_axiom(q0):
     term = tr.trans_proof(env, proof)
     names = {d.name for d in env.decls if isinstance(d, k.ConstDecl)}
     assert "tm_c_id" in names and "tm_c_id_def" in names
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     ty = k.infer_type(env_signature(env), ctx, term)
     want = tr.trans_prop_type(env, hol.check_proof(proof).concl)
     assert k.convertible(env_signature(env), ty, want)
@@ -328,7 +328,7 @@ def test_compression_collapses_conversion_tower(q0):
     assert hol.alpha_equal(compressed.normal, want)
     # both translations check at the original statement
     env = make_env()
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     want_ty = tr.trans_prop_type(env, hol.check_proof(proof).concl)
     for p in (proof, compressed):
         ty = k.infer_type(q0, ctx, tr.trans_proof(env, p))
@@ -418,7 +418,7 @@ def test_compression_soundness(seed):
     proof = gen.proof(3)
     compressed = tr.compress_conversions(proof)
     env = make_env()
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     want = tr.trans_prop_type(env, hol.check_proof(proof).concl)
     term = tr.trans_proof(env, compressed)
     sig = env_signature(env)
@@ -440,13 +440,13 @@ def test_pts_definitions_check_at_stated_types(pts):
     want = k.pi("p", tb, k.pi("q", tb,
         k.arrow(k.arrow(pf(p), pf(q)), pf(k.app(k.Const("imp"), p, q)))))
     assert imp_intro.type == want
-    got = k.infer_type(pts, k.Context(), imp_intro.body)
+    got = k.infer_type(pts, {}, imp_intro.body)
     assert k.convertible(pts, got, want)
     imp_elim = next(it for it in pts.items if isinstance(it, k.Defn) and it.name == "imp_elim")
     want_elim = k.pi("p", tb, k.pi("q", tb,
         k.arrow(pf(k.app(k.Const("imp"), p, q)), pf(p), pf(q))))
     assert imp_elim.type == want_elim
-    got = k.infer_type(pts, k.Context(), imp_elim.body)
+    got = k.infer_type(pts, {}, imp_elim.body)
     assert k.convertible(pts, got, want_elim)
 
 
@@ -463,7 +463,7 @@ def test_pts_provability_rewrites(pts):
 def test_mode_agreement_on_example2(pts):
     env = make_env("pts")
     proof, (x, _, z) = _example2()
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     ty = k.infer_type(pts, ctx, tr.trans_proof(env, proof))
     assert k.convertible(pts, ty, tr.trans_prop_type(env, hol.mk_eq(x, z)))
 
@@ -474,7 +474,7 @@ def test_mode_agreement_on_random_proofs(seed):
     gen = HolGen(seed)
     proof = gen.proof(2)
     env = make_env("pts")
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     term = tr.trans_proof(env, proof)
     sig = env_signature(env)
     ty = k.infer_type(sig, ctx, term, fuel=10**7)
@@ -544,8 +544,10 @@ def test_completeness_contexts_are_well_formed(seed):
     gen = HolGen(seed)
     proof = gen.proof(2)
     env = make_env()
-    ctx = tr.completeness_context(env, proof)
-    k.check_context(env_signature(env), ctx)
+    ctx = completeness_context(env, proof)
+    binders = tr._binders(env, tr.closure_of(env, proof))
+    assert len(ctx) == len(binders)  # no name bound twice
+    k.check_context(env_signature(env), ctx.items())
 
 
 # the per-binder closure builders that kernel.bind replaced
@@ -573,13 +575,13 @@ def oracle_pi_over(env, c, ty):
 
 def oracle_completeness_context(env, proof):
     c = tr.closure_of(env, proof)
-    ctx = k.Context()
+    ctx = {}
     for n in c.tyvars:
-        ctx = ctx.extended(tr.tyvar_name(n), tr._T)
+        ctx[tr.tyvar_name(n)] = tr._T
     for v in c.termvars:
-        ctx = ctx.extended(env.termvar_name(v), tr.trans_type_type(env, v.type))
+        ctx[env.termvar_name(v)] = tr.trans_type_type(env, v.type)
     for prop in c.hyps:
-        ctx = ctx.extended(env.hyp_name(prop), tr.trans_prop_type(env, prop))
+        ctx[env.hyp_name(prop)] = tr.trans_prop_type(env, prop)
     return ctx
 
 
@@ -604,7 +606,7 @@ def test_closures_match_per_binder_oracle(mode, seed):
     proof = HolGen(seed).proof(3)
     env = make_env(mode)
     ty, body = tr.closed_theorem(env, proof)
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     old_env = make_env(mode)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tr, "_trans_subst", oracle_trans_subst)
@@ -616,7 +618,7 @@ def test_closures_match_per_binder_oracle(mode, seed):
     # printed, so that binder hints, which == ignores, are compared too
     fmt = dkfile.fmt_term
     assert (fmt(ty), fmt(body)) == (fmt(old_ty), fmt(old_body))
-    assert [(n, fmt(t)) for n, t in ctx] == [(n, fmt(t)) for n, t in old_ctx]
+    assert [(n, fmt(t)) for n, t in ctx.items()] == [(n, fmt(t)) for n, t in old_ctx.items()]
 
 
 def test_corpus_translates_in_pts_mode(pts, corpus_paths):
@@ -636,7 +638,7 @@ def test_completeness_on_random_proofs(seed):
     gen = HolGen(seed)
     proof = gen.proof(3)
     env = make_env()
-    ctx = tr.completeness_context(env, proof)
+    ctx = completeness_context(env, proof)
     term = tr.trans_proof(env, proof)
     sig = env_signature(env)  # after translation: axiom constants are lazy
     ty = k.infer_type(sig, ctx, term, fuel=10**6)
@@ -650,9 +652,9 @@ def test_translated_types_live_in_type(seed):
     gen = HolGen(seed)
     ty = gen.type()
     env = make_env()
-    ctx = k.Context()
+    ctx = {}
     for name in sorted(hol.type_tyvars(ty)):
-        ctx = ctx.extended(tr.tyvar_name(name), k.Const("type"))
+        ctx[tr.tyvar_name(name)] = k.Const("type")
     got = k.infer_type(env_signature(env), ctx, tr.trans_type_term(env, ty))
     assert got == k.Const("type")
 
@@ -666,12 +668,12 @@ def test_translated_terms_live_in_translated_types(seed):
     env = make_env()
     sig = env_signature(env)
     kt = tr.trans_term(env, term)
-    ctx = k.Context()
+    ctx = {}
     for name in sorted(hol.term_tyvars(term)):
-        ctx = ctx.extended(tr.tyvar_name(name), k.Const("type"))
+        ctx[tr.tyvar_name(name)] = k.Const("type")
     vs = sorted(hol.free_vars(term), key=lambda v: (v.name, repr(hol.type_key(v.type))))
     for v in vs:
-        ctx = ctx.extended(env.termvar_name(v), tr.trans_type_type(env, v.type))
+        ctx[env.termvar_name(v)] = tr.trans_type_type(env, v.type)
     got = k.infer_type(sig, ctx, kt, fuel=10**6)
     assert k.convertible(sig, got, tr.trans_type_type(env, ty))
 

@@ -25,7 +25,7 @@ FUEL = 10**6
 def _outcome(infer, sig, t):
     """The inferred type, or the class of the error raised."""
     try:
-        return infer(sig, k.Context(), t, FUEL)
+        return infer(sig, {}, t, FUEL)
     except k.KernelError as e:
         return type(e)
 
@@ -100,66 +100,68 @@ def test_abstraction_chain_inference_grows_linearly(monkeypatch):
     for n in (20, 40):
         t = _lambda_chain(n)
         want = k.arrow(*[k.Const("A")] * (n + 1))
-        assert k.infer_type(sig, k.Context(), t) == want
-        kernel_calls[n] = count_calls(monkeypatch, k, "_infer", lambda: k.infer_type(sig, k.Context(), t))
-        reference_calls[n] = count_calls(monkeypatch, ref, "infer", lambda: ref.infer_type(sig, k.Context(), t))
+        assert k.infer_type(sig, {}, t) == want
+        kernel_calls[n] = count_calls(monkeypatch, k, "_infer", lambda: k.infer_type(sig, {}, t))
+        reference_calls[n] = count_calls(monkeypatch, ref, "infer", lambda: ref.infer_type(sig, {}, t))
     assert reference_calls == {20: 21**2, 40: 41**2}
     assert kernel_calls[40] / kernel_calls[20] <= 2.2
 
 
-def test_abstraction_chain_context_grows_linearly(monkeypatch):
-    """The chain's bindings are copied into a context once, not once per
-    binder: the summed size of the contexts built grows linearly."""
-    copied = [0]
-
-    class CountingContext(k.Context):
-        __slots__ = ()
-
-        def __init__(self, bindings=()):
-            super().__init__(bindings)
-            copied[0] += len(self)
-
-    sig = k.Signature([k.ConstDecl("A", k.TYPE)])
-    counts = {}
-    for n in (1000, 2000, 4000):
-        t = _lambda_chain(n)
-        copied[0] = 0
-        with monkeypatch.context() as m:
-            m.setattr(k, "Context", CountingContext)
-            ty = k.infer_type(sig, CountingContext(), t)
-        assert ty.size == 2 * n + 1
-        counts[n] = copied[0]
-    assert counts[2000] / counts[1000] <= 2.2
-    assert counts[4000] / counts[2000] <= 2.2
+_NEST_SIG = k.Signature([
+    k.ConstDecl("A", k.TYPE),
+    k.ConstDecl("c", k.arrow(k.arrow(k.Const("A"), k.Const("A")), k.Const("A"))),
+    k.ConstDecl("P", k.arrow(k.TYPE, k.TYPE)),
+])
 
 
-def _product_chain(n):
-    """``x1 : A -> ... -> xn : A -> A``."""
-    return k.bind(k.Prod, [(f"x{i}", f"x{i}", k.Const("A")) for i in range(1, n + 1)], k.Const("A"))
+def _nested(cls, n):
+    """``c (x1 : A => c (x2 : A => ... c (xn : A => xn)))`` for ``Abs``,
+    ``P (x1 : A -> P (x2 : A -> ... P (xn : A -> A)))`` for ``Prod``: every
+    binder is a chain of its own, separated from the next by an application."""
+    head, t = (k.Const("c"), k.BVar(0, f"x{n}")) if cls is k.Abs else (k.Const("P"), k.Const("A"))
+    for i in range(n, 0, -1):
+        t = k.App(head, cls(f"x{i}", k.Const("A"), t))
+    return t
 
 
-def test_product_chain_context_grows_linearly(monkeypatch):
-    """A product chain, like an abstraction chain, extends the context once."""
-    copied = [0]
+def test_one_context_per_call(monkeypatch):
+    """A call hands one dict to every ``_infer``, however many chains it
+    opens, and the caller's mapping is the same after it, on success and
+    on failure alike."""
+    seen = []
+    inner = k._infer
 
-    class CountingContext(k.Context):
-        __slots__ = ()
+    def recording(sig, ctx, t, fuel):
+        seen.append(ctx)
+        return inner(sig, ctx, t, fuel)
 
-        def __init__(self, bindings=()):
-            super().__init__(bindings)
-            copied[0] += len(self)
+    monkeypatch.setattr(k, "_infer", recording)
+    caller = {"a": k.Const("A")}
+    for cls, want in ((k.Abs, k.Const("A")), (k.Prod, k.TYPE)):
+        seen.clear()
+        assert k.infer_type(_NEST_SIG, caller, _nested(cls, 50)) == want
+        assert len(seen) > 100 and all(ctx is seen[0] for ctx in seen)
+        assert seen[0] is not caller and seen[0] == caller
+    # ``P a`` fails (``a : A`` is not a type) under two open chains
+    c, A = k.Const("c"), k.Const("A")
+    ill_typed = k.App(c, k.Abs("y", A, k.App(c, k.Abs("x", A, k.App(k.Const("P"), k.Var("a"))))))
+    with pytest.raises(k.DomainMismatch):
+        k.infer_type(_NEST_SIG, caller, ill_typed)
+    assert caller == {"a": k.Const("A")}
 
-    sig = k.Signature([k.ConstDecl("A", k.TYPE)])
-    counts = {}
-    for n in (1000, 2000, 4000):
-        t = _product_chain(n)
-        copied[0] = 0
-        with monkeypatch.context() as m:
-            m.setattr(k, "Context", CountingContext)
-            assert k.infer_type(sig, CountingContext(), t) == k.TYPE
-        counts[n] = copied[0]
-    assert counts[2000] / counts[1000] <= 2.2
-    assert counts[4000] / counts[2000] <= 2.2
+
+@pytest.mark.parametrize("cls", [k.Abs, k.Prod])
+def test_nested_chains_infer_linearly(monkeypatch, cls):
+    """Chains nested under applications: the ``_infer`` calls grow
+    linearly with the depth, and the result agrees with the reference."""
+    calls = {}
+    for n in (500, 1000, 2000):
+        t = _nested(cls, n)
+        calls[n] = count_calls(monkeypatch, k, "_infer", lambda: k.infer_type(_NEST_SIG, {}, t))
+    assert calls[1000] / calls[500] <= 2.2
+    assert calls[2000] / calls[1000] <= 2.2
+    small = _nested(cls, 30)
+    assert _outcome(k.infer_type, _NEST_SIG, small) == _outcome(ref.infer_type, _NEST_SIG, small)
 
 
 _CHAIN_SIG = k.Signature([
@@ -204,7 +206,7 @@ def test_abstraction_body_type_must_have_a_sort():
     for t in (k.Abs("x", A, k.Const("c")), k.Abs("y", A, k.Abs("x", A, k.Const("c")))):
         for infer in (k.infer_type, ref.infer_type):
             with pytest.raises(k.IllegalSort, match="abstraction body type is not well-sorted: d"):
-                infer(sig, k.Context(), t)
+                infer(sig, {}, t)
 
 
 def test_nested_normalization_does_not_capture_under_binders():
