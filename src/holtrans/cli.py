@@ -47,6 +47,11 @@ def _fail(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _reason(e: Exception) -> str:
+    """``Type: message`` for a failure, at most ``dkfile.MESSAGE_WIDTH`` characters."""
+    return dkfile.clip(f"{type(e).__name__}: {e}")
+
+
 def _write_output(path: Path, data: bytes) -> bool:
     """Write ``data`` to a temporary file beside ``path``, then move it into
     place with ``os.replace``, so ``path`` is never left half written and
@@ -121,7 +126,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         except (opentheory.ArticleError, hol.HolError, translate.TranslateError, kernel.KernelError) as e:
             idx = getattr(e, "command_index", None)
             where = f" (command {idx}, line {e.command_line})" if idx is not None else ""
-            _fail(f"{path}{where}: {type(e).__name__}: {e}")
+            _fail(f"{path}{where}: {_reason(e)}")
             return 1
         t1 = time.perf_counter()
         budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
@@ -129,7 +134,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         try:
             translate.verify_document(result.document, mode=args.mode, fuel=fuel)
         except kernel.KernelError as e:
-            _fail(f"{path}: generated document failed self-verification: {type(e).__name__}: {e}")
+            _fail(f"{path}: generated document failed self-verification: {_reason(e)}")
             return 1
         t2 = time.perf_counter()
         text = dkfile.emit(result.document).encode("utf-8")
@@ -211,7 +216,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         try:
             kernel.check_signature(kernel.Signature(bases.get(directory, ()) + file_items), fuel)
         except kernel.KernelError as e:
-            _fail(f"{path}: {type(e).__name__}: {e}")
+            _fail(f"{path}: {_reason(e)}")
             return 1
         if Path(path).name == "hol.dk":
             bases[directory] = file_items
@@ -222,6 +227,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _load_stats(paths: list) -> list:
+    """The article rows of each stats file; raises ``ValueError`` naming a
+    file that cannot be read as one."""
     rows = []
     for raw in paths or ["."]:
         p = Path(raw)
@@ -229,8 +236,17 @@ def _load_stats(paths: list) -> list:
             p = p / STATS_FILE
         if not p.exists():
             continue
-        data = json.loads(p.read_text(encoding="utf-8"))
-        rows.extend(data.get("articles", []))
+        try:
+            data = json.loads(p.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as e:
+            raise ValueError(f"{p}: {e}") from None
+        articles = data.get("articles", []) if isinstance(data, dict) else None
+        if not isinstance(articles, list) or not all(
+            isinstance(row, dict) and all(isinstance(row.get(key, 0), (int, float)) for _, key in _COLUMNS[1:])
+            for row in articles
+        ):
+            raise ValueError(f"{p}: not a stats file: expected an object whose articles are rows of numbers")
+        rows.extend(articles)
     return rows
 
 
@@ -248,7 +264,11 @@ _COLUMNS = (
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    rows = _load_stats(args.inputs)
+    try:
+        rows = _load_stats(args.inputs)
+    except ValueError as e:
+        _fail(str(e))
+        return 2
     if args.as_json:
         print(json.dumps({"articles": rows}, indent=2))
         return 0

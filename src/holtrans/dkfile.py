@@ -118,35 +118,40 @@ _TOP, _OPERAND, _APP_FN, _APP_ARG = 0, 1, 2, 3
 
 
 class _Occurrences:
-    """Where each identifier occurs in one printed term, by preorder position.
+    """Where each identifier, and each binder's index, occurs in one printed
+    term, by preorder position.
 
     The subterm at position ``p`` spans positions ``p .. p + size - 1``
     (every node counts one in ``size``), so one walk of the term answers
-    "is this name used inside that binder's body" for every binder.  The
-    walk happens on the first question.
+    "is this name used inside that binder's body" for every binder.  An
+    index is keyed by the level of the binder it refers to, the number of
+    binders around that binder, so "does this binder's body use its index"
+    is the same question.  The walk happens on the first question.
     """
 
     __slots__ = ("_root", "_at")
 
     def __init__(self, root: Term):
         self._root = root
-        self._at: Optional[dict[str, list[int]]] = None
+        self._at: Optional[dict[Union[str, int], list[int]]] = None
 
-    def within(self, name: str, start: int, size: int) -> bool:
+    def within(self, key: Union[str, int], start: int, size: int) -> bool:
         if self._at is None:
             self._at = {}
-            stack = [(self._root, 0)]
+            stack = [(self._root, 0, 0)]  # a node, its position and its binder depth
             while stack:  # preorder, so each position list comes out sorted
-                u, p = stack.pop()
+                u, p, d = stack.pop()
                 if isinstance(u, (Const, Var)):
                     self._at.setdefault(u.name, []).append(p)
+                elif isinstance(u, BVar):  # a dangling one gets a negative level
+                    self._at.setdefault(d - 1 - u.index, []).append(p)
                 elif isinstance(u, App):
-                    stack.append((u.arg, p + 1 + u.fn.size))
-                    stack.append((u.fn, p + 1))
+                    stack.append((u.arg, p + 1 + u.fn.size, d))
+                    stack.append((u.fn, p + 1, d))
                 elif isinstance(u, Binder):
-                    stack.append((u.body, p + 1 + u.domain.size))
-                    stack.append((u.domain, p + 1))
-        ps = self._at.get(name)
+                    stack.append((u.body, p + 1 + u.domain.size, d + 1))
+                    stack.append((u.domain, p + 1, d))
+        ps = self._at.get(key)
         if not ps:
             return False
         i = bisect_left(ps, start)
@@ -187,7 +192,7 @@ def _fmt(t: Term, at: int, prec: int, names: list[str], scope: dict[str, int], o
         return f"({s})" if prec >= _APP_ARG else s
     inner_at = at + 1 + t.domain.size
     dom = _fmt(t.domain, at + 1, _OPERAND, names, scope, occ)
-    if isinstance(t, Abs) or kernel._uses_index(t.body, 0):
+    if isinstance(t, Abs) or (t.body.bound and occ.within(len(names), inner_at, t.body.size)):
         name = _display(t.hint, t.body, inner_at, scope, occ)
         head = f"{name} : {dom} {'=>' if isinstance(t, Abs) else '->'} "
     else:
@@ -202,6 +207,46 @@ def _fmt(t: Term, at: int, prec: int, names: list[str], scope: dict[str, int], o
 
 def fmt_term(t: Term) -> str:
     return _fmt(t, 0, _TOP, [], {}, _Occurrences(t))
+
+
+# An error message shows at most MESSAGE_WIDTH characters and each term in it
+# a third of that, cut first to half as many nodes, so that the elision marker
+# shows before the text is cut unless the names are long.
+MESSAGE_WIDTH = 600
+_TERM_WIDTH = MESSAGE_WIDTH // 3
+_TERM_NODES = _TERM_WIDTH // 2
+_ELIDED = Const("...")
+
+
+def clip(text: str, width: int = MESSAGE_WIDTH) -> str:
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
+def _for_message(t: Term, left: list[int], depth: int) -> Term:
+    """``t`` cut to its first ``left[0]`` nodes in preorder, one marker for
+    each elided run; dangling indices and ``Kind``, which ``fmt_term``
+    refuses, become names that print as ``#i`` and ``Kind``.  Only the
+    nodes kept are visited."""
+    if left[0] <= 0:
+        return _ELIDED
+    left[0] -= 1
+    if isinstance(t, App):
+        fn, arg = _for_message(t.fn, left, depth), _for_message(t.arg, left, depth)
+        if arg is _ELIDED and (fn is _ELIDED or isinstance(fn, App) and fn.arg is _ELIDED):
+            return fn
+        return App(fn, arg)
+    if isinstance(t, BVar):
+        return t if t.index < depth else Var(f"#{t.index}")
+    if isinstance(t, Binder):
+        return type(t)(t.hint, _for_message(t.domain, left, depth), _for_message(t.body, left, depth + 1))
+    return Const("Kind") if t == kernel.KIND else t
+
+
+def fmt_message_term(t: Term) -> str:
+    """``t`` as an error message shows it: in the emitter's syntax, cut to
+    a fixed number of nodes and characters, so that rendering costs the
+    same whatever the term's size."""
+    return clip(fmt_term(_for_message(t, [_TERM_NODES], 0)), _TERM_WIDTH)
 
 
 def emit(doc: DkDocument) -> str:

@@ -229,7 +229,7 @@ def dest_eq(t: HolTerm) -> tuple[HolTerm, HolTerm]:
         and t.fn.fn.name == EQ
     ):
         return t.fn.arg, t.arg
-    raise HolError(f"not an equality: {t}")
+    raise HolError(f"not an equality: a term of type {t.type}")
 
 
 def free_vars(t: HolTerm) -> frozenset:
@@ -685,7 +685,7 @@ def check_proof(proof: Proof) -> Sequent:
 
 def _require_bool(rule: str, t: HolTerm) -> None:
     if t.type != BOOL:
-        raise RuleViolation(rule, f"not a proposition: {t}")
+        raise RuleViolation(rule, f"not a proposition: a term of type {t.type}")
 
 
 def _check(proof: Proof) -> Sequent:
@@ -797,7 +797,7 @@ def _check(proof: Proof) -> Sequent:
             raise RuleViolation("ConvRefl", "stored normal form does not match")
         return make_sequent((), mk_eq(proof.lhs, proof.rhs))
 
-    raise HolError(f"unknown proof node {proof!r}")
+    raise HolError(f"unknown proof node {type(proof).__name__}")
 
 
 def eta_instance(seq: Sequent) -> Optional[tuple[Var, HolTerm]]:

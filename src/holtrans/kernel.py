@@ -82,7 +82,18 @@ DEFAULT_FUEL = 10_000_000
 
 
 class KernelError(Exception):
-    """Base for all typing, reduction and signature errors."""
+    """Base for all typing, reduction and signature errors.
+
+    The arguments are the message's parts: text, the offending terms, and
+    the error this one wraps.  ``str`` joins them and renders each term
+    with ``dkfile``'s printer, cut to a fixed width, so this module holds
+    no printer of its own.
+    """
+
+    def __str__(self) -> str:
+        from .dkfile import fmt_message_term
+
+        return "".join(fmt_message_term(a) if isinstance(a, Term) else str(a) for a in self.args)
 
 
 class FuelExhausted(KernelError):
@@ -397,36 +408,26 @@ def arrow(*types: Term) -> Term:
 
 
 def free_names(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if not u.has_var:
-            continue
-        if isinstance(u, Var):
-            out.add(u.name)
-        elif isinstance(u, App):
-            stack.append(u.fn)
-            stack.append(u.arg)
-        elif isinstance(u, Binder):
-            stack.append(u.domain)
-            stack.append(u.body)
-    return out
+    return _leaf_names(t, Var)
 
 
 def const_names(t: Term) -> set[str]:
+    return _leaf_names(t, Const)
+
+
+def _leaf_names(t: Term, cls: type[_Named]) -> set[str]:
     out: set[str] = set()
     stack = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, Const):
+        if cls is Var and not u.has_var:
+            continue
+        if isinstance(u, cls):
             out.add(u.name)
         elif isinstance(u, App):
-            stack.append(u.fn)
-            stack.append(u.arg)
+            stack += (u.fn, u.arg)
         elif isinstance(u, Binder):
-            stack.append(u.domain)
-            stack.append(u.body)
+            stack += (u.domain, u.body)
     return out
 
 
@@ -449,62 +450,6 @@ def substitute(t: Term, mapping: dict[str, Term]) -> Term:
 
 def term_size(t: Term) -> int:
     return t.size
-
-
-def fresh_name(hint: str, taken: set[str]) -> str:
-    base = hint or "x"
-    if base not in taken:
-        return base
-    i = 1
-    while f"{base}'{i}" in taken:
-        i += 1
-    return f"{base}'{i}"
-
-
-def pretty(t: Term, _names: tuple[str, ...] = ()) -> str:
-    """Readable rendering with raw names; for messages and debugging only."""
-
-    def go(u: Term, names: tuple[str, ...], prec: int) -> str:
-        # prec: 0 top, 1 arrow-left, 2 app-fn, 3 app-arg
-        if isinstance(u, Sort):
-            return u.name
-        if isinstance(u, Var):
-            return u.name
-        if isinstance(u, Const):
-            return u.name
-        if isinstance(u, BVar):
-            if u.index < len(names):
-                return names[-1 - u.index]
-            return f"#{u.index}"
-        if isinstance(u, App):
-            s = f"{go(u.fn, names, 2)} {go(u.arg, names, 3)}"
-            return f"({s})" if prec >= 3 else s
-        taken = set(names) | free_names(u)
-        if isinstance(u, Abs):
-            n = fresh_name(u.hint, taken)
-            s = f"{n}: {go(u.domain, names, 1)} => {go(u.body, names + (n,), 0)}"
-            return f"({s})" if prec >= 1 else s
-        assert isinstance(u, Prod)
-        if _uses_index(u.body, 0):
-            n = fresh_name(u.hint, taken)
-            s = f"{n}: {go(u.domain, names, 1)} -> {go(u.body, names + (n,), 0)}"
-        else:
-            s = f"{go(u.domain, names, 1)} -> {go(open_term(u.body, Var('_')), names, 0)}"
-        return f"({s})" if prec >= 1 else s
-
-    return go(t, _names, 0)
-
-
-def _uses_index(t: Term, depth: int) -> bool:
-    if t.bound <= depth:
-        return False
-    if isinstance(t, BVar):
-        return t.index == depth
-    if isinstance(t, App):
-        return _uses_index(t.fn, depth) or _uses_index(t.arg, depth)
-    if isinstance(t, Binder):
-        return _uses_index(t.domain, depth) or _uses_index(t.body, depth + 1)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -782,14 +727,10 @@ def _infer(sig: Signature, ctx: dict[str, Term], t: Term, fuel: Fuel) -> Term:
     assert isinstance(t, App)
     fn_ty = whnf(sig, _infer(sig, ctx, t.fn, fuel), fuel)
     if not isinstance(fn_ty, Prod):
-        raise NotAFunction(
-            f"application head has no product type: {pretty(t.fn)} : {pretty(fn_ty)}"
-        )
+        raise NotAFunction("application head has no product type: ", t.fn, " : ", fn_ty)
     arg_ty = _infer(sig, ctx, t.arg, fuel)
     if arg_ty != fn_ty.domain and not convertible(sig, arg_ty, fn_ty.domain, fuel):
-        raise DomainMismatch(
-            f"argument type mismatch: expected {pretty(fn_ty.domain)}, got {pretty(arg_ty)}"
-        )
+        raise DomainMismatch("argument type mismatch: expected ", fn_ty.domain, ", got ", arg_ty)
     return open_term(fn_ty.body, t.arg)
 
 
@@ -825,16 +766,16 @@ def _infer_chain(sig: Signature, ctx: dict[str, Term], t: Binder, fuel: Fuel) ->
     for x, _, _ in binders:
         del ctx[x]
     if cls is Prod and not isinstance(s, Sort):
-        raise IllegalSort(f"product codomain is not a type or kind: {pretty(t)}")
+        raise IllegalSort("product codomain is not a type or kind: ", t)
     if not isinstance(s, Sort):
-        raise IllegalSort(f"abstraction body type is not well-sorted: {pretty(ty)}")
+        raise IllegalSort("abstraction body type is not well-sorted: ", ty)
     return s if cls is Prod else bind(Prod, binders, ty)
 
 
 def _check_is_type(sig: Signature, ctx: dict[str, Term], a: Term, fuel: Fuel) -> None:
     s = whnf(sig, _infer(sig, ctx, a, fuel), fuel)
     if s != TYPE:
-        raise IllegalSort(f"expected a type of sort Type: {pretty(a)} has sort {pretty(s)}")
+        raise IllegalSort("expected a type of sort Type: ", a, " has sort ", s)
 
 
 def check_context(sig: Signature, bindings: Iterable[tuple[str, Term]], fuel: Union[int, Fuel, None] = None) -> None:
@@ -847,14 +788,14 @@ def check_context(sig: Signature, bindings: Iterable[tuple[str, Term]], fuel: Un
         try:
             _check_is_type(sig, prefix, ty, fuel)
         except IllegalSort as e:
-            raise NotAType(f"binding {name}: {e}") from e
+            raise NotAType(f"binding {name}: ", e) from e
         prefix[name] = ty
 
 
 def _check_pattern(t: Term) -> None:
     head, args = spine(t)
     if not isinstance(head, Const):
-        raise NonPatternLhs(f"rule head is not a constant: {pretty(t)}")
+        raise NonPatternLhs("rule head is not a constant: ", t)
     for a in args:
         _check_pattern_arg(a)
 
@@ -865,43 +806,48 @@ def _check_pattern_arg(t: Term) -> None:
     if isinstance(t, App):
         head, args = spine(t)
         if not isinstance(head, Const):
-            raise NonPatternLhs(f"pattern argument with non-constant head: {pretty(t)}")
+            raise NonPatternLhs("pattern argument with non-constant head: ", t)
         for a in args:
             _check_pattern_arg(a)
         return
-    raise NonPatternLhs(f"non-first-order pattern argument: {pretty(t)}")
+    raise NonPatternLhs("non-first-order pattern argument: ", t)
 
 
 def check_signature(sig: Signature, fuel: Union[int, Fuel, None] = None) -> None:
-    """Validate every item against its prefix; raises on the first failure."""
+    """Validate every item against its prefix; raises on the first failure,
+    which names its item, a spent budget too."""
     fuel = _as_fuel(fuel)
     prefix = Signature()
     for item in sig.items:
-        if isinstance(item, (ConstDecl, Defn)):
-            if item.name in prefix:
+        try:
+            if isinstance(item, RewriteRule):
+                _check_rule(prefix, item, fuel)
+            elif item.name in prefix:
                 raise DuplicateConstant(f"constant {item.name} declared twice")
-            try:
-                s = whnf(prefix, _infer(prefix, {}, item.type, fuel), fuel)
-            except KernelError as e:
-                if isinstance(e, (DuplicateConstant, FuelExhausted)):
-                    raise
-                raise IllTypedDeclaration(f"declaration {item.name}: {e}") from e
-            if not isinstance(s, Sort):
-                raise IllTypedDeclaration(f"declaration {item.name}: type has no sort")
-            if isinstance(item, Defn):
+            else:
                 try:
-                    body_ty = _infer(prefix, {}, item.body, fuel)
+                    s = whnf(prefix, _infer(prefix, {}, item.type, fuel), fuel)
+                except FuelExhausted:
+                    raise
                 except KernelError as e:
-                    if isinstance(e, FuelExhausted):
+                    raise IllTypedDeclaration(f"declaration {item.name}: ", e) from e
+                if not isinstance(s, Sort):
+                    raise IllTypedDeclaration(f"declaration {item.name}: type has no sort")
+                if isinstance(item, Defn):
+                    try:
+                        body_ty = _infer(prefix, {}, item.body, fuel)
+                    except FuelExhausted:
                         raise
-                    raise IllTypedDeclaration(f"definition {item.name}: {e}") from e
-                if not convertible(prefix, body_ty, item.type, fuel):
-                    raise IllTypedDeclaration(
-                        f"definition {item.name}: body type {pretty(body_ty)} "
-                        f"does not match declared {pretty(item.type)}"
-                    )
-        else:
-            _check_rule(prefix, item, fuel)
+                    except KernelError as e:
+                        raise IllTypedDeclaration(f"definition {item.name}: ", e) from e
+                    if not convertible(prefix, body_ty, item.type, fuel):
+                        raise IllTypedDeclaration(
+                            f"definition {item.name}: body type ", body_ty, " does not match declared ", item.type
+                        )
+        except FuelExhausted as e:
+            kind = "definition" if isinstance(item, Defn) else "declaration"
+            where = ("rule ", item.lhs) if isinstance(item, RewriteRule) else (f"{kind} {item.name}",)
+            raise FuelExhausted(*where, ": ", e) from e
         prefix.add(item)
 
 
@@ -917,11 +863,9 @@ def _check_rule(prefix: Signature, rule: RewriteRule, fuel: Fuel) -> None:
     try:
         lhs_ty = _infer(prefix, ctx, rule.lhs, fuel)
         rhs_ty = _infer(prefix, ctx, rule.rhs, fuel)
+    except FuelExhausted:
+        raise
     except KernelError as e:
-        if isinstance(e, FuelExhausted):
-            raise
-        raise RuleTypeMismatch(f"rule {pretty(rule.lhs)}: {e}") from e
+        raise RuleTypeMismatch("rule ", rule.lhs, ": ", e) from e
     if not convertible(prefix, lhs_ty, rhs_ty, fuel):
-        raise RuleTypeMismatch(
-            f"rule sides disagree: lhs : {pretty(lhs_ty)}, rhs : {pretty(rhs_ty)}"
-        )
+        raise RuleTypeMismatch("rule sides disagree: lhs : ", lhs_ty, ", rhs : ", rhs_ty)

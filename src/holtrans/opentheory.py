@@ -84,14 +84,6 @@ class UnsupportedVersion(VMError):
 # ---------------------------------------------------------------------------
 # Commands
 
-KEYWORDS = frozenset(
-    """absTerm absThm appTerm appThm assume axiom betaConv cons const constTerm
-    deductAntisym def defineConst defineTypeOp eqMp nil opType pop pragma
-    proveHyp ref refl remove subst sym thm trans typeOp var varTerm varType
-    version""".split()
-)
-
-
 @dataclass(frozen=True, slots=True)
 class IntLiteral:
     value: int
@@ -154,7 +146,7 @@ def parse_article(data: Union[str, bytes]) -> list[ArticleCommand]:
             commands.append(StringLiteral(_parse_quoted(line, lineno), lineno))
         elif _INT_RE.match(line):
             commands.append(IntLiteral(int(line), lineno))
-        elif line in KEYWORDS:
+        elif line in _HANDLERS:  # the keywords
             commands.append(Keyword(line, lineno))
         else:
             raise UnknownCommand(f"line {lineno}: unknown command {line!r}")
@@ -551,9 +543,13 @@ def _cmd_thm(state: VMState) -> None:
     l = state.pop(OList, "thm")
     t = state.pop(Proof, "thm")
     stated = make_sequent(_term_list(l, "thm"), concl.term)
-    if not t.sequent.alpha_eq(stated):
+    proved = t.sequent
+    if not proved.alpha_eq(stated):
+        if not hol.alpha_equal(proved.concl, stated.concl):
+            raise SequentMismatch("thm: the stated conclusion differs from the proved one")
         raise SequentMismatch(
-            f"thm: stated sequent differs from the proved one ({stated} vs {t.sequent})"
+            f"thm: the stated hypotheses differ from the proved ones "
+            f"({len(stated.hyps)} stated, {len(proved.hyps)} proved)"
         )
     state.theorems.append((stated, t))
 

@@ -16,6 +16,7 @@ equality and several derivation rules become definitions.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -482,7 +483,7 @@ def trans_term(env: TranslationEnv, t: hol.HolTerm) -> Term:
 
 def trans_prop_type(env: TranslationEnv, prop: hol.HolTerm) -> Term:
     if prop.type != hol.BOOL:
-        raise NotAProposition(f"not a proposition: {prop}")
+        raise NotAProposition(f"not a proposition: a term of type {prop.type}")
     return _pf(trans_term(env, prop))
 
 
@@ -592,7 +593,7 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         kname = abs_k if isinstance(proof, hol.AbsRepThm) else rep_k
         return app(Const(kname), *(tyvar_ref(n) for n in proof.defn.tyvars))
 
-    raise TranslateError(f"untranslatable proof node {proof!r}")
+    raise TranslateError(f"untranslatable proof node {type(proof).__name__}")
 
 
 def closure_of(env: TranslationEnv, proof: hol.Proof) -> Closure:
@@ -873,34 +874,26 @@ def share_document(
         return ShareReport(doc, 0, 0)
 
     taken = {it.name for it in doc.items if isinstance(it, (ConstDecl, Defn))}
+    fresh = (name for name in map("s{}".format, itertools.count()) if name not in taken)
     names: dict[Term, str] = {}
-    counter = 0
-
-    def new_name() -> str:
-        nonlocal counter
-        while True:
-            cand = f"s{counter}"
-            counter += 1
-            if cand not in taken:
-                taken.add(cand)
-                return cand
 
     new_items: list = []
     sig = Signature(base.items)  # grown in place below; base may be cached
-    emitted: set[str] = set()
     replaced = 0
 
     def emit_shared(t: Term) -> str:
         name = names.get(t)
-        if name is not None and name in emitted:
+        if name is not None:
             return name
-        body = rewrite(t, skip_self=True)
-        name = names.setdefault(t, new_name())
-        ty = kernel.infer_type(sig, {}, body, fuel)
+        body = rewrite(t, skip_self=True)  # t's proper subterms, so t gets no name meanwhile
+        name = names[t] = next(fresh)
+        try:
+            ty = kernel.infer_type(sig, {}, body, fuel)
+        except kernel.FuelExhausted as e:
+            raise kernel.FuelExhausted(f"definition {name}: ", e) from e
         item = Defn(name, ty, body)
         new_items.append(item)
         sig.add(item)
-        emitted.add(name)
         return name
 
     def rewrite(t: Term, skip_self: bool = False) -> Term:
@@ -925,7 +918,7 @@ def share_document(
             sig.add(item)
 
     return ShareReport(
-        dkfile.DkDocument(doc.module, tuple(new_items)), len(emitted), replaced
+        dkfile.DkDocument(doc.module, tuple(new_items)), len(names), replaced
     )
 
 

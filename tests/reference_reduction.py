@@ -19,11 +19,21 @@ from holtrans.kernel import (
     app,
     close,
     free_names,
-    fresh_name,
     open_term,
     spine,
     substitute,
 )
+
+
+def fresh_name(hint: str, taken: set[str]) -> str:
+    """``hint``, or ``hint'i`` with the least ``i`` that is not ``taken``."""
+    base = hint or "x"
+    if base not in taken:
+        return base
+    i = 1
+    while f"{base}'{i}" in taken:
+        i += 1
+    return f"{base}'{i}"
 
 
 def _match_syntactic(pat: Term, t: Term, bind: dict[str, Term]) -> bool:

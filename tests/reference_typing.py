@@ -51,11 +51,56 @@ from holtrans.kernel import (
     _check_pattern,
     close,
     free_names,
-    fresh_name,
     open_term,
-    pretty,
     whnf,
 )
+
+from reference_reduction import fresh_name
+
+
+def pretty(t: Term, _names: tuple[str, ...] = ()) -> str:
+    """Readable rendering with raw names, for this module's messages only:
+    the kernel's messages render through ``dkfile``, and the tests compare
+    exception types, not messages."""
+
+    def go(u: Term, names: tuple[str, ...], prec: int) -> str:
+        # prec: 0 top, 1 arrow-left, 2 app-fn, 3 app-arg
+        if isinstance(u, (Sort, Var, Const)):
+            return u.name
+        if isinstance(u, BVar):
+            if u.index < len(names):
+                return names[-1 - u.index]
+            return f"#{u.index}"
+        if isinstance(u, App):
+            s = f"{go(u.fn, names, 2)} {go(u.arg, names, 3)}"
+            return f"({s})" if prec >= 3 else s
+        taken = set(names) | free_names(u)
+        if isinstance(u, Abs):
+            n = fresh_name(u.hint, taken)
+            s = f"{n}: {go(u.domain, names, 1)} => {go(u.body, names + (n,), 0)}"
+            return f"({s})" if prec >= 1 else s
+        assert isinstance(u, Prod)
+        if uses_index(u.body, 0):
+            n = fresh_name(u.hint, taken)
+            s = f"{n}: {go(u.domain, names, 1)} -> {go(u.body, names + (n,), 0)}"
+        else:
+            s = f"{go(u.domain, names, 1)} -> {go(open_term(u.body, Var('_')), names, 0)}"
+        return f"({s})" if prec >= 1 else s
+
+    return go(t, _names, 0)
+
+
+def uses_index(t: Term, depth: int) -> bool:
+    """Whether the index of the binder ``depth`` levels above ``t`` occurs in it."""
+    if t.bound <= depth:
+        return False
+    if isinstance(t, BVar):
+        return t.index == depth
+    if isinstance(t, App):
+        return uses_index(t.fn, depth) or uses_index(t.arg, depth)
+    if isinstance(t, (Abs, Prod)):
+        return uses_index(t.domain, depth) or uses_index(t.body, depth + 1)
+    return False
 
 
 class Context:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holtrans import cli, dkfile, hol
+from holtrans import cli, dkfile, hol, kernel
 from holtrans import opentheory as ot
 
 from conftest import CORPUS, captured_by_instantiation, mutate
@@ -249,6 +249,58 @@ def test_check_of_a_mutated_document_is_an_exit_code_and_one_line(translated_con
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def _mutate_lines(lines, rng):
+    """``lines`` with one line deleted, duplicated, swapped with the next,
+    or replaced by another line of the same article."""
+    i = rng.randrange(len(lines))
+    roll = rng.randrange(4)
+    if roll == 0:
+        return lines[:i] + lines[i + 1:]
+    if roll == 1:
+        return lines[: i + 1] + lines[i:]
+    if roll == 2 and i + 1 < len(lines):
+        return lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
+    return lines[:i] + [rng.choice(lines)] + lines[i + 1:]
+
+
+# what an error line holds after the article's path
+_TRANSLATE_FAILURE = re.compile(
+    r"(?: \(command \d+, line \d+\))?: (?:generated document failed self-verification: )?(?P<reason>.*)"
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-translate")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_translate_of_a_mutated_article_is_an_exit_code_and_one_line(fuzz_dir, corpus_paths, seed, mutations):
+    """A line-level mutant of a corpus article ends in exit 0, 1 or 2; on
+    failure in exactly one ``error:`` line whose reason fits the message
+    width, and on success in a document that ``check`` accepts."""
+    rng = random.Random(seed)
+    lines = rng.choice(corpus_paths).read_text().splitlines()
+    for _ in range(mutations):
+        lines = _mutate_lines(lines, rng)
+    art = fuzz_dir / "mutated.art"
+    art.write_text("\n".join(lines) + "\n")
+    out = fuzz_dir / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["translate", "--fuel", "100000", str(art), "-o", str(out)])
+        checked = cli.main(["check", "--fuel", "100000", str(out / "mutated.dk")]) if rc == 0 else None
+    assert rc in (0, 1, 2)
+    errors = err.getvalue().splitlines()
+    if rc == 0:
+        assert errors == [] and checked == 0, errors
+        return
+    assert len(errors) == 1 and errors[0].startswith(f"error: {art}"), errors
+    reason = _TRANSLATE_FAILURE.fullmatch(errors[0][len(f"error: {art}"):])
+    assert reason and len(reason["reason"]) <= dkfile.MESSAGE_WIDTH, errors
+
+
 def test_full_corpus_translate_and_check(tmp_path, corpus_paths):
     rc = cli.main(["translate", *map(str, corpus_paths), "-o", str(tmp_path)])
     assert rc == 0
@@ -304,6 +356,23 @@ def test_stats_empty_run(tmp_path, capsys):
     assert cli.main(["stats", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.strip().splitlines()[-1].startswith("Total")
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"articles": [', "Expecting value"),
+        ("[1, 2]", "not a stats file"),
+        ('{"articles": [{"name": "a", "art_gz": "x"}]}', "not a stats file"),
+    ],
+    ids=["truncated", "list", "string-cell"],
+)
+def test_stats_on_a_malformed_file_is_one_error_line(tmp_path, capsys, text, reason):
+    stats = tmp_path / "stats.json"
+    stats.write_text(text)
+    assert cli.main(["stats", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stats}: {reason}") and err.count("\n") == 1
 
 
 def test_stats_json(tmp_path, capsys):
@@ -365,10 +434,52 @@ def test_fuel_env_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, command)
 def test_self_verification_failure_names_the_error_type(tmp_path, capsys):
     assert cli.main(["translate", "--fuel", "0", "--no-sharing", str(IDENTITY), "-o", str(tmp_path)]) == 1
     err = capsys.readouterr().err
+    # the budget runs out on the first base item
     assert err == (
         f"error: {IDENTITY}: generated document failed self-verification: "
-        "FuelExhausted: reduction step budget exceeded\n"
+        "FuelExhausted: declaration Refl: reduction step budget exceeded\n"
     )
+
+
+def test_fuel_exhaustion_names_its_item(tmp_path, capsys):
+    # in sharing: the hoisted definition whose type inference ran out
+    defineconst = CORPUS / "09_defineconst.art"
+    assert cli.main(["translate", "--fuel", "0", str(defineconst), "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {defineconst}: FuelExhausted: definition s0: reduction step budget exceeded\n"
+    # in check: the first item of the module once its base has passed
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    base = tmp_path / "hol.dk"
+    assert cli.main(["check", "-v", str(base)]) == 0
+    base_fuel = int(re.search(r"fuel (\d+)", capsys.readouterr().out).group(1))
+    out = tmp_path / "01_identity.dk"
+    assert cli.main(["check", "--fuel", str(base_fuel), str(out)]) == 1
+    first = dkfile.signature_items(dkfile.parse(out.read_text()))[0]
+    assert capsys.readouterr().err == (
+        f"error: {out}: FuelExhausted: {'definition' if isinstance(first, kernel.Defn) else 'declaration'} "
+        f"{first.name}: reduction step budget exceeded\n"
+    )
+
+
+def test_tampered_dag_article_fails_with_one_short_line(tmp_path):
+    """A stated sequent that differs from the proved one is reported by
+    the part that differs.  The printed sequent of ``Refl(t_k)``, with
+    ``t_(k+1) = (t_k = t_k)``, doubles with each level (113 MB at k = 18),
+    so printing it at k = 24 would not finish in the timeout."""
+    t = hol.Const("c", hol.BOOL)
+    for _ in range(24):
+        t = hol.mk_eq(t, t)
+    proof = hol.Refl(t)
+    stated = hol.Sequent((), hol.mk_eq(proof.sequent.concl, proof.sequent.concl))
+    art = tmp_path / "bad.art"
+    art.write_text(ot.serialize_article(ot.VMState(theorems=[(stated, proof)])))
+    done = _python("-m", "holtrans.cli", "translate", str(art), "-o", str(tmp_path / "out"), timeout=60)
+    assert done.returncode == 1
+    assert re.fullmatch(
+        rf"error: {re.escape(str(art))} \(command \d+, line \d+\): "
+        r"SequentMismatch: thm: the stated conclusion differs from the proved one\n",
+        done.stderr,
+    ), done.stderr[:1000]
 
 
 def test_article_failure_names_command_and_line(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The front half of the pipeline is linear in the distinct nodes of a DAG.
+"""The front half of the pipeline is linear in the distinct nodes of a DAG,
+and the term printer is linear in its input, or bounded in messages.
 
 Articles build terms as DAGs through ``def``/``ref``.  VM replay,
 translation and sharing must each visit a shared node once, so the work on
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from holtrans import hol, kernel, opentheory as ot, translate as tr
+from holtrans import dkfile, hol, kernel, opentheory as ot, translate as tr
 
 A = hol.TyVar("A")
 
@@ -228,3 +229,58 @@ def test_translation_keeps_the_hol_sharing():
         out = tr.trans_term(env, dag(7, leaf))
         assert isinstance(out, kernel.App) and isinstance(out.fn, kernel.App)
         assert out.fn.arg is out.arg
+
+
+# ---------------------------------------------------------------------------
+# Work counted in the term printer
+
+PRINTER = {dkfile.__file__, kernel.__file__}
+
+
+def dependent_chain(n):
+    """``x0 : A -> ... -> x(n-1) : A -> P x0``: each body mentions the
+    outermost binder, so asking "is this product dependent" by walking its
+    body would walk the rest of the chain."""
+    body = kernel.App(kernel.Const("P"), kernel.BVar(n - 1))
+    for i in reversed(range(n)):
+        body = kernel.Prod(f"x{i}", kernel.Const("A"), body)
+    return body
+
+
+def test_dependent_product_chain_prints_in_linear_calls():
+    counts = []
+    for n in (1000, 2000):
+        t = dependent_chain(n)
+        counts.append(sum(calls(lambda: dkfile.fmt_term(t), PRINTER).values()))
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+def deep_error(n):
+    """What checking ``def d : A := (f (f ... a)) a``, with ``f`` nested
+    ``n`` deep, raises: the head is applied to one argument too many."""
+    a, f, ty = kernel.Const("a"), kernel.Const("f"), kernel.Const("A")
+    head = a
+    for _ in range(n):
+        head = kernel.App(f, head)
+    sig = kernel.Signature([
+        kernel.ConstDecl("A", kernel.TYPE),
+        kernel.ConstDecl("a", ty),
+        kernel.ConstDecl("f", kernel.arrow(ty, ty)),
+        kernel.Defn("d", ty, kernel.App(head, a)),
+    ])
+    try:
+        kernel.check_signature(sig)
+    except kernel.IllTypedDeclaration as e:
+        assert isinstance(e.__cause__, kernel.NotAFunction)
+        return e
+    raise AssertionError("the definition checked")
+
+
+def test_kernel_error_renders_in_calls_independent_of_term_size():
+    errors = [deep_error(n) for n in (10_000, 20_000)]
+    counts = [sum(calls(lambda: str(e), PRINTER).values()) for e in errors]
+    assert counts[0] == counts[1], counts
+    text = str(errors[1])
+    assert len(text) < 1024
+    assert text.startswith("definition d: application head has no product type: f (f (f ")
+    assert text.endswith(" : A")

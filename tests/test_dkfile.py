@@ -11,6 +11,7 @@ from holtrans import translate as tr
 
 import reference_dkparse
 from conftest import mutate
+from reference_typing import uses_index
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,36 @@ def test_application_left_and_arrow_right_associate_without_parens():
     # and the other associations need the parentheses
     assert dkfile.fmt_term(k.App(f, k.App(a, b))) == "f (a b)"
     assert dkfile.fmt_term(k.arrow(k.arrow(a, b), c)) == "(a -> b) -> c"
+
+
+def test_messages_print_what_emission_refuses():
+    a = k.Const("A")
+    dangling = k.Abs("x", a, k.App(k.BVar(0), k.BVar(2)))
+    with pytest.raises(ValueError, match="dangling bound variable #2"):
+        dkfile.fmt_term(dangling)
+    with pytest.raises(ValueError, match="Kind"):
+        dkfile.fmt_term(k.arrow(a, k.KIND))
+    assert dkfile.fmt_message_term(dangling) == "x : A => x #2"
+    assert dkfile.fmt_message_term(k.arrow(a, k.KIND)) == "A -> Kind"
+
+
+def test_message_terms_are_cut_to_a_fixed_width():
+    f, a = k.Const("f"), k.Const("a")
+    assert dkfile.fmt_message_term(k.app(f, a, a)) == "f a a"
+    # past the node budget, in preorder, one marker stands for each elided run
+    n = dkfile._TERM_NODES // 2 - 1
+    assert dkfile.fmt_message_term(k.app(f, *[a] * n)) == " ".join(["f"] + ["a"] * n)
+    assert dkfile.fmt_message_term(k.app(f, *[a] * (n + 1))) == " ".join(["f"] + ["a"] * n + ["..."])
+    assert dkfile.fmt_message_term(k.app(f, *[a] * 5000)) == "..."
+    nest = a
+    for _ in range(5000):
+        nest = k.App(f, nest)
+    half = dkfile._TERM_NODES // 2
+    width = dkfile.MESSAGE_WIDTH // 3
+    assert dkfile.fmt_message_term(nest) == dkfile.clip("f (" * (half - 1) + "f ..." + ")" * (half - 1), width)
+    # past the width the text is cut
+    long = k.app(f, *[k.Const("b" * 100)] * 3)
+    assert dkfile.fmt_message_term(long) == dkfile.fmt_term(long)[: width - 3] + "..."
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +344,7 @@ def _reference_fmt(t, env=(), prec=0):
         name = display(t.hint, t.body)
         s = f"{name} : {_reference_fmt(t.domain, env, 1)} => {_reference_fmt(t.body, env + (name,), 0)}"
         return f"({s})" if prec >= 1 else s
-    if k._uses_index(t.body, 0):
+    if uses_index(t.body, 0):
         name = display(t.hint, t.body)
         s = f"{name} : {_reference_fmt(t.domain, env, 1)} -> {_reference_fmt(t.body, env + (name,), 0)}"
     else:

@@ -6,7 +6,7 @@ from holtrans import kernel as k
 from holtrans import translate as tr
 
 from conftest import env_signature, make_env, random_kernel_term
-from reference_reduction import contract_root, reduce_step
+from reference_reduction import contract_root, fresh_name, reduce_step
 from reference_typing import normalize
 
 
@@ -175,6 +175,36 @@ def test_normalize_is_reduce_step_fixed_point(q0):
         t, _ = random_kernel_term(seed)
         n = normalize(q0, t)
         assert reduce_step(q0, n) is None
+
+
+def test_errors_carry_their_terms_and_render_them_as_the_emitter_does():
+    a_ty, a = k.Const("A"), k.Const("a")
+    sig = k.Signature([k.ConstDecl("A", k.TYPE), k.ConstDecl("a", a_ty)])
+    with pytest.raises(k.NotAFunction) as info:
+        k.infer_type(sig, {}, k.App(a, a))
+    assert info.value.args == ("application head has no product type: ", a, " : ", a_ty)
+    assert str(info.value) == "application head has no product type: a : A"
+    # a wrapping error renders the one it wraps
+    with pytest.raises(k.IllTypedDeclaration) as info:
+        k.check_signature(k.Signature([*sig.items, k.Defn("d", a_ty, k.App(a, a))]))
+    assert str(info.value) == "definition d: application head has no product type: a : A"
+    # products and abstractions print in the file syntax
+    with pytest.raises(k.IllegalSort) as info:
+        k.infer_type(sig, {}, k.pi("x", a_ty, k.App(k.lam("y", a_ty, k.Var("y")), k.Var("x"))))
+    assert str(info.value) == "product codomain is not a type or kind: x : A -> (y : A => y) x"
+
+
+def test_fuel_exhaustion_names_the_item():
+    w = k.Const("w")
+    sig = k.Signature([
+        k.ConstDecl("w", k.TYPE),
+        k.RewriteRule((), w, w),
+        k.ConstDecl("v", w),
+        k.ConstDecl("u", k.App(k.Const("v"), k.Const("v"))),  # typing v v reduces w, which rewrites to itself
+    ])
+    with pytest.raises(k.FuelExhausted) as info:
+        k.check_signature(sig, fuel=1000)
+    assert str(info.value) == "declaration u: reduction step budget exceeded"
 
 
 def test_fuel_exhaustion_on_looping_rule():
@@ -385,7 +415,7 @@ def _ri_step(sig, t):
         if rf is not None:
             return k.App(rf, t.arg)
     elif isinstance(t, k.Abs):
-        x = k.fresh_name(t.hint, k.free_names(t.body))
+        x = fresh_name(t.hint, k.free_names(t.body))
         rb = _ri_step(sig, k.open_term(t.body, k.Var(x)))
         if rb is not None:
             return k.Abs(t.hint, t.domain, k.close(rb, x))
@@ -393,7 +423,7 @@ def _ri_step(sig, t):
         if rd is not None:
             return k.Abs(t.hint, rd, t.body)
     elif isinstance(t, k.Prod):
-        x = k.fresh_name(t.hint, k.free_names(t.body))
+        x = fresh_name(t.hint, k.free_names(t.body))
         rc = _ri_step(sig, k.open_term(t.body, k.Var(x)))
         if rc is not None:
             return k.Prod(t.hint, t.domain, k.close(rc, x))

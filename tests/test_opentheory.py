@@ -195,7 +195,7 @@ def test_type_error_on_stack():
 
 def test_thm_sequent_mismatch():
     # prove |- x = x but state |- y = y
-    with pytest.raises(ot.SequentMismatch):
+    with pytest.raises(ot.SequentMismatch, match="^thm: the stated conclusion differs from the proved one$"):
         run_lines(
             *MINIMAL,
             '"A"', "varType", "0", "def", "pop",
@@ -210,6 +210,15 @@ def test_thm_sequent_mismatch():
             "2", "ref", "appTerm", "2", "ref", "appTerm",
             "thm",
         )
+
+
+def test_thm_names_the_differing_hypotheses_by_count():
+    x = hol.Var("x", hol.BOOL)
+    proof = hol.Assume(x)  # x |- x
+    text = ot.serialize_article(ot.VMState(theorems=[(hol.Sequent((), x), proof)]))
+    with pytest.raises(ot.SequentMismatch) as info:
+        ot.run_text(text)
+    assert str(info.value) == "thm: the stated hypotheses differ from the proved ones (0 stated, 1 proved)"
 
 
 def test_thm_stating_a_captured_instantiation_is_rejected():
