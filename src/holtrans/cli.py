@@ -98,6 +98,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         return 2
 
     articles = []
+    base_checked = False  # the base signature is checked with the first article only
     for raw_path in args.inputs:
         path = Path(raw_path)
         name = path.stem
@@ -132,10 +133,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
         budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
         fuel = kernel.Fuel(budget)
         try:
-            translate.verify_document(result.document, mode=args.mode, fuel=fuel)
+            translate.verify_document(result.document, mode=args.mode, fuel=fuel, base_checked=base_checked)
         except kernel.KernelError as e:
             _fail(f"{path}: generated document failed self-verification: {_reason(e)}")
             return 1
+        base_checked = True
         t2 = time.perf_counter()
         text = dkfile.emit(result.document).encode("utf-8")
         out_path = outdir / f"{name}.dk"
@@ -190,8 +192,9 @@ def _documents_for_check(paths: list) -> list:
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Check each document on its own (there is no inter-module linking),
-    after the base file (hol.dk) of its own directory only."""
-    bases: dict[Path, tuple] = {}  # directory -> its hol.dk's items
+    after the base file (hol.dk) of its own directory only.  Each base is
+    checked once and extended by a copy per module."""
+    bases: dict[Path, kernel.Signature] = {}  # directory -> its checked hol.dk
     budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
     for path in _documents_for_check(args.inputs):
         try:
@@ -213,13 +216,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         file_items = dkfile.signature_items(doc)
         directory = Path(path).parent.resolve()
         fuel = kernel.Fuel(budget)
+        base = bases.get(directory)
+        sig = kernel.Signature(base.items) if base is not None else kernel.Signature()
         try:
-            kernel.check_signature(kernel.Signature(bases.get(directory, ()) + file_items), fuel)
+            kernel.check_extension(sig, file_items, fuel)
         except kernel.KernelError as e:
             _fail(f"{path}: {_reason(e)}")
             return 1
         if Path(path).name == "hol.dk":
-            bases[directory] = file_items
+            bases[directory] = sig
         if args.verbose:
             spent = f"check {time.perf_counter() - t1:.3f} s, fuel {budget - fuel.left}"
             print(f"{path}: ok ({len(file_items)} items, parse {t1 - t0:.3f} s, {spent})")

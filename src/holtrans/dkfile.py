@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import islice
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import kernel
@@ -43,18 +42,22 @@ class ParseError(Exception):
         self.expectation = expectation
 
 
-@dataclass(frozen=True, slots=True)
-class Comment:
-    text: str
+class Comment(kernel.Record):
+    __slots__ = _fields = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 DocItem = Union[ConstDecl, Defn, RewriteRule, Comment]
 
 
-@dataclass(frozen=True)
-class DkDocument:
-    module: str
-    items: tuple = ()
+class DkDocument(kernel.Record):
+    __slots__ = _fields = ("module", "items")
+
+    def __init__(self, module: str, items: tuple = ()):
+        self.module = module
+        self.items = items
 
 
 def signature_items(doc: DkDocument) -> tuple:

@@ -56,6 +56,34 @@ derivation without re-proving it at every level.  For
 ``x1 : A1 -> ... -> xn : An -> B`` the product rule returns ``B``'s sort.
 Either way the work grows linearly with the chain's length.
 
+The application rule likewise types a whole spine ``f a1 ... an`` in one
+pass: it infers the head's type once and walks the arguments, opening
+each domain with the arguments before it.  It reduces the type (``whnf``)
+only where it is not already a product, and opens the codomain once at
+the end, so the errors and their order are the one-argument rule's.
+
+A definition's body is checked against its declared type, which has
+already been shown to have a sort (Dunfield and Krishnaswami,
+"Bidirectional Typing", 2021).  The body's leading abstractions are
+opened together with the type's leading products while their domains are
+equal; the product rule has checked those domains, so only the rest of
+the body is inferred, in their context, and compared with the rest of the
+type.  That is the abstraction rule's derivation with its premises taken
+from the type, so the verdict is the infer-and-compare one's.  Translated
+theorems bind in their proofs exactly what their statements quantify.
+
+Each ``Signature`` memoizes ``whnf`` (Lean 4's kernel keeps such a cache:
+de Moura and Ullrich, CADE 2021).  ``whnf`` depends on nothing but the
+term and the signature, so an entry may be read back for any term, open
+or closed; ``Signature.add`` clears the memo, so an entry is read back
+only under the very signature that produced it, and no argument about
+fresh names is needed.  Only terms that reduce are entered, never a
+failure, and a hit spends no fuel, so fuel counts the reduction steps
+actually taken.  Two equal terms may differ in their display hints, and
+a reduct carries its term's hints into inferred types, which the
+translator emits; so a hit by an equal but distinct term is taken only
+if the hints agree too.
+
 Conversion is lazy (Coquand, "An algorithm for testing conversion in type
 theory", 1991).  Equal terms are convertible.  Otherwise both sides are
 reduced to weak-head normal form and compared by shape: two application
@@ -75,7 +103,6 @@ under differing heads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 DEFAULT_FUEL = 10_000_000
@@ -456,39 +483,56 @@ def term_size(t: Term) -> int:
 # Signatures
 
 
-@dataclass(frozen=True, slots=True)
-class ConstDecl:
-    name: str
-    type: Term
+class Record:
+    """A plain immutable record: equality, hash and repr over ``_fields``,
+    as a frozen dataclass gives them, without loading ``dataclasses``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return Term.__repr__(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Defn:
+class ConstDecl(Record):
+    __slots__ = _fields = ("name", "type")
+
+    def __init__(self, name: str, type: Term):
+        self.name = name
+        self.type = type
+
+
+class Defn(Record):
     """A transparent definition: behaves as a constant that unfolds to its body."""
 
-    name: str
-    type: Term
-    body: Term
+    __slots__ = _fields = ("name", "type", "body")
+
+    def __init__(self, name: str, type: Term, body: Term):
+        self.name = name
+        self.type = type
+        self.body = body
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Record):
     """A typed rewrite rule; free variables of lhs/rhs live in the rule context."""
 
-    context: tuple[tuple[str, Term], ...]
-    lhs: Term
-    rhs: Term
+    __slots__ = _fields = ("context", "lhs", "rhs")
 
-    @property
-    def arity(self) -> int:
-        return len(spine(self.lhs)[1])
-
-    @property
-    def head(self) -> Optional[str]:
-        """Head constant name, or None when the lhs is not a pattern
-        (check_signature reports that case; such a rule never fires)."""
-        h = spine(self.lhs)[0]
-        return h.name if isinstance(h, Const) else None
+    def __init__(self, context: tuple[tuple[str, Term], ...], lhs: Term, rhs: Term):
+        self.context = context
+        self.lhs = lhs
+        self.rhs = rhs
 
 
 SigItem = Union[ConstDecl, Defn, RewriteRule]
@@ -499,29 +543,39 @@ class Signature:
 
     ``add`` grows a signature in place, so only its owner may call it: a
     signature that others hold, such as a cached base signature, is copied
-    first with ``Signature(sig.items)``.
+    first with ``Signature(sig.items)``.  A rule is filed under its head
+    constant with its pattern arguments, split once here; a rule whose lhs
+    is not a pattern is not filed (``check_signature`` reports it).
+
+    ``_whnf`` memoizes ``whnf``: a term that reduced maps to itself, whose
+    hints a hit compares, and its weak-head normal form.  ``add`` clears it,
+    so an entry is read back only under the very signature that produced it.
     """
 
-    __slots__ = ("_items", "_consts", "_defs", "_rules")
+    __slots__ = ("_items", "_consts", "_defs", "_rules", "_whnf")
 
     def __init__(self, items: Iterable[SigItem] = ()):
         self._items: list[SigItem] = []
         self._consts: dict[str, Term] = {}
         self._defs: dict[str, Term] = {}
-        self._rules: dict[str, list[RewriteRule]] = {}
+        self._rules: dict[str, list[tuple[list[Term], RewriteRule]]] = {}
+        self._whnf: dict[Term, tuple[Term, Term]] = {}
         for it in items:
             self.add(it)
 
     def add(self, it: SigItem) -> None:
         """Append one item (unchecked; ``check_signature`` validates)."""
         self._items.append(it)
+        self._whnf.clear()
         if isinstance(it, ConstDecl):
             self._consts[it.name] = it.type
         elif isinstance(it, Defn):
             self._consts[it.name] = it.type
             self._defs[it.name] = it.body
-        elif it.head is not None:
-            self._rules.setdefault(it.head, []).append(it)
+        else:
+            head, pats = spine(it.lhs)
+            if isinstance(head, Const):
+                self._rules.setdefault(head.name, []).append((pats, it))
 
     @property
     def items(self) -> tuple[SigItem, ...]:
@@ -537,7 +591,8 @@ class Signature:
     def definition(self, name: str) -> Optional[Term]:
         return self._defs.get(name)
 
-    def rules_for(self, head: str) -> list[RewriteRule]:
+    def rules_for(self, head: str) -> list[tuple[list[Term], RewriteRule]]:
+        """The rules headed by ``head``, each with its pattern arguments."""
         return self._rules.get(head, [])
 
     def __contains__(self, name: str) -> bool:
@@ -599,10 +654,9 @@ def _rewrite_head(sig: Signature, t: Term, fuel: Fuel) -> Optional[Term]:
     head, args = spine(t)
     if not isinstance(head, Const):
         return None
-    for rule in sig.rules_for(head.name):
-        if rule.arity != len(args):
+    for pats, rule in sig.rules_for(head.name):
+        if len(pats) != len(args):
             continue
-        pats = spine(rule.lhs)[1]
         bind: dict[str, Term] = {}
         for p, a in zip(pats, args):
             if not _match_reducing(sig, p, a, bind, fuel):
@@ -616,29 +670,60 @@ def _rewrite_head(sig: Signature, t: Term, fuel: Fuel) -> Optional[Term]:
 
 
 def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
-    """Weak head normal form under beta, the signature's rules, and unfolding."""
+    """Weak head normal form under beta, the signature's rules, and unfolding.
+
+    The result for a term that reduces is memoized in ``sig`` (see the
+    module docstring); a hit spends no fuel, and a failure is never entered.
+    """
+    if isinstance(t, Const):
+        if t.name not in sig._defs and t.name not in sig._rules:
+            return t
+    elif not isinstance(t, App):
+        return t
+    memo = sig._whnf
+    hit = memo.get(t)
+    if hit is not None and (hit[0] is t or _same_hints(hit[0], t)):
+        return hit[1]
     fuel = _as_fuel(fuel)
+    u = t
     while True:
-        if isinstance(t, App):
-            fn = whnf(sig, t.fn, fuel)
+        if isinstance(u, App):
+            fn = whnf(sig, u.fn, fuel)
             if isinstance(fn, Abs):
                 fuel.spend()
-                t = open_term(fn.body, t.arg)
+                u = open_term(fn.body, u.arg)
                 continue
-            t2 = t if fn is t.fn else App(fn, t.arg)
-            r = _rewrite_head(sig, t2, fuel)
-            if r is None:
-                return t2
-            fuel.spend()
-            t = r
-        elif isinstance(t, Const):
-            r = _rewrite_head(sig, t, fuel)
-            if r is None:
-                return t
-            fuel.spend()
-            t = r
-        else:
-            return t
+            if fn is not u.fn:
+                u = App(fn, u.arg)
+        elif not isinstance(u, Const):
+            break
+        r = _rewrite_head(sig, u, fuel)
+        if r is None:
+            break
+        fuel.spend()
+        u = r
+    if u is not t:
+        memo[t] = (t, u)
+    return u
+
+
+def _same_hints(a: Term, b: Term) -> bool:
+    """Whether two equal terms also agree in every display hint, so that
+    ``whnf`` builds the same result, hints and all, from either."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if isinstance(a, Binder):
+            if a.hint != b.hint:
+                return False
+            stack += ((a.domain, b.domain), (a.body, b.body))
+        elif isinstance(a, App):
+            stack += ((a.fn, b.fn), (a.arg, b.arg))
+        elif isinstance(a, BVar) and a.hint != b.hint:
+            return False
+    return True
 
 
 _conv_names = itertools.count()
@@ -706,32 +791,49 @@ def infer_type(
 
 
 def _infer(sig: Signature, ctx: dict[str, Term], t: Term, fuel: Fuel) -> Term:
-    if isinstance(t, Sort):
+    if not isinstance(t, App):
+        if isinstance(t, Const):
+            ty = sig.const_type(t.name)
+            if ty is None:
+                raise UnboundConstant(f"unbound constant {t.name}")
+            return ty
+        if isinstance(t, Var):
+            ty = ctx.get(t.name)
+            if ty is None:
+                raise UnboundVariable(f"unbound variable {t.name}")
+            return ty
+        if isinstance(t, Binder):
+            return _infer_chain(sig, ctx, t, fuel)
+        if isinstance(t, BVar):
+            raise KernelError(f"dangling bound variable #{t.index}")
         if t == TYPE:
             return KIND
         raise IllegalSort("Kind has no type")
-    if isinstance(t, Var):
-        ty = ctx.get(t.name)
-        if ty is None:
-            raise UnboundVariable(f"unbound variable {t.name}")
-        return ty
-    if isinstance(t, BVar):
-        raise KernelError(f"dangling bound variable #{t.index}")
-    if isinstance(t, Const):
-        ty = sig.const_type(t.name)
-        if ty is None:
-            raise UnboundConstant(f"unbound constant {t.name}")
-        return ty
-    if isinstance(t, Binder):
-        return _infer_chain(sig, ctx, t, fuel)
-    assert isinstance(t, App)
-    fn_ty = whnf(sig, _infer(sig, ctx, t.fn, fuel), fuel)
-    if not isinstance(fn_ty, Prod):
-        raise NotAFunction("application head has no product type: ", t.fn, " : ", fn_ty)
-    arg_ty = _infer(sig, ctx, t.arg, fuel)
-    if arg_ty != fn_ty.domain and not convertible(sig, arg_ty, fn_ty.domain, fuel):
-        raise DomainMismatch("argument type mismatch: expected ", fn_ty.domain, ", got ", arg_ty)
-    return open_term(fn_ty.body, t.arg)
+    # The whole spine at once: the head's type is inferred once, and each
+    # domain is opened with the arguments before it; the codomain is opened
+    # only where it must be reduced to expose a product, and at the end.
+    apps: list[App] = []
+    head: Term = t
+    while isinstance(head, App):
+        apps.append(head)
+        head = head.fn
+    ty = _infer(sig, ctx, head, fuel)
+    values: list[Term] = []
+    for node in reversed(apps):
+        if type(ty) is not Prod:
+            if values:
+                ty = open_term(ty, *values)
+                values = []
+            ty = whnf(sig, ty, fuel)
+            if type(ty) is not Prod:
+                raise NotAFunction("application head has no product type: ", node.fn, " : ", ty)
+        arg_ty = _infer(sig, ctx, node.arg, fuel)
+        domain = open_term(ty.domain, *values) if values and ty.domain.bound else ty.domain
+        if arg_ty != domain and not convertible(sig, arg_ty, domain, fuel):
+            raise DomainMismatch("argument type mismatch: expected ", domain, ", got ", arg_ty)
+        values.append(node.arg)
+        ty = ty.body
+    return open_term(ty, *values)
 
 
 def _infer_chain(sig: Signature, ctx: dict[str, Term], t: Binder, fuel: Fuel) -> Term:
@@ -816,17 +918,27 @@ def _check_pattern_arg(t: Term) -> None:
 def check_signature(sig: Signature, fuel: Union[int, Fuel, None] = None) -> None:
     """Validate every item against its prefix; raises on the first failure,
     which names its item, a spent budget too."""
+    check_extension(Signature(), sig.items, fuel)
+
+
+def check_extension(sig: Signature, items: Iterable[SigItem], fuel: Union[int, Fuel, None] = None) -> None:
+    """Validate each of ``items`` against ``sig`` and the items before it,
+    adding each to ``sig`` in place once it has passed.
+
+    ``sig`` must be checked already, so a checked prefix is extended and
+    never checked again.  Raises on the first failure, which names its
+    item, a spent budget too; ``sig`` then holds the items before it.
+    """
     fuel = _as_fuel(fuel)
-    prefix = Signature()
-    for item in sig.items:
+    for item in items:
         try:
             if isinstance(item, RewriteRule):
-                _check_rule(prefix, item, fuel)
-            elif item.name in prefix:
+                _check_rule(sig, item, fuel)
+            elif item.name in sig:
                 raise DuplicateConstant(f"constant {item.name} declared twice")
             else:
                 try:
-                    s = whnf(prefix, _infer(prefix, {}, item.type, fuel), fuel)
+                    s = whnf(sig, _infer(sig, {}, item.type, fuel), fuel)
                 except FuelExhausted:
                     raise
                 except KernelError as e:
@@ -834,21 +946,44 @@ def check_signature(sig: Signature, fuel: Union[int, Fuel, None] = None) -> None
                 if not isinstance(s, Sort):
                     raise IllTypedDeclaration(f"declaration {item.name}: type has no sort")
                 if isinstance(item, Defn):
-                    try:
-                        body_ty = _infer(prefix, {}, item.body, fuel)
-                    except FuelExhausted:
-                        raise
-                    except KernelError as e:
-                        raise IllTypedDeclaration(f"definition {item.name}: ", e) from e
-                    if not convertible(prefix, body_ty, item.type, fuel):
-                        raise IllTypedDeclaration(
-                            f"definition {item.name}: body type ", body_ty, " does not match declared ", item.type
-                        )
+                    _check_definition(sig, item, fuel)
         except FuelExhausted as e:
             kind = "definition" if isinstance(item, Defn) else "declaration"
             where = ("rule ", item.lhs) if isinstance(item, RewriteRule) else (f"{kind} {item.name}",)
             raise FuelExhausted(*where, ": ", e) from e
-        prefix.add(item)
+        sig.add(item)
+
+
+def _check_definition(sig: Signature, item: Defn, fuel: Fuel) -> None:
+    """Check a definition's body against its declared type, already shown
+    to be well-sorted.
+
+    The body's leading abstractions are opened together with the type's
+    leading products as long as their domains are equal; the product rule
+    has checked those domains, so they are not checked again.  Only the
+    rest of the body is inferred, and compared with the rest of the type.
+    """
+    ctx: dict[str, Term] = {}
+    binders: list[tuple[str, str, Term]] = []
+    values: list[Term] = []
+    body, ty = item.body, item.type
+    while type(body) is Abs and type(ty) is Prod and body.domain == ty.domain:
+        x = f"{body.hint}#{len(values)}"
+        domain = open_term(body.domain, *values) if body.domain.bound else body.domain
+        binders.append((x, body.hint, domain))
+        values.append(Var(x))
+        ctx[x] = domain
+        body, ty = body.body, ty.body
+    try:
+        body_ty = _infer(sig, ctx, open_term(body, *values), fuel)
+    except FuelExhausted:
+        raise
+    except KernelError as e:
+        raise IllTypedDeclaration(f"definition {item.name}: ", e) from e
+    if not convertible(sig, body_ty, open_term(ty, *values), fuel):
+        raise IllTypedDeclaration(
+            f"definition {item.name}: body type ", bind(Prod, binders, body_ty), " does not match declared ", item.type
+        )
 
 
 def _check_rule(prefix: Signature, rule: RewriteRule, fuel: Fuel) -> None:
@@ -856,9 +991,12 @@ def _check_rule(prefix: Signature, rule: RewriteRule, fuel: Fuel) -> None:
     extra = free_names(rule.rhs) - free_names(rule.lhs)
     if extra:
         raise UnboundRhsVariable(
-            f"rhs variables not bound on the lhs: {', '.join(sorted(extra))}"
+            "rule ", rule.lhs, f": rhs variables not bound on the lhs: {', '.join(sorted(extra))}"
         )
-    check_context(prefix, rule.context, fuel)
+    try:
+        check_context(prefix, rule.context, fuel)
+    except (DuplicateVariable, NotAType) as e:
+        raise type(e)("rule ", rule.lhs, ": ", e) from e
     ctx = dict(rule.context)
     try:
         lhs_ty = _infer(prefix, ctx, rule.lhs, fuel)
@@ -868,4 +1006,4 @@ def _check_rule(prefix: Signature, rule: RewriteRule, fuel: Fuel) -> None:
     except KernelError as e:
         raise RuleTypeMismatch("rule ", rule.lhs, ": ", e) from e
     if not convertible(prefix, lhs_ty, rhs_ty, fuel):
-        raise RuleTypeMismatch("rule sides disagree: lhs : ", lhs_ty, ", rhs : ", rhs_ty)
+        raise RuleTypeMismatch("rule ", rule.lhs, ": sides disagree: lhs : ", lhs_ty, ", rhs : ", rhs_ty)

@@ -972,11 +972,20 @@ def translate_state(
 
 
 def verify_document(
-    doc: dkfile.DkDocument, mode: str = "q0", fuel: Union[int, kernel.Fuel, None] = None
+    doc: dkfile.DkDocument,
+    mode: str = "q0",
+    fuel: Union[int, kernel.Fuel, None] = None,
+    base_checked: bool = False,
 ) -> None:
     """Type-check a generated document against the base signature.
 
-    Pass a ``kernel.Fuel`` to read back the steps spent.
+    With ``base_checked`` the base signature for ``mode`` has passed this
+    check already (in an earlier call), and only the document is checked,
+    after it.  Pass a ``kernel.Fuel`` to read back the steps spent.
     """
-    items = tuple(base_signature(mode).items) + dkfile.signature_items(doc)
-    kernel.check_signature(Signature(items), fuel)
+    base = base_signature(mode).items
+    items = dkfile.signature_items(doc)
+    if base_checked:
+        kernel.check_extension(Signature(base), items, fuel)
+    else:
+        kernel.check_extension(Signature(), base + items, fuel)

@@ -61,11 +61,11 @@ def contract_root(sig: Signature, t: Term) -> Optional[Term]:
     head, args = spine(t)
     if not isinstance(head, Const):
         return None
-    for rule in sig.rules_for(head.name):
-        if rule.arity != len(args):
+    for pats, rule in sig.rules_for(head.name):
+        if len(pats) != len(args):
             continue
         bind: dict[str, Term] = {}
-        if all(_match_syntactic(p, a, bind) for p, a in zip(spine(rule.lhs)[1], args)):
+        if all(_match_syntactic(p, a, bind) for p, a in zip(pats, args)):
             return substitute(rule.rhs, bind)
     body = sig.definition(head.name)
     if body is not None:

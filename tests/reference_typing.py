@@ -12,11 +12,16 @@ keeps the earlier rules as a test oracle:
 * contexts are persistent: each binder extends a copy of its context
   (``Context`` below), where the kernel extends one dict in place.
 
-Reduction (``whnf`` and rule matching) is the kernel's own; normalization,
-conversion, typing and signature checking are the reference versions.
+* ``whnf`` keeps no memo: every call reduces from scratch and spends its
+  fuel, and rule matching splits each rule's left-hand side again;
+* an application is typed one argument at a time, re-opening the whole
+  codomain at each;
+* a definition's body is inferred in full and its type compared with the
+  declared one by normalizing both.
+
 The kernel itself has no full normalizer: tests that need a normal form
-call ``normalize`` here.  The
-signature prefix is rebuilt for every item, as before.
+call ``normalize`` here.  The signature prefix is rebuilt for every item,
+as before.
 """
 
 from holtrans.kernel import (
@@ -49,10 +54,12 @@ from holtrans.kernel import (
     Var,
     _as_fuel,
     _check_pattern,
+    app,
     close,
     free_names,
     open_term,
-    whnf,
+    spine,
+    substitute,
 )
 
 from reference_reduction import fresh_name
@@ -122,6 +129,73 @@ class Context:
 
 def _names(ctx: Context) -> set[str]:
     return {n for n, _ in ctx}
+
+
+def match_reducing(sig, pat, t, bind, fuel) -> bool:
+    """First-order matching that weak-head-normalizes the subject on demand."""
+    if isinstance(pat, Var):
+        prev = bind.get(pat.name)
+        if prev is None:
+            bind[pat.name] = t
+            return True
+        return prev == t or convertible(sig, prev, t, fuel)
+    if isinstance(pat, Const):
+        return whnf(sig, t, fuel) == pat
+    if isinstance(pat, App):
+        u = whnf(sig, t, fuel)
+        return (
+            isinstance(u, App)
+            and match_reducing(sig, pat.fn, u.fn, bind, fuel)
+            and match_reducing(sig, pat.arg, u.arg, bind, fuel)
+        )
+    return False
+
+
+def rewrite_head(sig, t, fuel):
+    """One rule or definition step at the root of ``t``, or None."""
+    head, args = spine(t)
+    if not isinstance(head, Const):
+        return None
+    for _, rule in sig.rules_for(head.name):
+        pats = spine(rule.lhs)[1]
+        if len(pats) != len(args):
+            continue
+        bind = {}
+        for p, a in zip(pats, args):
+            if not match_reducing(sig, p, a, bind, fuel):
+                break
+        else:
+            return substitute(rule.rhs, bind)
+    body = sig.definition(head.name)
+    if body is not None:
+        return app(body, *args)
+    return None
+
+
+def whnf(sig, t, fuel=None) -> Term:
+    """Weak head normal form under beta, the signature's rules, and unfolding."""
+    fuel = _as_fuel(fuel)
+    while True:
+        if isinstance(t, App):
+            fn = whnf(sig, t.fn, fuel)
+            if isinstance(fn, Abs):
+                fuel.spend()
+                t = open_term(fn.body, t.arg)
+                continue
+            t2 = t if fn is t.fn else App(fn, t.arg)
+            r = rewrite_head(sig, t2, fuel)
+            if r is None:
+                return t2
+            fuel.spend()
+            t = r
+        elif isinstance(t, Const):
+            r = rewrite_head(sig, t, fuel)
+            if r is None:
+                return t
+            fuel.spend()
+            t = r
+        else:
+            return t
 
 
 def nf(sig, t, fuel):

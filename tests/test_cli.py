@@ -158,6 +158,19 @@ def test_check_loads_only_the_reader_and_the_kernel(tmp_path):
     assert done.stdout.split() == ["0", "holtrans", "holtrans.cli", "holtrans.dkfile", "holtrans.kernel"]
 
 
+def test_check_does_not_load_dataclasses(tmp_path):
+    """The kernel's and the reader's records are plain classes, so a fresh
+    ``check`` process does not pay for importing ``dataclasses``."""
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    probe = (
+        "import sys; before = 'dataclasses' in sys.modules; from holtrans import cli; "
+        "rc = cli.main(['check', sys.argv[1]]); print(rc, before or 'dataclasses' not in sys.modules)"
+    )
+    done = _python("-c", probe, str(tmp_path / "01_identity.dk"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "True"]
+
+
 def test_check_long_binder_chain(tmp_path):
     """The token-object parser copied its binder list at every binder and
     scanned it for every name, so this took it seconds."""
@@ -176,6 +189,44 @@ def test_check_chains_nested_under_applications(tmp_path):
     doc.write_text(f"A : Type.\nc : (A -> A) -> A.\ndef d : A := {body}.\n")
     done = _python("-m", "holtrans.cli", "check", str(doc), timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def _checked_items(monkeypatch):
+    """Every item handed to the kernel's checker, in order."""
+    checked = []
+    inner = kernel.check_extension
+
+    def recording(sig, items, fuel=None):
+        items = tuple(items)
+        checked.extend(items)
+        return inner(sig, items, fuel)
+
+    monkeypatch.setattr(kernel, "check_extension", recording)
+    return checked
+
+
+def test_base_is_checked_once_for_many_modules(tmp_path, monkeypatch):
+    """``translate`` of n articles and ``check`` of their n modules each
+    type ``hol.dk``'s items once, not once per module."""
+    arts = [CORPUS / name for name in ("01_identity.art", "02_refl.art", "07_sym_trans.art")]
+    checked = _checked_items(monkeypatch)
+    assert cli.main(["translate", *map(str, arts), "-o", str(tmp_path)]) == 0
+    base = dkfile.signature_items(dkfile.parse((tmp_path / "hol.dk").read_text()))
+    assert [checked.count(it) for it in base] == [1] * len(base)
+    checked.clear()
+    assert cli.main(["check", *(str(tmp_path / f"{a.stem}.dk") for a in arts)]) == 0
+    assert [checked.count(it) for it in base] == [1] * len(base)
+    modules = [dkfile.signature_items(dkfile.parse((tmp_path / f"{a.stem}.dk").read_text())) for a in arts]
+    assert len(checked) == len(base) + sum(map(len, modules))
+
+
+def test_rule_errors_name_their_rule(tmp_path, capsys):
+    doc = tmp_path / "rules.dk"
+    doc.write_text("A : Type.\nf : A -> A.\ng : A -> A.\n[x : A] f x --> x.\n[x : A, y : A] g x --> y.\n")
+    assert cli.main(["check", str(doc)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {doc}: UnboundRhsVariable: rule g x: rhs variables not bound on the lhs: y\n"
+    )
 
 
 def test_check_modules_against_their_own_base(tmp_path, capsys):
@@ -447,18 +498,24 @@ def test_fuel_exhaustion_names_its_item(tmp_path, capsys):
     assert cli.main(["translate", "--fuel", "0", str(defineconst), "-o", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {defineconst}: FuelExhausted: definition s0: reduction step budget exceeded\n"
-    # in check: the first item of the module once its base has passed
+    # in check: the first item of a module once its base has passed.  The
+    # base is checked once and the module gets a budget of its own, so its
+    # first item takes one beta step more than the whole base: its declared
+    # type is ``term ((x : type => x) (... (arrow bool bool)))``.
     assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
     base = tmp_path / "hol.dk"
     assert cli.main(["check", "-v", str(base)]) == 0
     base_fuel = int(re.search(r"fuel (\d+)", capsys.readouterr().out).group(1))
-    out = tmp_path / "01_identity.dk"
+    code = kernel.app(kernel.Const("arrow"), kernel.Const("bool"), kernel.Const("bool"))
+    for _ in range(base_fuel + 1):
+        code = kernel.App(kernel.Abs("x", kernel.Const("type"), kernel.BVar(0)), code)
+    term_bool = kernel.App(kernel.Const("term"), kernel.Const("bool"))
+    first = kernel.Defn("d", kernel.App(kernel.Const("term"), code), kernel.Abs("y", term_bool, kernel.BVar(0)))
+    out = tmp_path / "hungry.dk"
+    out.write_text(dkfile.emit(dkfile.DkDocument("hungry", (first,))))
     assert cli.main(["check", "--fuel", str(base_fuel), str(out)]) == 1
-    first = dkfile.signature_items(dkfile.parse(out.read_text()))[0]
-    assert capsys.readouterr().err == (
-        f"error: {out}: FuelExhausted: {'definition' if isinstance(first, kernel.Defn) else 'declaration'} "
-        f"{first.name}: reduction step budget exceeded\n"
-    )
+    assert capsys.readouterr().err == f"error: {out}: FuelExhausted: definition d: reduction step budget exceeded\n"
+    assert cli.main(["check", "--fuel", str(base_fuel + 2), str(out)]) == 0
 
 
 def test_tampered_dag_article_fails_with_one_short_line(tmp_path):

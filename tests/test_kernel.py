@@ -324,6 +324,54 @@ def test_check_context_not_a_type(q0):
         k.check_context(q0, ctx)
 
 
+def test_whnf_memo_hits_spend_no_fuel_and_add_clears_it(q0):
+    sig = k.Signature(q0.items)
+    bool_ = k.Const("bool")
+
+    def code():  # a fresh object each time, so hits are by equality
+        return k.App(k.Const("term"), k.app(k.Const("arrow"), bool_, bool_))
+
+    def spent(t, budget=10):
+        fuel = k.Fuel(budget)
+        k.whnf(sig, t, fuel)
+        return budget - fuel.left
+
+    with pytest.raises(k.FuelExhausted):
+        spent(code(), 0)
+    assert spent(code()) == 1  # the failure was not remembered
+    assert spent(code()) == 0
+    sig.add(k.ConstDecl("c", code()))
+    assert spent(code()) == 1
+
+
+def test_whnf_memo_keeps_binder_hints(pts):
+    """Two hypotheses whose statements differ only in a bound variable's
+    name: the second application's type keeps its own name, although its
+    ``proof (forall ...)`` equals one already reduced."""
+    from holtrans import dkfile
+
+    sig = k.Signature(pts.items)
+    bool_ = k.Const("bool")
+
+    def forall(hint):
+        body = k.app(k.Const("eq"), bool_, k.BVar(0, hint), k.BVar(0, hint))
+        return k.App(k.Const("proof"), k.app(k.Const("forall"), bool_, k.Abs(hint, k.App(k.Const("term"), bool_), body)))
+
+    ctx = {"h1": forall("x"), "h2": forall("y"), "c": k.App(k.Const("term"), bool_)}
+    for h, hint in (("h1", "x"), ("h2", "y")):
+        ty = k.infer_type(sig, ctx, k.App(k.Var(h), k.Var("c")))
+        assert dkfile.fmt_term(ty) == f"proof (({hint} : term bool => eq bool {hint} {hint}) c)"
+
+
+def test_signature_items_are_plain_records():
+    d = k.Defn("d", k.TYPE, k.Const("c"))
+    assert d == k.Defn("d", k.TYPE, k.Const("c")) and hash(d) == hash(k.Defn("d", k.TYPE, k.Const("c")))
+    assert d != k.Defn("d", k.TYPE, k.Const("e")) and d != k.ConstDecl("d", k.TYPE)
+    assert repr(d) == "Defn(name='d', type=Type, body=Const(name='c'))"
+    assert repr(k.RewriteRule((), k.Const("c"), k.Const("e"))) == "RewriteRule(context=(), lhs=Const(name='c'), rhs=Const(name='e'))"
+    assert not hasattr(d, "__dict__")
+
+
 def test_check_signature_base(q0):
     k.check_signature(q0)
 
@@ -352,7 +400,7 @@ def test_check_signature_rule_type_mismatch():
             k.RewriteRule((), k.Const("c"), k.Const("alpha")),
         ]
     )
-    with pytest.raises(k.RuleTypeMismatch):
+    with pytest.raises(k.RuleTypeMismatch, match=r"^rule c: sides disagree: lhs : alpha, rhs : Type$"):
         k.check_signature(sig)
 
 
@@ -385,8 +433,16 @@ def test_check_signature_unbound_rhs_variable():
             ),
         ]
     )
-    with pytest.raises(k.UnboundRhsVariable):
+    with pytest.raises(k.UnboundRhsVariable, match=r"^rule f c: rhs variables not bound on the lhs: y$"):
         k.check_signature(sig)
+
+
+def test_rule_context_errors_name_their_rule():
+    A, f, x = k.Const("A"), k.Const("f"), k.Var("x")
+    base = [k.ConstDecl("A", k.TYPE), k.ConstDecl("f", k.arrow(A, A))]
+    for context, error in (((("x", A), ("x", A)), k.DuplicateVariable), ((("x", k.TYPE),), k.NotAType)):
+        with pytest.raises(error, match=r"^rule f x: "):
+            k.check_signature(k.Signature([*base, k.RewriteRule(context, k.App(f, x), x)]))
 
 
 def test_defn_body_must_match_declared_type():

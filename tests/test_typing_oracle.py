@@ -262,3 +262,88 @@ def test_signature_prefix_grows_in_place(monkeypatch):
         counts[n] = checked + shared
     assert counts[1000] / counts[500] <= 2.2
     assert base.items == base_items  # the cached base signature is never grown
+
+
+# ---------------------------------------------------------------------------
+# Definitions checked against their statements
+#
+# The kernel opens a definition body's leading abstractions together with
+# its statement's leading products while their domains are equal, and
+# infers only the rest; the reference infers the whole body and compares
+# normal forms.  The verdicts (the error classes) must agree on theorems,
+# and on theorems whose leading binders no longer match their statement.
+
+
+def _theorems(mode, seed, n=3):
+    """The items of a signature that defines ``thm_0`` ... ``thm_(n-1)``,
+    generated theorems, and the index of the first of them."""
+    env = make_env(mode)
+    thms = [tr.closed_theorem(env, HolGen(seed + i).proof(3)) for i in range(n)]
+    items = [*tr.base_signature(mode).items, *env.decls]
+    return items + [k.Defn(f"thm_{i}", ty, body) for i, (ty, body) in enumerate(thms)], len(items)
+
+
+def _agreed_verdict(items):
+    got = _verdict(k.check_signature, k.Signature(items))
+    assert got == _verdict(ref.check_signature, k.Signature(items))
+    return got
+
+
+def _leading(cls, t):
+    """``t``'s leading binders of class ``cls``, opened as ``(name, hint,
+    domain)`` triples for ``k.bind``, and the opened rest of ``t``."""
+    binders, values = [], []
+    while type(t) is cls:
+        x = f"v{len(binders)}"
+        binders.append((x, t.hint, k.open_term(t.domain, *values)))
+        values.append(k.Var(x))
+        t = t.body
+    return binders, k.open_term(t, *values)
+
+
+@pytest.mark.parametrize("mode", ["q0", "pts"])
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 100_000))
+def test_definitions_match_reference_on_theorems(mode, seed):
+    items, _ = _theorems(mode, seed)
+    assert _agreed_verdict(items) is None
+
+
+@pytest.mark.parametrize("mode", ["q0", "pts"])
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 100_000), st.data())
+def test_definitions_with_mismatched_binders_match_reference(mode, seed, data):
+    """A leading binder's domain replaced; one binder too many in the body;
+    one too many in the statement, so the body has one too few; one more in
+    both, unused, with domains drawn apart."""
+    items, first = _theorems(mode, seed, n=1)
+    thm = items[first]
+    binders, rest = _leading(k.Abs, thm.body)
+    statement, claim = _leading(k.Prod, thm.type)
+    domains = [d for _, _, d in binders] + [k.TYPE, tr._T, k.App(k.Const("term"), k.Const("bool"))]
+    extra = ("z", "z", data.draw(st.sampled_from(domains)))
+    other = ("z", "z", data.draw(st.sampled_from(domains)))
+    at = data.draw(st.integers(0, min(len(binders), len(statement))))
+    cases = [
+        (thm.type, k.bind(k.Abs, binders[:at] + [extra] + binders[at:], rest)),
+        (k.bind(k.Prod, statement[:at] + [extra] + statement[at:], claim), thm.body),
+        (k.bind(k.Prod, statement[:at] + [other] + statement[at:], claim), k.bind(k.Abs, binders[:at] + [extra] + binders[at:], rest)),
+    ]
+    if binders:
+        i = data.draw(st.integers(0, len(binders) - 1))
+        mutated = list(binders)
+        mutated[i] = (binders[i][0], binders[i][1], data.draw(st.sampled_from(domains)))
+        cases.append((thm.type, k.bind(k.Abs, mutated, rest)))
+    verdicts = [_agreed_verdict(items[:first] + [k.Defn(thm.name, ty, body)]) for ty, body in cases]
+    assert verdicts[1] is not None
+
+
+@pytest.mark.parametrize("mode", ["q0", "pts"])
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 100_000), st.integers(1, 2))
+def test_later_theorem_with_the_first_statement_matches_reference(mode, seed, later):
+    items, first = _theorems(mode, seed)
+    thm0, thm = items[first], items[first + later]
+    items[first + later] = k.Defn(thm.name, thm0.type, thm.body)
+    verdict = _agreed_verdict(items)
+    assert verdict is (None if k.convertible(k.Signature(items[:first]), thm0.type, thm.type) else k.IllTypedDeclaration)
