@@ -147,28 +147,18 @@ def test_check_verbose_line_reports_items_times_and_fuel(tmp_path, capsys):
 
 
 def test_check_loads_only_the_reader_and_the_kernel(tmp_path):
-    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
-    probe = (
-        "import sys; from holtrans import cli; "
-        "rc = cli.main(['check', sys.argv[1]]); "
-        "print(rc, *sorted(m for m in sys.modules if m.startswith('holtrans')))"
-    )
-    done = _python("-c", probe, str(tmp_path / "01_identity.dk"))
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "holtrans", "holtrans.cli", "holtrans.dkfile", "holtrans.kernel"]
-
-
-def test_check_does_not_load_dataclasses(tmp_path):
-    """The kernel's and the reader's records are plain classes, so a fresh
-    ``check`` process does not pay for importing ``dataclasses``."""
+    """Nor does it load ``dataclasses``: the kernel's and the reader's
+    records are plain classes."""
     assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
     probe = (
         "import sys; before = 'dataclasses' in sys.modules; from holtrans import cli; "
-        "rc = cli.main(['check', sys.argv[1]]); print(rc, before or 'dataclasses' not in sys.modules)"
+        "rc = cli.main(['check', sys.argv[1]]); "
+        "print(rc, before or 'dataclasses' not in sys.modules, "
+        "*sorted(m for m in sys.modules if m.startswith('holtrans')))"
     )
     done = _python("-c", probe, str(tmp_path / "01_identity.dk"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "True"]
+    assert done.stdout.split() == ["0", "True", "holtrans", "holtrans.cli", "holtrans.dkfile", "holtrans.kernel"]
 
 
 def test_check_long_binder_chain(tmp_path):
@@ -191,25 +181,18 @@ def test_check_chains_nested_under_applications(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
 
 
-def _checked_items(monkeypatch):
-    """Every item handed to the kernel's checker, in order."""
-    checked = []
-    inner = kernel.check_extension
-
-    def recording(sig, items, fuel=None):
-        items = tuple(items)
-        checked.extend(items)
-        return inner(sig, items, fuel)
-
-    monkeypatch.setattr(kernel, "check_extension", recording)
-    return checked
-
-
 def test_base_is_checked_once_for_many_modules(tmp_path, monkeypatch):
     """``translate`` of n articles and ``check`` of their n modules each
     type ``hol.dk``'s items once, not once per module."""
     arts = [CORPUS / name for name in ("01_identity.art", "02_refl.art", "07_sym_trans.art")]
-    checked = _checked_items(monkeypatch)
+    checked = []  # every item handed to the kernel's checker
+    inner = kernel.check_extension
+
+    def recording(sig, items, fuel=None):
+        checked.extend(items)
+        return inner(sig, items, fuel)
+
+    monkeypatch.setattr(kernel, "check_extension", recording)
     assert cli.main(["translate", *map(str, arts), "-o", str(tmp_path)]) == 0
     base = dkfile.signature_items(dkfile.parse((tmp_path / "hol.dk").read_text()))
     assert [checked.count(it) for it in base] == [1] * len(base)
