@@ -6,8 +6,6 @@ Exit codes: 0 success, 1 proof or type failure, 2 usage or I/O failure.
 from __future__ import annotations
 
 import argparse
-import gzip
-import json
 import os
 import sys
 import threading
@@ -40,6 +38,8 @@ def _env_fuel() -> Optional[int]:
 
 
 def _gz_size(data: bytes) -> int:
+    import gzip
+
     return len(gzip.compress(data, mtime=0))
 
 
@@ -81,6 +81,8 @@ def _stem_clash(inputs: list) -> Optional[str]:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
+    import json
+
     from . import hol, opentheory, translate
 
     clash = _stem_clash(args.inputs)
@@ -234,6 +236,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _load_stats(paths: list) -> list:
     """The article rows of each stats file; raises ``ValueError`` naming a
     file that cannot be read as one."""
+    import json
+
     rows = []
     for raw in paths or ["."]:
         p = Path(raw)
@@ -269,6 +273,8 @@ _COLUMNS = (
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    import json
+
     try:
         rows = _load_stats(args.inputs)
     except ValueError as e:
@@ -455,15 +461,24 @@ def main(argv: Optional[list] = None) -> int:
         except ValueError as e:
             _fail(str(e))
             return 2
-    if args.subcommand == "translate":
-        # imported here: compiled on the worker's deep stack, it would leave more of that stack resident
-        from . import opentheory, translate  # noqa: F401
-        return _run_with_deep_stack(cmd_translate, args)
-    if args.subcommand == "check":
-        return _run_with_deep_stack(cmd_check, args)
-    if args.subcommand == "stats":
-        return cmd_stats(args)
-    return cmd_selftest(args)
+    try:
+        if args.subcommand == "translate":
+            # imported here: compiled on the worker's deep stack, it would leave more of that stack resident
+            from . import opentheory, translate  # noqa: F401
+            return _run_with_deep_stack(cmd_translate, args)
+        if args.subcommand == "check":
+            return _run_with_deep_stack(cmd_check, args)
+        if args.subcommand == "stats":
+            return cmd_stats(args)
+        return cmd_selftest(args)
+    except BrokenPipeError:
+        # the reader of standard output is gone; with stdout on os.devnull
+        # the flush at exit cannot raise the same error again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        _fail("standard output was closed before the run finished")
+        return 2
 
 
 if __name__ == "__main__":

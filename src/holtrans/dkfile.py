@@ -45,19 +45,12 @@ class ParseError(Exception):
 class Comment(kernel.Record):
     __slots__ = _fields = ("text",)
 
-    def __init__(self, text: str):
-        self.text = text
-
 
 DocItem = Union[ConstDecl, Defn, RewriteRule, Comment]
 
 
 class DkDocument(kernel.Record):
     __slots__ = _fields = ("module", "items")
-
-    def __init__(self, module: str, items: tuple = ()):
-        self.module = module
-        self.items = items
 
 
 def signature_items(doc: DkDocument) -> tuple:

@@ -18,8 +18,9 @@ valid, each node is checked once however often it is shared, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+from .kernel import Record
 
 
 class HolError(Exception):
@@ -47,26 +48,61 @@ class RuleViolation(HolError):
 BUILTIN_TYPE_ARITY = {"bool": 0, "ind": 0, "->": 2}
 
 
-class HolType:
+class HolType(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+class _Node(Record):
+    """A record hashed often: its hash is computed when first asked for and
+    kept.  A subclass writes its own ``__eq__``, comparing kept hashes before
+    it walks the fields, and so must name ``__hash__`` again."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._values())
+        return h
+
+
 class TyVar(HolType):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is TyVar and other.name == self.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
-class TyOp(HolType):
-    op: str
-    args: tuple[HolType, ...] = ()
+class TyOp(HolType, _Node):
+    __slots__ = _fields = ("op", "args")
 
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-        want = BUILTIN_TYPE_ARITY.get(self.op)
-        if want is not None and len(self.args) != want:
-            raise ArityMismatch(f"type operator {self.op} expects {want} arguments")
+    def __init__(self, op: str, args: tuple[HolType, ...] = ()):
+        if not isinstance(args, tuple):
+            args = tuple(args)
+        want = BUILTIN_TYPE_ARITY.get(op)
+        if want is not None and len(args) != want:
+            raise ArityMismatch(f"type operator {op} expects {want} arguments")
+        self.op = op
+        self.args = args
+        self._hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not TyOp:
+            return False
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self.op == other.op and self.args == other.args
+
+    __hash__ = _Node.__hash__
 
 
 BOOL = TyOp("bool")
@@ -80,7 +116,38 @@ def fn(a: HolType, b: HolType) -> TyOp:
 def dest_fn(ty: HolType) -> tuple[HolType, HolType]:
     if isinstance(ty, TyOp) and ty.op == "->":
         return ty.args[0], ty.args[1]
-    raise AppTypeMismatch(f"not a function type: {ty}")
+    raise AppTypeMismatch(f"not a function type: {fmt_type(ty)}")
+
+
+# A type in an error message shows its first _TYPE_NODES nodes, in its repr's
+# format, and at most _TYPE_WIDTH characters (a third of the command line's
+# dkfile.MESSAGE_WIDTH): a type shared through the article dictionary can be
+# exponentially larger as a tree than as read.
+_TYPE_NODES = 8
+_TYPE_WIDTH = 200
+
+
+def fmt_type(ty: HolType) -> str:
+    """``ty`` as its repr shows it, cut to a fixed number of nodes in
+    preorder and of characters; an argument list that is cut ends in
+    ``...``.  Only the nodes kept are visited."""
+    left = [_TYPE_NODES]
+
+    def go(t: HolType) -> str:
+        left[0] -= 1
+        if isinstance(t, TyVar):
+            return repr(t)
+        parts = []
+        for a in t.args:
+            if left[0] <= 0:
+                parts.append("...")
+                break
+            parts.append(go(a))
+        comma = "," if len(t.args) == 1 else ""  # as a tuple's repr
+        return f"TyOp(op={t.op!r}, args=({', '.join(parts)}{comma}))"
+
+    text = go(ty)
+    return text if len(text) <= _TYPE_WIDTH else text[: _TYPE_WIDTH - 3] + "..."
 
 
 def type_tyvars(ty: HolType, out: Optional[set[str]] = None) -> set[str]:
@@ -162,45 +229,88 @@ EQ = "="
 SELECT = "select"
 
 
-class HolTerm:
+class HolTerm(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Var(HolTerm):
-    name: str
-    type: HolType
+class _Named(HolTerm):
+    __slots__ = _fields = ("name", "type")
+
+    def __init__(self, name: str, type: HolType):
+        self.name = name
+        self.type = type
+        self._hash = None
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            other.__class__ is self.__class__ and other.name == self.name and other.type == self.type
+        )
+
+    __hash__ = _Node.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class Const(HolTerm):
+class Var(_Named):
+    __slots__ = ()
+
+
+class Const(_Named):
     """A constant instance carrying its instantiated type."""
 
-    name: str
-    type: HolType
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Abs(HolTerm):
-    var: Var
-    body: HolTerm
-    type: HolType = field(init=False, compare=False, repr=False)
+    """``type`` is computed, and is not compared."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "type", fn(self.var.type, self.body.type))
+    __slots__ = ("var", "body", "type")
+    _fields = ("var", "body")
+
+    def __init__(self, var: Var, body: HolTerm):
+        self.var = var
+        self.body = body
+        self.type = TyOp("->", (var.type, body.type))
+        self._hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Abs:
+            return False
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self.var == other.var and self.body == other.body
+
+    __hash__ = _Node.__hash__
 
 
-@dataclass(frozen=True, slots=True)
 class App(HolTerm):
-    fn: HolTerm
-    arg: HolTerm
-    type: HolType = field(init=False, compare=False, repr=False)
+    """``type`` is computed, and is not compared; an argument that does not
+    fit the function raises ``AppTypeMismatch``."""
 
-    def __post_init__(self):
-        a, b = dest_fn(self.fn.type)
-        if self.arg.type != a:
-            raise AppTypeMismatch(f"argument has type {self.arg.type}, function expects {a}")
-        object.__setattr__(self, "type", b)
+    __slots__ = ("fn", "arg", "type")
+    _fields = ("fn", "arg")
+
+    def __init__(self, fn: HolTerm, arg: HolTerm):
+        a, b = dest_fn(fn.type)
+        if arg.type != a:
+            raise AppTypeMismatch(f"argument has type {fmt_type(arg.type)}, function expects {fmt_type(a)}")
+        self.fn = fn
+        self.arg = arg
+        self.type = b
+        self._hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return False
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self.fn == other.fn and self.arg == other.arg
+
+    __hash__ = _Node.__hash__
 
 
 def eq_generic() -> HolType:
@@ -229,7 +339,7 @@ def dest_eq(t: HolTerm) -> tuple[HolTerm, HolTerm]:
         and t.fn.fn.name == EQ
     ):
         return t.fn.arg, t.arg
-    raise HolError(f"not an equality: a term of type {t.type}")
+    raise HolError(f"not an equality: a term of type {fmt_type(t.type)}")
 
 
 def free_vars(t: HolTerm) -> frozenset:
@@ -372,8 +482,7 @@ def _rebind(bound: dict, key, depth: Optional[int]) -> None:
 # Substitution
 
 
-@dataclass(frozen=True)
-class HolSubst:
+class HolSubst(Record):
     """Type substitution applied first, then a parallel term substitution.
 
     The sigma keys and images live in the already type-instantiated world:
@@ -381,8 +490,11 @@ class HolSubst:
     and the image's type equals the key's.
     """
 
-    theta: tuple[tuple[str, HolType], ...] = ()
-    sigma: tuple[tuple[Var, HolTerm], ...] = ()
+    __slots__ = _fields = ("theta", "sigma")
+
+    def __init__(self, theta: tuple[tuple[str, HolType], ...] = (), sigma: tuple[tuple[Var, HolTerm], ...] = ()):
+        self.theta = theta
+        self.sigma = sigma
 
     def theta_dict(self) -> dict[str, HolType]:
         return dict(self.theta)
@@ -500,10 +612,12 @@ def beta_normalize(t: HolTerm) -> HolTerm:
 # Sequents
 
 
-@dataclass(frozen=True)
-class Sequent:
-    hyps: tuple[HolTerm, ...]
-    concl: HolTerm
+class Sequent(Record):
+    __slots__ = _fields = ("hyps", "concl")
+
+    def __init__(self, hyps: tuple[HolTerm, ...], concl: HolTerm):
+        self.hyps = hyps
+        self.concl = concl
 
     def alpha_eq(self, other: "Sequent") -> bool:
         if not alpha_equal(self.concl, other.concl):
@@ -544,88 +658,70 @@ def sequent_free_vars(seq: Sequent) -> frozenset:
 # Proofs
 
 
-class Proof:
-    """A derivation node; ``sequent`` is what it proves, set when it is built."""
+class Proof(Record):
+    """A derivation node, built from the values of its ``_fields`` in order:
+    ``sub``, ``fun``, ``arg``, ``eq``, ``prem``, ``lhs`` and ``rhs`` are
+    premises (proofs), the rest HOL terms, variables, names or a
+    ``HolSubst``.  ``sequent`` is what it proves, set when it is built, and
+    is not compared."""
 
     __slots__ = ("sequent",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sequent", _check(self))
+    def __init__(self, *values) -> None:
+        super().__init__(*values)
+        self.sequent = _check(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Refl(Proof):
-    term: HolTerm
+    __slots__ = _fields = ("term",)
 
 
-@dataclass(frozen=True, slots=True)
 class AbsThm(Proof):
-    var: Var
-    sub: Proof
+    __slots__ = _fields = ("var", "sub")
 
 
-@dataclass(frozen=True, slots=True)
 class AppThm(Proof):
-    fun: Proof
-    arg: Proof
+    __slots__ = _fields = ("fun", "arg")
 
 
-@dataclass(frozen=True, slots=True)
 class Beta(Proof):
-    var: Var
-    body: HolTerm
+    __slots__ = _fields = ("var", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class Assume(Proof):
-    prop: HolTerm
+    __slots__ = _fields = ("prop",)
 
 
-@dataclass(frozen=True, slots=True)
 class EqMp(Proof):
-    eq: Proof
-    prem: Proof
+    __slots__ = _fields = ("eq", "prem")
 
 
-@dataclass(frozen=True, slots=True)
 class DeductAntiSym(Proof):
-    lhs: Proof
-    rhs: Proof
+    __slots__ = _fields = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
 class Subst(Proof):
-    subst: HolSubst
-    sub: Proof
+    __slots__ = _fields = ("subst", "sub")
 
 
-@dataclass(frozen=True, slots=True)
 class Axiom(Proof):
-    hyps: tuple[HolTerm, ...]
-    concl: HolTerm
+    __slots__ = _fields = ("hyps", "concl")
 
 
-@dataclass(frozen=True, slots=True)
 class DefineConst(Proof):
     """Yields |- c = body and registers c; the body must be closed."""
 
-    name: str
-    body: HolTerm
+    __slots__ = _fields = ("name", "body")
 
 
-@dataclass(frozen=True)
-class TypeOpDef:
+class TypeOpDef(Record):
     """Shared payload of a type-operator definition.
 
     ``sub`` proves |- pred witness with no hypotheses; the new operator's
     arguments are ``tyvars`` in the given order.
     """
 
-    op: str
-    abs: str
-    rep: str
-    tyvars: tuple[str, ...]
-    sub: Proof
+    __slots__ = _fields = ("op", "abs", "rep", "tyvars", "sub")
 
     def pieces(self, sub_seq: Sequent) -> tuple[HolTerm, HolType, HolType]:
         """Return (pred, carrier type, new type) after validating the shape."""
@@ -654,28 +750,23 @@ class TypeOpDef:
         return fn(new_ty, carrier)
 
 
-@dataclass(frozen=True, slots=True)
 class AbsRepThm(Proof):
     """|- (\\a. abs (rep a)) = (\\a. a)"""
 
-    defn: TypeOpDef
+    __slots__ = _fields = ("defn",)
 
 
-@dataclass(frozen=True, slots=True)
 class RepAbsThm(Proof):
     """|- (\\r. rep (abs r) = r) = (\\r. pred r)"""
 
-    defn: TypeOpDef
+    __slots__ = _fields = ("defn",)
 
 
-@dataclass(frozen=True, slots=True)
 class ConvRefl(Proof):
     """A compressed conversion subtree: concludes lhs = rhs given lhs, rhs
     beta-equal; carries their common beta-normal form."""
 
-    lhs: HolTerm
-    rhs: HolTerm
-    normal: HolTerm
+    __slots__ = _fields = ("lhs", "rhs", "normal")
 
 
 def check_proof(proof: Proof) -> Sequent:
@@ -685,7 +776,7 @@ def check_proof(proof: Proof) -> Sequent:
 
 def _require_bool(rule: str, t: HolTerm) -> None:
     if t.type != BOOL:
-        raise RuleViolation(rule, f"not a proposition: a term of type {t.type}")
+        raise RuleViolation(rule, f"not a proposition: a term of type {fmt_type(t.type)}")
 
 
 def _check(proof: Proof) -> Sequent:

@@ -484,11 +484,18 @@ def term_size(t: Term) -> int:
 
 
 class Record:
-    """A plain immutable record: equality, hash and repr over ``_fields``,
-    as a frozen dataclass gives them, without loading ``dataclasses``."""
+    """A plain immutable record: built from the values of ``_fields`` in
+    order, with equality, hash and repr over them, as a frozen dataclass
+    gives them, without loading ``dataclasses``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -508,31 +515,17 @@ class Record:
 class ConstDecl(Record):
     __slots__ = _fields = ("name", "type")
 
-    def __init__(self, name: str, type: Term):
-        self.name = name
-        self.type = type
-
 
 class Defn(Record):
     """A transparent definition: behaves as a constant that unfolds to its body."""
 
     __slots__ = _fields = ("name", "type", "body")
 
-    def __init__(self, name: str, type: Term, body: Term):
-        self.name = name
-        self.type = type
-        self.body = body
-
 
 class RewriteRule(Record):
     """A typed rewrite rule; free variables of lhs/rhs live in the rule context."""
 
     __slots__ = _fields = ("context", "lhs", "rhs")
-
-    def __init__(self, context: tuple[tuple[str, Term], ...], lhs: Term, rhs: Term):
-        self.context = context
-        self.lhs = lhs
-        self.rhs = rhs
 
 
 SigItem = Union[ConstDecl, Defn, RewriteRule]

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
 from . import hol
+from .kernel import Record
 from .hol import (
     Abs,
     AbsRepThm,
@@ -84,22 +85,38 @@ class UnsupportedVersion(VMError):
 # ---------------------------------------------------------------------------
 # Commands
 
-@dataclass(frozen=True, slots=True)
-class IntLiteral:
-    value: int
-    line: int = field(default=0, compare=False)
+class _Token(Record):
+    """A parsed command: its value and the ``line`` it stood on, which
+    equality and hashing ignore."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return (getattr(self, self._fields[0]),)
 
 
-@dataclass(frozen=True, slots=True)
-class StringLiteral:
-    value: str
-    line: int = field(default=0, compare=False)
+class IntLiteral(_Token):
+    __slots__ = _fields = ("value", "line")
+
+    def __init__(self, value: int, line: int = 0):
+        self.value = value
+        self.line = line
 
 
-@dataclass(frozen=True, slots=True)
-class Keyword:
-    name: str
-    line: int = field(default=0, compare=False)
+class StringLiteral(_Token):
+    __slots__ = _fields = ("value", "line")
+
+    def __init__(self, value: str, line: int = 0):
+        self.value = value
+        self.line = line
+
+
+class Keyword(_Token):
+    __slots__ = _fields = ("name", "line")
+
+    def __init__(self, name: str, line: int = 0):
+        self.name = name
+        self.line = line
 
 
 ArticleCommand = Union[IntLiteral, StringLiteral, Keyword]
@@ -157,44 +174,45 @@ def parse_article(data: Union[str, bytes]) -> list[ArticleCommand]:
 # Stack objects
 
 
-@dataclass(frozen=True, slots=True)
-class ONum:
-    value: int
+class _Boxed(Record):
+    """A stack object other than a theorem: one value, named ``_fields[0]``."""
+
+    __slots__ = ()
+
+    def __init__(self, value) -> None:
+        setattr(self, self._fields[0], value)
 
 
-@dataclass(frozen=True, slots=True)
-class OName:
-    value: str
+class ONum(_Boxed):
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
-class OList:
-    items: tuple = ()
+class OName(_Boxed):
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
-class OTypeOp:
-    name: str
+class OList(_Boxed):
+    __slots__ = _fields = ("items",)
 
 
-@dataclass(frozen=True, slots=True)
-class OType:
-    type: HolType
+class OTypeOp(_Boxed):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
-class OConst:
-    name: str
+class OType(_Boxed):
+    __slots__ = _fields = ("type",)
 
 
-@dataclass(frozen=True, slots=True)
-class OVar:
-    var: Var
+class OConst(_Boxed):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
-class OTerm:
-    term: HolTerm
+class OVar(_Boxed):
+    __slots__ = _fields = ("var",)
+
+
+class OTerm(_Boxed):
+    __slots__ = _fields = ("term",)
 
 
 StackObject = Union[ONum, OName, OList, OTypeOp, OType, OConst, OVar, OTerm, Proof]
@@ -296,7 +314,7 @@ def _auto_const(state: VMState, name: str, ty: HolType, cmd: str) -> None:
     generic = state.constants.get(name)
     if generic is not None:
         if hol.match_type(generic, ty) is None:
-            raise TypeErrorOnStack(f"{cmd}: {name} at {ty} is not an instance of {generic}")
+            raise TypeErrorOnStack(f"{cmd}: {name} at {hol.fmt_type(ty)} is not an instance of {hol.fmt_type(generic)}")
         return
     provisional = state.externals.get(name)
     if provisional is None:
@@ -448,7 +466,7 @@ def _cmd_eq_mp(state: VMState) -> None:
 
 
 def _cmd_nil(state: VMState) -> None:
-    state.push(OList())
+    state.push(OList(()))
 
 
 def _cmd_op_type(state: VMState) -> None:

@@ -15,9 +15,7 @@ equality and several derivation rules become definitions.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import dkfile, hol, kernel
@@ -29,6 +27,7 @@ from .kernel import (
     Const,
     Defn,
     Prod,
+    Record,
     RewriteRule,
     Signature,
     Term,
@@ -292,17 +291,15 @@ def base_document(mode: str = "q0") -> dkfile.DkDocument:
 # Translation environment
 
 
-@dataclass
-class TypeOpInfo:
-    arity: int
-    kname: str
+class TypeOpInfo(Record):
+    __slots__ = _fields = ("arity", "kname")
 
 
-@dataclass
-class ConstInfo:
-    generic: hol.HolType
-    tyvars: tuple[str, ...]
-    kname: str
+class ConstInfo(Record):
+    """A declared constant: its generic type, the type variables its
+    instances are applied to, in order, and its kernel name."""
+
+    __slots__ = _fields = ("generic", "tyvars", "kname")
 
 
 def _tyvars_in_order(ty: hol.HolType, acc: Optional[list[str]] = None) -> list[str]:
@@ -439,7 +436,7 @@ def trans_type_type(env: TranslationEnv, ty: hol.HolType) -> Term:
 def _instance_args(env: TranslationEnv, generic: hol.HolType, tyvars: tuple[str, ...], instance: hol.HolType) -> list[Term]:
     theta = hol.match_type(generic, instance)
     if theta is None:
-        raise InstanceMatchFailure(f"{instance} is not an instance of {generic}")
+        raise InstanceMatchFailure(f"{hol.fmt_type(instance)} is not an instance of {hol.fmt_type(generic)}")
     return [trans_type_term(env, theta[n]) for n in tyvars]
 
 
@@ -483,7 +480,7 @@ def trans_term(env: TranslationEnv, t: hol.HolTerm) -> Term:
 
 def trans_prop_type(env: TranslationEnv, prop: hol.HolTerm) -> Term:
     if prop.type != hol.BOOL:
-        raise NotAProposition(f"not a proposition: a term of type {prop.type}")
+        raise NotAProposition(f"not a proposition: a term of type {hol.fmt_type(prop.type)}")
     return _pf(trans_term(env, prop))
 
 
@@ -491,15 +488,12 @@ def trans_prop_type(env: TranslationEnv, prop: hol.HolTerm) -> Term:
 # Proof translation
 
 
-@dataclass
-class Closure:
-    """Everything a derivation's translation depends on, in binding order."""
+class Closure(Record):
+    """Everything a derivation's translation depends on, in binding order:
+    type variable names, term variables, hypotheses, the translated core
+    and the sequent proved."""
 
-    tyvars: list[str]
-    termvars: list[hol.Var]
-    hyps: tuple[hol.HolTerm, ...]
-    core: Term
-    sequent: hol.Sequent
+    __slots__ = _fields = ("tyvars", "termvars", "hyps", "core", "sequent")
 
 
 def trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
@@ -700,6 +694,8 @@ def _axiom_const(env: TranslationEnv, seq: hol.Sequent):
     )
     statement = arrow(*(trans_prop_type(env, h) for h in seq.hyps), trans_prop_type(env, seq.concl))
     binders = _tyvar_binders(tyvars) + _termvar_binders(env, termvars)
+    import hashlib  # here: loading OpenSSL is a visible part of start-up, and only axioms need it
+
     kname = env.namer.ident("ax." + hashlib.sha1(repr(key).encode()).hexdigest()[:12])
     env.decls.append(ConstDecl(kname, bind(Prod, binders, statement)))
     env._axioms[key] = (kname, tyvars, termvars)
@@ -812,11 +808,11 @@ def _compress(proof: hol.Proof, memo: dict, pure: dict) -> hol.Proof:
 # Sharing
 
 
-@dataclass
-class ShareReport:
-    document: dkfile.DkDocument
-    hoisted: int
-    replaced: int
+class ShareReport(Record):
+    """The shared document, the number of definitions hoisted and of
+    occurrences replaced by them."""
+
+    __slots__ = _fields = ("document", "hoisted", "replaced")
 
 
 def _candidate(t: Term, min_size: int) -> bool:
@@ -926,11 +922,8 @@ def share_document(
 # Whole-run translation
 
 
-@dataclass
-class TranslationResult:
-    document: dkfile.DkDocument
-    theorem_count: int
-    share_hits: int
+class TranslationResult(Record):
+    __slots__ = _fields = ("document", "theorem_count", "share_hits")
 
 
 def translate_state(

@@ -148,17 +148,56 @@ def test_check_verbose_line_reports_items_times_and_fuel(tmp_path, capsys):
 
 def test_check_loads_only_the_reader_and_the_kernel(tmp_path):
     """Nor does it load ``dataclasses``: the kernel's and the reader's
-    records are plain classes."""
+    records are plain classes.  ``gzip`` and ``json`` load only for
+    ``translate`` and ``stats``."""
     assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
     probe = (
         "import sys; before = 'dataclasses' in sys.modules; from holtrans import cli; "
         "rc = cli.main(['check', sys.argv[1]]); "
-        "print(rc, before or 'dataclasses' not in sys.modules, "
+        "print(rc, before or 'dataclasses' not in sys.modules, 'gzip' in sys.modules, 'json' in sys.modules, "
         "*sorted(m for m in sys.modules if m.startswith('holtrans')))"
     )
     done = _python("-c", probe, str(tmp_path / "01_identity.dk"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "True", "holtrans", "holtrans.cli", "holtrans.dkfile", "holtrans.kernel"]
+    assert done.stdout.split() == [
+        "0", "True", "False", "False", "holtrans", "holtrans.cli", "holtrans.dkfile", "holtrans.kernel"
+    ]
+
+
+def _translated_corpus(outdir):
+    arts = sorted(CORPUS.glob("0*.art"))
+    assert cli.main(["translate", *map(str, arts), "-o", str(outdir)]) == 0
+    return sorted(outdir.glob("*.dk"))
+
+
+def test_verbose_check_into_a_closed_pipe_is_one_error_line(tmp_path):
+    """``holtrans check -v dir/*.dk | head -1`` ended in a
+    ``BrokenPipeError`` traceback, exit 1."""
+    docs = _translated_corpus(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}  # one write per line
+    proc = subprocess.Popen([sys.executable, "-m", "holtrans.cli", "check", "-v", *map(str, docs)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith(f"{tmp_path / 'hol.dk'}: ok (")
+    proc.stdout.close()  # as head -1 does; checking the other files takes longer than this
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert (proc.wait(timeout=60), err) == (2, "error: standard output was closed before the run finished\n")
+
+
+def test_verbose_check_into_a_pipe_closed_from_the_start(tmp_path):
+    docs = _translated_corpus(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        done = subprocess.run([sys.executable, "-m", "holtrans.cli", "check", "-v", str(docs[1])],
+                              env={**os.environ, "PYTHONPATH": src}, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: standard output was closed before the run finished\n")
 
 
 def test_check_long_binder_chain(tmp_path):

@@ -284,3 +284,53 @@ def test_kernel_error_renders_in_calls_independent_of_term_size():
     assert len(text) < 1024
     assert text.startswith("definition d: application head has no product type: f (f (f ")
     assert text.endswith(" : A")
+
+
+def dag_type(k):
+    """``T_k``: ``T_0 = bool`` and ``T_(k+1) = T_k -> T_k``, ``k + 1`` nodes
+    and a tree of ``2^(k+1) - 1``."""
+    t = hol.BOOL
+    for _ in range(k):
+        t = hol.fn(t, t)
+    return t
+
+
+def type_error_messages(k):
+    """Each failure whose message names ``T_k``, with the calls it made."""
+    big = dag_type(k)
+    x, v = hol.Var("x", hol.BOOL), hol.Var("v", big)
+    state = ot.VMState()
+    state.constants["c"] = hol.BOOL
+    failures = [
+        lambda: hol.App(hol.Var("f", hol.fn(big, hol.BOOL)), x),  # argument has type ...
+        lambda: hol.App(hol.Var("g", hol.TyOp("list", (big,))), x),  # not a function type
+        lambda: hol.Assume(v),  # not a proposition
+        lambda: hol.dest_eq(v),  # not an equality
+        lambda: ot._auto_const(state, "c", big, "constTerm"),  # not an instance
+        lambda: tr._instance_args(None, hol.BOOL, (), big),
+        lambda: tr.trans_prop_type(None, v),
+    ]
+    out = []
+    for fail in failures:
+        box = []
+
+        def run():
+            try:
+                fail()
+            except (hol.HolError, ot.ArticleError, tr.TranslateError) as e:
+                box.append(str(e))
+
+        n = sum(calls(run).values())
+        (text,) = box
+        out.append((n, text))
+    return out
+
+
+def test_type_in_a_message_prints_bounded():
+    """A type shared through the article dictionary printed as a tree:
+    12.6 MB for one message at k = 18."""
+    small, large = type_error_messages(14), type_error_messages(18)
+    assert [n for n, _ in small] == [n for n, _ in large]
+    for _, text in large:
+        assert len(text) < dkfile.MESSAGE_WIDTH and "TyOp(op='->', args=(TyOp(op='->', args=(" in text, text
+    assert large[0][1].startswith("argument has type TyOp(op='bool', args=()), function expects TyOp(op='->'")
