@@ -10,6 +10,11 @@ the dictionary is checked once.  Terms are typed as they are built, so an
 ill-typed ``appTerm`` fails at that command.  Derived commands (``sym``,
 ``trans``, ``proveHyp``, ``betaConv``) are expanded into compositions of
 the primitive rules, so the proof checker stays minimal.
+
+The format defines a command by the objects it pops and pushes, and so
+does ``_HANDLERS``: a command that touches nothing but the stack is one
+``_rule`` row (operand classes and a builder), and the ten that read or
+write the rest of the machine have their own handlers.
 ``serialize_article`` regenerates an article from a finished run for
 round-trip testing.
 """
@@ -258,22 +263,38 @@ class VMState:
         self.stack.extend(objs)
 
 
-def _name_list(obj: OList, cmd: str) -> list[str]:
-    names = []
+def _unbox(obj: OList, cls, message: str) -> tuple:
+    """The values boxed in the list ``obj``, whose items must all be ``cls``
+    objects; else ``message`` is the error."""
+    field = cls._fields[0]
+    values = []
     for it in obj.items:
-        if not isinstance(it, OName):
-            raise TypeErrorOnStack(f"{cmd}: expected a list of names")
-        names.append(it.value)
-    return names
+        if not isinstance(it, cls):
+            raise TypeErrorOnStack(message)
+        values.append(getattr(it, field))
+    return tuple(values)
 
 
-def _term_list(obj: OList, cmd: str) -> list[HolTerm]:
-    terms = []
-    for it in obj.items:
-        if not isinstance(it, OTerm):
-            raise TypeErrorOnStack(f"{cmd}: expected a list of terms")
-        terms.append(it.term)
-    return terms
+def _pairs(obj: OList, first, second, kind: str) -> tuple:
+    """The value pairs boxed in ``obj``, a list of ``[first, second]`` lists:
+    one half of a ``subst`` operand, ``kind`` naming which."""
+    pairs = []
+    for entry in obj.items:
+        items = entry.items if isinstance(entry, OList) else ()
+        if not (len(items) == 2 and isinstance(items[0], first) and isinstance(items[1], second)):
+            raise TypeErrorOnStack(f"subst: malformed {kind} substitution entry")
+        a, b = items
+        pairs.append((getattr(a, first._fields[0]), getattr(b, second._fields[0])))
+    return tuple(pairs)
+
+
+def _parse_subst(obj: OList) -> HolSubst:
+    if len(obj.items) != 2:
+        raise TypeErrorOnStack("subst: expected a two-element list")
+    theta, sigma = obj.items
+    if not isinstance(theta, OList) or not isinstance(sigma, OList):
+        raise TypeErrorOnStack("subst: expected a pair of lists")
+    return HolSubst(_pairs(theta, OName, OType, "type"), _pairs(sigma, OVar, OTerm, "term"))
 
 
 # Derived-rule expansions (kept out of the proof checker).
@@ -340,8 +361,38 @@ def step(state: VMState, cmd: ArticleCommand) -> None:
     handler(state)
 
 
-# Each handler pops its operands (top first) and pushes its results
-# bottom-first.
+def _rule(name: str, fn: Callable, *classes) -> tuple[str, Callable[[VMState], None]]:
+    """A command that only uses the stack, as a ``(name, handler)`` row.
+
+    The handler pops one operand per class in ``classes`` (listed bottom
+    first, popped top first; ``None`` takes any object), calls ``fn`` on
+    them bottom first and pushes what it returns, unless that is None.
+    Each arity has its own closure: popping through a loop is slower.
+    """
+    pop = VMState.pop
+    if not classes:
+        def handler(state: VMState) -> None:
+            state.stack.append(fn())
+    elif len(classes) == 1:
+        (a,) = classes
+
+        def handler(state: VMState) -> None:
+            out = fn(pop(state, a, name))
+            if out is not None:
+                state.stack.append(out)
+    else:
+        a, b = classes
+
+        def handler(state: VMState) -> None:
+            y = pop(state, b, name)
+            out = fn(pop(state, a, name), y)
+            if out is not None:
+                state.stack.append(out)
+    return name, handler
+
+
+# Commands that read or write more of the machine than its stack.  Each
+# pops its operands (top first) and pushes its results bottom-first.
 
 
 def _cmd_version(state: VMState) -> None:
@@ -353,57 +404,25 @@ def _cmd_version(state: VMState) -> None:
     state.versioned = True
 
 
-def _cmd_abs_term(state: VMState) -> None:
-    b = state.pop(OTerm, "absTerm")
-    v = state.pop(OVar, "absTerm")
-    state.push(OTerm(Abs(v.var, b.term)))
+def _cmd_def(state: VMState) -> None:
+    n = state.pop(ONum, "def")
+    if not state.stack:
+        raise StackUnderflow("def: no object to store")
+    state.dictionary[n.value] = state.stack[-1]
 
 
-def _cmd_abs_thm(state: VMState) -> None:
-    t = state.pop(Proof, "absThm")
-    v = state.pop(OVar, "absThm")
-    state.push(AbsThm(v.var, t))
+def _cmd_ref(state: VMState) -> None:
+    n = state.pop(ONum, "ref")
+    if n.value not in state.dictionary:
+        raise VMError(f"ref: undefined dictionary key {n.value}")
+    state.push(state.dictionary[n.value])
 
 
-def _cmd_app_term(state: VMState) -> None:
-    x = state.pop(OTerm, "appTerm")
-    f = state.pop(OTerm, "appTerm")
-    state.push(OTerm(App(f.term, x.term)))
-
-
-def _cmd_app_thm(state: VMState) -> None:
-    x = state.pop(Proof, "appThm")
-    f = state.pop(Proof, "appThm")
-    state.push(AppThm(f, x))
-
-
-def _cmd_assume(state: VMState) -> None:
-    t = state.pop(OTerm, "assume")
-    state.push(Assume(t.term))
-
-
-def _cmd_axiom(state: VMState) -> None:
-    t = state.pop(OTerm, "axiom")
-    l = state.pop(OList, "axiom")
-    thm = Axiom(tuple(_term_list(l, "axiom")), t.term)
-    state.assumptions.append(thm.sequent)
-    state.push(thm)
-
-
-def _cmd_beta_conv(state: VMState) -> None:
-    t = state.pop(OTerm, "betaConv")
-    state.push(beta_conv_proof(t.term))
-
-
-def _cmd_cons(state: VMState) -> None:
-    tail = state.pop(OList, "cons")
-    head = state.pop(None, "cons")
-    state.push(OList((head,) + tail.items))
-
-
-def _cmd_const(state: VMState) -> None:
-    n = state.pop(OName, "const")
-    state.push(OConst(n.value))
+def _cmd_remove(state: VMState) -> None:
+    n = state.pop(ONum, "remove")
+    if n.value not in state.dictionary:
+        raise VMError(f"remove: undefined dictionary key {n.value}")
+    state.push(state.dictionary.pop(n.value))
 
 
 def _cmd_const_term(state: VMState) -> None:
@@ -413,17 +432,22 @@ def _cmd_const_term(state: VMState) -> None:
     state.push(OTerm(Const(c.name, ty.type)))
 
 
-def _cmd_deduct_antisym(state: VMState) -> None:
-    t2 = state.pop(Proof, "deductAntisym")
-    t1 = state.pop(Proof, "deductAntisym")
-    state.push(DeductAntiSym(t1, t2))
+def _cmd_op_type(state: VMState) -> None:
+    l = state.pop(OList, "opType")
+    op = state.pop(OTypeOp, "opType")
+    args = _unbox(l, OType, "opType: expected a list of types")
+    arity = state.typeops.setdefault(op.name, len(args))
+    if arity != len(args):
+        raise TypeErrorOnStack(f"opType: {op.name} expects {arity} arguments, got {len(args)}")
+    state.push(OType(TyOp(op.name, args)))
 
 
-def _cmd_def(state: VMState) -> None:
-    n = state.pop(ONum, "def")
-    if not state.stack:
-        raise StackUnderflow("def: no object to store")
-    state.dictionary[n.value] = state.stack[-1]
+def _cmd_axiom(state: VMState) -> None:
+    t = state.pop(OTerm, "axiom")
+    l = state.pop(OList, "axiom")
+    thm = Axiom(_unbox(l, OTerm, "axiom: expected a list of terms"), t.term)
+    state.assumptions.append(thm.sequent)
+    state.push(thm)
 
 
 def _cmd_define_const(state: VMState) -> None:
@@ -447,7 +471,7 @@ def _cmd_define_type_op(state: VMState) -> None:
     for cname in (a.value, r.value):
         if cname in state.constants or cname in state.externals:
             raise VMError(f"defineTypeOp: constant {cname} already declared")
-    tyvars = tuple(_name_list(l, "defineTypeOp"))
+    tyvars = _unbox(l, OName, "defineTypeOp: expected a list of names")
     defn = TypeOpDef(n.value, a.value, r.value, tyvars, t)
     abs_thm = AbsRepThm(defn)
     rep_thm = RepAbsThm(defn)
@@ -459,108 +483,11 @@ def _cmd_define_type_op(state: VMState) -> None:
     state.push(OTypeOp(n.value), OConst(a.value), OConst(r.value), abs_thm, rep_thm)
 
 
-def _cmd_eq_mp(state: VMState) -> None:
-    t2 = state.pop(Proof, "eqMp")
-    t1 = state.pop(Proof, "eqMp")
-    state.push(EqMp(t1, t2))
-
-
-def _cmd_nil(state: VMState) -> None:
-    state.push(OList(()))
-
-
-def _cmd_op_type(state: VMState) -> None:
-    l = state.pop(OList, "opType")
-    op = state.pop(OTypeOp, "opType")
-    args = []
-    for it in l.items:
-        if not isinstance(it, OType):
-            raise TypeErrorOnStack("opType: expected a list of types")
-        args.append(it.type)
-    arity = state.typeops.setdefault(op.name, len(args))
-    if arity != len(args):
-        raise TypeErrorOnStack(f"opType: {op.name} expects {arity} arguments, got {len(args)}")
-    state.push(OType(TyOp(op.name, tuple(args))))
-
-
-def _cmd_pop(state: VMState) -> None:
-    state.pop(None, "pop")
-
-
-def _cmd_pragma(state: VMState) -> None:
-    state.pop(None, "pragma")
-
-
-def _cmd_prove_hyp(state: VMState) -> None:
-    t2 = state.pop(Proof, "proveHyp")
-    t1 = state.pop(Proof, "proveHyp")
-    state.push(prove_hyp_proof(t1, t2))
-
-
-def _cmd_ref(state: VMState) -> None:
-    n = state.pop(ONum, "ref")
-    if n.value not in state.dictionary:
-        raise VMError(f"ref: undefined dictionary key {n.value}")
-    state.push(state.dictionary[n.value])
-
-
-def _cmd_refl(state: VMState) -> None:
-    t = state.pop(OTerm, "refl")
-    state.push(Refl(t.term))
-
-
-def _cmd_remove(state: VMState) -> None:
-    n = state.pop(ONum, "remove")
-    if n.value not in state.dictionary:
-        raise VMError(f"remove: undefined dictionary key {n.value}")
-    state.push(state.dictionary.pop(n.value))
-
-
-def _parse_subst(obj: OList) -> HolSubst:
-    if len(obj.items) != 2:
-        raise TypeErrorOnStack("subst: expected a two-element list")
-    theta_obj, sigma_obj = obj.items
-    if not isinstance(theta_obj, OList) or not isinstance(sigma_obj, OList):
-        raise TypeErrorOnStack("subst: expected a pair of lists")
-    theta = []
-    for entry in theta_obj.items:
-        if (
-            not isinstance(entry, OList)
-            or len(entry.items) != 2
-            or not isinstance(entry.items[0], OName)
-            or not isinstance(entry.items[1], OType)
-        ):
-            raise TypeErrorOnStack("subst: malformed type substitution entry")
-        theta.append((entry.items[0].value, entry.items[1].type))
-    sigma = []
-    for entry in sigma_obj.items:
-        if (
-            not isinstance(entry, OList)
-            or len(entry.items) != 2
-            or not isinstance(entry.items[0], OVar)
-            or not isinstance(entry.items[1], OTerm)
-        ):
-            raise TypeErrorOnStack("subst: malformed term substitution entry")
-        sigma.append((entry.items[0].var, entry.items[1].term))
-    return HolSubst(tuple(theta), tuple(sigma))
-
-
-def _cmd_subst(state: VMState) -> None:
-    t = state.pop(Proof, "subst")
-    s = state.pop(OList, "subst")
-    state.push(Subst(_parse_subst(s), t))
-
-
-def _cmd_sym(state: VMState) -> None:
-    t = state.pop(Proof, "sym")
-    state.push(sym_proof(t))
-
-
 def _cmd_thm(state: VMState) -> None:
     concl = state.pop(OTerm, "thm")
     l = state.pop(OList, "thm")
     t = state.pop(Proof, "thm")
-    stated = make_sequent(_term_list(l, "thm"), concl.term)
+    stated = make_sequent(_unbox(l, OTerm, "thm: expected a list of terms"), concl.term)
     proved = t.sequent
     if not proved.alpha_eq(stated):
         if not hol.alpha_equal(proved.concl, stated.concl):
@@ -572,67 +499,41 @@ def _cmd_thm(state: VMState) -> None:
     state.theorems.append((stated, t))
 
 
-def _cmd_trans(state: VMState) -> None:
-    t2 = state.pop(Proof, "trans")
-    t1 = state.pop(Proof, "trans")
-    state.push(trans_proof(t1, t2))
-
-
-def _cmd_type_op(state: VMState) -> None:
-    n = state.pop(OName, "typeOp")
-    state.push(OTypeOp(n.value))
-
-
-def _cmd_var(state: VMState) -> None:
-    ty = state.pop(OType, "var")
-    n = state.pop(OName, "var")
-    state.push(OVar(Var(n.value, ty.type)))
-
-
-def _cmd_var_term(state: VMState) -> None:
-    v = state.pop(OVar, "varTerm")
-    state.push(OTerm(v.var))
-
-
-def _cmd_var_type(state: VMState) -> None:
-    n = state.pop(OName, "varType")
-    state.push(OType(TyVar(n.value)))
-
-
-_HANDLERS: dict[str, Callable[[VMState], None]] = {
-    "absTerm": _cmd_abs_term,
-    "absThm": _cmd_abs_thm,
-    "appTerm": _cmd_app_term,
-    "appThm": _cmd_app_thm,
-    "assume": _cmd_assume,
-    "axiom": _cmd_axiom,
-    "betaConv": _cmd_beta_conv,
-    "cons": _cmd_cons,
-    "const": _cmd_const,
-    "constTerm": _cmd_const_term,
-    "deductAntisym": _cmd_deduct_antisym,
-    "def": _cmd_def,
-    "defineConst": _cmd_define_const,
-    "defineTypeOp": _cmd_define_type_op,
-    "eqMp": _cmd_eq_mp,
-    "nil": _cmd_nil,
-    "opType": _cmd_op_type,
-    "pop": _cmd_pop,
-    "pragma": _cmd_pragma,
-    "proveHyp": _cmd_prove_hyp,
-    "ref": _cmd_ref,
-    "refl": _cmd_refl,
-    "remove": _cmd_remove,
-    "subst": _cmd_subst,
-    "sym": _cmd_sym,
-    "thm": _cmd_thm,
-    "trans": _cmd_trans,
-    "typeOp": _cmd_type_op,
-    "var": _cmd_var,
-    "varTerm": _cmd_var_term,
-    "varType": _cmd_var_type,
-    "version": _cmd_version,
-}
+# Every keyword command: its name maps to its handler.
+_HANDLERS: dict[str, Callable[[VMState], None]] = dict((
+    _rule("absTerm", lambda v, b: OTerm(Abs(v.var, b.term)), OVar, OTerm),
+    _rule("absThm", lambda v, t: AbsThm(v.var, t), OVar, Proof),
+    _rule("appTerm", lambda f, x: OTerm(App(f.term, x.term)), OTerm, OTerm),
+    _rule("appThm", AppThm, Proof, Proof),
+    _rule("assume", lambda t: Assume(t.term), OTerm),
+    _rule("betaConv", lambda t: beta_conv_proof(t.term), OTerm),
+    _rule("cons", lambda head, tail: OList((head,) + tail.items), None, OList),
+    _rule("const", lambda n: OConst(n.value), OName),
+    _rule("deductAntisym", DeductAntiSym, Proof, Proof),
+    _rule("eqMp", EqMp, Proof, Proof),
+    _rule("nil", lambda: OList(())),
+    _rule("pop", lambda obj: None, None),
+    _rule("pragma", lambda obj: None, None),
+    _rule("proveHyp", prove_hyp_proof, Proof, Proof),
+    _rule("refl", lambda t: Refl(t.term), OTerm),
+    _rule("subst", lambda s, t: Subst(_parse_subst(s), t), OList, Proof),
+    _rule("sym", sym_proof, Proof),
+    _rule("trans", trans_proof, Proof, Proof),
+    _rule("typeOp", lambda n: OTypeOp(n.value), OName),
+    _rule("var", lambda n, ty: OVar(Var(n.value, ty.type)), OName, OType),
+    _rule("varTerm", lambda v: OTerm(v.var), OVar),
+    _rule("varType", lambda n: OType(TyVar(n.value)), OName),
+    ("version", _cmd_version),
+    ("def", _cmd_def),
+    ("ref", _cmd_ref),
+    ("remove", _cmd_remove),
+    ("constTerm", _cmd_const_term),
+    ("opType", _cmd_op_type),
+    ("axiom", _cmd_axiom),
+    ("defineConst", _cmd_define_const),
+    ("defineTypeOp", _cmd_define_type_op),
+    ("thm", _cmd_thm),
+))
 
 
 def run(commands: Iterable[ArticleCommand]) -> VMState:

@@ -862,12 +862,17 @@ def share_document(
     min_size: int = 8,
     fuel: Optional[int] = None,
 ) -> ShareReport:
-    """Hoist repeated closed subterms into definitions emitted before first use."""
+    """Hoist repeated closed subterms into definitions emitted before first use.
+
+    ``fuel`` is the step budget of the whole pass: every hoisted
+    definition's type inference spends from it.
+    """
     if base is None:
         base = base_signature("q0")
     shared = _shared_terms(doc, min_size)
     if not shared:
         return ShareReport(doc, 0, 0)
+    budget = kernel.Fuel(kernel.DEFAULT_FUEL if fuel is None else fuel)
 
     taken = {it.name for it in doc.items if isinstance(it, (ConstDecl, Defn))}
     fresh = (name for name in map("s{}".format, itertools.count()) if name not in taken)
@@ -884,7 +889,7 @@ def share_document(
         body = rewrite(t, skip_self=True)  # t's proper subterms, so t gets no name meanwhile
         name = names[t] = next(fresh)
         try:
-            ty = kernel.infer_type(sig, {}, body, fuel)
+            ty = kernel.infer_type(sig, {}, body, budget)
         except kernel.FuelExhausted as e:
             raise kernel.FuelExhausted(f"definition {name}: ", e) from e
         item = Defn(name, ty, body)
@@ -936,7 +941,8 @@ def translate_state(
 ) -> TranslationResult:
     """Translate a finished VM run into a document referencing the base file.
 
-    ``fuel`` is the step budget of each type inference sharing runs.
+    ``fuel`` is the step budget of sharing, spent across all its type
+    inferences (self-verification, in ``verify_document``, has its own).
     Collisions the name table resolved with a numeric suffix are recorded
     in a comment at the top.
     """

@@ -91,6 +91,20 @@ def test_translate_corrupted_article_exits_1(tmp_path):
     assert not (outdir / "bad.dk").exists()
 
 
+def test_batch_stops_at_the_first_failed_article(tmp_path, capsys):
+    """``translate good bad good2`` exits 1 at ``bad``: the outputs already
+    written (each self-verified) stay, ``good2`` is never translated and
+    no ``stats.json`` is written."""
+    bad = tmp_path / "bad.art"
+    bad.write_text("6\nversion\nrefl\n")
+    good2 = CORPUS / "02_refl.art"
+    out = tmp_path / "out"
+    assert cli.main(["translate", str(IDENTITY), str(bad), str(good2), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad} (command 2, line 3): StackUnderflow: refl: stack underflow\n"
+    assert sorted(p.name for p in out.iterdir()) == ["01_identity.dk", "hol.dk"]
+    assert cli.main(["check", str(out / "01_identity.dk")]) == 0
+
+
 def test_translate_missing_input_exits_2(tmp_path):
     rc = cli.main(["translate", str(tmp_path / "missing.art"), "-o", str(tmp_path)])
     assert rc == 2
@@ -520,6 +534,10 @@ def test_fuel_exhaustion_names_its_item(tmp_path, capsys):
     assert cli.main(["translate", "--fuel", "0", str(defineconst), "-o", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {defineconst}: FuelExhausted: definition s0: reduction step budget exceeded\n"
+    # one budget for the whole pass: s0 and s1 spend 1 and 2 steps
+    assert cli.main(["translate", "--fuel", "2", str(defineconst), "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {defineconst}: FuelExhausted: definition s1: reduction step budget exceeded\n"
     # in check: the first item of a module once its base has passed.  The
     # base is checked once and the module gets a budget of its own, so its
     # first item takes one beta step more than the whole base: its declared

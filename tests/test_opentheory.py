@@ -193,6 +193,73 @@ def test_type_error_on_stack():
         run_lines(*MINIMAL, "6", "refl")
 
 
+# Each keyword command's operands, bottom of the stack first; None takes any
+# object.  Every command pops all of them, top first, before anything else.
+OPERANDS = {
+    "absTerm": ("OVar", "OTerm"),
+    "absThm": ("OVar", "Proof"),
+    "appTerm": ("OTerm", "OTerm"),
+    "appThm": ("Proof", "Proof"),
+    "assume": ("OTerm",),
+    "axiom": ("OList", "OTerm"),
+    "betaConv": ("OTerm",),
+    "cons": (None, "OList"),
+    "const": ("OName",),
+    "constTerm": ("OConst", "OType"),
+    "deductAntisym": ("Proof", "Proof"),
+    "def": ("ONum",),
+    "defineConst": ("OName", "OTerm"),
+    "defineTypeOp": ("OName", "OName", "OName", "OList", "Proof"),
+    "eqMp": ("Proof", "Proof"),
+    "opType": ("OTypeOp", "OList"),
+    "pop": (None,),
+    "pragma": (None,),
+    "proveHyp": ("Proof", "Proof"),
+    "ref": ("ONum",),
+    "refl": ("OTerm",),
+    "remove": ("ONum",),
+    "subst": ("OList", "Proof"),
+    "sym": ("Proof",),
+    "thm": ("Proof", "OList", "OTerm"),
+    "trans": ("Proof", "Proof"),
+    "typeOp": ("OName",),
+    "var": ("OName", "OType"),
+    "varTerm": ("OVar",),
+    "varType": ("OName",),
+    "version": ("ONum",),
+}
+
+
+def test_operand_table_covers_every_command():
+    assert set(OPERANDS) | {"nil"} == set(ot._HANDLERS)
+
+
+@pytest.mark.parametrize("name", sorted(OPERANDS))
+def test_operand_errors_are_pinned(name):
+    """Each operand in turn is missing, then of the wrong class, with every
+    operand above it well-formed: the exact message names the command."""
+    x = hol.Var("x", hol.BOOL)
+    sample = {
+        "ONum": ot.ONum(0), "OName": ot.OName("x"), "OList": ot.OList(()),
+        "OTypeOp": ot.OTypeOp("bool"), "OType": ot.OType(hol.BOOL), "OConst": ot.OConst("c"),
+        "OVar": ot.OVar(x), "OTerm": ot.OTerm(x), "Proof": hol.Refl(x),
+    }
+    classes = OPERANDS[name]
+    for i, cls in enumerate(classes):
+        above = [sample[c or "ONum"] for c in classes[i + 1:]]
+        state = ot.VMState(stack=list(above), versioned=True)
+        with pytest.raises(ot.StackUnderflow) as exc:
+            ot.step(state, ot.Keyword(name))
+        assert str(exc.value) == f"{name}: stack underflow"
+        if cls is None:
+            continue
+        wrong, found = (ot.OTerm(x), "OTerm") if cls == "OType" else (ot.OType(hol.BOOL), "OType")
+        state = ot.VMState(stack=[wrong, *above], versioned=True)
+        with pytest.raises(ot.TypeErrorOnStack) as exc:
+            ot.step(state, ot.Keyword(name))
+        assert str(exc.value) == f"{name}: expected {cls}, found {found}"
+
+
 def test_thm_sequent_mismatch():
     # prove |- x = x but state |- y = y
     with pytest.raises(ot.SequentMismatch, match="^thm: the stated conclusion differs from the proved one$"):

@@ -31,3 +31,13 @@ def test_compare_sharing_help_and_article_arguments():
     proc = _run(SCRIPTS / "compare_sharing.py", one)
     assert proc.returncode == 0, proc.stderr
     assert "01_identity" in proc.stdout and "02_" not in proc.stdout
+
+
+def test_ab_replay_script_on_one_tree_twice():
+    src = SCRIPTS.parent / "src"
+    proc = _run(SCRIPTS / "ab_replay.py", src, src, "--family", "dag", "--pairs", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "family dag, 484 commands, 3 pairs"
+    assert lines[1].startswith("parent median ") and lines[2].startswith("change median ")
+    assert lines[3].startswith("parent IQR ") and lines[4].endswith(" of 3 pairs")
