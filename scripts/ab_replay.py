@@ -1,13 +1,24 @@
 #!/usr/bin/env python3
-"""Compare the article VM of two source trees in one process.
+"""Compare two source trees on the benchmark's pinned variant-0 article.
 
-Loads the ``holtrans`` package of PARENT_SRC and of CHANGE_SRC side by side,
-then replays the benchmark's pinned variant-0 article of one family with each
-tree's ``opentheory.run``, in pairs whose first side alternates.  Prints each
-side's median replay time, the parent's interquartile range and in how many
-pairs the change was faster.
+By default, loads the ``holtrans`` package of PARENT_SRC and of CHANGE_SRC
+side by side in this process and replays the article of one family with
+each tree's ``opentheory.run``, in pairs whose first side alternates.
+Prints each side's median replay time, the parent's interquartile range and
+in how many pairs the change was faster.
+
+With ``--process translate`` or ``--process check``, runs that command as a
+fresh ``python -m holtrans.cli`` process of each tree instead, in pairs whose
+first side alternates, so start-up and teardown are part of the time.  Each
+process runs between two runs of ``perfbench/reference.py``, and its time is
+divided by theirs (as the benchmark's ``*_rel`` metrics are).  Prints each
+side's median and quartiles in that unit, its median peak RSS (from
+``os.wait4``), the parent's interquartile range and the change's wins.  The
+processes inherit this environment, ``PYTHONDONTWRITEBYTECODE`` included, so
+a start-up change is measured once with it and once without.
 
 Usage: python3 scripts/ab_replay.py PARENT_SRC CHANGE_SRC [--family synth|dag] [--pairs N]
+                                    [--process translate|check]
 (PARENT_SRC and CHANGE_SRC are directories that contain ``holtrans/``.)
 """
 
@@ -15,13 +26,17 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+REFERENCE = ROOT / "perfbench" / "reference.py"
 
 
 def load_parent(src: Path):
@@ -46,12 +61,84 @@ def replay_s(ot, commands) -> float:
         gc.enable()
 
 
+def run_process(argv: list, src=None) -> tuple:
+    """Run ``python argv`` to completion, with ``src`` first on its path:
+    (exit code, wall seconds, peak RSS in MB)."""
+    env = dict(os.environ)
+    if src is not None:
+        env["PYTHONPATH"] = str(src)
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *map(str, argv)], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return proc.returncode, wall, usage.ru_maxrss / 1024
+
+
+def reference_s() -> float:
+    code, wall, _ = run_process([REFERENCE])
+    if code != 0:
+        raise RuntimeError(f"{REFERENCE.name} exited {code}")
+    return wall
+
+
+def quartiles(values: list) -> tuple:
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
+def replay_pairs(args, workloads) -> tuple:
+    """In-process replays: (header, times by side, their unit, None)."""
+    from holtrans import opentheory as change
+
+    sides = {"parent": load_parent(args.parent.resolve()), "change": change}
+    text = workloads.pinned_articles(args.family, 0)[0]["full"]
+    commands = {name: ot.parse_article(text) for name, ot in sides.items()}
+    times = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for name in order:
+            times[name].append(replay_s(sides[name], commands[name]) * 1e3)
+    return f"family {args.family}, {len(commands['change'])} commands", times, "ms", None
+
+
+def process_pairs(args, workloads) -> tuple:
+    """Fresh command-line processes: (header, times by side in reference
+    units, the unit, peak RSS by side)."""
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    times = {"parent": [], "change": []}
+    rss = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        art = work / f"{args.family}.art"
+        art.write_text(workloads.pinned_articles(args.family, 0)[0]["full"], encoding="utf-8")
+        argv = {}
+        for name, src in sides.items():
+            out = work / name
+            argv[name] = ["-m", "holtrans.cli", "translate", "-o", out, art]
+            if args.process == "check":
+                if run_process(argv[name], src)[0] != 0:
+                    raise RuntimeError(f"{name}: translate of {art.name} failed")
+                argv[name] = ["-m", "holtrans.cli", "check", out / f"{args.family}.dk"]
+        ref = reference_s()
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for name in order:
+                code, wall, peak = run_process(argv[name], sides[name])
+                if code != 0:
+                    raise RuntimeError(f"{name}: {args.process} exited {code}")
+                before, ref = ref, reference_s()
+                times[name].append(wall / ((before + ref) / 2))
+                rss[name].append(peak)
+    return f"family {args.family}, {args.process} processes", times, "ref", rss
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, metavar="PARENT_SRC")
     parser.add_argument("change", type=Path, metavar="CHANGE_SRC")
     parser.add_argument("--family", choices=("synth", "dag"), default="synth")
     parser.add_argument("--pairs", type=int, default=20)
+    parser.add_argument("--process", choices=("translate", "check"), help="time fresh command-line processes")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -62,29 +149,23 @@ def main() -> int:
     sys.dont_write_bytecode = True  # leave nothing behind in either tree or in perfbench/
     sys.setrecursionlimit(100_000)
     sys.path.insert(0, str(args.change.resolve()))  # the change is ``holtrans``, as workloads.py imports it
-    from holtrans import opentheory as change
-
-    parent = load_parent(args.parent.resolve())
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    text = workloads.pinned_articles(args.family, 0)[0]["full"]
-    sides = {"parent": parent, "change": change}
-    commands = {name: ot.parse_article(text) for name, ot in sides.items()}
-    times = {"parent": [], "change": []}
-    wins = 0
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {name: replay_s(sides[name], commands[name]) for name in order}
-        for name, seconds in pair.items():
-            times[name].append(seconds)
-        wins += pair["change"] < pair["parent"]
+    measure = process_pairs if args.process else replay_pairs
+    header, times, unit, rss = measure(args, workloads)
 
-    q1, _, q3 = statistics.quantiles(times["parent"], n=4) if args.pairs > 1 else (0, 0, 0)
-    print(f"family {args.family}, {len(commands['change'])} commands, {args.pairs} pairs")
-    for name, seconds in times.items():
-        print(f"{name} median {statistics.median(seconds) * 1e3:.2f} ms")
-    print(f"parent IQR {(q3 - q1) * 1e3:.2f} ms")
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    digits = 3 if unit == "ref" else 2
+    print(f"{header}, {args.pairs} pairs")
+    for name, values in times.items():
+        line = f"{name} median {statistics.median(values):.{digits}f} {unit}"
+        if rss is not None:
+            q1, _, q3 = quartiles(values)
+            line += f" (quartiles {q1:.{digits}f} {q3:.{digits}f}), peak RSS {statistics.median(rss[name]):.2f} MB"
+        print(line)
+    q1, _, q3 = quartiles(times["parent"])
+    print(f"parent IQR {q3 - q1:.{digits}f} {unit}")
     print(f"change faster in {wins} of {args.pairs} pairs")
     return 0
 

@@ -147,6 +147,7 @@ def fmt_type(ty: HolType) -> str:
         return f"TyOp(op={t.op!r}, args=({', '.join(parts)}{comma}))"
 
     text = go(ty)
+    del go  # it refers to itself: a cycle
     return text if len(text) <= _TYPE_WIDTH else text[: _TYPE_WIDTH - 3] + "..."
 
 
@@ -219,7 +220,9 @@ def anti_unify(a: HolType, b: HolType) -> HolType:
             table[key] = v
         return v
 
-    return go(a, b)
+    out = go(a, b)
+    del go  # it refers to itself: a cycle that would keep ``table`` alive
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +365,9 @@ def free_vars(t: HolTerm) -> frozenset:
         memo[id(u)] = out
         return out
 
-    return go(t)
+    out = go(t)
+    del go  # it refers to itself: a cycle that would keep ``memo`` alive
+    return out
 
 
 def term_tyvars(t: HolTerm, out: Optional[set[str]] = None) -> set[str]:
@@ -387,6 +392,7 @@ def term_tyvars(t: HolTerm, out: Optional[set[str]] = None) -> set[str]:
             go(u.arg)
 
     go(t)
+    del go  # it refers to itself: a cycle that would keep ``seen`` alive
     return out
 
 
@@ -468,7 +474,9 @@ def alpha_equal(a: HolTerm, b: HolTerm) -> bool:
             proven.add(key)
         return ok
 
-    return eq(a, b, 0, True)
+    out = eq(a, b, 0, True)
+    del eq  # it refers to itself: a cycle that would keep ``proven`` alive
+    return out
 
 
 def _rebind(bound: dict, key, depth: Optional[int]) -> None:
@@ -536,7 +544,9 @@ def map_types(theta: dict[str, HolType], t: HolTerm) -> HolTerm:
             body, image = subst_vars({v: Var(new, v.type)}, body), Var(new, image.type)
         return Abs(image, go(body))
 
-    return go(t)
+    out = go(t)
+    del go  # it refers to itself: a cycle that would keep ``merged`` alive
+    return out
 
 
 def _free_names(t: HolTerm) -> set[str]:

@@ -825,7 +825,8 @@ def _shared_terms(doc: dkfile.DkDocument, min_size: int) -> set[Term]:
 
     The scan does not descend into a candidate's third and later
     occurrences: its first two were walked in full, so every candidate
-    inside it already counts twice.  That keeps the scan linear.
+    inside it already counts twice.  That keeps the scan linear.  Nor does
+    it enter a subterm smaller than ``min_size``, which holds no candidate.
     """
     counts: dict[Term, int] = {}
 
@@ -833,7 +834,7 @@ def _shared_terms(doc: dkfile.DkDocument, min_size: int) -> set[Term]:
         stack = [t]
         while stack:
             u = stack.pop()
-            if isinstance(u, (kernel.Sort, Var, kernel.BVar, Const)):
+            if u.size < min_size or isinstance(u, (kernel.Sort, Var, kernel.BVar, Const)):
                 continue
             if _candidate(u, min_size):
                 seen = counts.get(u, 0) + 1
@@ -898,15 +899,20 @@ def share_document(
         return name
 
     def rewrite(t: Term, skip_self: bool = False) -> Term:
+        """``t`` with its shared subterms replaced; ``t`` itself where none is."""
         nonlocal replaced
+        if t.size < min_size:
+            return t
         if not skip_self and _candidate(t, min_size) and t in shared:
             name = emit_shared(t)
             replaced += 1
             return Const(name)
         if isinstance(t, App):
-            return App(rewrite(t.fn), rewrite(t.arg))
+            fn, arg = rewrite(t.fn), rewrite(t.arg)
+            return t if fn is t.fn and arg is t.arg else App(fn, arg)
         if isinstance(t, kernel.Binder):
-            return type(t)(t.hint, rewrite(t.domain), rewrite(t.body))
+            domain, body = rewrite(t.domain), rewrite(t.body)
+            return t if domain is t.domain and body is t.body else type(t)(t.hint, domain, body)
         return t
 
     for item in doc.items:
@@ -917,6 +923,7 @@ def share_document(
         new_items.append(item)
         if isinstance(item, (ConstDecl, Defn, RewriteRule)):
             sig.add(item)
+    del rewrite, emit_shared  # each holds the other: a cycle that would keep this call's tables alive
 
     return ShareReport(
         dkfile.DkDocument(doc.module, tuple(new_items)), len(names), replaced

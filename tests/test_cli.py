@@ -214,6 +214,84 @@ def test_verbose_check_into_a_pipe_closed_from_the_start(tmp_path):
     assert (done.returncode, done.stderr) == (2, "error: standard output was closed before the run finished\n")
 
 
+# The command line ends through ``cli.run``: it flushes standard output and
+# error, then leaves with ``os._exit``.  These run it as a process, with
+# standard output block-buffered (no PYTHONUNBUFFERED), so every line is
+# still in the buffer when the process ends.
+def _command(*args, stdout=subprocess.PIPE):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: v for key, v in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    return subprocess.run([sys.executable, "-m", "holtrans.cli", *map(str, args)], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def test_exit_keeps_every_line_of_output_redirected_to_a_file(tmp_path):
+    arts = sorted(CORPUS.glob("0*.art"))
+    log = tmp_path / "log.txt"
+    with open(log, "w") as out:
+        done = _command("translate", "-v", "-o", tmp_path / "out", *arts, stdout=out)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = log.read_text().splitlines()
+    assert [line.split(" -> ")[0] for line in lines] == list(map(str, arts))
+    docs = sorted((tmp_path / "out").glob("*.dk"))
+    with open(log, "w") as out:
+        done = _command("check", "-v", *docs, stdout=out)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = log.read_text().splitlines()
+    base = tmp_path / "out" / "hol.dk"  # checked first, as the base of the others
+    assert [line.split(": ok (")[0] for line in lines] == [str(base), *(str(d) for d in docs if d != base)]
+
+
+def test_exit_codes_and_error_lines_of_the_process(tmp_path):
+    bad_dk = tmp_path / "bad.dk"
+    bad_dk.write_text("x : undeclared.\n")
+    bad_art = tmp_path / "bad.art"
+    bad_art.write_text("\n".join(["6", "version", '"x"', '"bool"', "typeOp", "nil", "opType", "var", "varTerm",
+                                  "0", "def", "0", "ref", "appTerm", "refl"]) + "\n")
+    missing = tmp_path / "missing.art"
+    for args, code, start in [
+        (("check", bad_dk), 1, f"error: {bad_dk}: "),
+        (("translate", "-o", tmp_path / "out", bad_art), 1, f"error: {bad_art} (command 13, line 14): "),
+        (("translate", "-o", tmp_path / "out", missing), 2, f"error: {missing}: "),
+    ]:
+        done = _command(*args)
+        assert (done.returncode, done.stdout) == (code, "")
+        assert done.stderr.startswith(start) and done.stderr.count("\n") == 1, done.stderr
+
+
+def test_pipe_closed_before_the_final_flush_is_one_error_line(tmp_path):
+    """``check -v`` writes its one line into the buffer; the pipe's reader
+    is gone when the buffer is flushed at exit.  That flush was the
+    interpreter's, which printed ``Exception ignored`` and exited 120."""
+    docs = _translated_corpus(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _command("check", "-v", docs[1], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: standard output was closed before the run finished\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_at_the_final_flush_is_one_error_line(tmp_path):
+    docs = _translated_corpus(tmp_path)
+    with open("/dev/full", "w") as full:
+        done = _command("check", "-v", docs[1], stdout=full)
+    assert done.returncode == 2
+    assert done.stderr == "error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_script_ends_through_the_exit_function():
+    import tomllib
+
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["holtrans"]
+    assert target == "holtrans.cli:run" and callable(cli.run)
+
+
 def test_check_long_binder_chain(tmp_path):
     """The token-object parser copied its binder list at every binder and
     scanned it for every name, so this took it seconds."""

@@ -1,5 +1,6 @@
 """Smoke tests: the experiment scripts run to completion on the corpus."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,14 @@ def test_ab_replay_script_on_one_tree_twice():
     assert lines[0] == "family dag, 484 commands, 3 pairs"
     assert lines[1].startswith("parent median ") and lines[2].startswith("change median ")
     assert lines[3].startswith("parent IQR ") and lines[4].endswith(" of 3 pairs")
+
+
+def test_ab_replay_script_in_fresh_processes():
+    src = SCRIPTS.parent / "src"
+    proc = _run(SCRIPTS / "ab_replay.py", src, src, "--family", "dag", "--pairs", "2", "--process", "check")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "family dag, check processes, 2 pairs"
+    for line, name in zip(lines[1:3], ("parent", "change")):
+        assert re.fullmatch(name + r" median \d+\.\d{3} ref \(quartiles \d+\.\d{3} \d+\.\d{3}\), peak RSS \d+\.\d\d MB", line)
+    assert lines[3].startswith("parent IQR ") and lines[3].endswith(" ref") and lines[4].endswith(" of 2 pairs")

@@ -514,6 +514,45 @@ def test_share_threshold_respected(q0):
     assert report.document == doc
 
 
+def test_share_returns_unshared_subterms_as_they_are(q0):
+    """The pass rebuilt every node of every item, shared or not."""
+    doc, ty = _big_type_doc()
+    small = k.app(ARROW, BOOL, BOOL)  # below min_size, so never hoisted
+    alone = k.app(k.Const("f"), small, small)  # a candidate, but it occurs once
+    decl = k.ConstDecl("c", alone)
+    report = tr.share_document(dkfile.DkDocument("m", (*doc.items, decl)), q0, min_size=8)
+    assert report.hoisted == 2  # ty and the arrow type in it
+    assert report.document.items[-1].type is alone
+
+
+@pytest.mark.parametrize("mode, compress, sharing", [("q0", False, True), ("pts", True, False)])
+def test_translation_leaves_no_cyclic_garbage(mode, compress, sharing):
+    """A recursive inner function refers to itself through its closure, so
+    each call's memo lived on until the cyclic collector ran."""
+    import gc
+    import types
+
+    from holtrans import opentheory as ot
+
+    proofs = [HolGen(seed).proof(3) for seed in range(12)]
+    article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in proofs]))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = tr.translate_state(ot.run_text(article), "m", mode=mode, compress=compress, sharing=sharing)
+        tr.verify_document(result.document, mode=mode)
+        del result
+        gc.collect()
+        ours = [
+            f.__qualname__ for f in gc.garbage
+            if isinstance(f, types.FunctionType) and f.__module__.startswith("holtrans")
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert ours == []
+
+
 def test_share_unfolding_recovers_document(q0, corpus_paths):
     from holtrans import opentheory as ot
 
