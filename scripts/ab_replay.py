@@ -15,7 +15,11 @@ divided by theirs (as the benchmark's ``*_rel`` metrics are).  Prints each
 side's median and quartiles in that unit, its median peak RSS (from
 ``os.wait4``), the parent's interquartile range and the change's wins.  The
 processes inherit this environment, ``PYTHONDONTWRITEBYTECODE`` included, so
-a start-up change is measured once with it and once without.
+a start-up change is measured once with it and once without.  Each side runs
+from a copy of its tree without the tree's bytecode cache (one left by a
+test run would make that side warm alone).  One untimed process of each side
+runs before the pairs: without ``PYTHONDONTWRITEBYTECODE`` it writes the
+copy's cache, so every timed process of either side starts warm.
 
 Usage: python3 scripts/ab_replay.py PARENT_SRC CHANGE_SRC [--family synth|dag] [--pairs N]
                                     [--process translate|check]
@@ -27,6 +31,7 @@ import gc
 import importlib
 import importlib.util
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -112,13 +117,17 @@ def process_pairs(args, workloads) -> tuple:
         art = work / f"{args.family}.art"
         art.write_text(workloads.pinned_articles(args.family, 0)[0]["full"], encoding="utf-8")
         argv = {}
-        for name, src in sides.items():
-            out = work / name
+        for name, tree in sides.items():
+            src = sides[name] = work / name / "src"
+            shutil.copytree(tree / "holtrans", src / "holtrans", ignore=shutil.ignore_patterns("__pycache__"))
+            out = work / name / "out"
             argv[name] = ["-m", "holtrans.cli", "translate", "-o", out, art]
             if args.process == "check":
                 if run_process(argv[name], src)[0] != 0:
                     raise RuntimeError(f"{name}: translate of {art.name} failed")
                 argv[name] = ["-m", "holtrans.cli", "check", out / f"{args.family}.dk"]
+            if run_process(argv[name], src)[0] != 0:  # the untimed warm-up
+                raise RuntimeError(f"{name}: {args.process} failed")
         ref = reference_s()
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

@@ -1,42 +1,110 @@
 """Command-line driver: translate articles, check documents, report statistics.
 
-Exit codes: 0 success, 1 proof or type failure, 2 usage or I/O failure.
-This module holds what every command needs, and ``check``; the other
-commands live in ``holtrans.cli_translate``, loaded only when one of them runs.
+Exit codes: 0 success, 1 proof or type failure, 2 usage or I/O failure.  This module
+holds what every command needs, and ``check``; the other commands load when they run.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
 import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NoReturn, Optional
 
-from . import dkfile, kernel  # the rest of the package loads only for translate, stats and selftest
+from . import dkfile, kernel  # the rest of the package loads only for the command that needs it
 
-# The translator and the kernel recurse once per level of term nesting; on
-# the main thread's stack a term some 20,000 levels deep overflows the C
-# stack (a segfault) long before the recursion limit is reached.
+# The translator and the kernel recurse once per level of term nesting: on the main
+# thread's stack, a term 20,000 levels deep overflows the C stack (a segfault).
 RECURSION_LIMIT = 100_000
 STACK_BYTES = 512 * 1024 * 1024
 STDOUT_CLOSED = "standard output was closed before the run finished"
+STATS_FILE = "stats.json"
+
+# Each command: the inputs it takes ("+": one or more, "*": any, "": none) and its
+# options, by spelling: the attribute each sets and how.  ``int``, ``str`` or a tuple
+# of the values allowed takes the next word (or what follows ``=``), "count" adds
+# one, and a bool is stored as it is.
+_FUEL_VERBOSE = {"--fuel": ("fuel", int), "-v": ("verbose", "count"), "--verbose": ("verbose", "count")}
+COMMANDS = {
+    "translate": ("+", {"--mode": ("mode", ("q0", "pts")), "--compress": ("compress", True),
+                        "--no-sharing": ("sharing", False), "-o": ("outdir", str), "--outdir": ("outdir", str),
+                        **_FUEL_VERBOSE}),
+    "check": ("+", _FUEL_VERBOSE),
+    "stats": ("*", {"--json": ("as_json", True)}),
+    "selftest": ("", {}),
+}
+DEFAULTS = {"mode": "q0", "compress": False, "sharing": True, "fuel": None, "outdir": ".", "verbose": 0,
+            "as_json": False}
+USAGE = """\
+usage: holtrans translate [--mode q0|pts] [--compress] [--no-sharing] [--fuel N] [-o DIR] [-v] FILE...
+       holtrans check [--fuel N] [-v] FILE...
+       holtrans stats [--json] [PATH...]
+       holtrans selftest
+"""
 
 
-def _env_fuel() -> Optional[int]:
-    """``HOLTRANS_FUEL`` as an integer, or None when unset or empty.
+class UsageError(Exception):
+    """A command line that no command accepts: one error line, exit 2."""
 
-    Raises ``ValueError`` when it is set to something else.
-    """
-    raw = os.environ.get("HOLTRANS_FUEL")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"HOLTRANS_FUEL must be an integer, got {raw!r}") from None
+
+def _value(command: str, flag: str, kind, value: Optional[str]):
+    if value is None:
+        raise UsageError(f"{command}: {flag} needs a value")
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise UsageError(f"{command}: {flag} needs an integer, got {value!r}") from None
+    if isinstance(kind, tuple) and value not in kind:
+        raise UsageError(f"{command}: {flag} must be one of {', '.join(kind)}, got {value!r}")
+    return value
+
+
+def parse_args(argv: list) -> Optional[SimpleNamespace]:
+    """The command that ``argv`` names, with its options and inputs, or None
+    for ``-h`` or ``--help``.  Options may stand between inputs, and every
+    word after ``--`` is an input.  ``fuel`` defaults to ``HOLTRANS_FUEL``."""
+    if not argv or argv[0] not in COMMANDS:
+        if argv and argv[0] in ("-h", "--help"):
+            return None
+        got = f", got {argv[0]!r}" if argv else ""
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}{got}")
+    command, words = argv[0], iter(argv[1:])
+    arity, options = COMMANDS[command]
+    args = SimpleNamespace(subcommand=command, inputs=[], **DEFAULTS)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        if word == "--":
+            args.inputs.extend(words)
+        elif word[:1] != "-" or word == "-":
+            args.inputs.append(word)
+        else:
+            flag, eq, value = word.partition("=") if word[:2] == "--" else (word, "", "")
+            if flag not in options:
+                raise UsageError(f"{command}: unknown option {flag}")
+            dest, kind = options[flag]
+            if kind == "count" or isinstance(kind, bool):
+                if eq:
+                    raise UsageError(f"{command}: {flag} takes no value")
+                setattr(args, dest, getattr(args, dest) + 1 if kind == "count" else kind)
+            else:
+                setattr(args, dest, _value(command, flag, kind, value if eq else next(words, None)))
+    if arity == "+" and not args.inputs:
+        raise UsageError(f"{command}: no input FILE given")
+    if arity == "" and args.inputs:
+        raise UsageError(f"{command}: unexpected argument {args.inputs[0]!r}")
+    fuel = os.environ.get("HOLTRANS_FUEL")
+    if "--fuel" in options and args.fuel is None and fuel:
+        try:
+            args.fuel = int(fuel)
+        except ValueError:
+            raise UsageError(f"HOLTRANS_FUEL must be an integer, got {fuel!r}") from None
+    return args
 
 
 def _fail(msg: str) -> None:
@@ -48,33 +116,23 @@ def _reason(e: Exception) -> str:
     return dkfile.clip(f"{type(e).__name__}: {e}")
 
 
-
 def _documents_for_check(paths: list) -> list:
-    """Resolve the file list, prepending each directory's base file once;
-    duplicate entries are dropped."""
-    out = []
-    seen = set()
-
-    def add(p: Path) -> None:
-        key = p.resolve()
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-
+    """The files to check, each once, every module after its directory's hol.dk."""
+    out: dict[Path, Path] = {}  # resolved path -> the path as given, in order
     for raw in paths:
         p = Path(raw)
-        if p.name != "hol.dk":
-            base = p.parent / "hol.dk"
-            if base.exists():
-                add(base)
-        add(p)
-    return out
+        base = p.parent / "hol.dk"
+        if p.name != "hol.dk" and base.exists():
+            out.setdefault(base.resolve(), base)
+        out.setdefault(p.resolve(), p)
+    return list(out.values())
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    """Check each document on its own (there is no inter-module linking),
-    after the base file (hol.dk) of its own directory only.  Each base is
-    checked once and extended by a copy per module."""
+def cmd_check(args: SimpleNamespace) -> int:
+    """Check each document after its own directory's hol.dk only (there is no
+    inter-module linking); each hol.dk is checked once, a copy extended per module."""
+    from .dkreader import ParseError, parse
+
     bases: dict[Path, kernel.Signature] = {}  # directory -> its checked hol.dk
     budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
     for path in _documents_for_check(args.inputs):
@@ -86,11 +144,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         try:
             text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # as read_text does
-            doc = dkfile.parse(text)
+            doc = parse(text)
         except UnicodeDecodeError as e:
             _fail(f"{path}: not UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}")
             return 1
-        except dkfile.ParseError as e:
+        except ParseError as e:
             _fail(f"{path}: {e}")
             return 1
         t1 = time.perf_counter()
@@ -112,42 +170,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="holtrans",
-        description="Replay HOL article proofs, translate them, and re-verify the output.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_tr = sub.add_parser("translate", help="translate .art files to .dk documents")
-    p_tr.add_argument("inputs", nargs="+", metavar="FILE")
-    p_tr.add_argument("--mode", choices=("q0", "pts"), default="q0")
-    p_tr.add_argument("--compress", action="store_true", help="compress conversion proofs")
-    p_tr.add_argument("--no-sharing", dest="sharing", action="store_false")
-    p_tr.add_argument("--fuel", type=int, default=None)
-    p_tr.add_argument("-o", "--outdir", default=".")
-    p_tr.add_argument("-v", "--verbose", action="count", default=0)
-
-    p_ck = sub.add_parser("check", help="type-check .dk documents")
-    p_ck.add_argument("inputs", nargs="+", metavar="FILE")
-    p_ck.add_argument("--fuel", type=int, default=None)
-    p_ck.add_argument("-v", "--verbose", action="count", default=0)
-
-    p_st = sub.add_parser("stats", help="report translation statistics")
-    p_st.add_argument("inputs", nargs="*", metavar="PATH")
-    p_st.add_argument("--json", dest="as_json", action="store_true")
-
-    sub.add_parser("selftest", help="run built-in sanity checks")
-    return parser
-
-
-def _run_with_deep_stack(command, args: argparse.Namespace) -> int:
-    """Run ``command(args)`` in one worker thread with a ``STACK_BYTES`` stack.
-
-    Only the pages the recursion touches are ever resident.  Hitting the
+def _run_with_deep_stack(command, args: SimpleNamespace) -> int:
+    """Run ``command(args)`` in one worker thread with a ``STACK_BYTES``
+    stack, of which only the pages the recursion touches are resident.  The
     recursion limit is a clean failure, exit 1; any other exception is
-    raised again in the calling thread.
-    """
+    raised again in the calling thread."""
     outcome: list = []
 
     def work() -> None:
@@ -173,25 +200,27 @@ def _run_with_deep_stack(command, args: argparse.Namespace) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     sys.setrecursionlimit(RECURSION_LIMIT)
-    args = build_parser().parse_args(argv)
-    if hasattr(args, "fuel") and args.fuel is None:
-        try:
-            args.fuel = _env_fuel()
-        except ValueError as e:
-            _fail(str(e))
-            return 2
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as e:
+        _fail(str(e))
+        return 2
+    try:
+        if args is None:
+            print(USAGE, end="")
+            return 0
+        # Each command's modules load here: compiled on the worker's deep
+        # stack, they would leave more of that stack resident.
         if args.subcommand == "check":
+            from . import dkreader  # noqa: F401
             return _run_with_deep_stack(cmd_check, args)
-        from . import cli_translate  # the other commands' code, compiled only when one of them runs
-
         if args.subcommand == "translate":
-            # imported here: compiled on the worker's deep stack, it would leave more of that stack resident
-            from . import opentheory, translate  # noqa: F401
+            from . import cli_translate  # and the translator with it
             return _run_with_deep_stack(cli_translate.cmd_translate, args)
+        from . import cli_report
         if args.subcommand == "stats":
-            return cli_translate.cmd_stats(args)
-        return cli_translate.cmd_selftest(args)
+            return cli_report.cmd_stats(args)
+        return cli_report.cmd_selftest(args)
     except BrokenPipeError:
         # the reader of standard output is gone; with stdout on os.devnull
         # the flush at exit cannot raise the same error again
@@ -203,15 +232,12 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def run() -> NoReturn:
-    """The process entry point of ``python -m holtrans.cli`` and of the
-    ``holtrans`` script: ``main()``, then end the process at once.
-
-    Standard output and error are flushed, and then ``os._exit`` skips the
-    interpreter's teardown, which frees every object one by one and takes
-    longer than checking a small document.  Nothing is lost by skipping it:
-    every output file is closed and moved into place, and the worker
-    thread joined, before ``main`` returns.  ``atexit`` handlers do not run.
-    """
+    """The entry point of ``python -m holtrans.cli`` and of ``holtrans``:
+    ``main()`` without the cyclic collector (no command makes cycles; a
+    longer-lived caller of ``main`` keeps it), then flush standard output
+    and error and skip the interpreter's teardown with ``os._exit`` (README,
+    "What each command costs").  ``atexit`` handlers do not run."""
+    gc.disable()
     code = main()
     try:
         if sys.stdout is not None:
@@ -231,7 +257,6 @@ def run() -> NoReturn:
 
 
 if __name__ == "__main__":
-    # The commands that ``main`` loads lazily import this module by name;
-    # under ``-m`` it is ``__main__``, and a second copy would compile again.
+    # the lazily loaded commands import this module by name: not a second copy
     sys.modules.setdefault("holtrans.cli", sys.modules[__name__])
     run()

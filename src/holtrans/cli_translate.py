@@ -1,23 +1,20 @@
-"""The command line's translate side: ``translate``, ``stats`` (which reads
-the ``stats.json`` that ``translate`` writes) and ``selftest``.
+"""The command line's ``translate``.
 
-``holtrans.cli`` loads this module only when one of these three commands
-runs, so a ``check`` process never compiles it.
+``holtrans.cli`` loads this module only when ``translate`` runs, so no
+other command compiles it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
-from . import dkfile, kernel  # hol, opentheory and translate load only for translate and selftest
-from .cli import _fail, _reason
-
-STATS_FILE = "stats.json"
+from . import dkfile, hol, kernel, opentheory, translate
+from .cli import STATS_FILE, _fail, _reason
 
 
 def _gz_size(data: bytes) -> int:
@@ -54,9 +51,7 @@ def _stem_clash(inputs: list) -> Optional[str]:
     return None
 
 
-def cmd_translate(args: argparse.Namespace) -> int:
-    from . import hol, opentheory, translate
-
+def cmd_translate(args: SimpleNamespace) -> int:
     clash = _stem_clash(args.inputs)
     if clash is not None:
         _fail(clash)
@@ -140,158 +135,3 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if not _write_output(outdir / STATS_FILE, json.dumps(stats, indent=2).encode("utf-8")):
         return 2
     return 0
-
-def _load_stats(paths: list) -> list:
-    """The article rows of each stats file; raises ``ValueError`` naming a
-    file that cannot be read as one."""
-    rows = []
-    for raw in paths or ["."]:
-        p = Path(raw)
-        if p.is_dir():
-            p = p / STATS_FILE
-        if not p.exists():
-            continue
-        try:
-            data = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as e:
-            raise ValueError(f"{p}: {e}") from None
-        articles = data.get("articles", []) if isinstance(data, dict) else None
-        if not isinstance(articles, list) or not all(
-            isinstance(row, dict) and all(isinstance(row.get(key, 0), (int, float)) for _, key in _COLUMNS[1:])
-            for row in articles
-        ):
-            raise ValueError(f"{p}: not a stats file: expected an object whose articles are rows of numbers")
-        rows.extend(articles)
-    return rows
-
-
-_COLUMNS = (
-    ("Package", "name"),
-    ("OT(kB)", "art_gz"),
-    ("Dk(kB)", "dk_gz"),
-    ("Ratio", "ratio_gz"),
-    ("Trans(s)", "translate_s"),
-    ("Verify(s)", "verify_s"),
-    ("Fuel", "verify_fuel"),
-    ("Thms", "theorems"),
-    ("Shares", "share_hits"),
-)
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        rows = _load_stats(args.inputs)
-    except ValueError as e:
-        _fail(str(e))
-        return 2
-    if args.as_json:
-        print(json.dumps({"articles": rows}, indent=2))
-        return 0
-    for row in rows:
-        parts = [f"{key}={row.get(key)}" for _, key in _COLUMNS]
-        print(" ".join(parts))
-    table = []
-    total = {key: 0 for _, key in _COLUMNS[1:]}
-    for row in rows:
-        cells = [str(row.get("name", "?"))]
-        for _, key in _COLUMNS[1:]:
-            v = row.get(key, 0)
-            total[key] += v
-            if key in ("art_gz", "dk_gz"):
-                v = round(v / 1024, 2)
-            cells.append(str(v))
-        table.append(cells)
-    total_cells = ["Total"]
-    for _, key in _COLUMNS[1:]:
-        v = total[key]
-        if key in ("art_gz", "dk_gz"):
-            v = round(v / 1024, 2)
-        elif key == "ratio_gz":
-            art = total["art_gz"]
-            v = round(total["dk_gz"] / art, 3) if art else 0.0
-        elif isinstance(v, float):
-            v = round(v, 3)
-        total_cells.append(str(v))
-    table.append(total_cells)
-    headers = [h for h, _ in _COLUMNS]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in table)) for i in range(len(headers))]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    for cells in table:
-        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-    return 0
-
-
-def _selftest_checks():
-    from . import opentheory, translate
-
-    def base_q0():
-        kernel.check_signature(translate.base_signature("q0"))
-        assert len(translate.base_signature("q0").rules) == 1
-
-    def base_pts():
-        kernel.check_signature(translate.base_signature("pts"))
-        assert len(translate.base_signature("pts").rules) == 3
-
-    def example_signature():
-        alpha, c, f = kernel.Const("alpha"), kernel.Const("c"), kernel.Const("f")
-        fy = kernel.App(f, kernel.Var("y"))
-        rule = kernel.RewriteRule((), kernel.App(f, c), kernel.pi("y", alpha, kernel.arrow(fy, fy)))
-        sig = kernel.Signature(
-            [
-                kernel.ConstDecl("alpha", kernel.TYPE),
-                kernel.ConstDecl("c", alpha),
-                kernel.ConstDecl("f", kernel.arrow(alpha, kernel.TYPE)),
-                rule,
-            ]
-        )
-        kernel.check_signature(sig)
-        term = kernel.lam("x", kernel.App(f, c), kernel.app(kernel.Var("x"), c, kernel.Var("x")))
-        ty = kernel.infer_type(sig, {}, term)
-        assert ty == kernel.arrow(kernel.App(f, c), kernel.App(f, c))
-
-    def pts_rules():
-        sig = translate.base_signature("pts")
-        p, q = kernel.Var("p"), kernel.Var("q")
-        proof, imp = kernel.Const("proof"), kernel.Const("imp")
-        got = kernel.whnf(sig, kernel.App(proof, kernel.app(imp, p, q)))
-        assert got == kernel.arrow(kernel.App(proof, p), kernel.App(proof, q))
-
-    def pipeline():
-        art = "\n".join(
-            [
-                "6", "version", '"A"', "varType", "0", "def", "pop",
-                '"x"', "0", "ref", "var", "1", "def", "pop",
-                "1", "ref", "varTerm", "2", "def", "pop",
-                "2", "ref", "refl",
-                '"bool"', "typeOp", "nil", "opType", "3", "def", "pop",
-                '"->"', "typeOp", "0", "ref", "3", "ref", "nil", "cons", "cons", "opType", "4", "def", "pop",
-                '"->"', "typeOp", "0", "ref", "4", "ref", "nil", "cons", "cons", "opType", "5", "def", "pop",
-                '"="', "const", "5", "ref", "constTerm", "6", "def", "pop",
-                "nil",
-                "6", "ref", "2", "ref", "appTerm", "2", "ref", "appTerm",
-                "thm",
-            ]
-        )
-        state = opentheory.run_text(art)
-        result = translate.translate_state(state, "selftest")
-        translate.verify_document(result.document)
-
-    return [
-        ("base signature (q0)", base_q0),
-        ("base signature (pts)", base_pts),
-        ("rewrite-dependent typing example", example_signature),
-        ("pts provability rules", pts_rules),
-        ("article pipeline", pipeline),
-    ]
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    failures = 0
-    for name, check in _selftest_checks():
-        try:
-            check()
-            print(f"selftest {name}: ok")
-        except Exception as e:  # noqa: BLE001 - report and continue
-            failures += 1
-            print(f"selftest {name}: FAILED: {type(e).__name__}: {e}")
-    return 1 if failures else 0

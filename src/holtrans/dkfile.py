@@ -1,4 +1,4 @@
-"""Serializer and parser for the output document format.
+"""Serializer for the output document format, and its document records.
 
 A document is an ordered sequence of declarations ``name : TYPE.``,
 definitions ``def name : TYPE := TERM.``, rewrite rules
@@ -7,39 +7,25 @@ sort keyword, ``x : A -> B`` a product, ``x : A => M`` an abstraction,
 juxtaposition application.  Items reuse the kernel's signature item types,
 so a parsed document feeds straight into the checker.  The grammar is this
 package's normative format; compatibility with external checkers is
-best-effort only.
+best-effort only.  The reader (``parse``, ``ParseError``; both names
+resolve here too) is ``holtrans.dkreader``, which ``translate`` never loads.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
-from itertools import islice
 from typing import Optional, Union
 
 from . import kernel
-from .kernel import (
-    TYPE,
-    Abs,
-    App,
-    Binder,
-    BVar,
-    Const,
-    ConstDecl,
-    Defn,
-    Prod,
-    RewriteRule,
-    Sort,
-    Term,
-    Var,
-)
+from .kernel import TYPE, Abs, App, Binder, BVar, Const, ConstDecl, Defn, RewriteRule, Sort, Term, Var
 
-class ParseError(Exception):
-    def __init__(self, line: int, column: int, expectation: str):
-        super().__init__(f"line {line}, column {column}: expected {expectation}")
-        self.line = line
-        self.column = column
-        self.expectation = expectation
+
+def __getattr__(name: str):
+    if name in ("parse", "ParseError"):
+        from . import dkreader
+
+        return getattr(dkreader, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Comment(kernel.Record):
@@ -64,7 +50,8 @@ RESERVED = frozenset({"Type", "def"})
 
 def mangle(name: str) -> str:
     """Deterministic identifier image: dots to underscores, other foreign
-    characters to hex escapes.  Collisions are resolved by ``DkNamer``."""
+    characters to hex escapes.  Collisions are resolved by
+    ``translate.DkNamer``."""
     out = []
     for ch in name:
         if ch == ".":
@@ -77,34 +64,6 @@ def mangle(name: str) -> str:
     if s[0].isdigit():
         s = "_" + s
     return s
-
-
-class DkNamer:
-    """Per-document name table: injective on the names it has seen."""
-
-    def __init__(self, reserved: tuple = ()):
-        self.mapping: dict[str, str] = {}
-        self.used: set[str] = set(RESERVED)
-        self.collisions: list[tuple[str, str]] = []
-        for name in reserved:
-            self.mapping[name] = name
-            self.used.add(name)
-
-    def ident(self, name: str) -> str:
-        hit = self.mapping.get(name)
-        if hit is not None:
-            return hit
-        base = mangle(name)
-        cand = base
-        i = 1
-        while cand in self.used:
-            i += 1
-            cand = f"{base}_{i}"
-        if cand != base:
-            self.collisions.append((name, cand))
-        self.mapping[name] = cand
-        self.used.add(cand)
-        return cand
 
 
 # ---------------------------------------------------------------------------
@@ -270,188 +229,3 @@ def emit(doc: DkDocument) -> str:
             ctx = ", ".join(f"{n} : {fmt_term(ty)}" for n, ty in item.context)
             lines.append(f"[{ctx}] {fmt_term(item.lhs)} --> {fmt_term(item.rhs)}.")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-
-# the tokens: a comment, a symbol, an identifier
-_TOKEN = r"\(;.*?;\)|:=|-->|->|=>|[()\[\],:.]|[A-Za-z0-9_]+"
-# The scan also meets what is not a token: a stray character, or the ';' after
-# the '(' of an unclosed comment, which runs to the end of the text (so many
-# openers cost one read, not one each).  Every alternative starts at a
-# character that is not whitespace, so whitespace costs one step per character.
-_SCAN = re.compile(_TOKEN + r"|(?<=\();.*\Z|\S", re.DOTALL)
-_IS_TOKEN = re.compile(_TOKEN, re.DOTALL).fullmatch
-_WORD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
-
-
-class _Reader:
-    """Recursive descent over the token strings.
-
-    ``bound`` maps a name to its level, the number of binders around the
-    binder that binds it (None: unbound); each binder saves and restores
-    its entry, so a use is resolved by one lookup.  ``names`` interns the
-    document's constants and, within a rule, maps its variables to ``Var``s.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _SCAN.findall(text)
-        self.i = 0
-        self.bound: dict[str, Optional[int]] = {}
-        self.names: dict[str, Term] = {}
-        bad = {t for t in set(self.toks) if not _IS_TOKEN(t)}
-        if bad:
-            self.i = next(i for i, t in enumerate(self.toks) if t in bad)
-            raise self.error("a token")
-        self.toks.append("")  # the end of the text
-
-    def error(self, expectation: str) -> ParseError:
-        """A ``ParseError`` at the current token, found by scanning again."""
-        text = self.text
-        m = next(islice(_SCAN.finditer(text), self.i, None), None)
-        at = len(text) if m is None else m.start()
-        return ParseError(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at), expectation)
-
-    def expect(self, tok: str, what: str) -> None:
-        if self.toks[self.i] != tok:
-            raise self.error(what)
-        self.i += 1
-
-    def name(self, what: str) -> str:
-        t = self.toks[self.i]
-        if t[:1] not in _WORD:
-            raise self.error(what)
-        self.i += 1
-        return t
-
-    def atom(self, depth: int) -> Optional[Term]:
-        t = self.toks[self.i]
-        if t[:1] in _WORD:
-            self.i += 1
-            if t == "Type":
-                return TYPE
-            level = self.bound.get(t)
-            if level is not None:
-                return BVar(depth - 1 - level, t)
-            c = self.names.get(t)
-            if c is None:
-                c = self.names[t] = Const(t)
-            return c
-        if t == "(":
-            self.i += 1
-            out = self.term(depth)
-            self.expect(")", "')'")
-            return out
-        return None
-
-    def app(self, depth: int) -> Term:
-        fn = self.atom(depth)
-        if fn is None:
-            raise self.error("a term")
-        while True:
-            arg = self.atom(depth)
-            if arg is None:
-                return fn
-            fn = App(fn, arg)
-
-    def term(self, depth: int) -> Term:
-        toks, i = self.toks, self.i
-        t = toks[i]
-        if t[:1] in _WORD and t != "Type" and toks[i + 1] == ":":
-            self.i = i + 2
-            dom = self.app(depth)
-            op = toks[self.i]
-            if op == "->":
-                cls = Prod
-            elif op == "=>":
-                cls = Abs
-            else:
-                raise self.error("'->' or '=>' after a binder")
-            self.i += 1
-            bound = self.bound
-            outer = bound.get(t)
-            bound[t] = depth
-            body = self.term(depth + 1)
-            bound[t] = outer  # None: not bound
-            return cls(t, dom, body)
-        left = self.app(depth)
-        if toks[self.i] == "->":
-            self.i += 1
-            return Prod("_", left, self.term(depth + 1))
-        return left
-
-    def rule(self) -> RewriteRule:
-        ctx: list[tuple[str, Term]] = []
-        names = self.names
-        if self.toks[self.i] == "]":
-            self.i += 1
-        else:
-            while True:
-                name = self.name("a rule variable")
-                self.expect(":", "':'")
-                ctx.append((name, self.term(0)))
-                names[name] = Var(name)
-                t = self.toks[self.i]
-                if t != "," and t != "]":
-                    raise self.error("',' or ']'")
-                self.i += 1
-                if t == "]":
-                    break
-        lhs = self.term(0)
-        self.expect("-->", "'-->'")
-        rhs = self.term(0)
-        self.expect(".", "'.'")
-        for name, _ in ctx:
-            names.pop(name, None)
-        return RewriteRule(tuple(ctx), lhs, rhs)
-
-    def document(self) -> DkDocument:
-        toks = self.toks
-        items: list[DocItem] = []
-        module = ""
-        first = True
-        while True:
-            t = toks[self.i]
-            if not t:
-                break
-            if t.startswith("(;"):
-                self.i += 1
-                text = t[2:-2]
-                if text.startswith(" ") and text.endswith(" "):
-                    text = text[1:-1]
-                if first and text.startswith("module "):
-                    module = text[len("module "):]
-                else:
-                    items.append(Comment(text))
-                first = False
-                continue
-            first = False
-            if t == "def":
-                self.i += 1
-                name = self.name("a definition name")
-                self.expect(":", "':'")
-                ty = self.term(0)
-                self.expect(":=", "':='")
-                body = self.term(0)
-                self.expect(".", "'.'")
-                items.append(Defn(name, ty, body))
-            elif t == "[":
-                self.i += 1
-                items.append(self.rule())
-            elif t[:1] in _WORD:
-                self.i += 1
-                self.expect(":", "':'")
-                ty = self.term(0)
-                self.expect(".", "'.'")
-                items.append(ConstDecl(t, ty))
-            else:
-                raise self.error("an item")
-        return DkDocument(module, tuple(items))
-
-
-def parse(text: str) -> DkDocument:
-    """Scan ``text`` once into token strings, then read the items.  A token's
-    position is computed only for a ``ParseError``."""
-    return _Reader(text).document()

@@ -291,6 +291,35 @@ def base_document(mode: str = "q0") -> dkfile.DkDocument:
 # Translation environment
 
 
+class DkNamer:
+    """Per-document name table of the ``.dk`` identifiers the translator
+    declares: injective on the names it has seen."""
+
+    def __init__(self, reserved: tuple = ()):
+        self.mapping: dict[str, str] = {}
+        self.used: set[str] = set(dkfile.RESERVED)
+        self.collisions: list[tuple[str, str]] = []
+        for name in reserved:
+            self.mapping[name] = name
+            self.used.add(name)
+
+    def ident(self, name: str) -> str:
+        hit = self.mapping.get(name)
+        if hit is not None:
+            return hit
+        base = dkfile.mangle(name)
+        cand = base
+        i = 1
+        while cand in self.used:
+            i += 1
+            cand = f"{base}_{i}"
+        if cand != base:
+            self.collisions.append((name, cand))
+        self.mapping[name] = cand
+        self.used.add(cand)
+        return cand
+
+
 class TypeOpInfo(Record):
     __slots__ = _fields = ("arity", "kname")
 
@@ -349,7 +378,7 @@ class TranslationEnv:
         self._termvar_names: dict[hol.Var, str] = {}
         self._termvars: dict[str, hol.Var] = {}  # the inverse of _termvar_names
         self._hyp_names: dict = {}  # term_key -> name
-        self.namer = dkfile.DkNamer(reserved=BASE_CONSTS)
+        self.namer = DkNamer(reserved=BASE_CONSTS)
 
     @classmethod
     def from_vm(cls, state, mode: str = "q0") -> "TranslationEnv":

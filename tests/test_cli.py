@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holtrans import cli, dkfile, hol, kernel
+from holtrans import artwriter, cli, dkfile, dkreader, hol, kernel
 from holtrans import opentheory as ot
 
 from conftest import CORPUS, captured_by_instantiation, mutate
@@ -57,10 +57,68 @@ def test_failed_replace_leaves_no_partial_output(tmp_path, monkeypatch, capsys, 
     assert not [n for n in written if n.endswith(".tmp")]
 
 
-def test_translate_requires_inputs():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["translate"])
-    assert exc.value.code == 2
+def test_translate_requires_inputs(capsys):
+    assert cli.main(["translate"]) == 2
+    assert capsys.readouterr().err == "error: translate: no input FILE given\n"
+
+
+# A command line that no command accepts: one error line and exit 2, not a
+# usage block, whether through ``main`` or as a process.
+BAD_COMMAND_LINES = {
+    "no-command": [],
+    "unknown-command": ["transl"],
+    "no-file": ["translate"],
+    "bad-mode": ["translate", "--mode", "foo", "a.art"],
+    "bad-fuel": ["translate", "--fuel", "x", "a.art"],
+    "unknown-flag": ["translate", "--frobnicate", "a.art"],
+    "abbreviated-flag": ["translate", "--no-shar", "a.art"],
+    "grouped-flags": ["check", "-vv", "a.dk"],
+    "o-without-value": ["translate", "a.art", "-o"],
+    "check-compress": ["check", "--compress", "a.dk"],
+    "flag-with-value": ["translate", "--compress=yes", "a.art"],
+    "selftest-argument": ["selftest", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES.keys())
+def test_bad_command_line_is_one_error_line(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_bad_command_lines_of_the_process():
+    for argv in BAD_COMMAND_LINES.values():
+        done = _command(*argv)
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["translate", "-h"], ["check", "a.dk", "--help"]])
+def test_help_prints_the_usage_and_exits_0(argv, capsys):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: holtrans translate ") and captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["translate", "--fuel=7", "a.art", "-o", "d", "b.art"], {"fuel": 7, "outdir": "d", "inputs": ["a.art", "b.art"]}),
+        (["translate", "--outdir=d", "--mode=pts", "a.art"], {"outdir": "d", "mode": "pts"}),
+        (["translate", "--no-sharing", "a.art", "--compress"], {"sharing": False, "compress": True, "mode": "q0"}),
+        (["check", "-v", "a.dk", "--verbose", "-v"], {"verbose": 3, "fuel": None}),
+        (["check", "--", "-v", "--fuel"], {"verbose": 0, "inputs": ["-v", "--fuel"]}),
+        (["check", "-", "--fuel", "-3"], {"inputs": ["-"], "fuel": -3}),
+        (["stats"], {"inputs": [], "as_json": False}),
+        (["stats", "--json", "d"], {"inputs": ["d"], "as_json": True}),
+    ],
+)
+def test_argument_grammar(argv, want):
+    args = cli.parse_args(argv)
+    assert args.subcommand == argv[0]
+    assert {key: getattr(args, key) for key in want} == want
 
 
 def test_translate_corrupted_article_exits_1(tmp_path):
@@ -160,22 +218,47 @@ def test_check_verbose_line_reports_items_times_and_fuel(tmp_path, capsys):
         assert int(m[3]) > 0
 
 
+# Run one command in a fresh process; print its exit code, then which of
+# ``absent`` it loaded that the process had not loaded before, then the
+# package's modules it loaded.
+LOAD_PROBE = (
+    "import sys; before = set(sys.modules); from holtrans import cli; "
+    "rc = cli.main(sys.argv[1:]); "
+    "print(rc, *sorted(m for m in {absent} if m in sys.modules and m not in before), '|', "
+    "*sorted(m for m in sys.modules if m.startswith('holtrans')))"
+)
+ARGPARSE = ("argparse", "gettext", "locale")
+
+
+def _probe(absent: tuple, *argv) -> list:
+    done = _python("-c", LOAD_PROBE.format(absent=absent), *map(str, argv))
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_check_loads_only_the_reader_and_the_kernel(tmp_path):
     """Nor does it load ``dataclasses``: the kernel's and the reader's
     records are plain classes.  ``gzip`` and ``json`` load only for
-    ``translate`` and ``stats``."""
+    ``translate`` and ``stats``, and no command loads ``argparse`` (with
+    ``gettext`` and ``locale``)."""
     assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
-    probe = (
-        "import sys; before = 'dataclasses' in sys.modules; from holtrans import cli; "
-        "rc = cli.main(['check', sys.argv[1]]); "
-        "print(rc, before or 'dataclasses' not in sys.modules, 'gzip' in sys.modules, 'json' in sys.modules, "
-        "*sorted(m for m in sys.modules if m.startswith('holtrans')))"
-    )
-    done = _python("-c", probe, str(tmp_path / "01_identity.dk"))
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [
-        "0", "True", "False", "False", "holtrans", "holtrans.cli", "holtrans.dkfile", "holtrans.kernel"
+    assert _probe((*ARGPARSE, "dataclasses", "gzip", "json"), "check", tmp_path / "01_identity.dk") == [
+        "0", "|", "holtrans", "holtrans.cli", "holtrans.dkfile", "holtrans.dkreader", "holtrans.kernel"
     ]
+
+
+def test_translate_loads_neither_the_reader_nor_the_writer_nor_the_reports(tmp_path):
+    """``translate`` compiles no code that no translation runs: not the
+    ``.dk`` reader, the article writer, or ``stats`` and ``selftest``.
+    Their old names still resolve."""
+    assert _probe(ARGPARSE, "translate", "-o", tmp_path, IDENTITY) == [
+        "0", "|", "holtrans", "holtrans.cli", "holtrans.cli_translate", "holtrans.dkfile",
+        "holtrans.hol", "holtrans.kernel", "holtrans.opentheory", "holtrans.translate",
+    ]
+    assert dkfile.parse is dkreader.parse and dkfile.ParseError is dkreader.ParseError
+    assert ot.serialize_article is artwriter.serialize_article
+    with pytest.raises(AttributeError):
+        dkfile.no_such_name
 
 
 def _translated_corpus(outdir):

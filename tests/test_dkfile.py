@@ -44,7 +44,7 @@ def test_namer_injective_on_fuzz_corpus():
     names = set()
     while len(names) < 1000:
         names.add("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 10))))
-    namer = dkfile.DkNamer()
+    namer = tr.DkNamer()
     idents = [namer.ident(n) for n in names]
     assert len(set(idents)) == len(idents)
     for ident in idents:
@@ -55,7 +55,7 @@ def test_namer_injective_on_fuzz_corpus():
 
 
 def test_namer_resolves_collisions_with_suffix():
-    namer = dkfile.DkNamer()
+    namer = tr.DkNamer()
     a = namer.ident("a.b")
     b = namer.ident("a_b")
     assert a == "a_b" and b != a and b.startswith("a_b")

@@ -211,6 +211,7 @@ OPERANDS = {
     "defineConst": ("OName", "OTerm"),
     "defineTypeOp": ("OName", "OName", "OName", "OList", "Proof"),
     "eqMp": ("Proof", "Proof"),
+    "hdTl": ("OList",),
     "opType": ("OTypeOp", "OList"),
     "pop": (None,),
     "pragma": (None,),
@@ -258,6 +259,47 @@ def test_operand_errors_are_pinned(name):
         with pytest.raises(ot.TypeErrorOnStack) as exc:
             ot.step(state, ot.Keyword(name))
         assert str(exc.value) == f"{name}: expected {cls}, found {found}"
+    if name == "hdTl":  # and the list may not be empty
+        state = ot.VMState(stack=[ot.OList(())], versioned=True)
+        with pytest.raises(ot.TypeErrorOnStack) as exc:
+            ot.step(state, ot.Keyword(name))
+        assert str(exc.value) == "hdTl: expected a non-empty list"
+
+
+def test_hd_tl_pushes_the_head_then_the_tail():
+    a, b, c = ot.ONum(1), ot.OName("b"), ot.OList(())
+    state = ot.VMState(stack=[ot.OList((a, b, c))], versioned=True)
+    ot.step(state, ot.Keyword("hdTl"))
+    assert state.stack == [a, ot.OList((b, c))]
+
+
+# |- x = x for x : A, where x is the head of the list [x, y]: hdTl pushes
+# x, then [y], which is popped.
+HD_TL_ARTICLE = (
+    "6", "version", '"A"', "varType", "0", "def", "pop",
+    '"x"', "0", "ref", "var", "1", "def", "pop",
+    "1", "ref", "varTerm", "2", "def", "pop",
+    "2", "ref", '"y"', "0", "ref", "var", "varTerm", "nil", "cons", "cons", "hdTl", "pop",
+    "refl",
+    '"bool"', "typeOp", "nil", "opType", "3", "def", "pop",
+    '"->"', "typeOp", "0", "ref", "3", "ref", "nil", "cons", "cons", "opType", "4", "def", "pop",
+    '"->"', "typeOp", "0", "ref", "4", "ref", "nil", "cons", "cons", "opType", "5", "def", "pop",
+    '"="', "const", "5", "ref", "constTerm", "6", "def", "pop",
+    "nil",
+    "6", "ref", "2", "ref", "appTerm", "2", "ref", "appTerm",
+    "thm",
+)
+
+
+def test_article_with_hd_tl_replays_translates_and_verifies():
+    from holtrans import translate as tr
+
+    state = run_lines(*HD_TL_ARTICLE)
+    (stated, _), = state.theorems
+    x = hol.Var("x", hol.TyVar("A"))
+    assert stated == hol.Sequent((), hol.mk_eq(x, x))
+    result = tr.translate_state(state, "hd_tl")
+    tr.verify_document(result.document)
 
 
 def test_thm_sequent_mismatch():

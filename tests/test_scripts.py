@@ -1,6 +1,8 @@
 """Smoke tests: the experiment scripts run to completion on the corpus."""
 
+import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +55,26 @@ def test_ab_replay_script_in_fresh_processes():
     for line, name in zip(lines[1:3], ("parent", "change")):
         assert re.fullmatch(name + r" median \d+\.\d{3} ref \(quartiles \d+\.\d{3} \d+\.\d{3}\), peak RSS \d+\.\d\d MB", line)
     assert lines[3].startswith("parent IQR ") and lines[3].endswith(" ref") and lines[4].endswith(" of 2 pairs")
+
+
+def test_ab_replay_runs_one_untimed_process_of_each_tree_first(tmp_path):
+    """The parent is a stand-in whose command line logs each run, the change
+    a copy of ``src/``: each side runs one untimed process before the pairs,
+    from a copy of its tree, so with no ``PYTHONDONTWRITEBYTECODE`` its
+    bytecode cache is written there and never into the tree."""
+    parent, change, log = tmp_path / "parent", tmp_path / "change", tmp_path / "runs.log"
+    (parent / "holtrans").mkdir(parents=True)
+    (parent / "holtrans" / "__init__.py").write_text("")
+    (parent / "holtrans" / "cli.py").write_text(
+        f"import sys\nwith open({str(log)!r}, 'a') as log:\n    log.write(sys.argv[1] + '\\n')\n"
+    )
+    shutil.copytree(SCRIPTS.parent / "src" / "holtrans", change / "holtrans",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {key: v for key, v in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "ab_replay.py"), parent, change, "--family", "dag",
+                           "--pairs", "2", "--process", "check"], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # the translate that writes the checked document, the warm-up, the pairs
+    assert log.read_text().split() == ["translate", "check", "check", "check"]
+    assert not list(tmp_path.glob("*/holtrans/__pycache__"))

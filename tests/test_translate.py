@@ -525,32 +525,71 @@ def test_share_returns_unshared_subterms_as_they_are(q0):
     assert report.document.items[-1].type is alone
 
 
+def _our_cyclic_garbage(run) -> list:
+    """What ``run()`` leaves in reference cycles that this package made:
+    its functions, instances of its classes (its exceptions too) and frames
+    of its code, found by the collector with ``DEBUG_SAVEALL`` on."""
+    import gc
+    import types
+
+    def module(obj) -> str:
+        if isinstance(obj, types.FrameType):
+            return obj.f_globals.get("__name__", "")
+        if isinstance(obj, types.FunctionType):
+            return obj.__module__ or ""
+        return type(obj).__module__ or ""
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return [repr(obj)[:120] for obj in gc.garbage if module(obj).startswith("holtrans")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
 @pytest.mark.parametrize("mode, compress, sharing", [("q0", False, True), ("pts", True, False)])
 def test_translation_leaves_no_cyclic_garbage(mode, compress, sharing):
     """A recursive inner function refers to itself through its closure, so
     each call's memo lived on until the cyclic collector ran."""
-    import gc
-    import types
-
     from holtrans import opentheory as ot
 
     proofs = [HolGen(seed).proof(3) for seed in range(12)]
     article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in proofs]))
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
+
+    def run():
         result = tr.translate_state(ot.run_text(article), "m", mode=mode, compress=compress, sharing=sharing)
         tr.verify_document(result.document, mode=mode)
-        del result
-        gc.collect()
-        ours = [
-            f.__qualname__ for f in gc.garbage
-            if isinstance(f, types.FunctionType) and f.__module__.startswith("holtrans")
-        ]
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-    assert ours == []
+
+    assert _our_cyclic_garbage(run) == []
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, corpus_paths):
+    """The command line's process runs without the cyclic collector, so a
+    whole command, failing or not, must leave no cycles of its own.  (The
+    standard library's indenting JSON encoder leaves a fixed handful of
+    cyclic closures per ``stats.json``, whatever the input.)"""
+    from holtrans import cli
+
+    def main(*argv):
+        codes = []
+        garbage = _our_cyclic_garbage(lambda: codes.append(cli.main([str(a) for a in argv])))
+        return codes[0], garbage
+
+    out = tmp_path / "out"
+    assert any(p.name == "11_axiom.art" for p in corpus_paths)
+    assert main("translate", "-o", out, *corpus_paths) == (0, [])
+    bad = tmp_path / "bad.art"
+    bad.write_text("6\nversion\nrefl\n")
+    assert main("translate", "-o", tmp_path / "stopped", corpus_paths[0], bad, corpus_paths[1]) == (1, [])
+    assert main("check", *sorted(out.glob("*.dk"))) == (0, [])
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "hol.dk").write_bytes((out / "hol.dk").read_bytes())
+    (tampered / "01_identity.dk").write_text((out / "01_identity.dk").read_text().replace("Refl", "Sym", 1))
+    assert main("check", tampered / "01_identity.dk") == (1, [])
 
 
 def test_share_unfolding_recovers_document(q0, corpus_paths):
