@@ -2,7 +2,9 @@
 """Measure how sharing and conversion compression affect output size.
 
 Translates articles four ways (sharing on/off x compression on/off) and
-prints the per-article byte counts, raw and gzip-compressed.
+prints the per-article byte counts, raw and gzip-compressed, then the
+definitions sharing hoisted and the kernel's verification fuel without
+and with sharing (both uncompressed).
 
 Usage: python3 scripts/compare_sharing.py [ARTICLE.art ...]
 (default: every article in corpus/)
@@ -16,15 +18,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from holtrans import dkfile, opentheory, translate  # noqa: E402
+from holtrans import dkfile, kernel, opentheory, translate  # noqa: E402
 
 
-def sizes(state, name, sharing, compress):
+def measure(state, name, sharing, compress):
+    """Raw and gzip bytes of the module, definitions hoisted, verify fuel."""
     result = translate.translate_state(
         state, name, sharing=sharing, compress=compress
     )
     text = dkfile.emit(result.document).encode()
-    return len(text), len(gzip.compress(text, mtime=0))
+    fuel = kernel.Fuel()
+    translate.verify_document(result.document, fuel=fuel)
+    return len(text), len(gzip.compress(text, mtime=0)), result.share_defs, kernel.DEFAULT_FUEL - fuel.left
 
 
 def main() -> int:
@@ -37,23 +42,26 @@ def main() -> int:
     for path in args.articles or sorted((ROOT / "corpus").glob("*.art")):
         state = opentheory.run_text(path.read_text())
         name = path.stem
-        plain = sizes(state, name, sharing=False, compress=False)
-        shared = sizes(state, name, sharing=True, compress=False)
-        packed = sizes(state, name, sharing=False, compress=True)
-        both = sizes(state, name, sharing=True, compress=True)
-        rows.append((name, plain, shared, packed, both))
+        runs = [measure(state, name, sharing, compress) for compress in (False, True) for sharing in (False, True)]
+        rows.append((name, runs))
 
-    header = f"{'article':<18} {'plain':>12} {'shared':>12} {'compressed':>12} {'both':>12}"
+    header = (f"{'article':<18} {'plain':>12} {'shared':>12} {'compressed':>12} {'both':>12}"
+              f" {'defs':>5} {'fuel plain/shared':>18}")
     print(header)
     print("-" * len(header))
-    totals = [0, 0, 0, 0]
-    for name, *cells in rows:
-        display = " ".join(f"{raw:>6}/{gz:>5}" for raw, gz in cells)
-        print(f"{name:<18} {display}")
-        for i, (raw, _) in enumerate(cells):
+    totals = [0] * 7
+    for name, runs in rows:
+        defs, fuel = runs[1][2], (runs[0][3], runs[1][3])  # uncompressed, without and with sharing
+        display = " ".join(f"{raw:>6}/{gz:>5}" for raw, gz, _, _ in runs)
+        print(f"{name:<18} {display} {defs:>5} {fuel[0]:>9}/{fuel[1]:<8}")
+        for i, (raw, _, _, _) in enumerate(runs):
             totals[i] += raw
+        totals[4] += defs
+        totals[5] += fuel[0]
+        totals[6] += fuel[1]
     print("-" * len(header))
-    print(f"{'total (raw bytes)':<18} " + " ".join(f"{t:>12}" for t in totals))
+    print(f"{'total (raw bytes)':<18} " + " ".join(f"{t:>12}" for t in totals[:4])
+          + f" {totals[4]:>5} {totals[5]:>9}/{totals[6]:<8}")
     return 0
 
 

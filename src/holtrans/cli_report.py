@@ -48,6 +48,7 @@ _COLUMNS = (
     ("Fuel", "verify_fuel"),
     ("Thms", "theorems"),
     ("Shares", "share_hits"),
+    ("Defs", "share_defs"),
 )
 
 

@@ -125,6 +125,7 @@ def cmd_translate(args: SimpleNamespace) -> int:
             "verify_fuel": budget - fuel.left,
             "theorems": result.theorem_count,
             "share_hits": result.share_hits,
+            "share_defs": result.share_defs,
         }
         row["ratio_gz"] = round(row["dk_gz"] / row["art_gz"], 3) if row["art_gz"] else 0.0
         articles.append(row)

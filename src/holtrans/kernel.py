@@ -20,6 +20,8 @@ operations use these facts to skip subterms they cannot change: opening
 skips subterms whose bound is at most the depth, closing and substitution
 skip subterms without free variables.  Terms are plain ``__slots__``
 classes, immutable by convention: nothing assigns to a node once built.
+A term may share nodes (a DAG); closing and ``free_names`` visit a shared
+node once per call, so a DAG closes into a DAG.
 
 A ``Signature`` is an ordered sequence of constant declarations, definitions
 and rewrite rules.  Conversion is beta-reduction plus rule rewriting plus
@@ -356,21 +358,31 @@ def close(t: Term, *names: str) -> Term:
     Free occurrences of the last name become index 0, of the one before it
     index 1, and so on; where a name repeats, the innermost binds.
     """
-    return _close(t, {name: i for i, name in enumerate(names)}, len(names) - 1)
+    return _close(t, {name: i for i, name in enumerate(names)}, len(names) - 1, {})
 
 
-def _close(t: Term, position: dict[str, int], level: int) -> Term:
-    """``close`` at ``level``: the binder at ``position`` p is index ``level - p``."""
+def _close(t: Term, position: dict[str, int], level: int, memo: dict) -> Term:
+    """``close`` at ``level``: the binder at ``position`` p is index ``level - p``.
+
+    ``memo`` maps ``(id(node), level)`` to its result for one walk, so a node
+    shared in ``t`` is closed once per level and stays shared in the result.
+    """
     if not t.has_var:
         return t
     if isinstance(t, Var):
         p = position.get(t.name)
         return t if p is None else BVar(level - p, t.name)
-    if isinstance(t, App):
-        return App(_close(t.fn, position, level), _close(t.arg, position, level))
-    if isinstance(t, Binder):
-        return type(t)(t.hint, _close(t.domain, position, level), _close(t.body, position, level + 1))
-    return t
+    key = (id(t), level)
+    out = memo.get(key)
+    if out is None:
+        if isinstance(t, App):
+            out = App(_close(t.fn, position, level, memo), _close(t.arg, position, level, memo))
+        else:
+            out = type(t)(
+                t.hint, _close(t.domain, position, level, memo), _close(t.body, position, level + 1, memo)
+            )
+        memo[key] = out
+    return out
 
 
 def open_term(t: Term, *values: Term) -> Term:
@@ -403,14 +415,27 @@ def bind(cls: type[Binder], binders: Sequence[tuple[str, str, Term]], body: Term
     free variable ``name`` is bound in the later domains and in ``body``.
     Each domain and the body are walked once.
     """
+    return bind_chains(binders, ((cls, body),))[0]
+
+
+def bind_chains(binders: Sequence[tuple[str, str, Term]], chains: Iterable[tuple[type[Binder], Term]]) -> list[Term]:
+    """``bind(cls, binders, body)`` for each ``(cls, body)`` of ``chains``.
+
+    The domains are closed once and shared by every chain, and the bodies
+    in one walk, so a node that two bodies share stays shared between them.
+    """
     position: dict[str, int] = {}
     domains = []
     for i, (name, _, domain) in enumerate(binders):
-        domains.append(_close(domain, position, i - 1))
+        domains.append(_close(domain, position, i - 1, {}))
         position[name] = i
-    out = _close(body, position, len(binders) - 1)
-    for (_, hint, _), domain in zip(reversed(binders), reversed(domains)):
-        out = cls(hint, domain, out)
+    memo: dict = {}
+    out = []
+    for cls, body in chains:
+        t = _close(body, position, len(binders) - 1, memo)
+        for (_, hint, _), domain in zip(reversed(binders), reversed(domains)):
+            t = cls(hint, domain, t)
+        out.append(t)
     return out
 
 
@@ -443,7 +468,9 @@ def const_names(t: Term) -> set[str]:
 
 
 def _leaf_names(t: Term, cls: type[_Named]) -> set[str]:
+    """The names of the ``cls`` leaves of ``t``, visiting each node once."""
     out: set[str] = set()
+    seen: set[int] = set()
     stack = [t]
     while stack:
         u = stack.pop()
@@ -451,10 +478,9 @@ def _leaf_names(t: Term, cls: type[_Named]) -> set[str]:
             continue
         if isinstance(u, cls):
             out.add(u.name)
-        elif isinstance(u, App):
-            stack += (u.fn, u.arg)
-        elif isinstance(u, Binder):
-            stack += (u.domain, u.body)
+        elif isinstance(u, (App, Binder)) and id(u) not in seen:
+            seen.add(id(u))
+            stack += (u.fn, u.arg) if isinstance(u, App) else (u.domain, u.body)
     return out
 
 

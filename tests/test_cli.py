@@ -595,9 +595,17 @@ def test_stats_table(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert any(line.startswith("name=01_identity") for line in lines)
     header = next(line for line in lines if line.startswith("Package"))
-    for col in ("OT(kB)", "Dk(kB)", "Ratio", "Trans(s)", "Verify(s)", "Fuel", "Thms", "Shares"):
+    for col in ("OT(kB)", "Dk(kB)", "Ratio", "Trans(s)", "Verify(s)", "Fuel", "Thms", "Shares", "Defs"):
         assert col in header
+    assert header.split()[-2:] == ["Shares", "Defs"]
     assert lines[-1].startswith("Total")
+    typeop = CORPUS / "10_definetypeop.art"
+    cli.main(["translate", str(typeop), "-o", str(tmp_path)])
+    capsys.readouterr()
+    assert cli.main(["stats", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert "share_hits=4 share_defs=2" in lines[0]
+    assert lines[-2].split()[-2:] == lines[-1].split()[-2:] == ["4", "2"]
 
 
 def test_stats_empty_run(tmp_path, capsys):
@@ -633,6 +641,13 @@ def test_stats_json(tmp_path, capsys):
     assert "ratio_gz" in row
     # the identity theorem's statement needs the term-arrow rule: fuel is spent
     assert isinstance(row["verify_fuel"], int) and row["verify_fuel"] > 0
+    assert (row["share_hits"], row["share_defs"]) == (0, 0)
+    # each type definition's two statements are hoisted and used twice
+    typeop = CORPUS / "10_definetypeop.art"
+    assert cli.main(["translate", str(typeop), "-o", str(tmp_path)]) == 0
+    assert cli.main(["stats", "--json", str(tmp_path)]) == 0
+    row = json.loads(capsys.readouterr().out)["articles"][0]
+    assert (row["name"], row["share_hits"], row["share_defs"]) == ("10_definetypeop", 4, 2)
 
 
 def test_selftest(capsys):
@@ -691,14 +706,16 @@ def test_self_verification_failure_names_the_error_type(tmp_path, capsys):
 
 def test_fuel_exhaustion_names_its_item(tmp_path, capsys):
     # in sharing: the hoisted definition whose type inference ran out
-    defineconst = CORPUS / "09_defineconst.art"
-    assert cli.main(["translate", "--fuel", "0", str(defineconst), "-o", str(tmp_path)]) == 1
+    typeop = CORPUS / "10_definetypeop.art"
+    assert cli.main(["translate", "--fuel", "0", str(typeop), "-o", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {defineconst}: FuelExhausted: definition s0: reduction step budget exceeded\n"
-    # one budget for the whole pass: s0 and s1 spend 1 and 2 steps
-    assert cli.main(["translate", "--fuel", "2", str(defineconst), "-o", str(tmp_path)]) == 1
+    assert err == f"error: {typeop}: FuelExhausted: definition s0: reduction step budget exceeded\n"
+    # one budget for the whole pass: s0 and s1 spend 5 and 6 steps
+    assert cli.main(["translate", "--fuel", "10", str(typeop), "-o", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {defineconst}: FuelExhausted: definition s1: reduction step budget exceeded\n"
+    assert err == f"error: {typeop}: FuelExhausted: definition s1: reduction step budget exceeded\n"
+    assert cli.main(["translate", "--fuel", "11", str(typeop), "-o", str(tmp_path)]) == 1
+    assert "failed self-verification" in capsys.readouterr().err  # sharing got through
     # in check: the first item of a module once its base has passed.  The
     # base is checked once and the module gets a budget of its own, so its
     # first item takes one beta step more than the whole base: its declared

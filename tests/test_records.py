@@ -38,7 +38,7 @@ def one_of_each():
         ot.OConst("c"), ot.OVar(x), ot.OTerm(c),
         tr.TypeOpInfo(1, "t"), tr.ConstInfo(A, ("A",), "k"),
         tr.Closure(["A"], [x], (), kernel.Const("k"), axiom.sequent),
-        tr.ShareReport(doc, 1, 2), tr.TranslationResult(doc, 0, 0),
+        tr.ShareReport(doc, 1, 2), tr.TranslationResult(doc, 0, 0, 0),
     ]
 
 
@@ -85,7 +85,7 @@ DATACLASS_REPRS = [
     "ConstInfo(generic=TyVar(name='A'), tyvars=('A',), kname='k')",
     f"Closure(tyvars=['A'], termvars=[{X}], hyps=(), core=Const(name='k'), sequent=Sequent(hyps=(), concl={C}))",
     "ShareReport(document=DkDocument(module='m', items=()), hoisted=1, replaced=2)",
-    "TranslationResult(document=DkDocument(module='m', items=()), theorem_count=0, share_hits=0)",
+    "TranslationResult(document=DkDocument(module='m', items=()), theorem_count=0, share_hits=0, share_defs=0)",
 ]
 
 

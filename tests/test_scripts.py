@@ -23,7 +23,22 @@ def test_translate_corpus_script(tmp_path):
 def test_compare_sharing_script():
     proc = _run(SCRIPTS / "compare_sharing.py")
     assert proc.returncode == 0, proc.stderr
-    assert "01_identity" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[-3:] == ["defs", "fuel", "plain/shared"]
+    rows = {}
+    for line in lines[2:-2]:
+        # four raw/gzip pairs, the definitions hoisted, the fuel without/with sharing
+        pairs = re.findall(r"(\d+)/\s*(\d+)", line)
+        defs = int(line.split()[-2])
+        rows[line.split()[0]] = (pairs, defs)
+    assert len(rows) == len(list((SCRIPTS.parent / "corpus").glob("*.art")))
+    for name, (pairs, defs) in rows.items():
+        plain, shared = pairs[4]
+        assert int(shared) <= int(plain), name  # sharing never costs the kernel fuel on the corpus
+        assert (defs > 0) == (pairs[0] != pairs[1]), name  # it changes the module where it hoists
+    pairs, defs = rows["10_definetypeop"]  # two statements, each used twice
+    assert defs == 2 and int(pairs[4][1]) < int(pairs[4][0])
+    assert lines[-1].startswith("total (raw bytes)")
 
 
 def test_compare_sharing_help_and_article_arguments():

@@ -5,7 +5,9 @@ The kernel's ``open_term``, ``close``, ``substitute``, ``free_names`` and
 bound and free-variable flag, and the sharing pass picks candidates by the
 same facts.  The oracles below are the plain full-traversal versions those
 replaced; every test compares the kernel against them on random terms,
-including terms with dangling indices and free variables.
+including terms with dangling indices and free variables.  ``close`` and
+``free_names`` visit a node shared in a DAG once per call; the tree walks
+they replaced are kept here too, and compared with them on DAGs.
 """
 
 import sys
@@ -112,27 +114,78 @@ def shape(t, hints=True):
     return (type(t).__name__, t.hint if hints else None, shape(t.domain, hints), shape(body, hints))
 
 
-def oracle_shared_terms(doc, min_size):
-    """The sharing pass's candidate scan before terms cached their facts."""
-    counts = {}
-    for item in doc.items:
-        roots = ()
-        if isinstance(item, k.ConstDecl):
-            roots = (item.type,)
-        elif isinstance(item, k.Defn):
-            roots = (item.type, item.body)
-        stack = list(roots)
-        while stack:
-            u = stack.pop()
-            if isinstance(u, (k.Sort, k.Var, k.BVar, k.Const)):
-                continue
-            if oracle_escape_level(u) == 0 and not oracle_free_names(u) and oracle_size(u) >= min_size:
-                counts[u] = counts.get(u, 0) + 1
-            if isinstance(u, k.App):
-                stack += [u.fn, u.arg]
-            else:
-                stack += [u.domain, u.body]
-    return {t for t, c in counts.items() if c >= 2}
+def oracle_loose(t, depth=0):
+    """The dangling indices of ``t``, as seen from its root."""
+    if isinstance(t, k.BVar):
+        return {t.index - depth} if t.index >= depth else set()
+    if isinstance(t, k.App):
+        return oracle_loose(t.fn, depth) | oracle_loose(t.arg, depth)
+    if isinstance(t, (k.Abs, k.Prod)):
+        return oracle_loose(t.domain, depth) | oracle_loose(t.body, depth + 1)
+    return set()
+
+
+def oracle_type_level(t, types):
+    """A product, or a spine whose head constant's declared type, with one
+    product taken off per argument, is ``Type`` or ``type``."""
+    if isinstance(t, k.Prod):
+        return True
+    head, args = k.spine(t)
+    ty = types.get(head.name) if isinstance(head, k.Const) else None
+    for _ in args:
+        if not isinstance(ty, k.Prod):
+            return False
+        ty = ty.body
+    return ty in (k.TYPE, k.Const("type"))
+
+
+def oracle_class(t, scope, n, depth, run):
+    """The class of a candidate met ``depth`` binders below the first ``n``
+    of its scope's chain, or None: a closed one's shape, an open one's node
+    in its scope and depth, where its indices all point into the chain."""
+    if (not isinstance(t, (k.App, k.Abs, k.Prod)) or oracle_size(t) < run.min_size
+            or oracle_free_names(t) or oracle_type_level(t, run.types)):
+        return None
+    loose = oracle_loose(t)
+    if not loose:
+        return shape(t, hints=False)
+    if all(depth <= i < depth + n for i in loose):
+        return (id(t), scope.ids[n], depth)
+    return None
+
+
+def oracle_shared_terms(run):
+    """The sharing pass's count of repeats, slowly: every root walked as a
+    tree, and every occurrence of a candidate counted where it prints.  It
+    prints unless it lies inside a later occurrence of a candidate's class:
+    hoisted, that prints as a reference, and its body once, at the first.
+    ``{class: (count, second occurrence)}`` for the classes counted twice."""
+    counts, second = {}, {}
+
+    def walk(u, scope, n, depth, prints):
+        cls = oracle_class(u, scope, n, depth, run)
+        if cls is not None and prints:
+            counts[cls] = counts.get(cls, 0) + 1
+            if counts[cls] == 2:
+                second[cls] = (u, scope, n, depth)
+            prints = counts[cls] == 1
+        if isinstance(u, k.App):
+            walk(u.fn, scope, n, depth, prints)
+            walk(u.arg, scope, n, depth, prints)
+        elif isinstance(u, (k.Abs, k.Prod)):
+            walk(u.domain, scope, n, depth, prints)
+            walk(u.body, scope, n, depth + 1, prints)
+
+    for _, scopes in run.items:
+        for scope in scopes:
+            for root, n in scope.roots():
+                walk(root, scope, n, 0, True)
+    return {cls: (counts[cls], at) for cls, at in second.items()}
+
+
+def oracle_as_shared_terms(run):
+    """``oracle_shared_terms`` in the form ``translate._shared_terms`` gives."""
+    return {run.key(*at): (count, *at) for count, at in oracle_shared_terms(run).values()}
 
 
 def subterms(t):
@@ -303,24 +356,39 @@ def test_free_names_matches_oracle(t):
 # the sharing pass
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(CLOSED, min_size=1, max_size=3), st.lists(terms(12), min_size=1, max_size=6),
-       st.integers(2, 8), st.randoms(use_true_random=False))
-def test_shared_terms_match_oracle_scan(pool, extra, min_size, rnd):
-    # plant the pool's closed terms several times, inside binders too, so
-    # candidates occur once, twice and three or more times
+def _planted_doc(pool, extra, rnd):
+    """Definitions of random terms with the closed ``pool`` planted several
+    times, inside binders too, and a repeated open term: one node, met twice
+    in a body and once in its statement, under one telescope of both."""
     items = []
     for i, t in enumerate(extra):
         for _ in range(rnd.randint(0, 3)):
             p = rnd.choice(pool)
             t = rnd.choice([k.App(t, p), k.App(p, t), k.Abs("x", p, t), k.Prod("y", t, p)])
         items.append(k.Defn(f"d{i}", rnd.choice(pool), t))
-    doc = dkfile.DkDocument("m", tuple(items))
-    assert tr._shared_terms(doc, min_size) == oracle_shared_terms(doc, min_size)
+    domain = rnd.choice(pool)
+    shared = k.app(k.Const("f"), k.BVar(0), *pool)
+    ty = k.Prod("x", domain, k.App(k.Const("P"), shared))
+    body = k.Abs("x", domain, k.app(k.Const("g"), shared, k.Abs("z", domain, shared)))
+    items.append(k.Defn("open", ty, body))
+    return dkfile.DkDocument("m", tuple(items))
 
 
-def _dag_article(depth):
-    terms_ = [hol.Const("c", hol.BOOL)]
+@settings(max_examples=150, deadline=None)
+@given(st.lists(CLOSED, min_size=1, max_size=3), st.lists(terms(12), min_size=1, max_size=6),
+       st.integers(2, 8), st.randoms(use_true_random=False))
+def test_shared_terms_match_oracle_scan(pool, extra, min_size, rnd):
+    # candidates occur once, twice and three or more times, closed and open
+    doc = _planted_doc(pool, extra, rnd)
+    run = tr._Sharing(doc, tr.base_signature("q0"), min_size)
+    fast = {oracle_class(*at, run): (count, at) for count, *at in tr._shared_terms(run).values()}
+    slow = oracle_shared_terms(run)
+    assert len(fast) == len(tr._shared_terms(run))  # no two classes of the pass are one
+    assert {c: n for c, (n, _) in fast.items()} == {c: n for c, (n, _) in slow.items()}
+
+
+def _dag_article(depth, leaf=hol.Const("c", hol.BOOL)):
+    terms_ = [leaf]
     while len(terms_) <= depth:
         terms_.append(hol.mk_eq(terms_[-1], terms_[-1]))
     thms = [hol.Refl(terms_[d]) for d in (depth - 1, depth)]
@@ -338,10 +406,17 @@ def _share_both_ways(article, min_size):
     base = tr.base_signature("q0")
     fast = tr.share_document(doc, base, min_size)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(tr, "_shared_terms", oracle_shared_terms)
+        m.setattr(tr, "_shared_terms", oracle_as_shared_terms)
         slow = tr.share_document(doc, base, min_size)
-    assert (fast.hoisted, fast.replaced) == (slow.hoisted, slow.replaced)
-    assert dkfile.emit(fast.document) == dkfile.emit(slow.document)
+    with pytest.MonkeyPatch.context() as m:
+        # where no repeat may pay the pass returns the document at once;
+        # the whole rewrite must then hoist nothing either
+        m.setattr(tr._Sharing, "may_pay", lambda run, cls: True)
+        full = tr.share_document(doc, base, min_size)
+    for other in (slow, full):
+        assert (fast.hoisted, fast.replaced) == (other.hoisted, other.replaced)
+        assert dkfile.emit(fast.document) == dkfile.emit(other.document)
+    tr.verify_document(fast.document)
     return fast
 
 
@@ -353,6 +428,118 @@ def test_share_document_hoists_like_oracle_scan(seed, min_size):
 
 def test_share_document_hoists_like_oracle_scan_on_dag():
     # t_(k+1) = (t_k = t_k): every t_k occurs 2^(depth-k) times, so most
-    # occurrences are skipped by the scan
-    report = _share_both_ways(_dag_article(7), 8)
-    assert report.hoisted > 0
+    # occurrences are skipped by the scan; with a variable leaf every t_k
+    # is open, and is lifted over the variable
+    for leaf in (hol.Const("c", hol.BOOL), hol.Var("x", hol.BOOL)):
+        report = _share_both_ways(_dag_article(7, leaf), 8)
+        assert report.hoisted > 0
+
+
+# ---------------------------------------------------------------------------
+# the tree walks that closing and leaf names replaced, on DAGs
+
+
+def tree_close(t, position, level):
+    """``kernel._close`` before it kept a DAG's sharing."""
+    if not t.has_var:
+        return t
+    if isinstance(t, k.Var):
+        p = position.get(t.name)
+        return t if p is None else k.BVar(level - p, t.name)
+    if isinstance(t, k.App):
+        return k.App(tree_close(t.fn, position, level), tree_close(t.arg, position, level))
+    if isinstance(t, k.Binder):
+        return type(t)(t.hint, tree_close(t.domain, position, level), tree_close(t.body, position, level + 1))
+    return t
+
+
+def tree_leaf_names(t, cls):
+    """``kernel._leaf_names`` before it visited each node once."""
+    out = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if cls is k.Var and not u.has_var:
+            continue
+        if isinstance(u, cls):
+            out.add(u.name)
+        elif isinstance(u, k.App):
+            stack += (u.fn, u.arg)
+        elif isinstance(u, k.Binder):
+            stack += (u.domain, u.body)
+    return out
+
+
+@st.composite
+def dags(draw, max_nodes=12):
+    """A term whose nodes are drawn from the ones built before it, so that
+    subterms, open ones and free variables among them, are shared."""
+    pool = [draw(LEAVES) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(1, max_nodes))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        node = draw(st.sampled_from([k.App, k.Abs, k.Prod]))
+        pool.append(k.App(a, b) if node is k.App else node(draw(HINTS), a, b))
+    return pool[-1]
+
+
+def distinct_nodes(t):
+    seen, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            stack += [u.fn, u.arg] if isinstance(u, k.App) else [u.domain, u.body] if isinstance(u, k.Binder) else []
+    return len(seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags(), st.lists(NAMES, min_size=1, max_size=3))
+def test_close_matches_tree_walk_and_keeps_the_dag(t, names):
+    position = {name: i for i, name in enumerate(names)}
+    out = k.close(t, *names)
+    assert shape(out) == shape(tree_close(t, position, len(names) - 1))
+    # one node per input node and level, and a fresh index per occurrence
+    assert distinct_nodes(out) <= 2 * distinct_nodes(t) + oracle_size(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags())
+def test_leaf_names_match_tree_walk(t):
+    assert k.free_names(t) == tree_leaf_names(t, k.Var)
+    assert k.const_names(t) == tree_leaf_names(t, k.Const)
+
+
+def _var_dag(depth):
+    t = k.Var("x")
+    for _ in range(depth):
+        t = k.app(k.Const("eq"), k.Const("bool"), t, t)
+    return t
+
+
+def builtin_calls(run):
+    """How many calls of built-in functions ``run()`` makes: a loop that
+    calls none of the package's functions still calls ``isinstance``."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            count[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
+def test_closing_a_dag_visits_each_node_once(monkeypatch):
+    visits, names = {}, {}
+    for depth in (10, 20):
+        t = _var_dag(depth)
+        visits[depth] = count_calls(monkeypatch, k, "_close", lambda: k.close(t, "x"))
+        names[depth] = builtin_calls(lambda: k.free_names(t))
+        assert k.free_names(t) == {"x"}
+    assert visits[20] <= 2.2 * visits[10]
+    assert names[20] <= 2.2 * names[10]
+    assert distinct_nodes(k.close(_var_dag(20), "x")) < 200  # the tree has 2^20 leaves

@@ -486,24 +486,44 @@ def test_mode_agreement_on_random_proofs(seed):
 # sharing
 
 
-def _big_type_doc():
-    # two definitions both mentioning the same large closed type
-    ty = k.App(TERM, k.app(ARROW, k.app(ARROW, BOOL, BOOL), k.app(ARROW, BOOL, BOOL)))
-    d1 = k.Defn("t1", k.TYPE, ty)
-    d2 = k.Defn("t2", k.TYPE, ty)
-    return dkfile.DkDocument("m", (d1, d2)), ty
+TERM_BOOL = k.App(TERM, BOOL)
+
+
+def _big_term_doc():
+    # three definitions, each a large closed term of type ``term bool``
+    c = k.Const("c")
+    small = k.app(EQ, BOOL, c, c)  # 7 nodes, below min_size
+    big = k.app(EQ, BOOL, small, small)
+    decl = k.ConstDecl("c", TERM_BOOL)
+    defs = tuple(k.Defn(f"t{i}", TERM_BOOL, big) for i in (1, 2, 3))
+    return dkfile.DkDocument("m", (decl, *defs)), big
 
 
 def test_share_hoists_repeated_subterm(q0):
-    doc, ty = _big_type_doc()
+    doc, big = _big_term_doc()
     report = tr.share_document(doc, q0, min_size=8)
     defs = [it for it in report.document.items if isinstance(it, k.Defn)]
     hoisted = [d for d in defs if d.name.startswith("s")]
-    assert len(hoisted) >= 1
-    assert report.replaced >= 2
+    assert len(hoisted) == report.hoisted == 1
+    assert report.replaced == 3
+    assert hoisted[0].body == big and hoisted[0].type == TERM_BOOL
     # the hoisted definition appears before its first use
     names = [d.name for d in defs]
     assert names.index(hoisted[0].name) < names.index("t1")
+    tr.verify_document(report.document)
+
+
+def test_share_keeps_repeated_type_level_terms_inline(q0):
+    """A type code or a type, hoisted, would have to unfold before ``term``
+    or the checker could read it, so it is never a candidate."""
+    code = k.app(ARROW, k.app(ARROW, BOOL, BOOL), k.app(ARROW, BOOL, BOOL))  # 11 nodes, a ``type``
+    ty = k.App(TERM, code)  # a ``Type``
+    prod = k.Prod("x", ty, ty)  # a product
+    for t in (code, ty, prod):
+        doc = dkfile.DkDocument("m", tuple(k.ConstDecl(f"c{i}", t) for i in range(4)))
+        report = tr.share_document(doc, q0, min_size=8)
+        assert (report.hoisted, report.replaced) == (0, 0)
+        assert report.document == doc
 
 
 def test_share_threshold_respected(q0):
@@ -516,13 +536,60 @@ def test_share_threshold_respected(q0):
 
 def test_share_returns_unshared_subterms_as_they_are(q0):
     """The pass rebuilt every node of every item, shared or not."""
-    doc, ty = _big_type_doc()
+    doc, big = _big_term_doc()
     small = k.app(ARROW, BOOL, BOOL)  # below min_size, so never hoisted
     alone = k.app(k.Const("f"), small, small)  # a candidate, but it occurs once
-    decl = k.ConstDecl("c", alone)
+    decl = k.ConstDecl("d", alone)
     report = tr.share_document(dkfile.DkDocument("m", (*doc.items, decl)), q0, min_size=8)
-    assert report.hoisted == 2  # ty and the arrow type in it
+    assert report.hoisted == 1  # big; the smaller terms in it print once
     assert report.document.items[-1].type is alone
+
+
+def test_share_hoists_only_where_it_pays(q0):
+    """A definition must save half again its own body and type.  ``mid``
+    has 9 nodes and type ``term bool``: twice it saves 2 * 8 nodes against
+    1.5 * (9 + 3), three times it pays."""
+    c, n = k.Const("c"), k.Const("n")
+    mid = k.app(EQ, BOOL, k.App(n, c), c)
+    decls = (k.ConstDecl("c", TERM_BOOL), k.ConstDecl("n", k.arrow(TERM_BOOL, TERM_BOOL)))
+    for count, hoisted in ((2, 0), (3, 1)):
+        defs = tuple(k.Defn(f"t{i}", TERM_BOOL, mid) for i in range(count))
+        report = tr.share_document(dkfile.DkDocument("m", decls + defs), q0, min_size=8)
+        assert (report.hoisted, report.replaced) == (hoisted, hoisted * count)
+
+
+def test_share_lifts_an_open_repeat_over_the_binders_it_uses(q0):
+    """``t = f A (... (f A x))`` repeats in ``A : type => x : term A => y :
+    term A => h A t t t t``.  It is lifted over ``x`` and over ``A``, which
+    ``x``'s domain uses, and not over ``y``."""
+    ty_a = k.Const("type")
+    term = lambda a: k.App(TERM, a)  # noqa: E731
+    f = k.ConstDecl("f", k.pi("a", ty_a, k.arrow(term(k.Var("a")), term(k.Var("a")))))
+    h = k.ConstDecl("h", k.pi("a", ty_a, k.arrow(*[term(k.Var("a"))] * 5)))
+    a, x = k.Var("A"), k.Var("x")
+    t = x
+    for _ in range(5):
+        t = k.app(k.Const("f"), a, t)
+    binders = [("A", "A", ty_a), ("x", "x", term(a)), ("y", "y", term(a))]
+    item = k.Defn("d", k.bind(k.Prod, binders, term(a)), k.bind(k.Abs, binders, k.app(k.Const("h"), a, t, t, t, t)))
+    report = tr.share_document(dkfile.DkDocument("m", (f, h, item)), q0, min_size=8)
+    assert (report.hoisted, report.replaced) == (1, 4)
+    s0, d = report.document.items[2:]
+    assert dkfile.fmt_term(s0.type) == "A : type -> term A -> term A"
+    assert s0.body == k.bind(k.Abs, binders[:2], t)
+    assert dkfile.fmt_term(d.body) == "A : type => x : term A => y : term A => h A (s0 A x) (s0 A x) (s0 A x) (s0 A x)"
+    tr.verify_document(report.document)
+    # ``g (... (g z))`` names no ``A``, but the domains of ``g`` and ``z`` do
+    g, z = k.Var("g"), k.Var("z")
+    t = z
+    for _ in range(16):
+        t = k.App(g, t)
+    binders = [("A", "A", ty_a), ("g", "g", term(k.app(ARROW, a, a))), ("z", "z", term(a))]
+    item = k.Defn("d", k.bind(k.Prod, binders, term(a)), k.bind(k.Abs, binders, k.app(k.Const("h"), a, t, t, t, t)))
+    report = tr.share_document(dkfile.DkDocument("m", (f, h, item)), q0, min_size=8)
+    assert (report.hoisted, report.replaced) == (1, 4)
+    assert dkfile.fmt_term(report.document.items[2].type) == "A : type -> term (arrow A A) -> term A -> term A"
+    tr.verify_document(report.document)
 
 
 def _our_cyclic_garbage(run) -> list:
