@@ -415,27 +415,14 @@ def bind(cls: type[Binder], binders: Sequence[tuple[str, str, Term]], body: Term
     free variable ``name`` is bound in the later domains and in ``body``.
     Each domain and the body are walked once.
     """
-    return bind_chains(binders, ((cls, body),))[0]
-
-
-def bind_chains(binders: Sequence[tuple[str, str, Term]], chains: Iterable[tuple[type[Binder], Term]]) -> list[Term]:
-    """``bind(cls, binders, body)`` for each ``(cls, body)`` of ``chains``.
-
-    The domains are closed once and shared by every chain, and the bodies
-    in one walk, so a node that two bodies share stays shared between them.
-    """
     position: dict[str, int] = {}
     domains = []
     for i, (name, _, domain) in enumerate(binders):
         domains.append(_close(domain, position, i - 1, {}))
         position[name] = i
-    memo: dict = {}
-    out = []
-    for cls, body in chains:
-        t = _close(body, position, len(binders) - 1, memo)
-        for (_, hint, _), domain in zip(reversed(binders), reversed(domains)):
-            t = cls(hint, domain, t)
-        out.append(t)
+    out = _close(body, position, len(binders) - 1, {})
+    for (_, hint, _), domain in zip(reversed(binders), reversed(domains)):
+        out = cls(hint, domain, out)
     return out
 
 

@@ -22,7 +22,6 @@ from .kernel import (
     TYPE,
     Abs,
     App,
-    BVar,
     ConstDecl,
     Const,
     Defn,
@@ -657,11 +656,10 @@ def _binders(env: TranslationEnv, c: Closure) -> list[tuple[str, str, Term]]:
 
 def closed_theorem(env: TranslationEnv, proof: hol.Proof) -> tuple[Term, Term]:
     """A theorem as a self-contained definition: the closed statement type
-    and the closed proof term, which share their binder domains and every
-    node that statement and proof share."""
+    and the closed proof term."""
     c = closure_of(env, proof)
-    ty, body = kernel.bind_chains(_binders(env, c), ((Prod, trans_prop_type(env, c.sequent.concl)), (Abs, c.core)))
-    return ty, body
+    binders = _binders(env, c)
+    return bind(Prod, binders, trans_prop_type(env, c.sequent.concl)), bind(Abs, binders, c.core)
 
 
 def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
@@ -848,109 +846,34 @@ class ShareReport(Record):
 PROFIT = 1.5  # nodes a hoisted definition must save per node of its own
 
 
-class _Scope:
-    """The leading chain of one binder class of an item's type or body,
-    outermost first, and the rest (``core``).
-
-    ``ids[n]`` identifies the chain's first ``n`` domains (a theorem's type
-    and body share theirs), and ``shared`` collects the domains as the pass
-    rewrites them.
-    """
-
-    __slots__ = ("chain", "core", "ids", "shared")
-
-    def __init__(self, t: Term, cls: type, scope_ids: dict):
-        self.chain: list[kernel.Binder] = []
-        while type(t) is cls:
-            self.chain.append(t)
-            t = t.body
-        self.core = t
-        self.ids = [0]
-        for b in self.chain:
-            self.ids.append(scope_ids.setdefault((self.ids[-1], id(b.domain)), len(scope_ids) + 1))
-        self.shared: list[Term] = []
-
-    def roots(self):
-        """Each domain, then the core, with the number of binders above it."""
-        for n, b in enumerate(self.chain):
-            yield b.domain, n
-        yield self.core, len(self.chain)
-
-
 class _Sharing:
-    """One run of ``share_document``: the document's items, each with the
-    scopes of its type and body, and the facts the pass asks of a node.
+    """One run of ``share_document``: the document, and the facts the pass
+    asks of a node.
 
-    Each occurrence of a candidate falls into a class.  A locally closed
-    candidate's class is its structure, found by hash-consing: equal
-    subterms, hints aside, get one id, given once per node, so two copies
-    of one DAG are never compared node by node.  An open candidate's loose
-    indices point into the chain of its scope, and mean what they mean
-    only there, so its class is the node itself in its scope and at its
-    depth below the chain.
+    A candidate is a closed subterm (no loose index, no free variable) of at
+    least ``min_size`` nodes that is no type-level term.  Its class is the
+    term itself: equal subterms, hints aside, are one class.
     """
 
     def __init__(self, doc: dkfile.DkDocument, base: Signature, min_size: int):
+        self.doc = doc
         self.min_size = max(min_size, 2)  # a leaf is never a candidate
         self.types = {it.name: it.type for it in (*base.items, *doc.items) if isinstance(it, (ConstDecl, Defn))}
-        self._cids: dict[int, int] = {}
-        self._table: dict[tuple, int] = {}
-        self._masks: dict[int, int] = {}
-        scope_ids: dict = {}
-        self.items = []
-        for item in doc.items:
-            if isinstance(item, ConstDecl):
-                scopes: tuple = (_Scope(item.type, Prod, scope_ids),)
-            elif isinstance(item, Defn):
-                scopes = (_Scope(item.type, Prod, scope_ids), _Scope(item.body, Abs, scope_ids))
-            else:
-                scopes = ()
-            self.items.append((item, scopes))
 
-    def cid(self, t: Term):
-        """``t``'s structure as a key: itself below ``min_size``, else its id."""
-        if t.size < self.min_size:
-            return t
-        i = self._cids.get(id(t))
-        if i is None:
-            a, b = (t.fn, t.arg) if type(t) is App else (t.domain, t.body)
-            i = self._cids[id(t)] = self._table.setdefault((type(t), self.cid(a), self.cid(b)), len(self._table))
-        return i
-
-    def mask(self, t: Term) -> int:
-        """The loose indices of ``t`` as a bit set."""
-        if t.bound == 0:
-            return 0
-        if type(t) is BVar:
-            return 1 << t.index
-        m = self._masks.get(id(t))
-        if m is None:
-            if type(t) is App:
-                m = self.mask(t.fn) | self.mask(t.arg)
-            else:
-                m = self.mask(t.domain) | self.mask(t.body) >> 1
-            self._masks[id(t)] = m
-        return m
-
-    def key(self, t: Term, scope: _Scope, n: int, depth: int):
-        """The class of ``t`` met ``depth`` binders below the first ``n`` of
-        ``scope``'s chain, or None where ``t`` is no candidate.
-
-        A type-level term is none: a product, or an application whose head
-        constant's declared type ends in ``Type`` or ``type`` once the
-        spine's arguments are applied.  Hoisted, a type code would have to
-        unfold before ``term`` decodes it.
-        """
-        if t.has_var or type(t) is Prod:
-            return None
-        ty = self.result_type(t)
-        if ty == TYPE or ty == _T:
-            return None
-        if not t.bound:
-            return self.cid(t)
-        if t.bound > n + depth or depth and self.mask(t) & ((1 << depth) - 1):
-            return None
-        return (id(t), scope.ids[n], depth)
+    def type_level(self, t: Term) -> bool:
+        """Whether ``t`` is a type or a type code: a product, or an
+        application whose head constant's declared type ends in ``Type`` or
+        ``type``, whether the spine applies it to all its arguments or, as
+        in a partial type code ``arrow A``, to some.  Hoisted, it would
+        have to unfold before ``term`` or the checker could read it."""
+        if type(t) is Prod:
+            return True
+        while type(t) is App:
+            t = t.fn
+        ty = self.types.get(t.name) if type(t) is Const else None
+        while type(ty) is Prod:
+            ty = ty.body
+        return ty == TYPE or ty == _T
 
     def result_type(self, t: Term) -> Optional[Term]:
         """The declared type of the head constant of ``t``'s spine with one
@@ -976,223 +899,123 @@ class _Sharing:
         ty = self.result_type(t)
         return floor + (1 if ty is None else ty.size)
 
-    def lift(self, t: Term, scope: _Scope, n: int, depth: int) -> list[int]:
-        """The binders of ``scope``'s chain, outermost first, that ``t`` uses,
-        and those their domains use: what lifting ``t`` abstracts over
-        (Johnsson, "Lambda lifting", 1985)."""
-        need = 0  # bit q: the chain's binder q is abstracted
-        for j in _bits(self.mask(t) >> depth):
-            need |= 1 << (n - 1 - j)
-        pending = need
-        while pending:  # the innermost first: a domain uses only binders outside it
-            q = pending.bit_length() - 1
-            pending ^= 1 << q
-            for j in _bits(self.mask(scope.chain[q].domain)):
-                if not need >> (q - 1 - j) & 1:
-                    need |= 1 << (q - 1 - j)
-                    pending |= 1 << (q - 1 - j)
-        return [q for q in _bits(need)]
-
-    def may_pay(self, cls: tuple) -> bool:
-        """Whether a class ``(count, t, scope, n, depth)`` could be hoisted
-        if no class inside it were: the profit rule of ``hoist`` with the
-        type at its floor.  Where no class may pay, by induction on size
-        none is hoisted, and the document stays as it is."""
-        count, t, scope, n, depth = cls
-        floor = self.type_floor(t)
-        # an open term is lifted over one binder at least, then over each
-        # it names; a lifted binder and its domain, of one node at least,
-        # stand in the body and in the type
-        for m in (1 if t.bound else 0, (self.mask(t) >> depth).bit_count()):
-            if not _pays(count, t, m, t.size + 2 * m, 2 * m + floor):
-                return False
-        kept = self.lift(t, scope, n, depth) if t.bound else []
-        binders = sum(1 + scope.chain[q].domain.size for q in kept)
-        return _pays(count, t, len(kept), t.size + binders, binders + floor)
-
-    def share(self, module: str, shared: dict, base: Signature, budget: kernel.Fuel) -> ShareReport:
-        """The document with each class in ``shared`` hoisted where that pays."""
+    def share(self, shared: dict, base: Signature, budget: kernel.Fuel) -> ShareReport:
+        """The document with each class in ``shared`` hoisted where that
+        pays; ``declined`` collects the classes that stay inline."""
         self.shared = shared
-        self.hot_closed = {k for k in shared if type(k) is not tuple}
-        self.hot_open = {k[0] for k in shared if type(k) is tuple}
         self.budget = budget
         self.decided: dict = {}  # class -> its reference, or None where it stays inline
-        self.defined: dict = {}  # the body of each definition hoisted -> its name
-        self.taken = {item.name for item, _ in self.items if isinstance(item, (ConstDecl, Defn))}
+        self.declined: set = set()
+        self.taken = {item.name for item in self.doc.items if isinstance(item, (ConstDecl, Defn))}
         self.next_name = 0
         self.sig = Signature(base.items)  # grown in place below; base may be cached
         self.new_items: list = []
         self.hoisted = self.replaced = 0
-        for item, scopes in self.items:
+        for item in self.doc.items:
             if isinstance(item, ConstDecl):
-                item = ConstDecl(item.name, self.rewrite_scope(scopes[0]))
+                item = ConstDecl(item.name, self.rewrite(item.type))
             elif isinstance(item, Defn):
-                item = Defn(item.name, self.rewrite_scope(scopes[0]), self.rewrite_scope(scopes[1]))
+                item = Defn(item.name, self.rewrite(item.type), self.rewrite(item.body))
             self.new_items.append(item)
             if isinstance(item, (ConstDecl, Defn, RewriteRule)):
                 self.sig.add(item)
-        return ShareReport(dkfile.DkDocument(module, tuple(self.new_items)), self.hoisted, self.replaced)
+        return ShareReport(dkfile.DkDocument(self.doc.module, tuple(self.new_items)), self.hoisted, self.replaced)
 
-    def rewrite_scope(self, scope: _Scope) -> Term:
-        for root, n in scope.roots():
-            scope.shared.append(self.rewrite(root, scope, n, 0))
-        out = scope.shared.pop()
-        for b, domain in zip(reversed(scope.chain), reversed(scope.shared)):
-            out = b if domain is b.domain and out is b.body else type(b)(b.hint, domain, out)
-        return out
-
-    def rewrite(self, t: Term, scope: _Scope, n: int, depth: int, skip_self: bool = False) -> Term:
+    def rewrite(self, t: Term, skip_self: bool = False) -> Term:
         """``t`` with its hoisted classes replaced; ``t`` itself where none is."""
         if t.size < self.min_size:
             return t
-        if not skip_self and (id(t) in self.hot_open if t.bound else self.cid(t) in self.hot_closed):
-            key = self.key(t, scope, n, depth)
-            if key in self.decided:
-                ref = self.decided[key]
-            else:
-                ref, body = self.hoist(key, t, scope, n, depth)
-                self.decided[key] = ref
-                if ref is None and body is not None:
+        if not skip_self and not t.bound and not t.has_var and t in self.shared:
+            if t not in self.decided:
+                self.decided[t], body = self.hoist(t)
+                if self.decided[t] is None:
                     return body
+            ref = self.decided[t]
             if ref is not None:
                 self.replaced += 1
                 return ref
         if type(t) is App:
-            fn, arg = self.rewrite(t.fn, scope, n, depth), self.rewrite(t.arg, scope, n, depth)
+            fn, arg = self.rewrite(t.fn), self.rewrite(t.arg)
             return t if fn is t.fn and arg is t.arg else App(fn, arg)
-        domain, body = self.rewrite(t.domain, scope, n, depth), self.rewrite(t.body, scope, n, depth + 1)
+        domain, body = self.rewrite(t.domain), self.rewrite(t.body)
         return t if domain is t.domain and body is t.body else type(t)(t.hint, domain, body)
 
-    def hoist(self, key, t: Term, scope: _Scope, n: int, depth: int) -> tuple[Optional[Term], Optional[Term]]:
+    def hoist(self, t: Term) -> tuple[Optional[Term], Term]:
         """The first occurrence of ``t``'s class: its reference once hoisted
-        (or None), and ``t`` rewritten (None where the class does not repeat).
+        (or None), and ``t`` rewritten.
 
         A class is hoisted where the nodes it saves exceed its definition's
         body and type by half again (``_pays``).  The margin is there
-        because a definition prints its name and binders, is checked on its
-        own, and must unfold where the checker meets its expansion, while
-        gzip already finds a short repeat; a long or nested one pays by far.
+        because a definition prints its name, is checked on its own, and
+        must unfold where the checker meets its expansion, while gzip
+        already finds a short repeat; a long or nested one pays by far.
         """
-        if key not in self.shared:
-            return None, None
-        count = self.shared[key][0]
-        body = self.rewrite(t, scope, n, depth, skip_self=True)
-        kept = self.lift(t, scope, n, depth) if t.bound else []
-        binders = sum(1 + scope.shared[q].size for q in kept)
-        size = body.size + binders
-        if not _pays(count, t, len(kept), size, binders + self.type_floor(t)):
-            return None, body
-        lifted = _abstract(body, scope, n, depth, kept)
-        name = self.defined.get(lifted)  # an open class of another telescope may have lifted to it
-        if name is None:
+        count = self.shared[t]
+        body = self.rewrite(t, skip_self=True)
+        if _pays(count, t, body.size + self.type_floor(t)):
             while f"s{self.next_name}" in self.taken:
                 self.next_name += 1
             name = f"s{self.next_name}"
             try:
-                ty = kernel.infer_type(self.sig, {}, lifted, self.budget)
+                ty = kernel.infer_type(self.sig, {}, body, self.budget)
             except kernel.FuelExhausted as e:
                 raise kernel.FuelExhausted(f"definition {name}: ", e) from e
-            if not _pays(count, t, len(kept), size, ty.size):
-                return None, body
-            self.next_name += 1
-            self.hoisted += 1
-            self.defined[lifted] = name
-            item = Defn(name, ty, lifted)
-            self.new_items.append(item)
-            self.sig.add(item)
-        return app(Const(name), *(BVar(depth + n - 1 - q, scope.chain[q].hint) for q in kept)), body
+            if _pays(count, t, body.size + ty.size):
+                self.next_name += 1
+                self.hoisted += 1
+                item = Defn(name, ty, body)
+                self.new_items.append(item)
+                self.sig.add(item)
+                return Const(name), body
+        self.declined.add(t)
+        return None, body
 
 
-def _pays(count: int, t: Term, lifted: int, size: int, ty_size: int) -> bool:
-    """The profit rule: hoisting ``t``'s class of ``count`` occurrences,
-    lifted over ``lifted`` binders, into a definition of body ``size`` and
-    type ``ty_size`` nodes.  Each occurrence saves ``t`` as the unshared
-    module prints it, less the reference."""
-    return count * (t.size - 2 * lifted - 1) > PROFIT * (size + ty_size)
+def _pays(count: int, t: Term, cost: int) -> bool:
+    """The profit rule: hoisting ``t``'s class of ``count`` occurrences into
+    a definition whose body and type have ``cost`` nodes.  Each occurrence
+    saves ``t`` as the unshared module prints it, less the reference."""
+    return count * (t.size - 1) > PROFIT * cost
 
 
-def _abstract(body: Term, scope: _Scope, n: int, depth: int, kept: list[int]) -> Term:
-    """``body``, met ``depth`` binders below the first ``n`` of ``scope``'s
-    chain, abstracted over the chain's binders ``kept``."""
-    at = {q: k for k, q in enumerate(kept)}
-    m = len(kept)
-    # loose index j of a term below binder q points to binder q - 1 - j
-    out = _reindex(body, [None] * depth + [m - 1 - at[p] if p in at else None for p in reversed(range(n))], 0, {})
-    for k in reversed(range(m)):
-        q = kept[k]
-        domain = _reindex(scope.shared[q], [k - 1 - at[p] if p in at else None for p in reversed(range(q))], 0, {})
-        out = Abs(scope.chain[q].hint, domain, out)
-    return out
-
-
-def _bits(m: int):
-    """The positions of the set bits of ``m``, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
-
-def _reindex(t: Term, new: list, depth: int, memo: dict) -> Term:
-    """``t`` with each loose index i, met ``depth`` binders down, renumbered
-    ``new[i - depth] + depth``; ``memo`` keeps a shared node shared."""
-    if t.bound <= depth:
-        return t
-    if type(t) is BVar:
-        return BVar(new[t.index - depth] + depth, t.hint)
-    key = (id(t), depth)
-    out = memo.get(key)
-    if out is None:
-        if type(t) is App:
-            out = App(_reindex(t.fn, new, depth, memo), _reindex(t.arg, new, depth, memo))
-        else:
-            out = type(t)(t.hint, _reindex(t.domain, new, depth, memo), _reindex(t.body, new, depth + 1, memo))
-        memo[key] = out
-    return out
-
-
-def _shared_terms(run: _Sharing) -> dict:
-    """The classes that occur at least twice as the shared document prints
-    them, each with its count and an occurrence ``(t, scope, n, depth)``.
+def _shared_terms(run: _Sharing, declined: set) -> dict:
+    """The candidate classes that occur at least twice as the shared
+    document prints them, each with its count.
 
     A candidate is descended at its first occurrence only: its later ones
     print as references, and its body prints once.  That also keeps the
-    scan linear in a DAG.  Everything else is descended wherever it occurs,
-    as it prints there; a subterm smaller than ``min_size`` holds no
-    candidate.
+    scan linear in a closed DAG.  Everything else is descended wherever it
+    occurs, as it prints there, and so is a class in ``declined``: it stays
+    inline, and its body prints at each occurrence.  A subterm smaller than
+    ``min_size`` holds no candidate.
     """
-    counts: dict = {}  # class -> occurrences so far; 0 where it is no candidate
-    shared: dict = {}
-    min_size, cid = run.min_size, run.cid
-    for _, scopes in run.items:
-        for scope in scopes:
-            for root, n in scope.roots():
-                sid = scope.ids[n]
-                stack = [(root, 0)] if root.size >= min_size else []
-                while stack:
-                    u, depth = stack.pop()
-                    # the class ``u`` has if it is a candidate; whether it is
-                    # one is asked only when the class comes round again
-                    k = (id(u), sid, depth) if u.bound else cid(u)
-                    seen = counts.get(k)
-                    if seen is None:
-                        counts[k] = 1
-                    elif seen:
-                        if seen > 1 or run.key(u, scope, n, depth) is not None:
-                            counts[k] = seen + 1
-                            if seen == 1:
-                                shared[k] = (u, scope, n, depth)
-                            continue
-                        counts[k] = 0
-                    if type(u) is App:
-                        a, b, inner = u.arg, u.fn, depth
-                    else:
-                        a, b, inner = u.body, u.domain, depth + 1
-                    if a.size >= min_size:
-                        stack.append((a, inner))
-                    if b.size >= min_size:
-                        stack.append((b, depth))
-    return {k: (counts[k], *at) for k, at in shared.items()}
+    counts: dict = dict.fromkeys(declined, 0)  # class -> occurrences so far; 0 where it is no candidate
+    shared = []
+    min_size = run.min_size
+    for item in run.doc.items:
+        roots = (item.type,) if isinstance(item, ConstDecl) else (item.type, item.body) if isinstance(item, Defn) else ()
+        stack = [root for root in roots if root.size >= min_size]
+        while stack:
+            u = stack.pop()
+            if not u.bound and not u.has_var:
+                # whether ``u`` is a candidate is asked only when its class
+                # comes round again
+                seen = counts.get(u)
+                if seen is None:
+                    counts[u] = 1
+                elif seen:
+                    if seen > 1 or not run.type_level(u):
+                        counts[u] = seen + 1
+                        if seen == 1:
+                            shared.append(u)
+                        continue
+                    counts[u] = 0
+            a, b = (u.arg, u.fn) if type(u) is App else (u.body, u.domain)
+            if a.size >= min_size:
+                stack.append(a)
+            if b.size >= min_size:
+                stack.append(b)
+    return {u: counts[u] for u in shared}
 
 
 def share_document(
@@ -1201,21 +1024,33 @@ def share_document(
     min_size: int = 8,
     fuel: Optional[int] = None,
 ) -> ShareReport:
-    """Hoist repeated subterms into definitions emitted before first use.
+    """Hoist repeated closed subterms into definitions emitted before first use.
 
-    A candidate has at least ``min_size`` nodes and is no type or type code.
-    It may be open: its loose indices may point into the leading binders of
-    its item's type or body (a theorem's telescope).  It is then lifted over
-    the binders it uses.  ``fuel`` is the step budget of the whole pass:
-    every hoisted definition's type inference spends from it.
+    A candidate has at least ``min_size`` nodes and is no type or type
+    code; it is hoisted where it repeats as the shared module prints it and
+    where that pays (``_pays``).  A class that does not pay prints its body
+    at every occurrence, so the count is taken again with it inline, and
+    the module rewritten again, until no new repeat appears; a class
+    declined once stays inline.  ``fuel`` is the step budget of the whole
+    pass: every hoisted definition's type inference spends from it.
     """
     if base is None:
         base = base_signature("q0")
     run = _Sharing(doc, base, min_size)
-    shared = _shared_terms(run)
-    if not any(map(run.may_pay, shared.values())):
-        return ShareReport(doc, 0, 0)
-    return run.share(doc.module, shared, base, kernel.Fuel(kernel.DEFAULT_FUEL if fuel is None else fuel))
+    budget = kernel.Fuel(kernel.DEFAULT_FUEL if fuel is None else fuel)
+    report = ShareReport(doc, 0, 0)
+    declined: set = set()
+    shared = _shared_terms(run, declined)
+    while shared:
+        report = run.share(shared, base, budget)
+        if not run.declined:
+            break
+        declined |= run.declined
+        again = _shared_terms(run, declined)
+        if again.keys() <= shared.keys():
+            break
+        shared = again
+    return report
 
 
 # ---------------------------------------------------------------------------

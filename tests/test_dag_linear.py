@@ -205,23 +205,10 @@ def test_front_half_work_grows_with_depth_not_tree_size():
         assert translation["trans_term"] > 0 and translation["go"] > 0
         for name in ("trans_term", "go"):
             assert translation[name] <= 1.3 * small[1][name], (leaf_kind, name)
-    # the DAG keeps its sharing in the kernel terms, closed or open, so
-    # sharing counts each node once
-    for leaf_kind, leaf in LEAVES.items():
-        small, large = stage_calls(8, leaf)[2], stage_calls(9, leaf)[2]
-        assert sum(large.values()) <= 1.3 * sum(small.values()), leaf_kind
-
-
-def translated(k, leaf):
-    """The ``Refl(t_k)`` module, shared, with the calls that translating it
-    and verifying it made in the translator and the kernel."""
-    p = hol.Refl(dag(k, leaf))
-    state = ot.run_text(ot.serialize_article(ot.VMState(theorems=[(p.sequent, p)])))
-    box = {}
-    files = FRONT | {kernel.__file__}
-    translation = calls(lambda: box.setdefault("doc", tr.translate_state(state, "m").document), files)
-    verification = calls(lambda: tr.verify_document(box["doc"]), files)
-    return box["doc"], sum(translation.values()), sum(verification.values())
+    # a closed DAG keeps its sharing in the kernel terms, so hoisting it
+    # compares nodes by identity
+    small, large = stage_calls(8, LEAVES["constant"])[2], stage_calls(9, LEAVES["constant"])[2]
+    assert sum(large.values()) <= 1.3 * sum(small.values())
 
 
 def test_closed_dag_hoists_one_definition_per_level():
@@ -229,37 +216,12 @@ def test_closed_dag_hoists_one_definition_per_level():
     one definition, and no partial application ``eq bool t_k`` is."""
     counts = []
     for k in (8, 9, 10, 11):
-        doc = translated(k, LEAVES["constant"])[0]
+        p = hol.Refl(dag(k, LEAVES["constant"]))
+        doc = tr.translate_state(ot.run_text(ot.serialize_article(ot.VMState(theorems=[(p.sequent, p)]))), "m").document
         hoisted = [it for it in doc.items if isinstance(it, kernel.Defn) and it.name.startswith("s")]
         assert all(kernel.spine(d.body)[1][1:] == [kernel.Const(prev.name)] * 2 for prev, d in zip(hoisted, hoisted[1:]))
         counts.append(len(hoisted))
     assert counts == [k - 1 for k in (8, 9, 10, 11)]
-
-
-def test_open_dag_translates_and_verifies_in_work_linear_in_depth():
-    """With a variable leaf every ``t_k`` mentions the theorem's variable.
-    Closing keeps the DAG, and sharing lifts the repeats over the variable,
-    so the module and the work grow with ``k``; before, both doubled."""
-    rows = []
-    for k in (8, 9, 10, 11):
-        doc, translation, verification = translated(k, LEAVES["variable"])
-        rows.append((len(dkfile.emit(doc).encode()), translation, verification))
-    for small, large in zip(rows, rows[1:]):
-        for what, n, m in zip((".dk bytes", "translation calls", "verification calls"), small, large):
-            assert m <= 1.3 * n, (what, rows)
-
-
-def test_open_repeats_of_two_theorems_share_their_definitions():
-    """Each theorem lifts its open repeats over its own variable; a lifted
-    body that an earlier theorem defined is referred to, not defined again."""
-    proofs = [hol.Refl(dag(k, LEAVES["variable"])) for k in (8, 7)]
-    state = ot.run_text(ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in proofs])))
-    doc = tr.translate_state(state, "m").document
-    hoisted = [it for it in doc.items if isinstance(it, kernel.Defn) and it.name.startswith("s")]
-    assert len(hoisted) == 5 and len({d.body for d in hoisted}) == 5  # t_4 to t_8, once each
-    thm_1 = next(it for it in doc.items if isinstance(it, kernel.Defn) and it.name == "thm_1")
-    assert "s3 x" in dkfile.fmt_term(thm_1.body)  # t_7, defined for thm_0
-    tr.verify_document(doc)
 
 
 def test_alpha_walk_is_linear_on_separately_built_dags():

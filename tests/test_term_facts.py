@@ -114,78 +114,58 @@ def shape(t, hints=True):
     return (type(t).__name__, t.hint if hints else None, shape(t.domain, hints), shape(body, hints))
 
 
-def oracle_loose(t, depth=0):
-    """The dangling indices of ``t``, as seen from its root."""
-    if isinstance(t, k.BVar):
-        return {t.index - depth} if t.index >= depth else set()
-    if isinstance(t, k.App):
-        return oracle_loose(t.fn, depth) | oracle_loose(t.arg, depth)
-    if isinstance(t, (k.Abs, k.Prod)):
-        return oracle_loose(t.domain, depth) | oracle_loose(t.body, depth + 1)
-    return set()
-
-
 def oracle_type_level(t, types):
-    """A product, or a spine whose head constant's declared type, with one
-    product taken off per argument, is ``Type`` or ``type``."""
+    """A product, or a spine whose head constant's declared type, with all
+    its products taken off, is ``Type`` or ``type``."""
     if isinstance(t, k.Prod):
         return True
-    head, args = k.spine(t)
+    head, _ = k.spine(t)
     ty = types.get(head.name) if isinstance(head, k.Const) else None
-    for _ in args:
-        if not isinstance(ty, k.Prod):
-            return False
+    while isinstance(ty, k.Prod):
         ty = ty.body
     return ty in (k.TYPE, k.Const("type"))
 
 
-def oracle_class(t, scope, n, depth, run):
-    """The class of a candidate met ``depth`` binders below the first ``n``
-    of its scope's chain, or None: a closed one's shape, an open one's node
-    in its scope and depth, where its indices all point into the chain."""
-    if (not isinstance(t, (k.App, k.Abs, k.Prod)) or oracle_size(t) < run.min_size
-            or oracle_free_names(t) or oracle_type_level(t, run.types)):
-        return None
-    loose = oracle_loose(t)
-    if not loose:
-        return shape(t, hints=False)
-    if all(depth <= i < depth + n for i in loose):
-        return (id(t), scope.ids[n], depth)
-    return None
+def oracle_candidate(t, run):
+    return (isinstance(t, (k.App, k.Abs, k.Prod)) and oracle_size(t) >= run.min_size
+            and oracle_escape_level(t) == 0 and not oracle_free_names(t)
+            and not oracle_type_level(t, run.types))
 
 
-def oracle_shared_terms(run):
+def oracle_shared_terms(run, declined=frozenset()):
     """The sharing pass's count of repeats, slowly: every root walked as a
     tree, and every occurrence of a candidate counted where it prints.  It
     prints unless it lies inside a later occurrence of a candidate's class:
     hoisted, that prints as a reference, and its body once, at the first.
-    ``{class: (count, second occurrence)}`` for the classes counted twice."""
-    counts, second = {}, {}
+    A class in ``declined`` stays inline, so it is no candidate.  ``{shape: (count, an occurrence)}`` for the classes counted
+    twice."""
+    counts, first = {}, {}
 
-    def walk(u, scope, n, depth, prints):
-        cls = oracle_class(u, scope, n, depth, run)
-        if cls is not None and prints:
+    def walk(u):
+        if oracle_candidate(u, run) and u not in declined:
+            cls = shape(u, hints=False)
             counts[cls] = counts.get(cls, 0) + 1
-            if counts[cls] == 2:
-                second[cls] = (u, scope, n, depth)
-            prints = counts[cls] == 1
+            first.setdefault(cls, u)
+            if counts[cls] > 1:
+                return
         if isinstance(u, k.App):
-            walk(u.fn, scope, n, depth, prints)
-            walk(u.arg, scope, n, depth, prints)
+            walk(u.fn)
+            walk(u.arg)
         elif isinstance(u, (k.Abs, k.Prod)):
-            walk(u.domain, scope, n, depth, prints)
-            walk(u.body, scope, n, depth + 1, prints)
+            walk(u.domain)
+            walk(u.body)
 
-    for _, scopes in run.items:
-        for scope in scopes:
-            for root, n in scope.roots():
-                walk(root, scope, n, 0, True)
-    return {cls: (counts[cls], at) for cls, at in second.items()}
+    for item in run.doc.items:
+        if isinstance(item, (k.ConstDecl, k.Defn)):
+            walk(item.type)
+        if isinstance(item, k.Defn):
+            walk(item.body)
+    return {cls: (n, first[cls]) for cls, n in counts.items() if n >= 2}
 
 
-def oracle_as_shared_terms(run):
+def oracle_as_shared_terms(run, declined):
     """``oracle_shared_terms`` in the form ``translate._shared_terms`` gives."""
-    return {run.key(*at): (count, *at) for count, at in oracle_shared_terms(run).values()}
+    return {t: n for n, t in oracle_shared_terms(run, declined).values()}
 
 
 def subterms(t):
@@ -358,8 +338,8 @@ def test_free_names_matches_oracle(t):
 
 def _planted_doc(pool, extra, rnd):
     """Definitions of random terms with the closed ``pool`` planted several
-    times, inside binders too, and a repeated open term: one node, met twice
-    in a body and once in its statement, under one telescope of both."""
+    times, inside binders too, and a repeated open term holding the pool:
+    no candidate itself, it prints the pool at each occurrence."""
     items = []
     for i, t in enumerate(extra):
         for _ in range(rnd.randint(0, 3)):
@@ -378,13 +358,16 @@ def _planted_doc(pool, extra, rnd):
 @given(st.lists(CLOSED, min_size=1, max_size=3), st.lists(terms(12), min_size=1, max_size=6),
        st.integers(2, 8), st.randoms(use_true_random=False))
 def test_shared_terms_match_oracle_scan(pool, extra, min_size, rnd):
-    # candidates occur once, twice and three or more times, closed and open
+    # candidates occur once, twice and three or more times; then some of
+    # them are declined, and what they hold prints at each occurrence
     doc = _planted_doc(pool, extra, rnd)
     run = tr._Sharing(doc, tr.base_signature("q0"), min_size)
-    fast = {oracle_class(*at, run): (count, at) for count, *at in tr._shared_terms(run).values()}
-    slow = oracle_shared_terms(run)
-    assert len(fast) == len(tr._shared_terms(run))  # no two classes of the pass are one
-    assert {c: n for c, (n, _) in fast.items()} == {c: n for c, (n, _) in slow.items()}
+    declined = set()
+    for _ in range(2):
+        fast = tr._shared_terms(run, declined)
+        slow = oracle_shared_terms(run, declined)
+        assert {shape(t, hints=False): n for t, n in fast.items()} == {c: n for c, (n, _) in slow.items()}
+        declined |= set(rnd.sample(list(fast), len(fast) // 2))
 
 
 def _dag_article(depth, leaf=hol.Const("c", hol.BOOL)):
@@ -408,14 +391,8 @@ def _share_both_ways(article, min_size):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tr, "_shared_terms", oracle_as_shared_terms)
         slow = tr.share_document(doc, base, min_size)
-    with pytest.MonkeyPatch.context() as m:
-        # where no repeat may pay the pass returns the document at once;
-        # the whole rewrite must then hoist nothing either
-        m.setattr(tr._Sharing, "may_pay", lambda run, cls: True)
-        full = tr.share_document(doc, base, min_size)
-    for other in (slow, full):
-        assert (fast.hoisted, fast.replaced) == (other.hoisted, other.replaced)
-        assert dkfile.emit(fast.document) == dkfile.emit(other.document)
+    assert (fast.hoisted, fast.replaced) == (slow.hoisted, slow.replaced)
+    assert dkfile.emit(fast.document) == dkfile.emit(slow.document)
     tr.verify_document(fast.document)
     return fast
 
@@ -429,10 +406,10 @@ def test_share_document_hoists_like_oracle_scan(seed, min_size):
 def test_share_document_hoists_like_oracle_scan_on_dag():
     # t_(k+1) = (t_k = t_k): every t_k occurs 2^(depth-k) times, so most
     # occurrences are skipped by the scan; with a variable leaf every t_k
-    # is open, and is lifted over the variable
-    for leaf in (hol.Const("c", hol.BOOL), hol.Var("x", hol.BOOL)):
+    # is open, no candidate, and printed at each occurrence
+    for leaf, hoists in ((hol.Const("c", hol.BOOL), True), (hol.Var("x", hol.BOOL), False)):
         report = _share_both_ways(_dag_article(7, leaf), 8)
-        assert report.hoisted > 0
+        assert (report.hoisted > 0) == hoists
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,13 @@ def test_share_keeps_repeated_type_level_terms_inline(q0):
         report = tr.share_document(doc, q0, min_size=8)
         assert (report.hoisted, report.replaced) == (0, 0)
         assert report.document == doc
+    # a partial type code: ``arrow (arrow (arrow bool bool) bool)``, of 11
+    # nodes and type ``type -> type``, heads four different codes
+    partial = k.App(ARROW, k.app(ARROW, k.app(ARROW, BOOL, BOOL), BOOL))
+    codes = (BOOL, k.Const("ind"), k.app(ARROW, BOOL, BOOL), k.app(ARROW, BOOL, k.Const("ind")))
+    doc = dkfile.DkDocument("m", tuple(k.ConstDecl(f"c{i}", k.App(TERM, k.App(partial, x))) for i, x in enumerate(codes)))
+    report = tr.share_document(doc, q0, min_size=8)
+    assert (report.hoisted, report.replaced) == (0, 0)
 
 
 def test_share_threshold_respected(q0):
@@ -558,37 +565,23 @@ def test_share_hoists_only_where_it_pays(q0):
         assert (report.hoisted, report.replaced) == (hoisted, hoisted * count)
 
 
-def test_share_lifts_an_open_repeat_over_the_binders_it_uses(q0):
-    """``t = f A (... (f A x))`` repeats in ``A : type => x : term A => y :
-    term A => h A t t t t``.  It is lifted over ``x`` and over ``A``, which
-    ``x``'s domain uses, and not over ``y``."""
-    ty_a = k.Const("type")
-    term = lambda a: k.App(TERM, a)  # noqa: E731
-    f = k.ConstDecl("f", k.pi("a", ty_a, k.arrow(term(k.Var("a")), term(k.Var("a")))))
-    h = k.ConstDecl("h", k.pi("a", ty_a, k.arrow(*[term(k.Var("a"))] * 5)))
-    a, x = k.Var("A"), k.Var("x")
-    t = x
-    for _ in range(5):
-        t = k.app(k.Const("f"), a, t)
-    binders = [("A", "A", ty_a), ("x", "x", term(a)), ("y", "y", term(a))]
-    item = k.Defn("d", k.bind(k.Prod, binders, term(a)), k.bind(k.Abs, binders, k.app(k.Const("h"), a, t, t, t, t)))
-    report = tr.share_document(dkfile.DkDocument("m", (f, h, item)), q0, min_size=8)
-    assert (report.hoisted, report.replaced) == (1, 4)
-    s0, d = report.document.items[2:]
-    assert dkfile.fmt_term(s0.type) == "A : type -> term A -> term A"
-    assert s0.body == k.bind(k.Abs, binders[:2], t)
-    assert dkfile.fmt_term(d.body) == "A : type => x : term A => y : term A => h A (s0 A x) (s0 A x) (s0 A x) (s0 A x)"
-    tr.verify_document(report.document)
-    # ``g (... (g z))`` names no ``A``, but the domains of ``g`` and ``z`` do
-    g, z = k.Var("g"), k.Var("z")
-    t = z
-    for _ in range(16):
-        t = k.App(g, t)
-    binders = [("A", "A", ty_a), ("g", "g", term(k.app(ARROW, a, a))), ("z", "z", term(a))]
-    item = k.Defn("d", k.bind(k.Prod, binders, term(a)), k.bind(k.Abs, binders, k.app(k.Const("h"), a, t, t, t, t)))
-    report = tr.share_document(dkfile.DkDocument("m", (f, h, item)), q0, min_size=8)
-    assert (report.hoisted, report.replaced) == (1, 4)
-    assert dkfile.fmt_term(report.document.items[2].type) == "A : type -> term (arrow A A) -> term A -> term A"
+def test_share_counts_again_inside_a_repeat_that_does_not_pay(q0):
+    """``outer = x : term D => big`` repeats twice, but its type is large
+    and it does not pay.  Inline, it prints ``big`` twice, and ``big`` of
+    19 nodes and type ``term bool`` pays at two occurrences."""
+    c = k.Const("c")
+    small = k.app(EQ, BOOL, c, c)
+    big = k.app(EQ, BOOL, small, small)
+    domain = k.App(TERM, k.app(ARROW, k.app(ARROW, BOOL, BOOL), k.app(ARROW, BOOL, BOOL)))
+    outer = k.Abs("x", domain, big)
+    uses = k.arrow(k.arrow(domain, TERM_BOOL), TERM_BOOL)
+    decls = (k.ConstDecl("c", TERM_BOOL), k.ConstDecl("f", uses), k.ConstDecl("g", uses))
+    defs = (k.Defn("t1", TERM_BOOL, k.App(k.Const("f"), outer)), k.Defn("t2", TERM_BOOL, k.App(k.Const("g"), outer)))
+    report = tr.share_document(dkfile.DkDocument("m", decls + defs), q0, min_size=8)
+    assert (report.hoisted, report.replaced) == (1, 2)
+    s0 = report.document.items[3]
+    assert (s0.name, s0.body, s0.type) == ("s0", big, TERM_BOOL)
+    assert [d.body.arg for d in report.document.items[4:]] == [k.Abs("x", domain, k.Const("s0"))] * 2
     tr.verify_document(report.document)
 
 
