@@ -56,9 +56,12 @@ def _value(command: str, flag: str, kind, value: Optional[str]):
         raise UsageError(f"{command}: {flag} needs a value")
     if kind is int:
         try:
-            return int(value)
+            n = int(value)
         except ValueError:
             raise UsageError(f"{command}: {flag} needs an integer, got {value!r}") from None
+        if n < 0:
+            raise UsageError(f"{command}: {flag} must not be negative, got {value!r}")
+        return n
     if isinstance(kind, tuple) and value not in kind:
         raise UsageError(f"{command}: {flag} must be one of {', '.join(kind)}, got {value!r}")
     return value
@@ -67,7 +70,8 @@ def _value(command: str, flag: str, kind, value: Optional[str]):
 def parse_args(argv: list) -> Optional[SimpleNamespace]:
     """The command that ``argv`` names, with its options and inputs, or None
     for ``-h`` or ``--help``.  Options may stand between inputs, and every
-    word after ``--`` is an input.  ``fuel`` defaults to ``HOLTRANS_FUEL``."""
+    word after ``--`` is an input.  ``fuel`` defaults to ``HOLTRANS_FUEL``;
+    a negative budget is refused, from either."""
     if not argv or argv[0] not in COMMANDS:
         if argv and argv[0] in ("-h", "--help"):
             return None
@@ -104,6 +108,8 @@ def parse_args(argv: list) -> Optional[SimpleNamespace]:
             args.fuel = int(fuel)
         except ValueError:
             raise UsageError(f"HOLTRANS_FUEL must be an integer, got {fuel!r}") from None
+        if args.fuel < 0:
+            raise UsageError(f"HOLTRANS_FUEL must not be negative, got {fuel!r}")
     return args
 
 

@@ -15,15 +15,19 @@ from .cli import STATS_FILE, _fail
 
 
 def _load_stats(paths: list) -> list:
-    """The article rows of each stats file; raises ``ValueError`` naming a
-    file that cannot be read as one."""
+    """The article rows of each stats file, each file read once however
+    often it is named; raises ``ValueError`` naming a file that cannot be
+    read as one."""
     rows = []
+    seen = set()  # resolved paths: a file named twice counts once
     for raw in paths or ["."]:
         p = Path(raw)
         if p.is_dir():
             p = p / STATS_FILE
-        if not p.exists():
+        key = p.resolve()
+        if key in seen or not p.exists():
             continue
+        seen.add(key)
         try:
             data = json.loads(p.read_text(encoding="utf-8"))
         except (OSError, ValueError) as e:

@@ -360,10 +360,7 @@ class TranslationEnv:
     built.
     """
 
-    def __init__(self, mode: str = "q0"):
-        if mode not in ("q0", "pts"):
-            raise TranslateError(f"unknown mode {mode!r}")
-        self.mode = mode
+    def __init__(self):
         self.typeops: dict[str, TypeOpInfo] = {}
         self.constants: dict[str, ConstInfo] = {}
         self.decls: list = []  # article-level kernel items, emission order
@@ -380,8 +377,8 @@ class TranslationEnv:
         self.namer = DkNamer(reserved=BASE_CONSTS)
 
     @classmethod
-    def from_vm(cls, state, mode: str = "q0") -> "TranslationEnv":
-        env = cls(mode)
+    def from_vm(cls, state) -> "TranslationEnv":
+        env = cls()
         for name, arity in state.typeops.items():
             if name not in hol.BUILTIN_TYPE_ARITY:
                 declare_type_op(env, name, arity)
@@ -875,30 +872,6 @@ class _Sharing:
             ty = ty.body
         return ty == TYPE or ty == _T
 
-    def result_type(self, t: Term) -> Optional[Term]:
-        """The declared type of the head constant of ``t``'s spine with one
-        product taken off per argument: ``t``'s type before its arguments
-        are put in.  None where the head is no constant or its type shows
-        too few products."""
-        args = 0
-        while type(t) is App:
-            t, args = t.fn, args + 1
-        ty = self.types.get(t.name) if type(t) is Const else None
-        while args and type(ty) is Prod:
-            ty, args = ty.body, args - 1
-        return None if args else ty
-
-    def type_floor(self, t: Term) -> int:
-        """A lower bound on the size of ``t``'s inferred type: putting the
-        arguments in for the bound variables of ``result_type`` shrinks no
-        node, and an abstraction's type has its domain."""
-        floor = 0
-        while type(t) is Abs:
-            floor += 1 + t.domain.size
-            t = t.body
-        ty = self.result_type(t)
-        return floor + (1 if ty is None else ty.size)
-
     def share(self, shared: dict, base: Signature, budget: kernel.Fuel) -> ShareReport:
         """The document with each class in ``shared`` hoisted where that
         pays; ``declined`` collects the classes that stay inline."""
@@ -944,38 +917,30 @@ class _Sharing:
         """The first occurrence of ``t``'s class: its reference once hoisted
         (or None), and ``t`` rewritten.
 
-        A class is hoisted where the nodes it saves exceed its definition's
-        body and type by half again (``_pays``).  The margin is there
-        because a definition prints its name, is checked on its own, and
-        must unfold where the checker meets its expansion, while gzip
-        already finds a short repeat; a long or nested one pays by far.
+        The profit rule: a class is hoisted where its occurrences, each
+        ``t`` as the unshared module prints it less the reference, exceed
+        its definition's body and inferred type by half again.  The margin
+        is there because a definition prints its name, is checked on its
+        own, and must unfold where the checker meets its expansion, while
+        gzip already finds a short repeat; a long or nested one pays by far.
         """
-        count = self.shared[t]
         body = self.rewrite(t, skip_self=True)
-        if _pays(count, t, body.size + self.type_floor(t)):
-            while f"s{self.next_name}" in self.taken:
-                self.next_name += 1
-            name = f"s{self.next_name}"
-            try:
-                ty = kernel.infer_type(self.sig, {}, body, self.budget)
-            except kernel.FuelExhausted as e:
-                raise kernel.FuelExhausted(f"definition {name}: ", e) from e
-            if _pays(count, t, body.size + ty.size):
-                self.next_name += 1
-                self.hoisted += 1
-                item = Defn(name, ty, body)
-                self.new_items.append(item)
-                self.sig.add(item)
-                return Const(name), body
-        self.declined.add(t)
-        return None, body
-
-
-def _pays(count: int, t: Term, cost: int) -> bool:
-    """The profit rule: hoisting ``t``'s class of ``count`` occurrences into
-    a definition whose body and type have ``cost`` nodes.  Each occurrence
-    saves ``t`` as the unshared module prints it, less the reference."""
-    return count * (t.size - 1) > PROFIT * cost
+        while f"s{self.next_name}" in self.taken:
+            self.next_name += 1
+        name = f"s{self.next_name}"
+        try:
+            ty = kernel.infer_type(self.sig, {}, body, self.budget)
+        except kernel.FuelExhausted as e:
+            raise kernel.FuelExhausted(f"definition {name}: ", e) from e
+        if self.shared[t] * (t.size - 1) <= PROFIT * (body.size + ty.size):
+            self.declined.add(t)
+            return None, body
+        self.next_name += 1
+        self.hoisted += 1
+        item = Defn(name, ty, body)
+        self.new_items.append(item)
+        self.sig.add(item)
+        return Const(name), body
 
 
 def _shared_terms(run: _Sharing, declined: set) -> dict:
@@ -1028,10 +993,10 @@ def share_document(
 
     A candidate has at least ``min_size`` nodes and is no type or type
     code; it is hoisted where it repeats as the shared module prints it and
-    where that pays (``_pays``).  A class that does not pay prints its body
-    at every occurrence, so the count is taken again with it inline, and
-    the module rewritten again, until no new repeat appears; a class
-    declined once stays inline.  ``fuel`` is the step budget of the whole
+    where that pays (``_Sharing.hoist``).  A class that does not pay prints
+    its body at every occurrence, so the count is taken again with it
+    inline, and the module rewritten again, until no new repeat appears; a
+    class declined once stays inline.  ``fuel`` is the step budget of the whole
     pass: every hoisted definition's type inference spends from it.
     """
     if base is None:
@@ -1077,9 +1042,11 @@ def translate_state(
     ``fuel`` is the step budget of sharing, spent across all its type
     inferences (self-verification, in ``verify_document``, has its own).
     Collisions the name table resolved with a numeric suffix are recorded
-    in a comment at the top.
+    in a comment at the top, each original name as a JSON string with
+    ``;`` escaped, so that no name can end the comment.
     """
-    env = TranslationEnv.from_vm(state, mode)
+    base = base_signature(mode)  # an unknown mode fails here, before any work
+    env = TranslationEnv.from_vm(state)
     theorems: list[tuple[Term, Term]] = []
     for seq, proof in state.theorems:
         p = compress_conversions(proof) if compress else proof
@@ -1091,13 +1058,16 @@ def translate_state(
     for k, (ty, body) in enumerate(theorems):
         items.append(Defn(env.namer.ident(f"thm_{k}"), ty, body))
     if env.namer.collisions:
-        note = "; ".join(f"{orig} renamed to {new}" for orig, new in env.namer.collisions)
+        import json  # loaded only by a module that has collisions
+
+        note = ", ".join(f"{json.dumps(old, ensure_ascii=False)} renamed to {new}" for old, new in env.namer.collisions)
+        note = note.replace(";", "\\u003b")  # a JSON escape: no name ends the comment
         items.insert(0, dkfile.Comment(f"name collisions: {note}"))
     doc = dkfile.DkDocument(module, tuple(items))
 
     share_hits = share_defs = 0
     if sharing:
-        report = share_document(doc, base_signature(mode), fuel=fuel)
+        report = share_document(doc, base, fuel=fuel)
         doc, share_hits, share_defs = report.document, report.replaced, report.hoisted
     return TranslationResult(doc, len(state.theorems), share_hits, share_defs)
 

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ sys.setrecursionlimit(100_000)
 from holtrans import hol, kernel, translate  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +22,20 @@ def q0():
 @pytest.fixture(scope="session")
 def pts():
     return translate.base_signature("pts")
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's article generator, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave nothing behind in perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 @pytest.fixture(scope="session")
@@ -45,8 +61,8 @@ CONSTS = {
 }
 
 
-def make_env(mode="q0"):
-    env = translate.TranslationEnv(mode)
+def make_env():
+    env = translate.TranslationEnv()
     translate.declare_type_op(env, LIST_OP, 1)
     translate.declare_type_op(env, PROD_OP, 2)
     for name, generic in CONSTS.items():
@@ -70,10 +86,10 @@ def captured_by_instantiation():
     return hol.Subst(hol.HolSubst(theta=(("A", b),)), renamed)
 
 
-def env_signature(env):
-    """The base signature extended with the environment's declarations."""
+def env_signature(env, mode="q0"):
+    """The base signature of ``mode`` extended with the environment's declarations."""
     return kernel.Signature(
-        tuple(translate.base_signature(env.mode).items) + tuple(env.decls)
+        tuple(translate.base_signature(mode).items) + tuple(env.decls)
     )
 
 

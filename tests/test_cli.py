@@ -110,7 +110,7 @@ def test_help_prints_the_usage_and_exits_0(argv, capsys):
         (["translate", "--no-sharing", "a.art", "--compress"], {"sharing": False, "compress": True, "mode": "q0"}),
         (["check", "-v", "a.dk", "--verbose", "-v"], {"verbose": 3, "fuel": None}),
         (["check", "--", "-v", "--fuel"], {"verbose": 0, "inputs": ["-v", "--fuel"]}),
-        (["check", "-", "--fuel", "-3"], {"inputs": ["-"], "fuel": -3}),
+        (["check", "-", "--fuel", "-0"], {"inputs": ["-"], "fuel": 0}),  # a value may start with "-"
         (["stats"], {"inputs": [], "as_json": False}),
         (["stats", "--json", "d"], {"inputs": ["d"], "as_json": True}),
     ],
@@ -608,6 +608,19 @@ def test_stats_table(tmp_path, capsys):
     assert lines[-2].split()[-2:] == lines[-1].split()[-2:] == ["4", "2"]
 
 
+def test_stats_reads_a_file_named_twice_once(tmp_path, capsys):
+    typeop = CORPUS / "10_definetypeop.art"
+    assert cli.main(["translate", str(IDENTITY), str(typeop), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["stats", str(tmp_path)]) == 0
+    want = capsys.readouterr().out
+    for twice in ([tmp_path, tmp_path], [tmp_path, tmp_path / "stats.json"], [tmp_path / ".." / tmp_path.name, tmp_path]):
+        assert cli.main(["stats", *map(str, twice)]) == 0
+        assert capsys.readouterr().out == want
+    assert cli.main(["stats", "--json", str(tmp_path), str(tmp_path / "stats.json")]) == 0
+    assert len(json.loads(capsys.readouterr().out)["articles"]) == 2
+
+
 def test_stats_empty_run(tmp_path, capsys):
     assert cli.main(["stats", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -692,6 +705,37 @@ def test_fuel_env_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, command)
     assert err == "error: HOLTRANS_FUEL must be an integer, got 'lots'\n"
     # an explicit --fuel makes the variable irrelevant
     assert cli.main(["translate", "--fuel", "250000", str(IDENTITY), "-o", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["translate", "check"])
+def test_negative_fuel_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    args = [str(IDENTITY), "-o", str(tmp_path)] if command == "translate" else [str(tmp_path / "01_identity.dk")]
+    assert cli.main([command, "--fuel", "-1", *args]) == 2
+    assert capsys.readouterr().err == f"error: {command}: --fuel must not be negative, got '-1'\n"
+    monkeypatch.setenv("HOLTRANS_FUEL", "-3")
+    assert cli.main([command, *args]) == 2
+    assert capsys.readouterr().err == "error: HOLTRANS_FUEL must not be negative, got '-3'\n"
+    # an explicit --fuel makes the variable irrelevant, and 0 is a budget
+    assert cli.main([command, "--fuel", "0", *args]) == 1
+    assert "FuelExhausted" in capsys.readouterr().err
+
+
+def test_a_name_that_would_end_a_comment_translates(tmp_path, capsys):
+    # "a;)" mangles to the identifier of the constant "a_u003b__u0029_",
+    # declared first, so the collision note names it: escaped, it cannot
+    # end the note's comment
+    art = tmp_path / "semi.art"
+    art.write_text("\n".join(
+        '6 version "bool" typeOp nil opType 0 def pop "x" 0 ref var 1 def pop 1 ref 1 ref varTerm absTerm 2 def pop '
+        '"a_u003b__u0029_" 2 ref defineConst pop pop "a;)" 2 ref defineConst pop pop'.split()
+    ) + "\n")
+    assert cli.main(["translate", str(art), "-o", str(tmp_path)]) == 0
+    text = (tmp_path / "semi.dk").read_text()
+    assert text.count(";)") == text.count("(;")
+    assert '(; name collisions: "tm.a\\u003b)" renamed to tm_a_u003b__u0029__2 ;)' in text
+    assert cli.main(["check", str(tmp_path / "semi.dk")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_self_verification_failure_names_the_error_type(tmp_path, capsys):

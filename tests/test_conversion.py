@@ -205,9 +205,9 @@ def test_conversion_matches_oracle_on_theorems(mode, seed):
     """Statements against inferred types, against their mutants, and
     against the same statements after sharing hoisted their subterms."""
     rng = random.Random(seed)
-    env = make_env(mode)
+    env = make_env()
     ty, body = tr.closed_theorem(env, HolGen(seed).proof(3))
-    sig = env_signature(env)
+    sig = env_signature(env, mode)
     inferred = k.infer_type(sig, {}, body)
     assert k.convertible(sig, inferred, ty) and ref.convertible(sig, inferred, ty)
     for bad in _mutants(ty, rng) + _mutants(inferred, rng):

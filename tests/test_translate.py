@@ -460,8 +460,17 @@ def test_pts_provability_rewrites(pts):
     assert got == want
 
 
+def test_unknown_mode_fails_without_sharing():
+    from holtrans import opentheory as ot
+
+    state = ot.run_text((CORPUS / "01_identity.art").read_bytes())
+    for sharing in (True, False):
+        with pytest.raises(tr.TranslateError, match="unknown mode 'q1'"):
+            tr.translate_state(state, "m", mode="q1", sharing=sharing)
+
+
 def test_mode_agreement_on_example2(pts):
-    env = make_env("pts")
+    env = make_env()
     proof, (x, _, z) = _example2()
     ctx = completeness_context(env, proof)
     ty = k.infer_type(pts, ctx, tr.trans_proof(env, proof))
@@ -473,10 +482,10 @@ def test_mode_agreement_on_example2(pts):
 def test_mode_agreement_on_random_proofs(seed):
     gen = HolGen(seed)
     proof = gen.proof(2)
-    env = make_env("pts")
+    env = make_env()
     ctx = completeness_context(env, proof)
     term = tr.trans_proof(env, proof)
-    sig = env_signature(env)
+    sig = env_signature(env, "pts")
     ty = k.infer_type(sig, ctx, term, fuel=10**7)
     want = tr.trans_prop_type(env, hol.check_proof(proof).concl)
     assert k.convertible(sig, ty, want)
@@ -737,15 +746,14 @@ def oracle_trans_subst(env, proof):
     return k.app(fn, *args)
 
 
-@pytest.mark.parametrize("mode", ["q0", "pts"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
-def test_closures_match_per_binder_oracle(mode, seed):
+def test_closures_match_per_binder_oracle(seed):
     proof = HolGen(seed).proof(3)
-    env = make_env(mode)
+    env = make_env()
     ty, body = tr.closed_theorem(env, proof)
     ctx = completeness_context(env, proof)
-    old_env = make_env(mode)
+    old_env = make_env()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tr, "_trans_subst", oracle_trans_subst)
         c = tr.closure_of(old_env, proof)

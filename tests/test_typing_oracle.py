@@ -51,9 +51,9 @@ def _mutants(t, rng):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 100_000))
 def test_infer_type_matches_reference_on_theorems(mode, seed):
-    env = make_env(mode)
+    env = make_env()
     ty, body = tr.closed_theorem(env, HolGen(seed).proof(3))
-    sig = env_signature(env)
+    sig = env_signature(env, mode)
     got = _outcome(k.infer_type, sig, body)
     assert isinstance(got, k.Term)
     assert got == _outcome(ref.infer_type, sig, body)
@@ -277,7 +277,7 @@ def test_signature_prefix_grows_in_place(monkeypatch):
 def _theorems(mode, seed, n=3):
     """The items of a signature that defines ``thm_0`` ... ``thm_(n-1)``,
     generated theorems, and the index of the first of them."""
-    env = make_env(mode)
+    env = make_env()
     thms = [tr.closed_theorem(env, HolGen(seed + i).proof(3)) for i in range(n)]
     items = [*tr.base_signature(mode).items, *env.decls]
     return items + [k.Defn(f"thm_{i}", ty, body) for i, (ty, body) in enumerate(thms)], len(items)
