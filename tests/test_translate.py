@@ -746,9 +746,10 @@ def oracle_trans_subst(env, proof):
     return k.app(fn, *args)
 
 
+@pytest.mark.parametrize("mode", ["q0", "pts"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
-def test_closures_match_per_binder_oracle(seed):
+def test_closures_match_per_binder_oracle(mode, seed):
     proof = HolGen(seed).proof(3)
     env = make_env()
     ty, body = tr.closed_theorem(env, proof)
@@ -765,6 +766,9 @@ def test_closures_match_per_binder_oracle(seed):
     fmt = dkfile.fmt_term
     assert (fmt(ty), fmt(body)) == (fmt(old_ty), fmt(old_body))
     assert [(n, fmt(t)) for n, t in ctx.items()] == [(n, fmt(t)) for n, t in old_ctx.items()]
+    # the environment has no mode; the closed theorem checks in either base signature
+    sig = env_signature(env, mode)
+    assert k.convertible(sig, k.infer_type(sig, {}, body), ty)
 
 
 def test_corpus_translates_in_pts_mode(pts, corpus_paths):
