@@ -4,7 +4,7 @@
 Translates articles four ways (sharing on/off x compression on/off) and
 prints the per-article byte counts, raw and gzip-compressed, then the
 definitions sharing hoisted and the kernel's verification fuel without
-and with sharing (both uncompressed).
+and with sharing (both uncompressed); the last row totals every column.
 
 Usage: python3 scripts/compare_sharing.py [ARTICLE.art ...]
 (default: every article in corpus/)
@@ -49,19 +49,21 @@ def main() -> int:
               f" {'defs':>5} {'fuel plain/shared':>18}")
     print(header)
     print("-" * len(header))
-    totals = [0] * 7
+    totals = [[0, 0] for _ in range(4)]  # raw and gzip bytes per way
+    defs_total = fuel_total = shared_fuel_total = 0
     for name, runs in rows:
         defs, fuel = runs[1][2], (runs[0][3], runs[1][3])  # uncompressed, without and with sharing
         display = " ".join(f"{raw:>6}/{gz:>5}" for raw, gz, _, _ in runs)
         print(f"{name:<18} {display} {defs:>5} {fuel[0]:>9}/{fuel[1]:<8}")
-        for i, (raw, _, _, _) in enumerate(runs):
-            totals[i] += raw
-        totals[4] += defs
-        totals[5] += fuel[0]
-        totals[6] += fuel[1]
+        for total, (raw, gz, _, _) in zip(totals, runs):
+            total[0] += raw
+            total[1] += gz
+        defs_total += defs
+        fuel_total += fuel[0]
+        shared_fuel_total += fuel[1]
     print("-" * len(header))
-    print(f"{'total (raw bytes)':<18} " + " ".join(f"{t:>12}" for t in totals[:4])
-          + f" {totals[4]:>5} {totals[5]:>9}/{totals[6]:<8}")
+    display = " ".join(f"{raw:>6}/{gz:>5}" for raw, gz in totals)
+    print(f"{'total':<18} {display} {defs_total:>5} {fuel_total:>9}/{shared_fuel_total:<8}")
     return 0
 
 

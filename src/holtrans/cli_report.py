@@ -17,7 +17,7 @@ from .cli import STATS_FILE, _fail
 def _load_stats(paths: list) -> list:
     """The article rows of each stats file, each file read once however
     often it is named; raises ``ValueError`` naming a file that cannot be
-    read as one."""
+    read as one, a missing one (a directory without one) included."""
     rows = []
     seen = set()  # resolved paths: a file named twice counts once
     for raw in paths or ["."]:
@@ -25,12 +25,14 @@ def _load_stats(paths: list) -> list:
         if p.is_dir():
             p = p / STATS_FILE
         key = p.resolve()
-        if key in seen or not p.exists():
+        if key in seen:
             continue
         seen.add(key)
         try:
             data = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as e:
+        except OSError as e:
+            raise ValueError(f"{p}: {e.strerror or e}") from None
+        except ValueError as e:
             raise ValueError(f"{p}: {e}") from None
         articles = data.get("articles", []) if isinstance(data, dict) else None
         if not isinstance(articles, list) or not all(

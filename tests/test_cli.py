@@ -622,9 +622,24 @@ def test_stats_reads_a_file_named_twice_once(tmp_path, capsys):
 
 
 def test_stats_empty_run(tmp_path, capsys):
+    (tmp_path / "stats.json").write_text('{"articles": []}')
     assert cli.main(["stats", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.strip().splitlines()[-1].startswith("Total")
+
+
+@pytest.mark.parametrize("where", ["no_such_dir", "empty_dir", "no_such_file.json"])
+def test_stats_on_a_missing_file_is_one_error_line(tmp_path, capsys, monkeypatch, where):
+    """A mistyped path, or a directory ``translate`` never wrote to, is no
+    empty run."""
+    (tmp_path / "empty_dir").mkdir()
+    missing = tmp_path / where / "stats.json" if where == "empty_dir" else tmp_path / where
+    assert cli.main(["stats", str(tmp_path / where)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {missing}: No such file or directory\n"
+    monkeypatch.chdir(tmp_path / "empty_dir")
+    assert cli.main(["stats"]) == 2
+    assert capsys.readouterr().err == "error: stats.json: No such file or directory\n"
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ and ``dag`` families, translated through ``cli.main`` under four flag sets.
 purpose regenerates it, and says why, with
 
     PYTHONPATH=src python3 tests/test_golden_dk.py --write
+
+which prints each key whose digest changed, appeared or disappeared.
 """
 
 import hashlib
@@ -60,6 +62,26 @@ def digests() -> dict:
     return out
 
 
+def changes(old: dict, new: dict) -> list:
+    """One line per key whose digest changed, appeared or disappeared."""
+    out = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            out.append(f"disappeared {key}")
+        elif key not in old:
+            out.append(f"appeared {key}")
+        elif old[key] != new[key]:
+            out.append(f"changed {key}")
+    return out
+
+
+def test_changes_names_each_key_that_differs():
+    old = {"a/x.dk": "1", "a/y.dk": "2", "b/x.dk": "3"}
+    new = {"a/x.dk": "1", "a/y.dk": "9", "c/x.dk": "3"}
+    assert changes(old, new) == ["changed a/y.dk", "disappeared b/x.dk", "appeared c/x.dk"]
+    assert changes(new, new) == []
+
+
 def test_dk_output_matches_golden_digests():
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = digests()
@@ -72,4 +94,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_dk.py --write")
     sys.setrecursionlimit(cli.RECURSION_LIMIT)
-    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    new = digests()
+    for line in changes(old, new):
+        print(line)
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")

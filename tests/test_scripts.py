@@ -38,7 +38,16 @@ def test_compare_sharing_script():
         assert (defs > 0) == (pairs[0] != pairs[1]), name  # it changes the module where it hoists
     pairs, defs = rows["10_definetypeop"]  # two statements, each used twice
     assert defs == 2 and int(pairs[4][1]) < int(pairs[4][0])
-    assert lines[-1].startswith("total (raw bytes)")
+    # the total row: each column summed, raw and gzip bytes alike
+    total = lines[-1]
+    assert total.split()[0] == "total"
+    pairs = re.findall(r"(\d+)/\s*(\d+)", total)
+    assert len(pairs) == 5
+    for i, (raw, gz) in enumerate(pairs[:4]):
+        assert int(raw) == sum(int(p[i][0]) for p, _ in rows.values())
+        assert int(gz) == sum(int(p[i][1]) for p, _ in rows.values())
+    assert int(total.split()[-2]) == sum(d for _, d in rows.values())
+    assert pairs[4] == (str(sum(int(p[4][0]) for p, _ in rows.values())), str(sum(int(p[4][1]) for p, _ in rows.values())))
 
 
 def test_compare_sharing_help_and_article_arguments():

@@ -746,29 +746,112 @@ def oracle_trans_subst(env, proof):
     return k.app(fn, *args)
 
 
+def oracle_trans_subst_changed(env, proof):
+    """``oracle_trans_subst`` with each position whose argument is its
+    binder's own variable left out, built binder by binder."""
+    c = tr.closure_of(env, proof.sub)
+    theta = proof.subst.theta_dict()
+    sigma = dict(proof.subst.sigma)
+    positions = []  # (kernel name, hint, domain, argument)
+    for n in c.tyvars:
+        arg = tr.trans_type_term(env, theta[n]) if n in theta else tr.tyvar_ref(n)
+        positions.append((tr.tyvar_name(n), n, tr._T, arg))
+    for v in c.termvars:
+        v_post = hol.Var(v.name, hol.type_subst(theta, v.type))
+        arg = tr.trans_term(env, sigma.get(v_post, v_post))
+        positions.append((env.termvar_name(v), v.name, tr.trans_type_type(env, v.type), arg))
+    for prop in c.hyps:
+        arg = k.Var(env.hyp_name(hol.apply_subst(proof.subst, prop)))
+        positions.append((env.hyp_name(prop), "h", tr.trans_prop_type(env, prop), arg))
+    kept = [pos for pos in positions if pos[3] != k.Var(pos[0])]
+    fn = c.core
+    for name, hint, domain, _ in reversed(kept):
+        fn = k.Abs(hint, domain, k.close(fn, name))
+    return k.app(fn, *(arg for *_, arg in kept))
+
+
+def _oracle_theorem(proof, trans_subst):
+    """The closed statement, closed body and open context of ``proof``,
+    built binder by binder with ``trans_subst`` translating its ``Subst``
+    nodes."""
+    env = make_env()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tr, "_trans_subst", trans_subst)
+        c = tr.closure_of(env, proof)
+        ty = oracle_pi_over(env, c, tr.trans_prop_type(env, c.sequent.concl))
+        return ty, oracle_close_over(env, c, c.core), oracle_completeness_context(env, proof)
+
+
 @pytest.mark.parametrize("mode", ["q0", "pts"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_closures_match_per_binder_oracle(mode, seed):
+    """The statement and context are the full closures'; a substitution's
+    redex binds only what it changes, so the body is the full-closure
+    oracle's with the identity positions beta-reduced."""
     proof = HolGen(seed).proof(3)
     env = make_env()
     ty, body = tr.closed_theorem(env, proof)
     ctx = completeness_context(env, proof)
-    old_env = make_env()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(tr, "_trans_subst", oracle_trans_subst)
-        c = tr.closure_of(old_env, proof)
-        old_ty = oracle_pi_over(old_env, c, tr.trans_prop_type(old_env, c.sequent.concl))
-        old_body = oracle_close_over(old_env, c, c.core)
-        old_ctx = oracle_completeness_context(old_env, proof)
-    assert (ty, body) == (old_ty, old_body)
+    old_ty, old_body, old_ctx = _oracle_theorem(proof, oracle_trans_subst)
+    ref_ty, ref_body, ref_ctx = _oracle_theorem(proof, oracle_trans_subst_changed)
     # printed, so that binder hints, which == ignores, are compared too
     fmt = dkfile.fmt_term
-    assert (fmt(ty), fmt(body)) == (fmt(old_ty), fmt(old_body))
-    assert [(n, fmt(t)) for n, t in ctx.items()] == [(n, fmt(t)) for n, t in old_ctx.items()]
+    assert ty == old_ty == ref_ty and fmt(ty) == fmt(old_ty) == fmt(ref_ty)
+    assert [(n, fmt(t)) for n, t in ctx.items()] == [(n, fmt(t)) for n, t in ref_ctx.items()]
+    # a redex translates fewer binder domains, so fresh names may be interned in another order
+    assert [fmt(t) for t in ctx.values()] == [fmt(t) for t in old_ctx.values()]
+    assert body == ref_body and fmt(body) == fmt(ref_body)
+    assert body.size <= old_body.size
     # the environment has no mode; the closed theorem checks in either base signature
     sig = env_signature(env, mode)
+    assert k.convertible(sig, body, old_body)
     assert k.convertible(sig, k.infer_type(sig, {}, body), ty)
+
+
+def test_a_lemma_instantiated_more_than_once_keeps_its_closure_for_sharing():
+    """A five-variable lemma instantiated once at each of its variables.
+    With sharing on, the five redexes keep the lemma's full closure, so
+    the five theorems are one closed term up to binder hints, which
+    sharing hoists once; with it off, each redex binds only the variable
+    it changes."""
+    from holtrans import opentheory as ot
+
+    lemma = HolGen(1).proof(3)
+    vs = sorted(hol.sequent_free_vars(lemma.sequent), key=lambda v: v.name)
+    assert len(vs) == 5
+    instances = [hol.Subst(hol.HolSubst(sigma=((v, hol.Var(v.name + "_z", v.type)),)), lemma) for v in vs]
+    state = ot.run_text(ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in instances])))
+    replayed = {id(p.sub) for _, p in state.theorems}
+    assert len(replayed) == 1  # the article keeps the lemma one node
+    shared = tr.translate_state(state, "m")
+    plain = tr.translate_state(state, "m", sharing=False)
+    assert (shared.share_defs, plain.share_defs) == (1, 0)
+    (hoisted,) = [it for it in shared.document.items if isinstance(it, k.Defn) and not it.name.startswith("thm_")]
+    _, closed_lemma = tr.closed_theorem(tr.TranslationEnv.from_vm(state), state.theorems[0][1].sub)
+
+    def redex(body):
+        """The head and arguments of a closed theorem's redex."""
+        while type(body) is k.Abs:
+            body = body.body
+        args = []
+        while type(body) is k.App:
+            body, args = body.fn, [body.arg, *args]
+        return body, args
+
+    assert redex(hoisted.body)[0] == closed_lemma
+    theorems = lambda doc: [it for it in doc.items if isinstance(it, k.Defn) and it.name.startswith("thm_")]  # noqa: E731
+    assert all(t.body == k.Const(hoisted.name) for t in theorems(shared.document))
+    assert [t.type for t in theorems(shared.document)] == [t.type for t in theorems(plain.document)]
+    # each redex of the unshared module binds only the variable it changes
+    assert [len(redex(t.body)[1]) for t in theorems(plain.document)] == [1] * 5
+    fuel = {}
+    for name, result in (("shared", shared), ("plain", plain)):
+        spent = k.Fuel()
+        tr.verify_document(result.document, fuel=spent)
+        fuel[name] = k.DEFAULT_FUEL - spent.left
+    assert fuel["shared"] < fuel["plain"]
+    assert len(dkfile.emit(shared.document)) < len(dkfile.emit(plain.document))
 
 
 def test_corpus_translates_in_pts_mode(pts, corpus_paths):
