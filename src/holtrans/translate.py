@@ -374,7 +374,6 @@ class TranslationEnv:
         self._termvar_names: dict[hol.Var, str] = {}
         self._termvars: dict[str, hol.Var] = {}  # the inverse of _termvar_names
         self._hyp_names: dict = {}  # term_key -> name
-        self.closed_subs: set[int] = set()  # ids of Subst premises translated as full closures
         self.namer = DkNamer(reserved=BASE_CONSTS)
 
     @classmethod
@@ -670,10 +669,8 @@ def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
     interned per variable and per alpha class of hypotheses, so a name
     decides it): that variable stays free in the core, bound by the scope
     around the redex, and the redex is the full closure's with those
-    positions beta-reduced.  A sub-derivation in ``env.closed_subs`` keeps
-    the full closure, a closed function that sharing can hoist."""
+    positions beta-reduced."""
     c = closure_of(env, proof.sub)
-    keep_all = id(proof.sub) in env.closed_subs
     theta = proof.subst.theta_dict()
     sigma = dict(proof.subst.sigma)
     binders: list[tuple[str, str, Term]] = []
@@ -681,44 +678,23 @@ def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
     for n in c.tyvars:
         arg = trans_type_term(env, theta[n]) if n in theta else tyvar_ref(n)
         name = tyvar_name(n)
-        if keep_all or type(arg) is not Var or arg.name != name:
+        if type(arg) is not Var or arg.name != name:
             binders.append((name, n, _T))
             args.append(arg)
     for v in c.termvars:
         v_post = hol.Var(v.name, hol.type_subst(theta, v.type))
         arg = trans_term(env, sigma.get(v_post, v_post))
         name = env.termvar_name(v)
-        if keep_all or type(arg) is not Var or arg.name != name:
+        if type(arg) is not Var or arg.name != name:
             binders.append((name, v.name, trans_type_type(env, v.type)))
             args.append(arg)
     for prop in c.hyps:
         arg = Var(env.hyp_name(hol.apply_subst(proof.subst, prop)))
         name = env.hyp_name(prop)
-        if keep_all or arg.name != name:
+        if arg.name != name:
             binders.append((name, "h", trans_prop_type(env, prop)))
             args.append(arg)
     return app(bind(Abs, binders, c.core), *args)
-
-
-def _instantiated_twice(proofs: Iterable[hol.Proof]) -> set[int]:
-    """The ids of the derivations that two or more ``Subst`` nodes
-    instantiate, counted in one walk of the proof DAG."""
-    seen: set[int] = set()
-    once: set[int] = set()
-    twice: set[int] = set()
-    stack = list(proofs)
-    while stack:
-        p = stack.pop()
-        if id(p) in seen:
-            continue
-        seen.add(id(p))
-        if type(p) is hol.Subst:
-            (twice if id(p.sub) in once else once).add(id(p.sub))
-        for f in p._fields:
-            x = getattr(p, f)
-            if isinstance(x, hol.Proof):
-                stack.append(x)
-    return twice
 
 
 def _trans_axiom(env: TranslationEnv, proof: hol.Axiom) -> Term:
@@ -1081,20 +1057,16 @@ def translate_state(
 
     ``fuel`` is the step budget of sharing, spent across all its type
     inferences (self-verification, in ``verify_document``, has its own).
-    With ``sharing``, a derivation that two or more ``Subst`` nodes
-    instantiate keeps its full closure in each redex, so that
-    ``share_document`` can hoist it once; the module may then differ from
-    ``share_document`` applied to the module translated without sharing.
     Collisions the name table resolved with a numeric suffix are recorded
     in a comment at the top, each original name as a JSON string with
     ``;`` escaped, so that no name can end the comment.
     """
     base = base_signature(mode)  # an unknown mode fails here, before any work
     env = TranslationEnv.from_vm(state)
-    proofs = [compress_conversions(proof) if compress else proof for _, proof in state.theorems]
-    if sharing:
-        env.closed_subs = _instantiated_twice(proofs)
-    theorems = [closed_theorem(env, p) for p in proofs]
+    theorems: list[tuple[Term, Term]] = []
+    for seq, proof in state.theorems:
+        p = compress_conversions(proof) if compress else proof
+        theorems.append(closed_theorem(env, p))
 
     items: list = [dkfile.Comment(f"module {module}: generated from {module}.art")]
     items.append(dkfile.Comment("requires hol.dk (base signature)"))
