@@ -65,7 +65,7 @@ def cmd_stats(args: SimpleNamespace) -> int:
         _fail(str(e))
         return 2
     if args.as_json:
-        print(json.dumps({"articles": rows}, indent=2))
+        print(json.dumps({"articles": rows}))
         return 0
     for row in rows:
         parts = [f"{key}={row.get(key)}" for _, key in _COLUMNS]

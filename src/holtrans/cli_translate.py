@@ -133,6 +133,6 @@ def cmd_translate(args: SimpleNamespace) -> int:
             print(f"{path} -> {out_path} ({result.theorem_count} theorem(s))")
 
     stats = {"mode": args.mode, "compress": args.compress, "sharing": args.sharing, "articles": articles}
-    if not _write_output(outdir / STATS_FILE, json.dumps(stats, indent=2).encode("utf-8")):
+    if not _write_output(outdir / STATS_FILE, json.dumps(stats).encode("utf-8")):
         return 2
     return 0

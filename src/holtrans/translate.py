@@ -80,27 +80,6 @@ _PROOF = Const("proof")
 _IMP = Const("imp")
 _FORALL = Const("forall")
 
-BASE_CONSTS = (
-    "type",
-    "bool",
-    "ind",
-    "arrow",
-    "term",
-    "eq",
-    "select",
-    "proof",
-    "Refl",
-    "FunExt",
-    "AppThm",
-    "PropExt",
-    "EqMp",
-    "imp",
-    "forall",
-    "imp_intro",
-    "imp_elim",
-)
-
-
 def tyvar_name(name: str) -> str:
     return "'" + name
 
@@ -292,15 +271,14 @@ def base_document(mode: str = "q0") -> dkfile.DkDocument:
 
 class DkNamer:
     """Per-document name table of the ``.dk`` identifiers the translator
-    declares: injective on the names it has seen."""
+    declares: injective on the names it has seen.  The translator asks only
+    for prefixed names (``tm.``, ``ty.``, ``ax.``, ``thm_``), so none of
+    them is a base signature's name."""
 
-    def __init__(self, reserved: tuple = ()):
+    def __init__(self):
         self.mapping: dict[str, str] = {}
         self.used: set[str] = set(dkfile.RESERVED)
         self.collisions: list[tuple[str, str]] = []
-        for name in reserved:
-            self.mapping[name] = name
-            self.used.add(name)
 
     def ident(self, name: str) -> str:
         hit = self.mapping.get(name)
@@ -374,7 +352,7 @@ class TranslationEnv:
         self._termvar_names: dict[hol.Var, str] = {}
         self._termvars: dict[str, hol.Var] = {}  # the inverse of _termvar_names
         self._hyp_names: dict = {}  # term_key -> name
-        self.namer = DkNamer(reserved=BASE_CONSTS)
+        self.namer = DkNamer()
 
     @classmethod
     def from_vm(cls, state) -> "TranslationEnv":
@@ -860,18 +838,25 @@ PROFIT = 1.5  # nodes a hoisted definition must save per node of its own
 
 
 class _Sharing:
-    """One run of ``share_document``: the document, and the facts the pass
-    asks of a node.
+    """One run of ``share_document``: its signature (the base and the
+    module's items, grown by each hoisted definition and by each item as
+    rewritten), the counts of one scan, and its decisions.
 
     A candidate is a closed subterm (no loose index, no free variable) of at
     least ``min_size`` nodes that is no type-level term.  Its class is the
     term itself: equal subterms, hints aside, are one class.
     """
 
-    def __init__(self, doc: dkfile.DkDocument, base: Signature, min_size: int):
+    def __init__(self, doc: dkfile.DkDocument, base: Signature, min_size: int, fuel: Optional[int] = None):
         self.doc = doc
         self.min_size = max(min_size, 2)  # a leaf is never a candidate
-        self.types = {it.name: it.type for it in (*base.items, *doc.items) if isinstance(it, (ConstDecl, Defn))}
+        self.sig = Signature((*base.items, *dkfile.signature_items(doc)))  # a copy: base may be cached
+        self.budget = kernel.Fuel(kernel.DEFAULT_FUEL if fuel is None else fuel)
+        self.shared = _shared_terms(self)
+        self.decided: dict = {}  # class -> its reference, or None where it stays inline
+        self.next_name = 0
+        self.new_items: list = []
+        self.hoisted = self.replaced = 0
 
     def type_level(self, t: Term) -> bool:
         """Whether ``t`` is a type or a type code: a product, or an
@@ -883,32 +868,10 @@ class _Sharing:
             return True
         while type(t) is App:
             t = t.fn
-        ty = self.types.get(t.name) if type(t) is Const else None
+        ty = self.sig.const_type(t.name) if type(t) is Const else None
         while type(ty) is Prod:
             ty = ty.body
         return ty == TYPE or ty == _T
-
-    def share(self, shared: dict, base: Signature, budget: kernel.Fuel) -> ShareReport:
-        """The document with each class in ``shared`` hoisted where that
-        pays; ``declined`` collects the classes that stay inline."""
-        self.shared = shared
-        self.budget = budget
-        self.decided: dict = {}  # class -> its reference, or None where it stays inline
-        self.declined: set = set()
-        self.taken = {item.name for item in self.doc.items if isinstance(item, (ConstDecl, Defn))}
-        self.next_name = 0
-        self.sig = Signature(base.items)  # grown in place below; base may be cached
-        self.new_items: list = []
-        self.hoisted = self.replaced = 0
-        for item in self.doc.items:
-            if isinstance(item, ConstDecl):
-                item = ConstDecl(item.name, self.rewrite(item.type))
-            elif isinstance(item, Defn):
-                item = Defn(item.name, self.rewrite(item.type), self.rewrite(item.body))
-            self.new_items.append(item)
-            if isinstance(item, (ConstDecl, Defn, RewriteRule)):
-                self.sig.add(item)
-        return ShareReport(dkfile.DkDocument(self.doc.module, tuple(self.new_items)), self.hoisted, self.replaced)
 
     def rewrite(self, t: Term, skip_self: bool = False) -> Term:
         """``t`` with its hoisted classes replaced; ``t`` itself where none is."""
@@ -941,7 +904,7 @@ class _Sharing:
         gzip already finds a short repeat; a long or nested one pays by far.
         """
         body = self.rewrite(t, skip_self=True)
-        while f"s{self.next_name}" in self.taken:
+        while f"s{self.next_name}" in self.sig:
             self.next_name += 1
         name = f"s{self.next_name}"
         try:
@@ -949,9 +912,7 @@ class _Sharing:
         except kernel.FuelExhausted as e:
             raise kernel.FuelExhausted(f"definition {name}: ", e) from e
         if self.shared[t] * (t.size - 1) <= PROFIT * (body.size + ty.size):
-            self.declined.add(t)
             return None, body
-        self.next_name += 1
         self.hoisted += 1
         item = Defn(name, ty, body)
         self.new_items.append(item)
@@ -959,18 +920,19 @@ class _Sharing:
         return Const(name), body
 
 
-def _shared_terms(run: _Sharing, declined: set) -> dict:
+def _shared_terms(run: _Sharing) -> dict:
     """The candidate classes that occur at least twice as the shared
     document prints them, each with its count.
 
     A candidate is descended at its first occurrence only: its later ones
     print as references, and its body prints once.  That also keeps the
     scan linear in a closed DAG.  Everything else is descended wherever it
-    occurs, as it prints there, and so is a class in ``declined``: it stays
-    inline, and its body prints at each occurrence.  A subterm smaller than
-    ``min_size`` holds no candidate.
+    occurs, as it prints there.  A subterm smaller than ``min_size`` holds
+    no candidate.  The count is taken once, as if every candidate were
+    hoisted: a class that does not pay prints its body at each occurrence,
+    but what repeats inside it is not counted again.
     """
-    counts: dict = dict.fromkeys(declined, 0)  # class -> occurrences so far; 0 where it is no candidate
+    counts: dict = {}  # class -> occurrences so far; 0 where it is no candidate
     shared = []
     min_size = run.min_size
     for item in run.doc.items:
@@ -1009,29 +971,21 @@ def share_document(
 
     A candidate has at least ``min_size`` nodes and is no type or type
     code; it is hoisted where it repeats as the shared module prints it and
-    where that pays (``_Sharing.hoist``).  A class that does not pay prints
-    its body at every occurrence, so the count is taken again with it
-    inline, and the module rewritten again, until no new repeat appears; a
-    class declined once stays inline.  ``fuel`` is the step budget of the whole
-    pass: every hoisted definition's type inference spends from it.
+    where that pays (``_Sharing.hoist``).  The module is scanned once and
+    rewritten once; a class that does not pay stays inline.  ``fuel`` is
+    the step budget of the whole pass: every class's type inference spends
+    from it.
     """
-    if base is None:
-        base = base_signature("q0")
-    run = _Sharing(doc, base, min_size)
-    budget = kernel.Fuel(kernel.DEFAULT_FUEL if fuel is None else fuel)
-    report = ShareReport(doc, 0, 0)
-    declined: set = set()
-    shared = _shared_terms(run, declined)
-    while shared:
-        report = run.share(shared, base, budget)
-        if not run.declined:
-            break
-        declined |= run.declined
-        again = _shared_terms(run, declined)
-        if again.keys() <= shared.keys():
-            break
-        shared = again
-    return report
+    run = _Sharing(doc, base_signature("q0") if base is None else base, min_size, fuel)
+    if not run.shared:
+        return ShareReport(doc, 0, 0)
+    for item in doc.items:
+        if isinstance(item, (ConstDecl, Defn)):
+            ty = run.rewrite(item.type)
+            item = ConstDecl(item.name, ty) if type(item) is ConstDecl else Defn(item.name, ty, run.rewrite(item.body))
+            run.sig.add(item)  # shadows the item as written: a later type read from it prints its references
+        run.new_items.append(item)
+    return ShareReport(dkfile.DkDocument(doc.module, tuple(run.new_items)), run.hoisted, run.replaced)
 
 
 # ---------------------------------------------------------------------------

@@ -102,3 +102,18 @@ def test_ab_replay_runs_one_untimed_process_of_each_tree_first(tmp_path):
     # the translate that writes the checked document, the warm-up, the pairs
     assert log.read_text().split() == ["translate", "check", "check", "check"]
     assert not list(tmp_path.glob("*/holtrans/__pycache__"))
+
+
+def test_traffic_script_on_one_article():
+    one = SCRIPTS.parent / "corpus" / "01_identity.art"
+    proc = _run(SCRIPTS / "traffic.py", one)
+    assert proc.returncode == 0, proc.stderr
+    *idle, total = proc.stdout.splitlines()
+    never, of = map(int, re.fullmatch(r"(\d+) of (\d+) statements never ran", total).groups())
+    assert never == len(idle) and 0 < never < of
+    files = {line.split(":")[0] for line in idle}
+    assert "src/holtrans/artwriter.py" in files  # no command loads the article writer
+    # what every command runs is not listed, such as ``cli.main``'s first statement
+    cli = (SCRIPTS.parent / "src" / "holtrans" / "cli.py").read_text().splitlines()
+    first = cli.index("    sys.setrecursionlimit(RECURSION_LIMIT)") + 1
+    assert f"src/holtrans/cli.py:{first}:" not in proc.stdout

@@ -114,13 +114,13 @@ def shape(t, hints=True):
     return (type(t).__name__, t.hint if hints else None, shape(t.domain, hints), shape(body, hints))
 
 
-def oracle_type_level(t, types):
+def oracle_type_level(t, sig):
     """A product, or a spine whose head constant's declared type, with all
     its products taken off, is ``Type`` or ``type``."""
     if isinstance(t, k.Prod):
         return True
     head, _ = k.spine(t)
-    ty = types.get(head.name) if isinstance(head, k.Const) else None
+    ty = sig.const_type(head.name) if isinstance(head, k.Const) else None
     while isinstance(ty, k.Prod):
         ty = ty.body
     return ty in (k.TYPE, k.Const("type"))
@@ -129,20 +129,19 @@ def oracle_type_level(t, types):
 def oracle_candidate(t, run):
     return (isinstance(t, (k.App, k.Abs, k.Prod)) and oracle_size(t) >= run.min_size
             and oracle_escape_level(t) == 0 and not oracle_free_names(t)
-            and not oracle_type_level(t, run.types))
+            and not oracle_type_level(t, run.sig))
 
 
-def oracle_shared_terms(run, declined=frozenset()):
+def oracle_shared_terms(run):
     """The sharing pass's count of repeats, slowly: every root walked as a
     tree, and every occurrence of a candidate counted where it prints.  It
     prints unless it lies inside a later occurrence of a candidate's class:
     hoisted, that prints as a reference, and its body once, at the first.
-    A class in ``declined`` stays inline, so it is no candidate.  ``{shape: (count, an occurrence)}`` for the classes counted
-    twice."""
+    ``{shape: (count, an occurrence)}`` for the classes counted twice."""
     counts, first = {}, {}
 
     def walk(u):
-        if oracle_candidate(u, run) and u not in declined:
+        if oracle_candidate(u, run):
             cls = shape(u, hints=False)
             counts[cls] = counts.get(cls, 0) + 1
             first.setdefault(cls, u)
@@ -163,9 +162,9 @@ def oracle_shared_terms(run, declined=frozenset()):
     return {cls: (n, first[cls]) for cls, n in counts.items() if n >= 2}
 
 
-def oracle_as_shared_terms(run, declined):
+def oracle_as_shared_terms(run):
     """``oracle_shared_terms`` in the form ``translate._shared_terms`` gives."""
-    return {t: n for n, t in oracle_shared_terms(run, declined).values()}
+    return {t: n for n, t in oracle_shared_terms(run).values()}
 
 
 def subterms(t):
@@ -358,16 +357,11 @@ def _planted_doc(pool, extra, rnd):
 @given(st.lists(CLOSED, min_size=1, max_size=3), st.lists(terms(12), min_size=1, max_size=6),
        st.integers(2, 8), st.randoms(use_true_random=False))
 def test_shared_terms_match_oracle_scan(pool, extra, min_size, rnd):
-    # candidates occur once, twice and three or more times; then some of
-    # them are declined, and what they hold prints at each occurrence
+    # candidates occur once, twice and three or more times
     doc = _planted_doc(pool, extra, rnd)
     run = tr._Sharing(doc, tr.base_signature("q0"), min_size)
-    declined = set()
-    for _ in range(2):
-        fast = tr._shared_terms(run, declined)
-        slow = oracle_shared_terms(run, declined)
-        assert {shape(t, hints=False): n for t, n in fast.items()} == {c: n for c, (n, _) in slow.items()}
-        declined |= set(rnd.sample(list(fast), len(fast) // 2))
+    slow = oracle_shared_terms(run)
+    assert {shape(t, hints=False): n for t, n in run.shared.items()} == {c: n for c, (n, _) in slow.items()}
 
 
 def _dag_article(depth, leaf=hol.Const("c", hol.BOOL)):
