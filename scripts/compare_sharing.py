@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Measure how sharing and conversion compression affect output size.
+"""Measure how sharing affects output size and verification fuel.
 
-Translates articles four ways (sharing on/off x compression on/off) and
-prints the per-article byte counts, raw and gzip-compressed, then the
-definitions sharing hoisted and the kernel's verification fuel without
-and with sharing (both uncompressed); the last row totals every column.
+Translates articles without and with sharing and prints the per-article
+byte counts, raw and gzip-compressed, then the definitions sharing hoisted
+and the kernel's verification fuel without and with sharing; the last row
+totals every column.
 
 Usage: python3 scripts/compare_sharing.py [ARTICLE.art ...]
 (default: every article in corpus/)
@@ -21,11 +21,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from holtrans import dkfile, kernel, opentheory, translate  # noqa: E402
 
 
-def measure(state, name, sharing, compress):
+def measure(state, name, sharing):
     """Raw and gzip bytes of the module, definitions hoisted, verify fuel."""
-    result = translate.translate_state(
-        state, name, sharing=sharing, compress=compress
-    )
+    result = translate.translate_state(state, name, sharing=sharing)
     text = dkfile.emit(result.document).encode()
     fuel = kernel.Fuel()
     translate.verify_document(result.document, fuel=fuel)
@@ -42,17 +40,16 @@ def main() -> int:
     for path in args.articles or sorted((ROOT / "corpus").glob("*.art")):
         state = opentheory.run_text(path.read_text())
         name = path.stem
-        runs = [measure(state, name, sharing, compress) for compress in (False, True) for sharing in (False, True)]
+        runs = [measure(state, name, sharing) for sharing in (False, True)]
         rows.append((name, runs))
 
-    header = (f"{'article':<18} {'plain':>12} {'shared':>12} {'compressed':>12} {'both':>12}"
-              f" {'defs':>5} {'fuel plain/shared':>18}")
+    header = f"{'article':<18} {'plain':>12} {'shared':>12} {'defs':>5} {'fuel plain/shared':>18}"
     print(header)
     print("-" * len(header))
-    totals = [[0, 0] for _ in range(4)]  # raw and gzip bytes per way
+    totals = [[0, 0] for _ in range(2)]  # raw and gzip bytes per way
     defs_total = fuel_total = shared_fuel_total = 0
     for name, runs in rows:
-        defs, fuel = runs[1][2], (runs[0][3], runs[1][3])  # uncompressed, without and with sharing
+        defs, fuel = runs[1][2], (runs[0][3], runs[1][3])  # without and with sharing
         display = " ".join(f"{raw:>6}/{gz:>5}" for raw, gz, _, _ in runs)
         print(f"{name:<18} {display} {defs:>5} {fuel[0]:>9}/{fuel[1]:<8}")
         for total, (raw, gz, _, _) in zip(totals, runs):

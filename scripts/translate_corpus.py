@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Translate the bundled article corpus and print the statistics table.
 
-Usage: python3 scripts/translate_corpus.py [--mode q0|pts] [--compress] [-o DIR]
+Usage: python3 scripts/translate_corpus.py [--mode q0|pts] [-o DIR]
 """
 
 import argparse
@@ -17,7 +17,6 @@ from holtrans import cli  # noqa: E402
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mode", choices=("q0", "pts"), default="q0")
-    parser.add_argument("--compress", action="store_true")
     parser.add_argument("-o", "--outdir", default=str(ROOT / "build" / "dk"))
     args = parser.parse_args()
 
@@ -25,8 +24,7 @@ def main() -> int:
     if not articles:
         print("no corpus articles found", file=sys.stderr)
         return 2
-    flags = ["--mode", args.mode] + (["--compress"] if args.compress else [])
-    rc = cli.main(["translate", *flags, "-o", args.outdir, *articles])
+    rc = cli.main(["translate", "--mode", args.mode, "-o", args.outdir, *articles])
     if rc != 0:
         return rc
     outs = sorted(str(p) for p in Path(args.outdir).glob("*.dk"))

@@ -27,7 +27,8 @@ STATS_FILE = "stats.json"
 # Each command: the inputs it takes ("+": one or more, "*": any, "": none) and its
 # options, by spelling: the attribute each sets and how.  ``int``, ``str`` or a tuple
 # of the values allowed takes the next word (or what follows ``=``), "count" adds
-# one, and a bool is stored as it is.
+# one, and a bool is stored as it is.  ``--compress`` is still accepted and changes
+# nothing: the translation always compresses conversions.
 _FUEL_VERBOSE = {"--fuel": ("fuel", int), "-v": ("verbose", "count"), "--verbose": ("verbose", "count")}
 COMMANDS = {
     "translate": ("+", {"--mode": ("mode", ("q0", "pts")), "--compress": ("compress", True),

@@ -89,7 +89,6 @@ def cmd_translate(args: SimpleNamespace) -> int:
                 state,
                 name,
                 mode=args.mode,
-                compress=args.compress,
                 sharing=args.sharing,
                 fuel=args.fuel,
             )
@@ -132,7 +131,7 @@ def cmd_translate(args: SimpleNamespace) -> int:
         if args.verbose:
             print(f"{path} -> {out_path} ({result.theorem_count} theorem(s))")
 
-    stats = {"mode": args.mode, "compress": args.compress, "sharing": args.sharing, "articles": articles}
+    stats = {"mode": args.mode, "sharing": args.sharing, "articles": articles}
     if not _write_output(outdir / STATS_FILE, json.dumps(stats).encode("utf-8")):
         return 2
     return 0

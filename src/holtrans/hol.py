@@ -233,7 +233,10 @@ SELECT = "select"
 
 
 class HolTerm(_Node):
+    """``size``, the number of nodes as a tree, is kept in each node."""
+
     __slots__ = ()
+    size = 1
 
 
 class _Named(HolTerm):
@@ -265,13 +268,14 @@ class Const(_Named):
 class Abs(HolTerm):
     """``type`` is computed, and is not compared."""
 
-    __slots__ = ("var", "body", "type")
+    __slots__ = ("var", "body", "type", "size")
     _fields = ("var", "body")
 
     def __init__(self, var: Var, body: HolTerm):
         self.var = var
         self.body = body
         self.type = TyOp("->", (var.type, body.type))
+        self.size = body.size + 2
         self._hash = None
 
     def __eq__(self, other: object) -> bool:
@@ -291,7 +295,7 @@ class App(HolTerm):
     """``type`` is computed, and is not compared; an argument that does not
     fit the function raises ``AppTypeMismatch``."""
 
-    __slots__ = ("fn", "arg", "type")
+    __slots__ = ("fn", "arg", "type", "size")
     _fields = ("fn", "arg")
 
     def __init__(self, fn: HolTerm, arg: HolTerm):
@@ -301,6 +305,7 @@ class App(HolTerm):
         self.fn = fn
         self.arg = arg
         self.type = b
+        self.size = fn.size + arg.size + 1
         self._hash = None
 
     def __eq__(self, other: object) -> bool:
@@ -345,14 +350,16 @@ def dest_eq(t: HolTerm) -> tuple[HolTerm, HolTerm]:
     raise HolError(f"not an equality: a term of type {fmt_type(t.type)}")
 
 
-def free_vars(t: HolTerm) -> frozenset:
-    """The free variables of ``t``; each distinct node is visited once."""
-    memo: dict[int, frozenset] = {}
+def free_vars(t: HolTerm, memo: Optional[dict] = None) -> frozenset:
+    """The free variables of ``t``; each distinct node is visited once, also
+    across the calls that share ``memo`` (it keeps each node it maps)."""
+    if memo is None:
+        memo = {}
 
     def go(u: HolTerm) -> frozenset:
         hit = memo.get(id(u))
         if hit is not None:
-            return hit
+            return hit[1]
         if isinstance(u, Var):
             out = frozenset((u,))
         elif isinstance(u, Const):
@@ -362,7 +369,7 @@ def free_vars(t: HolTerm) -> frozenset:
         else:
             assert isinstance(u, App)
             out = go(u.fn) | go(u.arg)
-        memo[id(u)] = out
+        memo[id(u)] = (u, out)
         return out
 
     out = go(t)
@@ -590,32 +597,68 @@ def apply_subst(s: HolSubst, t: HolTerm) -> HolTerm:
     return subst_vars(dict(s.sigma), out)
 
 
-def beta_step(t: HolTerm) -> Optional[HolTerm]:
-    if isinstance(t, App):
-        if isinstance(t.fn, Abs):
-            return subst_vars({t.fn.var: t.arg}, t.fn.body)
-        rf = beta_step(t.fn)
-        if rf is not None:
-            return App(rf, t.arg)
-        ra = beta_step(t.arg)
-        if ra is not None:
-            return App(t.fn, ra)
-        return None
-    if isinstance(t, Abs):
-        rb = beta_step(t.body)
-        if rb is not None:
-            return Abs(t.var, rb)
-        return None
-    return None
+class _OverBudget(Exception):
+    pass
 
 
-def beta_normalize(t: HolTerm) -> HolTerm:
-    """Full beta-normal form; terminates because the terms are simply typed."""
-    while True:
-        r = beta_step(t)
-        if r is None:
+class _Beta:
+    """One beta-normalization: the normal form and the free variables of
+    each node met, by identity (an entry keeps its node, so no id is
+    reused), and the steps its budget has left."""
+
+    def __init__(self, budget: float):
+        self.budget = self.left = budget
+        self.normal: dict = {}
+        self.free: dict = {}
+
+    def go(self, t: HolTerm, v: Optional[Var], a: Optional[HolTerm], memo: Optional[dict]) -> HolTerm:
+        """The normal form of ``t[v := a]`` (of ``t`` where ``v`` is None),
+        ``a`` normal; ``memo`` is this substitution's.  A binder that would
+        capture a free variable of ``a`` is renamed with primes, as
+        ``subst_vars`` renames it."""
+        if type(t) is Var:
+            return a if t == v else t
+        if type(t) is Const:
             return t
-        t = r
+        if v is None or v not in free_vars(t, self.free):
+            v, memo = None, self.normal
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        if type(t) is Abs:
+            w, body = t.var, t.body
+            names = {u.name for u in free_vars(a, self.free)} if v is not None else ()
+            if w.name in names:
+                taken = names | {u.name for u in free_vars(body, self.free)} | {v.name}
+                new = w.name + "'"
+                while new in taken:
+                    new += "'"
+                body, w = self.go(body, w, Var(new, w.type), {}), Var(new, w.type)
+            b = self.go(body, v, a, memo)
+            out = t if w is t.var and b is t.body else Abs(w, b)
+        else:
+            f, x = self.go(t.fn, v, a, memo), self.go(t.arg, v, a, memo)
+            if type(f) is Abs:
+                out = self.go(f.body, f.var, x, {})
+            else:
+                out = t if f is t.fn and x is t.arg else App(f, x)
+        memo[id(t)] = (t, out)
+        self.left -= 1
+        if self.left < 0 or out.size > self.budget:
+            raise _OverBudget
+        return out
+
+
+def beta_normalize(t: HolTerm, budget: float = float("inf")) -> Optional[HolTerm]:
+    """The beta-normal form of ``t``, or None once that takes more than
+    ``budget`` steps or builds a term larger than ``budget`` as a tree.
+    Each distinct node is normalized once and each contraction visits a
+    distinct node of its body once, so shared nodes stay shared.  It
+    terminates because the terms are simply typed."""
+    try:
+        return _Beta(budget).go(t, None, None, None)
+    except _OverBudget:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,7 @@ class TranslationEnv:
         self._def_axioms: dict[str, str] = {}
         self._typeop_axioms: dict[int, tuple[str, str]] = {}
         self._trans_memo: dict[int, Term] = {}
+        self._pure: dict = {}  # proof id -> (proof, congruence-only?)
         self._term_memo: dict[int, Term] = {}
         self._keep: list = []
         self.typeop_thms: dict[int, tuple[hol.Proof, hol.Proof]] = {}
@@ -508,14 +509,11 @@ def trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
 
 
 def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
-    if isinstance(proof, hol.Refl):
-        return app(Const("Refl"), trans_type_term(env, proof.term.type), trans_term(env, proof.term))
-
-    if isinstance(proof, hol.ConvRefl):
-        return app(Const("Refl"), trans_type_term(env, proof.normal.type), trans_term(env, proof.normal))
-
-    if isinstance(proof, hol.Beta):
-        return app(Const("Refl"), trans_type_term(env, proof.body.type), trans_term(env, proof.body))
+    nf = _conversion_normal(proof, env._pure)
+    if nf is not None or isinstance(proof, (hol.Refl, hol.Beta)):
+        # one reflexivity step; the kernel's conversion checks the rest
+        t = nf if nf is not None else hol.dest_eq(proof.sequent.concl)[1]
+        return app(Const("Refl"), trans_type_term(env, t.type), trans_term(env, t))
 
     if isinstance(proof, hol.Assume):
         return Var(env.hyp_name(proof.prop))
@@ -766,9 +764,7 @@ def _pure_conversion(proof: hol.Proof, memo: dict) -> bool:
         ok = True
     elif isinstance(proof, hol.AppThm):
         ok = _pure_conversion(proof.fun, memo) and _pure_conversion(proof.arg, memo)
-    elif isinstance(proof, hol.AbsThm):
-        ok = _pure_conversion(proof.sub, memo)
-    elif isinstance(proof, hol.Subst):
+    elif isinstance(proof, (hol.AbsThm, hol.Subst)):
         ok = _pure_conversion(proof.sub, memo)
     else:
         ok = False
@@ -776,51 +772,36 @@ def _pure_conversion(proof: hol.Proof, memo: dict) -> bool:
     return ok
 
 
-def compress_conversions(proof: hol.Proof, _memo: Optional[dict] = None, _pure: Optional[dict] = None) -> hol.Proof:
-    """Collapse maximal congruence-only subtrees into single reflexivity steps.
+def _conversion_normal(proof: hol.Proof, pure: dict) -> Optional[hol.HolTerm]:
+    """The beta-normal form of ``proof``'s right side (a ``ConvRefl`` carries
+    it) where ``proof`` is congruence-only and not a bare ``Refl``, so one
+    reflexivity step proves it; None elsewhere, and where the form
+    outgrows the two sides' trees."""
+    if isinstance(proof, hol.Refl) or not _pure_conversion(proof, pure):
+        return None
+    if isinstance(proof, hol.ConvRefl):
+        return proof.normal
+    lhs, rhs = hol.dest_eq(proof.sequent.concl)
+    return hol.beta_normalize(rhs, lhs.size + rhs.size)
 
-    Such subtrees prove beta-equalities, so a ``ConvRefl`` node at the common
-    beta-normal form proves the same sequent; the translation then emits one
-    reflexivity constant instead of the whole congruence tower.
-    """
-    if _memo is None:
-        _memo = {}
-    if _pure is None:
-        _pure = {}
-    hit = _memo.get(id(proof))
+
+def compress_conversions(proof: hol.Proof, _memos: Optional[tuple] = None) -> hol.Proof:
+    """``proof`` with each congruence-only subtree that the translation
+    collapses replaced by a ``ConvRefl`` at the same normal form, so both
+    translate to the same terms."""
+    memo, pure = _memos or ({}, {})
+    hit = memo.get(id(proof))
     if hit is not None:
         return hit[1]
-    out = _compress(proof, _memo, _pure)
-    _memo[id(proof)] = (proof, out)
+    nf = _conversion_normal(proof, pure)
+    if nf is not None:
+        out = hol.ConvRefl(*hol.dest_eq(proof.sequent.concl), nf)
+    else:
+        old = proof._values()
+        new = tuple(compress_conversions(v, (memo, pure)) if isinstance(v, hol.Proof) else v for v in old)
+        out = proof if all(a is b for a, b in zip(old, new)) else type(proof)(*new)
+    memo[id(proof)] = (proof, out)
     return out
-
-
-def _compress(proof: hol.Proof, memo: dict, pure: dict) -> hol.Proof:
-    if _pure_conversion(proof, pure):
-        if isinstance(proof, hol.Refl):
-            return proof
-        lhs, rhs = hol.dest_eq(proof.sequent.concl)
-        return hol.ConvRefl(lhs, rhs, hol.beta_normalize(rhs))
-    if isinstance(proof, hol.AppThm):
-        return hol.AppThm(
-            compress_conversions(proof.fun, memo, pure),
-            compress_conversions(proof.arg, memo, pure),
-        )
-    if isinstance(proof, hol.AbsThm):
-        return hol.AbsThm(proof.var, compress_conversions(proof.sub, memo, pure))
-    if isinstance(proof, hol.EqMp):
-        return hol.EqMp(
-            compress_conversions(proof.eq, memo, pure),
-            compress_conversions(proof.prem, memo, pure),
-        )
-    if isinstance(proof, hol.DeductAntiSym):
-        return hol.DeductAntiSym(
-            compress_conversions(proof.lhs, memo, pure),
-            compress_conversions(proof.rhs, memo, pure),
-        )
-    if isinstance(proof, hol.Subst):
-        return hol.Subst(proof.subst, compress_conversions(proof.sub, memo, pure))
-    return proof
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +984,6 @@ def translate_state(
     state,
     module: str,
     mode: str = "q0",
-    compress: bool = False,
     sharing: bool = True,
     fuel: Optional[int] = None,
 ) -> TranslationResult:
@@ -1017,10 +997,7 @@ def translate_state(
     """
     base = base_signature(mode)  # an unknown mode fails here, before any work
     env = TranslationEnv.from_vm(state)
-    theorems: list[tuple[Term, Term]] = []
-    for seq, proof in state.theorems:
-        p = compress_conversions(proof) if compress else proof
-        theorems.append(closed_theorem(env, p))
+    theorems = [closed_theorem(env, proof) for _, proof in state.theorems]
 
     items: list = [dkfile.Comment(f"module {module}: generated from {module}.art")]
     items.append(dkfile.Comment("requires hol.dk (base signature)"))

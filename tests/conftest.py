@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import random
 import sys
@@ -59,6 +60,16 @@ CONSTS = {
     "k.e": hol.IND,
     "k.g": hol.fn(hol.TyVar("A"), hol.TyOp(LIST_OP, (hol.TyVar("A"),))),
 }
+
+
+@contextlib.contextmanager
+def rule_by_rule(monkeypatch):
+    """Within it, the translation gives every proof node its own rule's
+    term, as it did before conversion compression: no congruence-only
+    subtree is collapsed to one reflexivity step."""
+    with monkeypatch.context() as m:
+        m.setattr(translate, "_conversion_normal", lambda proof, pure: None)
+        yield
 
 
 def make_env():

@@ -12,7 +12,7 @@ from holtrans import kernel as k
 from holtrans import opentheory as ot
 from holtrans import translate as tr
 
-from conftest import CORPUS, HolGen, completeness_context, env_signature, make_env
+from conftest import CORPUS, HolGen, completeness_context, env_signature, make_env, rule_by_rule
 from reference_reduction import reduce_step
 from reference_typing import normalize
 
@@ -103,7 +103,7 @@ def test_criterion_05_transitivity_article_end_to_end(q0):
     _report(5, "replayed transitivity proof checks at proof (eq A x z)")
 
 
-def test_criterion_06_conversion_compression(q0):
+def test_criterion_06_conversion_compression(q0, monkeypatch):
     bb = hol.fn(hol.BOOL, hol.BOOL)
     f, g = hol.Var("f", bb), hol.Var("g", bb)
     x = hol.Var("x", hol.BOOL)
@@ -111,13 +111,15 @@ def test_criterion_06_conversion_compression(q0):
     compressed = tr.compress_conversions(tower)
     assert isinstance(compressed, hol.ConvRefl)
     env = make_env()
-    ctx = completeness_context(env, tower)
+    with rule_by_rule(monkeypatch):  # the tower, one term per rule
+        ctx = completeness_context(env, tower)
+        plain_term = tr.trans_proof(env, tower)
     want = tr.trans_prop_type(env, hol.check_proof(tower).concl)
-    plain_term = tr.trans_proof(env, tower)
     packed_term = tr.trans_proof(env, compressed)
     for t in (plain_term, packed_term):
         assert k.convertible(q0, k.infer_type(q0, ctx, t), want)
-    # the compressed translation is literally one reflexivity application
+    # the compressed translation is literally one reflexivity application,
+    # and it is what the translation makes of the tower itself
     env2 = make_env()
     want_term = k.app(
         k.Const("Refl"),
@@ -125,6 +127,7 @@ def test_criterion_06_conversion_compression(q0):
         k.App(env2.termvar(f), k.App(env2.termvar(g), env2.termvar(x))),
     )
     assert tr.trans_proof(env2, compressed) == want_term
+    assert tr.trans_proof(make_env(), tower) == want_term
     plain_text = dkfile.fmt_term(plain_term)
     packed_text = dkfile.fmt_term(packed_term)
     assert len(packed_text) < len(plain_text)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from holtrans import artwriter, cli, dkfile, dkreader, hol, kernel
 from holtrans import opentheory as ot
 
-from conftest import CORPUS, captured_by_instantiation, mutate
+from conftest import CORPUS, captured_by_instantiation, mutate, rule_by_rule
 
 IDENTITY = CORPUS / "01_identity.art"
 
@@ -575,15 +575,25 @@ def test_pts_mode_pipeline(tmp_path):
     assert cli.main(["check", str(tmp_path / "01_identity.dk")]) == 0
 
 
-def test_compress_flag_pipeline(tmp_path, corpus_paths):
+def test_compress_flag_pipeline(tmp_path, corpus_paths, monkeypatch):
+    """``--compress`` is accepted and changes nothing: the translation
+    always collapses conversion towers, and its output is smaller than
+    the towers translated rule by rule."""
     conversion = next(p for p in corpus_paths if p.name == "13_conversion.art")
     plain = tmp_path / "plain"
     packed = tmp_path / "packed"
+    towers = tmp_path / "towers"
     assert cli.main(["translate", "--no-sharing", str(conversion), "-o", str(plain)]) == 0
     assert cli.main(["translate", "--no-sharing", "--compress", str(conversion), "-o", str(packed)]) == 0
+    with rule_by_rule(monkeypatch):
+        assert cli.main(["translate", "--no-sharing", str(conversion), "-o", str(towers)]) == 0
     a = (plain / "13_conversion.dk").read_bytes()
     b = (packed / "13_conversion.dk").read_bytes()
-    assert len(b) < len(a)
+    assert a == b
+    assert len(b) < len((towers / "13_conversion.dk").read_bytes())
+    # the stats file records the flags that change output, and not this one
+    stats = json.loads((packed / "stats.json").read_text())
+    assert sorted(stats) == ["articles", "mode", "sharing"] and not stats["sharing"]
     assert cli.main(["check", str(packed / "13_conversion.dk")]) == 0
 
 

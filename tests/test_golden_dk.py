@@ -82,6 +82,15 @@ def test_changes_names_each_key_that_differs():
     assert changes(new, new) == []
 
 
+def test_compress_flag_changes_no_digest():
+    """``--compress`` is accepted and does nothing: each ``default`` file
+    has the digest of its ``compress`` twin."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    default = {key.split("/", 1)[1]: v for key, v in golden.items() if key.startswith("default/")}
+    compress = {key.split("/", 1)[1]: v for key, v in golden.items() if key.startswith("compress/")}
+    assert default and default == compress
+
+
 def test_dk_output_matches_golden_digests():
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = digests()

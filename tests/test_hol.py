@@ -190,6 +190,28 @@ def test_beta_normalize_identity_redex():
     assert hol.beta_normalize(t) == hol.Var("z", A)
 
 
+def test_beta_normalize_renames_a_binder_that_would_capture():
+    x, y = hol.Var("x", A), hol.Var("y", A)
+    assert hol.beta_normalize(hol.App(hol.Abs(x, hol.Abs(y, x)), y)) == hol.Abs(hol.Var("y'", A), y)
+    # substituting an abstraction for p makes the redexes p y and p (p y)
+    p = hol.Var("p", hol.fn(A, A))
+    f = hol.Var("f", hol.fn(A, hol.fn(A, A)))
+    dup = hol.Abs(x, hol.App(hol.App(f, x), x))
+    t = hol.App(hol.Abs(p, hol.App(p, hol.App(p, y))), dup)
+    fyy = hol.App(hol.App(f, y), y)
+    assert hol.beta_normalize(t) == hol.App(hol.App(f, fyy), fyy)
+
+
+def test_beta_normalize_gives_up_past_its_budget():
+    x, y = hol.Var("x", hol.BOOL), hol.Var("y", hol.BOOL)
+    f = hol.Abs(x, hol.mk_eq(x, x))
+    t = hol.App(f, hol.App(f, hol.App(f, y)))  # 25 nodes; the normal form 29
+    nf = hol.beta_normalize(t)
+    assert (t.size, nf.size) == (25, 29)
+    assert hol.beta_normalize(t, 100) == nf
+    assert hol.beta_normalize(t, 28) is None
+
+
 # ---------------------------------------------------------------------------
 # alpha equivalence
 

@@ -27,27 +27,28 @@ def test_compare_sharing_script():
     assert lines[0].split()[-3:] == ["defs", "fuel", "plain/shared"]
     rows = {}
     for line in lines[2:-2]:
-        # four raw/gzip pairs, the definitions hoisted, the fuel without/with sharing
+        # two raw/gzip pairs (without and with sharing), the definitions hoisted, the fuel without/with sharing
         pairs = re.findall(r"(\d+)/\s*(\d+)", line)
+        assert len(pairs) == 3, line
         defs = int(line.split()[-2])
         rows[line.split()[0]] = (pairs, defs)
     assert len(rows) == len(list((SCRIPTS.parent / "corpus").glob("*.art")))
     for name, (pairs, defs) in rows.items():
-        plain, shared = pairs[4]
+        plain, shared = pairs[2]
         assert int(shared) <= int(plain), name  # sharing never costs the kernel fuel on the corpus
         assert (defs > 0) == (pairs[0] != pairs[1]), name  # it changes the module where it hoists
     pairs, defs = rows["10_definetypeop"]  # two statements, each used twice
-    assert defs == 2 and int(pairs[4][1]) < int(pairs[4][0])
+    assert defs == 2 and int(pairs[2][1]) < int(pairs[2][0])
     # the total row: each column summed, raw and gzip bytes alike
     total = lines[-1]
     assert total.split()[0] == "total"
     pairs = re.findall(r"(\d+)/\s*(\d+)", total)
-    assert len(pairs) == 5
-    for i, (raw, gz) in enumerate(pairs[:4]):
+    assert len(pairs) == 3
+    for i, (raw, gz) in enumerate(pairs[:2]):
         assert int(raw) == sum(int(p[i][0]) for p, _ in rows.values())
         assert int(gz) == sum(int(p[i][1]) for p, _ in rows.values())
     assert int(total.split()[-2]) == sum(d for _, d in rows.values())
-    assert pairs[4] == (str(sum(int(p[4][0]) for p, _ in rows.values())), str(sum(int(p[4][1]) for p, _ in rows.values())))
+    assert pairs[2] == (str(sum(int(p[2][0]) for p, _ in rows.values())), str(sum(int(p[2][1]) for p, _ in rows.values())))
 
 
 def test_compare_sharing_help_and_article_arguments():

@@ -8,7 +8,7 @@ from holtrans import dkfile, hol
 from holtrans import kernel as k
 from holtrans import translate as tr
 
-from conftest import CORPUS, HolGen, completeness_context, count_calls, env_signature, make_env
+from conftest import CORPUS, HolGen, completeness_context, count_calls, env_signature, make_env, rule_by_rule
 from reference_typing import normalize
 
 A = hol.TyVar("A")
@@ -308,7 +308,7 @@ def test_subst_translation_instantiates_types_first(q0):
         theta=(("A", hol.BOOL),),
         sigma=((hol.Var("x", hol.BOOL), hol.Var("y", hol.BOOL)),),
     )
-    proof = hol.Subst(s, hol.Refl(x))
+    proof = hol.Subst(s, hol.Assume(hol.mk_eq(x, x)))  # not a conversion, so not collapsed
     term = tr.trans_proof(env, proof)
     # outermost application argument chain starts with the type image
     head, args = k.spine(term)
@@ -347,24 +347,27 @@ def _conversion_tower():
     return hol.AppThm(hol.Refl(f), inner), (f, g, x)
 
 
-def test_compression_collapses_conversion_tower(q0):
+def test_compression_collapses_conversion_tower(q0, monkeypatch):
     proof, (f, g, x) = _conversion_tower()
     assert len(_nodes(proof)) == 5
     compressed = tr.compress_conversions(proof)
     assert isinstance(compressed, hol.ConvRefl)
     want = hol.App(f, hol.App(g, x))
     assert hol.alpha_equal(compressed.normal, want)
-    # both translations check at the original statement
+    # the tower translated rule by rule, and collapsed, both check at the
+    # original statement
     env = make_env()
-    ctx = completeness_context(env, proof)
+    with rule_by_rule(monkeypatch):
+        ctx = completeness_context(env, proof)
+        tower = tr.trans_proof(env, proof)
     want_ty = tr.trans_prop_type(env, hol.check_proof(proof).concl)
-    for p in (proof, compressed):
-        ty = k.infer_type(q0, ctx, tr.trans_proof(env, p))
+    for term in (tower, tr.trans_proof(env, compressed)):
+        ty = k.infer_type(q0, ctx, term)
         assert k.convertible(q0, ty, want_ty)
-    # and the compressed term is smaller
-    assert k.term_size(tr.trans_proof(env, compressed)) < k.term_size(
-        tr.trans_proof(env, proof)
-    )
+    # the translation collapses the tower as compression does, and the
+    # compressed term is smaller
+    assert tr.trans_proof(make_env(), proof) == tr.trans_proof(env, compressed)
+    assert k.term_size(tr.trans_proof(env, compressed)) < k.term_size(tower)
 
 
 def _nodes(proof):
@@ -416,9 +419,10 @@ def test_translation_reads_sequents_without_rechecking(monkeypatch):
 
 
 def test_conv_refl_normalizes_each_side_once(monkeypatch):
-    """Compression normalizes each pure conversion once to build its
-    ``ConvRefl``; checking the node normalizes its two sides and compares
-    the stored normal form as it is."""
+    """``compress_conversions`` normalizes each pure conversion once to
+    build its ``ConvRefl``; checking the node normalizes its two sides and
+    compares the stored normal form as it is.  The translation builds no
+    ``ConvRefl`` and normalizes each of those conversions once."""
     from holtrans import opentheory as ot
 
     proofs = [HolGen(seed).proof(3) for seed in range(40)]
@@ -432,10 +436,15 @@ def test_conv_refl_normalizes_each_side_once(monkeypatch):
         return check(proof)
 
     monkeypatch.setattr(hol, "_check", counting_check)
-    run = lambda: tr.translate_state(state, "m", mode="pts", compress=True, sharing=False)  # noqa: E731
+    run = lambda: [tr.compress_conversions(p) for _, p in state.theorems]  # noqa: E731
     calls = count_calls(monkeypatch, hol, "beta_normalize", run)
     assert conv[0] == 27
     assert calls == 3 * conv[0]  # was 5 per node: two for each beta_equal
+    conv[0] = 0
+    run = lambda: tr.translate_state(state, "m", mode="pts", sharing=False)  # noqa: E731
+    calls = count_calls(monkeypatch, hol, "beta_normalize", run)
+    assert conv[0] == 0
+    assert calls == 27
 
 
 @settings(max_examples=30, deadline=None)
@@ -676,14 +685,20 @@ def _cyclic_garbage(run, ours_only: bool = True) -> list:
 @pytest.mark.parametrize("mode, compress, sharing", [("q0", False, True), ("pts", True, False)])
 def test_translation_leaves_no_cyclic_garbage(mode, compress, sharing):
     """A recursive inner function refers to itself through its closure, so
-    each call's memo lived on until the cyclic collector ran."""
+    each call's memo lived on until the cyclic collector ran.  With
+    ``compress`` the proofs go through ``compress_conversions`` first."""
+    import dataclasses
+
     from holtrans import opentheory as ot
 
     proofs = [HolGen(seed).proof(3) for seed in range(12)]
     article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in proofs]))
 
     def run():
-        result = tr.translate_state(ot.run_text(article), "m", mode=mode, compress=compress, sharing=sharing)
+        state = ot.run_text(article)
+        if compress:
+            state = dataclasses.replace(state, theorems=[(seq, tr.compress_conversions(p)) for seq, p in state.theorems])
+        result = tr.translate_state(state, "m", mode=mode, sharing=sharing)
         tr.verify_document(result.document, mode=mode)
 
     assert _cyclic_garbage(run) == []
@@ -876,7 +891,7 @@ def test_a_lemma_instantiated_more_than_once_binds_only_what_each_redex_changes(
     to the module written with it off."""
     from holtrans import opentheory as ot
 
-    lemma = HolGen(1).proof(3)
+    lemma = HolGen(24).proof(3)  # not a conversion, so each instance stays a redex
     vs = sorted(hol.sequent_free_vars(lemma.sequent), key=lambda v: v.name)
     assert len(vs) == 5
     instances = [hol.Subst(hol.HolSubst(sigma=((v, hol.Var(v.name + "_z", v.type)),)), lemma) for v in vs]
@@ -902,14 +917,19 @@ def test_a_lemma_instantiated_more_than_once_binds_only_what_each_redex_changes(
 
 
 def test_corpus_translates_in_pts_mode(pts, corpus_paths):
+    import dataclasses
+
     from holtrans import opentheory as ot
 
     for path in corpus_paths:
         state = ot.run_text(path.read_text())
         result = tr.translate_state(state, path.stem, mode="pts")
         tr.verify_document(result.document, mode="pts")
-        compressed = tr.translate_state(state, path.stem, mode="pts", compress=True)
+        # compressing the proofs first, as the traced benchmark run does, gives the same module
+        compressed = dataclasses.replace(state, theorems=[(seq, tr.compress_conversions(p)) for seq, p in state.theorems])
+        compressed = tr.translate_state(compressed, path.stem, mode="pts")
         tr.verify_document(compressed.document, mode="pts")
+        assert dkfile.emit(compressed.document) == dkfile.emit(result.document)
 
 
 @settings(max_examples=50, deadline=None)
