@@ -4,11 +4,14 @@ A document is an ordered sequence of declarations ``name : TYPE.``,
 definitions ``def name : TYPE := TERM.``, rewrite rules
 ``[x : T, ...] LHS --> RHS.`` and comments ``(; ... ;)``.  ``Type`` is the
 sort keyword, ``x : A -> B`` a product, ``x : A => M`` an abstraction,
-juxtaposition application.  Items reuse the kernel's signature item types,
-so a parsed document feeds straight into the checker.  The grammar is this
-package's normative format; compatibility with external checkers is
-best-effort only.  The reader (``parse``, ``ParseError``; both names
-resolve here too) is ``holtrans.dkreader``, which ``translate`` never loads.
+juxtaposition application.  A definition ``def name : TYPE := x => M.``
+may open its body with Dedukti's domain-free abstraction, allowed only
+there: its domain is that of the declared type's matching product.  Items
+reuse the kernel's signature item types, so a parsed document feeds
+straight into the checker.  The grammar is this package's normative format;
+compatibility with external checkers is best-effort only.  The reader
+(``parse``, ``ParseError``; both names resolve here too) is
+``holtrans.dkreader``, which ``translate`` never loads.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from bisect import bisect_left
 from typing import Optional, Union
 
 from . import kernel
-from .kernel import TYPE, Abs, App, Binder, BVar, Const, ConstDecl, Defn, RewriteRule, Sort, Term, Var
+from .kernel import TYPE, Abs, App, Binder, BVar, Const, ConstDecl, Defn, Prod, RewriteRule, Sort, Term, Var
 
 
 def __getattr__(name: str):
@@ -124,12 +127,17 @@ def _display(hint: str, inner: Term, at: int, scope: dict[str, int], occ: _Occur
     return cand
 
 
-def _fmt(t: Term, at: int, prec: int, names: list[str], scope: dict[str, int], occ: _Occurrences) -> str:
+def _fmt(
+    t: Term, at: int, prec: int, names: list[str], scope: dict[str, int], occ: _Occurrences, declared: Optional[Term] = None
+) -> str:
     """Render ``t``, found at preorder position ``at`` of ``occ``'s term.
 
     ``names`` holds the enclosing binders' display names, innermost last,
     and ``scope`` counts them by name; a binder extends both before its
-    body and restores them after it.
+    body and restores them after it.  ``declared``, given for a
+    definition's body, is its declared type: an abstraction leading the
+    body whose domain is that of ``declared``'s matching product prints as
+    ``x => M``, and the reader takes the domain back from the type.
     """
     if isinstance(t, Sort):
         if t == TYPE:
@@ -146,22 +154,23 @@ def _fmt(t: Term, at: int, prec: int, names: list[str], scope: dict[str, int], o
         s = f"{fn} {_fmt(t.arg, at + 1 + t.fn.size, _APP_ARG, names, scope, occ)}"
         return f"({s})" if prec >= _APP_ARG else s
     inner_at = at + 1 + t.domain.size
-    dom = _fmt(t.domain, at + 1, _OPERAND, names, scope, occ)
+    short = type(t) is Abs and type(declared) is Prod and t.domain == declared.domain
+    dom = "" if short else _fmt(t.domain, at + 1, _OPERAND, names, scope, occ)
     if isinstance(t, Abs) or (t.body.bound and occ.within(len(names), inner_at, t.body.size)):
         name = _display(t.hint, t.body, inner_at, scope, occ)
-        head = f"{name} : {dom} {'=>' if isinstance(t, Abs) else '->'} "
+        head = f"{name} => " if short else f"{name} : {dom} {'=>' if isinstance(t, Abs) else '->'} "
     else:
         name, head = "_", f"{dom} -> "
     names.append(name)
     scope[name] = scope.get(name, 0) + 1
-    s = head + _fmt(t.body, inner_at, _TOP, names, scope, occ)
+    s = head + _fmt(t.body, inner_at, _TOP, names, scope, occ, declared.body if short else None)
     names.pop()
     scope[name] -= 1
     return f"({s})" if prec >= _OPERAND else s
 
 
-def fmt_term(t: Term) -> str:
-    return _fmt(t, 0, _TOP, [], {}, _Occurrences(t))
+def fmt_term(t: Term, declared: Optional[Term] = None) -> str:
+    return _fmt(t, 0, _TOP, [], {}, _Occurrences(t), declared)
 
 
 # An error message shows at most MESSAGE_WIDTH characters and each term in it
@@ -216,7 +225,7 @@ def emit(doc: DkDocument) -> str:
         elif isinstance(item, ConstDecl):
             lines.append(f"{item.name} : {fmt_term(item.type)}.")
         elif isinstance(item, Defn):
-            lines.append(f"def {item.name} : {fmt_term(item.type)} := {fmt_term(item.body)}.")
+            lines.append(f"def {item.name} : {fmt_term(item.type)} := {fmt_term(item.body, item.type)}.")
         else:
             assert isinstance(item, RewriteRule)
             shadows = {n for n, _ in item.context} & (

@@ -125,6 +125,25 @@ class _Reader:
             return Prod("_", left, self.term(depth + 1))
         return left
 
+    def definiens(self, ty: Term) -> Term:
+        """A definition's body, read against its declared type ``ty``: each
+        leading ``x =>`` takes its domain from ``ty``'s matching product."""
+        toks, bound = self.toks, self.bound
+        heads: list[tuple[str, Term, Optional[int]]] = []
+        while (t := toks[self.i])[:1] in _WORD and t != "Type" and toks[self.i + 1] == "=>":
+            self.i += 1
+            if type(ty) is not Prod:
+                raise self.error("':' (the declared type has no product here)")
+            self.i += 1
+            heads.append((t, ty.domain, bound.get(t)))
+            bound[t] = len(heads) - 1
+            ty = ty.body
+        body = self.term(len(heads))
+        for name, dom, outer in reversed(heads):
+            bound[name] = outer
+            body = Abs(name, dom, body)
+        return body
+
     def rule(self) -> RewriteRule:
         ctx: list[tuple[str, Term]] = []
         names = self.names
@@ -177,7 +196,7 @@ class _Reader:
                 self.expect(":", "':'")
                 ty = self.term(0)
                 self.expect(":=", "':='")
-                body = self.term(0)
+                body = self.definiens(ty)
                 self.expect(".", "'.'")
                 items.append(Defn(name, ty, body))
             elif t == "[":

@@ -12,7 +12,7 @@ sys.setrecursionlimit(100_000)
 from holtrans import hol, kernel, translate  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -25,11 +25,11 @@ def pts():
     return translate.base_signature("pts")
 
 
-@pytest.fixture(scope="session")
-def workloads():
-    """The benchmark's article generator, ``perfbench/workloads.py``."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
+def _load_perfbench(name: str):
+    """``perfbench/<name>.py`` as a module, registered for the dataclasses
+    it defines."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave nothing behind in perfbench/
     try:
@@ -37,6 +37,18 @@ def workloads():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's article generator, ``perfbench/workloads.py``."""
+    return _load_perfbench("workloads")
+
+
+@pytest.fixture(scope="session")
+def bench_run():
+    """The benchmark's driver, ``perfbench/run.py``."""
+    return _load_perfbench("run")
 
 
 @pytest.fixture(scope="session")

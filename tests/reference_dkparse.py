@@ -131,6 +131,18 @@ class _Parser:
             return Prod("_", left, right)
         return left
 
+    def _definiens(self, ty: Term, binders: list) -> Term:
+        """A definition's body: a leading ``x =>`` takes its domain from the
+        declared type's matching product."""
+        t = self.peek()
+        if not (t.kind == "ident" and t.value != "Type" and self.peek(1).kind == "fatarrow"):
+            return self._term(binders, set())
+        self.next()
+        arrow = self.next()
+        if not isinstance(ty, Prod):
+            raise ParseError(arrow.line, arrow.col, "':' (the declared type has no product here)")
+        return Abs(t.value, ty.domain, self._definiens(ty.body, binders + [t.value]))
+
     def document(self) -> DkDocument:
         items: list[DocItem] = []
         module = ""
@@ -157,7 +169,7 @@ class _Parser:
                 self.expect("colon", "':'")
                 ty = self._term([], set())
                 self.expect("coloneq", "':='")
-                body = self._term([], set())
+                body = self._definiens(ty, [])
                 self.expect("dot", "'.'")
                 items.append(Defn(name, ty, body))
             elif t.kind == "lbrack":

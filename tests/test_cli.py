@@ -475,6 +475,24 @@ def translated_conversion(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("item,err", [
+    # the binder takes its domain from the type's product, so the body is A -> A
+    ("def d : A -> B := x => x.", "IllTypedDeclaration: definition d: body type A -> A does not match declared A -> B"),
+    ("def d : A := x => x.", "line 4, column 16: expected ':' (the declared type has no product here)"),
+    ("def d : A -> A := x => y => x.", "line 4, column 26: expected ':' (the declared type has no product here)"),
+    ("def d : A -> A := f (x => x).", "line 4, column 24: expected ')'"),
+    ("d : x => x.", "line 4, column 7: expected '.'"),
+    ("[x : A] f x => x --> x.", "line 4, column 13: expected '-->'"),
+])
+def test_check_untyped_binder_only_leads_a_definition_body(tmp_path, capsys, item, err):
+    """``x =>`` leads a definition's body, one per product of its declared
+    type; anywhere else it is a parse error."""
+    doc = tmp_path / "untyped.dk"
+    doc.write_text(f"A : Type.\nB : Type.\nf : A -> A.\n{item}\n")
+    assert cli.main(["check", str(doc)]) == 1
+    assert capsys.readouterr().err == f"error: {doc}: {err}\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 3))
 def test_check_of_a_mutated_document_is_an_exit_code_and_one_line(translated_conversion, seed, mutations):
@@ -483,7 +501,7 @@ def test_check_of_a_mutated_document_is_an_exit_code_and_one_line(translated_con
     rng = random.Random(seed)
     data = (translated_conversion / "13_conversion.dk").read_bytes()
     for _ in range(mutations):
-        data = mutate(data, rng, [b"(", b")", b":", b"->", b"\xff"])
+        data = mutate(data, rng, [b"(", b")", b":", b"->", b"=>", b"\xff"])
     doc = translated_conversion / "mutated.dk"
     doc.write_bytes(data)
     err = io.StringIO()

@@ -83,8 +83,14 @@ def test_emit_base_rule_line(q0):
 def test_emit_definition_line():
     d = k.Defn("i", k.pi("x", k.Const("b"), k.Const("b")), k.lam("x", k.Const("b"), k.Var("x")))
     doc = dkfile.DkDocument("", (d,))
-    # the product does not use its binder, so it prints as a plain arrow
-    assert dkfile.emit(doc) == "def i : b -> b := x : b => x.\n"
+    # the product does not use its binder, so it prints as a plain arrow; the
+    # abstraction takes its domain from the product, so it prints without it
+    assert dkfile.emit(doc) == "def i : b -> b := x => x.\n"
+    # a domain other than the product's prints, and so does every one after it
+    other = k.Defn("i", k.arrow(k.Const("b"), k.Const("b"), k.Const("b")), k.lam("x", k.Const("c"), d.body))
+    text = dkfile.emit(dkfile.DkDocument("", (other,)))
+    assert text == "def i : b -> b -> b := x : c => x_2 : b => x_2.\n"
+    assert dkfile.parse(text).items == (other,)
     dep = k.Defn("j", k.pi("x", k.Const("b"), k.App(k.Const("p"), k.Var("x"))), k.Const("c"))
     assert dkfile.emit(dkfile.DkDocument("", (dep,))) == "def j : x : b -> p x := c.\n"
 
@@ -230,9 +236,12 @@ def _random_document(seed):
         elif roll < 0.55:
             items.append(k.ConstDecl(f"c{i}", _random_closed_term(rng, 3)))
         elif roll < 0.85:
-            items.append(
-                k.Defn(f"d{i}", _random_closed_term(rng, 3), _random_closed_term(rng, 3))
-            )
+            ty, body = _random_closed_term(rng, 3), _random_closed_term(rng, 3)
+            for _ in range(rng.randint(0, 2)):  # binders whose domains the type gives
+                name, dom = rng.choice("xyz"), _random_closed_term(rng, 2)
+                ty = k.pi(rng.choice("xyz"), dom, ty)
+                body = k.lam(name, dom, k.App(body, k.Var(name)) if rng.random() < 0.5 else body)
+            items.append(k.Defn(f"d{i}", ty, body))
         else:
             ctx = (("x", _random_closed_term(rng, 2)),)
             lhs = k.App(k.Const(f"r{i}"), k.Var("x"))
@@ -262,7 +271,7 @@ def _outcome(parse, text):
 
 _SNIPPETS = [
     "(", ")", ":", "->", "=>", "-->", ":=", ",", "[", "]", ".", "(;", ";)", "(;)",
-    " ", "\n", "x", "Type", "def", "$", "\u00e9", "\0", "x : c => ", "[x : c] ",
+    " ", "\n", "x", "Type", "def", "$", "\u00e9", "\0", "x : c => ", "x => ", "[x : c] ",
 ]
 
 
@@ -411,7 +420,7 @@ def test_same_hint_binders_take_the_smallest_free_suffix():
         ty = k.Prod("_", a, ty)
     doc = dkfile.DkDocument("m", (k.ConstDecl("A", k.TYPE), k.Defn("d", ty, body)))
     text = dkfile.emit(doc)
-    names = re.findall(r"(\w+) : A =>", text)
+    names = re.findall(r"(\w+) =>", text)
     assert names == ["x"] + [f"x_{i}" for i in range(2, n + 1)]
     assert text.endswith("=> x.\n")
     assert dkfile.parse(text) == doc
