@@ -4,7 +4,10 @@ Types are variables or operator applications; terms are the simply typed
 lambda calculus with typed variables and constant instances.  Every term
 knows its type: an ``Abs`` or ``App`` computes it when it is built, and an
 ``App`` whose argument does not fit its function raises
-``AppTypeMismatch`` there, so an ill-typed term never exists.
+``AppTypeMismatch`` there, so an ill-typed term never exists.  A compound
+term or type also keeps its free variables and type variables once they
+are first asked for (``free_vars``, ``term_tyvars``, ``type_tyvars``), so
+each distinct node computes each set once; a leaf keeps none.
 
 Proofs are explicit derivation graphs, one constructor per primitive rule
 plus nodes for article-level axioms and the two definition commands.
@@ -46,6 +49,7 @@ class RuleViolation(HolError):
 # Types
 
 BUILTIN_TYPE_ARITY = {"bool": 0, "ind": 0, "->": 2}
+_EMPTY: frozenset = frozenset()
 
 
 class HolType(Record):
@@ -80,7 +84,8 @@ class TyVar(HolType):
 
 
 class TyOp(HolType, _Node):
-    __slots__ = _fields = ("op", "args")
+    __slots__ = ("op", "args", "_tyvars")
+    _fields = ("op", "args")
 
     def __init__(self, op: str, args: tuple[HolType, ...] = ()):
         if not isinstance(args, tuple):
@@ -90,7 +95,7 @@ class TyOp(HolType, _Node):
             raise ArityMismatch(f"type operator {op} expects {want} arguments")
         self.op = op
         self.args = args
-        self._hash = None
+        self._hash = self._tyvars = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -151,15 +156,23 @@ def fmt_type(ty: HolType) -> str:
     return text if len(text) <= _TYPE_WIDTH else text[: _TYPE_WIDTH - 3] + "..."
 
 
-def type_tyvars(ty: HolType, out: Optional[set[str]] = None) -> set[str]:
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """``a | b``, or whichever of the two contains the other."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
+def type_tyvars(ty: HolType) -> frozenset:
+    """The names of the type variables of ``ty``, kept in each ``TyOp``."""
+    if ty.__class__ is TyVar:
+        return frozenset((ty.name,))
+    out = ty._tyvars
     if out is None:
-        out = set()
-    if isinstance(ty, TyVar):
-        out.add(ty.name)
-    else:
-        assert isinstance(ty, TyOp)
+        out = _EMPTY
         for a in ty.args:
-            type_tyvars(a, out)
+            out = _union(out, type_tyvars(a))
+        ty._tyvars = out
     return out
 
 
@@ -268,7 +281,7 @@ class Const(_Named):
 class Abs(HolTerm):
     """``type`` is computed, and is not compared."""
 
-    __slots__ = ("var", "body", "type", "size")
+    __slots__ = ("var", "body", "type", "size", "_free", "_tyvars")
     _fields = ("var", "body")
 
     def __init__(self, var: Var, body: HolTerm):
@@ -276,7 +289,7 @@ class Abs(HolTerm):
         self.body = body
         self.type = TyOp("->", (var.type, body.type))
         self.size = body.size + 2
-        self._hash = None
+        self._hash = self._free = self._tyvars = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -295,7 +308,7 @@ class App(HolTerm):
     """``type`` is computed, and is not compared; an argument that does not
     fit the function raises ``AppTypeMismatch``."""
 
-    __slots__ = ("fn", "arg", "type", "size")
+    __slots__ = ("fn", "arg", "type", "size", "_free", "_tyvars")
     _fields = ("fn", "arg")
 
     def __init__(self, fn: HolTerm, arg: HolTerm):
@@ -306,7 +319,7 @@ class App(HolTerm):
         self.arg = arg
         self.type = b
         self.size = fn.size + arg.size + 1
-        self._hash = None
+        self._hash = self._free = self._tyvars = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -350,56 +363,40 @@ def dest_eq(t: HolTerm) -> tuple[HolTerm, HolTerm]:
     raise HolError(f"not an equality: a term of type {fmt_type(t.type)}")
 
 
-def free_vars(t: HolTerm, memo: Optional[dict] = None) -> frozenset:
-    """The free variables of ``t``; each distinct node is visited once, also
-    across the calls that share ``memo`` (it keeps each node it maps)."""
-    if memo is None:
-        memo = {}
-
-    def go(u: HolTerm) -> frozenset:
-        hit = memo.get(id(u))
-        if hit is not None:
-            return hit[1]
-        if isinstance(u, Var):
-            out = frozenset((u,))
-        elif isinstance(u, Const):
-            out = frozenset()
-        elif isinstance(u, Abs):
-            out = go(u.body) - {u.var}
+def free_vars(t: HolTerm) -> frozenset:
+    """The free variables of ``t``, kept in each compound node once asked
+    for.  A leaf keeps nothing: a ``Var`` holding a set that holds it would
+    be a reference cycle."""
+    cls = t.__class__
+    if cls is Var:
+        return frozenset((t,))
+    if cls is Const:
+        return _EMPTY
+    out = t._free
+    if out is None:
+        if cls is Abs:
+            out = free_vars(t.body)
+            if t.var in out:
+                out = out - {t.var}
         else:
-            assert isinstance(u, App)
-            out = go(u.fn) | go(u.arg)
-        memo[id(u)] = (u, out)
-        return out
-
-    out = go(t)
-    del go  # it refers to itself: a cycle that would keep ``memo`` alive
+            out = _union(free_vars(t.fn), free_vars(t.arg))
+        t._free = out
     return out
 
 
-def term_tyvars(t: HolTerm, out: Optional[set[str]] = None) -> set[str]:
-    """Add the type variables of ``t`` to ``out``; each distinct node is
-    visited once."""
+def term_tyvars(t: HolTerm) -> frozenset:
+    """The names of the type variables of ``t``, kept in each compound node
+    once asked for."""
+    cls = t.__class__
+    if cls is Var or cls is Const:
+        return type_tyvars(t.type)
+    out = t._tyvars
     if out is None:
-        out = set()
-    seen: set[int] = set()
-
-    def go(u: HolTerm) -> None:
-        if id(u) in seen:
-            return
-        seen.add(id(u))
-        if isinstance(u, (Var, Const)):
-            type_tyvars(u.type, out)
-        elif isinstance(u, Abs):
-            type_tyvars(u.var.type, out)
-            go(u.body)
+        if cls is Abs:
+            out = _union(term_tyvars(t.body), type_tyvars(t.var.type))
         else:
-            assert isinstance(u, App)
-            go(u.fn)
-            go(u.arg)
-
-    go(t)
-    del go  # it refers to itself: a cycle that would keep ``seen`` alive
+            out = _union(term_tyvars(t.fn), term_tyvars(t.arg))
+        t._tyvars = out
     return out
 
 
@@ -602,14 +599,13 @@ class _OverBudget(Exception):
 
 
 class _Beta:
-    """One beta-normalization: the normal form and the free variables of
-    each node met, by identity (an entry keeps its node, so no id is
-    reused), and the steps its budget has left."""
+    """One beta-normalization: the normal form of each node met, by
+    identity (an entry keeps its node, so no id is reused), and the steps
+    its budget has left."""
 
     def __init__(self, budget: float):
         self.budget = self.left = budget
         self.normal: dict = {}
-        self.free: dict = {}
 
     def go(self, t: HolTerm, v: Optional[Var], a: Optional[HolTerm], memo: Optional[dict]) -> HolTerm:
         """The normal form of ``t[v := a]`` (of ``t`` where ``v`` is None),
@@ -620,16 +616,16 @@ class _Beta:
             return a if t == v else t
         if type(t) is Const:
             return t
-        if v is None or v not in free_vars(t, self.free):
+        if v is None or v not in free_vars(t):
             v, memo = None, self.normal
         hit = memo.get(id(t))
         if hit is not None:
             return hit[1]
         if type(t) is Abs:
             w, body = t.var, t.body
-            names = {u.name for u in free_vars(a, self.free)} if v is not None else ()
+            names = {u.name for u in free_vars(a)} if v is not None else ()
             if w.name in names:
-                taken = names | {u.name for u in free_vars(body, self.free)} | {v.name}
+                taken = names | {u.name for u in free_vars(body)} | {v.name}
                 new = w.name + "'"
                 while new in taken:
                     new += "'"
@@ -692,19 +688,12 @@ def _hyps_minus(hyps: tuple[HolTerm, ...], t: HolTerm) -> tuple[HolTerm, ...]:
     return tuple(h for h in hyps if term_key(h) != k)
 
 
-def sequent_tyvars(seq: Sequent) -> set[str]:
-    out: set[str] = set()
-    for h in seq.hyps:
-        term_tyvars(h, out)
-    term_tyvars(seq.concl, out)
-    return out
+def sequent_tyvars(seq: Sequent) -> frozenset:
+    return term_tyvars(seq.concl).union(*map(term_tyvars, seq.hyps))
 
 
 def sequent_free_vars(seq: Sequent) -> frozenset:
-    out = free_vars(seq.concl)
-    for h in seq.hyps:
-        out |= free_vars(h)
-    return out
+    return free_vars(seq.concl).union(*map(free_vars, seq.hyps))
 
 
 # ---------------------------------------------------------------------------
@@ -813,13 +802,6 @@ class RepAbsThm(Proof):
     """|- (\\r. rep (abs r) = r) = (\\r. pred r)"""
 
     __slots__ = _fields = ("defn",)
-
-
-class ConvRefl(Proof):
-    """A compressed conversion subtree: concludes lhs = rhs given lhs, rhs
-    beta-equal; carries their common beta-normal form."""
-
-    __slots__ = _fields = ("lhs", "rhs", "normal")
 
 
 def check_proof(proof: Proof) -> Sequent:
@@ -932,14 +914,6 @@ def _check(proof: Proof) -> Sequent:
         lhs = Abs(r, mk_eq(App(rep_c, App(abs_c, r)), r))
         rhs = Abs(r, App(pred, r))
         return make_sequent((), mk_eq(lhs, rhs))
-
-    if isinstance(proof, ConvRefl):
-        normal = beta_normalize(proof.lhs)
-        if not alpha_equal(normal, beta_normalize(proof.rhs)):
-            raise RuleViolation("ConvRefl", "sides are not beta-equal")
-        if not alpha_equal(normal, proof.normal):
-            raise RuleViolation("ConvRefl", "stored normal form does not match")
-        return make_sequent((), mk_eq(proof.lhs, proof.rhs))
 
     raise HolError(f"unknown proof node {type(proof).__name__}")
 

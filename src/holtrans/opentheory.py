@@ -247,7 +247,6 @@ class VMState:
 
     stack: list = field(default_factory=list)
     dictionary: dict = field(default_factory=dict)
-    assumptions: list = field(default_factory=list)
     theorems: list = field(default_factory=list)
     # name -> generic HolType
     constants: dict = field(default_factory=lambda: {hol.EQ: hol.eq_generic(), hol.SELECT: hol.select_generic()})
@@ -461,9 +460,7 @@ def _cmd_hd_tl(state: VMState) -> None:
 def _cmd_axiom(state: VMState) -> None:
     t = state.pop(OTerm, "axiom")
     l = state.pop(OList, "axiom")
-    thm = Axiom(_unbox(l, OTerm, "axiom: expected a list of terms"), t.term)
-    state.assumptions.append(thm.sequent)
-    state.push(thm)
+    state.push(Axiom(_unbox(l, OTerm, "axiom: expected a list of terms"), t.term))
 
 
 def _cmd_define_const(state: VMState) -> None:

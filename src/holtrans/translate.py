@@ -4,8 +4,9 @@ The base signature declares a type of object-level types, a decoding
 function ``term`` with one rewrite rule identifying ``term (arrow a b)``
 with ``term a -> term b``, a provability predicate ``proof``, and one
 proof constant per primitive derivation rule.  Because the embedding is
-shallow, beta-equal HOL terms have convertible translations, so beta steps
-are proved by reflexivity and substitution is expressed by application.
+shallow, beta-equal HOL terms have convertible translations, so a beta step,
+or a whole subtree of congruence steps over beta steps, is one reflexivity
+step, and substitution is expressed by application.
 
 Two modes are supported: the equality-primitive one (``q0``) and an
 alternative (``pts``) where implication and universal quantification are
@@ -607,7 +608,7 @@ def closure_of(env: TranslationEnv, proof: hol.Proof) -> Closure:
             termvars[name] = env._termvars[name]
     vs = sorted(termvars.values(), key=lambda v: (v.name, repr(hol.type_key(v.type))))
     for v in vs:
-        hol.type_tyvars(v.type, tyvars)
+        tyvars |= hol.type_tyvars(v.type)
     return Closure(sorted(tyvars), vs, seq.hyps, core, seq)
 
 
@@ -751,7 +752,7 @@ def _typeop_axioms(env: TranslationEnv, defn: hol.TypeOpDef) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Conversion-proof compression
+# Conversion-proof compression: ``_trans_proof`` is its one path
 
 def _pure_conversion(proof: hol.Proof, memo: dict) -> bool:
     # the congruence fragment; substitution instances of beta-equalities are
@@ -760,7 +761,7 @@ def _pure_conversion(proof: hol.Proof, memo: dict) -> bool:
     hit = memo.get(id(proof))
     if hit is not None:
         return hit[1]
-    if isinstance(proof, (hol.Refl, hol.Beta, hol.ConvRefl)):
+    if isinstance(proof, (hol.Refl, hol.Beta)):
         ok = True
     elif isinstance(proof, hol.AppThm):
         ok = _pure_conversion(proof.fun, memo) and _pure_conversion(proof.arg, memo)
@@ -773,35 +774,21 @@ def _pure_conversion(proof: hol.Proof, memo: dict) -> bool:
 
 
 def _conversion_normal(proof: hol.Proof, pure: dict) -> Optional[hol.HolTerm]:
-    """The beta-normal form of ``proof``'s right side (a ``ConvRefl`` carries
-    it) where ``proof`` is congruence-only and not a bare ``Refl``, so one
-    reflexivity step proves it; None elsewhere, and where the form
-    outgrows the two sides' trees."""
+    """The beta-normal form of ``proof``'s right side where ``proof`` is
+    congruence-only and not a bare ``Refl``, so one reflexivity step proves
+    it; None elsewhere, and where the form outgrows the two sides' trees."""
     if isinstance(proof, hol.Refl) or not _pure_conversion(proof, pure):
         return None
-    if isinstance(proof, hol.ConvRefl):
-        return proof.normal
     lhs, rhs = hol.dest_eq(proof.sequent.concl)
     return hol.beta_normalize(rhs, lhs.size + rhs.size)
 
 
-def compress_conversions(proof: hol.Proof, _memos: Optional[tuple] = None) -> hol.Proof:
-    """``proof`` with each congruence-only subtree that the translation
-    collapses replaced by a ``ConvRefl`` at the same normal form, so both
-    translate to the same terms."""
-    memo, pure = _memos or ({}, {})
-    hit = memo.get(id(proof))
-    if hit is not None:
-        return hit[1]
-    nf = _conversion_normal(proof, pure)
-    if nf is not None:
-        out = hol.ConvRefl(*hol.dest_eq(proof.sequent.concl), nf)
-    else:
-        old = proof._values()
-        new = tuple(compress_conversions(v, (memo, pure)) if isinstance(v, hol.Proof) else v for v in old)
-        out = proof if all(a is b for a, b in zip(old, new)) else type(proof)(*new)
-    memo[id(proof)] = (proof, out)
-    return out
+def compress_conversions(proof: hol.Proof) -> hol.Proof:
+    """``proof`` itself: ``_trans_proof`` collapses each conversion subtree,
+    so no pass before it has anything left to do.  Kept only because the
+    benchmark's traced run still calls it, until the next benchmark change
+    (ROADMAP P) drops that call."""
+    return proof
 
 
 # ---------------------------------------------------------------------------

@@ -387,16 +387,6 @@ def test_define_type_op_tyvar_list_must_match():
         hol.check_proof(hol.AbsRepThm(defn))
 
 
-def test_conv_refl_checks_beta_equality():
-    x = hol.Var("x", A)
-    z = hol.Var("z", A)
-    redex = hol.App(hol.Abs(x, x), z)
-    seq = hol.check_proof(hol.ConvRefl(redex, z, z))
-    assert hol.alpha_equal(seq.concl, hol.mk_eq(redex, z))
-    with pytest.raises(hol.RuleViolation):
-        hol.check_proof(hol.ConvRefl(redex, hol.Var("w", A), z))
-
-
 def test_eta_instance_recognizer():
     f = hol.Var("f", hol.fn(A, B))
     x = hol.Var("x", A)

@@ -134,7 +134,7 @@ def test_prove_hyp_desugaring():
 
 def test_run_minimal():
     state = run_lines(*MINIMAL)
-    assert state.theorems == [] and state.assumptions == []
+    assert state.theorems == []
 
 
 def test_run_empty_fails():
@@ -346,13 +346,6 @@ def test_thm_stating_a_captured_instantiation_is_rejected():
 def test_pragma_pops_and_ignores():
     state = run_lines(*MINIMAL, '"debug"', "pragma")
     assert state.stack == []
-
-
-def test_axiom_recorded_in_assumptions(corpus_paths):
-    path = next(p for p in corpus_paths if p.name == "11_axiom.art")
-    state = ot.run_text(path.read_text())
-    assert len(state.assumptions) == 1
-    assert len(state.assumptions[0].hyps) == 1
 
 
 def test_define_const_registers_generic():

@@ -32,7 +32,7 @@ def one_of_each():
         refl, hol.AbsThm(x, refl), hol.AppThm(hol.Refl(hol.Abs(x, x)), refl), hol.Beta(x, x),
         hol.Assume(c), hol.EqMp(refl, axiom), hol.DeductAntiSym(axiom, axiom),
         hol.Subst(hol.HolSubst(), refl), axiom, hol.DefineConst("d", c), defn,
-        hol.AbsRepThm(defn), hol.RepAbsThm(defn), hol.ConvRefl(c, c, c),
+        hol.AbsRepThm(defn), hol.RepAbsThm(defn),
         ot.IntLiteral(6, 1), ot.StringLiteral("x", 2), ot.Keyword("nil", 3),
         ot.ONum(1), ot.OName("n"), ot.OList((ot.ONum(1),)), ot.OTypeOp("bool"), ot.OType(A),
         ot.OConst("c"), ot.OVar(x), ot.OTerm(c),
@@ -69,7 +69,6 @@ DATACLASS_REPRS = [
     DEFN,
     f"AbsRepThm(defn={DEFN})",
     f"RepAbsThm(defn={DEFN})",
-    f"ConvRefl(lhs={C}, rhs={C}, normal={C})",
     "IntLiteral(value=6, line=1)",
     "StringLiteral(value='x', line=2)",
     "Keyword(name='nil', line=3)",

@@ -350,24 +350,23 @@ def _conversion_tower():
 def test_compression_collapses_conversion_tower(q0, monkeypatch):
     proof, (f, g, x) = _conversion_tower()
     assert len(_nodes(proof)) == 5
-    compressed = tr.compress_conversions(proof)
-    assert isinstance(compressed, hol.ConvRefl)
-    want = hol.App(f, hol.App(g, x))
-    assert hol.alpha_equal(compressed.normal, want)
     # the tower translated rule by rule, and collapsed, both check at the
     # original statement
     env = make_env()
     with rule_by_rule(monkeypatch):
         ctx = completeness_context(env, proof)
         tower = tr.trans_proof(env, proof)
-    want_ty = tr.trans_prop_type(env, hol.check_proof(proof).concl)
-    for term in (tower, tr.trans_proof(env, compressed)):
-        ty = k.infer_type(q0, ctx, term)
-        assert k.convertible(q0, ty, want_ty)
-    # the translation collapses the tower as compression does, and the
-    # compressed term is smaller
-    assert tr.trans_proof(make_env(), proof) == tr.trans_proof(env, compressed)
-    assert k.term_size(tr.trans_proof(env, compressed)) < k.term_size(tower)
+    packed_env = make_env()
+    packed_ctx = completeness_context(packed_env, proof)
+    packed = tr.trans_proof(packed_env, proof)
+    for e, c, term in ((env, ctx, tower), (packed_env, packed_ctx, packed)):
+        want_ty = tr.trans_prop_type(e, hol.check_proof(proof).concl)
+        assert k.convertible(q0, k.infer_type(q0, c, term), want_ty)
+    # the collapsed tower is one reflexivity step at the normal form, and
+    # smaller than the tower
+    want = hol.App(f, hol.App(g, x))
+    assert packed == k.app(k.Const("Refl"), BOOL, tr.trans_term(packed_env, want))
+    assert k.term_size(packed) < k.term_size(tower)
 
 
 def _nodes(proof):
@@ -391,17 +390,21 @@ def test_compression_identity_on_refl():
     assert tr.compress_conversions(proof) is proof
 
 
-def test_compression_skips_non_conversion_children():
+def test_compression_skips_non_conversion_children(q0):
     f, g = hol.Var("f", hol.fn(hol.BOOL, hol.BOOL)), hol.Var("g", hol.fn(hol.BOOL, hol.BOOL))
     x = hol.Var("x", hol.BOOL)
     fg = hol.mk_eq(f, g)
     fun = hol.EqMp(hol.Refl(fg), hol.Assume(fg))  # {f = g} |- f = g
     proof = hol.AppThm(fun, hol.Beta(x, x))  # {f = g} |- f ((\x. x) x) = g x
-    out = tr.compress_conversions(proof)
-    assert isinstance(out, hol.AppThm)
-    assert isinstance(out.fun, hol.EqMp)
-    assert isinstance(out.arg, hol.ConvRefl)
-    assert out.sequent.alpha_eq(proof.sequent)
+    env = make_env()
+    ctx = completeness_context(env, proof)
+    term = tr.trans_proof(env, proof)
+    head, args = k.spine(term)
+    assert head == k.Const("AppThm")
+    assert k.spine(args[-2])[0] == k.Const("EqMp")
+    assert args[-1] == k.app(k.Const("Refl"), BOOL, env.termvar(x))
+    want_ty = tr.trans_prop_type(env, proof.sequent.concl)
+    assert k.convertible(q0, k.infer_type(q0, ctx, term), want_ty)
 
 
 def test_translation_reads_sequents_without_rechecking(monkeypatch):
@@ -419,32 +422,18 @@ def test_translation_reads_sequents_without_rechecking(monkeypatch):
 
 
 def test_conv_refl_normalizes_each_side_once(monkeypatch):
-    """``compress_conversions`` normalizes each pure conversion once to
-    build its ``ConvRefl``; checking the node normalizes its two sides and
-    compares the stored normal form as it is.  The translation builds no
-    ``ConvRefl`` and normalizes each of those conversions once."""
+    """The translation applies no rule, and normalizes each conversion it
+    collapses once."""
     from holtrans import opentheory as ot
 
     proofs = [HolGen(seed).proof(3) for seed in range(40)]
     article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in proofs]))
     state = ot.run_text(article)
-    conv = [0]
-    check = hol._check
-
-    def counting_check(proof):
-        conv[0] += isinstance(proof, hol.ConvRefl)
-        return check(proof)
-
-    monkeypatch.setattr(hol, "_check", counting_check)
-    run = lambda: [tr.compress_conversions(p) for _, p in state.theorems]  # noqa: E731
-    calls = count_calls(monkeypatch, hol, "beta_normalize", run)
-    assert conv[0] == 27
-    assert calls == 3 * conv[0]  # was 5 per node: two for each beta_equal
-    conv[0] = 0
     run = lambda: tr.translate_state(state, "m", mode="pts", sharing=False)  # noqa: E731
-    calls = count_calls(monkeypatch, hol, "beta_normalize", run)
-    assert conv[0] == 0
-    assert calls == 27
+    normalized = []
+    checks = count_calls(monkeypatch, hol, "_check", lambda: normalized.append(count_calls(monkeypatch, hol, "beta_normalize", run)))
+    assert checks == 0
+    assert normalized == [27]
 
 
 @settings(max_examples=30, deadline=None)
