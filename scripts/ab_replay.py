@@ -2,10 +2,11 @@
 """Compare two source trees on the benchmark's pinned variant-0 article.
 
 By default, loads the ``holtrans`` package of PARENT_SRC and of CHANGE_SRC
-side by side in this process and replays the article of one family with
-each tree's ``opentheory.run``, in pairs whose first side alternates.
-Prints each side's median replay time, the parent's interquartile range and
-in how many pairs the change was faster.
+side by side in this process, and parses and replays the article of one
+family with each tree's ``opentheory.parse_article`` and ``opentheory.run``,
+in pairs whose first side alternates.  Prints each side's median time for
+the two together, the parent's interquartile range and in how many pairs
+the change was faster.
 
 With ``--process translate`` or ``--process check``, runs that command as a
 fresh ``python -m holtrans.cli`` process of each tree instead, in pairs whose
@@ -53,14 +54,15 @@ def load_parent(src: Path):
     return importlib.import_module("ab_parent.opentheory")
 
 
-def replay_s(ot, commands) -> float:
-    """One replay's wall time, with the cyclic collector off while it runs
-    (a collection would charge one side for garbage of both)."""
+def replay_s(ot, text: str) -> float:
+    """The wall time of one parse and replay of ``text``, with the cyclic
+    collector off while they run (a collection would charge one side for
+    garbage of both)."""
     gc.collect()
     gc.disable()
     try:
         t0 = time.perf_counter()
-        ot.run(commands)
+        ot.run(ot.parse_article(text))
         return time.perf_counter() - t0
     finally:
         gc.enable()
@@ -92,18 +94,18 @@ def quartiles(values: list) -> tuple:
 
 
 def replay_pairs(args, workloads) -> tuple:
-    """In-process replays: (header, times by side, their unit, None)."""
+    """In-process parses and replays: (header, times by side, their unit, None)."""
     from holtrans import opentheory as change
 
     sides = {"parent": load_parent(args.parent.resolve()), "change": change}
     text = workloads.pinned_articles(args.family, 0)[0]["full"]
-    commands = {name: ot.parse_article(text) for name, ot in sides.items()}
+    n = len(change.parse_article(text))
     times = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in order:
-            times[name].append(replay_s(sides[name], commands[name]) * 1e3)
-    return f"family {args.family}, {len(commands['change'])} commands", times, "ms", None
+            times[name].append(replay_s(sides[name], text) * 1e3)
+    return f"family {args.family}, {n} commands parsed and replayed", times, "ms", None
 
 
 def process_pairs(args, workloads) -> tuple:

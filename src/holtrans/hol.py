@@ -7,7 +7,8 @@ knows its type: an ``Abs`` or ``App`` computes it when it is built, and an
 ``AppTypeMismatch`` there, so an ill-typed term never exists.  A compound
 term or type also keeps its free variables and type variables once they
 are first asked for (``free_vars``, ``term_tyvars``, ``type_tyvars``), so
-each distinct node computes each set once; a leaf keeps none.
+each distinct node computes each set once; a leaf keeps none.  A compound
+node keeps its canonical key (``term_key``, ``type_key``) the same way.
 
 Proofs are explicit derivation graphs, one constructor per primitive rule
 plus nodes for article-level axioms and the two definition commands.
@@ -84,7 +85,7 @@ class TyVar(HolType):
 
 
 class TyOp(HolType, _Node):
-    __slots__ = ("op", "args", "_tyvars")
+    __slots__ = ("op", "args", "_tyvars", "_key")
     _fields = ("op", "args")
 
     def __init__(self, op: str, args: tuple[HolType, ...] = ()):
@@ -95,7 +96,7 @@ class TyOp(HolType, _Node):
             raise ArityMismatch(f"type operator {op} expects {want} arguments")
         self.op = op
         self.args = args
-        self._hash = self._tyvars = None
+        self._hash = self._tyvars = self._key = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -281,7 +282,7 @@ class Const(_Named):
 class Abs(HolTerm):
     """``type`` is computed, and is not compared."""
 
-    __slots__ = ("var", "body", "type", "size", "_free", "_tyvars")
+    __slots__ = ("var", "body", "type", "size", "_free", "_tyvars", "_key")
     _fields = ("var", "body")
 
     def __init__(self, var: Var, body: HolTerm):
@@ -289,7 +290,7 @@ class Abs(HolTerm):
         self.body = body
         self.type = TyOp("->", (var.type, body.type))
         self.size = body.size + 2
-        self._hash = self._free = self._tyvars = None
+        self._hash = self._free = self._tyvars = self._key = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -308,7 +309,7 @@ class App(HolTerm):
     """``type`` is computed, and is not compared; an argument that does not
     fit the function raises ``AppTypeMismatch``."""
 
-    __slots__ = ("fn", "arg", "type", "size", "_free", "_tyvars")
+    __slots__ = ("fn", "arg", "type", "size", "_free", "_tyvars", "_key")
     _fields = ("fn", "arg")
 
     def __init__(self, fn: HolTerm, arg: HolTerm):
@@ -319,7 +320,7 @@ class App(HolTerm):
         self.arg = arg
         self.type = b
         self.size = fn.size + arg.size + 1
-        self._hash = self._free = self._tyvars = None
+        self._hash = self._free = self._tyvars = self._key = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -401,33 +402,57 @@ def term_tyvars(t: HolTerm) -> frozenset:
 
 
 def type_key(ty: HolType):
-    if isinstance(ty, TyVar):
+    """Canonical, orderable form of ``ty``, kept in each ``TyOp`` once asked for."""
+    if ty.__class__ is TyVar:
         return ("v", ty.name)
-    assert isinstance(ty, TyOp)
-    return ("o", ty.op, tuple(type_key(a) for a in ty.args))
+    k = ty._key
+    if k is None:
+        k = ty._key = ("o", ty.op, tuple(map(type_key, ty.args)))
+    return k
 
 
-def term_key(t: HolTerm, _bound: Optional[dict] = None, _depth: int = 0):
-    """Canonical, orderable form: equal keys iff alpha-equal terms.  Each
-    binder sets its entry in ``_bound`` for its body and restores it after."""
-    if _bound is None:
-        _bound = {}
-    if isinstance(t, Var):
-        k = (t.name, type_key(t.type))
-        if k in _bound:
-            return ("b", _depth - _bound[k] - 1)
+def term_key(t: HolTerm):
+    """Canonical, orderable form: equal keys iff alpha-equal terms.  A bound
+    variable is the number of binders between it and its own.  Each ``Abs``
+    and ``App`` keeps its key once asked for."""
+    cls = t.__class__
+    if cls is Var:
         return ("f", t.name, type_key(t.type))
-    if isinstance(t, Const):
+    if cls is Const:
         return ("c", t.name, type_key(t.type))
-    if isinstance(t, Abs):
-        k = (t.var.name, type_key(t.var.type))
-        old = _bound.get(k)
-        _bound[k] = _depth
-        out = ("l", k[1], term_key(t.body, _bound, _depth + 1))
-        _rebind(_bound, k, old)
-        return out
-    assert isinstance(t, App)
-    return ("a", term_key(t.fn, _bound, _depth), term_key(t.arg, _bound, _depth))
+    k = t._key
+    if k is None:
+        if cls is Abs:
+            k = ("l", type_key(t.var.type), _key_under(t.body, {t.var: 0}, 1, {}))
+        else:
+            k = ("a", term_key(t.fn), term_key(t.arg))
+        t._key = k
+    return k
+
+
+def _key_under(t: HolTerm, bound: dict, depth: int, memo: dict):
+    """``t``'s key ``depth`` binders deep, ``bound`` mapping each variable
+    bound there to its binder's depth.  A node none of whose free variables
+    is bound has its own key; the others are keyed once per binder, in
+    ``memo`` by identity."""
+    cls = t.__class__
+    if cls is Var:
+        d = bound.get(t)
+        return ("f", t.name, type_key(t.type)) if d is None else ("b", depth - d - 1)
+    if cls is Const or bound.keys().isdisjoint(free_vars(t)):
+        return term_key(t)
+    out = memo.get(id(t))
+    if out is None:
+        if cls is Abs:
+            v = t.var
+            old = bound.get(v)
+            bound[v] = depth
+            out = ("l", type_key(v.type), _key_under(t.body, bound, depth + 1, {}))
+            _rebind(bound, v, old)
+        else:
+            out = ("a", _key_under(t.fn, bound, depth, memo), _key_under(t.arg, bound, depth, memo))
+        memo[id(t)] = out
+    return out
 
 
 def alpha_equal(a: HolTerm, b: HolTerm) -> bool:

@@ -168,17 +168,17 @@ def parse_article(data: Union[str, bytes]) -> list[ArticleCommand]:
         at = e.start + len(data) - len(e.object)  # utf-8-sig counts from after a byte-order mark
         raise ArticleError(f"not UTF-8: byte 0x{data[at]:02x} at offset {at}") from None
     commands: list[ArticleCommand] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("#"):
-            continue
-        if line.startswith('"'):
-            commands.append(StringLiteral(_parse_quoted(line, lineno), lineno))
-        elif _INT_RE.match(line):
-            commands.append(IntLiteral(int(line), lineno))
-        elif line in _HANDLERS:  # the keywords
-            commands.append(Keyword(line, lineno))
-        else:
+    append = commands.append
+    # splitlines ends a line at "\r" too, so no line holds one; the checks
+    # come most frequent first, and no line passes two of them
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line in _HANDLERS:  # the keywords
+            append(Keyword(line, lineno))
+        elif line.isdigit() and line.isascii() or _INT_RE.match(line):
+            append(IntLiteral(int(line), lineno))
+        elif line.startswith('"'):
+            append(StringLiteral(_parse_quoted(line, lineno), lineno))
+        elif line.strip() and not line.startswith("#"):
             raise UnknownCommand(f"line {lineno}: unknown command {line!r}")
     return commands
 
@@ -188,44 +188,66 @@ def parse_article(data: Union[str, bytes]) -> list[ArticleCommand]:
 
 
 class _Boxed(Record):
-    """A stack object other than a theorem: one value, named ``_fields[0]``."""
+    """A stack object other than a theorem: one value, named ``_fields[0]``
+    and set by the subclass's own ``__init__``."""
 
     __slots__ = ()
-
-    def __init__(self, value) -> None:
-        setattr(self, self._fields[0], value)
 
 
 class ONum(_Boxed):
     __slots__ = _fields = ("value",)
 
+    def __init__(self, value: int) -> None:
+        self.value = value
+
 
 class OName(_Boxed):
     __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str) -> None:
+        self.value = value
 
 
 class OList(_Boxed):
     __slots__ = _fields = ("items",)
 
+    def __init__(self, items: tuple) -> None:
+        self.items = items
+
 
 class OTypeOp(_Boxed):
     __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
 class OType(_Boxed):
     __slots__ = _fields = ("type",)
 
+    def __init__(self, type: HolType) -> None:
+        self.type = type
+
 
 class OConst(_Boxed):
     __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
 class OVar(_Boxed):
     __slots__ = _fields = ("var",)
 
+    def __init__(self, var: Var) -> None:
+        self.var = var
+
 
 class OTerm(_Boxed):
     __slots__ = _fields = ("term",)
+
+    def __init__(self, term: HolTerm) -> None:
+        self.term = term
 
 
 StackObject = Union[ONum, OName, OList, OTypeOp, OType, OConst, OVar, OTerm, Proof]
@@ -256,12 +278,11 @@ class VMState:
     versioned: bool = False
 
     def pop(self, cls, cmd: str):
-        """Remove and return the top object, which must be a ``cls`` unless
-        ``cls`` is None."""
+        """Remove and return the top object, which must be a ``cls``."""
         if not self.stack:
             raise StackUnderflow(f"{cmd}: stack underflow")
         top = self.stack.pop()
-        if cls is not None and not isinstance(top, cls):
+        if not isinstance(top, cls):
             raise TypeErrorOnStack(f"{cmd}: expected {cls.__name__}, found {type(top).__name__}")
         return top
 
@@ -353,19 +374,19 @@ def _auto_const(state: VMState, name: str, ty: HolType, cmd: str) -> None:
 
 def step(state: VMState, cmd: ArticleCommand) -> None:
     """Execute one command on ``state`` in place."""
-    if isinstance(cmd, IntLiteral):
-        state.push(ONum(cmd.value))
-        return
-    if isinstance(cmd, StringLiteral):
-        state.push(OName(cmd.value))
-        return
-    assert isinstance(cmd, Keyword)
-    if not state.versioned and cmd.name != "version":
-        raise UnsupportedVersion(f"{cmd.name}: article must begin with a version")
-    handler = _HANDLERS.get(cmd.name)
-    if handler is None:
-        raise UnknownCommand(f"unknown command {cmd.name}")
-    handler(state)
+    cls = cmd.__class__
+    if cls is IntLiteral:
+        state.stack.append(ONum(cmd.value))
+    elif cls is StringLiteral:
+        state.stack.append(OName(cmd.value))
+    else:
+        assert cls is Keyword
+        if not state.versioned and cmd.name != "version":
+            raise UnsupportedVersion(f"{cmd.name}: article must begin with a version")
+        handler = _HANDLERS.get(cmd.name)
+        if handler is None:
+            raise UnknownCommand(f"unknown command {cmd.name}")
+        handler(state)
 
 
 def _rule(name: str, fn: Callable, *classes) -> tuple[str, Callable[[VMState], None]]:
@@ -374,9 +395,12 @@ def _rule(name: str, fn: Callable, *classes) -> tuple[str, Callable[[VMState], N
     The handler pops one operand per class in ``classes`` (listed bottom
     first, popped top first; ``None`` takes any object), calls ``fn`` on
     them bottom first and pushes what it returns, unless that is None.
-    Each arity has its own closure: popping through a loop is slower.
+    Operands that fit are taken off the stack directly; otherwise
+    ``VMState.pop`` takes them and raises its error.  Each arity has its
+    own closure: popping through a loop is slower.
     """
     pop = VMState.pop
+    classes = tuple(object if c is None else c for c in classes)
     if not classes:
         def handler(state: VMState) -> None:
             state.stack.append(fn())
@@ -384,17 +408,23 @@ def _rule(name: str, fn: Callable, *classes) -> tuple[str, Callable[[VMState], N
         (a,) = classes
 
         def handler(state: VMState) -> None:
-            out = fn(pop(state, a, name))
+            stack = state.stack
+            out = fn(stack.pop() if stack and isinstance(stack[-1], a) else pop(state, a, name))
             if out is not None:
-                state.stack.append(out)
+                stack.append(out)
     else:
         a, b = classes
 
         def handler(state: VMState) -> None:
-            y = pop(state, b, name)
-            out = fn(pop(state, a, name), y)
+            stack = state.stack
+            if len(stack) > 1 and isinstance(stack[-1], b) and isinstance(stack[-2], a):
+                y = stack.pop()
+                out = fn(stack.pop(), y)
+            else:
+                y = pop(state, b, name)
+                out = fn(pop(state, a, name), y)
             if out is not None:
-                state.stack.append(out)
+                stack.append(out)
     return name, handler
 
 
@@ -412,17 +442,20 @@ def _cmd_version(state: VMState) -> None:
 
 
 def _cmd_def(state: VMState) -> None:
-    n = state.pop(ONum, "def")
-    if not state.stack:
+    stack = state.stack  # def and ref are frequent: their number is popped here
+    n = stack.pop() if stack and stack[-1].__class__ is ONum else state.pop(ONum, "def")
+    if not stack:
         raise StackUnderflow("def: no object to store")
-    state.dictionary[n.value] = state.stack[-1]
+    state.dictionary[n.value] = stack[-1]
 
 
 def _cmd_ref(state: VMState) -> None:
-    n = state.pop(ONum, "ref")
-    if n.value not in state.dictionary:
+    stack = state.stack
+    n = stack.pop() if stack and stack[-1].__class__ is ONum else state.pop(ONum, "ref")
+    obj = state.dictionary.get(n.value)
+    if obj is None:
         raise VMError(f"ref: undefined dictionary key {n.value}")
-    state.push(state.dictionary[n.value])
+    stack.append(obj)
 
 
 def _cmd_remove(state: VMState) -> None:
@@ -552,18 +585,28 @@ _HANDLERS: dict[str, Callable[[VMState], None]] = dict((
 
 def run(commands: Iterable[ArticleCommand]) -> VMState:
     """Execute the stream on a fresh machine; step errors gain their
-    command index and source line."""
+    command index and source line.  Literals, and keywords once the
+    version is read, run here; ``step`` runs the rest and raises their
+    errors."""
     state = VMState()
-    executed = False
+    push = state.stack.append
+    i = -1
     for i, cmd in enumerate(commands):
-        executed = True
         try:
-            step(state, cmd)
+            cls = cmd.__class__
+            if cls is Keyword and state.versioned and cmd.name in _HANDLERS:
+                _HANDLERS[cmd.name](state)
+            elif cls is IntLiteral:
+                push(ONum(cmd.value))
+            elif cls is StringLiteral:
+                push(OName(cmd.value))
+            else:
+                step(state, cmd)
         except (ArticleError, hol.HolError) as e:
             e.command_index = i  # type: ignore[attr-defined]
             e.command_line = getattr(cmd, "line", 0)  # type: ignore[attr-defined]
             raise
-    if not executed:
+    if i < 0:
         raise UnsupportedVersion("empty article")
     return state
 

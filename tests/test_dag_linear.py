@@ -23,8 +23,47 @@ A = hol.TyVar("A")
 # Oracles: the tree walks the DAG-aware functions replaced
 
 
+def type_key_tree(ty):
+    if isinstance(ty, hol.TyVar):
+        return ("v", ty.name)
+    return ("o", ty.op, tuple(type_key_tree(a) for a in ty.args))
+
+
+def term_key_tree(t, bound=None, depth=0):
+    """``hol.term_key`` before nodes kept their keys: one walk of the tree,
+    each binder setting its entry in ``bound`` for its body."""
+    bound = {} if bound is None else bound
+    if isinstance(t, hol.Var):
+        k = (t.name, type_key_tree(t.type))
+        if k in bound:
+            return ("b", depth - bound[k] - 1)
+        return ("f", t.name, type_key_tree(t.type))
+    if isinstance(t, hol.Const):
+        return ("c", t.name, type_key_tree(t.type))
+    if isinstance(t, hol.Abs):
+        k = (t.var.name, type_key_tree(t.var.type))
+        old = bound.get(k)
+        bound[k] = depth
+        out = ("l", k[1], term_key_tree(t.body, bound, depth + 1))
+        if old is None:
+            del bound[k]
+        else:
+            bound[k] = old
+        return out
+    return ("a", term_key_tree(t.fn, bound, depth), term_key_tree(t.arg, bound, depth))
+
+
+def make_sequent_hyps_tree(hyps):
+    """The hypotheses of ``hol.make_sequent``, deduplicated and ordered by
+    the tree-walk key."""
+    by_key = {}
+    for h in hyps:
+        by_key.setdefault(term_key_tree(h), h)
+    return tuple(by_key[k] for k in sorted(by_key))
+
+
 def alpha_equal_by_key(a, b):
-    return hol.term_key(a) == hol.term_key(b)
+    return term_key_tree(a) == term_key_tree(b)
 
 
 def free_vars_tree(t, bound=frozenset()):
@@ -155,6 +194,56 @@ def test_alpha_equal_matches_term_key(pair):
     assert hol.alpha_equal(b, a) == want
 
 
+def nodes(t):
+    """The distinct compound nodes of ``t``."""
+    out, stack = {}, [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in out and isinstance(u, (hol.Abs, hol.App)):
+            out[id(u)] = u
+            stack += (u.var, u.body) if isinstance(u, hol.Abs) else (u.fn, u.arg)
+    return list(out.values())
+
+
+def assert_keys_match(t):
+    assert hol.term_key(t) == term_key_tree(t)
+    assert hol.type_key(t.type) == type_key_tree(t.type)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_pairs(), st.booleans())
+def test_kept_keys_match_the_tree_walk(pair, top_first):
+    """Every node of ``a`` is keyed at the top and under binders that bind
+    its free variables, in either order (``b`` is a fresh copy to key in
+    the other), and one node under two different binders."""
+    a, b = pair
+    fresh = rename_binders(a, {})
+    for t in (a, fresh) if top_first else (fresh, a):
+        for u in nodes(t):
+            assert_keys_match(u)
+            for v in sorted(hol.free_vars(u), key=term_key_tree):
+                assert_keys_match(hol.Abs(v, u))
+            x, y = VARS[0], VARS[1]
+            if u.type == A:
+                assert_keys_match(hol.App(hol.App(F, hol.App(G, hol.Abs(x, u))), hol.App(G, hol.Abs(y, u))))
+            assert_keys_match(hol.Abs(x, hol.Abs(y, u)))
+            assert_keys_match(hol.Abs(y, hol.Abs(x, u)))
+    assert_keys_match(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(term_pairs(), min_size=1, max_size=4))
+def test_hypothesis_order_matches_the_tree_walk_key(pairs):
+    """``make_sequent`` keeps the first of each alpha-class and orders the
+    classes by key, as with the tree-walk key."""
+    hyps = []
+    for a, b in pairs:
+        hyps += [hol.mk_eq(a, b), hol.mk_eq(b, a), hol.mk_eq(a, rename_binders(a, {}))]
+    got = hol.make_sequent(hyps, hyps[0]).hyps
+    want = make_sequent_hyps_tree(hyps)
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
 @settings(max_examples=100, deadline=None)
 @given(term_pairs())
 def test_free_vars_and_tyvars_match_tree_walks(pair):
@@ -283,6 +372,31 @@ def test_front_half_work_grows_with_depth_not_tree_size():
     # compares nodes by identity
     small, large = stage_calls(8, LEAVES["constant"])[2], stage_calls(9, LEAVES["constant"])[2]
     assert sum(large.values()) <= 1.3 * sum(small.values())
+
+
+def assume_calls(k):
+    """Calls made by VM replay and by translation of the ``Assume(t_k)``
+    article (``t_0`` a constant), after one untimed run of both."""
+    p = hol.Assume(dag(k, LEAVES["constant"]))
+    article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p)]))
+    tr.translate_state(ot.run_text(article), "m", sharing=False)
+    box = {}
+    replay = calls(lambda: box.setdefault("state", ot.run_text(article)))
+    translation = calls(lambda: tr.translate_state(box["state"], "m", sharing=False))
+    return replay, translation
+
+
+def test_hypothesis_work_grows_with_depth_not_tree_size():
+    """Every hypothesis is keyed (``make_sequent``, ``Sequent.alpha_eq``,
+    ``TranslationEnv.hyp_name``); each node keeps its key, so the Python
+    calls grow with ``k``.  When ``term_key`` walked the tree, replay made
+    22,165 and 42,845 calls at k = 8 and 9.  What stays tree-sized is C
+    code: hashing and comparing the nested key tuples (ROADMAP K part 2,
+    hash-consed terms, removes it)."""
+    small, large = assume_calls(8), assume_calls(9)
+    for stage, n, m in zip(("replay", "translation"), small, large):
+        assert sum(m.values()) <= 1.3 * sum(n.values()), (stage, sum(n.values()), sum(m.values()))
+    assert large[0]["term_key"] > 0 and large[1]["hyp_name"] > 0
 
 
 def test_closed_dag_hoists_one_definition_per_level():

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holtrans import hol
 from holtrans import opentheory as ot
 
-from conftest import captured_by_instantiation
+from conftest import CORPUS, captured_by_instantiation
+from reference_article import parse_article as reference_parse
 
 
 def run_lines(*lines):
@@ -55,6 +57,65 @@ def test_parse_byte_order_mark():
         ot.IntLiteral(6),
         ot.Keyword("version"),
     ]
+
+
+def parsed(parse, data):
+    """What ``parse`` makes of ``data``: each command's class, value and
+    line, or the class and message of what it raised."""
+    try:
+        return [(type(c).__name__, c._values(), c.line) for c in parse(data)]
+    except ot.ArticleError as e:
+        return type(e).__name__, str(e)
+
+
+CORPUS_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.art"))]
+
+# Lines that are blank, comments, numbers in odd spellings, strings with
+# escapes, or near misses of a keyword or a number
+ODD_LINES = (
+    "", " ", "\t \t", "#", "# a comment", "#6", " 6", "6 ", " nil", "nil ", "Nil", "frobnicate",
+    "-0", "+1", "00", "007", "-", "--1", "1.5", "1e3", "\u00b2", "\u0661", "\uff11",
+    '"a\\"b\\\\c"', '"x\\y"', '"', '""', '"a"b"', '"\\"', "a\x0cb", "x\x85y",
+)
+
+
+def test_parser_matches_the_reference_on_whole_articles(workloads):
+    texts = CORPUS_TEXTS + [workloads.pinned_articles(family, 0)[0]["full"] for family in ("synth", "dag")]
+    for text in texts:
+        want = parsed(reference_parse, text)
+        assert isinstance(want, list) and want
+        assert parsed(ot.parse_article, text) == want
+        assert parsed(ot.parse_article, text.replace("\n", "\r\n").encode()) == want
+
+
+def test_parser_matches_the_reference_on_each_odd_line():
+    for line in ODD_LINES:
+        for end in ("\n", "\r\n", "\r"):
+            data = end.join(["6", "version", line, "nil"]) + end
+            assert parsed(ot.parse_article, data) == parsed(reference_parse, data), repr(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CORPUS_TEXTS),
+    st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(ODD_LINES + ("<indent>",))), max_size=4),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+)
+def test_parser_matches_the_reference_on_mutated_lines(text, edits, end, as_bytes):
+    """Each edit inserts an odd line, or indents an existing one, at a
+    position; the lines are joined with LF, CRLF or a lone CR."""
+    lines = text.splitlines()
+    for at, line in edits:
+        at %= len(lines) + 1
+        if line != "<indent>":
+            lines.insert(at, line)
+        elif at < len(lines):
+            lines[at] = " " + lines[at]
+    data = end.join(lines) + end
+    if as_bytes:
+        data = data.encode("utf-8")
+    assert parsed(ot.parse_article, data) == parsed(reference_parse, data)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,26 @@ def test_ab_replay_script_on_one_tree_twice():
     proc = _run(SCRIPTS / "ab_replay.py", src, src, "--family", "dag", "--pairs", "3")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "family dag, 484 commands, 3 pairs"
+    assert lines[0] == "family dag, 484 commands parsed and replayed, 3 pairs"
     assert lines[1].startswith("parent median ") and lines[2].startswith("change median ")
     assert lines[3].startswith("parent IQR ") and lines[4].endswith(" of 3 pairs")
+
+
+def test_ab_replay_times_the_parser_in_process(tmp_path):
+    """The change is a copy of ``src/`` whose ``parse_article`` first
+    sleeps 50 ms: that shows in its median, and the parent's stays under."""
+    change = tmp_path / "change"
+    shutil.copytree(SCRIPTS.parent / "src" / "holtrans", change / "holtrans",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = change / "holtrans" / "opentheory.py"
+    module.write_text(module.read_text() + (
+        "\n_parse = parse_article\n\n\n"
+        "def parse_article(data):\n    import time\n    time.sleep(0.05)\n    return _parse(data)\n"
+    ))
+    proc = _run(SCRIPTS / "ab_replay.py", SCRIPTS.parent / "src", change, "--family", "dag", "--pairs", "2")
+    assert proc.returncode == 0, proc.stderr
+    medians = dict(re.findall(r"^(parent|change) median (\d+\.\d+) ms$", proc.stdout, re.M))
+    assert float(medians["change"]) >= 50 > float(medians["parent"]), proc.stdout
 
 
 def test_ab_replay_script_in_fresh_processes():

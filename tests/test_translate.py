@@ -906,19 +906,14 @@ def test_a_lemma_instantiated_more_than_once_binds_only_what_each_redex_changes(
 
 
 def test_corpus_translates_in_pts_mode(pts, corpus_paths):
-    import dataclasses
-
     from holtrans import opentheory as ot
 
     for path in corpus_paths:
         state = ot.run_text(path.read_text())
         result = tr.translate_state(state, path.stem, mode="pts")
         tr.verify_document(result.document, mode="pts")
-        # compressing the proofs first, as the traced benchmark run does, gives the same module
-        compressed = dataclasses.replace(state, theorems=[(seq, tr.compress_conversions(p)) for seq, p in state.theorems])
-        compressed = tr.translate_state(compressed, path.stem, mode="pts")
-        tr.verify_document(compressed.document, mode="pts")
-        assert dkfile.emit(compressed.document) == dkfile.emit(result.document)
+        # the traced benchmark run compresses each proof first: it gets the proof back
+        assert all(tr.compress_conversions(p) is p for _, p in state.theorems)
 
 
 @settings(max_examples=50, deadline=None)
