@@ -247,10 +247,7 @@ SELECT = "select"
 
 
 class HolTerm(_Node):
-    """``size``, the number of nodes as a tree, is kept in each node."""
-
     __slots__ = ()
-    size = 1
 
 
 class _Named(HolTerm):
@@ -282,14 +279,13 @@ class Const(_Named):
 class Abs(HolTerm):
     """``type`` is computed, and is not compared."""
 
-    __slots__ = ("var", "body", "type", "size", "_free", "_tyvars", "_key")
+    __slots__ = ("var", "body", "type", "_free", "_tyvars", "_key")
     _fields = ("var", "body")
 
     def __init__(self, var: Var, body: HolTerm):
         self.var = var
         self.body = body
         self.type = TyOp("->", (var.type, body.type))
-        self.size = body.size + 2
         self._hash = self._free = self._tyvars = self._key = None
 
     def __eq__(self, other: object) -> bool:
@@ -309,7 +305,7 @@ class App(HolTerm):
     """``type`` is computed, and is not compared; an argument that does not
     fit the function raises ``AppTypeMismatch``."""
 
-    __slots__ = ("fn", "arg", "type", "size", "_free", "_tyvars", "_key")
+    __slots__ = ("fn", "arg", "type", "_free", "_tyvars", "_key")
     _fields = ("fn", "arg")
 
     def __init__(self, fn: HolTerm, arg: HolTerm):
@@ -319,7 +315,6 @@ class App(HolTerm):
         self.fn = fn
         self.arg = arg
         self.type = b
-        self.size = fn.size + arg.size + 1
         self._hash = self._free = self._tyvars = self._key = None
 
     def __eq__(self, other: object) -> bool:
@@ -617,69 +612,6 @@ def apply_subst(s: HolSubst, t: HolTerm) -> HolTerm:
     """Type part applied once to the term, then the parallel term part."""
     out = map_types(s.theta_dict(), t)
     return subst_vars(dict(s.sigma), out)
-
-
-class _OverBudget(Exception):
-    pass
-
-
-class _Beta:
-    """One beta-normalization: the normal form of each node met, by
-    identity (an entry keeps its node, so no id is reused), and the steps
-    its budget has left."""
-
-    def __init__(self, budget: float):
-        self.budget = self.left = budget
-        self.normal: dict = {}
-
-    def go(self, t: HolTerm, v: Optional[Var], a: Optional[HolTerm], memo: Optional[dict]) -> HolTerm:
-        """The normal form of ``t[v := a]`` (of ``t`` where ``v`` is None),
-        ``a`` normal; ``memo`` is this substitution's.  A binder that would
-        capture a free variable of ``a`` is renamed with primes, as
-        ``subst_vars`` renames it."""
-        if type(t) is Var:
-            return a if t == v else t
-        if type(t) is Const:
-            return t
-        if v is None or v not in free_vars(t):
-            v, memo = None, self.normal
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        if type(t) is Abs:
-            w, body = t.var, t.body
-            names = {u.name for u in free_vars(a)} if v is not None else ()
-            if w.name in names:
-                taken = names | {u.name for u in free_vars(body)} | {v.name}
-                new = w.name + "'"
-                while new in taken:
-                    new += "'"
-                body, w = self.go(body, w, Var(new, w.type), {}), Var(new, w.type)
-            b = self.go(body, v, a, memo)
-            out = t if w is t.var and b is t.body else Abs(w, b)
-        else:
-            f, x = self.go(t.fn, v, a, memo), self.go(t.arg, v, a, memo)
-            if type(f) is Abs:
-                out = self.go(f.body, f.var, x, {})
-            else:
-                out = t if f is t.fn and x is t.arg else App(f, x)
-        memo[id(t)] = (t, out)
-        self.left -= 1
-        if self.left < 0 or out.size > self.budget:
-            raise _OverBudget
-        return out
-
-
-def beta_normalize(t: HolTerm, budget: float = float("inf")) -> Optional[HolTerm]:
-    """The beta-normal form of ``t``, or None once that takes more than
-    ``budget`` steps or builds a term larger than ``budget`` as a tree.
-    Each distinct node is normalized once and each contraction visits a
-    distinct node of its body once, so shared nodes stay shared.  It
-    terminates because the terms are simply typed."""
-    try:
-        return _Beta(budget).go(t, None, None, None)
-    except _OverBudget:
-        return None
 
 
 # ---------------------------------------------------------------------------

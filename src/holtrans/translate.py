@@ -6,7 +6,8 @@ with ``term a -> term b``, a provability predicate ``proof``, and one
 proof constant per primitive derivation rule.  Because the embedding is
 shallow, beta-equal HOL terms have convertible translations, so a beta step,
 or a whole subtree of congruence steps over beta steps, is one reflexivity
-step, and substitution is expressed by application.
+step, an ``EqMp`` over such a subtree is its premise's proof, and
+substitution is expressed by application.
 
 Two modes are supported: the equality-primitive one (``q0``) and an
 alternative (``pts``) where implication and universal quantification are
@@ -510,10 +511,10 @@ def trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
 
 
 def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
-    nf = _conversion_normal(proof, env._pure)
-    if nf is not None or isinstance(proof, (hol.Refl, hol.Beta)):
-        # one reflexivity step; the kernel's conversion checks the rest
-        t = nf if nf is not None else hol.dest_eq(proof.sequent.concl)[1]
+    if _pure_conversion(proof, env._pure):
+        # one reflexivity step at the right side; the kernel's conversion
+        # checks that the left side is beta-equal to it
+        t = hol.dest_eq(proof.sequent.concl)[1]
         return app(Const("Refl"), trans_type_term(env, t.type), trans_term(env, t))
 
     if isinstance(proof, hol.Assume):
@@ -552,6 +553,10 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         )
 
     if isinstance(proof, hol.EqMp):
+        if _pure_conversion(proof.eq, env._pure):
+            # a conversion has no hypotheses, and where the premise's proof
+            # is used at ``psi`` the kernel checks ``phi`` converts to it
+            return trans_proof(env, proof.prem)
         phi, psi = hol.dest_eq(proof.eq.sequent.concl)
         return app(
             Const("EqMp"),
@@ -752,7 +757,9 @@ def _typeop_axioms(env: TranslationEnv, defn: hol.TypeOpDef) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Conversion-proof compression: ``_trans_proof`` is its one path
+# Conversions: ``_trans_proof`` proves each by one reflexivity step at its
+# right side and drops each ``EqMp`` over one; the kernel's conversion
+# checks the beta-equality where the term is used
 
 def _pure_conversion(proof: hol.Proof, memo: dict) -> bool:
     # the congruence fragment; substitution instances of beta-equalities are
@@ -771,16 +778,6 @@ def _pure_conversion(proof: hol.Proof, memo: dict) -> bool:
         ok = False
     memo[id(proof)] = (proof, ok)
     return ok
-
-
-def _conversion_normal(proof: hol.Proof, pure: dict) -> Optional[hol.HolTerm]:
-    """The beta-normal form of ``proof``'s right side where ``proof`` is
-    congruence-only and not a bare ``Refl``, so one reflexivity step proves
-    it; None elsewhere, and where the form outgrows the two sides' trees."""
-    if isinstance(proof, hol.Refl) or not _pure_conversion(proof, pure):
-        return None
-    lhs, rhs = hol.dest_eq(proof.sequent.concl)
-    return hol.beta_normalize(rhs, lhs.size + rhs.size)
 
 
 def compress_conversions(proof: hol.Proof) -> hol.Proof:

@@ -76,11 +76,13 @@ CONSTS = {
 
 @contextlib.contextmanager
 def rule_by_rule(monkeypatch):
-    """Within it, the translation gives every proof node its own rule's
-    term, as it did before conversion compression: no congruence-only
-    subtree is collapsed to one reflexivity step."""
+    """Within it, the translation gives every compound proof node its own
+    rule's term, as it did before conversion compression: only a bare
+    ``Refl`` or ``Beta`` node counts as a conversion, so no congruence
+    subtree collapses to one reflexivity step, and an ``EqMp`` is dropped
+    only over a bare ``Refl`` or ``Beta``."""
     with monkeypatch.context() as m:
-        m.setattr(translate, "_conversion_normal", lambda proof, pure: None)
+        m.setattr(translate, "_pure_conversion", lambda proof, memo: isinstance(proof, (hol.Refl, hol.Beta)))
         yield
 
 
@@ -265,6 +267,40 @@ def random_kernel_term(seed: int, env=None, depth: int = 3):
         env = make_env()
     term, _ = random_hol_term(seed, depth)
     return translate.trans_term(env, term), term
+
+
+# ---------------------------------------------------------------------------
+# Beta-normal forms of HOL terms, by tree walks: the tests' oracle
+
+
+def beta_step_tree(t):
+    """One leftmost-outermost contraction, or None in normal form."""
+    if isinstance(t, hol.App):
+        if isinstance(t.fn, hol.Abs):
+            return hol.subst_vars({t.fn.var: t.arg}, t.fn.body)
+        rf = beta_step_tree(t.fn)
+        if rf is not None:
+            return hol.App(rf, t.arg)
+        ra = beta_step_tree(t.arg)
+        if ra is not None:
+            return hol.App(t.fn, ra)
+        return None
+    if isinstance(t, hol.Abs):
+        rb = beta_step_tree(t.body)
+        if rb is not None:
+            return hol.Abs(t.var, rb)
+        return None
+    return None
+
+
+def beta_normalize_tree(t):
+    """The beta-normal form of ``t``: contract leftmost-outermost until no
+    redex is left, each step a walk of the whole tree."""
+    while True:
+        r = beta_step_tree(t)
+        if r is None:
+            return t
+        t = r
 
 
 # ---------------------------------------------------------------------------

@@ -269,14 +269,29 @@ def _translated_corpus(outdir):
 
 def test_verbose_check_into_a_closed_pipe_is_one_error_line(tmp_path):
     """``holtrans check -v dir/*.dk | head -1`` ended in a
-    ``BrokenPipeError`` traceback, exit 1."""
-    docs = _translated_corpus(tmp_path)
+    ``BrokenPipeError`` traceback, exit 1.  The ``-v`` lines, one per copy
+    of a small module, hold more than twice what the pipe buffers, so
+    ``check`` blocks on a write until the reader is gone, however fast it
+    runs."""
+    import fcntl
+
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    module = (tmp_path / "01_identity.dk").read_bytes()
+    read_end, write_end = os.pipe()
+    capacity = fcntl.fcntl(write_end, getattr(fcntl, "F_GETPIPE_SZ", 1032))
+    copies = []
+    while sum(len(str(c)) for c in copies) <= 2 * capacity:  # each -v line holds its path
+        copies.append(tmp_path / f"{len(copies):05d}_{'m' * 150}.dk")
+        copies[-1].write_bytes(module)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}  # one write per line
-    proc = subprocess.Popen([sys.executable, "-m", "holtrans.cli", "check", "-v", *map(str, docs)],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    assert proc.stdout.readline().startswith(f"{tmp_path / 'hol.dk'}: ok (")
-    proc.stdout.close()  # as head -1 does; checking the other files takes longer than this
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "holtrans.cli", "check", "-v", *map(str, copies)],
+                                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end) as out:  # closed after one line, as head -1 does
+        assert out.readline().startswith(f"{tmp_path / 'hol.dk'}: ok (")
     err = proc.stderr.read()
     proc.stderr.close()
     assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from holtrans import hol
 
-from conftest import HolGen, captured_by_instantiation
+from conftest import HolGen, beta_normalize_tree, captured_by_instantiation
 
 A = hol.TyVar("A")
 B = hol.TyVar("B")
@@ -107,7 +107,7 @@ def test_apply_subst_matches_parallel_redex():
     m2 = hol.Abs(hol.Var("w", A), hol.Var("w", A))
     s = hol.HolSubst(sigma=((x1, m1), (x2, m2)))
     redex = hol.App(hol.App(hol.Abs(x1, hol.Abs(x2, m)), m1), m2)
-    assert hol.alpha_equal(hol.beta_normalize(hol.apply_subst(s, m)), hol.beta_normalize(redex))
+    assert hol.alpha_equal(beta_normalize_tree(hol.apply_subst(s, m)), beta_normalize_tree(redex))
 
 
 def test_apply_subst_capture_avoiding():
@@ -182,34 +182,6 @@ def test_map_types_keeps_nested_shadowing_binders_apart():
     out = hol.map_types({"A": B}, t)
     assert out == hol.Abs(xb, hol.Abs(hol.Var("x'", B), xb))
     assert hol.map_types({"B": A}, t) == hol.Abs(xa, hol.Abs(hol.Var("x'", A), xa))
-
-
-def test_beta_normalize_identity_redex():
-    x = hol.Var("x", A)
-    t = hol.App(hol.Abs(x, x), hol.Var("z", A))
-    assert hol.beta_normalize(t) == hol.Var("z", A)
-
-
-def test_beta_normalize_renames_a_binder_that_would_capture():
-    x, y = hol.Var("x", A), hol.Var("y", A)
-    assert hol.beta_normalize(hol.App(hol.Abs(x, hol.Abs(y, x)), y)) == hol.Abs(hol.Var("y'", A), y)
-    # substituting an abstraction for p makes the redexes p y and p (p y)
-    p = hol.Var("p", hol.fn(A, A))
-    f = hol.Var("f", hol.fn(A, hol.fn(A, A)))
-    dup = hol.Abs(x, hol.App(hol.App(f, x), x))
-    t = hol.App(hol.Abs(p, hol.App(p, hol.App(p, y))), dup)
-    fyy = hol.App(hol.App(f, y), y)
-    assert hol.beta_normalize(t) == hol.App(hol.App(f, fyy), fyy)
-
-
-def test_beta_normalize_gives_up_past_its_budget():
-    x, y = hol.Var("x", hol.BOOL), hol.Var("y", hol.BOOL)
-    f = hol.Abs(x, hol.mk_eq(x, x))
-    t = hol.App(f, hol.App(f, hol.App(f, y)))  # 25 nodes; the normal form 29
-    nf = hol.beta_normalize(t)
-    assert (t.size, nf.size) == (25, 29)
-    assert hol.beta_normalize(t, 100) == nf
-    assert hol.beta_normalize(t, 28) is None
 
 
 # ---------------------------------------------------------------------------

@@ -401,39 +401,36 @@ def test_compression_skips_non_conversion_children(q0):
     term = tr.trans_proof(env, proof)
     head, args = k.spine(term)
     assert head == k.Const("AppThm")
-    assert k.spine(args[-2])[0] == k.Const("EqMp")
+    # an EqMp over a conversion is its premise's proof: here the hypothesis
+    assert args[-2] == k.Var(env.hyp_name(fg))
     assert args[-1] == k.app(k.Const("Refl"), BOOL, env.termvar(x))
+    want_ty = tr.trans_prop_type(env, proof.sequent.concl)
+    assert k.convertible(q0, k.infer_type(q0, ctx, term), want_ty)
+    # an equality that carries a hypothesis keeps its EqMp
+    p, q = hol.Var("p", hol.BOOL), hol.Var("q", hol.BOOL)
+    pq = hol.mk_eq(p, q)
+    proof = hol.EqMp(hol.Assume(pq), hol.Assume(p))  # {p = q, p} |- q
+    ctx = completeness_context(env, proof)
+    term = tr.trans_proof(env, proof)
+    hyps = (k.Var(env.hyp_name(pq)), k.Var(env.hyp_name(p)))
+    assert term == k.app(k.Const("EqMp"), env.termvar(p), env.termvar(q), *hyps)
     want_ty = tr.trans_prop_type(env, proof.sequent.concl)
     assert k.convertible(q0, k.infer_type(q0, ctx, term), want_ty)
 
 
-def test_translation_reads_sequents_without_rechecking(monkeypatch):
+@pytest.mark.parametrize("mode, sharing", [("q0", True), ("pts", False)])
+def test_translation_reads_sequents_without_rechecking(monkeypatch, mode, sharing):
     """Every proof node checked its rule when the VM built it; translating
     the run reads the stored sequents and applies no rule again."""
     from holtrans import opentheory as ot
 
-    proofs = [HolGen(seed).proof(3) for seed in range(20)]
-    article = ot.serialize_article(ot.VMState(theorems=[(hol.check_proof(p), p) for p in proofs]))
+    proofs = [HolGen(seed).proof(3) for seed in range(40)]
+    article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in proofs]))
     # the type definition's two theorems come from the nodes the VM built
     typedef = (CORPUS / "10_definetypeop.art").read_text()
     for state in (ot.run_text(article), ot.run_text(typedef)):
-        calls = count_calls(monkeypatch, hol, "_check", lambda: tr.translate_state(state, "m"))
-        assert calls == 0
-
-
-def test_conv_refl_normalizes_each_side_once(monkeypatch):
-    """The translation applies no rule, and normalizes each conversion it
-    collapses once."""
-    from holtrans import opentheory as ot
-
-    proofs = [HolGen(seed).proof(3) for seed in range(40)]
-    article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in proofs]))
-    state = ot.run_text(article)
-    run = lambda: tr.translate_state(state, "m", mode="pts", sharing=False)  # noqa: E731
-    normalized = []
-    checks = count_calls(monkeypatch, hol, "_check", lambda: normalized.append(count_calls(monkeypatch, hol, "beta_normalize", run)))
-    assert checks == 0
-    assert normalized == [27]
+        run = lambda: tr.translate_state(state, "m", mode=mode, sharing=sharing)  # noqa: E731
+        assert count_calls(monkeypatch, hol, "_check", run) == 0
 
 
 @settings(max_examples=30, deadline=None)
