@@ -4,7 +4,8 @@
 Runs ``holtrans translate``, ``check`` and ``stats --json`` in-process
 through ``cli.main`` under a line tracer: ``sys.settrace``, and
 ``threading.settrace`` since the commands run in a worker thread.  Prints
-``path:line: source`` for each statement that never ran, then the count.
+``path:line: source`` for each statement that never ran, then how many
+never ran in each file, most first, then the count of all.
 
 Default inputs: variant 0 of each pinned benchmark family under the
 benchmark's flag sets (``perfbench/run.py``), and the corpus under the four
@@ -22,6 +23,7 @@ import io
 import sys
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -119,15 +121,17 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         runs = [(f, args.articles) for f in golden_flag_sets()] if args.articles else default_runs(tmp)
         hits = traced(runs, tmp)
-    total = idle = 0
+    total = 0
+    idle = Counter()  # module name -> statements that never ran
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines()
         for line, span in sorted(statements(path).items()):
             total += 1
             if not any((str(path), n) in hits for n in span):
-                idle += 1
+                idle[path.stem] += 1
                 print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
-    print(f"{idle} of {total} statements never ran")
+    print("never ran, by file: " + ", ".join(f"{name} {n}" for name, n in idle.most_common()))
+    print(f"{idle.total()} of {total} statements never ran")
     return 0
 
 

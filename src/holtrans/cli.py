@@ -26,10 +26,10 @@ STATS_FILE = "stats.json"
 
 # Each command: the inputs it takes ("+": one or more, "*": any, "": none) and its
 # options, by spelling: the attribute each sets and how.  ``int``, ``str`` or a tuple
-# of the values allowed takes the next word (or what follows ``=``), "count" adds
-# one, and a bool is stored as it is.  ``--compress`` is still accepted and changes
-# nothing: the translation always compresses conversions.
-_FUEL_VERBOSE = {"--fuel": ("fuel", int), "-v": ("verbose", "count"), "--verbose": ("verbose", "count")}
+# of the values allowed takes the next word (or what follows ``=``), and a bool is
+# stored as it is.  ``--compress`` is still accepted and changes nothing: the
+# translation always compresses conversions.
+_FUEL_VERBOSE = {"--fuel": ("fuel", int), "-v": ("verbose", True), "--verbose": ("verbose", True)}
 COMMANDS = {
     "translate": ("+", {"--mode": ("mode", ("q0", "pts")), "--compress": ("compress", True),
                         "--no-sharing": ("sharing", False), "-o": ("outdir", str), "--outdir": ("outdir", str),
@@ -38,7 +38,7 @@ COMMANDS = {
     "stats": ("*", {"--json": ("as_json", True)}),
     "selftest": ("", {}),
 }
-DEFAULTS = {"mode": "q0", "compress": False, "sharing": True, "fuel": None, "outdir": ".", "verbose": 0,
+DEFAULTS = {"mode": "q0", "compress": False, "sharing": True, "fuel": None, "outdir": ".", "verbose": False,
             "as_json": False}
 USAGE = """\
 usage: holtrans translate [--mode q0|pts] [--compress] [--no-sharing] [--fuel N] [-o DIR] [-v] FILE...
@@ -93,10 +93,10 @@ def parse_args(argv: list) -> Optional[SimpleNamespace]:
             if flag not in options:
                 raise UsageError(f"{command}: unknown option {flag}")
             dest, kind = options[flag]
-            if kind == "count" or isinstance(kind, bool):
+            if isinstance(kind, bool):
                 if eq:
                     raise UsageError(f"{command}: {flag} takes no value")
-                setattr(args, dest, getattr(args, dest) + 1 if kind == "count" else kind)
+                setattr(args, dest, kind)
             else:
                 setattr(args, dest, _value(command, flag, kind, value if eq else next(words, None)))
     if arity == "+" and not args.inputs:

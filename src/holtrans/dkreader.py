@@ -77,7 +77,7 @@ class _Reader:
                 return TYPE
             level = self.bound.get(t)
             if level is not None:
-                return BVar(depth - 1 - level, t)
+                return BVar(depth - 1 - level)
             c = self.names.get(t)
             if c is None:
                 c = self.names[t] = Const(t)

@@ -59,8 +59,9 @@ class HolType(Record):
 
 class _Node(Record):
     """A record hashed often: its hash is computed when first asked for and
-    kept.  A subclass writes its own ``__eq__``, comparing kept hashes before
-    it walks the fields, and so must name ``__hash__`` again."""
+    kept.  ``TyOp`` and ``_Named``, compared often, write their own
+    ``__eq__`` (``TyOp``'s compares kept hashes before it walks the fields),
+    and so must name ``__hash__`` again."""
 
     __slots__ = ("_hash",)
 
@@ -288,18 +289,6 @@ class Abs(HolTerm):
         self.type = TyOp("->", (var.type, body.type))
         self._hash = self._free = self._tyvars = self._key = None
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Abs:
-            return False
-        h, g = self._hash, other._hash
-        if h is not None and g is not None and h != g:
-            return False
-        return self.var == other.var and self.body == other.body
-
-    __hash__ = _Node.__hash__
-
 
 class App(HolTerm):
     """``type`` is computed, and is not compared; an argument that does not
@@ -316,18 +305,6 @@ class App(HolTerm):
         self.arg = arg
         self.type = b
         self._hash = self._free = self._tyvars = self._key = None
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not App:
-            return False
-        h, g = self._hash, other._hash
-        if h is not None and g is not None and h != g:
-            return False
-        return self.fn == other.fn and self.arg == other.arg
-
-    __hash__ = _Node.__hash__
 
 
 def eq_generic() -> HolType:

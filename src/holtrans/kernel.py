@@ -242,15 +242,15 @@ class Const(_Named):
 
 
 class BVar(Term):
-    """A bound variable as a de Bruijn index; the hint is display-only."""
+    """A bound variable as a de Bruijn index.  It carries no name: the
+    emitter prints it by its binder's."""
 
-    __slots__ = ("index", "hint", "bound")
-    _fields = ("index", "hint")
+    __slots__ = ("index", "bound")
+    _fields = ("index",)
     size, has_var = 1, False
 
-    def __init__(self, index: int, hint: str = "x"):
+    def __init__(self, index: int):
         self.index = index
-        self.hint = hint
         self.bound = index + 1
 
     def __eq__(self, other: object) -> bool:
@@ -371,7 +371,7 @@ def _close(t: Term, position: dict[str, int], level: int, memo: dict) -> Term:
         return t
     if isinstance(t, Var):
         p = position.get(t.name)
-        return t if p is None else BVar(level - p, t.name)
+        return t if p is None else BVar(level - p)
     key = (id(t), level)
     out = memo.get(key)
     if out is None:
@@ -400,7 +400,7 @@ def _open(t: Term, values: tuple[Term, ...], depth: int) -> Term:
         return t
     if isinstance(t, BVar):
         k = len(values) - 1 - t.index + depth
-        return values[k] if k >= 0 else BVar(t.index - len(values), t.hint)
+        return values[k] if k >= 0 else BVar(t.index - len(values))
     if isinstance(t, App):
         return App(_open(t.fn, values, depth), _open(t.arg, values, depth))
     if isinstance(t, Binder):
@@ -714,8 +714,8 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
 
 
 def _same_hints(a: Term, b: Term) -> bool:
-    """Whether two equal terms also agree in every display hint, so that
-    ``whnf`` builds the same result, hints and all, from either."""
+    """Whether two equal terms also agree in every binder's display hint,
+    so that ``whnf`` builds the same result, hints and all, from either."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
@@ -727,8 +727,6 @@ def _same_hints(a: Term, b: Term) -> bool:
             stack += ((a.domain, b.domain), (a.body, b.body))
         elif isinstance(a, App):
             stack += ((a.fn, b.fn), (a.arg, b.arg))
-        elif isinstance(a, BVar) and a.hint != b.hint:
-            return False
     return True
 
 

@@ -12,9 +12,11 @@ ill-typed ``appTerm`` fails at that command.  Derived commands (``sym``,
 the primitive rules, so the proof checker stays minimal.
 
 The format defines a command by the objects it pops and pushes, and so
-does ``_HANDLERS``: a command that touches nothing but the stack is one
-``_rule`` row (operand classes and a builder), and the eleven that read or
-write the rest of the machine, or push two objects, have their own handlers.
+does the VM.  A number or string line parses to the object that it pushes,
+which ``run`` pushes as it is.  In ``_HANDLERS``, a keyword that touches
+nothing but the stack is one ``_rule`` row (operand classes and a builder),
+and the ten that read or write the rest of the machine, or push two
+objects, have their own handlers.
 ``serialize_article``, which regenerates an article from a finished run for
 round-trip testing, lives in ``holtrans.artwriter`` and loads on first use.
 """
@@ -96,11 +98,14 @@ class UnsupportedVersion(VMError):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Stack objects
 
-class _Token(Record):
-    """A parsed command: its value and the ``line`` it stood on, which
-    equality and hashing ignore."""
+
+class _Boxed(Record):
+    """A stack object other than a theorem, or a keyword command: one value,
+    named ``_fields[0]`` and set by the subclass's own ``__init__``.  Only
+    that value is compared and hashed; a parsed number, string or keyword
+    also keeps the ``line`` it stood on, which its repr shows."""
 
     __slots__ = ()
 
@@ -108,104 +113,20 @@ class _Token(Record):
         return (getattr(self, self._fields[0]),)
 
 
-class IntLiteral(_Token):
-    __slots__ = _fields = ("value", "line")
-
-    def __init__(self, value: int, line: int = 0):
-        self.value = value
-        self.line = line
-
-
-class StringLiteral(_Token):
-    __slots__ = _fields = ("value", "line")
-
-    def __init__(self, value: str, line: int = 0):
-        self.value = value
-        self.line = line
-
-
-class Keyword(_Token):
-    __slots__ = _fields = ("name", "line")
-
-    def __init__(self, name: str, line: int = 0):
-        self.name = name
-        self.line = line
-
-
-ArticleCommand = Union[IntLiteral, StringLiteral, Keyword]
-
-_INT_RE = re.compile(r"-?[0-9]+\Z")
-
-
-def _parse_quoted(line: str, lineno: int) -> str:
-    if len(line) < 2 or not line.endswith('"'):
-        raise MalformedString(f"line {lineno}: unterminated string")
-    out: list[str] = []
-    i = 1
-    end = len(line) - 1
-    while i < end:
-        ch = line[i]
-        if ch == '"':
-            raise MalformedString(f"line {lineno}: unescaped quote inside string")
-        if ch == "\\":
-            if i + 1 >= end:
-                raise MalformedString(f"line {lineno}: dangling escape")
-            nxt = line[i + 1]
-            # only quote and backslash are escapes; keep anything else verbatim
-            out.append(nxt if nxt in ('"', "\\") else "\\" + nxt)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def parse_article(data: Union[str, bytes]) -> list[ArticleCommand]:
-    """One command per non-comment line; ``#`` lines and blank lines are skipped."""
-    try:
-        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as e:
-        at = e.start + len(data) - len(e.object)  # utf-8-sig counts from after a byte-order mark
-        raise ArticleError(f"not UTF-8: byte 0x{data[at]:02x} at offset {at}") from None
-    commands: list[ArticleCommand] = []
-    append = commands.append
-    # splitlines ends a line at "\r" too, so no line holds one; the checks
-    # come most frequent first, and no line passes two of them
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line in _HANDLERS:  # the keywords
-            append(Keyword(line, lineno))
-        elif line.isdigit() and line.isascii() or _INT_RE.match(line):
-            append(IntLiteral(int(line), lineno))
-        elif line.startswith('"'):
-            append(StringLiteral(_parse_quoted(line, lineno), lineno))
-        elif line.strip() and not line.startswith("#"):
-            raise UnknownCommand(f"line {lineno}: unknown command {line!r}")
-    return commands
-
-
-# ---------------------------------------------------------------------------
-# Stack objects
-
-
-class _Boxed(Record):
-    """A stack object other than a theorem: one value, named ``_fields[0]``
-    and set by the subclass's own ``__init__``."""
-
-    __slots__ = ()
-
-
 class ONum(_Boxed):
-    __slots__ = _fields = ("value",)
+    __slots__ = _fields = ("value", "line")
 
-    def __init__(self, value: int) -> None:
+    def __init__(self, value: int, line: int = 0) -> None:
         self.value = value
+        self.line = line
 
 
 class OName(_Boxed):
-    __slots__ = _fields = ("value",)
+    __slots__ = _fields = ("value", "line")
 
-    def __init__(self, value: str) -> None:
+    def __init__(self, value: str, line: int = 0) -> None:
         self.value = value
+        self.line = line
 
 
 class OList(_Boxed):
@@ -250,12 +171,72 @@ class OTerm(_Boxed):
         self.term = term
 
 
-StackObject = Union[ONum, OName, OList, OTypeOp, OType, OConst, OVar, OTerm, Proof]
+# ---------------------------------------------------------------------------
+# Commands
+
+class Keyword(_Boxed):
+    __slots__ = _fields = ("name", "line")
+
+    def __init__(self, name: str, line: int = 0):
+        self.name = name
+        self.line = line
+
+
+# A number or string line is the object that it pushes.
+ArticleCommand = Union[ONum, OName, Keyword]
+
+_INT_RE = re.compile(r"-?[0-9]+\Z")
+
+
+def _parse_quoted(line: str, lineno: int) -> str:
+    if len(line) < 2 or not line.endswith('"'):
+        raise MalformedString(f"line {lineno}: unterminated string")
+    out: list[str] = []
+    i = 1
+    end = len(line) - 1
+    while i < end:
+        ch = line[i]
+        if ch == '"':
+            raise MalformedString(f"line {lineno}: unescaped quote inside string")
+        if ch == "\\":
+            if i + 1 >= end:
+                raise MalformedString(f"line {lineno}: dangling escape")
+            nxt = line[i + 1]
+            # only quote and backslash are escapes; keep anything else verbatim
+            out.append(nxt if nxt in ('"', "\\") else "\\" + nxt)
+            i += 2
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def parse_article(data: Union[str, bytes]) -> list[ArticleCommand]:
+    """One command per non-comment line; ``#`` lines and blank lines are skipped."""
+    try:
+        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as e:
+        at = e.start + len(data) - len(e.object)  # utf-8-sig counts from after a byte-order mark
+        raise ArticleError(f"not UTF-8: byte 0x{data[at]:02x} at offset {at}") from None
+    commands: list[ArticleCommand] = []
+    append = commands.append
+    # splitlines ends a line at "\r" too, so no line holds one; the checks
+    # come most frequent first, and no line passes two of them
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line in _HANDLERS:  # the keywords
+            append(Keyword(line, lineno))
+        elif line.isdigit() and line.isascii() or _INT_RE.match(line):
+            append(ONum(int(line), lineno))
+        elif line.startswith('"'):
+            append(OName(_parse_quoted(line, lineno), lineno))
+        elif line.strip() and not line.startswith("#"):
+            raise UnknownCommand(f"line {lineno}: unknown command {line!r}")
+    return commands
 
 
 @dataclass
 class VMState:
-    """The article machine: one run's state, changed in place by ``step``.
+    """The article machine: one run's state, changed in place by ``run``.
 
     The top of ``stack`` is its last element.  ``constants`` holds
     authoritative generic types (built-ins and defined constants, checked
@@ -263,7 +244,7 @@ class VMState:
     imported constants, widened by anti-unification as new instances
     appear.  ``theorems`` holds ``(stated sequent, proof)`` pairs in export
     order, and ``typeop_thms`` the ``(AbsRepThm, RepAbsThm)`` pair of each
-    type definition.  A step that raises leaves the machine in an
+    type definition.  A command that raises leaves the machine in an
     unspecified state.
     """
 
@@ -285,10 +266,6 @@ class VMState:
         if not isinstance(top, cls):
             raise TypeErrorOnStack(f"{cmd}: expected {cls.__name__}, found {type(top).__name__}")
         return top
-
-    def push(self, *objs: StackObject) -> None:
-        """Push ``objs`` in order, so the last one ends on top."""
-        self.stack.extend(objs)
 
 
 def _unbox(obj: OList, cls, message: str) -> tuple:
@@ -372,23 +349,6 @@ def _auto_const(state: VMState, name: str, ty: HolType, cmd: str) -> None:
         state.externals[name] = hol.anti_unify(provisional, ty)
 
 
-def step(state: VMState, cmd: ArticleCommand) -> None:
-    """Execute one command on ``state`` in place."""
-    cls = cmd.__class__
-    if cls is IntLiteral:
-        state.stack.append(ONum(cmd.value))
-    elif cls is StringLiteral:
-        state.stack.append(OName(cmd.value))
-    else:
-        assert cls is Keyword
-        if not state.versioned and cmd.name != "version":
-            raise UnsupportedVersion(f"{cmd.name}: article must begin with a version")
-        handler = _HANDLERS.get(cmd.name)
-        if handler is None:
-            raise UnknownCommand(f"unknown command {cmd.name}")
-        handler(state)
-
-
 def _rule(name: str, fn: Callable, *classes) -> tuple[str, Callable[[VMState], None]]:
     """A command that only uses the stack, as a ``(name, handler)`` row.
 
@@ -462,14 +422,14 @@ def _cmd_remove(state: VMState) -> None:
     n = state.pop(ONum, "remove")
     if n.value not in state.dictionary:
         raise VMError(f"remove: undefined dictionary key {n.value}")
-    state.push(state.dictionary.pop(n.value))
+    state.stack.append(state.dictionary.pop(n.value))
 
 
 def _cmd_const_term(state: VMState) -> None:
     ty = state.pop(OType, "constTerm")
     c = state.pop(OConst, "constTerm")
     _auto_const(state, c.name, ty.type, "constTerm")
-    state.push(OTerm(Const(c.name, ty.type)))
+    state.stack.append(OTerm(Const(c.name, ty.type)))
 
 
 def _cmd_op_type(state: VMState) -> None:
@@ -479,7 +439,7 @@ def _cmd_op_type(state: VMState) -> None:
     arity = state.typeops.setdefault(op.name, len(args))
     if arity != len(args):
         raise TypeErrorOnStack(f"opType: {op.name} expects {arity} arguments, got {len(args)}")
-    state.push(OType(TyOp(op.name, args)))
+    state.stack.append(OType(TyOp(op.name, args)))
 
 
 def _cmd_hd_tl(state: VMState) -> None:
@@ -487,13 +447,7 @@ def _cmd_hd_tl(state: VMState) -> None:
     l = state.pop(OList, "hdTl")
     if not l.items:
         raise TypeErrorOnStack("hdTl: expected a non-empty list")
-    state.push(l.items[0], OList(l.items[1:]))
-
-
-def _cmd_axiom(state: VMState) -> None:
-    t = state.pop(OTerm, "axiom")
-    l = state.pop(OList, "axiom")
-    state.push(Axiom(_unbox(l, OTerm, "axiom: expected a list of terms"), t.term))
+    state.stack += (l.items[0], OList(l.items[1:]))
 
 
 def _cmd_define_const(state: VMState) -> None:
@@ -503,7 +457,7 @@ def _cmd_define_const(state: VMState) -> None:
         raise VMError(f"defineConst: constant {n.value} already declared")
     thm = DefineConst(n.value, t.term)
     state.constants[n.value] = t.term.type
-    state.push(OConst(n.value), thm)
+    state.stack += (OConst(n.value), thm)
 
 
 def _cmd_define_type_op(state: VMState) -> None:
@@ -526,7 +480,7 @@ def _cmd_define_type_op(state: VMState) -> None:
     state.constants[r.value] = defn.rep_type(carrier, new_ty)
     state.typeops[n.value] = len(tyvars)
     state.typeop_thms.append((abs_thm, rep_thm))
-    state.push(OTypeOp(n.value), OConst(a.value), OConst(r.value), abs_thm, rep_thm)
+    state.stack += (OTypeOp(n.value), OConst(a.value), OConst(r.value), abs_thm, rep_thm)
 
 
 def _cmd_thm(state: VMState) -> None:
@@ -552,6 +506,7 @@ _HANDLERS: dict[str, Callable[[VMState], None]] = dict((
     _rule("appTerm", lambda f, x: OTerm(App(f.term, x.term)), OTerm, OTerm),
     _rule("appThm", AppThm, Proof, Proof),
     _rule("assume", lambda t: Assume(t.term), OTerm),
+    _rule("axiom", lambda l, t: Axiom(_unbox(l, OTerm, "axiom: expected a list of terms"), t.term), OList, OTerm),
     _rule("betaConv", lambda t: beta_conv_proof(t.term), OTerm),
     _rule("cons", lambda head, tail: OList((head,) + tail.items), None, OList),
     _rule("const", lambda n: OConst(n.value), OName),
@@ -576,7 +531,6 @@ _HANDLERS: dict[str, Callable[[VMState], None]] = dict((
     ("constTerm", _cmd_const_term),
     ("opType", _cmd_op_type),
     ("hdTl", _cmd_hd_tl),
-    ("axiom", _cmd_axiom),
     ("defineConst", _cmd_define_const),
     ("defineTypeOp", _cmd_define_type_op),
     ("thm", _cmd_thm),
@@ -584,27 +538,27 @@ _HANDLERS: dict[str, Callable[[VMState], None]] = dict((
 
 
 def run(commands: Iterable[ArticleCommand]) -> VMState:
-    """Execute the stream on a fresh machine; step errors gain their
-    command index and source line.  Literals, and keywords once the
-    version is read, run here; ``step`` runs the rest and raises their
-    errors."""
+    """Execute the stream on a fresh machine: push each literal as it is and
+    run each keyword's handler.  An error gains the index and source line
+    of its command."""
     state = VMState()
     push = state.stack.append
     i = -1
     for i, cmd in enumerate(commands):
         try:
-            cls = cmd.__class__
-            if cls is Keyword and state.versioned and cmd.name in _HANDLERS:
-                _HANDLERS[cmd.name](state)
-            elif cls is IntLiteral:
-                push(ONum(cmd.value))
-            elif cls is StringLiteral:
-                push(OName(cmd.value))
-            else:
-                step(state, cmd)
+            if cmd.__class__ is not Keyword:
+                push(cmd)
+                continue
+            name = cmd.name
+            if not state.versioned and name != "version":
+                raise UnsupportedVersion(f"{name}: article must begin with a version")
+            handler = _HANDLERS.get(name)
+            if handler is None:
+                raise UnknownCommand(f"unknown command {name}")
+            handler(state)
         except (ArticleError, hol.HolError) as e:
             e.command_index = i  # type: ignore[attr-defined]
-            e.command_line = getattr(cmd, "line", 0)  # type: ignore[attr-defined]
+            e.command_line = cmd.line  # type: ignore[attr-defined]
             raise
     if i < 0:
         raise UnsupportedVersion("empty article")

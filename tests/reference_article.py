@@ -13,9 +13,9 @@ from typing import Union
 from holtrans.opentheory import (
     _HANDLERS,
     ArticleError,
-    IntLiteral,
     Keyword,
-    StringLiteral,
+    OName,
+    ONum,
     UnknownCommand,
     _parse_quoted,
 )
@@ -36,9 +36,9 @@ def parse_article(data: Union[str, bytes]) -> list:
         if not line.strip() or line.startswith("#"):
             continue
         if line.startswith('"'):
-            commands.append(StringLiteral(_parse_quoted(line, lineno), lineno))
+            commands.append(OName(_parse_quoted(line, lineno), lineno))
         elif _INT_RE.match(line):
-            commands.append(IntLiteral(int(line), lineno))
+            commands.append(ONum(int(line), lineno))
         elif line in _HANDLERS:  # the keywords
             commands.append(Keyword(line, lineno))
         else:

@@ -94,7 +94,7 @@ class _Parser:
             return TYPE
         for depth, name in enumerate(reversed(binders)):
             if name is not None and name == t.value:
-                return BVar(depth, name)
+                return BVar(depth)
         if t.value in rulevars:
             return Var(t.value)
         return Const(t.value)

@@ -108,8 +108,8 @@ def test_help_prints_the_usage_and_exits_0(argv, capsys):
         (["translate", "--fuel=7", "a.art", "-o", "d", "b.art"], {"fuel": 7, "outdir": "d", "inputs": ["a.art", "b.art"]}),
         (["translate", "--outdir=d", "--mode=pts", "a.art"], {"outdir": "d", "mode": "pts"}),
         (["translate", "--no-sharing", "a.art", "--compress"], {"sharing": False, "compress": True, "mode": "q0"}),
-        (["check", "-v", "a.dk", "--verbose", "-v"], {"verbose": 3, "fuel": None}),
-        (["check", "--", "-v", "--fuel"], {"verbose": 0, "inputs": ["-v", "--fuel"]}),
+        (["check", "-v", "a.dk", "--verbose", "-v"], {"verbose": True, "fuel": None}),
+        (["check", "--", "-v", "--fuel"], {"verbose": False, "inputs": ["-v", "--fuel"]}),
         (["check", "-", "--fuel", "-0"], {"inputs": ["-"], "fuel": 0}),  # a value may start with "-"
         (["stats"], {"inputs": [], "as_json": False}),
         (["stats", "--json", "d"], {"inputs": ["d"], "as_json": True}),

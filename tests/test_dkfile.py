@@ -96,7 +96,7 @@ def test_emit_definition_line():
 
 
 def test_emit_freshens_shadowing_binders():
-    inner = k.Abs("x", k.Const("b"), k.BVar(1, "x"))  # refers to the outer binder
+    inner = k.Abs("x", k.Const("b"), k.BVar(1))  # refers to the outer binder
     outer = k.Abs("x", k.Const("b"), inner)
     doc = dkfile.DkDocument("", (k.Defn("d", k.arrow(k.Const("b"), k.Const("b"), k.Const("b")), outer),))
     text = dkfile.emit(doc)

@@ -294,7 +294,7 @@ def test_infer_not_a_function(q0):
 
 
 def test_abs_over_kind_forbidden(q0):
-    t = k.Abs("x", k.TYPE, k.BVar(0, "x"))
+    t = k.Abs("x", k.TYPE, k.BVar(0))
     with pytest.raises(k.IllegalSort):
         k.infer_type(q0, {}, t)
 
@@ -354,7 +354,7 @@ def test_whnf_memo_keeps_binder_hints(pts):
     bool_ = k.Const("bool")
 
     def forall(hint):
-        body = k.app(k.Const("eq"), bool_, k.BVar(0, hint), k.BVar(0, hint))
+        body = k.app(k.Const("eq"), bool_, k.BVar(0), k.BVar(0))
         return k.App(k.Const("proof"), k.app(k.Const("forall"), bool_, k.Abs(hint, k.App(k.Const("term"), bool_), body)))
 
     ctx = {"h1": forall("x"), "h2": forall("y"), "c": k.App(k.Const("term"), bool_)}

@@ -21,11 +21,11 @@ MINIMAL = ("6", "version")
 
 def test_parse_minimal_preamble():
     cmds = ot.parse_article("6\nversion\n")
-    assert cmds == [ot.IntLiteral(6), ot.Keyword("version")]
+    assert cmds == [ot.ONum(6), ot.Keyword("version")]
 
 
 def test_parse_string_literal():
-    assert ot.parse_article('"bool"\n') == [ot.StringLiteral("bool")]
+    assert ot.parse_article('"bool"\n') == [ot.OName("bool")]
 
 
 def test_parse_comment_skipped():
@@ -34,7 +34,7 @@ def test_parse_comment_skipped():
 
 def test_parse_escapes():
     cmds = ot.parse_article('"a\\"b\\\\c"\n')
-    assert cmds == [ot.StringLiteral('a"b\\c')]
+    assert cmds == [ot.OName('a"b\\c')]
 
 
 def test_parse_malformed_string():
@@ -49,12 +49,12 @@ def test_parse_unknown_command():
 
 
 def test_parse_negative_number():
-    assert ot.parse_article("-3\n") == [ot.IntLiteral(-3)]
+    assert ot.parse_article("-3\n") == [ot.ONum(-3)]
 
 
 def test_parse_byte_order_mark():
     assert ot.parse_article(b"\xef\xbb\xbf6\nversion\n") == [
-        ot.IntLiteral(6),
+        ot.ONum(6),
         ot.Keyword("version"),
     ]
 
@@ -218,6 +218,30 @@ def test_run_rejects_duplicate_version():
         run_lines("6", "version", "6", "version")
 
 
+def test_run_rejects_a_keyword_before_the_version():
+    with pytest.raises(ot.UnsupportedVersion) as exc:
+        ot.run([ot.Keyword("nil", 3)])
+    assert str(exc.value) == "nil: article must begin with a version"
+    assert (exc.value.command_index, exc.value.command_line) == (0, 3)
+
+
+def test_run_rejects_a_keyword_it_has_no_handler_for():
+    """The parser makes no such keyword; one built by hand gets the same
+    error class as an unknown line."""
+    commands = ot.parse_article("6\nversion\n") + [ot.Keyword("frobnicate", 7)]
+    with pytest.raises(ot.UnknownCommand) as exc:
+        ot.run(commands)
+    assert str(exc.value) == "unknown command frobnicate"
+    assert (exc.value.command_index, exc.value.command_line) == (2, 7)
+
+
+def test_run_pushes_a_literal_as_it_was_parsed():
+    commands = ot.parse_article('6\nversion\n"x"\n5\n')
+    stack = ot.run(commands).stack
+    assert len(stack) == 2 and stack[0] is commands[2] and stack[1] is commands[3]
+    assert stack == [ot.OName("x"), ot.ONum(5)] and stack[1].line == 4
+
+
 def test_identity_article(corpus_paths):
     path = next(p for p in corpus_paths if p.name == "01_identity.art")
     state = ot.run_text(path.read_text())
@@ -311,26 +335,26 @@ def test_operand_errors_are_pinned(name):
         above = [sample[c or "ONum"] for c in classes[i + 1:]]
         state = ot.VMState(stack=list(above), versioned=True)
         with pytest.raises(ot.StackUnderflow) as exc:
-            ot.step(state, ot.Keyword(name))
+            ot._HANDLERS[name](state)
         assert str(exc.value) == f"{name}: stack underflow"
         if cls is None:
             continue
         wrong, found = (ot.OTerm(x), "OTerm") if cls == "OType" else (ot.OType(hol.BOOL), "OType")
         state = ot.VMState(stack=[wrong, *above], versioned=True)
         with pytest.raises(ot.TypeErrorOnStack) as exc:
-            ot.step(state, ot.Keyword(name))
+            ot._HANDLERS[name](state)
         assert str(exc.value) == f"{name}: expected {cls}, found {found}"
     if name == "hdTl":  # and the list may not be empty
         state = ot.VMState(stack=[ot.OList(())], versioned=True)
         with pytest.raises(ot.TypeErrorOnStack) as exc:
-            ot.step(state, ot.Keyword(name))
+            ot._HANDLERS[name](state)
         assert str(exc.value) == "hdTl: expected a non-empty list"
 
 
 def test_hd_tl_pushes_the_head_then_the_tail():
     a, b, c = ot.ONum(1), ot.OName("b"), ot.OList(())
     state = ot.VMState(stack=[ot.OList((a, b, c))], versioned=True)
-    ot.step(state, ot.Keyword("hdTl"))
+    ot._HANDLERS["hdTl"](state)
     assert state.stack == [a, ot.OList((b, c))]
 
 

@@ -33,8 +33,8 @@ def one_of_each():
         hol.Assume(c), hol.EqMp(refl, axiom), hol.DeductAntiSym(axiom, axiom),
         hol.Subst(hol.HolSubst(), refl), axiom, hol.DefineConst("d", c), defn,
         hol.AbsRepThm(defn), hol.RepAbsThm(defn),
-        ot.IntLiteral(6, 1), ot.StringLiteral("x", 2), ot.Keyword("nil", 3),
-        ot.ONum(1), ot.OName("n"), ot.OList((ot.ONum(1),)), ot.OTypeOp("bool"), ot.OType(A),
+        ot.ONum(6, 1), ot.OName("x", 2), ot.Keyword("nil", 3),
+        ot.OList((ot.ONum(1),)), ot.OTypeOp("bool"), ot.OType(A),
         ot.OConst("c"), ot.OVar(x), ot.OTerm(c),
         tr.TypeOpInfo(1, "t"), tr.ConstInfo(A, ("A",), "k"),
         tr.Closure(["A"], [x], (), kernel.Const("k"), axiom.sequent),
@@ -69,12 +69,10 @@ DATACLASS_REPRS = [
     DEFN,
     f"AbsRepThm(defn={DEFN})",
     f"RepAbsThm(defn={DEFN})",
-    "IntLiteral(value=6, line=1)",
-    "StringLiteral(value='x', line=2)",
+    "ONum(value=6, line=1)",
+    "OName(value='x', line=2)",
     "Keyword(name='nil', line=3)",
-    "ONum(value=1)",
-    "OName(value='n')",
-    "OList(items=(ONum(value=1),))",
+    "OList(items=(ONum(value=1, line=0),))",
     "OTypeOp(name='bool')",
     "OType(type=TyVar(name='A'))",
     "OConst(name='c')",
@@ -139,10 +137,10 @@ def test_terms_with_kept_hashes_stay_unequal():
 
 
 def test_tokens_compare_without_their_line():
-    for a, b in ((ot.IntLiteral(6, 1), ot.IntLiteral(6, 9)), (ot.StringLiteral("s", 1), ot.StringLiteral("s")),
+    for a, b in ((ot.ONum(6, 1), ot.ONum(6, 9)), (ot.OName("s", 1), ot.OName("s")),
                  (ot.Keyword("nil", 2), ot.Keyword("nil", 3))):
         assert a == b and hash(a) == hash(b) and repr(a) != repr(b)
-    assert ot.Keyword("nil") != ot.StringLiteral("nil") and ot.IntLiteral(1) != ot.IntLiteral(2)
+    assert ot.Keyword("nil") != ot.OName("nil") and ot.ONum(1) != ot.ONum(2)
 
 
 def test_proof_equality_is_over_premises_not_the_sequent():

@@ -126,11 +126,16 @@ def test_traffic_script_on_one_article():
     one = SCRIPTS.parent / "corpus" / "01_identity.art"
     proc = _run(SCRIPTS / "traffic.py", one)
     assert proc.returncode == 0, proc.stderr
-    *idle, total = proc.stdout.splitlines()
+    *idle, by_file, total = proc.stdout.splitlines()
     never, of = map(int, re.fullmatch(r"(\d+) of (\d+) statements never ran", total).groups())
     assert never == len(idle) and 0 < never < of
-    files = {line.split(":")[0] for line in idle}
+    files = [line.split(":")[0] for line in idle]
     assert "src/holtrans/artwriter.py" in files  # no command loads the article writer
+    # each file's count, most first, as the list has it
+    counts = [(name, int(n)) for name, n in re.findall(r"(\w+) (\d+)", by_file.removeprefix("never ran, by file: "))]
+    assert by_file.startswith("never ran, by file: ")
+    assert dict(counts) == {Path(f).stem: files.count(f) for f in files}
+    assert [n for _, n in counts] == sorted((n for _, n in counts), reverse=True)
     # what every command runs is not listed, such as ``cli.main``'s first statement
     cli = (SCRIPTS.parent / "src" / "holtrans" / "cli.py").read_text().splitlines()
     first = cli.index("    sys.setrecursionlimit(RECURSION_LIMIT)") + 1

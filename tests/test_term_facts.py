@@ -64,7 +64,7 @@ def oracle_free_names(t):
 
 def oracle_close(t, name, depth=0):
     if isinstance(t, k.Var):
-        return k.BVar(depth, name) if t.name == name else t
+        return k.BVar(depth) if t.name == name else t
     if isinstance(t, k.App):
         return k.App(oracle_close(t.fn, name, depth), oracle_close(t.arg, name, depth))
     if isinstance(t, k.Abs):
@@ -79,7 +79,7 @@ def oracle_open(t, value, depth=0):
         if t.index == depth:
             return value
         if t.index > depth:
-            return k.BVar(t.index - 1, t.hint)
+            return k.BVar(t.index - 1)
         return t
     if isinstance(t, k.App):
         return k.App(oracle_open(t.fn, value, depth), oracle_open(t.arg, value, depth))
@@ -105,7 +105,7 @@ def oracle_substitute(t, mapping):
 def shape(t, hints=True):
     """The term as nested tuples; with ``hints`` the binder hints count too."""
     if isinstance(t, k.BVar):
-        return ("bvar", t.index, t.hint if hints else None)
+        return ("bvar", t.index)
     if isinstance(t, (k.Sort, k.Var, k.Const)):
         return (type(t).__name__, t.name)
     if isinstance(t, k.App):
@@ -188,7 +188,7 @@ LEAVES = st.one_of(
     st.just(k.TYPE),
     NAMES.map(k.Var),
     st.sampled_from(["c", "d"]).map(k.Const),
-    st.builds(k.BVar, st.integers(0, 3), HINTS),
+    st.builds(k.BVar, st.integers(0, 3)),
 )
 
 
@@ -210,7 +210,7 @@ CLOSED = terms(8).filter(lambda t: oracle_escape_level(t) == 0)
 def rehint(t, hint):
     """``t`` rebuilt from fresh nodes with every binder hint set to ``hint``."""
     if isinstance(t, k.BVar):
-        return k.BVar(t.index, hint)
+        return k.BVar(t.index)
     if isinstance(t, (k.Sort, k.Var, k.Const)):
         return type(t)(t.name)
     if isinstance(t, k.App):
@@ -470,7 +470,7 @@ def tree_close(t, position, level):
         return t
     if isinstance(t, k.Var):
         p = position.get(t.name)
-        return t if p is None else k.BVar(level - p, t.name)
+        return t if p is None else k.BVar(level - p)
     if isinstance(t, k.App):
         return k.App(tree_close(t.fn, position, level), tree_close(t.arg, position, level))
     if isinstance(t, k.Binder):

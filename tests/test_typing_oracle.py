@@ -118,7 +118,7 @@ def _nested(cls, n):
     """``c (x1 : A => c (x2 : A => ... c (xn : A => xn)))`` for ``Abs``,
     ``P (x1 : A -> P (x2 : A -> ... P (xn : A -> A)))`` for ``Prod``: every
     binder is a chain of its own, separated from the next by an application."""
-    head, t = (k.Const("c"), k.BVar(0, f"x{n}")) if cls is k.Abs else (k.Const("P"), k.Const("A"))
+    head, t = (k.Const("c"), k.BVar(0)) if cls is k.Abs else (k.Const("P"), k.Const("A"))
     for i in range(n, 0, -1):
         t = k.App(head, cls(f"x{i}", k.Const("A"), t))
     return t
