@@ -102,7 +102,7 @@ def cmd_stats(args: SimpleNamespace) -> int:
 
 
 def _selftest_checks():
-    from . import opentheory, translate
+    from . import dkreader, opentheory, translate
 
     def base_q0():
         kernel.check_signature(translate.base_signature("q0"))
@@ -113,21 +113,12 @@ def _selftest_checks():
         assert len(translate.base_signature("pts").rules) == 3
 
     def example_signature():
-        alpha, c, f = kernel.Const("alpha"), kernel.Const("c"), kernel.Const("f")
-        fy = kernel.App(f, kernel.Var("y"))
-        rule = kernel.RewriteRule((), kernel.App(f, c), kernel.pi("y", alpha, kernel.arrow(fy, fy)))
-        sig = kernel.Signature(
-            [
-                kernel.ConstDecl("alpha", kernel.TYPE),
-                kernel.ConstDecl("c", alpha),
-                kernel.ConstDecl("f", kernel.arrow(alpha, kernel.TYPE)),
-                rule,
-            ]
+        # ``t`` types only because the rule turns ``f c`` into a product
+        text = (
+            "alpha : Type. c : alpha. f : alpha -> Type. [] f c --> y : alpha -> f y -> f y. "
+            "def t : f c -> f c := x : f c => x c x."
         )
-        kernel.check_signature(sig)
-        term = kernel.lam("x", kernel.App(f, c), kernel.app(kernel.Var("x"), c, kernel.Var("x")))
-        ty = kernel.infer_type(sig, {}, term)
-        assert ty == kernel.arrow(kernel.App(f, c), kernel.App(f, c))
+        kernel.check_signature(kernel.Signature(dkreader.parse(text).items))
 
     def pts_rules():
         sig = translate.base_signature("pts")

@@ -1,6 +1,6 @@
 """Reader for the output document format (``dkfile``): ``parse`` turns a
-``.dk`` text into a ``DkDocument`` or raises ``ParseError``.  Of the
-commands, only ``check`` reads documents, so ``translate`` never loads it."""
+``.dk`` text into a ``DkDocument`` or raises ``ParseError``.  ``check``
+reads documents with it, and ``translate`` its base signatures' text."""
 
 from __future__ import annotations
 

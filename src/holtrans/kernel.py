@@ -426,16 +426,6 @@ def bind(cls: type[Binder], binders: Sequence[tuple[str, str, Term]], body: Term
     return out
 
 
-def lam(name: str, domain: Term, body: Term) -> Abs:
-    """Abstraction binding the free variable ``name`` in ``body``."""
-    return Abs(name, domain, close(body, name))
-
-
-def pi(name: str, domain: Term, codomain: Term) -> Prod:
-    """Product binding the free variable ``name`` in ``codomain``."""
-    return Prod(name, domain, close(codomain, name))
-
-
 def arrow(*types: Term) -> Term:
     """Right-associated non-dependent product chain."""
     if not types:

@@ -1,6 +1,7 @@
 """Translation of HOL types, terms, contexts and proofs into the encoding.
 
-The base signature declares a type of object-level types, a decoding
+The base signature, written in ``BASE_TEXT`` as ``hol.dk`` prints it and
+read by ``dkreader``, declares a type of object-level types, a decoding
 function ``term`` with one rewrite rule identifying ``term (arrow a b)``
 with ``term a -> term b``, a provability predicate ``proof``, and one
 proof constant per primitive derivation rule.  Because the embedding is
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from . import dkfile, hol, kernel
+from . import dkfile, dkreader, hol, kernel
 from .kernel import (
     TYPE,
     Abs,
@@ -29,7 +30,6 @@ from .kernel import (
     Defn,
     Prod,
     Record,
-    RewriteRule,
     Signature,
     Term,
     Var,
@@ -37,8 +37,6 @@ from .kernel import (
     arrow,
     bind,
     close,
-    lam,
-    pi,
 )
 
 
@@ -79,8 +77,6 @@ _TERM = Const("term")
 _EQ = Const("eq")
 _SELECT = Const("select")
 _PROOF = Const("proof")
-_IMP = Const("imp")
-_FORALL = Const("forall")
 
 def tyvar_name(name: str) -> str:
     return "'" + name
@@ -102,162 +98,73 @@ def _arr(a: Term, b: Term) -> Term:
     return app(_ARROW, a, b)
 
 
-def _eqt(a: Term, x: Term, y: Term) -> Term:
-    return app(_EQ, a, x, y)
-
-
 # ---------------------------------------------------------------------------
-# Base signatures
+# Base signatures, as ``hol.dk`` writes them after its two header comments; a
+# backslash ends a line that the file continues
 
-
-# The type universe and its decoding ``term (arrow a b) --> term a -> term b``
-# begin both signatures.
-_UNIVERSE = (
-    ConstDecl("type", TYPE),
-    ConstDecl("bool", _T),
-    ConstDecl("ind", _T),
-    ConstDecl("arrow", arrow(_T, _T, _T)),
-    ConstDecl("term", arrow(_T, TYPE)),
-)
-_TERM_ARROW = RewriteRule(
-    (("a", _T), ("b", _T)),
-    _tm(_arr(Var("a"), Var("b"))),
-    arrow(_tm(Var("a")), _tm(Var("b"))),
-)
-_PROOF_DECL = ConstDecl("proof", arrow(_tm(_BOOL), TYPE))
-
-
-def _base_types() -> dict[str, Term]:
-    """The types of ``eq``, ``select`` and the derivation-rule constants,
-    which are the same in both modes (pts defines some of them)."""
-    a, b = Var("a"), Var("b")
-    f, g, x, y = Var("f"), Var("g"), Var("x"), Var("y")
-    p, q = Var("p"), Var("q")
-    return {
-        "eq": pi("a", _T, _tm(_arr(a, _arr(a, _BOOL)))),
-        "select": pi("a", _T, _tm(_arr(_arr(a, _BOOL), a))),
-        "Refl": pi("a", _T, pi("x", _tm(a), _pf(_eqt(a, x, x)))),
-        "FunExt": pi("a", _T, pi("b", _T, pi("f", _tm(_arr(a, b)), pi("g", _tm(_arr(a, b)),
-            arrow(
-                pi("x", _tm(a), _pf(_eqt(b, App(f, x), App(g, x)))),
-                _pf(_eqt(_arr(a, b), f, g)),
-            ))))),
-        "AppThm": pi("a", _T, pi("b", _T, pi("f", _tm(_arr(a, b)), pi("g", _tm(_arr(a, b)),
-            pi("x", _tm(a), pi("y", _tm(a),
-                arrow(
-                    _pf(_eqt(_arr(a, b), f, g)),
-                    _pf(_eqt(a, x, y)),
-                    _pf(_eqt(b, App(f, x), App(g, y))),
-                ))))))),
-        "PropExt": pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
-            arrow(
-                arrow(_pf(q), _pf(p)),
-                arrow(_pf(p), _pf(q)),
-                _pf(_eqt(_BOOL, p, q)),
-            ))),
-        "EqMp": pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
-            arrow(_pf(_eqt(_BOOL, p, q)), _pf(p), _pf(q)))),
-    }
-
-
-def _q0_items() -> list:
-    ty = _base_types()
-    return [
-        *_UNIVERSE,
-        ConstDecl("eq", ty["eq"]),
-        ConstDecl("select", ty["select"]),
-        _TERM_ARROW,
-        _PROOF_DECL,
-        *(ConstDecl(n, ty[n]) for n in ("Refl", "FunExt", "AppThm", "PropExt", "EqMp")),
-    ]
-
-
-def _pts_items() -> list:
-    ty = _base_types()
-    a, b = Var("a"), Var("b")
-    f, g, x, y = Var("f"), Var("g"), Var("x"), Var("y")
-    p, q = Var("p"), Var("q")
-
-    eq_body = lam("a", _T, lam("x", _tm(a), lam("y", _tm(a),
-        app(
-            _FORALL,
-            _arr(a, _BOOL),
-            lam("p", _tm(_arr(a, _BOOL)),
-                app(_IMP, App(p, x), App(p, y))),
-        ))))
-
-    refl_body = lam("a", _T, lam("x", _tm(a),
-        lam("q", _tm(_arr(a, _BOOL)), lam("h", _pf(App(q, x)), Var("h")))))
-
-    eqmp_body = lam("p", _tm(_BOOL), lam("q", _tm(_BOOL),
-        lam("h", _pf(_eqt(_BOOL, p, q)), lam("hp", _pf(p),
-            app(Var("h"), lam("b", _tm(_BOOL), Var("b")), Var("hp"))))))
-
-    appthm_body = lam("a", _T, lam("b", _T, lam("f", _tm(_arr(a, b)), lam("g", _tm(_arr(a, b)),
-        lam("x", _tm(a), lam("y", _tm(a),
-            lam("hf", _pf(_eqt(_arr(a, b), f, g)), lam("hx", _pf(_eqt(a, x, y)),
-                lam("q", _tm(_arr(b, _BOOL)), lam("h", _pf(App(q, App(f, x))),
-                    app(
-                        Var("hf"),
-                        lam("k", _tm(_arr(a, b)), App(q, App(Var("k"), y))),
-                        app(
-                            Var("hx"),
-                            lam("z", _tm(a), App(q, App(f, Var("z")))),
-                            Var("h"),
-                        ),
-                    )))))))))))
-
-    return [
-        *_UNIVERSE,
-        _TERM_ARROW,
-        _PROOF_DECL,
-        ConstDecl("imp", _tm(_arr(_BOOL, _arr(_BOOL, _BOOL)))),
-        ConstDecl("forall", pi("a", _T, _tm(_arr(_arr(a, _BOOL), _BOOL)))),
-        RewriteRule(
-            (("p", _tm(_BOOL)), ("q", _tm(_BOOL))),
-            _pf(app(_IMP, p, q)),
-            arrow(_pf(p), _pf(q)),
-        ),
-        RewriteRule(
-            (("a", _T), ("p", _tm(_arr(a, _BOOL)))),
-            _pf(app(_FORALL, a, p)),
-            pi("x", _tm(a), _pf(App(p, x))),
-        ),
-        Defn(
-            "imp_intro",
-            pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
-                arrow(arrow(_pf(p), _pf(q)), _pf(app(_IMP, p, q))))),
-            lam("p", _tm(_BOOL), lam("q", _tm(_BOOL),
-                lam("h", arrow(_pf(p), _pf(q)), Var("h")))),
-        ),
-        Defn(
-            "imp_elim",
-            pi("p", _tm(_BOOL), pi("q", _tm(_BOOL),
-                arrow(_pf(app(_IMP, p, q)), _pf(p), _pf(q)))),
-            lam("p", _tm(_BOOL), lam("q", _tm(_BOOL),
-                lam("h", _pf(app(_IMP, p, q)), lam("x", _pf(p),
-                    App(Var("h"), Var("x")))))),
-        ),
-        Defn("eq", ty["eq"], eq_body),
-        ConstDecl("select", ty["select"]),
-        Defn("Refl", ty["Refl"], refl_body),
-        Defn("EqMp", ty["EqMp"], eqmp_body),
-        Defn("AppThm", ty["AppThm"], appthm_body),
-        ConstDecl("FunExt", ty["FunExt"]),
-        ConstDecl("PropExt", ty["PropExt"]),
-    ]
-
+BASE_TEXT = {
+    "q0": """\
+type : Type.
+bool : type.
+ind : type.
+arrow : type -> type -> type.
+term : type -> Type.
+eq : a : type -> term (arrow a (arrow a bool)).
+select : a : type -> term (arrow (arrow a bool) a).
+[a : type, b : type] term (arrow a b) --> term a -> term b.
+proof : term bool -> Type.
+Refl : a : type -> x : term a -> proof (eq a x x).
+FunExt : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> (x : term a -> \
+proof (eq b (f x) (g x))) -> proof (eq (arrow a b) f g).
+AppThm : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> x : term a -> \
+y : term a -> proof (eq (arrow a b) f g) -> proof (eq a x y) -> proof (eq b (f x) (g y)).
+PropExt : p : term bool -> q : term bool -> (proof q -> proof p) -> (proof p -> proof q) -> \
+proof (eq bool p q).
+EqMp : p : term bool -> q : term bool -> proof (eq bool p q) -> proof p -> proof q.
+""",
+    "pts": """\
+type : Type.
+bool : type.
+ind : type.
+arrow : type -> type -> type.
+term : type -> Type.
+[a : type, b : type] term (arrow a b) --> term a -> term b.
+proof : term bool -> Type.
+imp : term (arrow bool (arrow bool bool)).
+forall : a : type -> term (arrow (arrow a bool) bool).
+[p : term bool, q : term bool] proof (imp p q) --> proof p -> proof q.
+[a : type, p : term (arrow a bool)] proof (forall a p) --> x : term a -> proof (p x).
+def imp_intro : p : term bool -> q : term bool -> (proof p -> proof q) -> proof (imp p q) := \
+p => q => h => h.
+def imp_elim : p : term bool -> q : term bool -> proof (imp p q) -> proof p -> proof q := \
+p => q => h => x => h x.
+def eq : a : type -> term (arrow a (arrow a bool)) := \
+a => x : term a => y : term a => forall (arrow a bool) (p : term (arrow a bool) => imp (p x) (p y)).
+select : a : type -> term (arrow (arrow a bool) a).
+def Refl : a : type -> x : term a -> proof (eq a x x) := \
+a => x => q : term (arrow a bool) => h : proof (q x) => h.
+def EqMp : p : term bool -> q : term bool -> proof (eq bool p q) -> proof p -> proof q := \
+p => q => h => hp => h (b : term bool => b) hp.
+def AppThm : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> x : term a -> \
+y : term a -> proof (eq (arrow a b) f g) -> proof (eq a x y) -> proof (eq b (f x) (g y)) := \
+a => b => f => g => x => y => hf => hx => q : term (arrow b bool) => h : proof (q (f x)) => \
+hf (k : term (arrow a b) => q (k y)) (hx (z : term a => q (f z)) h).
+FunExt : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> (x : term a -> \
+proof (eq b (f x) (g x))) -> proof (eq (arrow a b) f g).
+PropExt : p : term bool -> q : term bool -> (proof q -> proof p) -> (proof p -> proof q) -> \
+proof (eq bool p q).
+""",
+}
 
 _BASE_CACHE: dict[str, Signature] = {}
 
 
 def base_signature(mode: str = "q0") -> Signature:
-    if mode not in ("q0", "pts"):
+    if mode not in BASE_TEXT:
         raise TranslateError(f"unknown mode {mode!r}")
     sig = _BASE_CACHE.get(mode)
     if sig is None:
-        sig = Signature(_q0_items() if mode == "q0" else _pts_items())
-        _BASE_CACHE[mode] = sig
+        sig = _BASE_CACHE[mode] = Signature(dkreader.parse(BASE_TEXT[mode]).items)
     return sig
 
 

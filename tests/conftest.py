@@ -15,6 +15,16 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def lam(name: str, domain: kernel.Term, body: kernel.Term) -> kernel.Abs:
+    """Abstraction binding the free variable ``name`` in ``body``."""
+    return kernel.Abs(name, domain, kernel.close(body, name))
+
+
+def pi(name: str, domain: kernel.Term, codomain: kernel.Term) -> kernel.Prod:
+    """Product binding the free variable ``name`` in ``codomain``."""
+    return kernel.Prod(name, domain, kernel.close(codomain, name))
+
+
 @pytest.fixture(scope="session")
 def q0():
     return translate.base_signature("q0")

@@ -12,7 +12,7 @@ from holtrans import kernel as k
 from holtrans import opentheory as ot
 from holtrans import translate as tr
 
-from conftest import CORPUS, HolGen, completeness_context, env_signature, make_env, rule_by_rule
+from conftest import CORPUS, HolGen, completeness_context, env_signature, lam, make_env, pi, rule_by_rule
 from reference_reduction import reduce_step
 from reference_typing import normalize
 
@@ -37,7 +37,7 @@ def test_criterion_01_base_signatures_well_formed():
 def test_criterion_02_rewrite_dependent_typing():
     alpha, c, f = k.Const("alpha"), k.Const("c"), k.Const("f")
     fy = k.App(f, k.Var("y"))
-    unfolded = k.pi("y", alpha, k.arrow(fy, fy))
+    unfolded = pi("y", alpha, k.arrow(fy, fy))
     rule = k.RewriteRule((), k.App(f, c), unfolded)
     decls = [
         k.ConstDecl("alpha", k.TYPE),
@@ -45,13 +45,13 @@ def test_criterion_02_rewrite_dependent_typing():
         k.ConstDecl("f", k.arrow(alpha, k.TYPE)),
     ]
     sig = k.Signature(decls + [rule])
-    term = k.lam("x", k.App(f, c), k.app(k.Var("x"), c, k.Var("x")))
+    term = lam("x", k.App(f, c), k.app(k.Var("x"), c, k.Var("x")))
     assert k.infer_type(sig, {}, term) == k.arrow(k.App(f, c), k.App(f, c))
     without = k.Signature(decls)
     with pytest.raises(k.DomainMismatch):
         k.infer_type(without, {}, term)
     # replacing every occurrence of the redex type does not help either
-    replaced = k.lam("x", unfolded, k.app(k.Var("x"), c, k.Var("x")))
+    replaced = lam("x", unfolded, k.app(k.Var("x"), c, k.Var("x")))
     with pytest.raises(k.DomainMismatch) as exc:
         k.infer_type(without, {}, replaced)
     assert not isinstance(exc.value, k.NotAFunction)
@@ -142,17 +142,17 @@ def test_criterion_07_pts_mode(pts):
     pf = lambda t: k.App(k.Const("proof"), t)
     p, q = k.Var("p"), k.Var("q")
     imp_intro = next(i for i in pts.items if isinstance(i, k.Defn) and i.name == "imp_intro")
-    want_intro = k.pi("p", tb, k.pi("q", tb,
+    want_intro = pi("p", tb, pi("q", tb,
         k.arrow(k.arrow(pf(p), pf(q)), pf(k.app(k.Const("imp"), p, q)))))
     assert imp_intro.type == want_intro
     assert k.convertible(pts, k.infer_type(pts, {}, imp_intro.body), want_intro)
     imp_elim = next(i for i in pts.items if isinstance(i, k.Defn) and i.name == "imp_elim")
-    want_elim = k.pi("p", tb, k.pi("q", tb,
+    want_elim = pi("p", tb, pi("q", tb,
         k.arrow(pf(k.app(k.Const("imp"), p, q)), pf(p), pf(q))))
     assert imp_elim.type == want_elim
     assert k.convertible(pts, k.infer_type(pts, {}, imp_elim.body), want_elim)
     assert normalize(pts, pf(k.app(k.Const("imp"), p, q))) == k.arrow(pf(p), pf(q))
-    want_forall = k.pi("x", k.App(k.Const("term"), k.Var("a")), pf(k.App(p, k.Var("x"))))
+    want_forall = pi("x", k.App(k.Const("term"), k.Var("a")), pf(k.App(p, k.Var("x"))))
     assert normalize(pts, pf(k.app(k.Const("forall"), k.Var("a"), p))) == want_forall
     _report(7, "imp_intro/imp_elim check at the stated types; provability rules rewrite")
 

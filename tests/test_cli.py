@@ -247,12 +247,13 @@ def test_check_loads_only_the_reader_and_the_kernel(tmp_path):
     ]
 
 
-def test_translate_loads_neither_the_reader_nor_the_writer_nor_the_reports(tmp_path):
+def test_translate_loads_neither_the_writer_nor_the_reports(tmp_path):
     """``translate`` compiles no code that no translation runs: not the
-    ``.dk`` reader, the article writer, or ``stats`` and ``selftest``.
-    Their old names still resolve."""
+    article writer, or ``stats`` and ``selftest``.  It loads the ``.dk``
+    reader, which reads the base signature's text.  Old names still
+    resolve."""
     assert _probe(ARGPARSE, "translate", "-o", tmp_path, IDENTITY) == [
-        "0", "|", "holtrans", "holtrans.cli", "holtrans.cli_translate", "holtrans.dkfile",
+        "0", "|", "holtrans", "holtrans.cli", "holtrans.cli_translate", "holtrans.dkfile", "holtrans.dkreader",
         "holtrans.hol", "holtrans.kernel", "holtrans.opentheory", "holtrans.translate",
     ]
     assert dkfile.parse is dkreader.parse and dkfile.ParseError is dkreader.ParseError

@@ -10,7 +10,7 @@ from holtrans import kernel as k
 from holtrans import translate as tr
 
 import reference_dkparse
-from conftest import mutate
+from conftest import lam, mutate, pi
 from reference_typing import uses_index
 
 
@@ -81,17 +81,17 @@ def test_emit_base_rule_line(q0):
 
 
 def test_emit_definition_line():
-    d = k.Defn("i", k.pi("x", k.Const("b"), k.Const("b")), k.lam("x", k.Const("b"), k.Var("x")))
+    d = k.Defn("i", pi("x", k.Const("b"), k.Const("b")), lam("x", k.Const("b"), k.Var("x")))
     doc = dkfile.DkDocument("", (d,))
     # the product does not use its binder, so it prints as a plain arrow; the
     # abstraction takes its domain from the product, so it prints without it
     assert dkfile.emit(doc) == "def i : b -> b := x => x.\n"
     # a domain other than the product's prints, and so does every one after it
-    other = k.Defn("i", k.arrow(k.Const("b"), k.Const("b"), k.Const("b")), k.lam("x", k.Const("c"), d.body))
+    other = k.Defn("i", k.arrow(k.Const("b"), k.Const("b"), k.Const("b")), lam("x", k.Const("c"), d.body))
     text = dkfile.emit(dkfile.DkDocument("", (other,)))
     assert text == "def i : b -> b -> b := x : c => x_2 : b => x_2.\n"
     assert dkfile.parse(text).items == (other,)
-    dep = k.Defn("j", k.pi("x", k.Const("b"), k.App(k.Const("p"), k.Var("x"))), k.Const("c"))
+    dep = k.Defn("j", pi("x", k.Const("b"), k.App(k.Const("p"), k.Var("x"))), k.Const("c"))
     assert dkfile.emit(dkfile.DkDocument("", (dep,))) == "def j : x : b -> p x := c.\n"
 
 
@@ -219,10 +219,10 @@ def _random_closed_term(rng: random.Random, depth: int) -> k.Term:
         body = _random_closed_term(rng, depth - 1)
         if rng.random() < 0.5:
             body = k.Var(name)  # ensure some bound occurrences
-        return k.lam(name, _random_closed_term(rng, depth - 1), body)
+        return lam(name, _random_closed_term(rng, depth - 1), body)
     if roll < 0.8:
         name = rng.choice("xyz")
-        return k.pi(name, _random_closed_term(rng, depth - 1), _random_closed_term(rng, depth - 1))
+        return pi(name, _random_closed_term(rng, depth - 1), _random_closed_term(rng, depth - 1))
     return rng.choice(consts)
 
 
@@ -239,8 +239,8 @@ def _random_document(seed):
             ty, body = _random_closed_term(rng, 3), _random_closed_term(rng, 3)
             for _ in range(rng.randint(0, 2)):  # binders whose domains the type gives
                 name, dom = rng.choice("xyz"), _random_closed_term(rng, 2)
-                ty = k.pi(rng.choice("xyz"), dom, ty)
-                body = k.lam(name, dom, k.App(body, k.Var(name)) if rng.random() < 0.5 else body)
+                ty = pi(rng.choice("xyz"), dom, ty)
+                body = lam(name, dom, k.App(body, k.Var(name)) if rng.random() < 0.5 else body)
             items.append(k.Defn(f"d{i}", ty, body))
         else:
             ctx = (("x", _random_closed_term(rng, 2)),)

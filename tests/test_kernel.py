@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from holtrans import kernel as k
 from holtrans import translate as tr
 
-from conftest import env_signature, make_env, random_kernel_term
+from conftest import env_signature, lam, make_env, pi, random_kernel_term
 from reference_reduction import contract_root, fresh_name, reduce_step
 from reference_typing import normalize
 
@@ -19,7 +19,7 @@ def example1_signature(with_rule=True):
         k.ConstDecl("f", k.arrow(alpha, k.TYPE)),
     ]
     if with_rule:
-        items.append(k.RewriteRule((), k.App(f, c), k.pi("y", alpha, k.arrow(fy, fy))))
+        items.append(k.RewriteRule((), k.App(f, c), pi("y", alpha, k.arrow(fy, fy))))
     return k.Signature(items)
 
 
@@ -35,13 +35,13 @@ def test_substitute_base_case():
 
 
 def test_substitute_shadowing():
-    t = k.lam("x", ALPHA, k.Var("x"))
+    t = lam("x", ALPHA, k.Var("x"))
     assert k.substitute(t, {"x": C}) == t
 
 
 def test_substitute_bound_variable_untouched():
     fy = k.App(F, k.Var("y"))
-    t = k.pi("y", ALPHA, k.arrow(fy, fy))
+    t = pi("y", ALPHA, k.arrow(fy, fy))
     assert k.substitute(t, {"y": C}) == t
     assert k.substitute(k.App(F, k.Var("y")), {"y": C}) == k.App(F, C)
 
@@ -94,8 +94,8 @@ def _to_kernel(t):
     if kind == "app":
         return k.App(_to_kernel(t[1]), _to_kernel(t[2]))
     if kind == "lam":
-        return k.lam(t[1], _to_kernel(t[2]), _to_kernel(t[3]))
-    return k.pi(t[1], _to_kernel(t[2]), _to_kernel(t[3]))
+        return lam(t[1], _to_kernel(t[2]), _to_kernel(t[3]))
+    return pi(t[1], _to_kernel(t[2]), _to_kernel(t[3]))
 
 
 @pytest.mark.parametrize(
@@ -118,7 +118,7 @@ def test_substitute_matches_reference(named, var, image):
 
 
 def test_reduce_step_beta():
-    t = k.App(k.lam("x", ALPHA, k.Var("x")), C)
+    t = k.App(lam("x", ALPHA, k.Var("x")), C)
     assert reduce_step(example1_signature(), t) == C
 
 
@@ -132,13 +132,13 @@ def test_reduce_step_base_rule(q0):
 def test_reduce_step_example1_rule():
     sig = example1_signature()
     fy = k.App(F, k.Var("y"))
-    assert reduce_step(sig, k.App(F, C)) == k.pi("y", ALPHA, k.arrow(fy, fy))
+    assert reduce_step(sig, k.App(F, C)) == pi("y", ALPHA, k.arrow(fy, fy))
 
 
 def test_reduce_step_none_on_normal_form():
     sig = example1_signature()
     assert reduce_step(sig, C) is None
-    assert reduce_step(sig, k.lam("x", ALPHA, k.Var("x"))) is None
+    assert reduce_step(sig, lam("x", ALPHA, k.Var("x"))) is None
 
 
 def test_normalize_translated_identity_redex(q0):
@@ -190,7 +190,7 @@ def test_errors_carry_their_terms_and_render_them_as_the_emitter_does():
     assert str(info.value) == "definition d: application head has no product type: a : A"
     # products and abstractions print in the file syntax
     with pytest.raises(k.IllegalSort) as info:
-        k.infer_type(sig, {}, k.pi("x", a_ty, k.App(k.lam("y", a_ty, k.Var("y")), k.Var("x"))))
+        k.infer_type(sig, {}, pi("x", a_ty, k.App(lam("y", a_ty, k.Var("y")), k.Var("x"))))
     assert str(info.value) == "product codomain is not a type or kind: x : A -> (y : A => y) x"
 
 
@@ -234,7 +234,7 @@ def test_convertible_distinct_free_vars(q0):
 def test_convertible_example1():
     sig = example1_signature()
     fy = k.App(F, k.Var("y"))
-    assert k.convertible(sig, k.App(F, C), k.pi("y", ALPHA, k.arrow(fy, fy)))
+    assert k.convertible(sig, k.App(F, C), pi("y", ALPHA, k.arrow(fy, fy)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +243,13 @@ def test_convertible_example1():
 
 def test_infer_example1():
     sig = example1_signature()
-    t = k.lam("x", k.App(F, C), k.app(k.Var("x"), C, k.Var("x")))
+    t = lam("x", k.App(F, C), k.app(k.Var("x"), C, k.Var("x")))
     assert k.infer_type(sig, {}, t) == k.arrow(k.App(F, C), k.App(F, C))
 
 
 def test_infer_example1_without_rule_fails():
     sig = example1_signature(with_rule=False)
-    t = k.lam("x", k.App(F, C), k.app(k.Var("x"), C, k.Var("x")))
+    t = lam("x", k.App(F, C), k.app(k.Var("x"), C, k.Var("x")))
     with pytest.raises(k.DomainMismatch):
         k.infer_type(sig, {}, t)
 
@@ -259,7 +259,7 @@ def test_infer_example1_unfolded_annotation_is_domain_mismatch():
     # second application with a conversion error, not a head-shape error
     sig = example1_signature(with_rule=False)
     fy = k.App(F, k.Var("y"))
-    t = k.lam("x", k.pi("y", ALPHA, k.arrow(fy, fy)), k.app(k.Var("x"), C, k.Var("x")))
+    t = lam("x", pi("y", ALPHA, k.arrow(fy, fy)), k.app(k.Var("x"), C, k.Var("x")))
     with pytest.raises(k.DomainMismatch) as exc:
         k.infer_type(sig, {}, t)
     assert not isinstance(exc.value, k.NotAFunction)
@@ -267,8 +267,8 @@ def test_infer_example1_unfolded_annotation_is_domain_mismatch():
 
 def test_infer_identity_under_context():
     ctx = {"A": k.TYPE}
-    t = k.lam("x", k.Var("A"), k.Var("x"))
-    assert k.infer_type(k.Signature(), ctx, t) == k.pi("x", k.Var("A"), k.Var("A"))
+    t = lam("x", k.Var("A"), k.Var("x"))
+    assert k.infer_type(k.Signature(), ctx, t) == pi("x", k.Var("A"), k.Var("A"))
 
 
 def test_infer_unbound_variable(q0):

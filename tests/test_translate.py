@@ -8,7 +8,7 @@ from holtrans import dkfile, hol
 from holtrans import kernel as k
 from holtrans import translate as tr
 
-from conftest import CORPUS, HolGen, completeness_context, count_calls, env_signature, make_env, rule_by_rule
+from conftest import CORPUS, HolGen, completeness_context, count_calls, env_signature, make_env, pi, rule_by_rule
 from reference_typing import normalize
 
 A = hol.TyVar("A")
@@ -29,6 +29,14 @@ def test_base_q0_checks_and_has_one_rule(q0):
 def test_base_pts_checks_and_has_three_rules(pts):
     k.check_signature(pts)
     assert len(pts.rules) == 3
+
+
+@pytest.mark.parametrize("mode", ["q0", "pts"])
+def test_base_file_is_the_header_then_the_source_text(mode):
+    """The ``hol.dk`` that ``translate`` writes is, after its two header
+    comments, the text ``translate.py`` declares, byte for byte."""
+    header = f"(; module hol ;)\n(; base signature, mode {mode} ;)\n"
+    assert dkfile.emit(tr.base_document(mode)) == header + tr.BASE_TEXT[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +103,6 @@ def test_trans_term_section4_example(q0):
     env = make_env()
     x = hol.Var("x", A)
     got = tr.trans_term(env, hol.App(hol.Abs(x, x), x))
-    lam = k.lam("x", k.App(TERM, tr.tyvar_ref("A")), k.Var("placeholder"))
     # the binder closes its own occurrence: body is the bound variable
     lam = k.Abs("x", k.App(TERM, tr.tyvar_ref("A")), k.BVar(0))
     assert got == k.App(lam, env.termvar(x))
@@ -438,13 +445,13 @@ def test_pts_definitions_check_at_stated_types(pts):
     tb = k.App(TERM, BOOL)
     pf = lambda t: k.App(PROOF, t)
     imp_intro = next(it for it in pts.items if isinstance(it, k.Defn) and it.name == "imp_intro")
-    want = k.pi("p", tb, k.pi("q", tb,
+    want = pi("p", tb, pi("q", tb,
         k.arrow(k.arrow(pf(p), pf(q)), pf(k.app(k.Const("imp"), p, q)))))
     assert imp_intro.type == want
     got = k.infer_type(pts, {}, imp_intro.body)
     assert k.convertible(pts, got, want)
     imp_elim = next(it for it in pts.items if isinstance(it, k.Defn) and it.name == "imp_elim")
-    want_elim = k.pi("p", tb, k.pi("q", tb,
+    want_elim = pi("p", tb, pi("q", tb,
         k.arrow(pf(k.app(k.Const("imp"), p, q)), pf(p), pf(q))))
     assert imp_elim.type == want_elim
     got = k.infer_type(pts, {}, imp_elim.body)
@@ -457,7 +464,7 @@ def test_pts_provability_rewrites(pts):
     got = normalize(pts, pf(k.app(k.Const("imp"), p, q)))
     assert got == k.arrow(pf(p), pf(q))
     got = normalize(pts, pf(k.app(k.Const("forall"), k.Var("a"), p)))
-    want = k.pi("x", k.App(TERM, k.Var("a")), pf(k.App(p, k.Var("x"))))
+    want = pi("x", k.App(TERM, k.Var("a")), pf(k.App(p, k.Var("x"))))
     assert got == want
 
 
