@@ -40,11 +40,18 @@ def _write_output(path: Path, data: bytes) -> bool:
     return True
 
 
-def _stem_clash(inputs: list) -> Optional[str]:
-    """The first two inputs whose outputs would share a ``.dk`` name, or None."""
+def _unwritable(inputs: list) -> Optional[str]:
+    """Why the outputs of ``inputs`` cannot be written, or None: an output
+    would overwrite the base signature or another input's, or an article
+    name would end the module comment.  Checked before anything is written."""
     first: dict = {}
     for raw in inputs:
-        stem = Path(raw).stem
+        path = Path(raw)
+        stem = path.stem
+        if stem == "hol":
+            return f"{path}: its output would overwrite the base signature hol.dk; rename the article"
+        if ";)" in stem:
+            return f"{path}: the article name may not contain ';)', which would end the .dk module comment"
         if stem in first:
             return f"{first[stem]} and {raw} would both be written to {stem}.dk; rename one"
         first[stem] = raw
@@ -52,9 +59,9 @@ def _stem_clash(inputs: list) -> Optional[str]:
 
 
 def cmd_translate(args: SimpleNamespace) -> int:
-    clash = _stem_clash(args.inputs)
-    if clash is not None:
-        _fail(clash)
+    refusal = _unwritable(args.inputs)
+    if refusal is not None:
+        _fail(refusal)
         return 2
     outdir = Path(args.outdir)
     try:
@@ -71,12 +78,6 @@ def cmd_translate(args: SimpleNamespace) -> int:
     for raw_path in args.inputs:
         path = Path(raw_path)
         name = path.stem
-        if name == "hol":
-            _fail(f"{path}: its output would overwrite the base signature hol.dk; rename the article")
-            return 2
-        if ";)" in name:
-            _fail(f"{path}: the article name may not contain ';)', which would end the .dk module comment")
-            return 2
         try:
             data = path.read_bytes()
         except OSError as e:

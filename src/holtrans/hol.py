@@ -9,6 +9,9 @@ term or type also keeps its free variables and type variables once they
 are first asked for (``free_vars``, ``term_tyvars``, ``type_tyvars``), so
 each distinct node computes each set once; a leaf keeps none.  A compound
 node keeps its canonical key (``term_key``, ``type_key``) the same way.
+Keys are interned: each alpha class of terms, and each type, has one key
+object, so alpha-equivalence and the hypothesis sets compare keys by
+identity, and no key is hashed as a tree.
 
 Proofs are explicit derivation graphs, one constructor per primitive rule
 plus nodes for article-level axioms and the two definition commands.
@@ -213,7 +216,7 @@ def anti_unify(a: HolType, b: HolType) -> HolType:
     share one, so matching either input back recovers a substitution.
     """
     used = type_tyvars(a) | type_tyvars(b)
-    table: dict[tuple, TyVar] = {}
+    table: dict[tuple[int, int], TyVar] = {}
     counter = [0]
 
     def fresh() -> TyVar:
@@ -228,7 +231,7 @@ def anti_unify(a: HolType, b: HolType) -> HolType:
             return TyOp(x.op, tuple(go(p, q) for p, q in zip(x.args, y.args)))
         if x == y:
             return x
-        key = (type_key(x), type_key(y))
+        key = (id(type_key(x)), id(type_key(y)))
         v = table.get(key)
         if v is None:
             v = fresh()
@@ -373,31 +376,48 @@ def term_tyvars(t: HolTerm) -> frozenset:
     return out
 
 
+# The one key object of each key value, indexed by the key's tag, its names
+# and the ids of its sub-keys: building a key hashes a few words however large
+# its term, and alpha-equal terms get one key object, compared with ``is``.
+# The table lives as long as the process: a node keeps its key, so two tables
+# would give one alpha class two key objects.  It also keeps every sub-key
+# alive, so no id in an index is reused.
+_KEYS: dict = {}
+
+
 def type_key(ty: HolType):
-    """Canonical, orderable form of ``ty``, kept in each ``TyOp`` once asked for."""
+    """Canonical, orderable form of ``ty``, one object per type and kept in
+    each ``TyOp`` once asked for."""
     if ty.__class__ is TyVar:
-        return ("v", ty.name)
+        k = ("v", ty.name)
+        return _KEYS.setdefault(k, k)
     k = ty._key
     if k is None:
-        k = ty._key = ("o", ty.op, tuple(map(type_key, ty.args)))
+        args = tuple(map(type_key, ty.args))
+        k = ty._key = _KEYS.setdefault(("o", ty.op, *map(id, args)), ("o", ty.op, args))
     return k
 
 
+def _pair_key(tag: str, a, b):
+    return _KEYS.setdefault((tag, id(a), id(b)), (tag, a, b))
+
+
 def term_key(t: HolTerm):
-    """Canonical, orderable form: equal keys iff alpha-equal terms.  A bound
-    variable is the number of binders between it and its own.  Each ``Abs``
-    and ``App`` keeps its key once asked for."""
+    """Canonical, orderable form: one key object per alpha class, so two
+    terms are alpha-equal iff their keys are one object.  A bound variable
+    is the number of binders between it and its own.  Each ``Abs`` and
+    ``App`` keeps its key once asked for."""
     cls = t.__class__
-    if cls is Var:
-        return ("f", t.name, type_key(t.type))
-    if cls is Const:
-        return ("c", t.name, type_key(t.type))
+    if cls is Var or cls is Const:
+        ty = type_key(t.type)
+        tag = "f" if cls is Var else "c"
+        return _KEYS.setdefault((tag, t.name, id(ty)), (tag, t.name, ty))
     k = t._key
     if k is None:
         if cls is Abs:
-            k = ("l", type_key(t.var.type), _key_under(t.body, {t.var: 0}, 1, {}))
+            k = _pair_key("l", type_key(t.var.type), _key_under(t.body, {t.var: 0}, 1, {}))
         else:
-            k = ("a", term_key(t.fn), term_key(t.arg))
+            k = _pair_key("a", term_key(t.fn), term_key(t.arg))
         t._key = k
     return k
 
@@ -408,10 +428,10 @@ def _key_under(t: HolTerm, bound: dict, depth: int, memo: dict):
     is bound has its own key; the others are keyed once per binder, in
     ``memo`` by identity."""
     cls = t.__class__
-    if cls is Var:
-        d = bound.get(t)
-        return ("f", t.name, type_key(t.type)) if d is None else ("b", depth - d - 1)
-    if cls is Const or bound.keys().isdisjoint(free_vars(t)):
+    if cls is Var and t in bound:
+        k = ("b", depth - bound[t] - 1)
+        return _KEYS.setdefault(k, k)
+    if cls is Var or cls is Const or bound.keys().isdisjoint(free_vars(t)):
         return term_key(t)
     out = memo.get(id(t))
     if out is None:
@@ -419,65 +439,17 @@ def _key_under(t: HolTerm, bound: dict, depth: int, memo: dict):
             v = t.var
             old = bound.get(v)
             bound[v] = depth
-            out = ("l", type_key(v.type), _key_under(t.body, bound, depth + 1, {}))
+            out = _pair_key("l", type_key(v.type), _key_under(t.body, bound, depth + 1, {}))
             _rebind(bound, v, old)
         else:
-            out = ("a", _key_under(t.fn, bound, depth, memo), _key_under(t.arg, bound, depth, memo))
+            out = _pair_key("a", _key_under(t.fn, bound, depth, memo), _key_under(t.arg, bound, depth, memo))
         memo[id(t)] = out
     return out
 
 
 def alpha_equal(a: HolTerm, b: HolTerm) -> bool:
-    """Alpha-equivalence by one parallel walk of both terms.
-
-    Binders are matched by depth.  While both sides sit under the same
-    binders (the same variable bound at each depth, as at the top), a pair
-    of subterms means what it would mean at the top: two identical nodes
-    are equal at once, and pairs proven equal are remembered by identity,
-    so terms that share their nodes are compared in time linear in the
-    distinct nodes.  Under differing binders the same ``Var`` object can
-    mean different things on the two sides (the shared ``x`` in ``\\x.\\y.x``
-    and ``\\y.\\x.x``), so there the walk compares structure only.
-    """
-    bound_a: dict[Var, int] = {}  # bound variable -> depth of its binder
-    bound_b: dict[Var, int] = {}
-    proven: set[tuple[int, int]] = set()
-
-    def eq(x: HolTerm, y: HolTerm, depth: int, aligned: bool) -> bool:
-        if aligned:
-            if x is y:
-                return True
-            key = (id(x), id(y))
-            if key in proven:
-                return True
-        cls = type(x)
-        if cls is not type(y):
-            return False
-        if cls is Var:
-            if depth == 0:
-                return x == y
-            dx, dy = bound_a.get(x), bound_b.get(y)
-            return x == y if dx is None and dy is None else dx == dy
-        if cls is Const:
-            return x == y
-        if cls is App:
-            ok = eq(x.fn, y.fn, depth, aligned) and eq(x.arg, y.arg, depth, aligned)
-        else:
-            vx, vy = x.var, y.var
-            if vx.type != vy.type:
-                return False
-            old_x, old_y = bound_a.get(vx), bound_b.get(vy)
-            bound_a[vx] = bound_b[vy] = depth
-            ok = eq(x.body, y.body, depth + 1, aligned and vx == vy)
-            _rebind(bound_a, vx, old_x)
-            _rebind(bound_b, vy, old_y)
-        if ok and aligned:
-            proven.add(key)
-        return ok
-
-    out = eq(a, b, 0, True)
-    del eq  # it refers to itself: a cycle that would keep ``proven`` alive
-    return out
+    """Alpha-equivalence: ``a`` and ``b`` are one node or have one key object."""
+    return a is b or term_key(a) is term_key(b)
 
 
 def _rebind(bound: dict, key, depth: Optional[int]) -> None:
@@ -603,23 +575,25 @@ class Sequent(Record):
         self.concl = concl
 
     def alpha_eq(self, other: "Sequent") -> bool:
-        if not alpha_equal(self.concl, other.concl):
-            return False
-        return {term_key(h) for h in self.hyps} == {term_key(h) for h in other.hyps}
+        return alpha_equal(self.concl, other.concl) and _key_ids(self.hyps) == _key_ids(other.hyps)
 
 
 def make_sequent(hyps: Iterable[HolTerm], concl: HolTerm) -> Sequent:
-    """Alpha-deduplicate the hypotheses and sort them by their canonical key."""
+    """Alpha-deduplicate the hypotheses, keeping the first of each class,
+    and sort them by their canonical key."""
     by_key = {}
     for h in hyps:
-        by_key.setdefault(term_key(h), h)
-    ordered = tuple(by_key[k] for k in sorted(by_key))
-    return Sequent(ordered, concl)
+        by_key.setdefault(id(term_key(h)), h)
+    return Sequent(tuple(sorted(by_key.values(), key=term_key)), concl)
+
+
+def _key_ids(terms: Iterable[HolTerm]) -> set[int]:
+    return {id(term_key(t)) for t in terms}
 
 
 def _hyps_minus(hyps: tuple[HolTerm, ...], t: HolTerm) -> tuple[HolTerm, ...]:
     k = term_key(t)
-    return tuple(h for h in hyps if term_key(h) != k)
+    return tuple(h for h in hyps if term_key(h) is not k)
 
 
 def sequent_tyvars(seq: Sequent) -> frozenset:

@@ -251,7 +251,7 @@ class TranslationEnv:
         self.typeops: dict[str, TypeOpInfo] = {}
         self.constants: dict[str, ConstInfo] = {}
         self.decls: list = []  # article-level kernel items, emission order
-        self._axioms: dict = {}  # sequent key -> (kname, tyvars, termvars)
+        self._axioms: dict = {}  # ids of the sequent's keys -> (kname, tyvars, termvars)
         self._def_axioms: dict[str, str] = {}
         self._typeop_axioms: dict[int, tuple[str, str]] = {}
         self._trans_memo: dict[int, Term] = {}
@@ -261,7 +261,7 @@ class TranslationEnv:
         self.typeop_thms: dict[int, tuple[hol.Proof, hol.Proof]] = {}
         self._termvar_names: dict[hol.Var, str] = {}
         self._termvars: dict[str, hol.Var] = {}  # the inverse of _termvar_names
-        self._hyp_names: dict = {}  # term_key -> name
+        self._hyp_names: dict[int, str] = {}  # id of term_key -> name
         self.namer = DkNamer()
 
     @classmethod
@@ -291,7 +291,7 @@ class TranslationEnv:
         return Var(self.termvar_name(v))
 
     def hyp_name(self, prop: hol.HolTerm) -> str:
-        key = hol.term_key(prop)
+        key = id(hol.term_key(prop))
         n = self._hyp_names.get(key)
         if n is None:
             n = f"h@{len(self._hyp_names)}"
@@ -504,6 +504,11 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
     raise TranslateError(f"untranslatable proof node {type(proof).__name__}")
 
 
+def _termvar_order(v: hol.Var) -> tuple[str, str]:
+    """The order of term variables in binders: by name, then by type."""
+    return v.name, repr(hol.type_key(v.type))
+
+
 def closure_of(env: TranslationEnv, proof: hol.Proof) -> Closure:
     """The derivation's free type variables, term variables and hypotheses,
     in the fixed binding order (types first), plus the translated core."""
@@ -518,7 +523,7 @@ def closure_of(env: TranslationEnv, proof: hol.Proof) -> Closure:
             tyvars.add(name[1:])
         elif name.startswith("$"):
             termvars[name] = env._termvars[name]
-    vs = sorted(termvars.values(), key=lambda v: (v.name, repr(hol.type_key(v.type))))
+    vs = sorted(termvars.values(), key=_termvar_order)
     for v in vs:
         tyvars |= hol.type_tyvars(v.type)
     return Closure(sorted(tyvars), vs, seq.hyps, core, seq)
@@ -614,22 +619,21 @@ def _trans_axiom(env: TranslationEnv, proof: hol.Axiom) -> Term:
 
 
 def _axiom_const(env: TranslationEnv, seq: hol.Sequent):
-    key = (tuple(hol.term_key(h) for h in seq.hyps), hol.term_key(seq.concl))
-    hit = env._axioms.get(key)
+    key = (tuple(map(hol.term_key, seq.hyps)), hol.term_key(seq.concl))
+    index = (*map(id, key[0]), id(key[1]))
+    hit = env._axioms.get(index)
     if hit is not None:
         return hit
     tyvars = sorted(hol.sequent_tyvars(seq))
-    termvars = sorted(
-        hol.sequent_free_vars(seq), key=lambda v: (v.name, repr(hol.type_key(v.type)))
-    )
+    termvars = sorted(hol.sequent_free_vars(seq), key=_termvar_order)
     statement = arrow(*(trans_prop_type(env, h) for h in seq.hyps), trans_prop_type(env, seq.concl))
     binders = _tyvar_binders(tyvars) + _termvar_binders(env, termvars)
     import hashlib  # here: loading OpenSSL is a visible part of start-up, and only axioms need it
 
     kname = env.namer.ident("ax." + hashlib.sha1(repr(key).encode()).hexdigest()[:12])
     env.decls.append(ConstDecl(kname, bind(Prod, binders, statement)))
-    env._axioms[key] = (kname, tyvars, termvars)
-    return env._axioms[key]
+    env._axioms[index] = (kname, tyvars, termvars)
+    return env._axioms[index]
 
 
 def _defconst_axiom(env: TranslationEnv, proof: hol.DefineConst) -> str:

@@ -860,6 +860,45 @@ def test_tampered_dag_article_fails_with_one_short_line(tmp_path):
     ), done.stderr[:1000]
 
 
+def _deep_hypotheses_article(depth):
+    """``DeductAntiSym(Assume(t_c), Assume(t_d))``, with ``t_x`` the term
+    ``t_0 = x`` and ``t_(j+1) = (t_j = t_j)`` at ``j = depth``, written
+    without building it here: slot 4 holds ``t_c`` and slot 5 ``t_d``."""
+    lines = [
+        "6", "version",
+        '"bool"', "typeOp", "nil", "opType", "0", "def", "pop",
+        '"->"', "typeOp", "0", "ref", "0", "ref", "nil", "cons", "cons", "opType", "1", "def", "pop",
+        '"->"', "typeOp", "0", "ref", "1", "ref", "nil", "cons", "cons", "opType", "2", "def", "pop",
+        '"="', "const", "2", "ref", "constTerm", "3", "def", "pop",
+    ]
+    for leaf, slot in (("c", "4"), ("d", "5")):
+        lines += [f'"{leaf}"', "const", "0", "ref", "constTerm", slot, "def", "pop"]
+        lines += ["3", "ref", slot, "ref", "appTerm", slot, "ref", "appTerm", slot, "def", "pop"] * depth
+        lines += [slot, "ref", "assume"]
+    lines += ["deductAntisym", "4", "ref", "5", "ref", "nil", "cons", "cons",
+              "3", "ref", "4", "ref", "appTerm", "5", "ref", "appTerm", "thm"]
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_shared_hypotheses_translate_and_check(tmp_path):
+    """Two hypotheses of 31 distinct nodes and a tree of 2^31 - 1: keying
+    and comparing them costs their distinct nodes, so translating and
+    checking finish in the timeout."""
+    art = tmp_path / "deep.art"
+    art.write_text(_deep_hypotheses_article(30))
+    out = tmp_path / "out"
+    done = _python("-m", "holtrans.cli", "translate", str(art), "-o", str(out), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    done = _python("-m", "holtrans.cli", "check", str(out / "deep.dk"), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_deep_hypotheses_article_is_the_proof_it_names():
+    small = hol.DeductAntiSym(*(hol.Assume(hol.Const(x, hol.BOOL)) for x in "cd"))
+    thm, proof = ot.run_text(_deep_hypotheses_article(0)).theorems[0]
+    assert proof == small and thm.alpha_eq(small.sequent)
+
+
 def test_article_failure_names_command_and_line(tmp_path, capsys):
     # refl on an empty stack: the fifth command, on the sixth line
     bad = tmp_path / "bad.art"
@@ -905,15 +944,14 @@ def test_distinct_variables_get_distinct_kernel_names(tmp_path):
     ],
 )
 def test_unwritable_article_name_is_one_error_line(tmp_path, capsys, stem, reason):
+    """Refused before anything is written, even after a good article."""
     art = tmp_path / f"{stem}.art"
     art.write_bytes((CORPUS / "02_refl.art").read_bytes())
     out = tmp_path / "out"
-    assert cli.main(["translate", str(art), "-o", str(out)]) == 2
+    assert cli.main(["translate", str(IDENTITY), str(art), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {art}: {reason}") and err.count("\n") == 1
-    assert not (out / f"{stem}.dk").exists() or stem == "hol"
-    # whatever translate left behind still checks: hol.dk is the base
-    assert cli.main(["check", str(out / "hol.dk")]) == 0
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("twice", [False, True])
