@@ -11,7 +11,8 @@ each distinct node computes each set once; a leaf keeps none.  A compound
 node keeps its canonical key (``term_key``, ``type_key``) the same way.
 Keys are interned: each alpha class of terms, and each type, has one key
 object, so alpha-equivalence and the hypothesis sets compare keys by
-identity, and no key is hashed as a tree.
+identity, and no key is hashed as a tree.  ``apply_subst`` instantiates
+types and then terms in one capture-avoiding walk with one renaming rule.
 
 Proofs are explicit derivation graphs, one constructor per primitive rule
 plus nodes for article-level axioms and the two definition commands.
@@ -464,103 +465,88 @@ def _rebind(bound: dict, key, depth: Optional[int]) -> None:
 
 
 class HolSubst(Record):
-    """Type substitution applied first, then a parallel term substitution.
+    """Type substitution applied first, then a parallel term substitution,
+    also kept as the maps ``types`` and ``terms``.  The sigma keys and
+    images live in the already type-instantiated world: a key's type is the
+    theta-instantiated type of the variable it replaces, and the image's
+    type equals the key's."""
 
-    The sigma keys and images live in the already type-instantiated world:
-    a key's type is the theta-instantiated type of the variable it replaces,
-    and the image's type equals the key's.
-    """
-
-    __slots__ = _fields = ("theta", "sigma")
+    __slots__ = ("theta", "sigma", "types", "terms")
+    _fields = ("theta", "sigma")
 
     def __init__(self, theta: tuple[tuple[str, HolType], ...] = (), sigma: tuple[tuple[Var, HolTerm], ...] = ()):
         self.theta = theta
         self.sigma = sigma
+        self.types: dict[str, HolType] = dict(theta)
+        self.terms: dict[Var, HolTerm] = dict(sigma)
 
-    def theta_dict(self) -> dict[str, HolType]:
-        return dict(self.theta)
+    def image(self, v: Var) -> HolTerm:
+        """What replaces ``v`` where it is free."""
+        v = Var(v.name, type_subst(self.types, v.type)) if self.types else v
+        return self.terms.get(v, v)
 
 
-def map_types(theta: dict[str, HolType], t: HolTerm) -> HolTerm:
-    """Instantiate type variables.  ``x:A`` and ``x:B`` become one under ``A := B``, so a
-    binder whose image is that of another variable free in its body is renamed first,
-    with primes.  Only images of two variables of ``t`` (one DAG walk) need the check."""
-    if not theta:
+def apply_subst(s: HolSubst, t: HolTerm) -> HolTerm:
+    """``t`` with the type part, then the term part, applied in one walk.
+
+    A binder is renamed, with primes, where (a) its image is also the image
+    of another variable free in its body (``x:A`` and ``x:B`` under ``A :=
+    B``), or (b) it is free in an image that replaces a variable of its
+    body.  A first walk of the distinct nodes gives each image its
+    pre-images, so a type part alone asks a binder's body for its free
+    variables only where the image has two.  With a type part every node
+    and leaf is new, but the term part's images; without one, a leaf or an
+    ``Abs`` that nothing changes stays itself."""
+    theta, sigma = s.types, s.terms
+    if not theta and not sigma:
         return t
-    preimage: dict[Var, Var] = {}
-    merged: set[Var] = set()
+    pre: dict[Var, set] = {}  # each variable's image -> its pre-images in ``t``
     seen: set[int] = set()
-    stack = [t]
+    stack = [t] if theta else []
     while stack:
         u = stack.pop()
         if id(u) not in seen:
             seen.add(id(u))
-            if isinstance(u, Var):
-                image = Var(u.name, type_subst(theta, u.type))
-                if preimage.setdefault(image, u) != u:
-                    merged.add(image)
-            elif not isinstance(u, Const):
-                stack += (u.var, u.body) if isinstance(u, Abs) else (u.fn, u.arg)
+            if u.__class__ is Var:
+                pre.setdefault(Var(u.name, type_subst(theta, u.type)), set()).add(u)
+            elif u.__class__ is not Const:
+                stack += (u.var, u.body) if u.__class__ is Abs else (u.fn, u.arg)
+    live = {u: sigma[w] for w, us in pre.items() if w in sigma for u in us} if theta else sigma
 
-    def go(u: HolTerm) -> HolTerm:
-        if isinstance(u, (Var, Const)):
-            return type(u)(u.name, type_subst(theta, u.type))
-        if isinstance(u, App):
-            return App(go(u.fn), go(u.arg))
+    def go(u: HolTerm, live: dict, renamed: dict) -> HolTerm:
+        # ``live`` maps variables to the term part's images, ``renamed`` to their renamed binders
+        cls = u.__class__
+        if cls is Var:
+            if live and u in live:
+                return live[u]
+            r = renamed.get(u, u) if renamed else u
+            return Var(r.name, type_subst(theta, u.type)) if theta else r
+        if cls is Const:
+            return Const(u.name, type_subst(theta, u.type)) if theta else u
+        if cls is App:
+            return App(go(u.fn, live, renamed), go(u.arg, live, renamed))
         v, body = u.var, u.body
-        image = Var(v.name, type_subst(theta, v.type))
-        free = free_vars(body) if image in merged else ()
-        if any(w != v and w.name == v.name and type_subst(theta, w.type) == image.type for w in free):
-            new = v.name + "'"
-            while any(w.name == new for w in free):
-                new += "'"
-            body, image = subst_vars({v: Var(new, v.type)}, body), Var(new, image.type)
-        return Abs(image, go(body))
+        image = Var(v.name, type_subst(theta, v.type)) if theta else v
+        others = pre.get(image, ()) if theta else ()
+        if live or renamed or len(others) > 1:
+            free = free_vars(body)
+            live = {w: r for w, r in live.items() if w in free and w != v}
+            renamed = {w: r for w, r in renamed.items() if w in free and w != v}
+            if not (theta or live or renamed):
+                return u
+            images = (*live.values(), *renamed.values())
+            if any(w in free for w in others if w != v) or any(image in free_vars(r) for r in images):
+                taken = {w.name for r in (body, *images) for w in free_vars(r)}
+                name = v.name + "'"
+                while name in taken:
+                    name += "'"
+                image = Var(name, image.type)
+                renamed = {**renamed, v: image}
+        return Abs(image, go(body, live, renamed))
 
-    out = go(t)
-    del go  # it refers to itself: a cycle that would keep ``merged`` alive
+    out = go(t, live, {})
+    del go  # it refers to itself: a cycle that would keep ``pre`` alive
     return out
-
-
-def _free_names(t: HolTerm) -> set[str]:
-    return {v.name for v in free_vars(t)}
-
-
-def subst_vars(mapping: dict[Var, HolTerm], t: HolTerm) -> HolTerm:
-    """Simultaneous capture-avoiding substitution; binders renamed as needed."""
-    if not mapping:
-        return t
-    if isinstance(t, Var):
-        return mapping.get(t, t)
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, App):
-        return App(subst_vars(mapping, t.fn), subst_vars(mapping, t.arg))
-    assert isinstance(t, Abs)
-    body_vars = free_vars(t.body)
-    live = {k: v for k, v in mapping.items() if k != t.var and k in body_vars}
-    if not live:
-        return t
-    image_names = set()
-    for v in live.values():
-        image_names |= _free_names(v)
-    var = t.var
-    body = t.body
-    if var.name in image_names:
-        taken = image_names | _free_names(body) | {k.name for k in live}
-        new = var.name
-        while new in taken:
-            new += "'"
-        fresh = Var(new, var.type)
-        body = subst_vars({var: fresh}, body)
-        var = fresh
-    return Abs(var, subst_vars(live, body))
-
-
-def apply_subst(s: HolSubst, t: HolTerm) -> HolTerm:
-    """Type part applied once to the term, then the parallel term part."""
-    out = map_types(s.theta_dict(), t)
-    return subst_vars(dict(s.sigma), out)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +637,8 @@ class DeductAntiSym(Proof):
 
 
 class Subst(Proof):
-    __slots__ = _fields = ("subst", "sub")
+    __slots__ = ("subst", "sub", "hyp_images")  # the images of ``sub``'s hypotheses, in order; not compared
+    _fields = ("subst", "sub")
 
 
 class Axiom(Proof):
@@ -692,12 +679,6 @@ class TypeOpDef(Record):
         carrier = dest_fn(pred.type)[0]
         new_ty = TyOp(self.op, tuple(TyVar(a) for a in self.tyvars))
         return pred, carrier, new_ty
-
-    def abs_type(self, carrier: HolType, new_ty: HolType) -> HolType:
-        return fn(carrier, new_ty)
-
-    def rep_type(self, carrier: HolType, new_ty: HolType) -> HolType:
-        return fn(new_ty, carrier)
 
 
 class AbsRepThm(Proof):
@@ -785,11 +766,9 @@ def _check(proof: Proof) -> Sequent:
         s = proof.sub.sequent
         for v, img in proof.subst.sigma:
             if img.type != v.type:
-                raise RuleViolation(
-                    "Subst", f"image for {v.name} has the wrong type"
-                )
-        hyps = tuple(apply_subst(proof.subst, h) for h in s.hyps)
-        return make_sequent(hyps, apply_subst(proof.subst, s.concl))
+                raise RuleViolation("Subst", f"image for {v.name} has the wrong type")
+        proof.hyp_images = tuple(apply_subst(proof.subst, h) for h in s.hyps)
+        return make_sequent(proof.hyp_images, apply_subst(proof.subst, s.concl))
 
     if isinstance(proof, Axiom):
         for h in proof.hyps:
@@ -811,8 +790,8 @@ def _check(proof: Proof) -> Sequent:
         d = proof.defn
         sub_seq = d.sub.sequent
         pred, carrier, new_ty = d.pieces(sub_seq)
-        abs_c = Const(d.abs, d.abs_type(carrier, new_ty))
-        rep_c = Const(d.rep, d.rep_type(carrier, new_ty))
+        abs_c = Const(d.abs, fn(carrier, new_ty))
+        rep_c = Const(d.rep, fn(new_ty, carrier))
         if isinstance(proof, AbsRepThm):
             a = Var("a", new_ty)
             lhs = Abs(a, App(abs_c, App(rep_c, a)))

@@ -476,8 +476,8 @@ def _cmd_define_type_op(state: VMState) -> None:
     abs_thm = AbsRepThm(defn)
     rep_thm = RepAbsThm(defn)
     pred, carrier, new_ty = defn.pieces(t.sequent)
-    state.constants[a.value] = defn.abs_type(carrier, new_ty)
-    state.constants[r.value] = defn.rep_type(carrier, new_ty)
+    state.constants[a.value] = hol.fn(carrier, new_ty)
+    state.constants[r.value] = hol.fn(new_ty, carrier)
     state.typeops[n.value] = len(tyvars)
     state.typeop_thms.append((abs_thm, rep_thm))
     state.stack += (OTypeOp(n.value), OConst(a.value), OConst(r.value), abs_thm, rep_thm)

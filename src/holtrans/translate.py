@@ -70,13 +70,9 @@ class DuplicateDeclaration(TranslateError):
 # references from ever colliding; binder hints keep the raw names for display.
 
 _T = Const("type")
-_BOOL = Const("bool")
-_IND = Const("ind")
-_ARROW = Const("arrow")
 _TERM = Const("term")
-_EQ = Const("eq")
-_SELECT = Const("select")
 _PROOF = Const("proof")
+
 
 def tyvar_name(name: str) -> str:
     return "'" + name
@@ -84,18 +80,6 @@ def tyvar_name(name: str) -> str:
 
 def tyvar_ref(name: str) -> Var:
     return Var(tyvar_name(name))
-
-
-def _tm(t: Term) -> Term:
-    return App(_TERM, t)
-
-
-def _pf(t: Term) -> Term:
-    return App(_PROOF, t)
-
-
-def _arr(a: Term, b: Term) -> Term:
-    return app(_ARROW, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +190,19 @@ class DkNamer:
         return cand
 
 
-class TypeOpInfo(Record):
+class _Entry(Record):
+    __slots__ = ("const",)  # the kernel constant ``kname``: the one leaf every use shares
+
+    def __init__(self, *values) -> None:
+        super().__init__(*values)
+        self.const = Const(self.kname)
+
+
+class TypeOpInfo(_Entry):
     __slots__ = _fields = ("arity", "kname")
 
 
-class ConstInfo(Record):
+class ConstInfo(_Entry):
     """A declared constant: its generic type, the type variables its
     instances are applied to, in order, and its kernel name."""
 
@@ -248,8 +240,14 @@ class TranslationEnv:
     """
 
     def __init__(self):
-        self.typeops: dict[str, TypeOpInfo] = {}
-        self.constants: dict[str, ConstInfo] = {}
+        # the builtins, which the base signature declares
+        self.typeops: dict[str, TypeOpInfo] = {
+            "bool": TypeOpInfo(0, "bool"), "ind": TypeOpInfo(0, "ind"), "->": TypeOpInfo(2, "arrow"),
+        }
+        self.constants: dict[str, ConstInfo] = {
+            hol.EQ: ConstInfo(hol.eq_generic(), ("A",), "eq"),
+            hol.SELECT: ConstInfo(hol.select_generic(), ("A",), "select"),
+        }
         self.decls: list = []  # article-level kernel items, emission order
         self._axioms: dict = {}  # ids of the sequent's keys -> (kname, tyvars, termvars)
         self._def_axioms: dict[str, str] = {}
@@ -268,13 +266,11 @@ class TranslationEnv:
     def from_vm(cls, state) -> "TranslationEnv":
         env = cls()
         for name, arity in state.typeops.items():
-            if name not in hol.BUILTIN_TYPE_ARITY:
+            if name not in env.typeops:
                 declare_type_op(env, name, arity)
-        for name, generic in state.constants.items():
-            if name not in (hol.EQ, hol.SELECT):
+        for name, generic in (*state.constants.items(), *state.externals.items()):
+            if name not in env.constants:
                 declare_constant(env, name, generic)
-        for name, generic in state.externals.items():
-            declare_constant(env, name, generic)
         for thms in state.typeop_thms:
             env.typeop_thms[id(thms[0].defn)] = thms
         return env
@@ -300,7 +296,7 @@ class TranslationEnv:
 
 
 def declare_type_op(env: TranslationEnv, name: str, arity: int):
-    if name in env.typeops or name in hol.BUILTIN_TYPE_ARITY:
+    if name in env.typeops:
         raise DuplicateDeclaration(f"type operator {name} already declared")
     kname = env.namer.ident("ty." + name)
     decl = ConstDecl(kname, arrow(*([_T] * arity + [_T])) if arity else _T)
@@ -310,7 +306,7 @@ def declare_type_op(env: TranslationEnv, name: str, arity: int):
 
 
 def declare_constant(env: TranslationEnv, name: str, generic: hol.HolType):
-    if name in env.constants or name in (hol.EQ, hol.SELECT):
+    if name in env.constants:
         raise DuplicateDeclaration(f"constant {name} already declared")
     tyvars = tuple(_tyvars_in_order(generic))
     kname = env.namer.ident("tm." + name)
@@ -327,23 +323,16 @@ def declare_constant(env: TranslationEnv, name: str, generic: hol.HolType):
 def trans_type_term(env: TranslationEnv, ty: hol.HolType) -> Term:
     if isinstance(ty, hol.TyVar):
         return tyvar_ref(ty.name)
-    assert isinstance(ty, hol.TyOp)
-    if ty.op == "bool":
-        return _BOOL
-    if ty.op == "ind":
-        return _IND
-    if ty.op == "->":
-        return _arr(trans_type_term(env, ty.args[0]), trans_type_term(env, ty.args[1]))
     info = env.typeops.get(ty.op)
     if info is None:
         raise UndeclaredTypeOp(f"type operator {ty.op} not declared")
     if len(ty.args) != info.arity:
         raise UndeclaredTypeOp(f"type operator {ty.op} used at the wrong arity")
-    return app(Const(info.kname), *(trans_type_term(env, a) for a in ty.args))
+    return app(info.const, *(trans_type_term(env, a) for a in ty.args))
 
 
 def trans_type_type(env: TranslationEnv, ty: hol.HolType) -> Term:
-    return _tm(trans_type_term(env, ty))
+    return App(_TERM, trans_type_term(env, ty))
 
 
 def _instance_args(env: TranslationEnv, generic: hol.HolType, tyvars: tuple[str, ...], instance: hol.HolType) -> list[Term]:
@@ -361,17 +350,10 @@ def trans_term(env: TranslationEnv, t: hol.HolTerm) -> Term:
     if isinstance(t, hol.Var):
         return env.termvar(t)
     if isinstance(t, hol.Const):
-        if t.name == hol.EQ:
-            (arg,) = _instance_args(env, hol.eq_generic(), ("A",), t.type)
-            return App(_EQ, arg)
-        if t.name == hol.SELECT:
-            (arg,) = _instance_args(env, hol.select_generic(), ("A",), t.type)
-            return App(_SELECT, arg)
         info = env.constants.get(t.name)
         if info is None:
             raise UndeclaredConstant(f"constant {t.name} not declared")
-        args = _instance_args(env, info.generic, info.tyvars, t.type)
-        return app(Const(info.kname), *args)
+        return app(info.const, *_instance_args(env, info.generic, info.tyvars, t.type))
     out = env._term_memo.get(id(t))
     if out is not None:
         return out
@@ -394,7 +376,7 @@ def trans_term(env: TranslationEnv, t: hol.HolTerm) -> Term:
 def trans_prop_type(env: TranslationEnv, prop: hol.HolTerm) -> Term:
     if prop.type != hol.BOOL:
         raise NotAProposition(f"not a proposition: a term of type {hol.fmt_type(prop.type)}")
-    return _pf(trans_term(env, prop))
+    return App(_PROOF, trans_term(env, prop))
 
 
 # ---------------------------------------------------------------------------
@@ -565,25 +547,23 @@ def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
     around the redex, and the redex is the full closure's with those
     positions beta-reduced."""
     c = closure_of(env, proof.sub)
-    theta = proof.subst.theta_dict()
-    sigma = dict(proof.subst.sigma)
+    s = proof.subst
     binders: list[tuple[str, str, Term]] = []
     args: list[Term] = []
     for n in c.tyvars:
-        arg = trans_type_term(env, theta[n]) if n in theta else tyvar_ref(n)
+        arg = trans_type_term(env, s.types[n]) if n in s.types else tyvar_ref(n)
         name = tyvar_name(n)
         if type(arg) is not Var or arg.name != name:
             binders.append((name, n, _T))
             args.append(arg)
     for v in c.termvars:
-        v_post = hol.Var(v.name, hol.type_subst(theta, v.type))
-        arg = trans_term(env, sigma.get(v_post, v_post))
+        arg = trans_term(env, s.image(v))
         name = env.termvar_name(v)
         if type(arg) is not Var or arg.name != name:
             binders.append((name, v.name, trans_type_type(env, v.type)))
             args.append(arg)
-    for prop in c.hyps:
-        arg = Var(env.hyp_name(hol.apply_subst(proof.subst, prop)))
+    for prop, image in zip(c.hyps, proof.hyp_images):
+        arg = Var(env.hyp_name(image))
         name = env.hyp_name(prop)
         if arg.name != name:
             binders.append((name, "h", trans_prop_type(env, prop)))

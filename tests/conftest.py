@@ -287,7 +287,7 @@ def beta_step_tree(t):
     """One leftmost-outermost contraction, or None in normal form."""
     if isinstance(t, hol.App):
         if isinstance(t.fn, hol.Abs):
-            return hol.subst_vars({t.fn.var: t.arg}, t.fn.body)
+            return hol.apply_subst(hol.HolSubst(sigma=((t.fn.var, t.arg),)), t.fn.body)
         rf = beta_step_tree(t.fn)
         if rf is not None:
             return hol.App(rf, t.arg)

@@ -406,16 +406,45 @@ def binder_nest(n, leaf):
 
 
 def test_substitution_under_nested_binders_grows_with_depth():
-    """``subst_vars`` asks each binder's body for its free variables; when
+    """``apply_subst`` asks each binder's body for its free variables; when
     each asking walked the body, substituting under n binders made 43,815
     and 167,613 calls at n = 200 and 400."""
     y, z = hol.Var("y", hol.BOOL), hol.Var("z", hol.BOOL)
+    s = hol.HolSubst(sigma=((y, z),))
     work = []
     for n in (200, 400):
         t = binder_nest(n, y)
         box = {}
-        work.append(sum(calls(lambda: box.update(out=hol.subst_vars({y: z}, t))).values()))
+        work.append(sum(calls(lambda: box.update(out=hol.apply_subst(s, t))).values()))
         assert box["out"] == binder_nest(n, z)
+    assert work[1] <= 2.2 * work[0], work
+
+
+def typed_nest(n, ty):
+    """``\\x0 ... \\x(n-1). g x0 (g x1 (... (g x(n-1) f)))``, each ``xi : ty``."""
+    g = hol.Var("g", hol.fn(ty, hol.fn(hol.BOOL, hol.BOOL)))
+    t = hol.Var("f", hol.BOOL)
+    for i in reversed(range(n)):
+        t = hol.App(hol.App(g, hol.Var(f"x{i}", ty)), t)
+    for i in reversed(range(n)):
+        t = hol.Abs(hol.Var(f"x{i}", ty), t)
+    return t
+
+
+def test_type_instantiation_under_nested_binders_grows_with_depth():
+    """Under a type part alone, a binder asks for its body's free variables
+    only where another variable shares its image: each of those sets is
+    O(n) here, and asking at every binder took 0.019, 0.066 and 0.226 s at
+    n = 500, 1000 and 2000, against 0.009, 0.019 and 0.035 s (in-process,
+    one machine).  That cost is in the sets, not in calls: the calls
+    counted here guard the walk itself, one visit per node."""
+    s = hol.HolSubst(theta=(("A", hol.TyVar("B")),))
+    work = []
+    for n in (200, 400):
+        t = typed_nest(n, A)
+        box = {}
+        work.append(sum(calls(lambda: box.update(out=hol.apply_subst(s, t))).values()))
+        assert box["out"] == typed_nest(n, hol.TyVar("B"))
     assert work[1] <= 2.2 * work[0], work
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from holtrans import hol
 
+import reference_subst
 from conftest import HolGen, beta_normalize_tree, captured_by_instantiation
 
 A = hol.TyVar("A")
@@ -131,7 +132,7 @@ def reference_term_key(t, theta=None, bound=None, depth=0):
     """``hol.term_key`` as first written, copying its binder dict at every
     ``Abs``.  With ``theta``, the key of ``t`` with ``theta`` applied to
     every type and the binders kept as they are: the key that a
-    capture-avoiding ``map_types(theta, t)`` must have."""
+    capture-avoiding ``apply_subst`` of ``theta`` must have."""
     theta, bound = theta or {}, bound or {}
     if isinstance(t, hol.Var):
         k = (t.name, hol.type_key(t.type))
@@ -166,22 +167,110 @@ _THETAS = [{"A": B}, {"B": A}, {"A": B, "B": A}, {"A": hol.BOOL}, {"A": hol.fn(B
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 100_000), st.booleans(), st.sampled_from(_THETAS))
-def test_term_key_and_map_types_match_the_copying_key(seed, shadowed, theta):
+def test_term_key_and_type_instantiation_match_the_copying_key(seed, shadowed, theta):
     gen = HolGen(seed)
     t = gen.term(gen.type(), 4)
     if shadowed:
         t = all_named_x(t)
     assert hol.term_key(t) == reference_term_key(t)
-    assert hol.term_key(hol.map_types(theta, t)) == reference_term_key(t, theta)
+    s = hol.HolSubst(theta=tuple(theta.items()))
+    assert hol.term_key(hol.apply_subst(s, t)) == reference_term_key(t, theta)
 
 
-def test_map_types_keeps_nested_shadowing_binders_apart():
+def test_type_instantiation_keeps_nested_shadowing_binders_apart():
     """``\\x:A. \\x:B. x:A`` under ``A := B``: the inner binder is renamed."""
     xa, xb = hol.Var("x", A), hol.Var("x", B)
     t = hol.Abs(xa, hol.Abs(xb, xa))
-    out = hol.map_types({"A": B}, t)
+    out = hol.apply_subst(hol.HolSubst(theta=(("A", B),)), t)
     assert out == hol.Abs(xb, hol.Abs(hol.Var("x'", B), xb))
-    assert hol.map_types({"B": A}, t) == hol.Abs(xa, hol.Abs(hol.Var("x'", A), xa))
+    assert hol.apply_subst(hol.HolSubst(theta=(("B", A),)), t) == hol.Abs(xa, hol.Abs(hol.Var("x'", A), xa))
+
+
+def _variables(t):
+    """Every variable of ``t``, free or bound."""
+    out, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, hol.Var):
+            out.add(u)
+        elif isinstance(u, hol.Abs):
+            stack += (u.var, u.body)
+        elif isinstance(u, hol.App):
+            stack += (u.fn, u.arg)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 100_000), st.booleans(), st.sampled_from([{}, *_THETAS]))
+def test_apply_subst_agrees_with_the_two_walks(seed, shadowed, theta):
+    """One walk with one capture rule gives the alpha class that the type
+    walk followed by the term walk gives.  The images are random terms, the
+    term's own variables (free or bound there) and, where every variable of
+    the term is named ``x``, terms whose variables are all ``x`` too."""
+    gen = HolGen(seed)
+    t = gen.term(gen.type(), 4)
+    if shadowed:
+        t = all_named_x(t)
+    own = [hol.Var(w.name, hol.type_subst(theta, w.type)) for w in _variables(t)]
+    sigma = []
+    for v in sorted(hol.free_vars(t), key=lambda v: (v.name, repr(hol.type_key(v.type)))):
+        key = hol.Var(v.name, hol.type_subst(theta, v.type))
+        roll = gen.rng.random()
+        if roll < 0.3:
+            image = gen.term(key.type, 2)
+            sigma.append((key, all_named_x(image) if shadowed else image))
+        elif roll < 0.6:
+            fits = [w for w in own if w.type == key.type]
+            if fits:
+                sigma.append((key, gen.rng.choice(fits)))
+    s = hol.HolSubst(tuple(theta.items()), tuple(sigma))
+    assert hol.term_key(hol.apply_subst(s, t)) is hol.term_key(reference_subst.apply_subst(s, t))
+
+
+def test_type_instantiation_renames_past_free_primed_names():
+    """Rule (a): ``\\x:A. x:B = x':B`` under ``A := B``; ``x'`` is free, so
+    the binder becomes ``x''``."""
+    xa, xb, x1 = hol.Var("x", A), hol.Var("x", B), hol.Var("x'", B)
+    out = hol.apply_subst(hol.HolSubst(theta=(("A", B),)), hol.Abs(xa, hol.mk_eq(xb, x1)))
+    assert out == hol.Abs(hol.Var("x''", B), hol.mk_eq(xb, x1))
+
+
+def test_term_substitution_renames_a_capturing_binder_with_a_prime():
+    """Rule (b): ``\\y. x = y`` and ``\\y. x = y'`` under ``x := y``."""
+    x, y, y1, y2 = (hol.Var(n, A) for n in ("x", "y", "y'", "y''"))
+    s = hol.HolSubst(sigma=((x, y),))
+    assert hol.apply_subst(s, hol.Abs(y, hol.mk_eq(x, y))) == hol.Abs(y1, hol.mk_eq(y, y1))
+    assert hol.apply_subst(s, hol.Abs(y, hol.mk_eq(x, y1))) == hol.Abs(y2, hol.mk_eq(y, y1))
+
+
+def test_term_substitution_leaves_a_binder_of_another_type_alone():
+    """``\\y:B. x`` under ``x := y:A``: the image's ``y`` is another
+    variable than the binder, so nothing is captured and nothing renamed."""
+    x, ya, yb = hol.Var("x", A), hol.Var("y", A), hol.Var("y", B)
+    out = hol.apply_subst(hol.HolSubst(sigma=((x, ya),)), hol.Abs(yb, x))
+    assert out == hol.Abs(yb, ya)
+
+
+def test_a_binder_renamed_above_renames_the_binder_it_would_meet():
+    """Rule (a) renames the outer ``x:A`` of ``\\x:A. \\x':A. f x:A x:B``
+    to ``x'`` under ``A := B``; rule (b) then renames the inner ``x'``,
+    which would capture it, to ``x''``."""
+    xa, xb, x1a = hol.Var("x", A), hol.Var("x", B), hol.Var("x'", A)
+    f = hol.Var("f", hol.fn(A, hol.fn(B, hol.BOOL)))
+    t = hol.Abs(xa, hol.Abs(x1a, hol.App(hol.App(f, xa), xb)))
+    out = hol.apply_subst(hol.HolSubst(theta=(("A", B),)), t)
+    fb = hol.Var("f", hol.fn(B, hol.fn(B, hol.BOOL)))
+    x1, x2 = hol.Var("x'", B), hol.Var("x''", B)
+    assert out == hol.Abs(x1, hol.Abs(x2, hol.App(hol.App(fb, x1), xb)))
+
+
+def test_both_capture_rules_at_one_binder_rename_it_once():
+    """``\\x:A. x:B = z:B`` under ``A := B`` and ``z := x:B``: the binder's
+    image is the free ``x:B``'s (a) and is free in ``z``'s image (b)."""
+    xa, xb, z = hol.Var("x", A), hol.Var("x", B), hol.Var("z", B)
+    s = hol.HolSubst(theta=(("A", B),), sigma=((z, xb),))
+    out = hol.apply_subst(s, hol.Abs(xa, hol.mk_eq(xb, z)))
+    assert out == hol.Abs(hol.Var("x'", B), hol.mk_eq(xb, xb))
 
 
 # ---------------------------------------------------------------------------

@@ -778,7 +778,7 @@ def oracle_completeness_context(env, proof):
 def oracle_trans_subst(env, proof):
     c = tr.closure_of(env, proof.sub)
     fn = oracle_close_over(env, c, c.core)
-    theta = proof.subst.theta_dict()
+    theta = dict(proof.subst.theta)
     sigma = dict(proof.subst.sigma)
     args = [tr.trans_type_term(env, theta[n]) if n in theta else tr.tyvar_ref(n) for n in c.tyvars]
     for v in c.termvars:
@@ -793,7 +793,7 @@ def oracle_trans_subst_changed(env, proof):
     """``oracle_trans_subst`` with each position whose argument is its
     binder's own variable left out, built binder by binder."""
     c = tr.closure_of(env, proof.sub)
-    theta = proof.subst.theta_dict()
+    theta = dict(proof.subst.theta)
     sigma = dict(proof.subst.sigma)
     positions = []  # (kernel name, hint, domain, argument)
     for n in c.tyvars:
@@ -979,7 +979,7 @@ def test_reduction_preserved_on_beta_redexes(seed):
     body = gen.term(body_ty, 2, (v,))
     arg = gen.term(arg_ty, 2)
     redex = hol.App(hol.Abs(v, body), arg)
-    reduct = hol.subst_vars({v: arg}, body)
+    reduct = hol.apply_subst(hol.HolSubst(sigma=((v, arg),)), body)
     env = make_env()
     sig = env_signature(env)
     a = normalize(sig, tr.trans_term(env, redex), fuel=10**6)
