@@ -14,7 +14,11 @@ first side alternates, so start-up and teardown are part of the time.  Each
 process runs between two runs of ``perfbench/reference.py``, and its time is
 divided by theirs (as the benchmark's ``*_rel`` metrics are).  Prints each
 side's median and quartiles in that unit, its median peak RSS (from
-``os.wait4``), the parent's interquartile range and the change's wins.  The
+``os.wait4``), the parent's interquartile range and the change's wins.
+Every process is started by a small spawner process that the script starts
+before it loads anything: a child's peak RSS starts at the high-water of
+the process that spawned it, so this script, with the workloads loaded,
+would read its own peak for a smaller command's.  The
 processes inherit this environment, ``PYTHONDONTWRITEBYTECODE`` included, so
 a start-up change is measured once with it and once without.  Each side runs
 from a copy of its tree without the tree's bytecode cache (one left by a
@@ -31,6 +35,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import json
 import os
 import shutil
 import statistics
@@ -68,22 +73,45 @@ def replay_s(ot, text: str) -> float:
         gc.enable()
 
 
-def run_process(argv: list, src=None) -> tuple:
-    """Run ``python argv`` to completion, with ``src`` first on its path:
-    (exit code, wall seconds, peak RSS in MB)."""
-    env = dict(os.environ)
-    if src is not None:
-        env["PYTHONPATH"] = str(src)
+# Reads one JSON ``[argv, env]`` request per line, runs it to completion and
+# answers ``[exit code, wall seconds, peak RSS in MB]``.
+SPAWNER = """
+import json, os, subprocess, sys, time
+for line in sys.stdin:
+    argv, env = json.loads(line)
     t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *map(str, argv)], env=env, stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    return proc.returncode, wall, usage.ru_maxrss / 1024
+    print(json.dumps([proc.returncode, wall, usage.ru_maxrss / 1024]), flush=True)
+"""
 
 
-def reference_s() -> float:
-    code, wall, _ = run_process([REFERENCE])
+class Spawner:
+    """The process that starts every timed one (see the module docstring)."""
+
+    def __init__(self) -> None:
+        self.proc = subprocess.Popen([sys.executable, "-c", SPAWNER], stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
+
+    def run(self, argv: list, src=None) -> tuple:
+        """Run ``python argv`` to completion, with ``src`` first on its path:
+        (exit code, wall seconds, peak RSS in MB)."""
+        env = dict(os.environ)
+        if src is not None:
+            env["PYTHONPATH"] = str(src)
+        self.proc.stdin.write(json.dumps([[sys.executable, *map(str, argv)], env]) + "\n")
+        self.proc.stdin.flush()
+        return tuple(json.loads(self.proc.stdout.readline()))
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def reference_s(spawner: Spawner) -> float:
+    code, wall, _ = spawner.run([REFERENCE])
     if code != 0:
         raise RuntimeError(f"{REFERENCE.name} exited {code}")
     return wall
@@ -108,7 +136,7 @@ def replay_pairs(args, workloads) -> tuple:
     return f"family {args.family}, {n} commands parsed and replayed", times, "ms", None
 
 
-def process_pairs(args, workloads) -> tuple:
+def process_pairs(args, workloads, spawner: Spawner) -> tuple:
     """Fresh command-line processes: (header, times by side in reference
     units, the unit, peak RSS by side)."""
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -125,19 +153,19 @@ def process_pairs(args, workloads) -> tuple:
             out = work / name / "out"
             argv[name] = ["-m", "holtrans.cli", "translate", "-o", out, art]
             if args.process == "check":
-                if run_process(argv[name], src)[0] != 0:
+                if spawner.run(argv[name], src)[0] != 0:
                     raise RuntimeError(f"{name}: translate of {art.name} failed")
                 argv[name] = ["-m", "holtrans.cli", "check", out / f"{args.family}.dk"]
-            if run_process(argv[name], src)[0] != 0:  # the untimed warm-up
+            if spawner.run(argv[name], src)[0] != 0:  # the untimed warm-up
                 raise RuntimeError(f"{name}: {args.process} failed")
-        ref = reference_s()
+        ref = reference_s(spawner)
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for name in order:
-                code, wall, peak = run_process(argv[name], sides[name])
+                code, wall, peak = spawner.run(argv[name], sides[name])
                 if code != 0:
                     raise RuntimeError(f"{name}: {args.process} exited {code}")
-                before, ref = ref, reference_s()
+                before, ref = ref, reference_s(spawner)
                 times[name].append(wall / ((before + ref) / 2))
                 rss[name].append(peak)
     return f"family {args.family}, {args.process} processes", times, "ref", rss
@@ -157,14 +185,21 @@ def main() -> int:
         if not (src / "holtrans" / "__init__.py").is_file():
             parser.error(f"{src}: no holtrans package")
 
-    sys.dont_write_bytecode = True  # leave nothing behind in either tree or in perfbench/
-    sys.setrecursionlimit(100_000)
-    sys.path.insert(0, str(args.change.resolve()))  # the change is ``holtrans``, as workloads.py imports it
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    measure = process_pairs if args.process else replay_pairs
-    header, times, unit, rss = measure(args, workloads)
+    spawner = Spawner() if args.process else None  # before this process grows
+    try:
+        sys.dont_write_bytecode = True  # leave nothing behind in either tree or in perfbench/
+        sys.setrecursionlimit(100_000)
+        sys.path.insert(0, str(args.change.resolve()))  # the change is ``holtrans``, as workloads.py imports it
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        if spawner is None:
+            header, times, unit, rss = replay_pairs(args, workloads)
+        else:
+            header, times, unit, rss = process_pairs(args, workloads, spawner)
+    finally:
+        if spawner is not None:
+            spawner.close()
 
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     digits = 3 if unit == "ref" else 2

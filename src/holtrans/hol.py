@@ -658,10 +658,16 @@ class TypeOpDef(Record):
     arguments are ``tyvars`` in the given order.
     """
 
-    __slots__ = _fields = ("op", "abs", "rep", "tyvars", "sub")
+    __slots__ = ("op", "abs", "rep", "tyvars", "sub", "shape")
+    _fields = ("op", "abs", "rep", "tyvars", "sub")
 
-    def pieces(self, sub_seq: Sequent) -> tuple[HolTerm, HolType, HolType]:
+    def __init__(self, *values) -> None:
+        super().__init__(*values)
+        self.shape = None  # ``pieces()``, kept by the first theorem built from the definition; not compared
+
+    def pieces(self) -> tuple[HolTerm, HolType, HolType]:
         """Return (pred, carrier type, new type) after validating the shape."""
+        sub_seq = self.sub.sequent
         if sub_seq.hyps:
             raise RuleViolation("DefineTypeOp", "witness theorem has hypotheses")
         c = sub_seq.concl
@@ -788,8 +794,9 @@ def _check(proof: Proof) -> Sequent:
 
     if isinstance(proof, (AbsRepThm, RepAbsThm)):
         d = proof.defn
-        sub_seq = d.sub.sequent
-        pred, carrier, new_ty = d.pieces(sub_seq)
+        if d.shape is None:
+            d.shape = d.pieces()
+        pred, carrier, new_ty = d.shape
         abs_c = Const(d.abs, fn(carrier, new_ty))
         rep_c = Const(d.rep, fn(new_ty, carrier))
         if isinstance(proof, AbsRepThm):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from . import hol
 from .kernel import Record
@@ -211,27 +211,30 @@ def _parse_quoted(line: str, lineno: int) -> str:
     return "".join(out)
 
 
-def parse_article(data: Union[str, bytes]) -> list[ArticleCommand]:
-    """One command per non-comment line; ``#`` lines and blank lines are skipped."""
+def _iter_article(data: Union[str, bytes]) -> Iterator[ArticleCommand]:
+    """One command per non-comment line, parsed as it is reached; ``#``
+    lines and blank lines are skipped."""
     try:
         text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     except UnicodeDecodeError as e:
         at = e.start + len(data) - len(e.object)  # utf-8-sig counts from after a byte-order mark
         raise ArticleError(f"not UTF-8: byte 0x{data[at]:02x} at offset {at}") from None
-    commands: list[ArticleCommand] = []
-    append = commands.append
     # splitlines ends a line at "\r" too, so no line holds one; the checks
     # come most frequent first, and no line passes two of them
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line in _HANDLERS:  # the keywords
-            append(Keyword(line, lineno))
+            yield Keyword(line, lineno)
         elif line.isdigit() and line.isascii() or _INT_RE.match(line):
-            append(ONum(int(line), lineno))
+            yield ONum(int(line), lineno)
         elif line.startswith('"'):
-            append(OName(_parse_quoted(line, lineno), lineno))
+            yield OName(_parse_quoted(line, lineno), lineno)
         elif line.strip() and not line.startswith("#"):
             raise UnknownCommand(f"line {lineno}: unknown command {line!r}")
-    return commands
+
+
+def parse_article(data: Union[str, bytes]) -> list[ArticleCommand]:
+    """The whole article's commands, as ``_iter_article`` yields them."""
+    return list(_iter_article(data))
 
 
 @dataclass
@@ -473,9 +476,9 @@ def _cmd_define_type_op(state: VMState) -> None:
             raise VMError(f"defineTypeOp: constant {cname} already declared")
     tyvars = _unbox(l, OName, "defineTypeOp: expected a list of names")
     defn = TypeOpDef(n.value, a.value, r.value, tyvars, t)
-    abs_thm = AbsRepThm(defn)
+    abs_thm = AbsRepThm(defn)  # validates the witness and keeps its pieces in ``defn.shape``
     rep_thm = RepAbsThm(defn)
-    pred, carrier, new_ty = defn.pieces(t.sequent)
+    _, carrier, new_ty = defn.shape
     state.constants[a.value] = hol.fn(carrier, new_ty)
     state.constants[r.value] = hol.fn(new_ty, carrier)
     state.typeops[n.value] = len(tyvars)
@@ -566,4 +569,7 @@ def run(commands: Iterable[ArticleCommand]) -> VMState:
 
 
 def run_text(data: Union[str, bytes]) -> VMState:
-    return run(parse_article(data))
+    """Parse and run the article line by line, so no list of its commands
+    is kept through replay, and a failing command is reported before any
+    malformed line after it."""
+    return run(_iter_article(data))

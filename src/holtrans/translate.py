@@ -73,6 +73,15 @@ _T = Const("type")
 _TERM = Const("term")
 _PROOF = Const("proof")
 
+# the base signature's rule constants, one leaf each that every proof shares
+_REFL = Const("Refl")
+_FUNEXT = Const("FunExt")
+_APPTHM = Const("AppThm")
+_APTERM = Const("ApTerm")
+_APTHM = Const("ApThm")
+_PROPEXT = Const("PropExt")
+_EQMP = Const("EqMp")
+
 
 def tyvar_name(name: str) -> str:
     return "'" + name
@@ -84,7 +93,18 @@ def tyvar_ref(name: str) -> Var:
 
 # ---------------------------------------------------------------------------
 # Base signatures, as ``hol.dk`` writes them after its two header comments; a
-# backslash ends a line that the file continues
+# backslash ends a line that the file continues.  Both modes end with the
+# same two derived rules, definitions over ``AppThm`` and ``Refl``: a
+# congruence with one side proved by reflexivity.
+
+_DERIVED_RULES = """\
+def ApTerm : a : type -> b : type -> f : term (arrow a b) -> x : term a -> y : term a -> \
+proof (eq a x y) -> proof (eq b (f x) (f y)) := \
+a => b => f => x => y => h => AppThm a b f f x y (Refl (arrow a b) f) h.
+def ApThm : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> x : term a -> \
+proof (eq (arrow a b) f g) -> proof (eq b (f x) (g x)) := \
+a => b => f => g => x => h => AppThm a b f g x x h (Refl a x).
+"""
 
 BASE_TEXT = {
     "q0": """\
@@ -105,7 +125,7 @@ y : term a -> proof (eq (arrow a b) f g) -> proof (eq a x y) -> proof (eq b (f x
 PropExt : p : term bool -> q : term bool -> (proof q -> proof p) -> (proof p -> proof q) -> \
 proof (eq bool p q).
 EqMp : p : term bool -> q : term bool -> proof (eq bool p q) -> proof p -> proof q.
-""",
+""" + _DERIVED_RULES,
     "pts": """\
 type : Type.
 bool : type.
@@ -137,7 +157,7 @@ FunExt : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) ->
 proof (eq b (f x) (g x))) -> proof (eq (arrow a b) f g).
 PropExt : p : term bool -> q : term bool -> (proof q -> proof p) -> (proof p -> proof q) -> \
 proof (eq bool p q).
-""",
+""" + _DERIVED_RULES,
 }
 
 _BASE_CACHE: dict[str, Signature] = {}
@@ -404,7 +424,7 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         # one reflexivity step at the right side; the kernel's conversion
         # checks that the left side is beta-equal to it
         t = hol.dest_eq(proof.sequent.concl)[1]
-        return app(Const("Refl"), trans_type_term(env, t.type), trans_term(env, t))
+        return app(_REFL, trans_type_term(env, t.type), trans_term(env, t))
 
     if isinstance(proof, hol.Assume):
         return Var(env.hyp_name(proof.prop))
@@ -413,17 +433,16 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         f, g = hol.dest_eq(proof.fun.sequent.concl)
         m, n = hol.dest_eq(proof.arg.sequent.concl)
         a, b = hol.dest_fn(f.type)
-        return app(
-            Const("AppThm"),
-            trans_type_term(env, a),
-            trans_type_term(env, b),
-            trans_term(env, f),
-            trans_term(env, g),
-            trans_term(env, m),
-            trans_term(env, n),
-            trans_proof(env, proof.fun),
-            trans_proof(env, proof.arg),
-        )
+        types = (trans_type_term(env, a), trans_type_term(env, b))
+        fun, arg = trans_proof(env, proof.fun), trans_proof(env, proof.arg)
+        # a side that translates to ``Refl A t`` (a conversion does, and an
+        # ``EqMp`` over one may) gives ApTerm or ApThm its term ``t`` alone
+        if _is_refl(fun):
+            return app(_APTERM, *types, fun.arg, trans_term(env, m), trans_term(env, n), arg)
+        if _is_refl(arg):
+            return app(_APTHM, *types, trans_term(env, f), trans_term(env, g), arg.arg, fun)
+        terms = (trans_term(env, f), trans_term(env, g), trans_term(env, m), trans_term(env, n))
+        return app(_APPTHM, *types, *terms, fun, arg)
 
     if isinstance(proof, hol.AbsThm):
         m, n = hol.dest_eq(proof.sub.sequent.concl)
@@ -433,7 +452,7 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         lam_n = hol.Abs(proof.var, n)
         body = close(trans_proof(env, proof.sub), env.termvar_name(proof.var))
         return app(
-            Const("FunExt"),
+            _FUNEXT,
             trans_type_term(env, a),
             trans_type_term(env, b),
             trans_term(env, lam_m),
@@ -446,9 +465,16 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
             # a conversion has no hypotheses, and where the premise's proof
             # is used at ``psi`` the kernel checks ``phi`` converts to it
             return trans_proof(env, proof.prem)
+        if isinstance(proof.eq, hol.DeductAntiSym):
+            # ``proveHyp``: the proof of ``psi`` from ``phi``, applied to the
+            # premise's proof of ``phi``; the proof of ``phi`` from ``psi``
+            # is not needed
+            phi = proof.eq.lhs.sequent.concl
+            body = close(trans_proof(env, proof.eq.rhs), env.hyp_name(phi))
+            return App(Abs("h", trans_prop_type(env, phi), body), trans_proof(env, proof.prem))
         phi, psi = hol.dest_eq(proof.eq.sequent.concl)
         return app(
-            Const("EqMp"),
+            _EQMP,
             trans_term(env, phi),
             trans_term(env, psi),
             trans_proof(env, proof.eq),
@@ -460,7 +486,7 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         left = Abs("h", trans_prop_type(env, psi), close(trans_proof(env, proof.lhs), env.hyp_name(psi)))
         right = Abs("h", trans_prop_type(env, phi), close(trans_proof(env, proof.rhs), env.hyp_name(phi)))
         return app(
-            Const("PropExt"),
+            _PROPEXT,
             trans_term(env, phi),
             trans_term(env, psi),
             left,
@@ -484,6 +510,11 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         return app(Const(kname), *(tyvar_ref(n) for n in proof.defn.tyvars))
 
     raise TranslateError(f"untranslatable proof node {type(proof).__name__}")
+
+
+def _is_refl(t: Term) -> bool:
+    """Whether ``t`` is ``Refl A x``, as ``_trans_proof`` builds it."""
+    return type(t) is App and type(t.fn) is App and t.fn.fn is _REFL
 
 
 def _termvar_order(v: hol.Var) -> tuple[str, str]:
@@ -579,12 +610,12 @@ def _trans_axiom(env: TranslationEnv, proof: hol.Axiom) -> Term:
         a = x.type
         b = hol.dest_fn(m.type)[1]
         body = app(
-            Const("Refl"),
+            _REFL,
             trans_type_term(env, b),
             App(trans_term(env, m), env.termvar(x)),
         )
         return app(
-            Const("FunExt"),
+            _FUNEXT,
             trans_type_term(env, a),
             trans_type_term(env, b),
             trans_term(env, hol.Abs(x, hol.App(m, x))),
@@ -608,9 +639,12 @@ def _axiom_const(env: TranslationEnv, seq: hol.Sequent):
     termvars = sorted(hol.sequent_free_vars(seq), key=_termvar_order)
     statement = arrow(*(trans_prop_type(env, h) for h in seq.hyps), trans_prop_type(env, seq.concl))
     binders = _tyvar_binders(tyvars) + _termvar_binders(env, termvars)
-    import hashlib  # here: loading OpenSSL is a visible part of start-up, and only axioms need it
+    try:  # here, as only axioms need it; ``hashlib`` would map OpenSSL's libcrypto, 3.5 MB resident
+        from _sha1 import sha1
+    except ImportError:  # an interpreter built without CPython's own SHA-1
+        from hashlib import sha1
 
-    kname = env.namer.ident("ax." + hashlib.sha1(repr(key).encode()).hexdigest()[:12])
+    kname = env.namer.ident("ax." + sha1(repr(key).encode()).hexdigest()[:12])
     env.decls.append(ConstDecl(kname, bind(Prod, binders, statement)))
     env._axioms[index] = (kname, tyvars, termvars)
     return env._axioms[index]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import rule_by_rule
+from conftest import HolGen, rule_by_rule
 from holtrans import dkfile, hol, kernel, opentheory as ot, translate as tr
 
 A = hol.TyVar("A")
@@ -379,7 +379,8 @@ def test_collapsing_a_conversion_over_a_dag_grows_with_depth():
     """``AppThm(Refl(\\x:bool. x), Refl(t_k))`` is one reflexivity step at
     its right side, the redex ``(\\x. x) t_k``.  Translating it once
     normalized that redex by walking the tree, 4 times the time per two
-    levels; the kernel settles it lazily, in 20 fuel at k = 8 and 9."""
+    levels; the kernel settles it lazily, in 2 fuel at k = 8 and 9 besides
+    the base signature's check."""
     x = hol.Var("x", hol.BOOL)
     for leaf in LEAVES.values():
         work, fuel = [], []
@@ -501,12 +502,43 @@ def beta_tower(k):
 def test_conversion_over_a_beta_tower_checks_in_fuel_growing_with_depth():
     """One reflexivity step at the right side leaves the whole beta-equality
     to one lazy conversion in the kernel; it costs no more per level than
-    the tower's own steps.  Fuel 37 and 39, and 980 and 1,079 bytes, at
-    k = 8 and 9; normal forms under a size guard, which kept the tower,
-    gave fuel 29 and 29, and 3,020 and 3,782 bytes."""
+    the tower's own steps.  Besides the base signature's check, fuel 19
+    and 21, and 980 and 1,079 bytes, at k = 8 and 9; normal forms under a
+    size guard, which kept the tower, gave fuel 11 and 11, and 3,020 and
+    3,782 bytes."""
     (fuel8, bytes8), (fuel9, bytes9) = module_cost(beta_tower(8)), module_cost(beta_tower(9))
     assert fuel9 <= 1.3 * fuel8, (fuel8, fuel9)
     assert bytes9 <= 1.3 * bytes8, (bytes8, bytes9)
+
+
+def prove_hyp_chain(k):
+    """``p_0 = HolGen(0).proof(3)`` and ``p_(i+1) = proveHyp(p_i, Assume(c))``,
+    ``c`` the conclusion of ``p_0``: each level uses the one below twice,
+    as ``EqMp(DeductAntiSym(p_i, Assume c), p_i)``."""
+    p = HolGen(0).proof(3)
+    for _ in range(k):
+        p = ot.prove_hyp_proof(p, hol.Assume(p.sequent.concl))
+    return p
+
+
+def test_prove_hyp_chain_prints_each_level_once():
+    """``proveHyp`` translates to one redex, the proof of ``psi`` from
+    ``phi`` applied to the proof of ``phi``, which the article's second use
+    of ``p_i`` is.  Printed as ``EqMp`` over ``PropExt``, each level printed
+    ``p_i`` twice: 76,658 and 153,298 bytes at k = 8 and 9, now 721 and 762."""
+    sizes, work, fuel = [], [], []
+    for k in (8, 9):
+        p = prove_hyp_chain(k)
+        state = ot.run_text(ot.serialize_article(ot.VMState(theorems=[(p.sequent, p)])))
+        box = {}
+        work.append(calls(lambda: box.update(doc=tr.translate_state(state, "m", sharing=False).document))["trans_proof"])
+        sizes.append(len(dkfile.emit(box["doc"]).encode()))
+        left = kernel.Fuel()
+        tr.verify_document(box["doc"], fuel=left, base_checked=True)
+        fuel.append(kernel.DEFAULT_FUEL - left.left)
+    assert sizes[1] <= 1.3 * sizes[0], sizes
+    assert 0 < work[1] <= 1.3 * work[0], work
+    assert fuel[1] == fuel[0], fuel
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from holtrans import hol
 from holtrans import opentheory as ot
 
-from conftest import CORPUS, captured_by_instantiation
+from conftest import CORPUS, captured_by_instantiation, count_calls
 from reference_article import parse_article as reference_parse
 
 
@@ -235,6 +235,18 @@ def test_run_rejects_a_keyword_it_has_no_handler_for():
     assert (exc.value.command_index, exc.value.command_line) == (2, 7)
 
 
+def test_run_text_reports_a_failing_command_before_a_later_malformed_line():
+    """``run_text`` runs each line as it is parsed, so the first failure in
+    the file is the one reported; parsing the whole article first reports
+    the malformed line, wherever it stands."""
+    text = "6\nversion\nnil\nsym\nfrobnicate\n"
+    with pytest.raises(ot.TypeErrorOnStack) as exc:
+        ot.run_text(text)
+    assert (exc.value.command_index, exc.value.command_line) == (3, 4)
+    with pytest.raises(ot.UnknownCommand, match="line 5"):
+        ot.parse_article(text)
+
+
 def test_run_pushes_a_literal_as_it_was_parsed():
     commands = ot.parse_article('6\nversion\n"x"\n5\n')
     stack = ot.run(commands).stack
@@ -459,6 +471,22 @@ def test_define_type_op_stack_order(corpus_paths):
     assert isinstance(rep_thm, hol.RepAbsThm)
     assert state.typeops["u.t"] == 0
     assert {"u.abs", "u.rep"} <= state.constants.keys()
+
+
+def test_define_type_op_validates_its_witness_once(monkeypatch, corpus_paths):
+    """``AbsRepThm`` validates the witness and keeps its pieces on the
+    definition, which ``RepAbsThm`` and the command then read: one call of
+    ``TypeOpDef.pieces`` per definition, where there were three."""
+    path = next(p for p in corpus_paths if p.name == "10_definetypeop.art")
+    assert path.read_text().split().count("defineTypeOp") == 1
+    box = {}
+    replay = lambda: box.update(state=ot.run_text(path.read_text()))  # noqa: E731
+    assert count_calls(monkeypatch, hol.TypeOpDef, "pieces", replay) == 1
+    (abs_thm, rep_thm), = box["state"].typeop_thms
+    assert abs_thm.defn is rep_thm.defn and abs_thm.defn.shape is not None
+    carrier, new_ty = abs_thm.defn.shape[1:]
+    assert box["state"].constants["u.abs"] == hol.fn(carrier, new_ty)
+    assert box["state"].constants["u.rep"] == hol.fn(new_ty, carrier)
 
 
 def test_duplicate_constant_definition_fails():

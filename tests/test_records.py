@@ -157,22 +157,38 @@ def test_wrong_number_of_values_is_a_type_error():
         hol.TyOp("->", (hol.BOOL,))
 
 
-def test_translate_without_axioms_loads_no_hashlib_and_builds_one_dataclass(tmp_path):
-    """``VMState`` stays a dataclass: the benchmark's traced run calls
-    ``dataclasses.replace`` on it."""
-    article = CORPUS / "07_sym_trans.art"
-    assert "axiom" not in article.read_text().split()
+def translate_probe(article: Path, out: Path) -> list:
+    """``translate`` of ``article`` in a fresh process: its exit code,
+    whether ``hashlib`` or ``_hashlib`` (OpenSSL) is loaded, and the
+    package's dataclasses."""
     probe = (
         "import sys; from holtrans import cli; "
         "rc = cli.main(['translate', sys.argv[1], '-o', sys.argv[2]]); "
         "import dataclasses; "
-        "print(rc, 'hashlib' in sys.modules, *sorted(f'{c.__module__}.{c.__name__}' "
+        "print(rc, 'hashlib' in sys.modules, '_hashlib' in sys.modules, *sorted(f'{c.__module__}.{c.__name__}' "
         "for m, mod in list(sys.modules.items()) if m.startswith('holtrans') "
         "for c in vars(mod).values() if isinstance(c, type) and c.__module__ == m and dataclasses.is_dataclass(c)))"
     )
     src = str(Path(hol.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", probe, str(article), str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", probe, str(article), str(out)],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False", "holtrans.opentheory.VMState"]
+    return done.stdout.split()
+
+
+def test_translate_without_axioms_loads_no_hashlib_and_builds_one_dataclass(tmp_path):
+    """``VMState`` stays a dataclass: the benchmark's traced run calls
+    ``dataclasses.replace`` on it."""
+    article = CORPUS / "07_sym_trans.art"
+    assert "axiom" not in article.read_text().split()
+    assert translate_probe(article, tmp_path) == ["0", "False", "False", "holtrans.opentheory.VMState"]
+
+
+def test_translate_names_axioms_without_loading_hashlib(tmp_path):
+    """An axiom's constant is named by a SHA-1 digest, computed by CPython's
+    own ``_sha1``: ``hashlib`` would load OpenSSL's libcrypto."""
+    article = CORPUS / "11_axiom.art"
+    assert "axiom" in article.read_text().split()
+    assert translate_probe(article, tmp_path) == ["0", "False", "False", "holtrans.opentheory.VMState"]
+    assert "\nax_" in (tmp_path / "11_axiom.dk").read_text()

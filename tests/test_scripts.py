@@ -99,6 +99,25 @@ def test_ab_replay_script_in_fresh_processes():
     assert lines[3].startswith("parent IQR ") and lines[3].endswith(" ref") and lines[4].endswith(" of 2 pairs")
 
 
+def test_ab_replay_reads_each_process_s_own_peak_rss(tmp_path):
+    """The change is a copy of ``src/`` whose package holds 48 MB more when
+    the script itself imports it (its workloads do): the timed processes,
+    which do not hold it, read their own peak RSS, not the script's
+    high-water (a dag translate peaks near 18 MB)."""
+    change = tmp_path / "change"
+    shutil.copytree(SCRIPTS.parent / "src" / "holtrans", change / "holtrans",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    init = change / "holtrans" / "__init__.py"
+    init.write_text(init.read_text() + (
+        "\nimport sys\n\nif sys.argv[0].endswith('ab_replay.py'):\n    _BALLAST = b'x' * (48 << 20)\n"
+    ))
+    proc = _run(SCRIPTS / "ab_replay.py", SCRIPTS.parent / "src", change, "--family", "dag", "--pairs", "1",
+                "--process", "translate")
+    assert proc.returncode == 0, proc.stderr
+    peaks = [float(mb) for mb in re.findall(r", peak RSS (\d+\.\d\d) MB$", proc.stdout, re.M)]
+    assert len(peaks) == 2 and max(peaks) < 40, proc.stdout
+
+
 def test_ab_replay_runs_one_untimed_process_of_each_tree_first(tmp_path):
     """The parent is a stand-in whose command line logs each run, the change
     a copy of ``src/``: each side runs one untimed process before the pairs,
