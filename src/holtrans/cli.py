@@ -137,7 +137,10 @@ def _documents_for_check(paths: list) -> list:
 
 def cmd_check(args: SimpleNamespace) -> int:
     """Check each document after its own directory's hol.dk only (there is no
-    inter-module linking); each hol.dk is checked once, a copy extended per module."""
+    inter-module linking); each hol.dk is checked once, a copy extended per module.
+    A module checked after a hol.dk may declare no rewrite rule: ``translate``
+    writes none there, and the kernel's budget bounds its steps, not the
+    memory a rule's steps can build."""
     from .dkreader import ParseError, parse
 
     bases: dict[Path, kernel.Signature] = {}  # directory -> its checked hol.dk
@@ -163,6 +166,10 @@ def cmd_check(args: SimpleNamespace) -> int:
         directory = Path(path).parent.resolve()
         fuel = kernel.Fuel(budget)
         base = bases.get(directory)
+        rule = next((it for it in file_items if isinstance(it, kernel.RewriteRule)), None)
+        if base is not None and rule is not None:
+            _fail(f"{path}: rewrite rule {dkfile.fmt_message_term(rule.lhs)}: only hol.dk declares rewrite rules")
+            return 1
         sig = kernel.Signature(base.items) if base is not None else kernel.Signature()
         try:
             kernel.check_extension(sig, file_items, fuel)

@@ -418,7 +418,7 @@ def bind(cls: type[Binder], binders: Sequence[tuple[str, str, Term]], body: Term
     position: dict[str, int] = {}
     domains = []
     for i, (name, _, domain) in enumerate(binders):
-        domains.append(_close(domain, position, i - 1, {}))
+        domains.append(_close(domain, position, i - 1, {}) if position else domain)
         position[name] = i
     out = _close(body, position, len(binders) - 1, {})
     for (_, hint, _), domain in zip(reversed(binders), reversed(domains)):

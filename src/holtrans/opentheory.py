@@ -246,9 +246,9 @@ class VMState:
     strictly); ``externals`` holds provisional generics for undefined
     imported constants, widened by anti-unification as new instances
     appear.  ``theorems`` holds ``(stated sequent, proof)`` pairs in export
-    order, and ``typeop_thms`` the ``(AbsRepThm, RepAbsThm)`` pair of each
-    type definition.  A command that raises leaves the machine in an
-    unspecified state.
+    order; a type definition's two theorems are pushed on the stack, and
+    reach the translation only through the proofs that use them.  A command
+    that raises leaves the machine in an unspecified state.
     """
 
     stack: list = field(default_factory=list)
@@ -258,7 +258,6 @@ class VMState:
     constants: dict = field(default_factory=lambda: {hol.EQ: hol.eq_generic(), hol.SELECT: hol.select_generic()})
     externals: dict = field(default_factory=dict)  # name -> provisional generic
     typeops: dict = field(default_factory=lambda: dict(hol.BUILTIN_TYPE_ARITY))  # name -> arity
-    typeop_thms: list = field(default_factory=list)
     versioned: bool = False
 
     def pop(self, cls, cmd: str):
@@ -482,7 +481,6 @@ def _cmd_define_type_op(state: VMState) -> None:
     state.constants[a.value] = hol.fn(carrier, new_ty)
     state.constants[r.value] = hol.fn(new_ty, carrier)
     state.typeops[n.value] = len(tyvars)
-    state.typeop_thms.append((abs_thm, rep_thm))
     state.stack += (OTypeOp(n.value), OConst(a.value), OConst(r.value), abs_thm, rep_thm)
 
 

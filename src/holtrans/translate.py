@@ -36,7 +36,6 @@ from .kernel import (
     app,
     arrow,
     bind,
-    close,
 )
 
 
@@ -244,7 +243,7 @@ def _tyvars_in_order(ty: hol.HolType, acc: Optional[list[str]] = None) -> list[s
 
 class TranslationEnv:
     """Declared operators and constants plus everything accumulated while
-    translating: axiom constants, definition axioms, and memo tables.
+    translating: the trusted declarations and the memo tables.
 
     ``namer`` gives every declared kernel constant its ``.dk`` identifier
     when the declaration is made, so terms refer to final names from the
@@ -254,9 +253,9 @@ class TranslationEnv:
 
     Proofs and compound terms are translated once per node, memoized by
     identity (``_keep`` holds each memoized node, so no id is reused); a
-    term shared in the HOL DAG is one shared kernel term.  ``typeop_thms``
-    maps each type definition's ``id`` to the two theorem nodes the VM
-    built.
+    term shared in the HOL DAG is one shared kernel term.  ``_declared``
+    holds each trusted constant (``ax.``, ``tm.c.def``, ``ty.op.abs_rep``,
+    ``ty.op.rep_abs``) applied to its binders' variables, by its key.
     """
 
     def __init__(self):
@@ -269,14 +268,11 @@ class TranslationEnv:
             hol.SELECT: ConstInfo(hol.select_generic(), ("A",), "select"),
         }
         self.decls: list = []  # article-level kernel items, emission order
-        self._axioms: dict = {}  # ids of the sequent's keys -> (kname, tyvars, termvars)
-        self._def_axioms: dict[str, str] = {}
-        self._typeop_axioms: dict[int, tuple[str, str]] = {}
+        self._declared: dict = {}  # see ``_declare``
         self._trans_memo: dict[int, Term] = {}
         self._pure: dict = {}  # proof id -> (proof, congruence-only?)
         self._term_memo: dict[int, Term] = {}
         self._keep: list = []
-        self.typeop_thms: dict[int, tuple[hol.Proof, hol.Proof]] = {}
         self._termvar_names: dict[hol.Var, str] = {}
         self._termvars: dict[str, hol.Var] = {}  # the inverse of _termvar_names
         self._hyp_names: dict[int, str] = {}  # id of term_key -> name
@@ -291,8 +287,6 @@ class TranslationEnv:
         for name, generic in (*state.constants.items(), *state.externals.items()):
             if name not in env.constants:
                 declare_constant(env, name, generic)
-        for thms in state.typeop_thms:
-            env.typeop_thms[id(thms[0].defn)] = thms
         return env
 
     def termvar_name(self, v: hol.Var) -> str:
@@ -330,7 +324,7 @@ def declare_constant(env: TranslationEnv, name: str, generic: hol.HolType):
         raise DuplicateDeclaration(f"constant {name} already declared")
     tyvars = tuple(_tyvars_in_order(generic))
     kname = env.namer.ident("tm." + name)
-    decl = ConstDecl(kname, bind(Prod, _tyvar_binders(tyvars), trans_type_type(env, generic)))
+    decl = ConstDecl(kname, bind(Prod, _telescope(env, tyvars), trans_type_type(env, generic)))
     env.constants[name] = ConstInfo(generic, tyvars, kname)
     env.decls.append(decl)
     return decl
@@ -379,12 +373,12 @@ def trans_term(env: TranslationEnv, t: hol.HolTerm) -> Term:
         return out
     if isinstance(t, hol.Abs):
         # the whole nest of lambdas is bound in one walk of its body
-        binders = []
+        termvars = []
         body = t
         while isinstance(body, hol.Abs):
-            binders.append((env.termvar_name(body.var), body.var.name, trans_type_type(env, body.var.type)))
+            termvars.append(body.var)
             body = body.body
-        out = bind(Abs, binders, trans_term(env, body))
+        out = bind(Abs, _telescope(env, termvars=termvars), trans_term(env, body))
     else:
         assert isinstance(t, hol.App)
         out = App(trans_term(env, t.fn), trans_term(env, t.arg))
@@ -397,6 +391,23 @@ def trans_prop_type(env: TranslationEnv, prop: hol.HolTerm) -> Term:
     if prop.type != hol.BOOL:
         raise NotAProposition(f"not a proposition: a term of type {hol.fmt_type(prop.type)}")
     return App(_PROOF, trans_term(env, prop))
+
+
+def _telescope(
+    env: TranslationEnv,
+    tyvars: Iterable[str] = (),
+    termvars: Iterable[hol.Var] = (),
+    hyps: Iterable[hol.HolTerm] = (),
+) -> list[tuple[str, str, Term]]:
+    """The ``(name, hint, domain)`` binders that ``kernel.bind`` takes, in
+    the one binding order of the translation: type variables, then term
+    variables, then hypotheses.  Type variables come first so that
+    substituting into a closed derivation instantiates types before terms.
+    Every binder the translation emits is built here."""
+    out = [(tyvar_name(n), n, _T) for n in tyvars]
+    out += [(env.termvar_name(v), v.name, trans_type_type(env, v.type)) for v in termvars]
+    out += [(env.hyp_name(prop), "h", trans_prop_type(env, prop)) for prop in hyps]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +456,15 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         return app(_APPTHM, *types, *terms, fun, arg)
 
     if isinstance(proof, hol.AbsThm):
-        m, n = hol.dest_eq(proof.sub.sequent.concl)
-        a = proof.var.type
-        b = m.type
-        lam_m = hol.Abs(proof.var, m)
-        lam_n = hol.Abs(proof.var, n)
-        body = close(trans_proof(env, proof.sub), env.termvar_name(proof.var))
+        lam_m, lam_n = hol.dest_eq(proof.sequent.concl)
+        a, b = hol.dest_fn(lam_m.type)
         return app(
             _FUNEXT,
             trans_type_term(env, a),
             trans_type_term(env, b),
             trans_term(env, lam_m),
             trans_term(env, lam_n),
-            Abs(proof.var.name, trans_type_type(env, a), body),
+            bind(Abs, _telescope(env, termvars=(proof.var,)), trans_proof(env, proof.sub)),
         )
 
     if isinstance(proof, hol.EqMp):
@@ -470,8 +477,8 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
             # premise's proof of ``phi``; the proof of ``phi`` from ``psi``
             # is not needed
             phi = proof.eq.lhs.sequent.concl
-            body = close(trans_proof(env, proof.eq.rhs), env.hyp_name(phi))
-            return App(Abs("h", trans_prop_type(env, phi), body), trans_proof(env, proof.prem))
+            body = bind(Abs, _telescope(env, hyps=(phi,)), trans_proof(env, proof.eq.rhs))
+            return App(body, trans_proof(env, proof.prem))
         phi, psi = hol.dest_eq(proof.eq.sequent.concl)
         return app(
             _EQMP,
@@ -483,14 +490,12 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
 
     if isinstance(proof, hol.DeductAntiSym):
         phi, psi = proof.lhs.sequent.concl, proof.rhs.sequent.concl
-        left = Abs("h", trans_prop_type(env, psi), close(trans_proof(env, proof.lhs), env.hyp_name(psi)))
-        right = Abs("h", trans_prop_type(env, phi), close(trans_proof(env, proof.rhs), env.hyp_name(phi)))
         return app(
             _PROPEXT,
             trans_term(env, phi),
             trans_term(env, psi),
-            left,
-            right,
+            bind(Abs, _telescope(env, hyps=(psi,)), trans_proof(env, proof.lhs)),
+            bind(Abs, _telescope(env, hyps=(phi,)), trans_proof(env, proof.rhs)),
         )
 
     if isinstance(proof, hol.Subst):
@@ -500,16 +505,17 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
         return _trans_axiom(env, proof)
 
     if isinstance(proof, hol.DefineConst):
-        kname = _defconst_axiom(env, proof)
-        info = env.constants[proof.name]
-        return app(Const(kname), *(tyvar_ref(n) for n in info.tyvars))
-
-    if isinstance(proof, (hol.AbsRepThm, hol.RepAbsThm)):
-        abs_k, rep_k = _typeop_axioms(env, proof.defn)
-        kname = abs_k if isinstance(proof, hol.AbsRepThm) else rep_k
-        return app(Const(kname), *(tyvar_ref(n) for n in proof.defn.tyvars))
-
-    raise TranslateError(f"untranslatable proof node {type(proof).__name__}")
+        info = env.constants.get(proof.name)
+        if info is None:
+            raise UndeclaredConstant(f"constant {proof.name} not declared")
+        ident, tyvars = f"tm.{proof.name}.def", info.tyvars
+    elif isinstance(proof, (hol.AbsRepThm, hol.RepAbsThm)):
+        # each declared at its own first use, as the node being translated states it
+        ident = f"ty.{proof.defn.op}.{'abs_rep' if isinstance(proof, hol.AbsRepThm) else 'rep_abs'}"
+        tyvars = proof.defn.tyvars
+    else:
+        raise TranslateError(f"untranslatable proof node {type(proof).__name__}")
+    return _declare(env, ident, ident, _telescope(env, tyvars), trans_prop_type(env, proof.sequent.concl))
 
 
 def _is_refl(t: Term) -> bool:
@@ -542,35 +548,18 @@ def closure_of(env: TranslationEnv, proof: hol.Proof) -> Closure:
     return Closure(sorted(tyvars), vs, seq.hyps, core, seq)
 
 
-def _tyvar_binders(tyvars: Iterable[str]) -> list[tuple[str, str, Term]]:
-    return [(tyvar_name(n), n, _T) for n in tyvars]
-
-
-def _termvar_binders(env: TranslationEnv, termvars: Iterable[hol.Var]) -> list[tuple[str, str, Term]]:
-    return [(env.termvar_name(v), v.name, trans_type_type(env, v.type)) for v in termvars]
-
-
-def _binders(env: TranslationEnv, c: Closure) -> list[tuple[str, str, Term]]:
-    """The closure's telescope for ``kernel.bind``: type variables, then term
-    variables, then hypotheses.  Type variables come first so that
-    substituting into a closed derivation instantiates types before terms."""
-    hyps = [(env.hyp_name(prop), "h", trans_prop_type(env, prop)) for prop in c.hyps]
-    return _tyvar_binders(c.tyvars) + _termvar_binders(env, c.termvars) + hyps
-
-
 def closed_theorem(env: TranslationEnv, proof: hol.Proof) -> tuple[Term, Term]:
     """A theorem as a self-contained definition: the closed statement type
     and the closed proof term."""
     c = closure_of(env, proof)
-    binders = _binders(env, c)
+    binders = _telescope(env, c.tyvars, c.termvars, c.hyps)
     return bind(Prod, binders, trans_prop_type(env, c.sequent.concl)), bind(Abs, binders, c.core)
 
 
 def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
     """Substitution as a beta redex: abstract the sub-derivation over what
-    the substitution changes among everything it depends on (type
-    variables outermost, so types are instantiated first), then apply to
-    the images.
+    the substitution changes among everything it depends on (its closure's
+    telescope, so types are instantiated first), then apply to the images.
 
     A binder whose image is its own variable is left out (kernel names are
     interned per variable and per alpha class of hypotheses, so a name
@@ -579,27 +568,15 @@ def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
     positions beta-reduced."""
     c = closure_of(env, proof.sub)
     s = proof.subst
-    binders: list[tuple[str, str, Term]] = []
-    args: list[Term] = []
-    for n in c.tyvars:
-        arg = trans_type_term(env, s.types[n]) if n in s.types else tyvar_ref(n)
-        name = tyvar_name(n)
-        if type(arg) is not Var or arg.name != name:
-            binders.append((name, n, _T))
-            args.append(arg)
-    for v in c.termvars:
-        arg = trans_term(env, s.image(v))
-        name = env.termvar_name(v)
-        if type(arg) is not Var or arg.name != name:
-            binders.append((name, v.name, trans_type_type(env, v.type)))
-            args.append(arg)
-    for prop, image in zip(c.hyps, proof.hyp_images):
-        arg = Var(env.hyp_name(image))
-        name = env.hyp_name(prop)
-        if arg.name != name:
-            binders.append((name, "h", trans_prop_type(env, prop)))
-            args.append(arg)
-    return app(bind(Abs, binders, c.core), *args)
+    images = [trans_type_term(env, s.types[n]) if n in s.types else tyvar_ref(n) for n in c.tyvars]
+    images += [trans_term(env, s.image(v)) for v in c.termvars]
+    images += [Var(env.hyp_name(image)) for image in proof.hyp_images]
+    kept = [
+        (binder, arg)
+        for binder, arg in zip(_telescope(env, c.tyvars, c.termvars, c.hyps), images)
+        if type(arg) is not Var or arg.name != binder[0]
+    ]
+    return app(bind(Abs, [binder for binder, _ in kept], c.core), *(arg for _, arg in kept))
 
 
 def _trans_axiom(env: TranslationEnv, proof: hol.Axiom) -> Term:
@@ -607,78 +584,43 @@ def _trans_axiom(env: TranslationEnv, proof: hol.Axiom) -> Term:
     eta = hol.eta_instance(seq)
     if eta is not None:
         x, m = eta
-        a = x.type
         b = hol.dest_fn(m.type)[1]
-        body = app(
-            _REFL,
-            trans_type_term(env, b),
-            App(trans_term(env, m), env.termvar(x)),
-        )
+        body = app(_REFL, trans_type_term(env, b), App(trans_term(env, m), env.termvar(x)))
         return app(
             _FUNEXT,
-            trans_type_term(env, a),
+            trans_type_term(env, x.type),
             trans_type_term(env, b),
-            trans_term(env, hol.Abs(x, hol.App(m, x))),
+            trans_term(env, hol.dest_eq(seq.concl)[0]),
             trans_term(env, m),
-            Abs(x.name, trans_type_type(env, a), close(body, env.termvar_name(x))),
+            bind(Abs, _telescope(env, termvars=(x,)), body),
         )
-    kname, tyvars, termvars = _axiom_const(env, seq)
-    args: list[Term] = [tyvar_ref(n) for n in tyvars]
-    args.extend(env.termvar(v) for v in termvars)
-    args.extend(Var(env.hyp_name(h)) for h in seq.hyps)
-    return app(Const(kname), *args)
-
-
-def _axiom_const(env: TranslationEnv, seq: hol.Sequent):
     key = (tuple(map(hol.term_key, seq.hyps)), hol.term_key(seq.concl))
-    index = (*map(id, key[0]), id(key[1]))
-    hit = env._axioms.get(index)
-    if hit is not None:
-        return hit
-    tyvars = sorted(hol.sequent_tyvars(seq))
-    termvars = sorted(hol.sequent_free_vars(seq), key=_termvar_order)
-    statement = arrow(*(trans_prop_type(env, h) for h in seq.hyps), trans_prop_type(env, seq.concl))
-    binders = _tyvar_binders(tyvars) + _termvar_binders(env, termvars)
     try:  # here, as only axioms need it; ``hashlib`` would map OpenSSL's libcrypto, 3.5 MB resident
         from _sha1 import sha1
     except ImportError:  # an interpreter built without CPython's own SHA-1
         from hashlib import sha1
 
-    kname = env.namer.ident("ax." + sha1(repr(key).encode()).hexdigest()[:12])
-    env.decls.append(ConstDecl(kname, bind(Prod, binders, statement)))
-    env._axioms[index] = (kname, tyvars, termvars)
-    return env._axioms[index]
+    tyvars = sorted(hol.sequent_tyvars(seq))
+    termvars = sorted(hol.sequent_free_vars(seq), key=_termvar_order)
+    return _declare(
+        env,
+        (*map(id, key[0]), id(key[1])),
+        "ax." + sha1(repr(key).encode()).hexdigest()[:12],
+        _telescope(env, tyvars, termvars, seq.hyps),
+        trans_prop_type(env, seq.concl),
+    )
 
 
-def _defconst_axiom(env: TranslationEnv, proof: hol.DefineConst) -> str:
-    hit = env._def_axioms.get(proof.name)
-    if hit is not None:
-        return hit
-    info = env.constants.get(proof.name)
-    if info is None:
-        raise UndeclaredConstant(f"constant {proof.name} not declared")
-    statement = trans_prop_type(env, proof.sequent.concl)
-    kname = env.namer.ident(f"tm.{proof.name}.def")
-    env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(info.tyvars), statement)))
-    env._def_axioms[proof.name] = kname
-    return kname
-
-
-def _typeop_axioms(env: TranslationEnv, defn: hol.TypeOpDef) -> tuple[str, str]:
-    hit = env._typeop_axioms.get(id(defn))
-    if hit is not None:
-        return hit
-    thms = env.typeop_thms.get(id(defn))
-    if thms is None:  # a definition made outside the VM run
-        thms = (hol.AbsRepThm(defn), hol.RepAbsThm(defn))
-    names = []
-    for node, suffix in zip(thms, ("abs_rep", "rep_abs")):
-        statement = trans_prop_type(env, node.sequent.concl)
-        kname = env.namer.ident(f"ty.{defn.op}.{suffix}")
-        env.decls.append(ConstDecl(kname, bind(Prod, _tyvar_binders(defn.tyvars), statement)))
-        names.append(kname)
-    env._typeop_axioms[id(defn)] = (names[0], names[1])
-    return env._typeop_axioms[id(defn)]
+def _declare(env: TranslationEnv, key, ident: str, binders: list[tuple[str, str, Term]], concl: Term) -> Term:
+    """The trusted constant ``key`` names, applied to its binders'
+    variables.  At the key's first use it is declared as ``ident`` with the
+    type ``concl`` closed over ``binders``; a later use reads the memo."""
+    hit = env._declared.get(key)
+    if hit is None:
+        kname = env.namer.ident(ident)
+        env.decls.append(ConstDecl(kname, bind(Prod, binders, concl)))
+        hit = env._declared[key] = app(Const(kname), *(Var(name) for name, _, _ in binders))
+    return hit
 
 
 # ---------------------------------------------------------------------------

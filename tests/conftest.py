@@ -108,7 +108,8 @@ def make_env():
 def completeness_context(env, proof):
     """The open-form context of ``proof``: type variables, term variables,
     hypotheses, each name mapped to its translated type."""
-    return {name: ty for name, _, ty in translate._binders(env, translate.closure_of(env, proof))}
+    c = translate.closure_of(env, proof)
+    return {name: ty for name, _, ty in translate._telescope(env, c.tyvars, c.termvars, c.hyps)}
 
 
 def captured_by_instantiation():

@@ -442,6 +442,26 @@ def test_rule_errors_name_their_rule(tmp_path, capsys):
     )
 
 
+def test_module_rules_are_refused_after_the_base(tmp_path, capsys):
+    """A module checked after its directory's hol.dk declares no rewrite
+    rule: the refusal names the file and the rule's left-hand side before
+    the kernel sees any item.  This rule makes every proof reduce without
+    end, and its steps build memory faster than the budget runs out (at the
+    default budget the process was killed), so the budget here is small
+    enough that checking it would end in ``FuelExhausted`` instead."""
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    doc = tmp_path / "rule.dk"
+    doc.write_text(
+        "[p : term bool] proof p --> proof (eq bool p p).\n"
+        "def thm_0 : p : term bool -> proof p := p : term bool => Refl bool p.\n"
+    )
+    assert cli.main(["check", "--fuel", "100000", str(doc)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {doc}: rewrite rule proof p: only hol.dk declares rewrite rules\n"
+    )
+
+
 def test_check_modules_against_their_own_base(tmp_path, capsys):
     """A q0 and a pts output checked in one command: each module is checked
     after its own directory's hol.dk, not after every hol.dk named."""

@@ -482,7 +482,8 @@ def test_define_type_op_validates_its_witness_once(monkeypatch, corpus_paths):
     box = {}
     replay = lambda: box.update(state=ot.run_text(path.read_text()))  # noqa: E731
     assert count_calls(monkeypatch, hol.TypeOpDef, "pieces", replay) == 1
-    (abs_thm, rep_thm), = box["state"].typeop_thms
+    (_, abs_thm), (_, rep_thm) = box["state"].theorems
+    assert isinstance(abs_thm, hol.AbsRepThm) and isinstance(rep_thm, hol.RepAbsThm)
     assert abs_thm.defn is rep_thm.defn and abs_thm.defn.shape is not None
     carrier, new_ty = abs_thm.defn.shape[1:]
     assert box["state"].constants["u.abs"] == hol.fn(carrier, new_ty)

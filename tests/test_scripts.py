@@ -24,14 +24,17 @@ def test_compare_sharing_script():
     proc = _run(SCRIPTS / "compare_sharing.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split()[-3:] == ["defs", "fuel", "plain/shared"]
+    assert lines[0].split()[-4:] == ["defs", "fuel", "plain/shared", "trusted"]
     rows = {}
+    trusted = {}
     for line in lines[2:-2]:
-        # two raw/gzip pairs (without and with sharing), the definitions hoisted, the fuel without/with sharing
+        # two raw/gzip pairs (without and with sharing), the definitions hoisted, the fuel without/with
+        # sharing, the declarations of proof type
         pairs = re.findall(r"(\d+)/\s*(\d+)", line)
         assert len(pairs) == 3, line
-        defs = int(line.split()[-2])
+        defs = int(line.split()[-3])
         rows[line.split()[0]] = (pairs, defs)
+        trusted[line.split()[0]] = int(line.split()[-1])
     assert len(rows) == len(list((SCRIPTS.parent / "corpus").glob("*.art")))
     for name, (pairs, defs) in rows.items():
         plain, shared = pairs[2]
@@ -39,6 +42,8 @@ def test_compare_sharing_script():
         assert (defs > 0) == (pairs[0] != pairs[1]), name  # it changes the module where it hoists
     pairs, defs = rows["10_definetypeop"]  # two statements, each used twice
     assert defs == 2 and int(pairs[2][1]) < int(pairs[2][0])
+    # what the corpus trusts: a definition axiom (09), a type definition's two axioms (10), an article axiom (11)
+    assert trusted == {name: {"09_defineconst": 1, "10_definetypeop": 2, "11_axiom": 1}.get(name, 0) for name in rows}
     # the total row: each column summed, raw and gzip bytes alike
     total = lines[-1]
     assert total.split()[0] == "total"
@@ -47,7 +52,8 @@ def test_compare_sharing_script():
     for i, (raw, gz) in enumerate(pairs[:2]):
         assert int(raw) == sum(int(p[i][0]) for p, _ in rows.values())
         assert int(gz) == sum(int(p[i][1]) for p, _ in rows.values())
-    assert int(total.split()[-2]) == sum(d for _, d in rows.values())
+    assert int(total.split()[-3]) == sum(d for _, d in rows.values())
+    assert int(total.split()[-1]) == sum(trusted.values())
     assert pairs[2] == (str(sum(int(p[2][0]) for p, _ in rows.values())), str(sum(int(p[2][1]) for p, _ in rows.values())))
 
 

@@ -308,6 +308,45 @@ def test_other_axioms_become_premised_constants(q0):
     assert k.convertible(q0, ty, tr.trans_prop_type(env, q))
 
 
+def test_an_axiom_is_declared_over_the_telescope_of_its_closed_theorem():
+    """One telescope: an axiom's declared type is the statement that its
+    theorem closes to (type variables, term variables, hypotheses), and a
+    hypothesis binder, which nothing refers to, prints as an arrow."""
+    x, y, p = hol.Var("x", A), hol.Var("y", A), hol.Var("p", hol.BOOL)
+    ax = hol.Axiom((hol.mk_eq(x, y), p), hol.mk_eq(y, x))
+    env = make_env()
+    head = k.spine(tr.trans_proof(env, ax))[0]
+    decl = next(d for d in env.decls if d.name == head.name)
+    assert decl.type == tr.closed_theorem(env, ax)[0]
+    assert dkfile.emit(dkfile.DkDocument("m", (decl,))).splitlines()[1] == (
+        "ax_1ad141bd57a7 : A : type -> p : term bool -> x : term A -> y : term A -> "
+        "proof (eq A x y) -> proof p -> proof (eq A y x)."
+    )
+
+
+def test_bind_keeps_its_first_domain():
+    """The first domain is under no binder of the telescope: ``bind`` takes
+    it as it is, even where it has a free variable that closing over an
+    empty telescope would rebuild it around."""
+    first = k.App(TERM, tr.tyvar_ref("A"))
+    t = k.bind(k.Prod, [("$x", "x", first), ("$y", "y", first)], k.Var("$y"))
+    assert t.domain is first and t.body.domain == first
+
+
+def test_a_module_declares_only_the_type_definition_axioms_it_uses():
+    """Each type-definition axiom is declared at its own first use: a module
+    that exports only ``RepAbsThm`` declares ``rep_abs`` and not ``abs_rep``."""
+    from holtrans import opentheory as ot
+
+    state = ot.run_text((CORPUS / "10_definetypeop.art").read_text())
+    state.theorems = [(seq, proof) for seq, proof in state.theorems if isinstance(proof, hol.RepAbsThm)]
+    assert len(state.theorems) == 1
+    doc = tr.translate_state(state, "m").document
+    names = {d.name for d in doc.items if isinstance(d, k.ConstDecl)}
+    assert "ty_u_t_rep_abs" in names and "ty_u_t_abs_rep" not in names
+    tr.verify_document(doc)
+
+
 def test_subst_translation_instantiates_types_first(q0):
     env = make_env()
     x = hol.Var("x", A)
@@ -429,7 +468,7 @@ def test_translation_reads_sequents_without_rechecking(monkeypatch, mode, sharin
 
     proofs = [HolGen(seed).proof(3) for seed in range(40)]
     article = ot.serialize_article(ot.VMState(theorems=[(p.sequent, p) for p in proofs]))
-    # the type definition's two theorems come from the nodes the VM built
+    # the type definition's two axioms are declared from the nodes the VM built
     typedef = (CORPUS / "10_definetypeop.art").read_text()
     for state in (ot.run_text(article), ot.run_text(typedef)):
         run = lambda: tr.translate_state(state, "m", mode=mode, sharing=sharing)  # noqa: E731
@@ -737,7 +776,8 @@ def test_completeness_contexts_are_well_formed(seed):
     proof = gen.proof(2)
     env = make_env()
     ctx = completeness_context(env, proof)
-    binders = tr._binders(env, tr.closure_of(env, proof))
+    c = tr.closure_of(env, proof)
+    binders = tr._telescope(env, c.tyvars, c.termvars, c.hyps)
     assert len(ctx) == len(binders)  # no name bound twice
     k.check_context(env_signature(env), ctx.items())
 
