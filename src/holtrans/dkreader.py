@@ -1,6 +1,8 @@
 """Reader for the output document format (``dkfile``): ``parse`` turns a
 ``.dk`` text into a ``DkDocument`` or raises ``ParseError``.  ``check``
-reads documents with it, and ``translate`` its base signatures' text."""
+reads documents with it, and ``translate`` its base signatures' text.  A
+word of ``dkfile.RESERVED`` is not a declared or defined name or a rule
+variable, as the emitter never writes one there."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import re
 from itertools import islice
 from typing import Optional
 
-from .dkfile import Comment, DkDocument, DocItem
+from .dkfile import RESERVED, Comment, DkDocument, DocItem
 from .kernel import TYPE, Abs, App, BVar, Const, ConstDecl, Defn, Prod, RewriteRule, Term, Var
 
 
@@ -64,7 +66,7 @@ class _Reader:
 
     def name(self, what: str) -> str:
         t = self.toks[self.i]
-        if t[:1] not in _WORD:
+        if t[:1] not in _WORD or t in RESERVED:
             raise self.error(what)
         self.i += 1
         return t
@@ -202,7 +204,7 @@ class _Reader:
             elif t == "[":
                 self.i += 1
                 items.append(self.rule())
-            elif t[:1] in _WORD:
+            elif t[:1] in _WORD and t not in RESERVED:
                 self.i += 1
                 self.expect(":", "':'")
                 ty = self.term(0)

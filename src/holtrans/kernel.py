@@ -6,11 +6,11 @@ hints and are ignored by equality and hashing, so ``==`` on terms is exactly
 alpha-equivalence.  Abstractions and products share one shape, ``Binder``
 (``hint``, ``domain``, ``body``), and differ only in their class.
 
-A telescope is a chain of binders, outermost first.  ``close(t, *names)``
-and ``open_term(t, *values)`` bind or fill a whole telescope in one walk
-(Chargueraud, "The Locally Nameless Representation", 2012), and
-``bind(cls, binders, body)`` builds a chain from ``(name, hint, domain)``
-triples, each name bound in the later domains and the body.
+A telescope is a chain of binders, outermost first.  ``bind(cls, binders,
+body)`` builds a chain from ``(name, hint, domain)`` triples, each name
+bound in the later domains and the body, and ``open_term(t, *values)``
+fills a whole telescope; each walks a term once (Chargueraud, "The Locally
+Nameless Representation", 2012).
 
 Each node caches its size, its loose-index bound (``max(index + 1)`` over
 its dangling indices; 0 means locally closed), whether a free ``Var``
@@ -352,17 +352,9 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def close(t: Term, *names: str) -> Term:
-    """Bind the telescope ``names``, given outermost first, in one walk.
-
-    Free occurrences of the last name become index 0, of the one before it
-    index 1, and so on; where a name repeats, the innermost binds.
-    """
-    return _close(t, {name: i for i, name in enumerate(names)}, len(names) - 1, {})
-
-
 def _close(t: Term, position: dict[str, int], level: int, memo: dict) -> Term:
-    """``close`` at ``level``: the binder at ``position`` p is index ``level - p``.
+    """Bind the free names of ``position`` in ``t`` under ``level + 1``
+    binders: the name at position p becomes index ``level - p``.
 
     ``memo`` maps ``(id(node), level)`` to its result for one walk, so a node
     shared in ``t`` is closed once per level and stays shared in the result.

@@ -12,11 +12,16 @@ ill-typed ``appTerm`` fails at that command.  Derived commands (``sym``,
 the primitive rules, so the proof checker stays minimal.
 
 The format defines a command by the objects it pops and pushes, and so
-does the VM.  A number or string line parses to the object that it pushes,
-which ``run`` pushes as it is.  In ``_HANDLERS``, a keyword that touches
-nothing but the stack is one ``_rule`` row (operand classes and a builder),
-and the ten that read or write the rest of the machine, or push two
-objects, have their own handlers.
+does the VM.  A stack object is its own Python object, whose class is its
+kind: a number, name or list is an ``int``, ``str`` or ``tuple``, a type a
+``hol.HolType``, a term a ``hol.HolTerm`` and a theorem a ``hol.Proof``.
+Only the kinds that class would not tell apart are boxed: a type operator
+(``OTypeOp``) and a constant (``OConst``), which are names, and a variable
+(``OVar``), which is a term too.  A number or string line parses to the
+object that it pushes, which ``run`` pushes as it is.  In ``_HANDLERS``, a
+keyword that touches nothing but the stack is one ``_rule`` row (operand
+classes and a builder), and the ten that read or write the rest of the
+machine, or push two objects, have their own handlers.
 ``serialize_article``, which regenerates an article from a finished run for
 round-trip testing, lives in ``holtrans.artwriter`` and loads on first use.
 """
@@ -102,10 +107,10 @@ class UnsupportedVersion(VMError):
 
 
 class _Boxed(Record):
-    """A stack object other than a theorem, or a keyword command: one value,
-    named ``_fields[0]`` and set by the subclass's own ``__init__``.  Only
-    that value is compared and hashed; a parsed number, string or keyword
-    also keeps the ``line`` it stood on, which its repr shows."""
+    """A stack object whose Python class would not tell its kind, or a
+    keyword command: one value, named ``_fields[0]`` and set by the
+    subclass's own ``__init__``.  Only that value is compared and hashed; a
+    keyword also keeps the ``line`` it stood on, which its repr shows."""
 
     __slots__ = ()
 
@@ -113,41 +118,11 @@ class _Boxed(Record):
         return (getattr(self, self._fields[0]),)
 
 
-class ONum(_Boxed):
-    __slots__ = _fields = ("value", "line")
-
-    def __init__(self, value: int, line: int = 0) -> None:
-        self.value = value
-        self.line = line
-
-
-class OName(_Boxed):
-    __slots__ = _fields = ("value", "line")
-
-    def __init__(self, value: str, line: int = 0) -> None:
-        self.value = value
-        self.line = line
-
-
-class OList(_Boxed):
-    __slots__ = _fields = ("items",)
-
-    def __init__(self, items: tuple) -> None:
-        self.items = items
-
-
 class OTypeOp(_Boxed):
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str) -> None:
         self.name = name
-
-
-class OType(_Boxed):
-    __slots__ = _fields = ("type",)
-
-    def __init__(self, type: HolType) -> None:
-        self.type = type
 
 
 class OConst(_Boxed):
@@ -164,13 +139,6 @@ class OVar(_Boxed):
         self.var = var
 
 
-class OTerm(_Boxed):
-    __slots__ = _fields = ("term",)
-
-    def __init__(self, term: HolTerm) -> None:
-        self.term = term
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -182,8 +150,8 @@ class Keyword(_Boxed):
         self.line = line
 
 
-# A number or string line is the object that it pushes.
-ArticleCommand = Union[ONum, OName, Keyword]
+# A number or string line is the ``int`` or ``str`` that it pushes.
+ArticleCommand = Union[int, str, Keyword]
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 
@@ -225,9 +193,9 @@ def _iter_article(data: Union[str, bytes]) -> Iterator[ArticleCommand]:
         if line in _HANDLERS:  # the keywords
             yield Keyword(line, lineno)
         elif line.isdigit() and line.isascii() or _INT_RE.match(line):
-            yield ONum(int(line), lineno)
+            yield int(line)
         elif line.startswith('"'):
-            yield OName(_parse_quoted(line, lineno), lineno)
+            yield _parse_quoted(line, lineno)
         elif line.strip() and not line.startswith("#"):
             raise UnknownCommand(f"line {lineno}: unknown command {line!r}")
 
@@ -270,38 +238,33 @@ class VMState:
         return top
 
 
-def _unbox(obj: OList, cls, message: str) -> tuple:
-    """The values boxed in the list ``obj``, whose items must all be ``cls``
-    objects; else ``message`` is the error."""
-    field = cls._fields[0]
-    values = []
-    for it in obj.items:
+def _list_of(l: tuple, cls, message: str) -> tuple:
+    """The list ``l``, whose items must all be ``cls`` objects; else
+    ``message`` is the error."""
+    for it in l:
         if not isinstance(it, cls):
             raise TypeErrorOnStack(message)
-        values.append(getattr(it, field))
-    return tuple(values)
+    return l
 
 
-def _pairs(obj: OList, first, second, kind: str) -> tuple:
-    """The value pairs boxed in ``obj``, a list of ``[first, second]`` lists:
-    one half of a ``subst`` operand, ``kind`` naming which."""
-    pairs = []
-    for entry in obj.items:
-        items = entry.items if isinstance(entry, OList) else ()
-        if not (len(items) == 2 and isinstance(items[0], first) and isinstance(items[1], second)):
+def _pairs(l: tuple, first, second, kind: str) -> None:
+    """Check that ``l`` is a list of ``[first, second]`` lists: one half of
+    a ``subst`` operand, ``kind`` naming which."""
+    for entry in l:
+        if not (entry.__class__ is tuple and len(entry) == 2
+                and isinstance(entry[0], first) and isinstance(entry[1], second)):
             raise TypeErrorOnStack(f"subst: malformed {kind} substitution entry")
-        a, b = items
-        pairs.append((getattr(a, first._fields[0]), getattr(b, second._fields[0])))
-    return tuple(pairs)
 
 
-def _parse_subst(obj: OList) -> HolSubst:
-    if len(obj.items) != 2:
+def _parse_subst(obj: tuple) -> HolSubst:
+    if len(obj) != 2:
         raise TypeErrorOnStack("subst: expected a two-element list")
-    theta, sigma = obj.items
-    if not isinstance(theta, OList) or not isinstance(sigma, OList):
+    theta, sigma = obj
+    if theta.__class__ is not tuple or sigma.__class__ is not tuple:
         raise TypeErrorOnStack("subst: expected a pair of lists")
-    return HolSubst(_pairs(theta, OName, OType, "type"), _pairs(sigma, OVar, OTerm, "term"))
+    _pairs(theta, str, HolType, "type")
+    _pairs(sigma, OVar, HolTerm, "term")
+    return HolSubst(theta, tuple((v.var, t) for v, t in sigma))
 
 
 # Derived-rule expansions (kept out of the proof checker).
@@ -395,100 +358,100 @@ def _rule(name: str, fn: Callable, *classes) -> tuple[str, Callable[[VMState], N
 
 
 def _cmd_version(state: VMState) -> None:
-    n = state.pop(ONum, "version")
+    n = state.pop(int, "version")
     if state.versioned:
         raise UnsupportedVersion("duplicate version command")
-    if n.value != 6:
-        raise UnsupportedVersion(f"unsupported article version {n.value}")
+    if n != 6:
+        raise UnsupportedVersion(f"unsupported article version {n}")
     state.versioned = True
 
 
 def _cmd_def(state: VMState) -> None:
     stack = state.stack  # def and ref are frequent: their number is popped here
-    n = stack.pop() if stack and stack[-1].__class__ is ONum else state.pop(ONum, "def")
+    n = stack.pop() if stack and stack[-1].__class__ is int else state.pop(int, "def")
     if not stack:
         raise StackUnderflow("def: no object to store")
-    state.dictionary[n.value] = stack[-1]
+    state.dictionary[n] = stack[-1]
 
 
 def _cmd_ref(state: VMState) -> None:
     stack = state.stack
-    n = stack.pop() if stack and stack[-1].__class__ is ONum else state.pop(ONum, "ref")
-    obj = state.dictionary.get(n.value)
+    n = stack.pop() if stack and stack[-1].__class__ is int else state.pop(int, "ref")
+    obj = state.dictionary.get(n)
     if obj is None:
-        raise VMError(f"ref: undefined dictionary key {n.value}")
+        raise VMError(f"ref: undefined dictionary key {n}")
     stack.append(obj)
 
 
 def _cmd_remove(state: VMState) -> None:
-    n = state.pop(ONum, "remove")
-    if n.value not in state.dictionary:
-        raise VMError(f"remove: undefined dictionary key {n.value}")
-    state.stack.append(state.dictionary.pop(n.value))
+    n = state.pop(int, "remove")
+    if n not in state.dictionary:
+        raise VMError(f"remove: undefined dictionary key {n}")
+    state.stack.append(state.dictionary.pop(n))
 
 
 def _cmd_const_term(state: VMState) -> None:
-    ty = state.pop(OType, "constTerm")
+    ty = state.pop(HolType, "constTerm")
     c = state.pop(OConst, "constTerm")
-    _auto_const(state, c.name, ty.type, "constTerm")
-    state.stack.append(OTerm(Const(c.name, ty.type)))
+    _auto_const(state, c.name, ty, "constTerm")
+    state.stack.append(Const(c.name, ty))
 
 
 def _cmd_op_type(state: VMState) -> None:
-    l = state.pop(OList, "opType")
+    l = state.pop(tuple, "opType")
     op = state.pop(OTypeOp, "opType")
-    args = _unbox(l, OType, "opType: expected a list of types")
+    args = _list_of(l, HolType, "opType: expected a list of types")
     arity = state.typeops.setdefault(op.name, len(args))
     if arity != len(args):
         raise TypeErrorOnStack(f"opType: {op.name} expects {arity} arguments, got {len(args)}")
-    state.stack.append(OType(TyOp(op.name, args)))
+    state.stack.append(TyOp(op.name, args))
 
 
 def _cmd_hd_tl(state: VMState) -> None:
     """Pop a non-empty list; push its head, then its tail."""
-    l = state.pop(OList, "hdTl")
-    if not l.items:
+    l = state.pop(tuple, "hdTl")
+    if not l:
         raise TypeErrorOnStack("hdTl: expected a non-empty list")
-    state.stack += (l.items[0], OList(l.items[1:]))
+    state.stack += (l[0], l[1:])
 
 
 def _cmd_define_const(state: VMState) -> None:
-    t = state.pop(OTerm, "defineConst")
-    n = state.pop(OName, "defineConst")
-    if n.value in state.constants or n.value in state.externals:
-        raise VMError(f"defineConst: constant {n.value} already declared")
-    thm = DefineConst(n.value, t.term)
-    state.constants[n.value] = t.term.type
-    state.stack += (OConst(n.value), thm)
+    t = state.pop(HolTerm, "defineConst")
+    n = state.pop(str, "defineConst")
+    if n in state.constants or n in state.externals:
+        raise VMError(f"defineConst: constant {n} already declared")
+    thm = DefineConst(n, t)
+    state.constants[n] = t.type
+    state.stack += (OConst(n), thm)
 
 
 def _cmd_define_type_op(state: VMState) -> None:
     t = state.pop(Proof, "defineTypeOp")
-    l = state.pop(OList, "defineTypeOp")
-    r = state.pop(OName, "defineTypeOp")
-    a = state.pop(OName, "defineTypeOp")
-    n = state.pop(OName, "defineTypeOp")
-    if n.value in state.typeops:
-        raise VMError(f"defineTypeOp: type operator {n.value} already declared")
-    for cname in (a.value, r.value):
+    l = state.pop(tuple, "defineTypeOp")
+    r = state.pop(str, "defineTypeOp")
+    a = state.pop(str, "defineTypeOp")
+    n = state.pop(str, "defineTypeOp")
+    if n in state.typeops:
+        raise VMError(f"defineTypeOp: type operator {n} already declared")
+    for cname in (a, r):
         if cname in state.constants or cname in state.externals:
             raise VMError(f"defineTypeOp: constant {cname} already declared")
-    tyvars = _unbox(l, OName, "defineTypeOp: expected a list of names")
-    defn = TypeOpDef(n.value, a.value, r.value, tyvars, t)
+    tyvars = _list_of(l, str, "defineTypeOp: expected a list of names")
+    defn = TypeOpDef(n, a, r, tyvars, t)
     abs_thm = AbsRepThm(defn)  # validates the witness and keeps its pieces in ``defn.shape``
     rep_thm = RepAbsThm(defn)
     _, carrier, new_ty = defn.shape
-    state.constants[a.value] = hol.fn(carrier, new_ty)
-    state.constants[r.value] = hol.fn(new_ty, carrier)
-    state.typeops[n.value] = len(tyvars)
-    state.stack += (OTypeOp(n.value), OConst(a.value), OConst(r.value), abs_thm, rep_thm)
+    state.constants[a] = hol.fn(carrier, new_ty)
+    state.constants[r] = hol.fn(new_ty, carrier)
+    state.typeops[n] = len(tyvars)
+    state.stack += (OTypeOp(n), OConst(a), OConst(r), abs_thm, rep_thm)
 
 
 def _cmd_thm(state: VMState) -> None:
-    concl = state.pop(OTerm, "thm")
-    l = state.pop(OList, "thm")
+    concl = state.pop(HolTerm, "thm")
+    l = state.pop(tuple, "thm")
     t = state.pop(Proof, "thm")
-    stated = make_sequent(_unbox(l, OTerm, "thm: expected a list of terms"), concl.term)
+    stated = make_sequent(_list_of(l, HolTerm, "thm: expected a list of terms"), concl)
     proved = t.sequent
     if not proved.alpha_eq(stated):
         if not hol.alpha_equal(proved.concl, stated.concl):
@@ -502,29 +465,29 @@ def _cmd_thm(state: VMState) -> None:
 
 # Every keyword command: its name maps to its handler.
 _HANDLERS: dict[str, Callable[[VMState], None]] = dict((
-    _rule("absTerm", lambda v, b: OTerm(Abs(v.var, b.term)), OVar, OTerm),
+    _rule("absTerm", lambda v, b: Abs(v.var, b), OVar, HolTerm),
     _rule("absThm", lambda v, t: AbsThm(v.var, t), OVar, Proof),
-    _rule("appTerm", lambda f, x: OTerm(App(f.term, x.term)), OTerm, OTerm),
+    _rule("appTerm", App, HolTerm, HolTerm),
     _rule("appThm", AppThm, Proof, Proof),
-    _rule("assume", lambda t: Assume(t.term), OTerm),
-    _rule("axiom", lambda l, t: Axiom(_unbox(l, OTerm, "axiom: expected a list of terms"), t.term), OList, OTerm),
-    _rule("betaConv", lambda t: beta_conv_proof(t.term), OTerm),
-    _rule("cons", lambda head, tail: OList((head,) + tail.items), None, OList),
-    _rule("const", lambda n: OConst(n.value), OName),
+    _rule("assume", Assume, HolTerm),
+    _rule("axiom", lambda l, t: Axiom(_list_of(l, HolTerm, "axiom: expected a list of terms"), t), tuple, HolTerm),
+    _rule("betaConv", beta_conv_proof, HolTerm),
+    _rule("cons", lambda head, tail: (head,) + tail, None, tuple),
+    _rule("const", OConst, str),
     _rule("deductAntisym", DeductAntiSym, Proof, Proof),
     _rule("eqMp", EqMp, Proof, Proof),
-    _rule("nil", lambda: OList(())),
+    _rule("nil", tuple),
     _rule("pop", lambda obj: None, None),
     _rule("pragma", lambda obj: None, None),
     _rule("proveHyp", prove_hyp_proof, Proof, Proof),
-    _rule("refl", lambda t: Refl(t.term), OTerm),
-    _rule("subst", lambda s, t: Subst(_parse_subst(s), t), OList, Proof),
+    _rule("refl", Refl, HolTerm),
+    _rule("subst", lambda s, t: Subst(_parse_subst(s), t), tuple, Proof),
     _rule("sym", sym_proof, Proof),
     _rule("trans", trans_proof, Proof, Proof),
-    _rule("typeOp", lambda n: OTypeOp(n.value), OName),
-    _rule("var", lambda n, ty: OVar(Var(n.value, ty.type)), OName, OType),
-    _rule("varTerm", lambda v: OTerm(v.var), OVar),
-    _rule("varType", lambda n: OType(TyVar(n.value)), OName),
+    _rule("typeOp", OTypeOp, str),
+    _rule("var", lambda n, ty: OVar(Var(n, ty)), str, HolType),
+    _rule("varTerm", lambda v: v.var, OVar),
+    _rule("varType", TyVar, str),
     ("version", _cmd_version),
     ("def", _cmd_def),
     ("ref", _cmd_ref),
@@ -541,15 +504,14 @@ _HANDLERS: dict[str, Callable[[VMState], None]] = dict((
 def run(commands: Iterable[ArticleCommand]) -> VMState:
     """Execute the stream on a fresh machine: push each literal as it is and
     run each keyword's handler.  An error gains the index and source line
-    of its command."""
+    of its command; a stream with no ``version`` fails at its end."""
     state = VMState()
     push = state.stack.append
-    i = -1
     for i, cmd in enumerate(commands):
+        if cmd.__class__ is not Keyword:
+            push(cmd)
+            continue
         try:
-            if cmd.__class__ is not Keyword:
-                push(cmd)
-                continue
             name = cmd.name
             if not state.versioned and name != "version":
                 raise UnsupportedVersion(f"{name}: article must begin with a version")
@@ -561,8 +523,8 @@ def run(commands: Iterable[ArticleCommand]) -> VMState:
             e.command_index = i  # type: ignore[attr-defined]
             e.command_line = cmd.line  # type: ignore[attr-defined]
             raise
-    if i < 0:
-        raise UnsupportedVersion("empty article")
+    if not state.versioned:
+        raise UnsupportedVersion("article has no version command")
     return state
 
 

@@ -15,14 +15,24 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def close(t: kernel.Term, *names: str) -> kernel.Term:
+    """Bind the telescope ``names``, given outermost first, in one walk of
+    ``kernel._close``.
+
+    Free occurrences of the last name become index 0, of the one before it
+    index 1, and so on; where a name repeats, the innermost binds.
+    """
+    return kernel._close(t, {name: i for i, name in enumerate(names)}, len(names) - 1, {})
+
+
 def lam(name: str, domain: kernel.Term, body: kernel.Term) -> kernel.Abs:
     """Abstraction binding the free variable ``name`` in ``body``."""
-    return kernel.Abs(name, domain, kernel.close(body, name))
+    return kernel.Abs(name, domain, close(body, name))
 
 
 def pi(name: str, domain: kernel.Term, codomain: kernel.Term) -> kernel.Prod:
     """Product binding the free variable ``name`` in ``codomain``."""
-    return kernel.Prod(name, domain, kernel.close(codomain, name))
+    return kernel.Prod(name, domain, close(codomain, name))
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,6 @@ from holtrans.opentheory import (
     _HANDLERS,
     ArticleError,
     Keyword,
-    OName,
-    ONum,
     UnknownCommand,
     _parse_quoted,
 )
@@ -36,9 +34,9 @@ def parse_article(data: Union[str, bytes]) -> list:
         if not line.strip() or line.startswith("#"):
             continue
         if line.startswith('"'):
-            commands.append(OName(_parse_quoted(line, lineno), lineno))
+            commands.append(_parse_quoted(line, lineno))
         elif _INT_RE.match(line):
-            commands.append(ONum(int(line), lineno))
+            commands.append(int(line))
         elif line in _HANDLERS:  # the keywords
             commands.append(Keyword(line, lineno))
         else:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from holtrans.dkfile import Comment, DkDocument, DocItem, ParseError
+from holtrans.dkfile import RESERVED, Comment, DkDocument, DocItem, ParseError
 from holtrans.kernel import TYPE, Abs, App, BVar, Const, ConstDecl, Defn, Prod, RewriteRule, Term, Var
 
 _TOKEN_RE = re.compile(
@@ -79,6 +79,13 @@ class _Parser:
         if t.kind != kind:
             raise ParseError(t.line, t.col, what)
         return t
+
+    def expect_name(self, what: str) -> str:
+        """An identifier that is not a reserved word."""
+        t = self.next()
+        if t.kind != "ident" or t.value in RESERVED:
+            raise ParseError(t.line, t.col, what)
+        return t.value
 
     def _atom(self, binders: list, rulevars: set[str]) -> Optional[Term]:
         t = self.peek()
@@ -165,7 +172,7 @@ class _Parser:
             first = False
             if t.kind == "ident" and t.value == "def":
                 self.next()
-                name = self.expect("ident", "a definition name").value
+                name = self.expect_name("a definition name")
                 self.expect("colon", "':'")
                 ty = self._term([], set())
                 self.expect("coloneq", "':='")
@@ -178,7 +185,7 @@ class _Parser:
                 rulevars: set[str] = set()
                 if self.peek().kind != "rbrack":
                     while True:
-                        name = self.expect("ident", "a rule variable").value
+                        name = self.expect_name("a rule variable")
                         self.expect("colon", "':'")
                         ty = self._term([], rulevars)
                         ctx.append((name, ty))
@@ -195,7 +202,7 @@ class _Parser:
                 rhs = self._term([], rulevars)
                 self.expect("dot", "'.'")
                 items.append(RewriteRule(tuple(ctx), lhs, rhs))
-            elif t.kind == "ident":
+            elif t.kind == "ident" and t.value not in RESERVED:
                 name = self.next().value
                 self.expect("colon", "':'")
                 ty = self._term([], set())

@@ -17,12 +17,13 @@ from holtrans.kernel import (
     Term,
     Var,
     app,
-    close,
     free_names,
     open_term,
     spine,
     substitute,
 )
+
+from conftest import close
 
 
 def fresh_name(hint: str, taken: set[str]) -> str:

@@ -55,13 +55,13 @@ from holtrans.kernel import (
     _as_fuel,
     _check_pattern,
     app,
-    close,
     free_names,
     open_term,
     spine,
     substitute,
 )
 
+from conftest import close
 from reference_reduction import fresh_name
 
 

@@ -504,6 +504,17 @@ def test_check_reads_any_line_end(tmp_path, capsys, newline):
     assert capsys.readouterr().err == f"error: {doc}: line 4, column 5: expected a token\n"
 
 
+@pytest.mark.parametrize("text,err", [
+    ("Type : Type.\n", "line 1, column 1: expected an item"),
+    ("a : Type.\ndef def : Type := a.\n", "line 2, column 5: expected a definition name"),
+])
+def test_check_refuses_a_reserved_word_as_a_name(tmp_path, capsys, text, err):
+    doc = tmp_path / "reserved.dk"
+    doc.write_text(text)
+    assert cli.main(["check", str(doc)]) == 1
+    assert capsys.readouterr().err == f"error: {doc}: {err}\n"
+
+
 @pytest.fixture(scope="module")
 def translated_conversion(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz")
@@ -925,7 +936,17 @@ def test_article_failure_names_command_and_line(tmp_path, capsys):
     bad.write_text("# comment\n6\nversion\n\"A\"\nvarType\nrefl\n")
     assert cli.main(["translate", str(bad), "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {bad} (command 4, line 6): TypeErrorOnStack: refl: expected OTerm, found OType\n"
+    assert err == f"error: {bad} (command 4, line 6): TypeErrorOnStack: refl: expected HolTerm, found TyVar\n"
+
+
+def test_an_article_of_literals_only_is_refused(tmp_path, capsys):
+    """No keyword asks for the version, so the end of the article does,
+    and no module is written."""
+    art = tmp_path / "lit.art"
+    art.write_text('6\n"x"\n')
+    assert cli.main(["translate", str(art), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {art}: UnsupportedVersion: article has no version command\n"
+    assert not (tmp_path / "out" / "lit.dk").exists()
 
 
 def test_ill_typed_application_fails_at_its_command(tmp_path, capsys):

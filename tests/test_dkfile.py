@@ -185,6 +185,24 @@ def test_parse_error_positions_are_pinned(text, line, column, expectation):
     assert (exc.value.line, exc.value.column, exc.value.expectation) == (line, column, expectation)
 
 
+@pytest.mark.parametrize("text,line,column,expectation", [
+    ("Type : Type.\n", 1, 1, "an item"),
+    ("def : Type.\n", 1, 5, "a definition name"),
+    ("a : Type.\ndef def : Type := a.\n", 2, 5, "a definition name"),
+    ("a : Type.\ndef Type : Type := a.\n", 2, 5, "a definition name"),
+    ("a : Type.\n[def : a] def --> def.\n", 2, 2, "a rule variable"),
+    ("a : Type.\n[x : a, Type : a] x --> x.\n", 2, 9, "a rule variable"),
+])
+def test_reserved_words_are_not_names(text, line, column, expectation):
+    """``Type`` and ``def`` (``dkfile.RESERVED``) are never a declared or
+    defined name or a rule variable, as the emitter never writes one there;
+    the token-object parser agrees."""
+    with pytest.raises(dkfile.ParseError) as exc:
+        dkfile.parse(text)
+    assert (exc.value.line, exc.value.column, exc.value.expectation) == (line, column, expectation)
+    assert _outcome(reference_dkparse.parse, text) == (line, column, expectation)
+
+
 def test_parse_rejects_missing_dot():
     with pytest.raises(dkfile.ParseError):
         dkfile.parse("c : type")

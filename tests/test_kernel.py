@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from holtrans import kernel as k
 from holtrans import translate as tr
 
-from conftest import env_signature, lam, make_env, pi, random_kernel_term
+from conftest import close, env_signature, lam, make_env, pi, random_kernel_term
 from reference_reduction import contract_root, fresh_name, reduce_step
 from reference_typing import normalize
 
@@ -474,7 +474,7 @@ def _ri_step(sig, t):
         x = fresh_name(t.hint, k.free_names(t.body))
         rb = _ri_step(sig, k.open_term(t.body, k.Var(x)))
         if rb is not None:
-            return k.Abs(t.hint, t.domain, k.close(rb, x))
+            return k.Abs(t.hint, t.domain, close(rb, x))
         rd = _ri_step(sig, t.domain)
         if rd is not None:
             return k.Abs(t.hint, rd, t.body)
@@ -482,7 +482,7 @@ def _ri_step(sig, t):
         x = fresh_name(t.hint, k.free_names(t.body))
         rc = _ri_step(sig, k.open_term(t.body, k.Var(x)))
         if rc is not None:
-            return k.Prod(t.hint, t.domain, k.close(rc, x))
+            return k.Prod(t.hint, t.domain, close(rc, x))
         rd = _ri_step(sig, t.domain)
         if rd is not None:
             return k.Prod(t.hint, rd, t.body)

@@ -21,11 +21,11 @@ MINIMAL = ("6", "version")
 
 def test_parse_minimal_preamble():
     cmds = ot.parse_article("6\nversion\n")
-    assert cmds == [ot.ONum(6), ot.Keyword("version")]
+    assert cmds == [6, ot.Keyword("version")]
 
 
 def test_parse_string_literal():
-    assert ot.parse_article('"bool"\n') == [ot.OName("bool")]
+    assert ot.parse_article('"bool"\n') == ["bool"]
 
 
 def test_parse_comment_skipped():
@@ -34,7 +34,7 @@ def test_parse_comment_skipped():
 
 def test_parse_escapes():
     cmds = ot.parse_article('"a\\"b\\\\c"\n')
-    assert cmds == [ot.OName('a"b\\c')]
+    assert cmds == ['a"b\\c']
 
 
 def test_parse_malformed_string():
@@ -49,21 +49,19 @@ def test_parse_unknown_command():
 
 
 def test_parse_negative_number():
-    assert ot.parse_article("-3\n") == [ot.ONum(-3)]
+    assert ot.parse_article("-3\n") == [-3]
 
 
 def test_parse_byte_order_mark():
-    assert ot.parse_article(b"\xef\xbb\xbf6\nversion\n") == [
-        ot.ONum(6),
-        ot.Keyword("version"),
-    ]
+    assert ot.parse_article(b"\xef\xbb\xbf6\nversion\n") == [6, ot.Keyword("version")]
 
 
 def parsed(parse, data):
-    """What ``parse`` makes of ``data``: each command's class, value and
-    line, or the class and message of what it raised."""
+    """What ``parse`` makes of ``data``: each command's class and value, and
+    a keyword's line, or the class and message of what it raised."""
     try:
-        return [(type(c).__name__, c._values(), c.line) for c in parse(data)]
+        return [(type(c).__name__, c.name, c.line) if type(c) is ot.Keyword else (type(c).__name__, c)
+                for c in parse(data)]
     except ot.ArticleError as e:
         return type(e).__name__, str(e)
 
@@ -203,6 +201,13 @@ def test_run_empty_fails():
         ot.run([])
 
 
+def test_run_refuses_an_article_of_literals_only():
+    """No keyword asks for the version, so the end of the stream does."""
+    with pytest.raises(ot.UnsupportedVersion) as exc:
+        run_lines("6", '"x"')
+    assert str(exc.value) == "article has no version command"
+
+
 def test_run_requires_version_first():
     with pytest.raises(ot.UnsupportedVersion):
         run_lines("nil")
@@ -251,7 +256,7 @@ def test_run_pushes_a_literal_as_it_was_parsed():
     commands = ot.parse_article('6\nversion\n"x"\n5\n')
     stack = ot.run(commands).stack
     assert len(stack) == 2 and stack[0] is commands[2] and stack[1] is commands[3]
-    assert stack == [ot.OName("x"), ot.ONum(5)] and stack[1].line == 4
+    assert stack == ["x", 5]
 
 
 def test_identity_article(corpus_paths):
@@ -290,46 +295,92 @@ def test_type_error_on_stack():
         run_lines(*MINIMAL, "6", "refl")
 
 
-# Each keyword command's operands, bottom of the stack first; None takes any
-# object.  Every command pops all of them, top first, before anything else.
+# Each keyword command's operands, by the article format's kinds of stack
+# object, bottom of the stack first; None takes any object.  Every command
+# pops all of them, top first, before anything else.
 OPERANDS = {
-    "absTerm": ("OVar", "OTerm"),
-    "absThm": ("OVar", "Proof"),
-    "appTerm": ("OTerm", "OTerm"),
-    "appThm": ("Proof", "Proof"),
-    "assume": ("OTerm",),
-    "axiom": ("OList", "OTerm"),
-    "betaConv": ("OTerm",),
-    "cons": (None, "OList"),
-    "const": ("OName",),
-    "constTerm": ("OConst", "OType"),
-    "deductAntisym": ("Proof", "Proof"),
-    "def": ("ONum",),
-    "defineConst": ("OName", "OTerm"),
-    "defineTypeOp": ("OName", "OName", "OName", "OList", "Proof"),
-    "eqMp": ("Proof", "Proof"),
-    "hdTl": ("OList",),
-    "opType": ("OTypeOp", "OList"),
+    "absTerm": ("var", "term"),
+    "absThm": ("var", "thm"),
+    "appTerm": ("term", "term"),
+    "appThm": ("thm", "thm"),
+    "assume": ("term",),
+    "axiom": ("list", "term"),
+    "betaConv": ("term",),
+    "cons": (None, "list"),
+    "const": ("name",),
+    "constTerm": ("const", "type"),
+    "deductAntisym": ("thm", "thm"),
+    "def": ("number",),
+    "defineConst": ("name", "term"),
+    "defineTypeOp": ("name", "name", "name", "list", "thm"),
+    "eqMp": ("thm", "thm"),
+    "hdTl": ("list",),
+    "opType": ("typeOp", "list"),
     "pop": (None,),
     "pragma": (None,),
-    "proveHyp": ("Proof", "Proof"),
-    "ref": ("ONum",),
-    "refl": ("OTerm",),
-    "remove": ("ONum",),
-    "subst": ("OList", "Proof"),
-    "sym": ("Proof",),
-    "thm": ("Proof", "OList", "OTerm"),
-    "trans": ("Proof", "Proof"),
-    "typeOp": ("OName",),
-    "var": ("OName", "OType"),
-    "varTerm": ("OVar",),
-    "varType": ("OName",),
-    "version": ("ONum",),
+    "proveHyp": ("thm", "thm"),
+    "ref": ("number",),
+    "refl": ("term",),
+    "remove": ("number",),
+    "subst": ("list", "thm"),
+    "sym": ("thm",),
+    "thm": ("thm", "list", "term"),
+    "trans": ("thm", "thm"),
+    "typeOp": ("name",),
+    "var": ("name", "type"),
+    "varTerm": ("var",),
+    "varType": ("name",),
+    "version": ("number",),
 }
+
+# The class that an error message names for each kind
+KIND_CLASS = {
+    "number": "int", "name": "str", "list": "tuple", "typeOp": "OTypeOp", "type": "HolType",
+    "const": "OConst", "var": "OVar", "term": "HolTerm", "thm": "Proof",
+}
+
+# Objects of every kind, as the VM builds them, pushed in the order of
+# SAMPLE_KINDS: a type variable and bool, a variable term and a constant
+# term, the empty list and [0].
+SAMPLE_ARTICLE = (
+    *MINIMAL, "0", '"x"', "nil", '"bool"', "typeOp", '"A"', "varType",
+    '"bool"', "typeOp", "nil", "opType", "0", "def", '"c"', "const",
+    '"x"', "0", "ref", "var", "1", "def", "1", "ref", "varTerm", "2", "def",
+    '"c"', "const", "0", "ref", "constTerm", "2", "ref", "refl", "0", "nil", "cons",
+)
+SAMPLE_KINDS = (
+    "number", "name", "list", "typeOp", "type", "type", "const", "var", "term", "term", "thm", "list",
+)
+
+
+def stack_samples() -> list:
+    """``(kind, object)`` for each object ``SAMPLE_ARTICLE`` leaves on the stack."""
+    stack = run_lines(*SAMPLE_ARTICLE).stack
+    assert len(stack) == len(SAMPLE_KINDS)
+    return list(zip(SAMPLE_KINDS, stack))
+
+
+def operand_stack(name: str, i: int) -> list:
+    """Well-formed operands for those above operand ``i`` of ``name``."""
+    first = {}
+    for kind, obj in stack_samples():
+        first.setdefault(kind, obj)
+    return [first[kind or "number"] for kind in OPERANDS[name][i + 1:]]
 
 
 def test_operand_table_covers_every_command():
     assert set(OPERANDS) | {"nil"} == set(ot._HANDLERS)
+
+
+def test_stack_samples_are_the_objects_themselves():
+    """A number, name or list is the ``int``, ``str`` or ``tuple`` itself, a
+    type or term the HOL object; type operators, constants and variables
+    are boxed."""
+    x = hol.Var("x", hol.BOOL)
+    assert [obj for _, obj in stack_samples()] == [
+        0, "x", (), ot.OTypeOp("bool"), hol.TyVar("A"), hol.BOOL, ot.OConst("c"), ot.OVar(x), x,
+        hol.Const("c", hol.BOOL), hol.Refl(x), (0,),
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(OPERANDS))
@@ -337,37 +388,51 @@ def test_operand_errors_are_pinned(name):
     """Each operand in turn is missing, then of the wrong class, with every
     operand above it well-formed: the exact message names the command."""
     x = hol.Var("x", hol.BOOL)
-    sample = {
-        "ONum": ot.ONum(0), "OName": ot.OName("x"), "OList": ot.OList(()),
-        "OTypeOp": ot.OTypeOp("bool"), "OType": ot.OType(hol.BOOL), "OConst": ot.OConst("c"),
-        "OVar": ot.OVar(x), "OTerm": ot.OTerm(x), "Proof": hol.Refl(x),
-    }
-    classes = OPERANDS[name]
-    for i, cls in enumerate(classes):
-        above = [sample[c or "ONum"] for c in classes[i + 1:]]
+    for i, kind in enumerate(OPERANDS[name]):
+        above = operand_stack(name, i)
         state = ot.VMState(stack=list(above), versioned=True)
         with pytest.raises(ot.StackUnderflow) as exc:
             ot._HANDLERS[name](state)
         assert str(exc.value) == f"{name}: stack underflow"
-        if cls is None:
+        if kind is None:
             continue
-        wrong, found = (ot.OTerm(x), "OTerm") if cls == "OType" else (ot.OType(hol.BOOL), "OType")
+        wrong, found = (x, "Var") if kind == "type" else (hol.BOOL, "TyOp")
         state = ot.VMState(stack=[wrong, *above], versioned=True)
         with pytest.raises(ot.TypeErrorOnStack) as exc:
             ot._HANDLERS[name](state)
-        assert str(exc.value) == f"{name}: expected {cls}, found {found}"
+        assert str(exc.value) == f"{name}: expected {KIND_CLASS[kind]}, found {found}"
     if name == "hdTl":  # and the list may not be empty
-        state = ot.VMState(stack=[ot.OList(())], versioned=True)
+        state = ot.VMState(stack=[()], versioned=True)
         with pytest.raises(ot.TypeErrorOnStack) as exc:
             ot._HANDLERS[name](state)
         assert str(exc.value) == "hdTl: expected a non-empty list"
 
 
+@pytest.mark.parametrize("name", sorted(OPERANDS))
+def test_every_operand_refuses_every_other_kind(name):
+    """Each operand in turn is offered each object of another kind, as the
+    VM built it, with every operand above it well-formed: among them a
+    variable term where a variable is expected, and a plain name where a
+    constant or type operator is."""
+    for i, kind in enumerate(OPERANDS[name]):
+        if kind is None:
+            continue
+        above = operand_stack(name, i)
+        for other, wrong in stack_samples():
+            if other == kind:
+                continue
+            state = ot.VMState(stack=[wrong, *above], versioned=True)
+            with pytest.raises(ot.TypeErrorOnStack) as exc:
+                ot._HANDLERS[name](state)
+            message = str(exc.value)
+            assert message.startswith(f"{name}: expected ") and message.endswith(f", found {type(wrong).__name__}")
+
+
 def test_hd_tl_pushes_the_head_then_the_tail():
-    a, b, c = ot.ONum(1), ot.OName("b"), ot.OList(())
-    state = ot.VMState(stack=[ot.OList((a, b, c))], versioned=True)
+    a, b, c = 1, "b", ()
+    state = ot.VMState(stack=[(a, b, c)], versioned=True)
     ot._HANDLERS["hdTl"](state)
-    assert state.stack == [a, ot.OList((b, c))]
+    assert state.stack == [a, (b, c)]
 
 
 # |- x = x for x : A, where x is the head of the list [x, y]: hdTl pushes

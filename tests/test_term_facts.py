@@ -1,9 +1,9 @@
 """Differential tests for the facts kernel terms cache about themselves.
 
-The kernel's ``open_term``, ``close``, ``substitute``, ``free_names`` and
-``term_size`` skip subterms using each node's cached size, loose-index
-bound and free-variable flag, and the sharing pass picks candidates by the
-same facts.  The oracles below are the plain full-traversal versions those
+The kernel's ``open_term``, ``_close`` (through ``conftest.close``),
+``substitute``, ``free_names`` and ``term_size`` skip subterms using each
+node's cached size, loose-index bound and free-variable flag, and the
+sharing pass picks candidates by the same facts.  The oracles below are the plain full-traversal versions those
 replaced; every test compares the kernel against them on random terms,
 including terms with dangling indices and free variables.  ``close`` and
 ``free_names`` visit a node shared in a DAG once per call; the tree walks
@@ -21,7 +21,7 @@ from holtrans import kernel as k
 from holtrans import opentheory as ot
 from holtrans import translate as tr
 
-from conftest import HolGen, count_calls
+from conftest import HolGen, close, count_calls
 
 # ---------------------------------------------------------------------------
 # oracles: full traversals that use no cached fact
@@ -281,7 +281,7 @@ def test_close_matches_oracle(t, names):
     want = t
     for depth, name in enumerate(reversed(names)):
         want = oracle_close(want, name, depth)
-    assert shape(k.close(t, *names)) == shape(want)
+    assert shape(close(t, *names)) == shape(want)
 
 
 def oracle_bind(cls, binders, body):
@@ -521,7 +521,7 @@ def distinct_nodes(t):
 @given(dags(), st.lists(NAMES, min_size=1, max_size=3))
 def test_close_matches_tree_walk_and_keeps_the_dag(t, names):
     position = {name: i for i, name in enumerate(names)}
-    out = k.close(t, *names)
+    out = close(t, *names)
     assert shape(out) == shape(tree_close(t, position, len(names) - 1))
     # one node per input node and level, and a fresh index per occurrence
     assert distinct_nodes(out) <= 2 * distinct_nodes(t) + oracle_size(t)
@@ -562,9 +562,9 @@ def test_closing_a_dag_visits_each_node_once(monkeypatch):
     visits, names = {}, {}
     for depth in (10, 20):
         t = _var_dag(depth)
-        visits[depth] = count_calls(monkeypatch, k, "_close", lambda: k.close(t, "x"))
+        visits[depth] = count_calls(monkeypatch, k, "_close", lambda: close(t, "x"))
         names[depth] = builtin_calls(lambda: k.free_names(t))
         assert k.free_names(t) == {"x"}
     assert visits[20] <= 2.2 * visits[10]
     assert names[20] <= 2.2 * names[10]
-    assert distinct_nodes(k.close(_var_dag(20), "x")) < 200  # the tree has 2^20 leaves
+    assert distinct_nodes(close(_var_dag(20), "x")) < 200  # the tree has 2^20 leaves

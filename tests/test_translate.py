@@ -8,7 +8,7 @@ from holtrans import dkfile, hol
 from holtrans import kernel as k
 from holtrans import translate as tr
 
-from conftest import CORPUS, HolGen, completeness_context, count_calls, env_signature, make_env, pi, rule_by_rule
+from conftest import CORPUS, HolGen, close, completeness_context, count_calls, env_signature, make_env, pi, rule_by_rule
 from reference_typing import normalize
 
 A = hol.TyVar("A")
@@ -143,7 +143,7 @@ def test_lambda_nest_matches_per_binder_closing():
     nest = _lambda_nest(["a", "b", "c"])
     want = env.termvar(nest.var)
     for v in reversed([nest.var, nest.body.var, nest.body.body.var]):
-        want = k.Abs(v.name, dom_a, k.close(want, env.termvar_name(v)))
+        want = k.Abs(v.name, dom_a, close(want, env.termvar_name(v)))
     assert tr.trans_term(env, nest) == want
 
 
@@ -201,7 +201,7 @@ def test_declare_constant_generalizes():
     want = k.Prod(
         "A",
         k.Const("type"),
-        k.close(k.App(TERM, k.app(ARROW, a, a)), "'A"),
+        close(k.App(TERM, k.app(ARROW, a, a)), "'A"),
     )
     assert decl.type == want
     with pytest.raises(tr.DuplicateDeclaration):
@@ -787,21 +787,21 @@ def test_completeness_contexts_are_well_formed(seed):
 
 def oracle_close_over(env, c, body):
     for prop in reversed(c.hyps):
-        body = k.Abs("h", tr.trans_prop_type(env, prop), k.close(body, env.hyp_name(prop)))
+        body = k.Abs("h", tr.trans_prop_type(env, prop), close(body, env.hyp_name(prop)))
     for v in reversed(c.termvars):
-        body = k.Abs(v.name, tr.trans_type_type(env, v.type), k.close(body, env.termvar_name(v)))
+        body = k.Abs(v.name, tr.trans_type_type(env, v.type), close(body, env.termvar_name(v)))
     for n in reversed(c.tyvars):
-        body = k.Abs(n, tr._T, k.close(body, tr.tyvar_name(n)))
+        body = k.Abs(n, tr._T, close(body, tr.tyvar_name(n)))
     return body
 
 
 def oracle_pi_over(env, c, ty):
     for prop in reversed(c.hyps):
-        ty = k.Prod("h", tr.trans_prop_type(env, prop), k.close(ty, env.hyp_name(prop)))
+        ty = k.Prod("h", tr.trans_prop_type(env, prop), close(ty, env.hyp_name(prop)))
     for v in reversed(c.termvars):
-        ty = k.Prod(v.name, tr.trans_type_type(env, v.type), k.close(ty, env.termvar_name(v)))
+        ty = k.Prod(v.name, tr.trans_type_type(env, v.type), close(ty, env.termvar_name(v)))
     for n in reversed(c.tyvars):
-        ty = k.Prod(n, tr._T, k.close(ty, tr.tyvar_name(n)))
+        ty = k.Prod(n, tr._T, close(ty, tr.tyvar_name(n)))
     return ty
 
 
@@ -851,7 +851,7 @@ def oracle_trans_subst_changed(env, proof):
     kept = [pos for pos in positions if pos[3] != k.Var(pos[0])]
     fn = c.core
     for name, hint, domain, _ in reversed(kept):
-        fn = k.Abs(hint, domain, k.close(fn, name))
+        fn = k.Abs(hint, domain, close(fn, name))
     return k.app(fn, *(arg for *_, arg in kept))
 
 
