@@ -138,10 +138,11 @@ def _documents_for_check(paths: list) -> list:
 def cmd_check(args: SimpleNamespace) -> int:
     """Check each document after its own directory's hol.dk only (there is no
     inter-module linking); each hol.dk is checked once, a copy extended per module.
-    A module checked after a hol.dk may declare no rewrite rule: ``translate``
-    writes none there, and the kernel's budget bounds its steps, not the
-    memory a rule's steps can build."""
-    from .dkreader import ParseError, parse
+    A hol.dk must be one of the base signatures that ``translate`` writes, and
+    its items are that base's one parse.  A module checked after a hol.dk may
+    declare no rewrite rule: ``translate`` writes none there, and the kernel's
+    budget bounds its steps, not the memory a rule's steps can build."""
+    from .dkreader import ParseError, base_mode, base_signature, parse
 
     bases: dict[Path, kernel.Signature] = {}  # directory -> its checked hol.dk
     budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
@@ -154,7 +155,11 @@ def cmd_check(args: SimpleNamespace) -> int:
         t0 = time.perf_counter()
         try:
             text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # as read_text does
-            doc = parse(text)
+            mode = base_mode(text) if Path(path).name == "hol.dk" else ""  # "": not a hol.dk
+            if mode is None:
+                _fail(f"{path}: not the base signature of mode q0 or pts; name a signature of one's own otherwise")
+                return 1
+            file_items = base_signature(mode).items if mode else dkfile.signature_items(parse(text))
         except UnicodeDecodeError as e:
             _fail(f"{path}: not UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}")
             return 1
@@ -162,7 +167,6 @@ def cmd_check(args: SimpleNamespace) -> int:
             _fail(f"{path}: {e}")
             return 1
         t1 = time.perf_counter()
-        file_items = dkfile.signature_items(doc)
         directory = Path(path).parent.resolve()
         fuel = kernel.Fuel(budget)
         base = bases.get(directory)
@@ -176,7 +180,7 @@ def cmd_check(args: SimpleNamespace) -> int:
         except kernel.KernelError as e:
             _fail(f"{path}: {_reason(e)}")
             return 1
-        if Path(path).name == "hol.dk":
+        if mode:
             bases[directory] = sig
         if args.verbose:
             spent = f"check {time.perf_counter() - t1:.3f} s, fuel {budget - fuel.left}"

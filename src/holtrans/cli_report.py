@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import kernel
+from . import dkfile, kernel
 from .cli import STATS_FILE, _fail
 
 
@@ -104,13 +104,14 @@ def cmd_stats(args: SimpleNamespace) -> int:
 def _selftest_checks():
     from . import dkreader, opentheory, translate
 
-    def base_q0():
-        kernel.check_signature(translate.base_signature("q0"))
-        assert len(translate.base_signature("q0").rules) == 1
-
-    def base_pts():
-        kernel.check_signature(translate.base_signature("pts"))
-        assert len(translate.base_signature("pts").rules) == 3
+    def base(mode, rules):
+        def check():
+            # the hol.dk ``translate`` writes is the one ``check`` takes, as these items
+            text, sig = dkreader.base_text(mode), translate.base_signature(mode)
+            assert dkreader.base_mode(text) == mode and dkfile.signature_items(dkreader.parse(text)) == sig.items
+            kernel.check_signature(sig)
+            assert len(sig.rules) == rules
+        return check
 
     def example_signature():
         # ``t`` types only because the rule turns ``f c`` into a product
@@ -148,8 +149,8 @@ def _selftest_checks():
         translate.verify_document(result.document)
 
     return [
-        ("base signature (q0)", base_q0),
-        ("base signature (pts)", base_pts),
+        ("base signature (q0)", base("q0", 1)),
+        ("base signature (pts)", base("pts", 3)),
         ("rewrite-dependent typing example", example_signature),
         ("pts provability rules", pts_rules),
         ("article pipeline", pipeline),

@@ -13,7 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
-from . import dkfile, hol, kernel, opentheory, translate
+from . import dkfile, dkreader, hol, kernel, opentheory, translate
 from .cli import STATS_FILE, _fail, _reason
 
 
@@ -69,12 +69,10 @@ def cmd_translate(args: SimpleNamespace) -> int:
     except OSError as e:
         _fail(f"cannot create output directory: {e}")
         return 2
-    base_doc = translate.base_document(args.mode)
-    if not _write_output(outdir / "hol.dk", dkfile.emit(base_doc).encode("utf-8")):
+    if not _write_output(outdir / "hol.dk", dkreader.base_text(args.mode).encode("utf-8")):
         return 2
 
     articles = []
-    base_checked = False  # the base signature is checked with the first article only
     for raw_path in args.inputs:
         path = Path(raw_path)
         name = path.stem
@@ -102,11 +100,10 @@ def cmd_translate(args: SimpleNamespace) -> int:
         budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
         fuel = kernel.Fuel(budget)
         try:
-            translate.verify_document(result.document, mode=args.mode, fuel=fuel, base_checked=base_checked)
+            translate.verify_document(result.document, mode=args.mode, fuel=fuel)
         except kernel.KernelError as e:
             _fail(f"{path}: generated document failed self-verification: {_reason(e)}")
             return 1
-        base_checked = True
         t2 = time.perf_counter()
         text = dkfile.emit(result.document).encode("utf-8")
         out_path = outdir / f"{name}.dk"

@@ -11,7 +11,7 @@ reuse the kernel's signature item types, so a parsed document feeds
 straight into the checker.  The grammar is this package's normative format;
 compatibility with external checkers is best-effort only.  The reader
 (``parse``, ``ParseError``; both names resolve here too) is
-``holtrans.dkreader``, which ``translate`` loads for its base signatures.
+``holtrans.dkreader``, which also keeps the base signatures' text.
 """
 
 from __future__ import annotations

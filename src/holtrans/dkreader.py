@@ -1,8 +1,11 @@
 """Reader for the output document format (``dkfile``): ``parse`` turns a
-``.dk`` text into a ``DkDocument`` or raises ``ParseError``.  ``check``
-reads documents with it, and ``translate`` its base signatures' text.  A
-word of ``dkfile.RESERVED`` is not a declared or defined name or a rule
-variable, as the emitter never writes one there."""
+``.dk`` text into a ``DkDocument`` or raises ``ParseError``.  A word of
+``dkfile.RESERVED`` is not a declared, defined or bound name or a rule
+variable, as the emitter never writes one there.
+
+The reader keeps the two base signatures, the only ``hol.dk`` texts
+``check`` takes: ``base_text`` is what ``translate`` writes,
+``base_signature`` its one parse, and ``base_mode`` the mode a text is."""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from itertools import islice
 from typing import Optional
 
 from .dkfile import RESERVED, Comment, DkDocument, DocItem
-from .kernel import TYPE, Abs, App, BVar, Const, ConstDecl, Defn, Prod, RewriteRule, Term, Var
+from .kernel import TYPE, Abs, App, BVar, Const, ConstDecl, Defn, Prod, RewriteRule, Signature, Term, Var
 
 
 class ParseError(Exception):
@@ -104,7 +107,9 @@ class _Reader:
     def term(self, depth: int) -> Term:
         toks, i = self.toks, self.i
         t = toks[i]
-        if t[:1] in _WORD and t != "Type" and toks[i + 1] == ":":
+        if t[:1] in _WORD and toks[i + 1] == ":":
+            if t in RESERVED:
+                raise self.error("a bound name")
             self.i = i + 2
             dom = self.app(depth)
             op = toks[self.i]
@@ -132,7 +137,9 @@ class _Reader:
         leading ``x =>`` takes its domain from ``ty``'s matching product."""
         toks, bound = self.toks, self.bound
         heads: list[tuple[str, Term, Optional[int]]] = []
-        while (t := toks[self.i])[:1] in _WORD and t != "Type" and toks[self.i + 1] == "=>":
+        while (t := toks[self.i])[:1] in _WORD and toks[self.i + 1] == "=>":
+            if t in RESERVED:
+                raise self.error("a bound name")
             self.i += 1
             if type(ty) is not Prod:
                 raise self.error("':' (the declared type has no product here)")
@@ -219,3 +226,92 @@ def parse(text: str) -> DkDocument:
     """Scan ``text`` once into token strings, then read the items.  A token's
     position is computed only for a ``ParseError``."""
     return _Reader(text).document()
+
+
+# ---------------------------------------------------------------------------
+# The base signatures, as ``hol.dk`` writes them after its two header comments
+# (the only ``hol.dk`` texts ``check`` takes); a backslash ends a line that the
+# file continues.  Both modes end with the same two derived rules, definitions
+# over ``AppThm`` and ``Refl``: a congruence with one side proved by reflexivity.
+
+_DERIVED_RULES = """\
+def ApTerm : a : type -> b : type -> f : term (arrow a b) -> x : term a -> y : term a -> \
+proof (eq a x y) -> proof (eq b (f x) (f y)) := \
+a => b => f => x => y => h => AppThm a b f f x y (Refl (arrow a b) f) h.
+def ApThm : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> x : term a -> \
+proof (eq (arrow a b) f g) -> proof (eq b (f x) (g x)) := \
+a => b => f => g => x => h => AppThm a b f g x x h (Refl a x).
+"""
+
+BASE_TEXT = {
+    "q0": """\
+type : Type.
+bool : type.
+ind : type.
+arrow : type -> type -> type.
+term : type -> Type.
+eq : a : type -> term (arrow a (arrow a bool)).
+select : a : type -> term (arrow (arrow a bool) a).
+[a : type, b : type] term (arrow a b) --> term a -> term b.
+proof : term bool -> Type.
+Refl : a : type -> x : term a -> proof (eq a x x).
+FunExt : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> (x : term a -> \
+proof (eq b (f x) (g x))) -> proof (eq (arrow a b) f g).
+AppThm : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> x : term a -> \
+y : term a -> proof (eq (arrow a b) f g) -> proof (eq a x y) -> proof (eq b (f x) (g y)).
+PropExt : p : term bool -> q : term bool -> (proof q -> proof p) -> (proof p -> proof q) -> \
+proof (eq bool p q).
+EqMp : p : term bool -> q : term bool -> proof (eq bool p q) -> proof p -> proof q.
+""" + _DERIVED_RULES,
+    "pts": """\
+type : Type.
+bool : type.
+ind : type.
+arrow : type -> type -> type.
+term : type -> Type.
+[a : type, b : type] term (arrow a b) --> term a -> term b.
+proof : term bool -> Type.
+imp : term (arrow bool (arrow bool bool)).
+forall : a : type -> term (arrow (arrow a bool) bool).
+[p : term bool, q : term bool] proof (imp p q) --> proof p -> proof q.
+[a : type, p : term (arrow a bool)] proof (forall a p) --> x : term a -> proof (p x).
+def imp_intro : p : term bool -> q : term bool -> (proof p -> proof q) -> proof (imp p q) := \
+p => q => h => h.
+def imp_elim : p : term bool -> q : term bool -> proof (imp p q) -> proof p -> proof q := \
+p => q => h => x => h x.
+def eq : a : type -> term (arrow a (arrow a bool)) := \
+a => x : term a => y : term a => forall (arrow a bool) (p : term (arrow a bool) => imp (p x) (p y)).
+select : a : type -> term (arrow (arrow a bool) a).
+def Refl : a : type -> x : term a -> proof (eq a x x) := \
+a => x => q : term (arrow a bool) => h : proof (q x) => h.
+def EqMp : p : term bool -> q : term bool -> proof (eq bool p q) -> proof p -> proof q := \
+p => q => h => hp => h (b : term bool => b) hp.
+def AppThm : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> x : term a -> \
+y : term a -> proof (eq (arrow a b) f g) -> proof (eq a x y) -> proof (eq b (f x) (g y)) := \
+a => b => f => g => x => y => hf => hx => q : term (arrow b bool) => h : proof (q (f x)) => \
+hf (k : term (arrow a b) => q (k y)) (hx (z : term a => q (f z)) h).
+FunExt : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> (x : term a -> \
+proof (eq b (f x) (g x))) -> proof (eq (arrow a b) f g).
+PropExt : p : term bool -> q : term bool -> (proof q -> proof p) -> (proof p -> proof q) -> \
+proof (eq bool p q).
+""" + _DERIVED_RULES,
+}
+
+_BASES: dict[str, Signature] = {}
+
+
+def base_text(mode: str) -> str:
+    """The text of the ``hol.dk`` that ``translate`` writes in ``mode``."""
+    return f"(; module hol ;)\n(; base signature, mode {mode} ;)\n" + BASE_TEXT[mode]
+
+
+def base_signature(mode: str) -> Signature:
+    """The items of ``mode``'s base signature, parsed once per process."""
+    if mode not in _BASES:
+        _BASES[mode] = Signature(parse(BASE_TEXT[mode]).items)
+    return _BASES[mode]
+
+
+def base_mode(text: str) -> Optional[str]:
+    """The mode whose ``hol.dk`` is ``text``, or None."""
+    return next((mode for mode in BASE_TEXT if text == base_text(mode)), None)

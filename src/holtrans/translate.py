@@ -1,7 +1,7 @@
 """Translation of HOL types, terms, contexts and proofs into the encoding.
 
-The base signature, written in ``BASE_TEXT`` as ``hol.dk`` prints it and
-read by ``dkreader``, declares a type of object-level types, a decoding
+The base signature, written in ``dkreader.BASE_TEXT`` as ``hol.dk`` prints
+it and read by ``dkreader``, declares a type of object-level types, a decoding
 function ``term`` with one rewrite rule identifying ``term (arrow a b)``
 with ``term a -> term b``, a provability predicate ``proof``, and one
 proof constant per primitive derivation rule.  Because the embedding is
@@ -91,90 +91,13 @@ def tyvar_ref(name: str) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# Base signatures, as ``hol.dk`` writes them after its two header comments; a
-# backslash ends a line that the file continues.  Both modes end with the
-# same two derived rules, definitions over ``AppThm`` and ``Refl``: a
-# congruence with one side proved by reflexivity.
-
-_DERIVED_RULES = """\
-def ApTerm : a : type -> b : type -> f : term (arrow a b) -> x : term a -> y : term a -> \
-proof (eq a x y) -> proof (eq b (f x) (f y)) := \
-a => b => f => x => y => h => AppThm a b f f x y (Refl (arrow a b) f) h.
-def ApThm : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> x : term a -> \
-proof (eq (arrow a b) f g) -> proof (eq b (f x) (g x)) := \
-a => b => f => g => x => h => AppThm a b f g x x h (Refl a x).
-"""
-
-BASE_TEXT = {
-    "q0": """\
-type : Type.
-bool : type.
-ind : type.
-arrow : type -> type -> type.
-term : type -> Type.
-eq : a : type -> term (arrow a (arrow a bool)).
-select : a : type -> term (arrow (arrow a bool) a).
-[a : type, b : type] term (arrow a b) --> term a -> term b.
-proof : term bool -> Type.
-Refl : a : type -> x : term a -> proof (eq a x x).
-FunExt : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> (x : term a -> \
-proof (eq b (f x) (g x))) -> proof (eq (arrow a b) f g).
-AppThm : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> x : term a -> \
-y : term a -> proof (eq (arrow a b) f g) -> proof (eq a x y) -> proof (eq b (f x) (g y)).
-PropExt : p : term bool -> q : term bool -> (proof q -> proof p) -> (proof p -> proof q) -> \
-proof (eq bool p q).
-EqMp : p : term bool -> q : term bool -> proof (eq bool p q) -> proof p -> proof q.
-""" + _DERIVED_RULES,
-    "pts": """\
-type : Type.
-bool : type.
-ind : type.
-arrow : type -> type -> type.
-term : type -> Type.
-[a : type, b : type] term (arrow a b) --> term a -> term b.
-proof : term bool -> Type.
-imp : term (arrow bool (arrow bool bool)).
-forall : a : type -> term (arrow (arrow a bool) bool).
-[p : term bool, q : term bool] proof (imp p q) --> proof p -> proof q.
-[a : type, p : term (arrow a bool)] proof (forall a p) --> x : term a -> proof (p x).
-def imp_intro : p : term bool -> q : term bool -> (proof p -> proof q) -> proof (imp p q) := \
-p => q => h => h.
-def imp_elim : p : term bool -> q : term bool -> proof (imp p q) -> proof p -> proof q := \
-p => q => h => x => h x.
-def eq : a : type -> term (arrow a (arrow a bool)) := \
-a => x : term a => y : term a => forall (arrow a bool) (p : term (arrow a bool) => imp (p x) (p y)).
-select : a : type -> term (arrow (arrow a bool) a).
-def Refl : a : type -> x : term a -> proof (eq a x x) := \
-a => x => q : term (arrow a bool) => h : proof (q x) => h.
-def EqMp : p : term bool -> q : term bool -> proof (eq bool p q) -> proof p -> proof q := \
-p => q => h => hp => h (b : term bool => b) hp.
-def AppThm : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> x : term a -> \
-y : term a -> proof (eq (arrow a b) f g) -> proof (eq a x y) -> proof (eq b (f x) (g y)) := \
-a => b => f => g => x => y => hf => hx => q : term (arrow b bool) => h : proof (q (f x)) => \
-hf (k : term (arrow a b) => q (k y)) (hx (z : term a => q (f z)) h).
-FunExt : a : type -> b : type -> f : term (arrow a b) -> g : term (arrow a b) -> (x : term a -> \
-proof (eq b (f x) (g x))) -> proof (eq (arrow a b) f g).
-PropExt : p : term bool -> q : term bool -> (proof q -> proof p) -> (proof p -> proof q) -> \
-proof (eq bool p q).
-""" + _DERIVED_RULES,
-}
-
-_BASE_CACHE: dict[str, Signature] = {}
-
+# Base signatures: their text and the one parse of it are ``dkreader``'s.
 
 def base_signature(mode: str = "q0") -> Signature:
-    if mode not in BASE_TEXT:
+    """``dkreader.base_signature``, with an unknown mode a ``TranslateError``."""
+    if mode not in dkreader.BASE_TEXT:
         raise TranslateError(f"unknown mode {mode!r}")
-    sig = _BASE_CACHE.get(mode)
-    if sig is None:
-        sig = _BASE_CACHE[mode] = Signature(dkreader.parse(BASE_TEXT[mode]).items)
-    return sig
-
-
-def base_document(mode: str = "q0") -> dkfile.DkDocument:
-    items: list = [dkfile.Comment(f"base signature, mode {mode}")]
-    items.extend(base_signature(mode).items)
-    return dkfile.DkDocument("hol", tuple(items))
+    return dkreader.base_signature(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -870,21 +793,10 @@ def translate_state(
     return TranslationResult(doc, len(state.theorems), share_hits, share_defs)
 
 
-def verify_document(
-    doc: dkfile.DkDocument,
-    mode: str = "q0",
-    fuel: Union[int, kernel.Fuel, None] = None,
-    base_checked: bool = False,
-) -> None:
-    """Type-check a generated document against the base signature.
-
-    With ``base_checked`` the base signature for ``mode`` has passed this
-    check already (in an earlier call), and only the document is checked,
-    after it.  Pass a ``kernel.Fuel`` to read back the steps spent.
+def verify_document(doc: dkfile.DkDocument, mode: str = "q0", fuel: Union[int, kernel.Fuel, None] = None) -> None:
+    """Type-check the base signature for ``mode`` and then a generated
+    document, on one path, as ``check`` checks a directory's ``hol.dk`` and
+    a module beside it.  Pass a ``kernel.Fuel`` to read back the steps spent.
     """
-    base = base_signature(mode).items
-    items = dkfile.signature_items(doc)
-    if base_checked:
-        kernel.check_extension(Signature(base), items, fuel)
-    else:
-        kernel.check_extension(Signature(), base + items, fuel)
+    items = base_signature(mode).items + dkfile.signature_items(doc)
+    kernel.check_extension(Signature(), items, fuel)

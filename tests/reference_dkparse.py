@@ -119,7 +119,9 @@ class _Parser:
 
     def _term(self, binders: list, rulevars: set[str]) -> Term:
         t = self.peek()
-        if t.kind == "ident" and t.value != "Type" and self.peek(1).kind == "colon":
+        if t.kind == "ident" and self.peek(1).kind == "colon":
+            if t.value in RESERVED:
+                raise ParseError(t.line, t.col, "a bound name")
             name = self.next().value
             self.next()  # colon
             dom = self._app(binders, rulevars)
@@ -142,8 +144,10 @@ class _Parser:
         """A definition's body: a leading ``x =>`` takes its domain from the
         declared type's matching product."""
         t = self.peek()
-        if not (t.kind == "ident" and t.value != "Type" and self.peek(1).kind == "fatarrow"):
+        if not (t.kind == "ident" and self.peek(1).kind == "fatarrow"):
             return self._term(binders, set())
+        if t.value in RESERVED:
+            raise ParseError(t.line, t.col, "a bound name")
         self.next()
         arrow = self.next()
         if not isinstance(ty, Prod):

@@ -262,6 +262,26 @@ def test_translate_loads_neither_the_writer_nor_the_reports(tmp_path):
         dkfile.no_such_name
 
 
+def test_readme_counts_the_lines_each_command_compiles(tmp_path):
+    """The "today" column of README's table of package lines per command is
+    the sum of the lines (``wc -l``) of the package modules the command loads."""
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    runs = {
+        "translate": ("translate", "-o", tmp_path / "again", IDENTITY),
+        "check": ("check", tmp_path / "01_identity.dk"),
+        "stats": ("stats", tmp_path),
+        "selftest": ("selftest",),
+    }
+    package = Path(cli.__file__).parent
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for command, argv in runs.items():
+        # the probe's line comes after what the command prints
+        modules = " ".join(_probe((), *argv)).rpartition("|")[2].split()
+        lines = sum((package / f"{m.partition('.')[2] or '__init__'}.py").read_bytes().count(b"\n") for m in modules)
+        row = re.search(rf"^ *\| `{command}` \|.* \| (\d+) \|$", readme, re.M)
+        assert "holtrans.cli" in modules and row is not None and int(row[1]) == lines, (command, lines)
+
+
 def _translated_corpus(outdir):
     arts = sorted(CORPUS.glob("0*.art"))
     assert cli.main(["translate", *map(str, arts), "-o", str(outdir)]) == 0
@@ -412,8 +432,9 @@ def test_check_chains_nested_under_applications(tmp_path):
 
 
 def test_base_is_checked_once_for_many_modules(tmp_path, monkeypatch):
-    """``translate`` of n articles and ``check`` of their n modules each
-    type ``hol.dk``'s items once, not once per module."""
+    """``check`` of n modules types ``hol.dk``'s items once, not once per
+    module.  ``translate`` of n articles types them with each article, so
+    that every article's ``verify_fuel`` counts the same work."""
     arts = [CORPUS / name for name in ("01_identity.art", "02_refl.art", "07_sym_trans.art")]
     checked = []  # every item handed to the kernel's checker
     inner = kernel.check_extension
@@ -425,7 +446,7 @@ def test_base_is_checked_once_for_many_modules(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel, "check_extension", recording)
     assert cli.main(["translate", *map(str, arts), "-o", str(tmp_path)]) == 0
     base = dkfile.signature_items(dkfile.parse((tmp_path / "hol.dk").read_text()))
-    assert [checked.count(it) for it in base] == [1] * len(base)
+    assert [checked.count(it) for it in base] == [len(arts)] * len(base)
     checked.clear()
     assert cli.main(["check", *(str(tmp_path / f"{a.stem}.dk") for a in arts)]) == 0
     assert [checked.count(it) for it in base] == [1] * len(base)
@@ -460,6 +481,72 @@ def test_module_rules_are_refused_after_the_base(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {doc}: rewrite rule proof p: only hol.dk declares rewrite rules\n"
     )
+
+
+BASE_REFUSED = "not the base signature of mode q0 or pts; name a signature of one's own otherwise"
+
+
+@pytest.mark.parametrize("extra,module", [
+    ("cheat : p : term bool -> proof p.\n", "def thm_0 : p : term bool -> proof p := cheat.\n"),
+    ("(; one comment more ;)\n", None),
+])
+def test_check_refuses_a_hol_dk_that_is_no_base(tmp_path, capsys, extra, module):
+    """``check`` takes a ``hol.dk`` only when it is one of the two base
+    signatures ``translate`` writes: an axiom appended to it proved any
+    module's theorem, exit 0.  The refusal comes before any module beside
+    it is checked, so ``-v`` prints nothing."""
+    assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
+    base = tmp_path / "hol.dk"
+    base.write_text(base.read_text() + extra)
+    doc = tmp_path / "01_identity.dk"
+    if module is not None:
+        doc = tmp_path / "cheat.dk"
+        doc.write_text(module)
+    capsys.readouterr()
+    assert cli.main(["check", "-v", str(doc)]) == 1
+    assert capsys.readouterr() == ("", f"error: {base}: {BASE_REFUSED}\n")
+
+
+@pytest.mark.parametrize("mode,items,fuel", [("q0", 16, 28), ("pts", 22, 83)])
+def test_check_takes_a_crlf_copy_of_either_base(tmp_path, capsys, mode, items, fuel):
+    """Line ends are read as ``\n`` before the base is recognised, and the
+    base is checked under its own budget as before the pin."""
+    assert cli.main(["translate", "--mode", mode, str(IDENTITY), "-o", str(tmp_path)]) == 0
+    base = tmp_path / "hol.dk"
+    base.write_bytes(base.read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    assert cli.main(["check", "-v", str(tmp_path / "01_identity.dk")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(rf"{re.escape(str(base))}: ok \({items} items, parse \S+ s, check \S+ s, fuel {fuel}\)", first)
+
+
+def test_a_signature_of_ones_own_keeps_its_rules(tmp_path):
+    """A file checked with no ``hol.dk`` beside it is checked on its own,
+    its rules included: ``t`` types only because the rule turns ``f c``
+    into a product, and a tampered base under another name passes."""
+    own = tmp_path / "own.dk"
+    own.write_text(
+        "alpha : Type.\nc : alpha.\nf : alpha -> Type.\n[] f c --> y : alpha -> f y -> f y.\n"
+        "def t : f c -> f c := x : f c => x c x.\n"
+    )
+    assert cli.main(["check", str(own)]) == 0
+    tampered = tmp_path / "tampered.dk"
+    tampered.write_text(dkreader.base_text("q0") + "cheat : p : term bool -> proof p.\n")
+    assert cli.main(["check", str(tampered)]) == 0
+
+
+@pytest.mark.parametrize("mode", ["q0", "pts"])
+def test_every_stats_row_counts_the_same_work(tmp_path, mode):
+    """Each article of a batch is self-verified with the base, so its
+    ``verify_fuel`` is what a run of that article alone writes; the second
+    row left out the base's steps when only the first article checked it."""
+    arts = [IDENTITY, CORPUS / "02_refl.art"]
+
+    def fuels(out, *inputs):
+        assert cli.main(["translate", "--mode", mode, *map(str, inputs), "-o", str(out)]) == 0
+        return [row["verify_fuel"] for row in json.loads((out / "stats.json").read_text())["articles"]]
+
+    assert fuels(tmp_path / "batch", *arts) == [fuels(tmp_path / a.stem, a)[0] for a in arts]
 
 
 def test_check_modules_against_their_own_base(tmp_path, capsys):
@@ -507,6 +594,8 @@ def test_check_reads_any_line_end(tmp_path, capsys, newline):
 @pytest.mark.parametrize("text,err", [
     ("Type : Type.\n", "line 1, column 1: expected an item"),
     ("a : Type.\ndef def : Type := a.\n", "line 2, column 5: expected a definition name"),
+    ("c : Type.\nd : def : c -> c.\n", "line 2, column 5: expected a bound name"),
+    ("c : Type.\ndef d : c -> c := def => def.\n", "line 2, column 19: expected a bound name"),
 ])
 def test_check_refuses_a_reserved_word_as_a_name(tmp_path, capsys, text, err):
     doc = tmp_path / "reserved.dk"

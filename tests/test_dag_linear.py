@@ -534,7 +534,7 @@ def test_prove_hyp_chain_prints_each_level_once():
         work.append(calls(lambda: box.update(doc=tr.translate_state(state, "m", sharing=False).document))["trans_proof"])
         sizes.append(len(dkfile.emit(box["doc"]).encode()))
         left = kernel.Fuel()
-        tr.verify_document(box["doc"], fuel=left, base_checked=True)
+        tr.verify_document(box["doc"], fuel=left)
         fuel.append(kernel.DEFAULT_FUEL - left.left)
     assert sizes[1] <= 1.3 * sizes[0], sizes
     assert 0 < work[1] <= 1.3 * work[0], work

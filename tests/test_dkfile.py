@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holtrans import dkfile
+from holtrans import dkfile, dkreader
 from holtrans import kernel as k
 from holtrans import translate as tr
 
@@ -106,7 +106,7 @@ def test_emit_freshens_shadowing_binders():
 
 def test_base_roundtrip_both_modes():
     for mode in ("q0", "pts"):
-        doc = tr.base_document(mode)
+        doc = dkfile.parse(dkreader.base_text(mode))
         assert dkfile.parse(dkfile.emit(doc)) == doc
 
 
@@ -192,11 +192,13 @@ def test_parse_error_positions_are_pinned(text, line, column, expectation):
     ("a : Type.\ndef Type : Type := a.\n", 2, 5, "a definition name"),
     ("a : Type.\n[def : a] def --> def.\n", 2, 2, "a rule variable"),
     ("a : Type.\n[x : a, Type : a] x --> x.\n", 2, 9, "a rule variable"),
+    ("c : Type.\nd : def : c -> c.\n", 2, 5, "a bound name"),
+    ("c : Type.\ndef d : c -> c := def => def.\n", 2, 19, "a bound name"),
 ])
 def test_reserved_words_are_not_names(text, line, column, expectation):
-    """``Type`` and ``def`` (``dkfile.RESERVED``) are never a declared or
-    defined name or a rule variable, as the emitter never writes one there;
-    the token-object parser agrees."""
+    """``Type`` and ``def`` (``dkfile.RESERVED``) are never a declared,
+    defined or bound name or a rule variable, as the emitter never writes
+    one there; the token-object parser agrees."""
     with pytest.raises(dkfile.ParseError) as exc:
         dkfile.parse(text)
     assert (exc.value.line, exc.value.column, exc.value.expectation) == (line, column, expectation)
@@ -306,7 +308,7 @@ def test_reader_matches_the_token_object_parser(seed, mutations):
 
 def test_reader_matches_the_token_object_parser_on_base_documents():
     for mode in ("q0", "pts"):
-        text = dkfile.emit(tr.base_document(mode))
+        text = dkreader.base_text(mode)
         assert _outcome(dkfile.parse, text) == _outcome(reference_dkparse.parse, text)
 
 

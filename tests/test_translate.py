@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holtrans import dkfile, hol
+from holtrans import dkfile, dkreader, hol
 from holtrans import kernel as k
 from holtrans import translate as tr
 
@@ -34,9 +34,12 @@ def test_base_pts_checks_and_has_three_rules(pts):
 @pytest.mark.parametrize("mode", ["q0", "pts"])
 def test_base_file_is_the_header_then_the_source_text(mode):
     """The ``hol.dk`` that ``translate`` writes is, after its two header
-    comments, the text ``translate.py`` declares, byte for byte."""
+    comments, the text ``dkreader`` declares, byte for byte, and the emitter
+    prints what that text parses to as the same text."""
     header = f"(; module hol ;)\n(; base signature, mode {mode} ;)\n"
-    assert dkfile.emit(tr.base_document(mode)) == header + tr.BASE_TEXT[mode]
+    text = dkreader.base_text(mode)
+    assert text == header + dkreader.BASE_TEXT[mode]
+    assert dkfile.emit(dkreader.parse(text)) == text
 
 
 # ---------------------------------------------------------------------------
