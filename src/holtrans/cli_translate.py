@@ -18,9 +18,12 @@ from .cli import STATS_FILE, _fail, _reason
 
 
 def _gz_size(data: bytes) -> int:
-    import gzip
+    """The length of ``gzip.compress(data, mtime=0)``, from ``zlib``'s gzip
+    wrapper (``wbits`` 31, level 9), so that ``translate`` does not import
+    ``gzip``."""
+    import zlib
 
-    return len(gzip.compress(data, mtime=0))
+    return len(zlib.compress(data, 9, 31))
 
 
 def _write_output(path: Path, data: bytes) -> bool:

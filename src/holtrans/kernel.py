@@ -20,8 +20,9 @@ operations use these facts to skip subterms they cannot change: opening
 skips subterms whose bound is at most the depth, closing and substitution
 skip subterms without free variables.  Terms are plain ``__slots__``
 classes, immutable by convention: nothing assigns to a node once built.
-A term may share nodes (a DAG); closing and ``free_names`` visit a shared
-node once per call, so a DAG closes into a DAG.
+A term may share nodes (a DAG); closing, substitution and ``free_names``
+visit a shared node once per call, so a DAG closes, and is instantiated,
+into a DAG.
 
 A ``Signature`` is an ordered sequence of constant declarations, definitions
 and rewrite rules.  Conversion is beta-reduction plus rule rewriting plus
@@ -458,16 +459,28 @@ def substitute(t: Term, mapping: dict[str, Term]) -> Term:
 
     Capture-avoidance is automatic in the locally nameless representation:
     binders bind indices, never names, so images can never be captured.
+    A node shared in ``t`` is substituted once per call and stays shared in
+    the result; a subterm the mapping does not change is returned as it is.
     """
-    if not mapping or not t.has_var:
+    return _subst(t, mapping, {}) if mapping else t
+
+
+def _subst(t: Term, mapping: dict[str, Term], memo: dict) -> Term:
+    """``substitute``'s walk; ``memo`` maps ``id(node)`` to its result."""
+    if not t.has_var:
         return t
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    if isinstance(t, App):
-        return App(substitute(t.fn, mapping), substitute(t.arg, mapping))
-    if isinstance(t, Binder):
-        return type(t)(t.hint, substitute(t.domain, mapping), substitute(t.body, mapping))
-    return t
+    out = memo.get(id(t))
+    if out is None:
+        if isinstance(t, App):
+            fn, arg = _subst(t.fn, mapping, memo), _subst(t.arg, mapping, memo)
+            out = t if fn is t.fn and arg is t.arg else App(fn, arg)
+        else:
+            domain, body = _subst(t.domain, mapping, memo), _subst(t.body, mapping, memo)
+            out = t if domain is t.domain and body is t.body else type(t)(t.hint, domain, body)
+        memo[id(t)] = out
+    return out
 
 
 def term_size(t: Term) -> int:
@@ -662,11 +675,16 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
 
     The result for a term that reduces is memoized in ``sig`` (see the
     module docstring); a hit spends no fuel, and a failure is never entered.
+    A spine whose head is neither an abstraction nor a constant with rules
+    or a definition cannot reduce, and is returned without a memo lookup.
     """
-    if isinstance(t, Const):
-        if t.name not in sig._defs and t.name not in sig._rules:
+    head = t
+    while isinstance(head, App):
+        head = head.fn
+    if isinstance(head, Const):
+        if head.name not in sig._defs and head.name not in sig._rules:
             return t
-    elif not isinstance(t, App):
+    elif not isinstance(head, Abs) or head is t:
         return t
     memo = sig._whnf
     hit = memo.get(t)

@@ -8,7 +8,8 @@ proof constant per primitive derivation rule.  Because the embedding is
 shallow, beta-equal HOL terms have convertible translations, so a beta step,
 or a whole subtree of congruence steps over beta steps, is one reflexivity
 step, an ``EqMp`` over such a subtree is its premise's proof, and
-substitution is expressed by application.
+substitution is expressed by application, or by the application's
+beta-reduct where that prints smaller and its premise is used once.
 
 Two modes are supported: the equality-primitive one (``q0``) and an
 alternative (``pts``) where implication and universal quantification are
@@ -179,6 +180,9 @@ class TranslationEnv:
     term shared in the HOL DAG is one shared kernel term.  ``_declared``
     holds each trusted constant (``ax.``, ``tm.c.def``, ``ty.op.abs_rep``,
     ``ty.op.rep_abs``) applied to its binders' variables, by its key.
+    ``uses`` counts how often the exported proofs reach each proof node
+    (``use_counts``); a node it does not count is taken as shared, so an
+    environment without counts keeps every redex.
     """
 
     def __init__(self):
@@ -199,6 +203,7 @@ class TranslationEnv:
         self._termvar_names: dict[hol.Var, str] = {}
         self._termvars: dict[str, hol.Var] = {}  # the inverse of _termvar_names
         self._hyp_names: dict[int, str] = {}  # id of term_key -> name
+        self.uses: dict[int, int] = {}
         self.namer = DkNamer()
 
     @classmethod
@@ -400,8 +405,8 @@ def _trans_proof(env: TranslationEnv, proof: hol.Proof) -> Term:
             # premise's proof of ``phi``; the proof of ``phi`` from ``psi``
             # is not needed
             phi = proof.eq.lhs.sequent.concl
-            body = bind(Abs, _telescope(env, hyps=(phi,)), trans_proof(env, proof.eq.rhs))
-            return App(body, trans_proof(env, proof.prem))
+            b = proof.eq.rhs
+            return _redex(env, b, _telescope(env, hyps=(phi,)), trans_proof(env, b), [trans_proof(env, proof.prem)])
         phi, psi = hol.dest_eq(proof.eq.sequent.concl)
         return app(
             _EQMP,
@@ -482,7 +487,8 @@ def closed_theorem(env: TranslationEnv, proof: hol.Proof) -> tuple[Term, Term]:
 def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
     """Substitution as a beta redex: abstract the sub-derivation over what
     the substitution changes among everything it depends on (its closure's
-    telescope, so types are instantiated first), then apply to the images.
+    telescope, so types are instantiated first), then apply to the images;
+    or that redex's reduct (``_redex``).
 
     A binder whose image is its own variable is left out (kernel names are
     interned per variable and per alpha class of hypotheses, so a name
@@ -499,7 +505,36 @@ def _trans_subst(env: TranslationEnv, proof: hol.Subst) -> Term:
         for binder, arg in zip(_telescope(env, c.tyvars, c.termvars, c.hyps), images)
         if type(arg) is not Var or arg.name != binder[0]
     ]
-    return app(bind(Abs, [binder for binder, _ in kept], c.core), *(arg for _, arg in kept))
+    return _redex(env, proof.sub, [binder for binder, _ in kept], c.core, [arg for _, arg in kept])
+
+
+def _redex(env: TranslationEnv, premise: hol.Proof, binders: list, core: Term, args: list[Term]) -> Term:
+    """The redex ``(binders => core) args``, where ``core`` translates
+    ``premise``, or its beta-reduct ``core[args/binders]``: the reduct where
+    the exported proofs reach ``premise`` once and it has fewer nodes than
+    the redex, each as printed.  A premise reached twice stays one term under
+    each of its redexes, so a lemma made of it can be cited (ROADMAP L)."""
+    if env.uses.get(id(premise)) == 1:
+        reduct = kernel.substitute(core, {name: arg for (name, _, _), arg in zip(binders, args)})
+        if reduct.size < core.size + sum(domain.size + arg.size + 2 for (_, _, domain), arg in zip(binders, args)):
+            return reduct
+    return app(bind(Abs, binders, core), *args)
+
+
+def use_counts(proofs: Iterable[hol.Proof]) -> dict[int, int]:
+    """How often the DAG of ``proofs`` reaches each node, by id: one use per
+    path to it from the roots, counted up to 2, so a node inside a premise
+    used twice is used twice too.  A node passes each use it gets on to its
+    premises until it has two, so its premises are walked at most twice."""
+    uses: dict[int, int] = {}
+    stack = list(proofs)
+    while stack:
+        p = stack.pop()
+        n = uses.get(id(p), 0)
+        if n < 2:
+            uses[id(p)] = n + 1
+            stack += [v for v in p._values() if isinstance(v, hol.Proof)]
+    return uses
 
 
 def _trans_axiom(env: TranslationEnv, proof: hol.Axiom) -> Term:
@@ -771,6 +806,7 @@ def translate_state(
     """
     base = base_signature(mode)  # an unknown mode fails here, before any work
     env = TranslationEnv.from_vm(state)
+    env.uses = use_counts(proof for _, proof in state.theorems)
     theorems = [closed_theorem(env, proof) for _, proof in state.theorems]
 
     items: list = [dkfile.Comment(f"module {module}: generated from {module}.art")]

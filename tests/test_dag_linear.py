@@ -525,7 +525,9 @@ def test_prove_hyp_chain_prints_each_level_once():
     """``proveHyp`` translates to one redex, the proof of ``psi`` from
     ``phi`` applied to the proof of ``phi``, which the article's second use
     of ``p_i`` is.  Printed as ``EqMp`` over ``PropExt``, each level printed
-    ``p_i`` twice: 76,658 and 153,298 bytes at k = 8 and 9, now 721 and 762."""
+    ``p_i`` twice: 76,658 and 153,298 bytes at k = 8 and 9; as redexes, 721
+    and 762; now 680 and 721: the top level, whose ``b`` is the one
+    derivation of the chain reached by one path, prints as its reduct."""
     sizes, work, fuel = [], [], []
     for k in (8, 9):
         p = prove_hyp_chain(k)

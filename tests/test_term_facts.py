@@ -5,9 +5,10 @@ The kernel's ``open_term``, ``_close`` (through ``conftest.close``),
 node's cached size, loose-index bound and free-variable flag, and the
 sharing pass picks candidates by the same facts.  The oracles below are the plain full-traversal versions those
 replaced; every test compares the kernel against them on random terms,
-including terms with dangling indices and free variables.  ``close`` and
-``free_names`` visit a node shared in a DAG once per call; the tree walks
-they replaced are kept here too, and compared with them on DAGs.
+including terms with dangling indices and free variables.  ``close``,
+``substitute`` and ``free_names`` visit a node shared in a DAG once per
+call; the tree walks they replaced are kept here too, and compared with
+them on DAGs.
 """
 
 import sys
@@ -478,6 +479,19 @@ def tree_close(t, position, level):
     return t
 
 
+def tree_substitute(t, mapping):
+    """``kernel.substitute`` before it kept a DAG's sharing."""
+    if not mapping or not t.has_var:
+        return t
+    if isinstance(t, k.Var):
+        return mapping.get(t.name, t)
+    if isinstance(t, k.App):
+        return k.App(tree_substitute(t.fn, mapping), tree_substitute(t.arg, mapping))
+    if isinstance(t, k.Binder):
+        return type(t)(t.hint, tree_substitute(t.domain, mapping), tree_substitute(t.body, mapping))
+    return t
+
+
 def tree_leaf_names(t, cls):
     """``kernel._leaf_names`` before it visited each node once."""
     out = set()
@@ -528,6 +542,15 @@ def test_close_matches_tree_walk_and_keeps_the_dag(t, names):
 
 
 @settings(max_examples=300, deadline=None)
+@given(dags(), st.dictionaries(NAMES, dags(4), max_size=3))
+def test_substitute_matches_tree_walk_and_keeps_the_dag(t, mapping):
+    out = k.substitute(t, mapping)
+    assert shape(out) == shape(tree_substitute(t, mapping))
+    # one node per input node, the images' nodes shared, not copied
+    assert distinct_nodes(out) <= distinct_nodes(t) + sum(map(distinct_nodes, mapping.values()))
+
+
+@settings(max_examples=300, deadline=None)
 @given(dags())
 def test_leaf_names_match_tree_walk(t):
     assert k.free_names(t) == tree_leaf_names(t, k.Var)
@@ -541,13 +564,15 @@ def _var_dag(depth):
     return t
 
 
-def builtin_calls(run):
-    """How many calls of built-in functions ``run()`` makes: a loop that
-    calls none of the package's functions still calls ``isinstance``."""
+def profiled_calls(run, kind, file=None):
+    """How many calls of ``kind`` ``run()`` makes, from code in ``file`` if
+    given: ``"c_call"`` counts calls of built-in functions (a loop that
+    calls none of the package's functions still calls ``isinstance``),
+    ``"call"`` calls of Python functions."""
     count = [0]
 
     def profile(frame, event, arg):
-        if event == "c_call":
+        if event == kind and file in (None, frame.f_code.co_filename):
             count[0] += 1
 
     sys.setprofile(profile)
@@ -558,12 +583,32 @@ def builtin_calls(run):
     return count[0]
 
 
+def _self_app_dag(depth):
+    """``d_0 = x`` and ``d_(j+1) = d_j d_j``: tree size ``2^(depth+1) - 1``."""
+    t = k.Var("x")
+    for _ in range(depth):
+        t = k.App(t, t)
+    return t
+
+
+def test_substituting_into_a_dag_visits_each_node_once():
+    """The tree walk makes 2^21 - 1 calls at depth 20."""
+    work, box = {}, {}
+    for depth in (10, 20):
+        t = _self_app_dag(depth)
+        work[depth] = profiled_calls(lambda: box.update(out=k.substitute(t, {"x": k.Const("c")})), "call", k.__file__)
+    out = box["out"]
+    assert work[20] <= 2.2 * work[10], work
+    assert out.fn is out.arg and out.size == 2**21 - 1
+    assert k.free_names(out) == set() and k.const_names(out) == {"c"}
+
+
 def test_closing_a_dag_visits_each_node_once(monkeypatch):
     visits, names = {}, {}
     for depth in (10, 20):
         t = _var_dag(depth)
         visits[depth] = count_calls(monkeypatch, k, "_close", lambda: close(t, "x"))
-        names[depth] = builtin_calls(lambda: k.free_names(t))
+        names[depth] = profiled_calls(lambda: k.free_names(t), "c_call")
         assert k.free_names(t) == {"x"}
     assert visits[20] <= 2.2 * visits[10]
     assert names[20] <= 2.2 * names[10]

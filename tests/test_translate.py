@@ -350,14 +350,23 @@ def test_a_module_declares_only_the_type_definition_axioms_it_uses():
     tr.verify_document(doc)
 
 
-def test_subst_translation_instantiates_types_first(q0):
-    env = make_env()
+def _typed_subst_instance():
+    """``Subst(A := bool, x:bool := y:bool; Assume(x:A = x:A))``: not a
+    conversion, so not collapsed."""
     x = hol.Var("x", A)
     s = hol.HolSubst(
         theta=(("A", hol.BOOL),),
         sigma=((hol.Var("x", hol.BOOL), hol.Var("y", hol.BOOL)),),
     )
-    proof = hol.Subst(s, hol.Assume(hol.mk_eq(x, x)))  # not a conversion, so not collapsed
+    return hol.Subst(s, hol.Assume(hol.mk_eq(x, x)))
+
+
+def test_subst_translation_instantiates_types_first(q0):
+    """The assumption is used a second time, so the instance stays a redex."""
+    env = make_env()
+    proof = _typed_subst_instance()
+    env.uses = tr.use_counts([proof, proof.sub])
+    assert env.uses[id(proof.sub)] == 2
     term = tr.trans_proof(env, proof)
     # outermost application argument chain starts with the type image
     head, args = k.spine(term)
@@ -367,6 +376,32 @@ def test_subst_translation_instantiates_types_first(q0):
     ty = k.infer_type(q0, ctx, term)
     y = hol.Var("y", hol.BOOL)
     assert k.convertible(q0, ty, tr.trans_prop_type(env, hol.mk_eq(y, y)))
+
+
+def test_a_single_use_instance_of_an_assumption_is_its_hypothesis(q0):
+    """Used once, the instance prints as its redex's reduct: the hypothesis
+    variable of the instantiated assumption, typed by its own statement."""
+    env = make_env()
+    proof = _typed_subst_instance()
+    env.uses = tr.use_counts([proof])
+    y = hol.Var("y", hol.BOOL)
+    assert tr.trans_proof(env, proof) == k.Var(env.hyp_name(hol.mk_eq(y, y)))
+    ty = k.infer_type(q0, completeness_context(env, proof), tr.trans_proof(env, proof))
+    assert ty == tr.trans_prop_type(env, hol.mk_eq(y, y))
+
+
+def test_use_counts_count_paths_up_to_two():
+    """A node has one use per path to it from the roots, counted up to 2: a
+    premise of a node used twice is used twice even through one edge."""
+    p = hol.Assume(hol.mk_eq(hol.Var("x", A), hol.Var("x", A)))
+    q = hol.EqMp(hol.Refl(p.sequent.concl), p)
+    once, twice = hol.DeductAntiSym(q, p), hol.DeductAntiSym(p, p)
+    uses = tr.use_counts([once])
+    assert (uses[id(once)], uses[id(q)], uses[id(q.eq)], uses[id(p)]) == (1, 1, 1, 2)
+    uses = tr.use_counts([q, twice, twice])
+    assert (uses[id(twice)], uses[id(q)], uses[id(q.eq)], uses[id(p)]) == (2, 1, 1, 2)
+    uses = tr.use_counts([hol.DeductAntiSym(q, q)])
+    assert (uses[id(q)], uses[id(q.eq)], uses[id(p)]) == (2, 2, 2)
 
 
 def test_define_const_emits_declaration_and_axiom(q0):
@@ -834,9 +869,26 @@ def oracle_trans_subst(env, proof):
     return k.app(fn, *args)
 
 
+def oracle_redex(env, premise, binders, core, args):
+    """``translate._redex`` built binder by binder: the redex, or its reduct
+    by one beta step per argument where the reduct is the smaller and the
+    premise has one use."""
+    fn = core
+    for name, hint, domain in reversed(binders):
+        fn = k.Abs(hint, domain, close(fn, name))
+    redex = k.app(fn, *args)
+    if env.uses.get(id(premise)) == 1:
+        for arg in args:
+            fn = k.open_term(fn.body, arg)
+        if fn.size < redex.size:
+            return fn
+    return redex
+
+
 def oracle_trans_subst_changed(env, proof):
     """``oracle_trans_subst`` with each position whose argument is its
-    binder's own variable left out, built binder by binder."""
+    binder's own variable left out, built binder by binder, and reduced as
+    ``oracle_redex`` reduces it."""
     c = tr.closure_of(env, proof.sub)
     theta = dict(proof.subst.theta)
     sigma = dict(proof.subst.sigma)
@@ -852,19 +904,21 @@ def oracle_trans_subst_changed(env, proof):
         arg = k.Var(env.hyp_name(hol.apply_subst(proof.subst, prop)))
         positions.append((env.hyp_name(prop), "h", tr.trans_prop_type(env, prop), arg))
     kept = [pos for pos in positions if pos[3] != k.Var(pos[0])]
-    fn = c.core
-    for name, hint, domain, _ in reversed(kept):
-        fn = k.Abs(hint, domain, close(fn, name))
-    return k.app(fn, *(arg for *_, arg in kept))
+    return oracle_redex(env, proof.sub, [pos[:3] for pos in kept], c.core, [pos[3] for pos in kept])
 
 
-def _oracle_theorem(proof, trans_subst):
+def _oracle_theorem(proof, trans_subst, reduce=False):
     """The closed statement, closed body and open context of ``proof``,
     built binder by binder with ``trans_subst`` translating its ``Subst``
-    nodes, and the environment that named the context's variables."""
+    nodes, and the environment that named the context's variables.  With
+    ``reduce``, the environment counts the proof's uses and ``oracle_redex``
+    builds ``proveHyp``'s redex too."""
     env = make_env()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tr, "_trans_subst", trans_subst)
+        if reduce:
+            env.uses = tr.use_counts([proof])
+            m.setattr(tr, "_redex", oracle_redex)
         c = tr.closure_of(env, proof)
         ty = oracle_pi_over(env, c, tr.trans_prop_type(env, c.sequent.concl))
         return ty, oracle_close_over(env, c, c.core), oracle_completeness_context(env, proof), env
@@ -875,14 +929,16 @@ def _oracle_theorem(proof, trans_subst):
 @given(seed=st.integers(0, 100_000))
 def test_closures_match_per_binder_oracle(mode, seed):
     """The statement and context are the full closures'; a substitution's
-    redex binds only what it changes, so the body is the full-closure
-    oracle's with the identity positions beta-reduced."""
+    redex binds only what it changes, and a redex over a premise used once
+    is reduced where that makes it smaller, so the body is the full-closure
+    oracle's with the identity positions and those redexes beta-reduced."""
     proof = HolGen(seed).proof(3)
     env = make_env()
+    env.uses = tr.use_counts([proof])
     ty, body = tr.closed_theorem(env, proof)
     ctx = completeness_context(env, proof)
     old_ty, old_body, old_ctx, old_env = _oracle_theorem(proof, oracle_trans_subst)
-    ref_ty, ref_body, ref_ctx, _ = _oracle_theorem(proof, oracle_trans_subst_changed)
+    ref_ty, ref_body, ref_ctx, _ = _oracle_theorem(proof, oracle_trans_subst_changed, reduce=True)
     # printed, so that binder hints, which == ignores, are compared too
     fmt = dkfile.fmt_term
     assert ty == old_ty == ref_ty and fmt(ty) == fmt(old_ty) == fmt(ref_ty)
@@ -930,6 +986,34 @@ def test_a_lemma_instantiated_more_than_once_binds_only_what_each_redex_changes(
         assert [len(redex_args(t.body)) for t in theorems] == [1] * 5
     assert dkfile.emit(shared.document) == dkfile.emit(tr.share_document(plain.document, tr.base_signature()).document)
     assert len(dkfile.emit(shared.document)) <= len(dkfile.emit(plain.document))
+
+
+def test_an_exported_lemma_and_its_instances_keep_their_redexes():
+    """ROADMAP L's article: ``HolGen(0).proof(4)`` exported, and six
+    ``Subst`` instances of it, each renaming one variable.  The lemma is
+    reached seven times, so every instance stays a redex over its one
+    translation, and the module is the one written before single-use
+    redexes were reduced, byte for byte, with sharing on and off."""
+    import hashlib
+
+    from holtrans import opentheory as ot
+
+    lemma = HolGen(0).proof(4)
+    vs = sorted(hol.sequent_free_vars(lemma.sequent), key=lambda v: (v.name, repr(v.type)))
+    instances = []
+    for i in range(6):
+        v = vs[i % len(vs)]
+        instances.append(hol.Subst(hol.HolSubst(sigma=((v, hol.Var(f"{v.name}_{i}", v.type)),)), lemma))
+    theorems = [(p.sequent, p) for p in (lemma, *instances)]
+    state = ot.run_text(ot.serialize_article(ot.VMState(theorems=theorems)))
+    assert {id(p.sub) for _, p in state.theorems[1:]} == {id(state.theorems[0][1])}
+    want = {
+        True: (12190, "db62730f5cf31a38439ba77e9ddde5710c16483589f4eabb6e9b31e0458c68a2"),
+        False: (13274, "4936838d9139ed4b7b619bc98452b64fac492a879dfe2a14913316b01909c0af"),
+    }
+    for sharing, (size, digest) in want.items():
+        text = dkfile.emit(tr.translate_state(state, "lemma", sharing=sharing).document).encode()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest), sharing
 
 
 def test_corpus_translates_in_pts_mode(pts, corpus_paths):
