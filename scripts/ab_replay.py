@@ -15,6 +15,10 @@ process runs between two runs of ``perfbench/reference.py``, and its time is
 divided by theirs (as the benchmark's ``*_rel`` metrics are).  Prints each
 side's median and quartiles in that unit, its median peak RSS (from
 ``os.wait4``), the parent's interquartile range and the change's wins.
+With ``--workload``, the family and ``translate``'s flags are those of
+that workload of the benchmark (``WORKLOADS`` in ``perfbench/run.py``,
+loaded by path), so ``--process check --workload synth-pts`` times ``check``
+of a module next to the ``pts`` base signature, as the benchmark does.
 Every process is started by a small spawner process that the script starts
 before it loads anything: a child's peak RSS starts at the high-water of
 the process that spawned it, so this script, with the workloads loaded,
@@ -26,8 +30,8 @@ test run would make that side warm alone).  One untimed process of each side
 runs before the pairs: without ``PYTHONDONTWRITEBYTECODE`` it writes the
 copy's cache, so every timed process of either side starts warm.
 
-Usage: python3 scripts/ab_replay.py PARENT_SRC CHANGE_SRC [--family synth|dag] [--pairs N]
-                                    [--process translate|check]
+Usage: python3 scripts/ab_replay.py PARENT_SRC CHANGE_SRC [--family synth|dag | --workload NAME]
+                                    [--pairs N] [--process translate|check]
 (PARENT_SRC and CHANGE_SRC are directories that contain ``holtrans/``.)
 """
 
@@ -48,6 +52,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 REFERENCE = ROOT / "perfbench" / "reference.py"
+BENCH = ROOT / "perfbench" / "run.py"
+
+
+def bench_workloads() -> dict:
+    """``perfbench/run.py``'s ``WORKLOADS``: each names an article family and
+    the ``translate`` flags that the benchmark runs it with."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def load_parent(src: Path):
@@ -133,7 +147,7 @@ def replay_pairs(args, workloads) -> tuple:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in order:
             times[name].append(replay_s(sides[name], text) * 1e3)
-    return f"family {args.family}, {n} commands parsed and replayed", times, "ms", None
+    return f"{args.label}, {n} commands parsed and replayed", times, "ms", None
 
 
 def process_pairs(args, workloads, spawner: Spawner) -> tuple:
@@ -151,7 +165,7 @@ def process_pairs(args, workloads, spawner: Spawner) -> tuple:
             src = sides[name] = work / name / "src"
             shutil.copytree(tree / "holtrans", src / "holtrans", ignore=shutil.ignore_patterns("__pycache__"))
             out = work / name / "out"
-            argv[name] = ["-m", "holtrans.cli", "translate", "-o", out, art]
+            argv[name] = ["-m", "holtrans.cli", "translate", *args.flags, "-o", out, art]
             if args.process == "check":
                 if spawner.run(argv[name], src)[0] != 0:
                     raise RuntimeError(f"{name}: translate of {art.name} failed")
@@ -168,26 +182,33 @@ def process_pairs(args, workloads, spawner: Spawner) -> tuple:
                 before, ref = ref, reference_s(spawner)
                 times[name].append(wall / ((before + ref) / 2))
                 rss[name].append(peak)
-    return f"family {args.family}, {args.process} processes", times, "ref", rss
+    return f"{args.label}, {args.process} processes", times, "ref", rss
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, metavar="PARENT_SRC")
     parser.add_argument("change", type=Path, metavar="CHANGE_SRC")
-    parser.add_argument("--family", choices=("synth", "dag"), default="synth")
+    sys.dont_write_bytecode = True  # leave nothing behind in either tree or in perfbench/
+    bench = bench_workloads()
+    choose = parser.add_mutually_exclusive_group()
+    choose.add_argument("--family", choices=("synth", "dag"), default="synth")
+    choose.add_argument("--workload", choices=sorted(bench), help="a benchmark workload: its family and translate flags")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--process", choices=("translate", "check"), help="time fresh command-line processes")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    args.flags, args.label = [], f"family {args.family}"
+    if args.workload:
+        w = bench[args.workload]
+        args.family, args.flags, args.label = w.family, w.flags(), f"workload {args.workload}"
     for src in (args.parent, args.change):
         if not (src / "holtrans" / "__init__.py").is_file():
             parser.error(f"{src}: no holtrans package")
 
     spawner = Spawner() if args.process else None  # before this process grows
     try:
-        sys.dont_write_bytecode = True  # leave nothing behind in either tree or in perfbench/
         sys.setrecursionlimit(100_000)
         sys.path.insert(0, str(args.change.resolve()))  # the change is ``holtrans``, as workloads.py imports it
         spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)

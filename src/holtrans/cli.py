@@ -15,8 +15,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn, Optional
 
-from . import dkfile, kernel  # the rest of the package loads only for the command that needs it
-
 # The translator and the kernel recurse once per level of term nesting: on the main
 # thread's stack, a term 20,000 levels deep overflows the C stack (a segfault).
 RECURSION_LIMIT = 100_000
@@ -119,8 +117,10 @@ def _fail(msg: str) -> None:
 
 
 def _reason(e: Exception) -> str:
-    """``Type: message`` for a failure, at most ``dkfile.MESSAGE_WIDTH`` characters."""
-    return dkfile.clip(f"{type(e).__name__}: {e}")
+    """``Type: message`` for a failure, at most ``dkreader.MESSAGE_WIDTH`` characters."""
+    from .dkreader import clip
+
+    return clip(f"{type(e).__name__}: {e}")
 
 
 def _documents_for_check(paths: list) -> list:
@@ -142,7 +142,8 @@ def cmd_check(args: SimpleNamespace) -> int:
     its items are that base's one parse.  A module checked after a hol.dk may
     declare no rewrite rule: ``translate`` writes none there, and the kernel's
     budget bounds its steps, not the memory a rule's steps can build."""
-    from .dkreader import ParseError, base_mode, base_signature, parse
+    from . import kernel
+    from .dkreader import ParseError, base_mode, base_signature, parse, signature_items
 
     bases: dict[Path, kernel.Signature] = {}  # directory -> its checked hol.dk
     budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
@@ -159,7 +160,7 @@ def cmd_check(args: SimpleNamespace) -> int:
             if mode is None:
                 _fail(f"{path}: not the base signature of mode q0 or pts; name a signature of one's own otherwise")
                 return 1
-            file_items = base_signature(mode).items if mode else dkfile.signature_items(parse(text))
+            file_items = base_signature(mode).items if mode else signature_items(parse(text))
         except UnicodeDecodeError as e:
             _fail(f"{path}: not UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}")
             return 1
@@ -172,7 +173,9 @@ def cmd_check(args: SimpleNamespace) -> int:
         base = bases.get(directory)
         rule = next((it for it in file_items if isinstance(it, kernel.RewriteRule)), None)
         if base is not None and rule is not None:
-            _fail(f"{path}: rewrite rule {dkfile.fmt_message_term(rule.lhs)}: only hol.dk declares rewrite rules")
+            from .dkfile import fmt_message_term
+
+            _fail(f"{path}: rewrite rule {fmt_message_term(rule.lhs)}: only hol.dk declares rewrite rules")
             return 1
         sig = kernel.Signature(base.items) if base is not None else kernel.Signature()
         try:
@@ -230,7 +233,7 @@ def main(argv: Optional[list] = None) -> int:
         # Each command's modules load here: compiled on the worker's deep
         # stack, they would leave more of that stack resident.
         if args.subcommand == "check":
-            from . import dkreader  # noqa: F401
+            from . import dkreader, kernel  # noqa: F401
             return _run_with_deep_stack(cmd_check, args)
         if args.subcommand == "translate":
             from . import cli_translate  # and the translator with it

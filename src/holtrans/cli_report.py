@@ -10,7 +10,6 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import dkfile, kernel
 from .cli import STATS_FILE, _fail
 
 
@@ -102,13 +101,13 @@ def cmd_stats(args: SimpleNamespace) -> int:
 
 
 def _selftest_checks():
-    from . import dkreader, opentheory, translate
+    from . import dkreader, kernel, opentheory, translate
 
     def base(mode, rules):
         def check():
             # the hol.dk ``translate`` writes is the one ``check`` takes, as these items
             text, sig = dkreader.base_text(mode), translate.base_signature(mode)
-            assert dkreader.base_mode(text) == mode and dkfile.signature_items(dkreader.parse(text)) == sig.items
+            assert dkreader.base_mode(text) == mode and dkreader.signature_items(dkreader.parse(text)) == sig.items
             kernel.check_signature(sig)
             assert len(sig.rules) == rules
         return check

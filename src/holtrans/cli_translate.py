@@ -101,6 +101,13 @@ def cmd_translate(args: SimpleNamespace) -> int:
             return 1
         t1 = time.perf_counter()
         budget = kernel.DEFAULT_FUEL if args.fuel is None else args.fuel
+        # verification and emission walk the module as a tree, and spend no fuel on it
+        printed, bound = 0, budget + len(data)
+        for item in dkreader.signature_items(result.document):
+            printed += item.type.size + (item.body.size if isinstance(item, kernel.Defn) else 0)
+            if printed > bound:
+                _fail(f"{path}: {item.name} takes the printed module past {bound} nodes (budget + article bytes)")
+                return 1
         fuel = kernel.Fuel(budget)
         try:
             translate.verify_document(result.document, mode=args.mode, fuel=fuel)

@@ -1,4 +1,4 @@
-"""Serializer for the output document format, and its document records.
+"""Serializer for the output document format.
 
 A document is an ordered sequence of declarations ``name : TYPE.``,
 definitions ``def name : TYPE := TERM.``, rewrite rules
@@ -9,9 +9,9 @@ may open its body with Dedukti's domain-free abstraction, allowed only
 there: its domain is that of the declared type's matching product.  Items
 reuse the kernel's signature item types, so a parsed document feeds
 straight into the checker.  The grammar is this package's normative format;
-compatibility with external checkers is best-effort only.  The reader
-(``parse``, ``ParseError``; both names resolve here too) is
-``holtrans.dkreader``, which also keeps the base signatures' text.
+compatibility with external checkers is best-effort only.  The document
+records and the reader are ``holtrans.dkreader``'s (which also keeps the
+base signatures' text); their names resolve here too.
 """
 
 from __future__ import annotations
@@ -20,36 +20,15 @@ from bisect import bisect_left
 from typing import Optional, Union
 
 from . import kernel
+from .dkreader import (  # noqa: F401 - the document model and the reader, under their old names too
+    MESSAGE_WIDTH, RESERVED, Comment, DkDocument, DocItem, ParseError, clip, parse, signature_items,
+)
 from .kernel import TYPE, Abs, App, Binder, BVar, Const, ConstDecl, Defn, Prod, RewriteRule, Sort, Term, Var
-
-
-def __getattr__(name: str):
-    if name in ("parse", "ParseError"):
-        from . import dkreader
-
-        return getattr(dkreader, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class Comment(kernel.Record):
-    __slots__ = _fields = ("text",)
-
-
-DocItem = Union[ConstDecl, Defn, RewriteRule, Comment]
-
-
-class DkDocument(kernel.Record):
-    __slots__ = _fields = ("module", "items")
-
-
-def signature_items(doc: DkDocument) -> tuple:
-    return tuple(it for it in doc.items if not isinstance(it, Comment))
 
 
 # ---------------------------------------------------------------------------
 # Name mangling
 
-RESERVED = frozenset({"Type", "def"})
 
 def mangle(name: str) -> str:
     """Deterministic identifier image: dots to underscores, other foreign
@@ -173,17 +152,12 @@ def fmt_term(t: Term, declared: Optional[Term] = None) -> str:
     return _fmt(t, 0, _TOP, [], {}, _Occurrences(t), declared)
 
 
-# An error message shows at most MESSAGE_WIDTH characters and each term in it
-# a third of that, cut first to half as many nodes, so that the elision marker
+# Each term in an error message shows at most a third of MESSAGE_WIDTH
+# characters, cut first to half as many nodes, so that the elision marker
 # shows before the text is cut unless the names are long.
-MESSAGE_WIDTH = 600
 _TERM_WIDTH = MESSAGE_WIDTH // 3
 _TERM_NODES = _TERM_WIDTH // 2
 _ELIDED = Const("...")
-
-
-def clip(text: str, width: int = MESSAGE_WIDTH) -> str:
-    return text if len(text) <= width else text[: width - 3] + "..."
 
 
 def _for_message(t: Term, left: list[int], depth: int) -> Term:

@@ -1,7 +1,9 @@
-"""Reader for the output document format (``dkfile``): ``parse`` turns a
-``.dk`` text into a ``DkDocument`` or raises ``ParseError``.  A word of
-``dkfile.RESERVED`` is not a declared, defined or bound name or a rule
-variable, as the emitter never writes one there.
+"""The output document format's records and its reader.  A ``DkDocument``
+is a module name and its items: the kernel's signature items and
+``Comment``s.  ``parse`` reads one from a ``.dk`` text or raises
+``ParseError``, and ``dkfile`` writes one.  A word of ``RESERVED`` is not
+a declared, defined or bound name or a rule variable, as the emitter
+never writes one there.
 
 The reader keeps the two base signatures, the only ``hol.dk`` texts
 ``check`` takes: ``base_text`` is what ``translate`` writes,
@@ -11,10 +13,34 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Optional
+from typing import Optional, Union
 
-from .dkfile import RESERVED, Comment, DkDocument, DocItem
-from .kernel import TYPE, Abs, App, BVar, Const, ConstDecl, Defn, Prod, RewriteRule, Signature, Term, Var
+from .kernel import TYPE, Abs, App, BVar, Const, ConstDecl, Defn, Prod, Record, RewriteRule, Signature, Term, Var
+
+
+class Comment(Record):
+    __slots__ = _fields = ("text",)
+
+
+DocItem = Union[ConstDecl, Defn, RewriteRule, Comment]
+
+
+class DkDocument(Record):
+    __slots__ = _fields = ("module", "items")
+
+
+def signature_items(doc: DkDocument) -> tuple:
+    return tuple(it for it in doc.items if not isinstance(it, Comment))
+
+
+RESERVED = frozenset({"Type", "def"})
+
+# An error message shows at most MESSAGE_WIDTH characters.
+MESSAGE_WIDTH = 600
+
+
+def clip(text: str, width: int = MESSAGE_WIDTH) -> str:
+    return text if len(text) <= width else text[: width - 3] + "..."
 
 
 class ParseError(Exception):

@@ -132,7 +132,7 @@ def dest_fn(ty: HolType) -> tuple[HolType, HolType]:
 
 # A type in an error message shows its first _TYPE_NODES nodes, in its repr's
 # format, and at most _TYPE_WIDTH characters (a third of the command line's
-# dkfile.MESSAGE_WIDTH): a type shared through the article dictionary can be
+# dkreader.MESSAGE_WIDTH): a type shared through the article dictionary can be
 # exponentially larger as a tree than as read.
 _TYPE_NODES = 8
 _TYPE_WIDTH = 200

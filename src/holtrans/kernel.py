@@ -65,15 +65,21 @@ each domain with the arguments before it.  It reduces the type (``whnf``)
 only where it is not already a product, and opens the codomain once at
 the end, so the errors and their order are the one-argument rule's.
 
-A definition's body is checked against its declared type, which has
-already been shown to have a sort (Dunfield and Krishnaswami,
-"Bidirectional Typing", 2021).  The body's leading abstractions are
-opened together with the type's leading products while their domains are
-equal; the product rule has checked those domains, so only the rest of
-the body is inferred, in their context, and compared with the rest of the
-type.  That is the abstraction rule's derivation with its premises taken
-from the type, so the verdict is the infer-and-compare one's.  Translated
-theorems bind in their proofs exactly what their statements quantify.
+One checking rule types a term against a type already known to have a
+sort (Dunfield and Krishnaswami, "Bidirectional Typing", 2021): a
+definition's body against its declared type, and an abstraction argument
+against its domain, as Dedukti's kernel does (Saillard, "Typechecking in
+the lambda-Pi-Calculus Modulo", 2015).  The term's leading abstractions
+are opened together with the type's leading products (after one
+``whnf``, so ``term (arrow A B)`` counts) while their domains are equal.
+Those domains are not checked again: a declared type passed the product
+rule, and a domain is part of the head's type, itself well-sorted,
+opened with arguments already checked.  Only the rest of the term is
+inferred, in their context, and compared with the rest of the type.
+That is the abstraction rule's derivation with its premises taken from
+the type, so the verdict is the infer-and-compare one's; an argument
+that fails is inferred again, so its error is too.  Translated theorems
+bind in their proofs exactly what their statements quantify.
 
 Each ``Signature`` memoizes ``whnf`` (Lean 4's kernel keeps such a cache:
 de Moura and Ullrich, CADE 2021).  ``whnf`` depends on nothing but the
@@ -390,15 +396,14 @@ def open_term(t: Term, *values: Term) -> Term:
 
 def _open(t: Term, values: tuple[Term, ...], depth: int) -> Term:
     if t.bound <= depth:
-        return t
-    if isinstance(t, BVar):
+        return t  # every leaf but an index
+    cls = type(t)
+    if cls is BVar:
         k = len(values) - 1 - t.index + depth
         return values[k] if k >= 0 else BVar(t.index - len(values))
-    if isinstance(t, App):
+    if cls is App:
         return App(_open(t.fn, values, depth), _open(t.arg, values, depth))
-    if isinstance(t, Binder):
-        return type(t)(t.hint, _open(t.domain, values, depth), _open(t.body, values, depth + 1))
-    return t
+    return cls(t.hint, _open(t.domain, values, depth), _open(t.body, values, depth + 1))
 
 
 def bind(cls: type[Binder], binders: Sequence[tuple[str, str, Term]], body: Term) -> Term:
@@ -831,11 +836,14 @@ def _infer(sig: Signature, ctx: dict[str, Term], t: Term, fuel: Fuel) -> Term:
             ty = whnf(sig, ty, fuel)
             if type(ty) is not Prod:
                 raise NotAFunction("application head has no product type: ", node.fn, " : ", ty)
-        arg_ty = _infer(sig, ctx, node.arg, fuel)
+        arg = node.arg
         domain = open_term(ty.domain, *values) if values and ty.domain.bound else ty.domain
-        if arg_ty != domain and not convertible(sig, arg_ty, domain, fuel):
-            raise DomainMismatch("argument type mismatch: expected ", domain, ", got ", arg_ty)
-        values.append(node.arg)
+        # an abstraction is checked; one that fails is inferred again, for the abstraction rule's error
+        if type(arg) is not Abs or _check(sig, ctx, arg, domain, fuel) is not None:
+            arg_ty = _infer(sig, ctx, arg, fuel)
+            if arg_ty != domain and not convertible(sig, arg_ty, domain, fuel):
+                raise DomainMismatch("argument type mismatch: expected ", domain, ", got ", arg_ty)
+        values.append(arg)
         ty = ty.body
     return open_term(ty, *values)
 
@@ -950,7 +958,16 @@ def check_extension(sig: Signature, items: Iterable[SigItem], fuel: Union[int, F
                 if not isinstance(s, Sort):
                     raise IllTypedDeclaration(f"declaration {item.name}: type has no sort")
                 if isinstance(item, Defn):
-                    _check_definition(sig, item, fuel)
+                    try:
+                        wrong = _check(sig, {}, item.body, item.type, fuel)
+                    except FuelExhausted:
+                        raise
+                    except KernelError as e:
+                        raise IllTypedDeclaration(f"definition {item.name}: ", e) from e
+                    if wrong is not None:
+                        raise IllTypedDeclaration(
+                            f"definition {item.name}: body type ", wrong, " does not match declared ", item.type
+                        )
         except FuelExhausted as e:
             kind = "definition" if isinstance(item, Defn) else "declaration"
             where = ("rule ", item.lhs) if isinstance(item, RewriteRule) else (f"{kind} {item.name}",)
@@ -958,36 +975,24 @@ def check_extension(sig: Signature, items: Iterable[SigItem], fuel: Union[int, F
         sig.add(item)
 
 
-def _check_definition(sig: Signature, item: Defn, fuel: Fuel) -> None:
-    """Check a definition's body against its declared type, already shown
-    to be well-sorted.
-
-    The body's leading abstractions are opened together with the type's
-    leading products as long as their domains are equal; the product rule
-    has checked those domains, so they are not checked again.  Only the
-    rest of the body is inferred, and compared with the rest of the type.
-    """
-    ctx: dict[str, Term] = {}
+def _check(sig: Signature, ctx: dict[str, Term], t: Term, ty: Term, fuel: Fuel) -> Optional[Term]:
+    """The checking rule (see the module docstring): None if ``t`` has type
+    ``ty``, a locally closed type already shown to have a sort, else the
+    type inferred for ``t``, its matched binders bound again."""
     binders: list[tuple[str, str, Term]] = []
     values: list[Term] = []
-    body, ty = item.body, item.type
-    while type(body) is Abs and type(ty) is Prod and body.domain == ty.domain:
-        x = f"{body.hint}#{len(values)}"
-        domain = open_term(body.domain, *values) if body.domain.bound else body.domain
-        binders.append((x, body.hint, domain))
+    want = ty if type(t) is not Abs or type(ty) is Prod else whnf(sig, ty, fuel)
+    while type(t) is Abs and type(want) is Prod and t.domain == want.domain:
+        x = f"{t.hint}#{len(ctx)}"
+        ctx[x] = domain = open_term(t.domain, *values) if t.domain.bound else t.domain
+        binders.append((x, t.hint, domain))
         values.append(Var(x))
-        ctx[x] = domain
-        body, ty = body.body, ty.body
-    try:
-        body_ty = _infer(sig, ctx, open_term(body, *values), fuel)
-    except FuelExhausted:
-        raise
-    except KernelError as e:
-        raise IllTypedDeclaration(f"definition {item.name}: ", e) from e
-    if not convertible(sig, body_ty, open_term(ty, *values), fuel):
-        raise IllTypedDeclaration(
-            f"definition {item.name}: body type ", bind(Prod, binders, body_ty), " does not match declared ", item.type
-        )
+        t, want = t.body, want.body
+    got = _infer(sig, ctx, open_term(t, *values), fuel)
+    want = open_term(want, *values) if binders else ty
+    for x, _, _ in binders:
+        del ctx[x]
+    return None if got == want or convertible(sig, got, want, fuel) else bind(Prod, binders, got)
 
 
 def _check_rule(prefix: Signature, rule: RewriteRule, fuel: Fuel) -> None:

@@ -22,22 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from . import dkfile, dkreader, hol, kernel
-from .kernel import (
-    TYPE,
-    Abs,
-    App,
-    ConstDecl,
-    Const,
-    Defn,
-    Prod,
-    Record,
-    Signature,
-    Term,
-    Var,
-    app,
-    arrow,
-    bind,
-)
+from .kernel import TYPE, Abs, App, ConstDecl, Const, Defn, Prod, Record, Signature, Term, Var, app, arrow, bind
 
 
 class TranslateError(Exception):
@@ -113,7 +98,7 @@ class DkNamer:
 
     def __init__(self):
         self.mapping: dict[str, str] = {}
-        self.used: set[str] = set(dkfile.RESERVED)
+        self.used: set[str] = set(dkreader.RESERVED)
         self.collisions: list[tuple[str, str]] = []
 
     def ident(self, name: str) -> str:
@@ -637,10 +622,10 @@ class _Sharing:
     term itself: equal subterms, hints aside, are one class.
     """
 
-    def __init__(self, doc: dkfile.DkDocument, base: Signature, min_size: int, fuel: Optional[int] = None):
+    def __init__(self, doc: dkreader.DkDocument, base: Signature, min_size: int, fuel: Optional[int] = None):
         self.doc = doc
         self.min_size = max(min_size, 2)  # a leaf is never a candidate
-        self.sig = Signature((*base.items, *dkfile.signature_items(doc)))  # a copy: base may be cached
+        self.sig = Signature((*base.items, *dkreader.signature_items(doc)))  # a copy: base may be cached
         self.budget = kernel.Fuel(kernel.DEFAULT_FUEL if fuel is None else fuel)
         self.shared = _shared_terms(self)
         self.decided: dict = {}  # class -> its reference, or None where it stays inline
@@ -752,7 +737,7 @@ def _shared_terms(run: _Sharing) -> dict:
 
 
 def share_document(
-    doc: dkfile.DkDocument,
+    doc: dkreader.DkDocument,
     base: Optional[Signature] = None,
     min_size: int = 8,
     fuel: Optional[int] = None,
@@ -775,7 +760,7 @@ def share_document(
             item = ConstDecl(item.name, ty) if type(item) is ConstDecl else Defn(item.name, ty, run.rewrite(item.body))
             run.sig.add(item)  # shadows the item as written: a later type read from it prints its references
         run.new_items.append(item)
-    return ShareReport(dkfile.DkDocument(doc.module, tuple(run.new_items)), run.hoisted, run.replaced)
+    return ShareReport(dkreader.DkDocument(doc.module, tuple(run.new_items)), run.hoisted, run.replaced)
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +794,8 @@ def translate_state(
     env.uses = use_counts(proof for _, proof in state.theorems)
     theorems = [closed_theorem(env, proof) for _, proof in state.theorems]
 
-    items: list = [dkfile.Comment(f"module {module}: generated from {module}.art")]
-    items.append(dkfile.Comment("requires hol.dk (base signature)"))
+    items: list = [dkreader.Comment(f"module {module}: generated from {module}.art")]
+    items.append(dkreader.Comment("requires hol.dk (base signature)"))
     items.extend(env.decls)
     for k, (ty, body) in enumerate(theorems):
         items.append(Defn(env.namer.ident(f"thm_{k}"), ty, body))
@@ -819,8 +804,8 @@ def translate_state(
 
         note = ", ".join(f"{json.dumps(old, ensure_ascii=False)} renamed to {new}" for old, new in env.namer.collisions)
         note = note.replace(";", "\\u003b")  # a JSON escape: no name ends the comment
-        items.insert(0, dkfile.Comment(f"name collisions: {note}"))
-    doc = dkfile.DkDocument(module, tuple(items))
+        items.insert(0, dkreader.Comment(f"name collisions: {note}"))
+    doc = dkreader.DkDocument(module, tuple(items))
 
     share_hits = share_defs = 0
     if sharing:
@@ -829,10 +814,10 @@ def translate_state(
     return TranslationResult(doc, len(state.theorems), share_hits, share_defs)
 
 
-def verify_document(doc: dkfile.DkDocument, mode: str = "q0", fuel: Union[int, kernel.Fuel, None] = None) -> None:
+def verify_document(doc: dkreader.DkDocument, mode: str = "q0", fuel: Union[int, kernel.Fuel, None] = None) -> None:
     """Type-check the base signature for ``mode`` and then a generated
     document, on one path, as ``check`` checks a directory's ``hol.dk`` and
     a module beside it.  Pass a ``kernel.Fuel`` to read back the steps spent.
     """
-    items = base_signature(mode).items + dkfile.signature_items(doc)
+    items = base_signature(mode).items + dkreader.signature_items(doc)
     kernel.check_extension(Signature(), items, fuel)

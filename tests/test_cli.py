@@ -243,8 +243,21 @@ def test_check_loads_only_the_reader_and_the_kernel(tmp_path):
     ``gettext`` and ``locale``)."""
     assert cli.main(["translate", str(IDENTITY), "-o", str(tmp_path)]) == 0
     assert _probe((*ARGPARSE, "dataclasses", "gzip", "json"), "check", tmp_path / "01_identity.dk") == [
-        "0", "|", "holtrans", "holtrans.cli", "holtrans.dkfile", "holtrans.dkreader", "holtrans.kernel"
+        "0", "|", "holtrans", "holtrans.cli", "holtrans.dkreader", "holtrans.kernel"
     ]
+
+
+def test_check_loads_the_emitter_only_to_render_a_kernel_error(tmp_path):
+    """The emitter's printer renders the terms of a kernel error's message;
+    a parse error or a passing check never loads it, and ``stats`` loads
+    neither the kernel nor the reader."""
+    bad, unparsable = tmp_path / "bad.dk", tmp_path / "unparsable.dk"
+    bad.write_text("A : Type.\na : A.\nc : A -> a.\n")
+    unparsable.write_text("A : .\n")
+    loaded = ["|", "holtrans", "holtrans.cli", "holtrans.dkreader", "holtrans.kernel"]
+    assert _probe((), "check", bad) == ["1", *loaded[:3], "holtrans.dkfile", *loaded[3:]]
+    assert _probe((), "check", unparsable) == ["1", *loaded]
+    assert _probe((), "stats", tmp_path) == ["2", "|", "holtrans", "holtrans.cli", "holtrans.cli_report"]
 
 
 def test_translate_loads_neither_the_writer_nor_the_reports(tmp_path):
@@ -874,6 +887,29 @@ def test_fuel_zero_fails_verification_and_check(tmp_path, capsys):
     out = tmp_path / "01_identity.dk"
     assert cli.main(["check", "--fuel", "0", str(out)]) == 1
     assert "FuelExhausted" in capsys.readouterr().err
+
+
+def test_a_module_printed_past_the_budget_is_one_error_line(tmp_path, capsys):
+    """``Refl(t_20)`` over a constant, ``t_(k+1) = (t_k = t_k)``: without
+    sharing its module prints as a tree of millions of nodes, and neither
+    verifying nor emitting it spends fuel (it ran for 54 s and wrote 63 MB).
+    Past the budget plus one node per article byte, ``translate`` names the
+    item and stops before either, writing no module and no stats file.
+    Shared, the module prints a few hundred nodes and passes."""
+    t = hol.Const("c", hol.BOOL)
+    for _ in range(20):
+        t = hol.mk_eq(t, t)
+    proof = hol.Refl(t)
+    art = tmp_path / "ladder.art"
+    art.write_text(ot.serialize_article(ot.VMState(theorems=[(proof.sequent, proof)])))
+    out = tmp_path / "out"
+    assert cli.main(["translate", "--fuel", "100000", "--no-sharing", str(art), "-o", str(out)]) == 1
+    bound = 100000 + art.stat().st_size
+    assert capsys.readouterr().err == (
+        f"error: {art}: thm_0 takes the printed module past {bound} nodes (budget + article bytes)\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["hol.dk"]
+    assert cli.main(["translate", "--fuel", "100000", str(art), "-o", str(out)]) == 0
 
 
 @pytest.mark.parametrize("command", ["translate", "check"])

@@ -584,3 +584,63 @@ def test_infer_is_deterministic():
     first = k.infer_type(sig, ctx, t)
     for _ in range(3):
         assert k.infer_type(sig, ctx, t) == first
+
+
+# ---------------------------------------------------------------------------
+# verdicts of single kernel checks, each on a small document
+
+
+def _refusal(text):
+    """The error ``check_signature`` raises on the items of ``text``, or None."""
+    from holtrans import dkreader
+
+    try:
+        k.check_signature(k.Signature(dkreader.parse(text).items))
+    except k.KernelError as e:
+        return e
+    return None
+
+
+def test_non_linear_pattern_does_not_fire_on_distinct_arguments():
+    """``f x x --> B`` rewrites ``f a a`` to ``B``, and not ``f a b``, so
+    ``c : B`` has the first type and not the second."""
+    base = "A : Type. B : Type. a : A. b : A. c : B. f : A -> A -> Type. [x : A] f x x --> B.\n"
+    assert _refusal(base + "def d : f a a := c.") is None
+    e = _refusal(base + "def d : f a b := c.")
+    assert type(e) is k.IllTypedDeclaration and "does not match declared" in str(e), e
+
+
+def test_product_codomain_without_a_sort_is_refused():
+    """``a : A`` is a term, not a type, so ``A -> a`` has no sort."""
+    e = _refusal("A : Type. a : A. c : A -> a.")
+    assert type(e) is k.IllTypedDeclaration and type(e.__cause__) is k.IllegalSort, e
+    assert "product codomain is not a type or kind" in str(e)
+
+
+ABSTRACTION_ARGUMENTS = "A : Type. B : Type. a : A. b : B. g : (A -> A) -> A. E : Type. [] E --> A -> A. j : E -> A.\n"
+
+
+@pytest.mark.parametrize("head", ["g", "j"])  # a product domain, and one that is a product after one step
+def test_abstraction_argument_body_must_have_the_codomain_type(head):
+    base = ABSTRACTION_ARGUMENTS
+    assert _refusal(base + f"def d : A := {head} (x : A => x).") is None
+    e = _refusal(base + f"def d : A := {head} (x : A => b).")
+    assert type(e) is k.IllTypedDeclaration and type(e.__cause__) is k.DomainMismatch, e
+    e = _refusal(base + f"def d : A := {head} (x : A => Type).")
+    assert type(e) is k.IllTypedDeclaration and type(e.__cause__) is k.IllegalSort, e
+
+
+def test_definition_body_must_have_the_declared_codomain_type():
+    assert _refusal(ABSTRACTION_ARGUMENTS + "def d : A -> A := x : A => x.") is None
+    e = _refusal(ABSTRACTION_ARGUMENTS + "def d : A -> A := x : A => b.")
+    assert type(e) is k.IllTypedDeclaration and "does not match declared" in str(e), e
+
+
+def test_abstraction_argument_with_a_merely_convertible_domain_has_it_checked():
+    """``(z : a => A) a`` converts to ``A``, but ``z : a`` binds over a term:
+    a domain that is not the expected one itself is checked as the
+    abstraction rule checks it."""
+    base = ABSTRACTION_ARGUMENTS
+    assert _refusal(base + "def d : A := g (x : (z : A => A) a => x).") is None
+    e = _refusal(base + "def d : A := g (x : (z : a => A) a => x).")
+    assert type(e) is k.IllTypedDeclaration and type(e.__cause__) is k.IllegalSort, e

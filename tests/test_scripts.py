@@ -147,6 +147,26 @@ def test_ab_replay_runs_one_untimed_process_of_each_tree_first(tmp_path):
     assert not list(tmp_path.glob("*/holtrans/__pycache__"))
 
 
+def test_ab_replay_takes_a_benchmark_workload_s_family_and_flags(tmp_path):
+    """``--workload synth-pts``: the translate that writes the checked module
+    runs with the benchmark's flags for that workload, so ``check`` runs next
+    to the ``pts`` base signature.  The parent is a stand-in that logs each
+    run's arguments."""
+    parent, log = tmp_path / "parent", tmp_path / "runs.log"
+    (parent / "holtrans").mkdir(parents=True)
+    (parent / "holtrans" / "__init__.py").write_text("")
+    (parent / "holtrans" / "cli.py").write_text(
+        f"import sys\nwith open({str(log)!r}, 'a') as log:\n    log.write(' '.join(sys.argv[1:]) + '\\n')\n"
+    )
+    proc = _run(SCRIPTS / "ab_replay.py", parent, SCRIPTS.parent / "src", "--workload", "synth-pts",
+                "--pairs", "1", "--process", "check")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "workload synth-pts, check processes, 1 pairs"
+    runs = log.read_text().splitlines()
+    assert runs[0].startswith("translate --mode pts --compress --no-sharing -o ") and runs[0].endswith("synth.art")
+    assert [r.split()[0] for r in runs] == ["translate", "check", "check"] and runs[1].endswith("synth.dk")
+
+
 def test_traffic_script_on_one_article():
     one = SCRIPTS.parent / "corpus" / "01_identity.art"
     proc = _run(SCRIPTS / "traffic.py", one)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference_typing as ref
 from conftest import HolGen, count_calls, env_signature, make_env, replace_at, subterms
-from holtrans import dkfile
+from holtrans import dkfile, dkreader
 from holtrans import kernel as k
 from holtrans import opentheory as ot
 from holtrans import translate as tr
@@ -347,3 +347,89 @@ def test_later_theorem_with_the_first_statement_matches_reference(mode, seed, la
     items[first + later] = k.Defn(thm.name, thm0.type, thm.body)
     verdict = _agreed_verdict(items)
     assert verdict is (None if k.convertible(k.Signature(items[:first]), thm0.type, thm.type) else k.IllTypedDeclaration)
+
+
+# ---------------------------------------------------------------------------
+# Abstraction arguments checked against their domains
+#
+# The kernel checks an abstraction argument against its expected domain
+# (a product, or one after ``whnf``) and infers it only to report a
+# failure; the reference infers every argument and compares.  Verdicts and
+# error classes must agree, ill-typed arguments included: a wrong domain, a
+# wrong body type, an abstraction where no product is expected, and a body
+# at the level of kinds.
+
+_ARG_SIG_TEXT = """\
+A : Type. P : A -> Type. a : A. p : P a.
+E : Type. [] E --> A -> A.
+g : (A -> A) -> A.
+h : (x : A -> P x -> A) -> A.
+j : E -> A.
+m : A -> A.
+"""
+
+
+@st.composite
+def _abstraction_arguments(draw):
+    """``f (x1 : D1 => ... => b)`` for a head ``f`` of ``_ARG_SIG_TEXT``,
+    well- and ill-typed, sometimes under a further ``m``."""
+    n = draw(st.integers(1, 3))
+    binders = []
+    for depth in range(n):
+        atoms = [k.Const("A")] * 4 + [k.App(k.Const("P"), k.Const("a")), k.Const("E"), k.TYPE, k.Const("a")]
+        atoms += [k.App(k.Abs("z", k.Const("A"), k.Const("A")), k.Const("a"))]  # converts to A
+        atoms += [k.App(k.Const("P"), k.BVar(i)) for i in range(depth)]
+        binders.append(draw(st.sampled_from(atoms)))
+    body_atoms = [k.Const("a")] * 2 + [k.Const("p"), k.TYPE, k.Const("A"), k.Const("m")]
+    body_atoms += [k.BVar(i) for i in range(n)] + [k.App(k.Const("m"), k.BVar(i)) for i in range(n)]
+    t = draw(st.sampled_from(body_atoms))
+    for i, domain in reversed(list(enumerate(binders))):
+        t = k.Abs(f"x{i}", domain, t)
+    t = k.App(k.Const(draw(st.sampled_from("ghjm"))), t)
+    return k.App(k.Const("m"), t) if draw(st.booleans()) else t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_abstraction_arguments())
+def test_abstraction_arguments_match_reference(t):
+    sig = k.Signature(dkreader.parse(_ARG_SIG_TEXT).items)
+    k.check_signature(sig)
+    assert _outcome(k.infer_type, sig, t) == _outcome(ref.infer_type, sig, t)
+    items = [*sig.items, k.Defn("d", k.Const("A"), t)]
+    _agreed_verdict(items)
+
+
+def _argument_positions(t, abstraction):
+    """The preorder positions of ``t``'s application arguments that are
+    (``abstraction``) or are not abstractions."""
+    subs = subterms(t)
+    return [i + 1 + u.fn.size for i, u in enumerate(subs)
+            if isinstance(u, k.App) and isinstance(u.arg, k.Abs) is abstraction]
+
+
+@pytest.mark.parametrize("mode", ["q0", "pts"])
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 100_000), st.data())
+def test_abstraction_arguments_of_theorems_match_reference(mode, seed, data):
+    """Each theorem's abstraction arguments, as translated and mutated."""
+    items, first = _theorems(mode, seed)
+    sig = k.Signature(items[:first])
+    pool = [k.TYPE, tr._T, k.App(k.Const("term"), k.Const("bool")), k.Const("bool")]
+    for i in range(first, len(items)):
+        thm = items[i]
+        subs = subterms(thm.body)
+        cases = [thm.body]
+        for pos in _argument_positions(thm.body, True):
+            u = subs[pos]
+            other = data.draw(st.sampled_from(pool))
+            cases += [
+                replace_at(thm.body, pos, k.Abs(u.hint, other, u.body)),  # a wrong domain
+                replace_at(thm.body, pos, k.Abs(u.hint, u.domain, other)),  # a wrong body type, or a kind-level one
+            ]
+        for pos in _argument_positions(thm.body, False)[:3]:
+            u = subs[pos]
+            body = u if u.bound == 0 else k.Const("bool")
+            cases.append(replace_at(thm.body, pos, k.Abs("z", data.draw(st.sampled_from(pool)), body)))
+        for body in cases:
+            assert _outcome(k.infer_type, sig, body) == _outcome(ref.infer_type, sig, body)
+            _agreed_verdict(items[:first] + [k.Defn(thm.name, thm.type, body)])
